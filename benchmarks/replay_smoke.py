@@ -1,13 +1,18 @@
-"""Replay smoke check for CI: the FixMatch two-view loop must replay.
+"""Replay smoke check for CI: the FixMatch two-view loop and the ZSL-KG
+pretrain must replay.
 
 Runs the FixMatch consistency loop (pseudo-label forward + two-view
 weighted-sum step, exactly as ``repro.modules.fixmatch`` drives it) with the
 graph replay executor forced on, and fails if:
 
-* any step falls back to eager (``ReplayStats.fallback_count > 0``) — the
-  regression this PR exists to catch;
+* any step falls back to eager (``ReplayStats.fallback_count > 0``);
 * the replayed loop is slower than the fused eager loop (ratio < 1.0);
 * the replayed parameters are not bit-identical to the eager ones.
+
+It then pretrains the ZSL-KG class encoder on the tiny workspace (the
+benchmark world) in float32, once with replay (whose ReLU runs in place over
+the first layer's output) and once eagerly, and fails on any replay fallback
+or on any weight byte that differs between the two.
 
 Perf ratios are advisory on shared CI runners (the workflow step uses
 ``continue-on-error``); the fallback and bit-identity checks are exact
@@ -22,7 +27,8 @@ import time
 import numpy as np
 
 from repro.modules.fixmatch import consistency_step
-from repro.nn import MLP, GraphReplay, ReplayStats, SGD, default_dtype
+from repro.nn import (MLP, GraphReplay, ReplayStats, SGD,
+                      collect_replay_stats, default_dtype, use_graph_replay)
 
 STEPS = 150
 L, U, D, C = 20, 64, 24, 10
@@ -49,6 +55,45 @@ def _run_loop(replay: bool, stats: ReplayStats):
                              unlabeled_x, strong_x, cons_w, 0.6, dt)
         elapsed = time.perf_counter() - start
         return [p.data.copy() for p in model.parameters()], elapsed
+
+
+def _pretrain_zsl_kg(workspace, backbone, replay: bool,
+                     stats: ReplayStats):
+    """The ZSL-KG class-encoder pretrain; returns its weights."""
+    from repro.modules import ZslKgModule
+
+    ZslKgModule._pretrained_cache.clear()
+    with default_dtype(np.float32), use_graph_replay(replay), \
+            collect_replay_stats(stats):
+        state = ZslKgModule()._pretrain(workspace.scads, backbone, seed=0)
+    ZslKgModule._pretrained_cache.clear()
+    return state
+
+
+def _check_zsl_kg_pretrain() -> list:
+    from repro.kg import GraphSpec
+    from repro.synth import WorldSpec
+    from repro.workspace import Workspace, WorkspaceSpec
+
+    workspace = Workspace(WorkspaceSpec(
+        graph=GraphSpec(num_filler_concepts=300, seed=0),
+        world=WorldSpec(seed=0), scads_images_per_concept=30, seed=0))
+    backbone = workspace.backbone("resnet50")
+    stats = ReplayStats()
+    replayed = _pretrain_zsl_kg(workspace, backbone, True, stats)
+    eager = _pretrain_zsl_kg(workspace, backbone, False, ReplayStats())
+    print(f"zsl-kg pretrain replay stats: {stats}")
+    failures = []
+    if stats.fallback_count or stats.eager_steps:
+        failures.append(f"zsl-kg pretrain fell back to eager: "
+                        f"{stats.fallbacks}")
+    if stats.replays == 0:
+        failures.append("zsl-kg pretrain replayed nothing")
+    if list(replayed) != list(eager) or any(
+            replayed[name].tobytes() != eager[name].tobytes()
+            for name in eager):
+        failures.append("zsl-kg pretrain weights differ from eager")
+    return failures
 
 
 def main() -> int:
@@ -80,11 +125,12 @@ def main() -> int:
             break
     if ratio < 1.0:
         failures.append(f"replay slower than eager ({ratio:.2f}x < 1.0x)")
+    failures += _check_zsl_kg_pretrain()
     for failure in failures:
         print(f"FAIL: {failure}")
     if not failures:
         print("replay smoke: OK (zero fallbacks, bit-identical, "
-              f"{ratio:.2f}x)")
+              f"{ratio:.2f}x; zsl-kg pretrain byte-identical)")
     return 1 if failures else 0
 
 

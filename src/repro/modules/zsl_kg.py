@@ -19,7 +19,7 @@ to the number of shots — visible as the flat ZSL-KG line in Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,6 +84,38 @@ def _eval_forward(module: Module, inputs: np.ndarray) -> np.ndarray:
         return module(Tensor(inputs)).data
 
 
+#: concepts per frozen-backbone forward when building prototype targets: one
+#: ten-row forward per concept is bound by per-call overhead, while one
+#: forward over every concept would hold all their images and activations
+#: at once and raise peak memory
+_PROTOTYPE_CHUNK = 64
+
+
+def _prototype_targets(scads, encoder: Module, concepts: Sequence[str],
+                       images_per_prototype: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm feature-space prototype of each concept (the Eq. 9 targets).
+
+    Images are drawn concept by concept, so ``rng`` advances exactly as it
+    would for one draw per concept; the frozen ``encoder`` then runs once per
+    chunk of ``_PROTOTYPE_CHUNK`` concepts, holding one chunk's images at a
+    time.
+    """
+    prototypes = []
+    for start in range(0, len(concepts), _PROTOTYPE_CHUNK):
+        groups = [scads.get_images(concept, limit=images_per_prototype,
+                                   rng=rng)
+                  for concept in concepts[start:start + _PROTOTYPE_CHUNK]]
+        features = _eval_forward(encoder, np.concatenate(groups))
+        offset = 0
+        for images in groups:
+            prototype = features[offset:offset + len(images)].mean(axis=0)
+            offset += len(images)
+            norm = np.linalg.norm(prototype)
+            prototypes.append(prototype / norm if norm > 0 else prototype)
+    return np.stack(prototypes)
+
+
 class ZslKgTaglet(Taglet):
     """Zero-shot classifier: frozen backbone features scored against class vectors."""
 
@@ -106,8 +138,11 @@ class ZslKgModule(TrainingModule):
 
     name = "zsl_kg"
 
-    #: cache of pretrained class encoders keyed by (backbone identity, graph identity)
-    _pretrained_cache: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+    #: pretrained class encoders keyed by (backbone id, graph id, engine
+    #: dtype, config); each entry is ``(backbone, graph, state)`` — holding
+    #: the objects keeps their ids from being recycled while it lives
+    _pretrained_cache: Dict[tuple, Tuple[PretrainedBackbone, KnowledgeGraph,
+                                         Dict[str, np.ndarray]]] = {}
 
     def __init__(self, config: Optional[ZslKgConfig] = None):
         self.config = config or ZslKgConfig()
@@ -136,14 +171,17 @@ class ZslKgModule(TrainingModule):
     # ------------------------------------------------------------------ #
     def _pretrain(self, bundle: ScadsBundle, backbone: PretrainedBackbone,
                   seed: int) -> Dict[str, np.ndarray]:
-        # The engine dtype is part of the key: float32-mode pretrain weights
-        # must not silently leak into a later float64 run (or vice versa).
-        cache_key = (id(backbone), id(bundle.scads.graph),
-                     np.dtype(get_default_dtype()).name)
-        if cache_key in self._pretrained_cache:
-            return self._pretrained_cache[cache_key]
-
         config = self.config
+        graph = bundle.scads.graph
+        # The engine dtype is part of the key, so float32-mode weights never
+        # leak into a float64 run (or vice versa), and so is the config, so
+        # a short pretrain never answers for a long one.
+        cache_key = (id(backbone), id(graph),
+                     np.dtype(get_default_dtype()).name, astuple(config))
+        entry = self._pretrained_cache.get(cache_key)
+        if entry is not None:
+            return entry[2]
+
         rng = np.random.default_rng(seed)
         encoder = backbone.instantiate(rng=rng)
         encoder.eval()
@@ -153,16 +191,8 @@ class ZslKgModule(TrainingModule):
             concepts = sorted(rng.choice(concepts, size=config.max_training_concepts,
                                          replace=False).tolist())
         descriptions = np.stack([self._node_description(bundle, c) for c in concepts])
-        prototypes = []
-        for concept in concepts:
-            images = bundle.scads.get_images(concept,
-                                             limit=config.images_per_prototype,
-                                             rng=rng)
-            features = _eval_forward(encoder, images)
-            prototype = features.mean(axis=0)
-            norm = np.linalg.norm(prototype)
-            prototypes.append(prototype / norm if norm > 0 else prototype)
-        targets = np.stack(prototypes)
+        targets = _prototype_targets(bundle.scads, encoder, concepts,
+                                     config.images_per_prototype, rng)
 
         n_validation = max(1, int(len(concepts) * config.validation_fraction))
         permutation = rng.permutation(len(concepts))
@@ -173,6 +203,9 @@ class ZslKgModule(TrainingModule):
         optimizer = Adam(class_encoder.parameters(), lr=config.pretrain_lr,
                          weight_decay=config.weight_decay)
         best_state = class_encoder.state_dict()
+        # Improvements are copied into these buffers, allocated once.
+        checkpoint = [(best_state[name], param)
+                      for name, param in class_encoder.named_parameters()]
         best_val = float("inf")
         # The pretrain loop is the engine's most static workload: the same
         # full-batch step (plus a validation forward) repeated
@@ -195,9 +228,10 @@ class ZslKgModule(TrainingModule):
             val_loss = stepper.eval_loss(val_x, val_y)
             if val_loss < best_val:
                 best_val = val_loss
-                best_state = class_encoder.state_dict()
+                for saved, param in checkpoint:
+                    np.copyto(saved, param.data)
 
-        self._pretrained_cache[cache_key] = best_state
+        self._pretrained_cache[cache_key] = (backbone, graph, best_state)
         return best_state
 
     # ------------------------------------------------------------------ #

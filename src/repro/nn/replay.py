@@ -23,7 +23,10 @@ signature replays raw NumPy kernels bound to preallocated buffers: no
 tensors, no closures, no tape, no topological sort.  The arithmetic is
 kernel-for-kernel identical to the fused eager path, so replayed training is
 bit-identical to eager training (asserted by ``tests/nn/test_replay.py`` and
-``tests/nn/test_replay_dag.py``).
+``tests/nn/test_replay_dag.py``).  One buffer-reuse rule shrinks the working
+set: a ReLU whose input is a ``Linear`` output read by nothing else, with
+neither node the plan root, runs in place over that output and shares its
+grad buffer with the ``Linear`` (:func:`_reuse_relu_buffers`).
 
 Fallback rules (checked on *every* step, before replaying):
 
@@ -255,13 +258,18 @@ class _LinearStep:
 
 
 class _ReLUStep:
+    """``max(x, 0)``; runs in place over its producer's buffer when
+    :func:`_reuse_relu_buffers` allows it (then ``out is x``)."""
+
     __slots__ = ("index", "requires_grad", "x", "out", "grad", "mask",
                  "gin", "gin_acc", "gin_tmp",
                  "_src", "_src_rg")
 
     def __init__(self, layer: ReLU, inp: Tensor, out: Tensor):
         self.x: Optional[np.ndarray] = None
-        self.mask = np.empty(inp.shape, dtype=bool)
+        # Allocated by the compiler only for nodes that run a backward, so
+        # eval and forward-only plans carry no mask.
+        self.mask: Optional[np.ndarray] = None
         self.out = np.empty_like(out.data)
         self.grad: Optional[np.ndarray] = None
         self.gin = None
@@ -269,8 +277,10 @@ class _ReLUStep:
         self.gin_tmp = None
 
     def forward(self) -> None:
-        np.greater(self.x, 0, out=self.mask)
-        np.multiply(self.x, self.mask, out=self.out)
+        # The mask is taken before ``maximum`` may overwrite ``x``.
+        if self.mask is not None:
+            np.greater(self.x, 0, out=self.mask)
+        np.maximum(self.x, 0, out=self.out)
 
     def backward(self) -> None:
         if self.gin is None:
@@ -869,6 +879,34 @@ class _CompiledPlan:
         return self.root.out
 
 
+def _reuse_relu_buffers(built: List[object], links: List[tuple],
+                        root) -> set:
+    """Buffer-reuse pass: run a ReLU in place over its ``Linear`` input.
+
+    Applies when the ReLU's input is a ``Linear`` output that feeds nothing
+    else and neither node is the plan root: no other kernel reads the
+    pre-activation values, and no caller is handed the buffer.  The ReLU
+    then writes ``max(x, 0)`` over the ``Linear`` output; in backward it
+    masks its own grad buffer in place and that buffer is the ``Linear``'s
+    grad (wired in :func:`_compile`).  The ``Linear`` backward reads only
+    its input, weight and grad — never its output — so the overwrite is
+    invisible to it.  Returns the ids of the ReLU nodes that run in place.
+    """
+    consumers: Dict[int, int] = {}
+    for _, _, src in links:
+        consumers[id(src)] = consumers.get(id(src), 0) + 1
+    inplace = set()
+    for node in built:
+        if type(node) is not _ReLUStep or node is root:
+            continue
+        src = node._src
+        if type(src) is _LinearStep and src is not root \
+                and consumers[id(src)] == 1:
+            node.out = src.out
+            inplace.add(id(node))
+    return inplace
+
+
 def _compile(records: List[tuple], root: Tensor,
              input_keys: Dict[int, str], optimizer: Optional[Optimizer],
              train: bool) -> _CompiledPlan:
@@ -891,12 +929,15 @@ def _compile(records: List[tuple], root: Tensor,
     nodes: Dict[int, object] = {}
     built: List[object] = []
     input_sites: List[tuple] = []
+    links: List[tuple] = []
 
     def wire(node, attr: str, src) -> None:
+        # Node-to-node links bind after the buffer-reuse pass, which may
+        # repoint a ReLU's output at its producer's buffer.
         if isinstance(src, _InputNode):
             input_sites.append((node, attr, src.key, src.cast_dtype))
         else:
-            setattr(node, attr, src.out)
+            links.append((node, attr, src))
 
     def key_for(obj, what: str) -> str:
         oid = id(obj)
@@ -989,15 +1030,25 @@ def _compile(records: List[tuple], root: Tensor,
                 "from the loss")
 
     built.sort(key=lambda n: n.index)
+    inplace = _reuse_relu_buffers(built, links, root_node)
+    for node, attr, src in links:
+        setattr(node, attr, src.out)
     forwards = [node.forward for node in built]
 
     backwards: List[Callable] = []
     if train:
         # Gradient buffers: one per node that participates in the backward.
         for node in built:
-            if node.requires_grad:
-                node.grad = (np.ones_like(node.out) if node is root_node
-                             else np.empty_like(node.out))
+            if not node.requires_grad:
+                continue
+            node.grad = (np.ones_like(node.out) if node is root_node
+                         else np.empty_like(node.out))
+            if type(node) is _ReLUStep:
+                node.mask = np.empty(node.out.shape, dtype=bool)
+                if id(node) in inplace:
+                    # The ReLU is the Linear's only consumer, hence the only
+                    # writer of its gradient: the two share one buffer.
+                    node._src.grad = node.grad
         # Deposit wiring in backward-execution order: the first contribution
         # to each target writes it, later ones accumulate — exactly the
         # eager engine's copy-then-add ordering.
@@ -1046,6 +1097,9 @@ def _compile(records: List[tuple], root: Tensor,
                 assign_param(node, "gb", node.layer.beta)
                 assign_param(node, "gg", node.layer.gamma)
                 assign(node, "gin", node._src, node._src_rg)
+            elif id(node) in inplace:
+                # Masks its own grad buffer in place; the Linear reads it.
+                node.gin = node.grad
             elif isinstance(node, (_ReLUStep, _TanhStep, _DropoutStep)):
                 assign(node, "gin", node._src, node._src_rg, needs_tmp=True)
             elif isinstance(node, (_AddStep, _MulStep)):

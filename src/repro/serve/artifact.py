@@ -352,7 +352,7 @@ def _compile_forward(model: ClassificationModel) -> Optional[
     """Flatten a Linear/ReLU model into a raw-NumPy kernel plan.
 
     The plan replays the engine's inference ops bit-for-bit — ``x @ W`` then
-    ``+= b`` (:func:`repro.nn.functional.linear`) and ``x * (x > 0)``
+    ``+= b`` (:func:`repro.nn.functional.linear`) and ``maximum(x, 0)``
     (``Tensor.relu``) — in the weights' own dtype, touching no process-global
     engine state: no tape, no default-dtype flip, no lock.  Concurrent calls
     are safe (the plan only reads the weight arrays), which is what the
@@ -392,7 +392,7 @@ def _compile_forward(model: ClassificationModel) -> Optional[
                 if bias is not None:
                     out += bias
             else:
-                out = out * (out > 0)
+                out = np.maximum(out, 0)
         return out
 
     return forward

@@ -437,6 +437,11 @@ class MicroBatcher:
                     f"request dtype {array.dtype} cannot be cast to the "
                     f"model dtype {self.dtype}")
             array = array.astype(self.dtype)
+        # A NaN/Inf row would be served as non-standard JSON tokens and
+        # cached; it is the client's fault, so it fails here, alone.
+        if array.dtype.kind in "fc" and not np.isfinite(array).all():
+            raise ValueError("request contains non-finite values "
+                             "(NaN or Inf)")
         return array
 
     def submit(self, features: np.ndarray, priority: int = 0,

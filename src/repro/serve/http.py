@@ -177,23 +177,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
         if self.path != "/predict":
             self._send_error_json(404, f"unknown path {self.path!r}")
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            self._send_error_json(400, "invalid Content-Length")
-            return
-        if length <= 0:
-            self._send_error_json(400, "request body required (JSON)")
-            return
-        if length > MAX_BODY_BYTES:
-            self._send_error_json(
-                413, f"request body of {length} bytes exceeds the "
-                     f"{MAX_BODY_BYTES}-byte limit — split the batch")
-            return
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._send_error_json(400, f"invalid JSON body: {error}")
+        payload = self._read_json_body()
+        if payload is None:
             return
 
         model = payload.get("model", "default")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.modules import GraphClassEncoder, ZslKgConfig, ZslKgModule
-from repro.nn import Tensor
+from repro.modules.zsl_kg import _PROTOTYPE_CHUNK, _prototype_targets
+from repro.nn import Tensor, default_dtype, no_grad, use_graph_replay
 
 
 FAST_CONFIG = ZslKgConfig()
@@ -51,6 +52,73 @@ class TestZslKgModule:
         assert len(ZslKgModule._pretrained_cache) == 1
         module.train(module_input)
         assert len(ZslKgModule._pretrained_cache) == 1
+
+    def test_pretrain_cache_is_keyed_on_the_config(self, module_input):
+        """Regression: a short pretrain config used to be answered from an
+        entry another config had filled (the key ignored the config)."""
+        ZslKgModule._pretrained_cache.clear()
+        short = ZslKgModule(ZslKgConfig(pretrain_epochs=5,
+                                        max_training_concepts=60))
+        longer = ZslKgModule(ZslKgConfig(pretrain_epochs=10,
+                                         max_training_concepts=60))
+        scads, backbone = module_input.scads, module_input.backbone
+        first = short._pretrain(scads, backbone, seed=0)
+        second = longer._pretrain(scads, backbone, seed=0)
+        assert len(ZslKgModule._pretrained_cache) == 2
+        assert second is not first
+        assert short._pretrain(scads, backbone, seed=0) is first
+        # Entries pin the objects whose ids they are keyed on.
+        for entry in ZslKgModule._pretrained_cache.values():
+            assert entry[0] is backbone and entry[1] is scads.scads.graph
+        ZslKgModule._pretrained_cache.clear()
+
+
+class TestPretrainFastPath:
+    """The pretrain's fast path (replay with in-place ReLU buffers, chunked
+    prototype forwards, buffer-copied checkpoints) changes no weight bit."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_replay_weights_byte_identical_to_eager(self, module_input, dtype):
+        config = ZslKgConfig(pretrain_epochs=60, max_training_concepts=300)
+
+        def pretrain(replay):
+            ZslKgModule._pretrained_cache.clear()
+            with default_dtype(dtype), use_graph_replay(replay):
+                return ZslKgModule(config)._pretrain(
+                    module_input.scads, module_input.backbone, seed=0)
+
+        replayed, eager = pretrain(True), pretrain(False)
+        ZslKgModule._pretrained_cache.clear()
+        assert list(replayed) == list(eager)
+        for name in eager:
+            assert replayed[name].dtype == np.dtype(dtype)
+            assert replayed[name].tobytes() == eager[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunked_targets_match_per_concept_loop(self, tiny_workspace,
+                                                     tiny_backbone, dtype):
+        scads = tiny_workspace.scads.scads
+        # Two full chunks and a ragged third.
+        concepts = scads.concepts_with_images()[:2 * _PROTOTYPE_CHUNK + 7]
+        assert len(concepts) == 2 * _PROTOTYPE_CHUNK + 7
+        with default_dtype(dtype):
+            encoder = tiny_backbone.instantiate(rng=np.random.default_rng(0))
+            encoder.eval()
+            chunked = _prototype_targets(scads, encoder, concepts, 10,
+                                         np.random.default_rng(1))
+            # The reference: one draw and one backbone forward per concept.
+            rng = np.random.default_rng(1)
+            reference = []
+            for concept in concepts:
+                images = scads.get_images(concept, limit=10, rng=rng)
+                with no_grad():
+                    features = encoder(Tensor(images)).data
+                prototype = features.mean(axis=0)
+                norm = np.linalg.norm(prototype)
+                reference.append(prototype / norm if norm > 0 else prototype)
+        reference = np.stack(reference)
+        assert chunked.dtype == reference.dtype == np.dtype(dtype)
+        assert chunked.tobytes() == reference.tobytes()
 
     def test_requires_scads(self, module_input):
         import copy

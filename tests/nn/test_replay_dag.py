@@ -18,7 +18,9 @@ import pytest
 from repro.nn import (MLP, Adam, GraphReplay, SGD, Tensor, TrainConfig,
                       default_dtype, train_classifier)
 from repro.nn import functional as F
-from repro.nn.modules import BatchNorm1d, Dropout, Linear, Module, ReLU
+from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
+                              Sequential, Tanh)
+from repro.nn.replay import _ReLUStep
 
 DTYPES = [
     pytest.param(np.float64, id="float64"),
@@ -559,3 +561,103 @@ class TestCompiledForward:
         after = stepper.forward(x).copy()
         assert stepper.stats.captures == 1  # no recapture needed
         assert not np.array_equal(before, after)
+
+
+# --------------------------------------------------------------------------- #
+# ReLU buffer reuse: in place only over a private Linear output
+# --------------------------------------------------------------------------- #
+
+
+class _PreActivationFanOut(Module):
+    """The Linear output feeds the ReLU *and* a residual sum."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.fc1 = Linear(10, 16, rng=rng)
+        self.act = ReLU()
+        self.fc2 = Linear(16, 4, rng=rng)
+
+    def forward(self, x):
+        h = self.fc1(x)
+        return self.fc2(self.act(h) + h)
+
+
+#: case -> (model factory, whether each traced ReLU of the training plan
+#: may run in place over its producer's buffer)
+REUSE_CASES = {
+    "linear_relu_linear": (
+        lambda rng: Sequential(Linear(10, 16, rng=rng), ReLU(),
+                               Linear(16, 4, rng=rng)), [True]),
+    "linear_output_fanned_out": (_PreActivationFanOut, [False]),
+    "relu_fed_by_tanh": (
+        lambda rng: Sequential(Linear(10, 16, rng=rng), Tanh(), ReLU(),
+                               Linear(16, 4, rng=rng)), [False]),
+    "relu_fed_by_input": (
+        lambda rng: Sequential(ReLU(), Linear(10, 16, rng=rng), ReLU(),
+                               Linear(16, 4, rng=rng)), [False, True]),
+}
+
+
+def _relu_nodes(stepper, kind):
+    """The ReLU kernels of the stepper's ``kind`` plans (train/eval/fwd)."""
+    return [f.__self__ for sig, plan in stepper._plans.items()
+            if sig[0] == kind for f in plan._forwards
+            if isinstance(f.__self__, _ReLUStep)]
+
+
+def _in_place(node):
+    return node.out is getattr(node._src, "out", None)
+
+
+class TestReluBufferReuse:
+    """A ReLU runs in place over its producer's buffer only when that
+    producer is a Linear whose output nothing else reads and neither node is
+    the plan root.  Reused or refused, every case must stay byte-identical
+    to eager (signed zeros included)."""
+
+    def _run(self, make, dtype, replay):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(24, 10))
+        y = rng.integers(0, 4, size=24)
+        with _dtype_scope(dtype):
+            model = make(np.random.default_rng(41))
+            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2),
+                                  enabled=replay)
+            losses = [stepper.step(x, y) for _ in range(6)]
+            model.eval()
+            losses.append(stepper.eval_loss(x, y))
+            logits = [stepper.forward(x).tobytes() for _ in range(2)]
+        params = [p.data.tobytes() for p in model.parameters()]
+        return (params, losses, logits), stepper
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_bytes_match_eager(self, case, dtype):
+        make, expected = REUSE_CASES[case]
+        replayed, stepper = self._run(make, dtype, replay=True)
+        eager, _ = self._run(make, dtype, replay=False)
+        assert replayed == eager
+        assert stepper.stats.eager_steps == 0
+        assert [_in_place(n) for n in _relu_nodes(stepper, "train")] \
+            == expected
+        assert [_in_place(n) for n in _relu_nodes(stepper, "eval")] \
+            == expected
+        # Only training plans run a backward, so only they carry a mask.
+        for kind in ("eval", "fwd"):
+            assert all(n.mask is None for n in _relu_nodes(stepper, kind))
+
+    def test_relu_as_forward_root_keeps_its_own_buffer(self):
+        from repro.nn.tensor import inference_mode
+
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(12, 10))
+        model = Sequential(Linear(10, 16, rng=np.random.default_rng(43)),
+                           ReLU())
+        model.eval()
+        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
+        compiled = [stepper.forward(x).tobytes() for _ in range(3)]
+        with inference_mode():
+            eager = model(Tensor(x)).data.tobytes()
+        assert compiled == [eager] * 3
+        (relu,) = _relu_nodes(stepper, "fwd")
+        assert not _in_place(relu)

@@ -288,6 +288,30 @@ class TestRequestValidation:
                 batcher.submit(np.array(["a", "b", "c"]))
         assert batcher.snapshot().rejected == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_rows_rejected_alone(self, value):
+        calls = []
+
+        def record(batch):
+            calls.append(batch.copy())
+            return batch * batch
+
+        config = BatchingConfig(max_batch_size=8, max_latency_ms=1,
+                                cache_size=16)
+        with MicroBatcher(record, config, input_dim=3,
+                          dtype=np.float64) as batcher:
+            good = batcher.submit(np.ones(3))
+            for bad in (np.array([1.0, value, 2.0]),
+                        np.array([[1.0, 2.0, 3.0], [value, 0.0, 0.0]],
+                                 dtype=np.float32)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    batcher.submit(bad)
+            good.result(timeout=10)
+        stats = batcher.snapshot()
+        assert stats.rejected == 2
+        assert stats.requests == stats.served == 1
+        assert all(np.isfinite(call).all() for call in calls)
+
     def test_mixed_dtypes_normalized_before_fusing(self):
         """Regression: a float32 request fused with float64 ones used to
         promote the whole batch; now every request is normalized to the

@@ -63,9 +63,10 @@ def run_chaos(config: BatchingConfig, close_drain: bool,
             if poison and kind == 3:
                 row = np.full(3, 1e9)      # blows up the forward
             if kind == 4:
-                # Wrong width: rejected synchronously, alone.
+                # Wrong width or a NaN row: rejected synchronously, alone.
+                bad = np.zeros(7) if i % 12 == 4 else np.full(3, np.nan)
                 try:
-                    batcher.submit(np.zeros(7))
+                    batcher.submit(bad)
                 except ValueError:
                     with futures_lock:
                         rejected[0] += 1

@@ -333,6 +333,33 @@ class TestHttpEndpoint:
         assert excinfo.value.code == 400
         assert fragment in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("body", [[[1.0] * 24], "inputs", 42],
+                             ids=["array", "string", "number"])
+    def test_non_object_bodies_are_400(self, endpoint, body):
+        # Regression: a JSON array body raised AttributeError in the
+        # handler and the client saw a dropped connection.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(endpoint, body)
+        assert excinfo.value.code == 400
+        assert "must be an object" in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")], ids=str)
+    def test_non_finite_inputs_are_400(self, endpoint, server, features,
+                                       value):
+        # Regression: NaN/Inf rows were answered 200 with non-standard NaN
+        # tokens, and the answer was cached.
+        row = features[0].tolist()
+        row[3] = value
+        for _ in range(2):  # the second attempt must not hit a cache entry
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(endpoint, {"inputs": [row]})
+            assert excinfo.value.code == 400
+            assert "non-finite" in json.loads(excinfo.value.read())["error"]
+        stats = server.stats()["default@1"]
+        assert stats["rejected"] == 2
+        assert stats["requests"] == 0
+
     def test_expired_deadline_is_504(self, endpoint, features):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, {"inputs": features[:1].tolist(),
