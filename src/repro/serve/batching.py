@@ -279,6 +279,12 @@ class _Request:
 #: Sentinel asking the worker threads to drain the queue and exit.
 _SHUTDOWN = object()
 
+#: Budget an answer must still have when it is delivered.  The caller sees
+#: completion a few microseconds after ``set_result`` (its done-callbacks run
+#: next), so an answer delivered with less left than this would land just
+#: past the deadline; it fails with ``DeadlineExceeded`` instead.
+_DELIVERY_HEADROOM_S = 0.0005
+
 
 class _RequestQueue:
     """A blocking priority queue of requests (plus the shutdown sentinel).
@@ -704,7 +710,7 @@ class MicroBatcher:
             # guarantees a request never completes successfully after its
             # own deadline — the latency contract stays honest even when
             # the answer was computed.
-            if request.expired():
+            if request.expired(time.perf_counter() + _DELIVERY_HEADROOM_S):
                 self._expire(request)
                 continue
             request.future.set_result(result[0] if request.single else result)

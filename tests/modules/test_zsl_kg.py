@@ -73,6 +73,35 @@ class TestZslKgModule:
         ZslKgModule._pretrained_cache.clear()
 
 
+    def test_requires_scads(self, module_input):
+        import copy
+
+        broken = copy.copy(module_input)
+        broken.scads = None
+        with pytest.raises(ValueError):
+            ZslKgModule(FAST_CONFIG).train(broken)
+
+    def test_handles_oov_target_classes(self, tiny_workspace, tiny_backbone):
+        """Grocery Store includes oatghurt/soygurt, which are added nodes."""
+        from repro.modules.base import ModuleInput
+        from repro.scads.query import AuxiliarySelection
+
+        split = tiny_workspace.make_task_split("grocery_store", shots=1, split_seed=0)
+        empty = AuxiliarySelection(
+            features=np.zeros((0, tiny_workspace.world.image_dim)),
+            labels=np.zeros(0, dtype=np.int64), concepts=[])
+        data = ModuleInput(classes=split.classes,
+                           labeled_features=split.labeled_features,
+                           labeled_labels=split.labeled_labels,
+                           unlabeled_features=split.unlabeled_features[:20],
+                           auxiliary=empty, backbone=tiny_backbone,
+                           scads=tiny_workspace.scads, seed=0)
+        taglet = ZslKgModule(FAST_CONFIG).train(data)
+        probs = taglet.predict_proba(split.test_features[:5])
+        assert probs.shape == (5, split.num_classes)
+        assert np.isfinite(probs).all()
+
+
 class TestPretrainFastPath:
     """The pretrain's fast path (replay with in-place ReLU buffers, chunked
     prototype forwards, buffer-copied checkpoints) changes no weight bit."""
@@ -119,31 +148,3 @@ class TestPretrainFastPath:
         reference = np.stack(reference)
         assert chunked.dtype == reference.dtype == np.dtype(dtype)
         assert chunked.tobytes() == reference.tobytes()
-
-    def test_requires_scads(self, module_input):
-        import copy
-
-        broken = copy.copy(module_input)
-        broken.scads = None
-        with pytest.raises(ValueError):
-            ZslKgModule(FAST_CONFIG).train(broken)
-
-    def test_handles_oov_target_classes(self, tiny_workspace, tiny_backbone):
-        """Grocery Store includes oatghurt/soygurt, which are added nodes."""
-        from repro.modules.base import ModuleInput
-        from repro.scads.query import AuxiliarySelection
-
-        split = tiny_workspace.make_task_split("grocery_store", shots=1, split_seed=0)
-        empty = AuxiliarySelection(
-            features=np.zeros((0, tiny_workspace.world.image_dim)),
-            labels=np.zeros(0, dtype=np.int64), concepts=[])
-        data = ModuleInput(classes=split.classes,
-                           labeled_features=split.labeled_features,
-                           labeled_labels=split.labeled_labels,
-                           unlabeled_features=split.unlabeled_features[:20],
-                           auxiliary=empty, backbone=tiny_backbone,
-                           scads=tiny_workspace.scads, seed=0)
-        taglet = ZslKgModule(FAST_CONFIG).train(data)
-        probs = taglet.predict_proba(split.test_features[:5])
-        assert probs.shape == (5, split.num_classes)
-        assert np.isfinite(probs).all()

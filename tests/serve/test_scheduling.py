@@ -120,6 +120,26 @@ class TestDeadlines:
         assert stats["cache_hits"] == 1
         assert len(model.calls) == 1               # served from cache, not re-run
 
+    def test_answer_without_delivery_headroom_expires(self):
+        """Regression: an answer finished 0.1 ms inside its deadline was
+        served, and the caller's done-callback, which runs after the
+        batcher's expiry check, then saw it complete past the deadline."""
+        submitted = []
+
+        def finish_just_inside(batch):
+            while time.perf_counter() < submitted[0] + 0.050 - 0.0001:
+                pass
+            return batch.copy()
+
+        config = BatchingConfig(max_batch_size=1, max_latency_ms=0,
+                                cache_size=0)
+        with MicroBatcher(finish_just_inside, config) as batcher:
+            submitted.append(time.perf_counter())
+            future = batcher.submit(np.ones(3), deadline_ms=50)
+            with pytest.raises(DeadlineExceeded):
+                future.result(timeout=10)
+        assert batcher.stats()["expired"] == 1
+
     def test_already_expired_deadline_fails_at_submit(self):
         with MicroBatcher(lambda b: b.copy(),
                           BatchingConfig(cache_size=0)) as batcher:
