@@ -1,5 +1,5 @@
-"""Replay smoke check for CI: the FixMatch two-view loop and the ZSL-KG
-pretrain must replay.
+"""Replay smoke check for CI: the FixMatch two-view loop, the ZSL-KG
+pretrain and the multi-task joint step must replay.
 
 Runs the FixMatch consistency loop (pseudo-label forward + two-view
 weighted-sum step, exactly as ``repro.modules.fixmatch`` drives it) with the
@@ -12,7 +12,9 @@ graph replay executor forced on, and fails if:
 It then pretrains the ZSL-KG class encoder on the tiny workspace (the
 benchmark world) in float32, once with replay (whose ReLU runs in place over
 the first layer's output) and once eagerly, and fails on any replay fallback
-or on any weight byte that differs between the two.
+or on any weight byte that differs between the two.  Last, it trains the
+multi-task module on a 1-shot fmd task of the same world, in float32, with
+replay on and off, with the same two failure conditions.
 
 Perf ratios are advisory on shared CI runners (the workflow step uses
 ``continue-on-error``); the fallback and bit-identity checks are exact
@@ -50,9 +52,10 @@ def _run_loop(replay: bool, stats: ReplayStats):
         stepper = GraphReplay(model, optimizer, enabled=replay, stats=stats)
         model.train()
         start = time.perf_counter()
-        for _ in range(STEPS):
-            consistency_step(stepper, model, labeled_x, labeled_y,
-                             unlabeled_x, strong_x, cons_w, 0.6, dt)
+        with stepper.epoch():
+            for _ in range(STEPS):
+                consistency_step(stepper, model, labeled_x, labeled_y,
+                                 unlabeled_x, strong_x, cons_w, 0.6, dt)
         elapsed = time.perf_counter() - start
         return [p.data.copy() for p in model.parameters()], elapsed
 
@@ -70,14 +73,17 @@ def _pretrain_zsl_kg(workspace, backbone, replay: bool,
     return state
 
 
-def _check_zsl_kg_pretrain() -> list:
+def _bench_workspace():
     from repro.kg import GraphSpec
     from repro.synth import WorldSpec
     from repro.workspace import Workspace, WorkspaceSpec
 
-    workspace = Workspace(WorkspaceSpec(
+    return Workspace(WorkspaceSpec(
         graph=GraphSpec(num_filler_concepts=300, seed=0),
         world=WorldSpec(seed=0), scads_images_per_concept=30, seed=0))
+
+
+def _check_zsl_kg_pretrain(workspace) -> list:
     backbone = workspace.backbone("resnet50")
     stats = ReplayStats()
     replayed = _pretrain_zsl_kg(workspace, backbone, True, stats)
@@ -93,6 +99,45 @@ def _check_zsl_kg_pretrain() -> list:
             replayed[name].tobytes() != eager[name].tobytes()
             for name in eager):
         failures.append("zsl-kg pretrain weights differ from eager")
+    return failures
+
+
+def _train_multitask(data, replay: bool, stats: ReplayStats):
+    """The multi-task module's taglet weights."""
+    from repro.modules import MultiTaskModule
+
+    with default_dtype(np.float32), use_graph_replay(replay), \
+            collect_replay_stats(stats):
+        taglet = MultiTaskModule().train(data)
+    return taglet.model.state_dict()
+
+
+def _check_multitask(workspace) -> list:
+    from repro.modules import ModuleInput
+
+    split = workspace.make_task_split("fmd", shots=1, split_seed=0)
+    auxiliary = workspace.scads.select(split.classes, num_related_concepts=3,
+                                       images_per_concept=8,
+                                       rng=np.random.default_rng(0))
+    data = ModuleInput(classes=split.classes,
+                       labeled_features=split.labeled_features,
+                       labeled_labels=split.labeled_labels,
+                       unlabeled_features=split.unlabeled_features,
+                       auxiliary=auxiliary,
+                       backbone=workspace.backbone("resnet50"), seed=0)
+    stats = ReplayStats()
+    replayed = _train_multitask(data, True, stats)
+    eager = _train_multitask(data, False, ReplayStats())
+    print(f"multitask replay stats: {stats}")
+    failures = []
+    if stats.fallback_count or stats.eager_steps:
+        failures.append(f"multitask fell back to eager: {stats.fallbacks}")
+    if stats.replays == 0:
+        failures.append("multitask replayed nothing")
+    if list(replayed) != list(eager) or any(
+            replayed[name].tobytes() != eager[name].tobytes()
+            for name in eager):
+        failures.append("multitask weights differ from eager")
     return failures
 
 
@@ -125,12 +170,15 @@ def main() -> int:
             break
     if ratio < 1.0:
         failures.append(f"replay slower than eager ({ratio:.2f}x < 1.0x)")
-    failures += _check_zsl_kg_pretrain()
+    workspace = _bench_workspace()
+    failures += _check_zsl_kg_pretrain(workspace)
+    failures += _check_multitask(workspace)
     for failure in failures:
         print(f"FAIL: {failure}")
     if not failures:
         print("replay smoke: OK (zero fallbacks, bit-identical, "
-              f"{ratio:.2f}x; zsl-kg pretrain byte-identical)")
+              f"{ratio:.2f}x; zsl-kg pretrain and multitask "
+              "byte-identical)")
     return 1 if failures else 0
 
 

@@ -156,9 +156,10 @@ def _fixmatch_once(dtype=None, compat=False, replay=False) -> float:
         stepper = GraphReplay(model, optimizer, enabled=replay)
         model.train()
         start = time.perf_counter()
-        for _ in range(FIX_STEPS):
-            consistency_step(stepper, model, labeled_x, labeled_y,
-                             unlabeled_x, strong_x, cons_w, 0.6, dt)
+        with stepper.epoch():
+            for _ in range(FIX_STEPS):
+                consistency_step(stepper, model, labeled_x, labeled_y,
+                                 unlabeled_x, strong_x, cons_w, 0.6, dt)
         return time.perf_counter() - start
 
 

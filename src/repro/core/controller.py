@@ -72,7 +72,8 @@ class ControllerConfig:
     #: dtypes in one process is unsupported.
     dtype: Optional[str] = None
     #: whole-graph capture/replay executor for every static training loop in
-    #: the run (module fine-tuning, ZSL-KG pretrain, end-model distillation):
+    #: the run (module fine-tuning, the ZSL-KG pretrain, FixMatch's two-view
+    #: step, the multi-task joint step, end-model distillation):
     #: ``None`` inherits the engine-wide flag (on by default), ``True``/
     #: ``False`` force it for this run — mirroring ``TrainConfig.replay``.
     #: Replayed steps are bit-identical to eager; unsupported models fall
@@ -81,7 +82,8 @@ class ControllerConfig:
     replay: Optional[bool] = None
     #: optional shared :class:`~repro.nn.replay.ReplayStats` counter: when
     #: set, every training loop in the run (module fine-tuning, the ZSL-KG
-    #: pretrain, FixMatch's two-view step, end-model distillation) reports
+    #: pretrain, FixMatch's two-view step, the multi-task joint step,
+    #: end-model distillation) reports
     #: its captures / replays / eager fallbacks (with reasons) into it —
     #: including loops run by the parallel controller's worker threads.
     #: Turns the executor's silent eager fallback into an observable signal:

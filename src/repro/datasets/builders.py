@@ -20,6 +20,7 @@ larger than FMD; Grocery smallest per class) are preserved.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,8 +51,10 @@ def _sample_classes(world: VisualWorld, classes: Sequence[ClassSpec],
         if concept is None:
             # Out-of-vocabulary class: its appearance is a blend of anchors.
             if spec.name not in world:
-                world.add_concept_prototype(spec.name, spec.anchors,
-                                            seed=hash(spec.name) % (2 ** 31))
+                # crc32, not hash(): str hashes are salted per process.
+                world.add_concept_prototype(
+                    spec.name, spec.anchors,
+                    seed=zlib.crc32(spec.name.encode()) % (2 ** 31))
             concept = spec.name
         images = world.sample_images(concept, per_class, domain=domain, rng=rng,
                                      noise=noise)

@@ -77,23 +77,26 @@ def consistency_step(stepper, model, weak_labeled, labeled_y, weak_unlabeled,
     Pseudo-labels the weakly augmented unlabeled view with a compiled
     inference forward, converts the confidence threshold into per-sample
     weights, and runs the two-view update (:func:`_two_view_step`) as one
-    compiled DAG step.  The single driver shared by the training loop in
-    :class:`FixMatchModule` and by the replay benchmarks/smoke checks, so
-    what they measure is exactly what the pipeline executes.
+    compiled DAG step, without materializing the unread loss value.  The
+    single driver shared by the training loop in :class:`FixMatchModule`
+    and by the replay benchmarks/smoke checks, so what they measure is
+    exactly what the pipeline executes.  Call it inside a
+    ``stepper.epoch()`` scope to fingerprint the model once per epoch per
+    mode rather than twice per step.
     """
     model.eval()
     weak_logits = stepper.forward(weak_unlabeled)
     model.train()
     weak_probs = _softmax(weak_logits)
     mask_w = (weak_probs.max(axis=1) >= threshold).astype(dtype)
-    return stepper.step_fn(_two_view_step, {
+    stepper.step_fn(_two_view_step, {
         "weak_x": weak_labeled,
         "labels": labeled_y,
         "strong_x": strong_unlabeled,
         "pseudo": weak_probs.argmax(axis=1),
         "mask_w": mask_w,
         "cons_w": cons_weight,
-    })
+    }, compute_loss=False)
 
 
 def _two_view_step(model, batch):
@@ -201,22 +204,26 @@ class FixMatchModule(TrainingModule):
         model.train()
         for _ in range(config.epochs):
             labeled_stream = iterate_forever(labeled_loader)
-            for _ in range(steps_per_epoch):
-                labeled_x, labeled_y = next(labeled_stream)
-                scheduler.step()
-                weak_labeled = weak(labeled_x, rng)
+            # Nothing in the epoch changes the model's structure, so the
+            # stepper fingerprints it once per mode, not on every call.
+            with stepper.epoch():
+                for _ in range(steps_per_epoch):
+                    labeled_x, labeled_y = next(labeled_stream)
+                    scheduler.step()
+                    weak_labeled = weak(labeled_x, rng)
 
-                if unlabeled_stream is None:
-                    stepper.step(weak_labeled, labeled_y)
-                    continue
+                    if unlabeled_stream is None:
+                        stepper.step(weak_labeled, labeled_y,
+                                     compute_loss=False)
+                        continue
 
-                unlabeled_x = next(unlabeled_stream)
-                # Pseudo labels come from the weakly augmented view with no
-                # gradient flow, as in the original algorithm.
-                consistency_step(stepper, model, weak_labeled, labeled_y,
-                                 weak(unlabeled_x, rng),
-                                 strong(unlabeled_x, rng), cons_weight,
-                                 config.confidence_threshold, dtype)
+                    unlabeled_x = next(unlabeled_stream)
+                    # Pseudo labels come from the weakly augmented view
+                    # with no gradient flow, as in the original algorithm.
+                    consistency_step(stepper, model, weak_labeled, labeled_y,
+                                     weak(unlabeled_x, rng),
+                                     strong(unlabeled_x, rng), cons_weight,
+                                     config.confidence_threshold, dtype)
         model.eval()
         return ModelTaglet(self.name, model)
 

@@ -96,8 +96,6 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()

@@ -28,7 +28,9 @@ set: a ReLU whose input is a ``Linear`` output read by nothing else, with
 neither node the plan root, runs in place over that output and shares its
 grad buffer with the ``Linear`` (:func:`_reuse_relu_buffers`).
 
-Fallback rules (checked on *every* step, before replaying):
+Fallback rules (checked on *every* step, before replaying; inside
+``run_epoch`` or an ``epoch()`` scope the model-structure rule is checked
+once per epoch):
 
 * replay disabled (``TrainConfig.replay=False``, ``use_graph_replay(False)``,
   or ``seed_compat_mode()``), fused ops disabled, or gradients disabled
@@ -74,7 +76,16 @@ Beyond the classic ``step(x, y)`` chain API, the executor exposes:
   fingerprint is checked once per (shape, dtype) signature per epoch instead
   of per step, amortizing the per-step guard across a whole epoch.  The
   caller promises not to mutate the model structure mid-epoch (the training
-  loops in :mod:`repro.nn.training` cannot).
+  loops in :mod:`repro.nn.training` cannot);
+* :meth:`GraphReplay.epoch` — the same once-per-epoch guard for loops that
+  call :meth:`~GraphReplay.step_fn` / :meth:`~GraphReplay.forward`
+  directly (FixMatch, the multi-task joint step): inside the scope the
+  fingerprint is computed once per model mode, under the same promise.
+
+A training step called with ``compute_loss=False`` skips every scalar no
+one reads (:func:`_value_elision`): the loss values and the adds/muls that
+only combine them.  Gradients do not depend on those scalars, so the update
+is unchanged.
 """
 
 from __future__ import annotations
@@ -170,8 +181,9 @@ def collect_replay_stats(stats: ReplayStats):
     The :class:`~repro.core.Controller` wraps its run in this scope when
     ``ControllerConfig.replay_stats`` is set, so one counter aggregates every
     training loop in the pipeline (module fine-tuning, the ZSL-KG pretrain,
-    FixMatch's two-view step, end-model distillation) — including loops run
-    by the parallel controller's worker threads.
+    FixMatch's two-view step, the multi-task joint step, end-model
+    distillation) — including loops run by the parallel controller's worker
+    threads.
     """
     _AMBIENT_SINKS.append(stats)
     try:
@@ -759,8 +771,9 @@ _LOSS_NODES = (_HardCELoss, _SoftCELoss, _SqErrLoss)
 # --------------------------------------------------------------------------- #
 
 
-def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
-    """A cheap structural identity of the model, rebuilt on every step.
+def _model_fingerprint(module: Module) -> tuple:
+    """A cheap structural identity of the model, rebuilt on every step
+    (once per epoch per mode inside :meth:`GraphReplay.epoch`).
 
     Captures everything a compiled plan depends on: the identity and type of
     every submodule in attribute order, parameter shapes/dtypes and
@@ -771,14 +784,8 @@ def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
     of stale kernels).  Any mutation — adding a layer, replacing a head,
     freezing a parameter, flipping a layer's mode — changes the fingerprint.
     """
-    if out is not None:  # pragma: no cover - legacy recursive signature
-        raise TypeError("_model_fingerprint walks iteratively; pass the root")
     out = []
-    # Iterative depth-first walk in attribute order (per-step hot path: a
-    # Python-level recursion here costs ~1 us per submodule per step).
-    stack = [module]
-    while stack:
-        m = stack.pop()
+    for m in module.modules():
         t = type(m)
         if t is Linear:
             w = m.weight
@@ -799,16 +806,6 @@ def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
                         m.running_mean.dtype, m.running_var.dtype))
         else:
             out.append((id(m), t))
-        children = []
-        for value in m.__dict__.values():
-            if isinstance(value, Module):
-                children.append(value)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        children.append(item)
-        if children:
-            stack.extend(reversed(children))
     return tuple(out)
 
 
@@ -818,20 +815,27 @@ def _model_fingerprint(module: Module, out: Optional[list] = None) -> tuple:
 
 
 class _CompiledPlan:
-    """A compiled kernel DAG: forward in trace order, backward reversed."""
+    """A compiled kernel DAG: forward in trace order, backward reversed.
 
-    __slots__ = ("_forwards", "_backwards", "_input_sites", "_clear_grads",
-                 "root", "optimizer", "root_is_loss", "pins")
+    A training step that does not return its loss runs ``_lean_forwards``
+    and tells the ``_value_losses`` to skip their scalar (see
+    :func:`_value_elision`).
+    """
 
-    def __init__(self, forwards, backwards, input_sites, clear_grads, root,
-                 optimizer, root_is_loss):
+    __slots__ = ("_forwards", "_lean_forwards", "_value_losses",
+                 "_backwards", "_input_sites", "_clear_grads", "root",
+                 "optimizer", "pins")
+
+    def __init__(self, forwards, lean_forwards, value_losses, backwards,
+                 input_sites, clear_grads, root, optimizer):
         self._forwards = forwards
+        self._lean_forwards = lean_forwards
+        self._value_losses = value_losses
         self._backwards = backwards
         self._input_sites = input_sites
         self._clear_grads = clear_grads
         self.root = root
         self.optimizer = optimizer
-        self.root_is_loss = root_is_loss
         self.pins = None
 
     def _bind(self, inputs: Dict[str, np.ndarray]) -> None:
@@ -845,12 +849,12 @@ class _CompiledPlan:
     def run(self, inputs: Dict[str, np.ndarray],
             need_value: bool = True) -> Optional[float]:
         self._bind(inputs)
-        root = self.root
-        if self.root_is_loss:
-            root.need_value = need_value
-        for forward in self._forwards:
+        for loss in self._value_losses:
+            loss.need_value = need_value
+        for forward in (self._forwards if need_value
+                        else self._lean_forwards):
             forward()
-        value = float(root.out) if need_value else None
+        value = float(self.root.out) if need_value else None
         for backward in self._backwards:
             backward()
         # Optimizer parameters this plan computes no gradient for must not
@@ -864,8 +868,6 @@ class _CompiledPlan:
     def run_eval(self, inputs: Dict[str, np.ndarray]) -> float:
         """Forward + loss value only (the compiled inference pass)."""
         self._bind(inputs)
-        if self.root_is_loss:
-            self.root.need_value = True
         for forward in self._forwards:
             forward()
         return float(self.root.out)
@@ -905,6 +907,42 @@ def _reuse_relu_buffers(built: List[object], links: List[tuple],
             node.out = src.out
             inplace.add(id(node))
     return inplace
+
+
+def _value_elision(built: List[object]) -> Tuple[list, list]:
+    """Value-elision pass for training steps whose loss nobody reads.
+
+    Marks which scalar values such a step may skip: the root's value goes
+    only to the caller, an add reads its operands only to form its own
+    value, and a mul reads them for its value and for the other operand's
+    gradient.  Every module kernel and every loss reads its input.  A loss
+    whose value is unread still computes the softmax parts its backward
+    needs and skips only the scalar; an add/mul whose value is unread skips
+    its forward (neither backward reads its own output).  Returns the
+    optional-value losses and the forward list without the skipped nodes.
+    Runs after backward wiring, which decides whether a mul deposits into
+    each operand.
+    """
+    needed = set()
+    for node in reversed(built):  # consumers before their producers
+        used = id(node) in needed
+        if type(node) is _AddStep:
+            if used:
+                needed.update(id(src) for src, _ in node._srcs)
+        elif type(node) is _MulStep:
+            (na, _), (nb, _) = node._srcs
+            if used or node.tb is not None:
+                needed.add(id(na))
+            if used or node.ta is not None:
+                needed.add(id(nb))
+        else:
+            needed.add(id(node._src))
+    value_losses = [node for node in built
+                    if isinstance(node, _LOSS_NODES) and id(node) not in needed]
+    lean_forwards = [node.forward for node in built
+                     if id(node) in needed
+                     or not isinstance(node, (_AddStep, _MulStep))]
+    return value_losses, lean_forwards
 
 
 def _compile(records: List[tuple], root: Tensor,
@@ -1115,9 +1153,10 @@ def _compile(records: List[tuple], root: Tensor,
         clear_grads = tuple(p for p in optimizer.parameters
                             if id(p) not in param_targets)
 
-    return _CompiledPlan(forwards, backwards, input_sites, clear_grads,
-                         root_node, optimizer,
-                         isinstance(root_node, _LOSS_NODES))
+    value_losses, lean_forwards = (_value_elision(built) if train
+                                   else ([], forwards))
+    return _CompiledPlan(forwards, lean_forwards, value_losses, backwards,
+                         input_sites, clear_grads, root_node, optimizer)
 
 
 # --------------------------------------------------------------------------- #
@@ -1181,7 +1220,7 @@ def _wrap_inputs(inputs: Dict[str, np.ndarray], tensor_keys=()):
 #: otherwise accumulate buffers without ever amortizing a capture)
 _MAX_PLANS = 16
 
-#: run_epoch marker value: this shape signature fell back this epoch
+#: eager-fallback reason: replay is switched off for this call
 _R_DISABLED = "replay_disabled"
 
 
@@ -1220,10 +1259,11 @@ class GraphReplay:
         self._plans: Dict[tuple, object] = {}
         self._last_sig: Optional[tuple] = None
         self._last_plan: Optional[_CompiledPlan] = None
-        #: outcome of the most recent ``step()``: the plan it used, or the
-        #: eager-fallback reason string (consumed by ``run_epoch`` so the
-        #: fused-epoch fast path never recomputes the fingerprint)
-        self._last_outcome: object = _R_DISABLED
+        #: while an :meth:`epoch` scope is open: the structural fingerprint
+        #: per ``model.training``, and what each call signature resolved to
+        #: per mode (a plan or an eager-fallback reason); None outside
+        self._epoch_fingerprints: Optional[Dict[bool, tuple]] = None
+        self._epoch_outcomes: Optional[Dict[tuple, object]] = None
         own = stats if stats is not None else ReplayStats()
         # Dedupe by identity: the same counter may arrive both explicitly
         # (TrainConfig.replay_stats) and ambiently (collect_replay_stats);
@@ -1347,9 +1387,40 @@ class GraphReplay:
 
     # -- plan-cache dance ------------------------------------------------ #
     def _fingerprint_sig(self) -> tuple:
-        return (np.dtype(get_default_dtype()),
-                tuple(id(p) for p in self.optimizer.parameters),
-                _model_fingerprint(self.model))
+        cache = self._epoch_fingerprints
+        if cache is not None:
+            fingerprint = cache.get(self.model.training)
+            if fingerprint is not None:
+                return fingerprint
+        fingerprint = (np.dtype(get_default_dtype()),
+                       tuple(id(p) for p in self.optimizer.parameters),
+                       _model_fingerprint(self.model))
+        if cache is not None:
+            cache[self.model.training] = fingerprint
+        return fingerprint
+
+    @contextmanager
+    def epoch(self):
+        """Scope one epoch of calls on this stepper.
+
+        Inside the scope the structural guard runs once per call signature
+        per model mode (``model.training``) instead of on every call: the
+        fingerprint is computed once per mode, and each signature's first
+        call remembers what it resolved to — a compiled plan or an eager
+        fallback — for the rest of the epoch.  The caller promises what
+        :meth:`run_epoch` relies on: the model structure, the optimizer's
+        parameter list and the engine dtype do not change inside the scope
+        except through ``model.train()`` / ``model.eval()``.  A loop that
+        flips the mode every step (FixMatch's pseudo-label forward) gets
+        one plan per mode.  The next scope fingerprints afresh, so a change
+        between epochs is caught.
+        """
+        outer = self._epoch_fingerprints, self._epoch_outcomes
+        self._epoch_fingerprints, self._epoch_outcomes = {}, {}
+        try:
+            yield self
+        finally:
+            self._epoch_fingerprints, self._epoch_outcomes = outer
 
     def _resolve(self, sig: tuple):
         """Look up a cached plan for ``sig``: returns the plan, an
@@ -1361,13 +1432,14 @@ class GraphReplay:
             self._last_sig, self._last_plan = sig, plan
         return plan
 
-    def _resolve_or_capture(self, sig: tuple, fn,
+    def _resolve_or_capture(self, key: tuple, fn,
                             inputs: Dict[str, np.ndarray], train: bool,
                             tensor_keys=()):
-        """Resolve ``sig`` to a compiled plan, capturing on a cache miss.
+        """Resolve a call to a compiled plan, capturing on a cache miss.
 
-        The one plan-cache protocol shared by every entry point.  Returns
-        ``(plan, reason, result)``:
+        ``key`` is the call's shape signature; the structural fingerprint
+        completes it.  The one plan-cache protocol shared by every entry
+        point.  Returns ``(plan, reason, result)``:
 
         * ``(plan, None, result)`` — fresh capture: the step already ran
           eagerly and ``result`` is its outcome (the loss float for train
@@ -1378,7 +1450,28 @@ class GraphReplay:
           negative-cached under ``reason``;
         * ``(None, reason, None)`` — the caller must run its eager path
           (plan cache full, or the signature is negative-cached).
+
+        Inside an :meth:`epoch` scope the outcome is remembered per key and
+        mode, and later calls skip the fingerprint and the lookup.
         """
+        outcomes = self._epoch_outcomes
+        if outcomes is not None:
+            epoch_key = (key, self.model.training)
+            known = outcomes.get(epoch_key)
+            if known is not None:
+                if isinstance(known, str):
+                    return None, known, None
+                return known, None, None
+        plan, reason, result = self._lookup_or_capture(
+            key + self._fingerprint_sig(), fn, inputs, train, tensor_keys)
+        if outcomes is not None:
+            outcomes[epoch_key] = plan if plan is not None else reason
+        return plan, reason, result
+
+    def _lookup_or_capture(self, sig: tuple, fn,
+                           inputs: Dict[str, np.ndarray], train: bool,
+                           tensor_keys=()):
+        """:meth:`_resolve_or_capture` for a full signature, unscoped."""
         plan = self._resolve(sig)
         if plan is not None:
             if isinstance(plan, _UnsupportedPlan):
@@ -1410,19 +1503,11 @@ class GraphReplay:
         x = np.asarray(x)
         y = np.asarray(y)
         if not self._replay_on():
-            self._last_outcome = _R_DISABLED
             return self._eager_step(x, y, _R_DISABLED)
-        return self._step_guarded(x, y, compute_loss, self._fingerprint_sig())
-
-    def _step_guarded(self, x: np.ndarray, y: np.ndarray, compute_loss: bool,
-                      fingerprint: tuple) -> Optional[float]:
-        """The guarded step given a precomputed structural fingerprint
-        (``run_epoch`` computes it once per epoch)."""
-        sig = ("train", x.shape, x.dtype, y.shape, y.dtype) + fingerprint
         inputs = {"x": x, "y": y}
         plan, reason, result = self._resolve_or_capture(
-            sig, self._chain_fn, inputs, train=True, tensor_keys=("x",))
-        self._last_outcome = plan if plan is not None else reason
+            ("train", x.shape, x.dtype, y.shape, y.dtype), self._chain_fn,
+            inputs, train=True, tensor_keys=("x",))
         if result is not None:
             return result
         if plan is None:
@@ -1443,20 +1528,18 @@ class GraphReplay:
         and any constant folded into the graph (a Python scalar, an array
         created inside ``fn``) makes the step uncompilable and falls back
         to eager.  Keep ``fn`` a single long-lived function: the plan cache
-        is keyed on its identity.
+        is keyed on its identity.  ``compute_loss=False`` works as in
+        :meth:`step`.
         """
         inputs = {k: np.asarray(v) for k, v in inputs.items()}
         if not self._replay_on():
-            self._last_outcome = _R_DISABLED
             return self._eager_fn(fn, inputs, _R_DISABLED)
         # Keys are unique, so the sort never compares the shape/dtype parts.
-        sig = ("fn", id(fn),
+        key = ("fn", id(fn),
                tuple(sorted([(k, v.shape, v.dtype)
-                             for k, v in inputs.items()]))) \
-            + self._fingerprint_sig()
-        plan, reason, result = self._resolve_or_capture(sig, fn, inputs,
+                             for k, v in inputs.items()])))
+        plan, reason, result = self._resolve_or_capture(key, fn, inputs,
                                                         train=True)
-        self._last_outcome = plan if plan is not None else reason
         if result is not None:
             return result
         if plan is None:
@@ -1469,45 +1552,20 @@ class GraphReplay:
                   rng=None, compute_loss: bool = True) -> List[Optional[float]]:
         """Run a whole epoch of ``(x, y)`` batches through the executor.
 
-        The structural fingerprint is computed once per epoch: the first
-        batch of each distinct (shape, dtype) signature goes through the
-        full guard with that shared fingerprint, and later batches with the
-        same shapes replay directly with no guard at all — the model cannot
-        be mutated from inside this loop, so checking it once per epoch is
-        sound.  ``augment`` and ``scheduler`` run inside the loop in the
-        same order as the eager epoch (augment → scheduler.step() →
-        training step).  Engine-flag changes take effect at epoch
-        boundaries on this path.
+        Each batch is one :meth:`step` inside an :meth:`epoch` scope, so the
+        structural guard runs once per (shape, dtype) signature per epoch —
+        the model cannot be mutated from inside this loop.  ``augment`` and
+        ``scheduler`` run inside the loop in the same order as the eager
+        epoch (augment → scheduler.step() → training step).
         """
         losses: List[Optional[float]] = []
-        validated: Dict[tuple, object] = {}
-        fingerprint: Optional[tuple] = None
-        for batch_x, batch_y in batches:
-            if augment is not None:
-                batch_x = augment(batch_x, rng)
-            if scheduler is not None:
-                scheduler.step()
-            x = np.asarray(batch_x)
-            y = np.asarray(batch_y)
-            key = (x.shape, x.dtype, y.shape, y.dtype)
-            plan = validated.get(key)
-            if plan is None:
-                if not self._replay_on():
-                    self._last_outcome = _R_DISABLED
-                    losses.append(self._eager_step(x, y, _R_DISABLED))
-                else:
-                    if fingerprint is None:
-                        fingerprint = self._fingerprint_sig()
-                    losses.append(self._step_guarded(x, y, compute_loss,
-                                                     fingerprint))
-                # Cache what the step resolved to for the rest of the epoch:
-                # the compiled plan, or the eager-fallback reason.
-                validated[key] = self._last_outcome
-            elif isinstance(plan, str):
-                losses.append(self._eager_step(x, y, plan))
-            else:
-                self._count_replay()
-                losses.append(plan.run({"x": x, "y": y}, compute_loss))
+        with self.epoch():
+            for batch_x, batch_y in batches:
+                if augment is not None:
+                    batch_x = augment(batch_x, rng)
+                if scheduler is not None:
+                    scheduler.step()
+                losses.append(self.step(batch_x, batch_y, compute_loss))
         return losses
 
     # -- compiled inference ----------------------------------------------- #
@@ -1528,11 +1586,10 @@ class GraphReplay:
         y = np.asarray(y)
         if not self._replay_on(need_grad=False):
             return self._eager_eval(x, y, _R_DISABLED)
-        sig = ("eval", x.shape, x.dtype, y.shape, y.dtype) \
-            + self._fingerprint_sig()
         inputs = {"x": x, "y": y}
         plan, reason, result = self._resolve_or_capture(
-            sig, self._chain_fn, inputs, train=False, tensor_keys=("x",))
+            ("eval", x.shape, x.dtype, y.shape, y.dtype), self._chain_fn,
+            inputs, train=False, tensor_keys=("x",))
         if result is not None:
             return result.item()
         if plan is None:
@@ -1553,10 +1610,10 @@ class GraphReplay:
             self._count_eager(_R_DISABLED)
             with inference_mode():
                 return self.model(Tensor(x)).data
-        sig = ("fwd", x.shape, x.dtype) + self._fingerprint_sig()
         inputs = {"x": x}
         plan, reason, result = self._resolve_or_capture(
-            sig, self._fwd_fn, inputs, train=False, tensor_keys=("x",))
+            ("fwd", x.shape, x.dtype), self._fwd_fn, inputs, train=False,
+            tensor_keys=("x",))
         if result is not None:
             return result.data
         if plan is None:

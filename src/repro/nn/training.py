@@ -197,9 +197,11 @@ def train_classifier(model: Module, features: np.ndarray, labels: np.ndarray,
     for epoch in range(config.epochs):
         # The fused-epoch API checks the structural fingerprint once per
         # batch signature per epoch instead of once per step; nothing inside
-        # the loop can mutate the model, so the amortization is sound.
+        # the loop can mutate the model, so the amortization is sound.  The
+        # loss scalar is materialized only when a callback reads it.
         losses = stepper.run_epoch(loader, scheduler=scheduler,
-                                   augment=config.augment, rng=rng)
+                                   augment=config.augment, rng=rng,
+                                   compute_loss=callback is not None)
         if callback is not None:
             callback(epoch, float(np.mean(losses)) if losses else float("nan"))
     model.eval()
@@ -226,7 +228,8 @@ def train_soft_classifier(model: Module, features: np.ndarray,
     model.train()
     for epoch in range(config.epochs):
         losses = stepper.run_epoch(loader, scheduler=scheduler,
-                                   augment=config.augment, rng=rng)
+                                   augment=config.augment, rng=rng,
+                                   compute_loss=callback is not None)
         if callback is not None:
             callback(epoch, float(np.mean(losses)) if losses else float("nan"))
     model.eval()

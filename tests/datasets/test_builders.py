@@ -1,8 +1,14 @@
 """Tests for the synthetic evaluation-dataset builders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets import (DATASET_BUILDERS, TEST_PER_CLASS, build_dataset,
                             build_fmd, build_grocery_store,
                             build_officehome_clipart, build_officehome_product)
@@ -56,3 +62,36 @@ class TestBuilders:
         split = tiny_workspace.make_task_split("fmd", shots=1, split_seed=0)
         assert len(split.labeled_features) == 10
         assert len(split.test_features) == 10 * TEST_PER_CLASS["fmd"]
+
+
+_GROCERY_SCRIPT = """
+import sys
+import numpy as np
+from repro.datasets import build_grocery_store
+from repro.kg import GraphSpec, build_concept_graph
+from repro.synth import VisualWorld, WorldSpec
+world = VisualWorld(build_concept_graph(GraphSpec(num_filler_concepts=10,
+                                                  seed=0)), WorldSpec(seed=0))
+dataset = build_grocery_store(world, per_class=2, test_per_class=1, seed=0)
+np.savez(sys.argv[1], features=dataset.features,
+         test_features=dataset.test_features)
+"""
+
+
+def test_grocery_store_is_identical_across_processes(tmp_path):
+    # Out-of-vocabulary class prototypes are seeded from the class name;
+    # str hashes are salted per process, so the seed must not use hash().
+    src = str(Path(repro.__file__).resolve().parents[1])
+    arrays = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"grocery_{hash_seed}.npz"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _GROCERY_SCRIPT, str(out)],
+                       env=env, check=True)
+        with np.load(out) as data:
+            arrays.append({name: data[name] for name in data.files})
+    first, second = arrays
+    for name in ("features", "test_features"):
+        assert first[name].tobytes() == second[name].tobytes(), name

@@ -136,6 +136,30 @@ class TestFixMatchTwoView:
         _assert_no_fallbacks(stats)
 
 
+class TestMultiTaskJointStep:
+    def test_multitask_module_zero_fallbacks(self, tiny_workspace,
+                                             tiny_backbone):
+        # The joint target + auxiliary step (shared encoder, two losses,
+        # weighted sum) is compiled like every other pipeline loop.
+        from repro.modules.base import ModuleInput
+        from repro.modules.multitask import MultiTaskConfig, MultiTaskModule
+
+        split = tiny_workspace.make_task_split("fmd", shots=1, split_seed=0)
+        auxiliary = tiny_workspace.scads.select(
+            split.classes, num_related_concepts=3, images_per_concept=8,
+            rng=np.random.default_rng(0))
+        data = ModuleInput(classes=split.classes,
+                           labeled_features=split.labeled_features,
+                           labeled_labels=split.labeled_labels,
+                           unlabeled_features=split.unlabeled_features,
+                           auxiliary=auxiliary, backbone=tiny_backbone,
+                           seed=0)
+        stats = ReplayStats()
+        with collect_replay_stats(stats):
+            MultiTaskModule(MultiTaskConfig(epochs=3)).train(data)
+        _assert_no_fallbacks(stats)
+
+
 class TestScenarioLoops:
     # The scenario grid stresses the pipeline with regime shapes the plain
     # FMD split never produces — ragged per-class label counts, corrupted

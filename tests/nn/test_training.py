@@ -71,6 +71,30 @@ class TestSoftTraining:
                                   np.zeros((0, 2)), TrainConfig())
 
 
+class TestLossElision:
+    # Without a callback the replayed steps skip the loss scalar; the
+    # weights must not notice, and a callback must still see real losses.
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_weights_identical_with_and_without_callback(self, soft):
+        features, labels = make_blobs(n_per_class=30)
+        targets = F.one_hot(labels, 3) * 0.8 + 0.2 / 3 if soft else labels
+        train = train_soft_classifier if soft else train_classifier
+        config = TrainConfig(epochs=4, batch_size=32, lr=0.05, seed=0,
+                             replay=True)
+
+        def run(callback):
+            model = MLP(8, [16], 3, batch_norm=True,
+                        rng=np.random.default_rng(1))
+            train(model, features, targets, config, callback=callback)
+            return [p.data.tobytes() for p in model.parameters()]
+
+        losses = []
+        with_callback = run(lambda epoch, loss: losses.append(loss))
+        assert run(None) == with_callback
+        assert len(losses) == 4
+        assert np.all(np.isfinite(losses))
+
+
 class TestPrediction:
     def test_predict_proba_rows_sum_to_one(self):
         model = MLP(6, [8], 4, rng=np.random.default_rng(0))
