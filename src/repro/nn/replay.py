@@ -1233,7 +1233,8 @@ class GraphReplay:
     two-view consistency step).  The first step for each signature runs
     eagerly (tracing the graph); subsequent steps replay compiled NumPy
     kernels.  Every fallback rule in the module docstring is re-checked per
-    step, so the executor is always safe to leave on.
+    step (the structural one once per epoch inside :meth:`epoch`), so the
+    executor is always safe to leave on.
 
     The learning-rate schedule lives outside: callers keep invoking
     ``scheduler.step()`` before each ``step`` exactly as in the eager loop
