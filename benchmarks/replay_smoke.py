@@ -1,5 +1,6 @@
 """Replay smoke check for CI: the FixMatch two-view loop, the ZSL-KG
-pretrain and the multi-task joint step must replay.
+pretrain and the multi-task joint step must replay, and a full run must
+share the intermediate phase without changing a byte.
 
 Runs the FixMatch consistency loop (pseudo-label forward + two-view
 weighted-sum step, exactly as ``repro.modules.fixmatch`` drives it) with the
@@ -14,7 +15,11 @@ benchmark world) in float32, once with replay (whose ReLU runs in place over
 the first layer's output) and once eagerly, and fails on any replay fallback
 or on any weight byte that differs between the two.  Last, it trains the
 multi-task module on a 1-shot fmd task of the same world, in float32, with
-replay on and off, with the same two failure conditions.
+replay on and off, with the same two failure conditions.  Finally it runs
+one ``Controller.run`` (float32, replay on) on a 5-shot fmd task and fails
+on any replay fallback, if the intermediate phase (Eq. 1) trained more than
+once, or if the Transfer or FixMatch taglet's weight bytes differ from that
+module trained alone on a private copy of the run's selection.
 
 Perf ratios are advisory on shared CI runners (the workflow step uses
 ``continue-on-error``); the fallback and bit-identity checks are exact
@@ -141,6 +146,48 @@ def _check_multitask(workspace) -> list:
     return failures
 
 
+def _check_shared_phase(workspace) -> list:
+    from dataclasses import replace
+
+    from repro.core import Controller, ControllerConfig, Task
+    from repro.modules import FixMatchModule, ModuleInput, TransferModule
+
+    split = workspace.make_task_split("fmd", shots=5, split_seed=0)
+    task = Task.from_split(split, scads=workspace.scads,
+                           backbone=workspace.backbone("resnet50"),
+                           wanted_num_related_class=3,
+                           images_per_related_class=8)
+    stats = ReplayStats()
+    config = ControllerConfig(dtype="float32", replay=True, seed=0,
+                              replay_stats=stats)
+    result = Controller(config=config).run(task)
+    print(f"controller run replay stats: {stats}")
+    failures = []
+    if stats.fallback_count or stats.eager_steps:
+        failures.append(f"controller run fell back to eager: "
+                        f"{stats.fallbacks}")
+    phases = len(result.auxiliary._fine_tuned)
+    if phases != 1:
+        failures.append(f"intermediate phase trained {phases} times, not once")
+    for module in (TransferModule(), FixMatchModule()):
+        data = ModuleInput(classes=task.classes,
+                           labeled_features=task.labeled_features,
+                           labeled_labels=task.labeled_labels,
+                           unlabeled_features=task.unlabeled_features,
+                           auxiliary=replace(result.auxiliary),
+                           backbone=task.backbone, scads=task.scads,
+                           seed=config.seed)
+        with default_dtype(np.float32), use_graph_replay(True):
+            alone = module.train(data).model.state_dict()
+        shared = result.taglet(module.name).model.state_dict()
+        if list(shared) != list(alone) or any(
+                shared[name].tobytes() != alone[name].tobytes()
+                for name in alone):
+            failures.append(f"{module.name} weights differ from its run on "
+                            "a private selection")
+    return failures
+
+
 def main() -> int:
     replay_stats = ReplayStats()
     eager_stats = ReplayStats()
@@ -173,12 +220,13 @@ def main() -> int:
     workspace = _bench_workspace()
     failures += _check_zsl_kg_pretrain(workspace)
     failures += _check_multitask(workspace)
+    failures += _check_shared_phase(workspace)
     for failure in failures:
         print(f"FAIL: {failure}")
     if not failures:
         print("replay smoke: OK (zero fallbacks, bit-identical, "
-              f"{ratio:.2f}x; zsl-kg pretrain and multitask "
-              "byte-identical)")
+              f"{ratio:.2f}x; zsl-kg pretrain, multitask and the shared "
+              "intermediate phase byte-identical)")
     return 1 if failures else 0
 
 

@@ -186,9 +186,12 @@ class Controller:
 
         With ``parallel_modules`` the modules train concurrently in a thread
         pool.  Each module constructs all of its RNGs locally from its
-        :class:`ModuleInput` seed and trains a private copy of the backbone,
-        so no mutable state is shared between threads and the result is
-        bit-identical to the sequential path.
+        :class:`ModuleInput` seed and trains a private copy of the backbone.
+        The one mutable state the threads share is the selection's memo of
+        the intermediate phase (:func:`~repro.modules.base.fine_tune_on_auxiliary`):
+        a lock makes the first Transfer or FixMatch caller train it while
+        the other waits and loads a copy, so it trains once and the result
+        is bit-identical to the sequential path.
         """
         bundle = task.scads
         if bundle is not None and self.config.prune_level is not None:

@@ -8,6 +8,7 @@ labels for the distillation stage.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -15,11 +16,14 @@ import numpy as np
 
 from ..backbones.backbone import ClassificationModel, PretrainedBackbone
 from ..datasets.base import ClassSpec
-from ..nn.training import predict_proba
+from ..nn.tensor import get_default_dtype
+from ..nn.training import TrainConfig, predict_proba, train_classifier
+from ..nn.transforms import weak_augment
 from ..scads.builder import ScadsBundle
 from ..scads.query import AuxiliarySelection
 
-__all__ = ["ModuleInput", "Taglet", "ModelTaglet", "TrainingModule"]
+__all__ = ["ModuleInput", "Taglet", "ModelTaglet", "TrainingModule",
+           "fine_tune_on_auxiliary"]
 
 
 @dataclass
@@ -56,6 +60,51 @@ class ModuleInput:
             raise ValueError("modules require at least one labeled example")
         if self.labeled_labels.max() >= self.num_classes:
             raise ValueError("labeled labels exceed the number of classes")
+
+
+def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
+                           epochs: int, batch_size: int, lr: float,
+                           momentum: float, augment: bool,
+                           replay: Optional[bool] = None
+                           ) -> ClassificationModel:
+    """The intermediate phase (paper Eq. 1): fine-tune the backbone on ``R``.
+
+    Returns a model with one head output per auxiliary class, trained with
+    cross entropy on ``data.auxiliary`` (weak augmentation if ``augment``,
+    loader seeded with ``data.seed``).  The Transfer and FixMatch modules
+    both start with this phase, and with their default recipes it is the
+    same computation, so the selection memoizes the trained weights: the
+    first call with a given key trains, later calls load a private copy.
+    The key is the recipe, ``data.seed``, the state of ``rng``, the engine
+    dtype and the backbone object (which the key pins), so a memo hit
+    returns exactly the weights the call would have trained.  The model is
+    always built from ``rng``, so the caller's stream advances as if the
+    phase had trained.  ``replay`` only picks the executor, which is
+    bit-identical to eager, so it is not part of the key.
+
+    The memo lives on the selection, i.e. one ``Controller.run``; a lock
+    makes concurrent callers (``parallel_modules``) train the phase once.
+    """
+    auxiliary = data.auxiliary
+    key = (data.backbone, pickle.dumps(rng.bit_generator.state), data.seed,
+           np.dtype(get_default_dtype()).str, epochs, batch_size, lr,
+           momentum, augment)
+    model = ClassificationModel.from_backbone(
+        data.backbone, num_classes=auxiliary.num_aux_classes, rng=rng)
+    with auxiliary._fine_tune_lock:
+        state = auxiliary._fine_tuned.get(key)
+        if state is None:
+            config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
+                                 momentum=momentum,
+                                 augment=weak_augment() if augment else None,
+                                 seed=data.seed, replay=replay)
+            train_classifier(model, auxiliary.features, auxiliary.labels,
+                             config)
+            auxiliary._fine_tuned[key] = model.state_dict()
+            return model
+    model.load_state_dict(state)
+    model.eval()
+    return model
 
 
 class Taglet:

@@ -6,7 +6,10 @@ model is confident above a threshold ``tau``), and the model is trained to
 predict that label on a strongly augmented view.  Under very limited labels
 this suffers from confirmation bias, so — as in the paper — the module first
 fine-tunes the backbone on the SCADS-selected auxiliary data ``R`` before
-running FixMatch on the target task.
+running FixMatch on the target task.  That phase is the Transfer module's
+Eq. 1 with the same default recipe, so both run through
+:func:`~repro.modules.base.fine_tune_on_auxiliary` and one run trains it
+once (see docs/performance.md, "Shared intermediate phase").
 
 The consistency step expresses the confidence threshold as per-sample
 weights over the *full* strong batch (weight zero = pseudo label rejected,
@@ -34,7 +37,8 @@ from ..nn.schedulers import FixMatchCosineLR
 from ..nn.tensor import get_default_dtype
 from ..nn.training import TrainConfig, iterate_forever, train_classifier
 from ..nn.transforms import strong_augment, weak_augment
-from .base import ModelTaglet, ModuleInput, Taglet, TrainingModule
+from .base import (ModelTaglet, ModuleInput, Taglet, TrainingModule,
+                   fine_tune_on_auxiliary)
 
 __all__ = ["FixMatchConfig", "FixMatchModule", "consistency_step"]
 
@@ -137,14 +141,10 @@ class FixMatchModule(TrainingModule):
         # ------------------------------------------------------------------ #
         if (config.use_aux_pretraining and auxiliary is not None
                 and not auxiliary.is_empty()):
-            model = ClassificationModel.from_backbone(
-                data.backbone, num_classes=auxiliary.num_aux_classes, rng=rng)
-            aux_config = TrainConfig(epochs=config.aux_epochs,
-                                     batch_size=config.aux_batch_size,
-                                     lr=config.aux_lr, momentum=config.momentum,
-                                     augment=weak_augment(), seed=data.seed,
-                                     replay=config.replay)
-            train_classifier(model, auxiliary.features, auxiliary.labels, aux_config)
+            model = fine_tune_on_auxiliary(
+                data, rng, epochs=config.aux_epochs,
+                batch_size=config.aux_batch_size, lr=config.aux_lr,
+                momentum=config.momentum, augment=True, replay=config.replay)
             model.replace_head(data.num_classes, rng=rng)
         else:
             model = ClassificationModel.from_backbone(

@@ -5,6 +5,12 @@ selected auxiliary data ``R`` (the *intermediate phase*, Eq. 1) and then on
 the limited labeled target data ``X`` (Eq. 2).  The intermediate phase moves
 the encoder's representation toward the target task's visual neighbourhood,
 which is what makes the module effective in the 1-shot and 5-shot regimes.
+
+The intermediate phase runs through
+:func:`~repro.modules.base.fine_tune_on_auxiliary`, which the FixMatch
+module shares: with the default recipes the two phases are the same
+computation, so one run trains Eq. 1 once and both modules start from
+private copies of the result.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import numpy as np
 from ..backbones.backbone import ClassificationModel
 from ..nn.training import TrainConfig, train_classifier
 from ..nn.transforms import weak_augment
-from .base import ModelTaglet, ModuleInput, Taglet, TrainingModule
+from .base import (ModelTaglet, ModuleInput, Taglet, TrainingModule,
+                   fine_tune_on_auxiliary)
 
 __all__ = ["TransferConfig", "TransferModule"]
 
@@ -34,12 +41,6 @@ class TransferConfig:
     target_batch_size: int = 32
     momentum: float = 0.9
     use_augmentation: bool = True
-
-    def aux_train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(epochs=self.aux_epochs, batch_size=self.aux_batch_size,
-                           lr=self.aux_lr, momentum=self.momentum,
-                           augment=weak_augment() if self.use_augmentation else None,
-                           seed=seed)
 
     def target_train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(epochs=self.target_epochs, batch_size=self.target_batch_size,
@@ -66,10 +67,11 @@ class TransferModule(TrainingModule):
 
         if auxiliary is not None and not auxiliary.is_empty():
             # Intermediate phase: fine-tune the backbone on R (Eq. 1).
-            model = ClassificationModel.from_backbone(
-                data.backbone, num_classes=auxiliary.num_aux_classes, rng=rng)
-            train_classifier(model, auxiliary.features, auxiliary.labels,
-                             self.config.aux_train_config(data.seed))
+            model = fine_tune_on_auxiliary(
+                data, rng, epochs=self.config.aux_epochs,
+                batch_size=self.config.aux_batch_size, lr=self.config.aux_lr,
+                momentum=self.config.momentum,
+                augment=self.config.use_augmentation)
             # Target phase: swap the head and fine-tune on X (Eq. 2).
             model.replace_head(data.num_classes, rng=rng)
         else:

@@ -237,7 +237,16 @@ def train_soft_classifier(model: Module, features: np.ndarray,
 
 
 def iterate_forever(loader: DataLoader) -> Iterator:
-    """Cycle a loader indefinitely (used by step-based recipes like FixMatch)."""
+    """Cycle a loader indefinitely (used by step-based recipes like FixMatch).
+
+    Raises ``ValueError`` when a full pass yields no batch (for example
+    ``drop_last=True`` with fewer rows than ``batch_size``), where cycling
+    would otherwise spin forever without producing one.
+    """
     while True:
+        empty = True
         for batch in loader:
+            empty = False
             yield batch
+        if empty:
+            raise ValueError("cannot cycle a loader that yields no batches")

@@ -8,6 +8,7 @@ examples and an auxiliary label space of one class per selected concept.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,12 +31,23 @@ class AuxiliarySelection:
     auxiliary classes; ``per_target_concepts`` records which concepts were
     selected for each target class (useful for inspection and for the
     Figure 4 style analyses).
+
+    A selection also memoizes the backbone fine-tuned on it (the
+    intermediate phase the Transfer and FixMatch modules share, see
+    :func:`repro.modules.base.fine_tune_on_auxiliary`).  The memo is
+    private, excluded from equality and ``repr``, and starts empty on
+    every new selection, ``dataclasses.replace`` copies included.  Treat
+    the arrays as read-only once a module has trained on them.
     """
 
     features: np.ndarray
     labels: np.ndarray
     concepts: List[str]
     per_target_concepts: Dict[str, List[str]] = field(default_factory=dict)
+    _fine_tuned: Dict[tuple, Dict[str, np.ndarray]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _fine_tune_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False, repr=False)
 
     @property
     def num_aux_classes(self) -> int:

@@ -145,6 +145,17 @@ class TestBuilders:
         batches = [next(stream) for _ in range(5)]
         assert len(batches) == 5
 
+    @pytest.mark.parametrize("rows, drop_last", [(3, True), (0, False)])
+    def test_iterate_forever_rejects_a_loader_without_batches(self, rows,
+                                                              drop_last):
+        # Fewer rows than one batch with drop_last (or no rows at all):
+        # cycling used to spin forever inside next().
+        loader = DataLoader(ArrayDataset(np.zeros((rows, 2)), np.zeros(rows)),
+                            batch_size=4, drop_last=drop_last)
+        assert len(loader) == 0
+        with pytest.raises(ValueError, match="no batches"):
+            next(iterate_forever(loader))
+
     def test_config_with_updates(self):
         config = TrainConfig(epochs=5)
         updated = config.with_updates(epochs=7, lr=0.5)
