@@ -8,8 +8,8 @@ a tracked baseline:
   (primitive-composed ops, tape-on inference, float64) vs the fused float64
   and fused float32 paths;
 * inference throughput with and without the ``no_grad`` tape bypass;
-* end-to-end ``Controller.run`` — the seed sequential/float64 path vs the
-  parallel + float32 fast path (the acceptance criterion: ≥2×).
+* end-to-end ``Controller.run`` — the seed float64 path vs the float32
+  fast path (the acceptance criterion: ≥2×).
 
 Run with ``pytest benchmarks/test_engine_throughput.py`` (the ``bench``
 marker keeps it out of tier-1).
@@ -269,8 +269,8 @@ def bench_task():
                            images_per_related_class=8)
 
 
-def _run_controller(task, parallel: bool, dtype, compat: bool,
-                    replay: bool = True, repeats: int = 3) -> float:
+def _run_controller(task, dtype, compat: bool, replay: bool = True,
+                    repeats: int = 3) -> float:
     """Best-of-``repeats`` wall clock of a full paper-default-budget run.
 
     Best-of-N because the reference container is a single shared CPU: the
@@ -281,8 +281,7 @@ def _run_controller(task, parallel: bool, dtype, compat: bool,
     for _ in range(repeats):
         # Clear the ZSL-KG pretraining cache so every run trains from scratch.
         ZslKgModule._pretrained_cache.clear()
-        config = ControllerConfig(parallel_modules=parallel, dtype=dtype,
-                                  replay=replay, seed=0)
+        config = ControllerConfig(dtype=dtype, replay=replay, seed=0)
         controller = Controller(config=config)  # the four default modules
         start = time.perf_counter()
         with contextlib.ExitStack() as stack:
@@ -294,31 +293,26 @@ def _run_controller(task, parallel: bool, dtype, compat: bool,
 
 
 def test_controller_seed_vs_fast_path(bench_task):
-    """Acceptance criterion: parallel + float32 fast path ≥2× the seed path."""
+    """Acceptance criterion: float32 fast path ≥2× the seed path."""
     # Warm BLAS/caches once before timing anything.
-    _run_controller(bench_task, parallel=False, dtype=None, compat=False,
-                    repeats=1)
-    seed_seconds = _run_controller(bench_task, parallel=False, dtype=None,
-                                   compat=True)
-    fast_seconds = _run_controller(bench_task, parallel=True, dtype="float32",
-                                   compat=False)
+    _run_controller(bench_task, dtype=None, compat=False, repeats=1)
+    seed_seconds = _run_controller(bench_task, dtype=None, compat=True)
+    fast_seconds = _run_controller(bench_task, dtype="float32", compat=False)
     # Secondary decompositions so the trajectory shows where the time goes:
     # fused eager float64, and the fast path with the replay executor off
     # (isolating replay's end-to-end contribution).
-    fused_sequential_f64 = _run_controller(bench_task, parallel=False,
-                                           dtype=None, compat=False,
-                                           repeats=1)
-    fast_noreplay_seconds = _run_controller(bench_task, parallel=True,
-                                            dtype="float32", compat=False,
-                                            replay=False)
+    fused_sequential_f64 = _run_controller(bench_task, dtype=None,
+                                           compat=False, repeats=1)
+    fast_noreplay_seconds = _run_controller(bench_task, dtype="float32",
+                                            compat=False, replay=False)
     speedup = seed_seconds / fast_seconds
     update_bench("controller_run", {
         "workload": ("fmd 5-shot, tiny workspace, four paper-default modules "
                      "+ end model, best of 3 runs"),
         "seed_sequential_float64_sec": round(seed_seconds, 2),
         "fused_sequential_float64_sec": round(fused_sequential_f64, 2),
-        "fast_parallel_float32_noreplay_sec": round(fast_noreplay_seconds, 2),
-        "fast_parallel_float32_sec": round(fast_seconds, 2),
+        "fast_float32_noreplay_sec": round(fast_noreplay_seconds, 2),
+        "fast_float32_sec": round(fast_seconds, 2),
         "speedup_fast_vs_seed": round(speedup, 2),
         "speedup_replay_vs_noreplay": round(
             fast_noreplay_seconds / fast_seconds, 2),

@@ -15,8 +15,6 @@ module-level and ensembling analyses of the paper (Figures 5–7) consume.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -57,19 +55,10 @@ class ControllerConfig:
     end_model: EndModelConfig = field(default_factory=EndModelConfig)
     #: train the end model even when there is no unlabeled data to pseudo-label
     train_end_model_without_unlabeled: bool = True
-    #: train the taglet modules concurrently in a thread pool (NumPy's BLAS
-    #: releases the GIL).  Every module seeds its own RNGs from the run seed,
-    #: so the parallel path is bit-identical to the sequential one.
-    parallel_modules: bool = False
-    #: thread-pool size for parallel module training (None = one per module,
-    #: capped at the machine's CPU count — oversubscribing a single core only
-    #: adds GIL contention)
-    max_workers: Optional[int] = None
-    #: engine dtype for the whole run: None keeps the process default,
+    #: engine dtype for the whole run: None keeps the caller's default,
     #: "float32" selects the halved-bandwidth fast mode (see docs/performance.md).
-    #: The dtype scope is process-global so it propagates into the module
-    #: worker threads; running two Controllers concurrently with *different*
-    #: dtypes in one process is unsupported.
+    #: The dtype scope is context-local, so Controllers with different dtypes
+    #: may run concurrently on different threads.
     dtype: Optional[str] = None
     #: whole-graph capture/replay executor for every static training loop in
     #: the run (module fine-tuning, the ZSL-KG pretrain, FixMatch's two-view
@@ -77,15 +66,14 @@ class ControllerConfig:
     #: ``None`` inherits the engine-wide flag (on by default), ``True``/
     #: ``False`` force it for this run — mirroring ``TrainConfig.replay``.
     #: Replayed steps are bit-identical to eager; unsupported models fall
-    #: back automatically (see docs/performance.md).  Same process-global
-    #: scope caveat as ``dtype``.
+    #: back automatically (see docs/performance.md).  Context-local, like
+    #: ``dtype``.
     replay: Optional[bool] = None
     #: optional shared :class:`~repro.nn.replay.ReplayStats` counter: when
     #: set, every training loop in the run (module fine-tuning, the ZSL-KG
     #: pretrain, FixMatch's two-view step, the multi-task joint step,
     #: end-model distillation) reports
-    #: its captures / replays / eager fallbacks (with reasons) into it —
-    #: including loops run by the parallel controller's worker threads.
+    #: its captures / replays / eager fallbacks (with reasons) into it.
     #: Turns the executor's silent eager fallback into an observable signal:
     #: on static loops ``replay_stats.fallback_count`` must stay zero
     #: (asserted by ``tests/nn/test_replay_pipeline.py``).
@@ -184,35 +172,21 @@ class Controller:
                       auxiliary: AuxiliarySelection) -> List[Taglet]:
         """Step 2: train every module independently.
 
-        With ``parallel_modules`` the modules train concurrently in a thread
-        pool.  Each module constructs all of its RNGs locally from its
+        Each module constructs all of its RNGs locally from its
         :class:`ModuleInput` seed and trains a private copy of the backbone.
-        The one mutable state the threads share is the selection's memo of
-        the intermediate phase (:func:`~repro.modules.base.fine_tune_on_auxiliary`):
-        a lock makes the first Transfer or FixMatch caller train it while
-        the other waits and loads a copy, so it trains once and the result
-        is bit-identical to the sequential path.
         """
         bundle = task.scads
         if bundle is not None and self.config.prune_level is not None:
             bundle = bundle.pruned(task.classes, self.config.prune_level)
-        inputs = [ModuleInput(classes=task.classes,
-                              labeled_features=task.labeled_features,
-                              labeled_labels=task.labeled_labels,
-                              unlabeled_features=task.unlabeled_features,
-                              auxiliary=auxiliary,
-                              backbone=task.backbone,
-                              scads=bundle,
-                              seed=self.config.seed)
-                  for _ in self.modules]
-        if self.config.parallel_modules and len(self.modules) > 1:
-            workers = self.config.max_workers or min(len(self.modules),
-                                                     os.cpu_count() or 1)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda pair: pair[0].train(pair[1]),
-                                     zip(self.modules, inputs)))
-        return [module.train(data)
-                for module, data in zip(self.modules, inputs)]
+        return [module.train(ModuleInput(classes=task.classes,
+                                         labeled_features=task.labeled_features,
+                                         labeled_labels=task.labeled_labels,
+                                         unlabeled_features=task.unlabeled_features,
+                                         auxiliary=auxiliary,
+                                         backbone=task.backbone,
+                                         scads=bundle,
+                                         seed=self.config.seed))
+                for module in self.modules]
 
     def run(self, task: Task) -> TagletsResult:
         """Run the full pipeline and return all artifacts."""

@@ -83,7 +83,7 @@ def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
     bit-identical to eager, so it is not part of the key.
 
     The memo lives on the selection, i.e. one ``Controller.run``; a lock
-    makes concurrent callers (``parallel_modules``) train the phase once.
+    makes concurrent callers that share a selection train the phase once.
     """
     auxiliary = data.auxiliary
     key = (data.backbone, pickle.dumps(rng.bit_generator.state), data.seed,

@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor import Tensor, _trace_records, fused_ops_enabled, get_default_dtype
+from .tensor import _TRACE_RECORDS, Tensor, fused_ops_enabled, get_default_dtype
 
 __all__ = [
     "one_hot",
@@ -157,7 +157,7 @@ def softmax_cross_entropy(logits: Tensor, targets: Union[np.ndarray, list],
         logits._accumulate_owned(d)
 
     out = Tensor._make(np.asarray(loss, dtype=z.dtype), (logits,), backward)
-    records = _trace_records()
+    records = _TRACE_RECORDS.get()
     if records is not None:
         records.append(("loss", "cross_entropy", logits,
                         orig_targets, orig_weights, out))
@@ -225,7 +225,7 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray,
         logits._accumulate_owned(d)
 
     out = Tensor._make(np.asarray(loss, dtype=z.dtype), (logits,), backward)
-    records = _trace_records()
+    records = _TRACE_RECORDS.get()
     if records is not None:
         records.append(("loss", "soft_cross_entropy", logits,
                         orig_targets, orig_weights, out))
@@ -249,7 +249,7 @@ def _fused_squared_error(predictions: Tensor, target_data: np.ndarray,
 
     out = Tensor._make(np.asarray(loss, dtype=predictions.data.dtype),
                        (predictions,), backward)
-    records = _trace_records()
+    records = _TRACE_RECORDS.get()
     if records is not None:
         records.append(("loss", "sqerr", predictions, target_data, denom, out))
     return out

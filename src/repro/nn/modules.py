@@ -17,7 +17,7 @@ import numpy as np
 
 from . import init as init_module
 from .functional import linear as _fused_linear
-from .tensor import _TRACE, Tensor, get_default_dtype, trace_ops
+from .tensor import _TRACE_RECORDS, Tensor, get_default_dtype, trace_ops
 
 # --------------------------------------------------------------------------- #
 # Module-call tracing (the capture phase of the graph replay executor)
@@ -72,7 +72,7 @@ class Module:
 
     def __call__(self, x: Tensor) -> Tensor:
         out = self.forward(x)
-        records = getattr(_TRACE, "records", None)
+        records = _TRACE_RECORDS.get()
         if records is not None:
             records.append(("module", self, x, out))
         return out

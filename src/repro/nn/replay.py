@@ -7,7 +7,7 @@ reproduction the graph shape never changes between steps — same model, same
 loss, same batch shape — so all of that per-step Python work is redundant.
 
 :class:`GraphReplay` removes it.  The first time a step signature is seen it
-runs the ordinary eager step while *tracing* the op DAG: a thread-local hook
+runs the ordinary eager step while *tracing* the op DAG: a context-local hook
 records every ``Module.__call__`` (``("module", module, input, output)``),
 every traced tensor combinator (``("add"/"mul", a, b, out)``), and every
 fused loss (``("loss", kind, logits, targets, extra, out)``).  The compiler
@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -133,7 +134,7 @@ class ReplayStats:
     static loop with replay enabled, ``eager_steps`` — and therefore
     ``fallback_count`` — must be zero; the pipeline regression tests assert
     exactly that.  Increments are lock-protected so one instance can collect
-    across the parallel controller's worker threads.
+    from several threads at once.
     """
 
     def __init__(self) -> None:
@@ -170,8 +171,8 @@ class ReplayStats:
 
 
 #: ambient stats sinks (see :func:`collect_replay_stats`); appended to every
-#: GraphReplay created while the scope is active
-_AMBIENT_SINKS: List[ReplayStats] = []
+#: GraphReplay created in the current context while the scope is active
+_AMBIENT_SINKS: ContextVar = ContextVar("replay_stats_sinks", default=())
 
 
 @contextmanager
@@ -182,14 +183,14 @@ def collect_replay_stats(stats: ReplayStats):
     ``ControllerConfig.replay_stats`` is set, so one counter aggregates every
     training loop in the pipeline (module fine-tuning, the ZSL-KG pretrain,
     FixMatch's two-view step, the multi-task joint step, end-model
-    distillation) — including loops run by the parallel controller's worker
-    threads.
+    distillation).  The scope is context-local: steppers that other threads
+    create are not counted, unless they open a scope on the same counter.
     """
-    _AMBIENT_SINKS.append(stats)
+    token = _AMBIENT_SINKS.set(_AMBIENT_SINKS.get() + (stats,))
     try:
         yield stats
     finally:
-        _AMBIENT_SINKS.remove(stats)
+        _AMBIENT_SINKS.reset(token)
 
 
 # --------------------------------------------------------------------------- #
@@ -1270,7 +1271,7 @@ class GraphReplay:
         # (TrainConfig.replay_stats) and ambiently (collect_replay_stats);
         # it must tick once per event, not once per registration.
         sinks = [own]
-        for sink in _AMBIENT_SINKS:
+        for sink in _AMBIENT_SINKS.get():
             if all(sink is not existing for existing in sinks):
                 sinks.append(sink)
         self._sinks = tuple(sinks)

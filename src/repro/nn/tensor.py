@@ -14,8 +14,8 @@ topological sort of the graph and accumulates gradients.
 from __future__ import annotations
 
 import itertools
-import threading
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,55 +23,59 @@ import numpy as np
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 # --------------------------------------------------------------------------- #
-# Engine configuration: default dtype and gradient mode
+# Engine configuration: scoped state
 # --------------------------------------------------------------------------- #
-# The default dtype is process-global (set once before building models); the
-# gradient mode is thread-local so the parallel controller can run inference
-# in one module's thread without disturbing training in another.
-_DEFAULT_DTYPE = np.float64
+# Every engine setting lives in a ``ContextVar``, so a scope (``default_dtype``,
+# ``no_grad``, ``use_fused_ops``, ...) changes the setting for the current
+# thread (or asyncio task) only and restores it with ``var.reset(token)``.
+# Concurrent callers with different settings never see each other's scopes,
+# and a new thread starts at the defaults below.
+_DEFAULT_DTYPE: ContextVar = ContextVar("default_dtype", default=np.float64)
 
-# Engine-wide feature switches.  ``fused_ops`` lets benchmarks and gradient
-# tests fall back to the primitive-composed (seed-equivalent) implementations
-# of ``linear`` / ``cross_entropy``; ``inference_no_grad`` controls whether
+# Engine feature switches.  ``fused_ops`` lets benchmarks and gradient tests
+# fall back to the primitive-composed (seed-equivalent) implementations of
+# ``linear`` / ``cross_entropy``; ``inference_no_grad`` controls whether
 # eval-time forwards skip the backward tape; ``graph_replay`` enables the
 # whole-graph capture/replay executor for static training loops
 # (:mod:`repro.nn.replay`).  Production code leaves all three on;
 # ``seed_compat_mode`` turns them off to measure the seed engine's behavior.
-_ENGINE_FLAGS = {"fused_ops": True, "inference_no_grad": True,
-                 "graph_replay": True}
+_FUSED_OPS: ContextVar = ContextVar("fused_ops", default=True)
+_INFERENCE_NO_GRAD: ContextVar = ContextVar("inference_no_grad", default=True)
+_GRAPH_REPLAY: ContextVar = ContextVar("graph_replay", default=True)
 
-_GRAD_MODE = threading.local()
+_GRAD_ENABLED: ContextVar = ContextVar("grad_enabled", default=True)
 
 # ---------------------------------------------------------------------------- #
 # Op tracing (the capture phase of the graph replay executor)
 # ---------------------------------------------------------------------------- #
-# While a trace is active on the current thread, instrumented operations
+# While a trace is active in the current context, instrumented operations
 # append tagged records to the recording list: every ``Module.__call__``
 # appends ``("module", module, input, output)`` (see repro.nn.modules), the
 # traced tensor combinators append ``("add"/"mul", a, b, out)``, and the
 # fused losses append ``("loss", kind, logits, targets, extra, out)``.  The
 # replay compiler (:mod:`repro.nn.replay`) runs one eager training step under
-# this context and reconstructs the op DAG from the records.  Thread-local so
-# the parallel controller can trace one module's training loop while another
-# thread trains eagerly.
-_TRACE = threading.local()
+# this context and reconstructs the op DAG from the records.  Context-local,
+# so a trace on one thread never records another thread's eager ops.
+_TRACE_RECORDS: ContextVar = ContextVar("trace_records", default=None)
 
 
-def _trace_records():
-    """The active trace recording list on this thread, or None."""
-    return getattr(_TRACE, "records", None)
+@contextmanager
+def _scoped(var: ContextVar, value):
+    """Set ``var`` to ``value`` for the duration of the ``with`` block."""
+    token = var.set(value)
+    try:
+        yield
+    finally:
+        var.reset(token)
 
 
 @contextmanager
 def trace_ops(records: List[tuple]):
-    """Record every traced op on this thread into ``records``."""
-    if getattr(_TRACE, "records", None) is not None:
+    """Record every traced op in the current context into ``records``."""
+    if _TRACE_RECORDS.get() is not None:
         raise RuntimeError("op tracing is not reentrant")
-    _TRACE.records = records
-    try:
+    with _scoped(_TRACE_RECORDS, records):
         yield records
-    finally:
-        _TRACE.records = None
 
 
 # Monotonically increasing creation stamp.  Every tensor records the counter
@@ -79,41 +83,37 @@ def trace_ops(records: List[tuple]):
 # its inputs, creation order is a valid topological order of any autograd
 # graph, which lets ``backward`` sort reachable nodes with a single C-level
 # sort instead of a two-phase DFS.  ``itertools.count`` is atomic in CPython,
-# so the stamp is safe under the parallel controller's threads.
+# so the stamp is safe when several threads build graphs at once.
 _SEQ = itertools.count()
 
 
 def get_default_dtype() -> np.dtype:
     """The dtype new tensors are created with (``float64`` unless configured)."""
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the engine-wide default dtype (``np.float32`` or ``np.float64``)."""
-    global _DEFAULT_DTYPE
+def _check_dtype(dtype):
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
-    _DEFAULT_DTYPE = dtype.type
+    return dtype.type
 
 
-@contextmanager
+def set_default_dtype(dtype) -> None:
+    """Set the default dtype (``np.float32`` or ``np.float64``) for the
+    current context; other threads keep their own."""
+    _DEFAULT_DTYPE.set(_check_dtype(dtype))
+
+
 def default_dtype(dtype):
     """Temporarily switch the engine's default dtype (the float32 fast mode)."""
-    global _DEFAULT_DTYPE
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = previous
+    return _scoped(_DEFAULT_DTYPE, _check_dtype(dtype))
 
 
 def is_grad_enabled() -> bool:
-    return getattr(_GRAD_MODE, "enabled", True)
+    return _GRAD_ENABLED.get()
 
 
-@contextmanager
 def no_grad():
     """Inference mode: operations inside record no backward tape at all.
 
@@ -121,38 +121,26 @@ def no_grad():
     eval-time forwards (``predict_logits``, FixMatch's pseudo-label view)
     allocate no closures and retain no intermediate arrays.
     """
-    previous = is_grad_enabled()
-    _GRAD_MODE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_MODE.enabled = previous
+    return _scoped(_GRAD_ENABLED, False)
 
 
 def fused_ops_enabled() -> bool:
-    return _ENGINE_FLAGS["fused_ops"]
+    return _FUSED_OPS.get()
 
 
 def inference_no_grad_enabled() -> bool:
-    return _ENGINE_FLAGS["inference_no_grad"]
+    return _INFERENCE_NO_GRAD.get()
 
 
-@contextmanager
 def use_fused_ops(enabled: bool):
     """Toggle the fused ``linear`` / cross-entropy kernels (benchmarks/tests)."""
-    previous = _ENGINE_FLAGS["fused_ops"]
-    _ENGINE_FLAGS["fused_ops"] = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENGINE_FLAGS["fused_ops"] = previous
+    return _scoped(_FUSED_OPS, bool(enabled))
 
 
 def graph_replay_enabled() -> bool:
-    return _ENGINE_FLAGS["graph_replay"]
+    return _GRAPH_REPLAY.get()
 
 
-@contextmanager
 def use_graph_replay(enabled: bool):
     """Toggle the whole-graph capture/replay executor for static loops.
 
@@ -161,12 +149,7 @@ def use_graph_replay(enabled: bool):
     for a whole pipeline run (the :class:`~repro.core.Controller` threads
     its ``replay`` config field through here).
     """
-    previous = _ENGINE_FLAGS["graph_replay"]
-    _ENGINE_FLAGS["graph_replay"] = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENGINE_FLAGS["graph_replay"] = previous
+    return _scoped(_GRAPH_REPLAY, bool(enabled))
 
 
 def inference_mode():
@@ -186,18 +169,13 @@ def seed_compat_mode():
     what the seed engine did on every eval forward), and switches off the
     graph replay executor so every step rebuilds the tape eagerly.
     """
-    previous = dict(_ENGINE_FLAGS)
-    _ENGINE_FLAGS["fused_ops"] = False
-    _ENGINE_FLAGS["inference_no_grad"] = False
-    _ENGINE_FLAGS["graph_replay"] = False
-    try:
+    with _scoped(_FUSED_OPS, False), _scoped(_INFERENCE_NO_GRAD, False), \
+            _scoped(_GRAPH_REPLAY, False):
         yield
-    finally:
-        _ENGINE_FLAGS.update(previous)
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
-    dtype = dtype if dtype is not None else _DEFAULT_DTYPE
+    dtype = dtype if dtype is not None else _DEFAULT_DTYPE.get()
     if isinstance(data, np.ndarray):
         if data.dtype != dtype:
             return data.astype(dtype)
@@ -339,7 +317,7 @@ class Tensor:
 
         out = Tensor._make(data, (self, other), backward)
         # Inlined trace check (hot path: every eager add pays it).
-        records = getattr(_TRACE, "records", None)
+        records = _TRACE_RECORDS.get()
         if records is not None:
             records.append(("add", self, other, out))
         return out
@@ -370,7 +348,7 @@ class Tensor:
             other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
         out = Tensor._make(data, (self, other), backward)
-        records = getattr(_TRACE, "records", None)
+        records = _TRACE_RECORDS.get()
         if records is not None:
             records.append(("mul", self, other, out))
         return out

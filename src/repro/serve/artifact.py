@@ -29,12 +29,12 @@ load, unknown versions are loudly rejected.
 
 Serving forwards are **compiled**: at load time the rebuilt Linear/ReLU
 chain is flattened into a plan of raw NumPy kernels that replay the engine's
-ops bit-for-bit (``x @ W``, ``+= b``, ``x * (x > 0)``) in the artifact's own
-dtype.  The compiled path touches no process-global engine state, so
-concurrent forwards need no lock — which is what lets the multi-worker
-micro-batcher (``BatchingConfig.num_workers``) genuinely overlap forwards.
-An unexpected architecture falls back to the tape-based module forward under
-a global lock (the engine's default dtype is process-global).
+ops bit-for-bit (``x @ W``, ``+= b``, ``maximum(x, 0)``) in the artifact's
+own dtype.  The compiled path touches no engine state at all, and concurrent
+forwards need no lock — which is what lets the multi-worker micro-batcher
+(``BatchingConfig.num_workers``) genuinely overlap forwards.  An unexpected
+architecture falls back to the tape-based module forward under a
+``default_dtype`` scope, which is context-local, so it needs no lock either.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -57,16 +56,9 @@ from ..nn.modules import Identity, Linear, MLP, ReLU, Sequential
 from ..nn.serialization import (load_state_dict, save_state_dict,
                                 state_dict_digest, state_dict_manifest,
                                 validate_state_dict)
-from ..nn.tensor import default_dtype, get_default_dtype
+from ..nn.tensor import default_dtype
 from ..nn.training import predict_logits, softmax_rows
 from .batching import run_at_quantum
-
-#: The engine's default dtype is process-global, so the *fallback* module
-#: forward (used only when a servable's architecture cannot be compiled)
-#: must flip it for the duration of each forward under this lock, so two
-#: models of different dtypes never race on the flag.  Compiled forwards
-#: never take it.
-_FORWARD_LOCK = threading.Lock()
 
 __all__ = ["SCHEMA_VERSION", "MANIFEST_NAME", "WEIGHTS_NAME",
            "ArtifactError", "Servable", "ServableModel", "ServableEnsemble",
@@ -353,12 +345,12 @@ def _compile_forward(model: ClassificationModel) -> Optional[
 
     The plan replays the engine's inference ops bit-for-bit — ``x @ W`` then
     ``+= b`` (:func:`repro.nn.functional.linear`) and ``maximum(x, 0)``
-    (``Tensor.relu``) — in the weights' own dtype, touching no process-global
-    engine state: no tape, no default-dtype flip, no lock.  Concurrent calls
+    (``Tensor.relu``) — in the weights' own dtype, touching no engine state:
+    no tape, no default-dtype scope, no lock.  Concurrent calls
     are safe (the plan only reads the weight arrays), which is what the
     multi-worker micro-batcher relies on.  Returns ``None`` when the model
     contains a layer the compiler does not know, and the servable falls back
-    to the locked module forward.
+    to the tape-based module forward.
     """
     steps: List[Tuple[str, Optional[np.ndarray], Optional[np.ndarray]]] = []
 
@@ -459,7 +451,7 @@ class ServableModel(Servable):
         self.class_names: List[str] = list(manifest["class_names"])
         self.dtype = np.dtype(manifest["dtype"])
         self.fingerprint: str = manifest["weights_digest"]
-        # ``compiled=False`` forces the locked module forward (the serving
+        # ``compiled=False`` forces the tape-based module forward (the serving
         # benchmark uses it to keep a history-comparable naive baseline).
         self._compiled = _compile_forward(model) if compiled else None
 
@@ -509,13 +501,8 @@ class ServableModel(Servable):
     def _forward(self, features: np.ndarray) -> np.ndarray:
         if self._compiled is not None:
             return self._compiled(features)
-        # Fallback: the tape-based forward reads the process-global default
-        # dtype, so it must flip (and lock) it when the servable's differs.
-        with _FORWARD_LOCK:
-            if np.dtype(get_default_dtype()) == self.dtype:
-                return predict_logits(self._model, features, batch_size=None)
-            with default_dtype(self.dtype):
-                return predict_logits(self._model, features, batch_size=None)
+        with default_dtype(self.dtype):
+            return predict_logits(self._model, features, batch_size=None)
 
     def predict_proba(self, features: np.ndarray,
                       batch_size: Optional[int] = None) -> np.ndarray:
@@ -716,7 +703,7 @@ def load_servable(path: str, verify_digest: bool = True,
     Every weight archive is strictly validated against the rebuilt
     architecture (every key, shape, and dtype) and, unless disabled,
     integrity-checked against its manifest digest.  ``compiled=False``
-    forces the locked tape-based forward instead of the compiled kernel
+    forces the tape-based module forward instead of the compiled kernel
     plan (benchmark baseline; predictions are bit-identical either way).
     """
     manifest = read_manifest(path)

@@ -2,11 +2,13 @@
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.nn import default_dtype
+from repro.nn import default_dtype, get_default_dtype
 from repro.serve import (ArtifactError, SCHEMA_VERSION, export_end_model,
                          load_servable, read_manifest)
 from repro.serve.artifact import MANIFEST_NAME, WEIGHTS_NAME
@@ -89,6 +91,61 @@ class TestRoundTrip:
         description = servable.describe()
         assert json.dumps(description)
         assert description["fingerprint"] == servable.fingerprint
+
+
+class TestFallbackForward:
+    """``load_servable(..., compiled=False)``: the tape-based module forward."""
+
+    def test_concurrent_threads_match_compiled(self, tmp_path, features):
+        # A float32 artifact served from 4 threads while the caller sits in
+        # a float64 scope: each forward opens its own context-local dtype
+        # scope, so neither side ever sees the other's dtype.
+        with default_dtype("float32"):
+            path = export_end_model(make_end_model(seed=3),
+                                    str(tmp_path / "f32"),
+                                    class_names=CLASS_NAMES)
+        compiled = load_servable(path)
+        fallback = load_servable(path, compiled=False)
+        assert compiled.compiled and not fallback.compiled
+        batches = [features[:1], features[:7], features[:32], features]
+        expected = [compiled.predict_proba(rows) for rows in batches]
+        mismatches, errors, seen_dtypes = [], [], set()
+        start = threading.Barrier(len(batches) + 1, timeout=30)
+
+        def client(i):
+            try:
+                start.wait()
+                for _ in range(25):
+                    served = fallback.predict_proba(batches[i])
+                    if (served.dtype != np.float32
+                            or served.tobytes() != expected[i].tobytes()):
+                        mismatches.append(i)
+            except Exception as error:  # re-raised on the calling thread
+                errors.append(error)
+
+        # More threads than cores and a short switch interval, so the
+        # clients' forwards interleave inside each other's dtype scopes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with default_dtype("float64"):
+                threads = [threading.Thread(target=client, args=(i,))
+                           for i in range(len(batches))]
+                for thread in threads:
+                    thread.start()
+                start.wait()
+                while any(thread.is_alive() for thread in threads):
+                    seen_dtypes.add(get_default_dtype())
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+        assert not mismatches
+        assert seen_dtypes <= {np.float64}
+        assert get_default_dtype() is np.float64
 
 
 class TestValidation:
