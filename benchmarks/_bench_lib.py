@@ -102,7 +102,8 @@ def update_bench_record(path: str, section: str, payload: dict) -> None:
     """Merge one section into a ``BENCH_*.json`` trajectory file.
 
     Shared by the engine and serving throughput benchmarks: preserves the
-    other sections, refreshes the timestamp, and stamps host metadata once.
+    other sections and stamps the timestamp and the host on every write, so
+    the record names the host that produced its latest section.
     """
     import json
     import platform
@@ -115,11 +116,11 @@ def update_bench_record(path: str, section: str, payload: dict) -> None:
         with open(path, "r", encoding="utf-8") as handle:
             record = json.load(handle)
     record["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    record.setdefault("host", {
+    record["host"] = {
         "cpus": os.cpu_count(),
         "numpy": np.__version__,
         "python": platform.python_version(),
-    })
+    }
     record[section] = payload
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=False)

@@ -59,7 +59,7 @@ def _run_loop(replay: bool, stats: ReplayStats):
         start = time.perf_counter()
         with stepper.epoch():
             for _ in range(STEPS):
-                consistency_step(stepper, model, labeled_x, labeled_y,
+                consistency_step(stepper, labeled_x, labeled_y,
                                  unlabeled_x, strong_x, cons_w, 0.6, dt)
         elapsed = time.perf_counter() - start
         return [p.data.copy() for p in model.parameters()], elapsed

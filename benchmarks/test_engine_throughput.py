@@ -158,7 +158,7 @@ def _fixmatch_once(dtype=None, compat=False, replay=False) -> float:
         start = time.perf_counter()
         with stepper.epoch():
             for _ in range(FIX_STEPS):
-                consistency_step(stepper, model, labeled_x, labeled_y,
+                consistency_step(stepper, labeled_x, labeled_y,
                                  unlabeled_x, strong_x, cons_w, 0.6, dt)
         return time.perf_counter() - start
 

@@ -74,7 +74,7 @@ class FixMatchConfig:
     replay: Optional[bool] = None
 
 
-def consistency_step(stepper, model, weak_labeled, labeled_y, weak_unlabeled,
+def consistency_step(stepper, weak_labeled, labeled_y, weak_unlabeled,
                      strong_unlabeled, cons_weight, threshold, dtype):
     """One full FixMatch consistency step through the replay executor.
 
@@ -86,11 +86,12 @@ def consistency_step(stepper, model, weak_labeled, labeled_y, weak_unlabeled,
     and by the replay benchmarks/smoke checks, so what they measure is
     exactly what the pipeline executes.  Call it inside a
     ``stepper.epoch()`` scope to fingerprint the model once per epoch per
-    mode rather than twice per step.
+    mode rather than twice per step, and to flip ``stepper.model``'s mode
+    without walking its modules.
     """
-    model.eval()
+    stepper.set_training(False)
     weak_logits = stepper.forward(weak_unlabeled)
-    model.train()
+    stepper.set_training(True)
     weak_probs = _softmax(weak_logits)
     mask_w = (weak_probs.max(axis=1) >= threshold).astype(dtype)
     stepper.step_fn(_two_view_step, {
@@ -220,7 +221,7 @@ class FixMatchModule(TrainingModule):
                     unlabeled_x = next(unlabeled_stream)
                     # Pseudo labels come from the weakly augmented view
                     # with no gradient flow, as in the original algorithm.
-                    consistency_step(stepper, model, weak_labeled, labeled_y,
+                    consistency_step(stepper, weak_labeled, labeled_y,
                                      weak(unlabeled_x, rng),
                                      strong(unlabeled_x, rng), cons_weight,
                                      config.confidence_threshold, dtype)

@@ -139,8 +139,8 @@ class ZslKgModule(TrainingModule):
     name = "zsl_kg"
 
     #: pretrained class encoders keyed by (backbone id, graph id, engine
-    #: dtype, config); each entry is ``(backbone, graph, state)`` — holding
-    #: the objects keeps their ids from being recycled while it lives
+    #: dtype, config, seed); each entry is ``(backbone, graph, state)`` —
+    #: holding the objects keeps their ids from being recycled while it lives
     _pretrained_cache: Dict[tuple, Tuple[PretrainedBackbone, KnowledgeGraph,
                                          Dict[str, np.ndarray]]] = {}
 
@@ -174,10 +174,11 @@ class ZslKgModule(TrainingModule):
         config = self.config
         graph = bundle.scads.graph
         # The engine dtype is part of the key, so float32-mode weights never
-        # leak into a float64 run (or vice versa), and so is the config, so
-        # a short pretrain never answers for a long one.
+        # leak into a float64 run (or vice versa); so is the config, so a
+        # short pretrain never answers for a long one; and so is the seed,
+        # which draws the concept sample, prototypes, split and init.
         cache_key = (id(backbone), id(graph),
-                     np.dtype(get_default_dtype()).name, astuple(config))
+                     np.dtype(get_default_dtype()).name, astuple(config), seed)
         entry = self._pretrained_cache.get(cache_key)
         if entry is not None:
             return entry[2]

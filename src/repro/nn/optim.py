@@ -15,6 +15,15 @@ parameters have no gradient (their state must not advance) or parameters mix
 dtypes.  The graph replay executor (:mod:`repro.nn.replay`) writes gradients
 directly into the flat views (:meth:`Optimizer.grad_view_for`), making the
 gather step a no-op on the replay fast path.
+
+The parameters themselves live in the same layout.  At construction the
+optimizer copies every parameter into one contiguous *arena* and rebinds each
+``p.data`` to its view of it, so weight decay reads, and the update writes,
+all parameters with one ufunc call each.  Everything else keeps reading
+``p.data`` live.  Each step checks that every ``p.data`` is still its arena
+view; a rebound one (``load_state_dict``, another optimizer's arena) is
+copied back in and rebound, and one whose shape or dtype no longer fits its
+slot retires the arena for good, leaving the per-parameter update loops.
 """
 
 from __future__ import annotations
@@ -39,12 +48,23 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
         self.initial_lr = float(lr)
-        #: flat gradient buffer + per-parameter views (built lazily; None
-        #: entries until :meth:`_flat_state` runs, ``False`` when parameters
-        #: mix dtypes and flat mode is unavailable)
+        #: flat mode needs one dtype across parameters; it then owns a flat
+        #: gradient buffer with per-parameter views
+        self._flat_ok = len({p.data.dtype for p in self.parameters}) == 1
         self._flat_grad: Optional[np.ndarray] = None
-        self._flat_grad_views: Optional[List[np.ndarray]] = None
-        self._flat_ok: Optional[bool] = None
+        self._flat_grad_views: List[np.ndarray] = []
+        #: the parameter arena and each parameter's view of it (None when
+        #: flat mode is off or a parameter repeats, or once a rebound
+        #: ``p.data`` stopped fitting its slot)
+        self._arena: Optional[np.ndarray] = None
+        self._arena_views: List[np.ndarray] = []
+        if self._flat_ok:
+            self._flat_grad, self._flat_grad_views = self._alloc_flat()
+            if len({id(p) for p in self.parameters}) == len(self.parameters):
+                self._arena, self._arena_views = self._alloc_flat()
+                for p, view in zip(self.parameters, self._arena_views):
+                    np.copyto(view, p.data)
+                    p.data = view
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -76,14 +96,6 @@ class Optimizer:
             offset += p.data.size
         return flat, views
 
-    def _flat_available(self) -> bool:
-        if self._flat_ok is None:
-            dtypes = {p.data.dtype for p in self.parameters}
-            self._flat_ok = len(dtypes) == 1
-            if self._flat_ok:
-                self._flat_grad, self._flat_grad_views = self._alloc_flat()
-        return self._flat_ok
-
     def grad_view_for(self, param: Parameter) -> Optional[np.ndarray]:
         """The flat-gradient view backing ``param``, or None.
 
@@ -92,7 +104,7 @@ class Optimizer:
         ``param.grad`` get bit-identical behavior either way — the gather in
         :meth:`_gather_grads` skips views that are already in place.
         """
-        if not self._flat_available():
+        if not self._flat_ok:
             return None
         for p, view in zip(self.parameters, self._flat_grad_views):
             if p is param:
@@ -104,7 +116,7 @@ class Optimizer:
         already written in place).  Returns None — demanding the per-param
         fallback — when flat mode is unavailable or any gradient is missing
         (those parameters' state must not advance)."""
-        if not self._flat_available():
+        if not self._flat_ok:
             return None
         grads = [p.grad for p in self.parameters]
         if any(g is None for g in grads):
@@ -113,6 +125,45 @@ class Optimizer:
             if g is not view:
                 np.copyto(view, g)
         return self._flat_grad
+
+    def _synced_arena(self) -> Optional[np.ndarray]:
+        """The parameter arena with every ``p.data`` bound to its view, or
+        None when the update must run per parameter.
+
+        A parameter whose ``data`` was rebound to an array that fits its
+        slot is copied back in; one that no longer fits retires the arena.
+        """
+        arena = self._arena
+        if arena is None:
+            return None
+        for p, view in zip(self.parameters, self._arena_views):
+            data = p.data
+            if data is not view:
+                if data.shape != view.shape or data.dtype != view.dtype:
+                    self._arena = None
+                    return None
+                np.copyto(view, data)
+                p.data = view
+        return arena
+
+    def _decay_into(self, arena: Optional[np.ndarray], weight_decay: float,
+                    out_flat: np.ndarray, out_views: List[np.ndarray]) -> None:
+        """``out = weight_decay * p.data`` for every parameter."""
+        if arena is not None:
+            np.multiply(arena, weight_decay, out=out_flat)
+            return
+        for p, view in zip(self.parameters, out_views):
+            np.multiply(p.data, weight_decay, out=view)
+
+    def _apply_update(self, arena: Optional[np.ndarray],
+                      update_flat: np.ndarray,
+                      update_views: List[np.ndarray]) -> None:
+        """``p.data -= update`` for every parameter."""
+        if arena is not None:
+            np.subtract(arena, update_flat, out=arena)
+            return
+        for p, view in zip(self.parameters, update_views):
+            np.subtract(p.data, view, out=p.data)
 
 
 class SGD(Optimizer):
@@ -143,7 +194,7 @@ class SGD(Optimizer):
 
     def _materialize(self) -> None:
         self._materialized = True
-        if self._flat_available():
+        if self._flat_ok:
             self._velocity_flat, self._velocity = self._alloc_flat(fill=0.0)
             self._step_flat, self._step_buf = self._alloc_flat()
             if self.weight_decay:
@@ -163,10 +214,10 @@ class SGD(Optimizer):
         grad_flat = self._gather_grads()
         if grad_flat is not None:
             # Fused flat path: a handful of whole-buffer ufunc calls.
+            arena = self._synced_arena()
             if weight_decay:
                 decayed = self._decayed_flat
-                for p, view in zip(self.parameters, self._decayed):
-                    np.multiply(p.data, weight_decay, out=view)
+                self._decay_into(arena, weight_decay, decayed, self._decayed)
                 decayed += grad_flat
                 grad_flat = decayed
             if momentum:
@@ -182,8 +233,7 @@ class SGD(Optimizer):
             else:
                 update = grad_flat
             np.multiply(update, lr, out=self._step_flat)
-            for p, view in zip(self.parameters, self._step_buf):
-                np.subtract(p.data, view, out=p.data)
+            self._apply_update(arena, self._step_flat, self._step_buf)
             return
         # Per-parameter fallback (some gradients missing or mixed dtypes);
         # operates on the same state buffers/views as the flat path.
@@ -241,7 +291,7 @@ class Adam(Optimizer):
 
     def _materialize(self) -> None:
         self._materialized = True
-        if self._flat_available():
+        if self._flat_ok:
             self._m_flat, self._m = self._alloc_flat(fill=0.0)
             self._v_flat, self._v = self._alloc_flat(fill=0.0)
             self._scratch_flat, self._scratch = self._alloc_flat()
@@ -268,10 +318,11 @@ class Adam(Optimizer):
         lr_over_bias1 = self.lr / bias1
         grad_flat = self._gather_grads()
         if grad_flat is not None:
-            # Fused flat path: the whole update is ~11 ufunc calls total.
+            # Fused flat path: 13 whole-buffer ufunc calls (15 with decay).
+            arena = self._synced_arena()
             if weight_decay:
-                for p, view in zip(self.parameters, self._decayed):
-                    np.multiply(p.data, weight_decay, out=view)
+                self._decay_into(arena, weight_decay, self._decayed_flat,
+                                 self._decayed)
                 self._decayed_flat += grad_flat
                 grad_flat = self._decayed_flat
             m, v, scratch = self._m_flat, self._v_flat, self._scratch_flat
@@ -288,8 +339,7 @@ class Adam(Optimizer):
             scratch += eps
             np.divide(m, scratch, out=scratch)
             scratch *= lr_over_bias1
-            for p, view in zip(self.parameters, self._scratch):
-                np.subtract(p.data, view, out=p.data)
+            self._apply_update(arena, scratch, self._scratch)
             return
         # Per-parameter fallback on the same state buffers/views.
         for i, p in enumerate(self.parameters):

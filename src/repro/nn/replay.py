@@ -219,7 +219,16 @@ class _InputNode:
 
 
 class _LinearStep:
-    __slots__ = ("index", "layer", "requires_grad", "x", "out", "grad",
+    """``x @ W + b`` and its three backward GEMMs.
+
+    The GEMMs go through ``np.dot``, which hands a transposed operand to
+    BLAS as a flag where ``np.matmul`` may copy it first; the results are
+    bit-equal to ``@`` (``tests/nn/test_dot_kernels.py``).  ``np.dot``
+    accepts only an ``out`` of exactly its result dtype, so a layer that
+    mixes dtypes keeps ``np.matmul``, which casts into ``out``.
+    """
+
+    __slots__ = ("index", "layer", "requires_grad", "x", "out", "grad", "gemm",
                  "gw", "gw_acc", "gw_tmp", "gb", "gb_acc", "gb_tmp",
                  "gin", "gin_acc", "gin_tmp",
                  "_src", "_src_rg")
@@ -232,6 +241,10 @@ class _LinearStep:
         self.x: Optional[np.ndarray] = None
         self.out = np.empty_like(out.data)
         self.grad: Optional[np.ndarray] = None
+        # One dtype throughout means every gradient target (the optimizer's
+        # flat view, a producer's grad buffer) has that dtype too.
+        uniform = inp.data.dtype == layer.weight.data.dtype == out.data.dtype
+        self.gemm = np.dot if uniform else np.matmul
         self.gw = self.gb = self.gin = None
         self.gw_acc = self.gb_acc = self.gin_acc = False
         self.gw_tmp = self.gb_tmp = self.gin_tmp = None
@@ -239,7 +252,7 @@ class _LinearStep:
     def forward(self) -> None:
         layer = self.layer
         out = self.out
-        np.matmul(self.x, layer.weight.data, out=out)
+        self.gemm(self.x, layer.weight.data, out=out)
         if layer.bias is not None:
             out += layer.bias.data
 
@@ -248,10 +261,10 @@ class _LinearStep:
         grad = self.grad
         if self.gw is not None:
             if self.gw_acc:
-                np.matmul(self.x.T, grad, out=self.gw_tmp)
+                self.gemm(self.x.T, grad, out=self.gw_tmp)
                 self.gw += self.gw_tmp
             else:
-                np.matmul(self.x.T, grad, out=self.gw)
+                self.gemm(self.x.T, grad, out=self.gw)
             layer.weight.grad = self.gw
         if self.gb is not None:
             # ndarray.sum lowers to add.reduce; call it directly to skip
@@ -264,10 +277,10 @@ class _LinearStep:
             layer.bias.grad = self.gb
         if self.gin is not None:
             if self.gin_acc:
-                np.matmul(grad, layer.weight.data.T, out=self.gin_tmp)
+                self.gemm(grad, layer.weight.data.T, out=self.gin_tmp)
                 self.gin += self.gin_tmp
             else:
-                np.matmul(grad, layer.weight.data.T, out=self.gin)
+                self.gemm(grad, layer.weight.data.T, out=self.gin)
 
 
 class _ReLUStep:
@@ -1266,6 +1279,9 @@ class GraphReplay:
         #: per mode (a plan or an eager-fallback reason); None outside
         self._epoch_fingerprints: Optional[Dict[bool, tuple]] = None
         self._epoch_outcomes: Optional[Dict[tuple, object]] = None
+        #: the model's modules, walked once on entering an :meth:`epoch`
+        #: scope (for :meth:`set_training`); None outside
+        self._epoch_modules: Optional[Tuple[Module, ...]] = None
         own = stats if stats is not None else ReplayStats()
         # Dedupe by identity: the same counter may arrive both explicitly
         # (TrainConfig.replay_stats) and ambiently (collect_replay_stats);
@@ -1415,14 +1431,33 @@ class GraphReplay:
         except through ``model.train()`` / ``model.eval()``.  A loop that
         flips the mode every step (FixMatch's pseudo-label forward) gets
         one plan per mode.  The next scope fingerprints afresh, so a change
-        between epochs is caught.
+        between epochs is caught.  The same promise lets
+        :meth:`set_training` flip the mode over the module list walked on
+        entry, instead of walking the model on every call.
         """
-        outer = self._epoch_fingerprints, self._epoch_outcomes
+        outer = (self._epoch_fingerprints, self._epoch_outcomes,
+                 self._epoch_modules)
         self._epoch_fingerprints, self._epoch_outcomes = {}, {}
+        self._epoch_modules = tuple(self.model.modules())
         try:
             yield self
         finally:
-            self._epoch_fingerprints, self._epoch_outcomes = outer
+            (self._epoch_fingerprints, self._epoch_outcomes,
+             self._epoch_modules) = outer
+
+    def set_training(self, mode: bool) -> None:
+        """``model.train(mode)``, without the module walk inside an
+        :meth:`epoch` scope (whose promise rules out structural changes).
+
+        Not cached across scopes: a version counter bumped on attribute
+        assignment would miss in-place container edits (``layers[i] = ...``).
+        """
+        modules = self._epoch_modules
+        if modules is None:
+            self.model.train(mode)
+            return
+        for module in modules:
+            module.training = mode
 
     def _resolve(self, sig: tuple):
         """Look up a cached plan for ``sig``: returns the plan, an

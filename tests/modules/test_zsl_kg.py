@@ -72,6 +72,21 @@ class TestZslKgModule:
             assert entry[0] is backbone and entry[1] is scads.scads.graph
         ZslKgModule._pretrained_cache.clear()
 
+    def test_pretrain_cache_is_keyed_on_the_seed(self, module_input):
+        """Regression: a seed-2 pretrain after a seed-1 one was answered
+        from the seed-1 entry, so a taglet depended on run order."""
+        module = ZslKgModule(ZslKgConfig(pretrain_epochs=5,
+                                         max_training_concepts=60))
+        scads, backbone = module_input.scads, module_input.backbone
+        ZslKgModule._pretrained_cache.clear()
+        fresh = module._pretrain(scads, backbone, seed=2)
+        ZslKgModule._pretrained_cache.clear()
+        module._pretrain(scads, backbone, seed=1)
+        after_seed_1 = module._pretrain(scads, backbone, seed=2)
+        ZslKgModule._pretrained_cache.clear()
+        assert list(after_seed_1) == list(fresh)
+        for name in fresh:
+            assert after_seed_1[name].tobytes() == fresh[name].tobytes(), name
 
     def test_requires_scads(self, module_input):
         import copy

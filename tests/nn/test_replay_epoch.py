@@ -185,3 +185,73 @@ class TestEpochGuard:
         assert stats.captures == 2
         assert stats.replays == 4
         assert stats.eager_steps == 0
+
+
+class TestSetTraining:
+    """``GraphReplay.set_training`` flips the mode over the module list an
+    ``epoch()`` scope walked on entry; it must behave exactly like
+    ``model.train(mode)`` / ``model.eval()``."""
+
+    @staticmethod
+    def _fixmatch_run(explicit, swap_at=None, replay=True):
+        from repro.modules.fixmatch import consistency_step
+        from repro.nn.modules import Dropout
+
+        rng = np.random.default_rng(12)
+        model = MLP(10, [16, 12], 4, dropout=0.2, batch_norm=True,
+                    rng=np.random.default_rng(13))
+        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
+                                         momentum=0.9, nesterov=True),
+                              enabled=replay)
+        if explicit:
+            stepper.set_training = model.train  # walks the model every call
+        model.train()
+        for epoch in range(3):
+            if epoch == swap_at:
+                # An in-place container edit: no attribute is assigned.
+                layers = model.net.layers
+                index = next(i for i, layer in enumerate(layers)
+                             if isinstance(layer, Dropout))
+                layers[index] = Dropout(0.5, rng=np.random.default_rng(14))
+            with stepper.epoch():
+                for _ in range(4):
+                    batch = _batch(rng)
+                    weak_unlabeled = rng.normal(size=batch["strong_x"].shape)
+                    consistency_step(stepper, batch["weak_x"],
+                                     batch["labels"], weak_unlabeled,
+                                     batch["strong_x"], batch["cons_w"],
+                                     0.3, np.float64)
+                    assert all(m.training for m in model.modules())
+        running = [(m.running_mean.tobytes(), m.running_var.tobytes())
+                   for m in model.modules() if isinstance(m, BatchNorm1d)]
+        stats = stepper.stats
+        return ((_params(model), running),
+                (stats.captures, stats.replays, stats.eager_steps))
+
+    def test_consistency_step_matches_explicit_mode_switch(self):
+        scoped, scoped_counts = self._fixmatch_run(explicit=False)
+        explicit, explicit_counts = self._fixmatch_run(explicit=True)
+        eager, _ = self._fixmatch_run(explicit=True, replay=False)
+        assert scoped == explicit == eager
+        assert scoped_counts == explicit_counts
+        assert scoped_counts == (2, 3 * 4 * 2 - 2, 0)
+
+    def test_container_edit_between_epochs_recaptures(self):
+        scoped, scoped_counts = self._fixmatch_run(explicit=False, swap_at=2)
+        explicit, explicit_counts = self._fixmatch_run(explicit=True,
+                                                       swap_at=2)
+        assert scoped == explicit
+        assert scoped_counts == explicit_counts
+        # Both plans (pseudo-label forward, two-view step) are recaptured
+        # for the new layer; the swapped-in dropout was switched to eval
+        # for the forward, or its draws would have broken the equality.
+        assert scoped_counts == (4, 3 * 4 * 2 - 4, 0)
+
+    def test_outside_a_scope_it_is_model_train(self):
+        model = MLP(10, [16], 4, dropout=0.2, rng=np.random.default_rng(15))
+        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
+        stepper.set_training(False)
+        assert not any(m.training for m in model.modules())
+        model.net.layers.append(ReLU())
+        stepper.set_training(True)
+        assert all(m.training for m in model.modules())
