@@ -22,8 +22,10 @@ optimizer copies every parameter into one contiguous *arena* and rebinds each
 all parameters with one ufunc call each.  Everything else keeps reading
 ``p.data`` live.  Each step checks that every ``p.data`` is still its arena
 view; a rebound one (``load_state_dict``, another optimizer's arena) is
-copied back in and rebound, and one whose shape or dtype no longer fits its
-slot retires the arena for good, leaving the per-parameter update loops.
+copied back in and rebound.  A parameter listed twice cannot be bound to two
+views, and one rebound to an array whose shape or dtype no longer fits its
+slot retires the arena; both turn flat mode off for good, so every later
+step takes the per-parameter fallback.
 """
 
 from __future__ import annotations
@@ -48,23 +50,22 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
         self.initial_lr = float(lr)
-        #: flat mode needs one dtype across parameters; it then owns a flat
-        #: gradient buffer with per-parameter views
-        self._flat_ok = len({p.data.dtype for p in self.parameters}) == 1
+        #: flat mode needs one dtype across distinct parameters; it then
+        #: owns a flat gradient buffer and the parameter arena, each with
+        #: per-parameter views
+        self._flat_ok = (
+            len({p.data.dtype for p in self.parameters}) == 1
+            and len({id(p) for p in self.parameters}) == len(self.parameters))
         self._flat_grad: Optional[np.ndarray] = None
         self._flat_grad_views: List[np.ndarray] = []
-        #: the parameter arena and each parameter's view of it (None when
-        #: flat mode is off or a parameter repeats, or once a rebound
-        #: ``p.data`` stopped fitting its slot)
         self._arena: Optional[np.ndarray] = None
         self._arena_views: List[np.ndarray] = []
         if self._flat_ok:
             self._flat_grad, self._flat_grad_views = self._alloc_flat()
-            if len({id(p) for p in self.parameters}) == len(self.parameters):
-                self._arena, self._arena_views = self._alloc_flat()
-                for p, view in zip(self.parameters, self._arena_views):
-                    np.copyto(view, p.data)
-                    p.data = view
+            self._arena, self._arena_views = self._alloc_flat()
+            for p, view in zip(self.parameters, self._arena_views):
+                np.copyto(view, p.data)
+                p.data = view
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -126,44 +127,23 @@ class Optimizer:
                 np.copyto(view, g)
         return self._flat_grad
 
-    def _synced_arena(self) -> Optional[np.ndarray]:
-        """The parameter arena with every ``p.data`` bound to its view, or
-        None when the update must run per parameter.
+    def _sync_arena(self) -> None:
+        """Bind every ``p.data`` back to its arena view.
 
         A parameter whose ``data`` was rebound to an array that fits its
-        slot is copied back in; one that no longer fits retires the arena.
+        slot is copied back in; one that no longer fits turns flat mode off.
         """
-        arena = self._arena
-        if arena is None:
-            return None
+        if not self._flat_ok:
+            return
         for p, view in zip(self.parameters, self._arena_views):
             data = p.data
             if data is not view:
                 if data.shape != view.shape or data.dtype != view.dtype:
+                    self._flat_ok = False
                     self._arena = None
-                    return None
+                    return
                 np.copyto(view, data)
                 p.data = view
-        return arena
-
-    def _decay_into(self, arena: Optional[np.ndarray], weight_decay: float,
-                    out_flat: np.ndarray, out_views: List[np.ndarray]) -> None:
-        """``out = weight_decay * p.data`` for every parameter."""
-        if arena is not None:
-            np.multiply(arena, weight_decay, out=out_flat)
-            return
-        for p, view in zip(self.parameters, out_views):
-            np.multiply(p.data, weight_decay, out=view)
-
-    def _apply_update(self, arena: Optional[np.ndarray],
-                      update_flat: np.ndarray,
-                      update_views: List[np.ndarray]) -> None:
-        """``p.data -= update`` for every parameter."""
-        if arena is not None:
-            np.subtract(arena, update_flat, out=arena)
-            return
-        for p, view in zip(self.parameters, update_views):
-            np.subtract(p.data, view, out=p.data)
 
 
 class SGD(Optimizer):
@@ -211,13 +191,14 @@ class SGD(Optimizer):
         momentum = self.momentum
         lr = self.lr
         weight_decay = self.weight_decay
+        self._sync_arena()
         grad_flat = self._gather_grads()
         if grad_flat is not None:
             # Fused flat path: a handful of whole-buffer ufunc calls.
-            arena = self._synced_arena()
+            arena = self._arena
             if weight_decay:
                 decayed = self._decayed_flat
-                self._decay_into(arena, weight_decay, decayed, self._decayed)
+                np.multiply(arena, weight_decay, out=decayed)
                 decayed += grad_flat
                 grad_flat = decayed
             if momentum:
@@ -233,10 +214,10 @@ class SGD(Optimizer):
             else:
                 update = grad_flat
             np.multiply(update, lr, out=self._step_flat)
-            self._apply_update(arena, self._step_flat, self._step_buf)
+            np.subtract(arena, self._step_flat, out=arena)
             return
-        # Per-parameter fallback (some gradients missing or mixed dtypes);
-        # operates on the same state buffers/views as the flat path.
+        # Per-parameter fallback (some gradients missing, mixed dtypes, a
+        # repeated parameter or a retired arena); operates on the same state buffers/views as the flat path.
         nesterov = self.nesterov
         for i, p in enumerate(self.parameters):
             grad = p.grad
@@ -316,13 +297,13 @@ class Adam(Optimizer):
         weight_decay = self.weight_decay
         eps = self.eps
         lr_over_bias1 = self.lr / bias1
+        self._sync_arena()
         grad_flat = self._gather_grads()
         if grad_flat is not None:
             # Fused flat path: 13 whole-buffer ufunc calls (15 with decay).
-            arena = self._synced_arena()
+            arena = self._arena
             if weight_decay:
-                self._decay_into(arena, weight_decay, self._decayed_flat,
-                                 self._decayed)
+                np.multiply(arena, weight_decay, out=self._decayed_flat)
                 self._decayed_flat += grad_flat
                 grad_flat = self._decayed_flat
             m, v, scratch = self._m_flat, self._v_flat, self._scratch_flat
@@ -339,7 +320,7 @@ class Adam(Optimizer):
             scratch += eps
             np.divide(m, scratch, out=scratch)
             scratch *= lr_over_bias1
-            self._apply_update(arena, scratch, self._scratch)
+            np.subtract(arena, scratch, out=arena)
             return
         # Per-parameter fallback on the same state buffers/views.
         for i, p in enumerate(self.parameters):

@@ -179,19 +179,15 @@ def test_mixed_dtypes_take_the_per_parameter_path(kind):
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_repeated_parameter_takes_the_per_parameter_path(kind):
-    # A parameter listed twice is updated twice, with a state slot per
-    # entry; it cannot be bound to two arena views.  (No weight decay: the
-    # flat update decays every entry before it updates any.)
+    # A parameter listed twice cannot be bound to two arena views, so the
+    # optimizer runs per parameter: the entry is updated twice in list
+    # order, with a state slot per entry.
     model, ref = _model(0), _model(0)
     params, ref_params = model.parameters(), ref.parameters()
-    if kind == "sgd":
-        opt = SGD(params + params[:1], lr=0.05, momentum=0.9, nesterov=True)
-        ref_opt = _ReferenceSGD(ref_params + ref_params[:1], lr=0.05,
-                                momentum=0.9, weight_decay=0.0)
-    else:
-        opt = Adam(params + params[:1], lr=0.01)
-        ref_opt = _ReferenceAdam(ref_params + ref_params[:1], lr=0.01,
-                                 weight_decay=0.0)
+    arrays = [p.data for p in params]
+    opt = _build(kind, params + params[:1], reference=False)
+    ref_opt = _build(kind, ref_params + ref_params[:1], reference=True)
+    assert all(p.data is a for p, a in zip(params, arrays))
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(3):
         _set_grads(params, rng)
