@@ -115,17 +115,9 @@ def check_label_range(targets: np.ndarray, num_classes: int) -> None:
 
     NumPy's fancy indexing would silently wrap negative labels, so both the
     fused cross-entropy kernel and the replay executor validate explicitly
-    (matching the reference path's error behavior).  For int64 labels one
-    reduction checks both bounds: viewed as uint64, a negative label wraps
-    to a value above any class count.
+    (matching the reference path's error behavior).
     """
-    if not targets.size:
-        return
-    if targets.dtype == np.int64:
-        bad = targets.view(np.uint64).max() >= num_classes
-    else:
-        bad = targets.min() < 0 or targets.max() >= num_classes
-    if bad:
+    if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
         raise ValueError("labels out of range for num_classes "
                          f"{num_classes}: [{targets.min()}, {targets.max()}]")
 
