@@ -158,7 +158,7 @@ def main() -> int:
     tuned, tuned_prediction = model.autotune(slo, arrival_rate=0.25 * capacity)
     print(f"autotune for p99 <= {slo.p99_ms:.0f} ms at "
           f"{0.25 * capacity:.0f} req/s -> batch {tuned.max_batch_size}, "
-          f"window {tuned.max_latency_ms} ms, {tuned.num_workers} worker(s) "
+          f"window {tuned.max_latency_ms} ms "
           f"(predicted p99 {tuned_prediction.p99_ms:.1f} ms)")
     with Server(batching=tuned) as server:
         server.register("default", servable)

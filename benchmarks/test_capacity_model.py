@@ -147,7 +147,6 @@ def test_capacity_model(tmp_path):
         "arrival_rate_req_per_sec": round(rate, 1),
         "chosen_batch": tuned.max_batch_size,
         "chosen_window_ms": tuned.max_latency_ms,
-        "chosen_workers": tuned.num_workers,
         "predicted_p99_ms": round(tuned_prediction.p99_ms, 2),
         "observed_p99_ms": round(tuned_report.p99_ms(), 2),
         "slo_met_live": bool(tuned_report.p99_ms() <= slo.p99_ms),

@@ -10,10 +10,7 @@ and throughput for the same concurrent client workload served
 
 plus the LRU prediction-cache hot path, a served 3-member taglet
 *ensemble* (the quality-over-latency deployment; one request costs three
-member forwards), and the same end-model workload drained by
-``num_workers=2`` (forwards release the GIL, so the ratio vs one worker is
-the machine's parallel headroom — expect ~1× on the 1-CPU reference
-container, >1 on multi-core hosts), and the **multi-process fleet** rows:
+member forwards), and the **multi-process fleet** rows:
 the same artifact behind the routing front end, 1 vs 2 worker processes
 driven over real HTTP (``fleet_http_*``).  Acceptance: batched throughput
 ≥ 3× unbatched at batch 32; fleet-of-2 ≥ 1.8× fleet-of-1 on multi-core
@@ -248,16 +245,6 @@ def test_serve_throughput(tmp_path):
                                 cache_size=1024),
                  inputs[rng.integers(0, 32, size=NUM_REQUESTS)])
 
-    # Multi-worker draining of the same end-model workload.  Forwards are
-    # compiled raw-NumPy kernels (lock-free, GIL-releasing BLAS), so the
-    # ratio over one worker measures the host's parallel headroom: ~1x on
-    # the 1-CPU reference container, >1x on multi-core runners (advisory —
-    # bit-determinism is asserted either way by tier-1).
-    workers2 = best_of(BatchingConfig(max_batch_size=32, max_latency_ms=2,
-                                      cache_size=0, num_workers=2))
-    workers_ratio = (workers2["throughput_req_per_sec"]
-                     / batched["throughput_req_per_sec"])
-
     # The served taglet ensemble (quality over latency): every request
     # costs NUM_MEMBERS member forwards plus the vote average, so its
     # throughput bounds at ~1/NUM_MEMBERS of the end model's.
@@ -311,8 +298,6 @@ def test_serve_throughput(tmp_path):
         "compiled_vs_module_unbatched_throughput": round(compiled_gain, 2),
         "microbatched_batch32": batched,
         "cached_hot_requests": hot,
-        "microbatched_batch32_workers2": workers2,
-        "workers2_vs_1_throughput": round(workers_ratio, 2),
         "ensemble_batch32": ensemble_row,
         "batched_vs_unbatched_throughput": round(speedup, 2),
         "fleet_http_1_process": fleet1,
@@ -327,9 +312,7 @@ def test_serve_throughput(tmp_path):
           f"(compiled {unbatched_compiled['throughput_req_per_sec']}/s, "
           f"{compiled_gain:.2f}x) -> "
           f"batched {batched['throughput_req_per_sec']}/s ({speedup:.2f}x), "
-          f"cache-hot {hot['throughput_req_per_sec']}/s, "
-          f"2 workers {workers2['throughput_req_per_sec']}/s "
-          f"({workers_ratio:.2f}x vs 1), ensemble "
+          f"cache-hot {hot['throughput_req_per_sec']}/s, ensemble "
           f"{ensemble_row['throughput_req_per_sec']}/s, fleet-over-HTTP "
           f"{fleet1['throughput_req_per_sec']}/s -> "
           f"{fleet2['throughput_req_per_sec']}/s "

@@ -6,7 +6,7 @@ The full deployment lifecycle of the reproduction:
 2. export the distilled end model *and* the taglet ensemble as versioned
    servable artifacts (via the ``Controller`` export hooks),
 3. register both in a :class:`~repro.serve.Server` behind the dynamic
-   micro-batching engine (two workers) and start the JSON/HTTP endpoint,
+   micro-batching engine and start the JSON/HTTP endpoint,
 4. fire concurrent requests at both models — the ensemble ones carrying a
    priority and a deadline — and verify the served predictions agree with
    offline inference (end model) and offline taglet voting (ensemble),
@@ -74,14 +74,13 @@ def main() -> None:
 
     # ---- 3. serve --------------------------------------------------------
     server = Server(batching=BatchingConfig(max_batch_size=32,
-                                            max_latency_ms=5,
-                                            num_workers=2))
+                                            max_latency_ms=5))
     version = server.load("fmd", artifact_dir)
     ens_version = server.load("fmd-ensemble", ensemble_dir)
     httpd, _ = start_http_server(server, port=0)
     port = httpd.server_address[1]
     print(f"Serving fmd@{version} and fmd-ensemble@{ens_version} "
-          f"on http://127.0.0.1:{port} (2 batcher workers per model)")
+          f"on http://127.0.0.1:{port}")
 
     # ---- 4. query (concurrent clients over HTTP) -------------------------
     test_x = split.test_features

@@ -223,12 +223,13 @@ class _LinearStep:
 
     The GEMMs go through ``np.dot``, which hands a transposed operand to
     BLAS as a flag where ``np.matmul`` may copy it first; the results are
-    bit-equal to ``@`` (``tests/nn/test_dot_kernels.py``).  ``np.dot``
-    accepts only an ``out`` of exactly its result dtype, so a layer that
-    mixes dtypes keeps ``np.matmul``, which casts into ``out``.
+    bit-equal to ``@`` (``tests/nn/test_dot_kernels.py``).  A layer whose
+    input, weight and output dtypes differ is not replayed: eager keeps
+    each gradient in the dtype its op produced, which the step's
+    preallocated gradient buffers cannot reproduce.
     """
 
-    __slots__ = ("index", "layer", "requires_grad", "x", "out", "grad", "gemm",
+    __slots__ = ("index", "layer", "requires_grad", "x", "out", "grad",
                  "gw", "gw_acc", "gw_tmp", "gb", "gb_acc", "gb_tmp",
                  "gin", "gin_acc", "gin_tmp",
                  "_src", "_src_rg")
@@ -237,14 +238,13 @@ class _LinearStep:
         if inp.ndim != 2:
             raise ReplayUnsupported("only the 2-D fused linear path is "
                                     "replayable")
+        if not inp.data.dtype == layer.weight.data.dtype == out.data.dtype:
+            raise ReplayUnsupported("a Linear layer mixing dtypes is not "
+                                    "replayable")
         self.layer = layer
         self.x: Optional[np.ndarray] = None
         self.out = np.empty_like(out.data)
         self.grad: Optional[np.ndarray] = None
-        # One dtype throughout means every gradient target (the optimizer's
-        # flat view, a producer's grad buffer) has that dtype too.
-        uniform = inp.data.dtype == layer.weight.data.dtype == out.data.dtype
-        self.gemm = np.dot if uniform else np.matmul
         self.gw = self.gb = self.gin = None
         self.gw_acc = self.gb_acc = self.gin_acc = False
         self.gw_tmp = self.gb_tmp = self.gin_tmp = None
@@ -252,7 +252,7 @@ class _LinearStep:
     def forward(self) -> None:
         layer = self.layer
         out = self.out
-        self.gemm(self.x, layer.weight.data, out=out)
+        np.dot(self.x, layer.weight.data, out=out)
         if layer.bias is not None:
             out += layer.bias.data
 
@@ -261,10 +261,10 @@ class _LinearStep:
         grad = self.grad
         if self.gw is not None:
             if self.gw_acc:
-                self.gemm(self.x.T, grad, out=self.gw_tmp)
+                np.dot(self.x.T, grad, out=self.gw_tmp)
                 self.gw += self.gw_tmp
             else:
-                self.gemm(self.x.T, grad, out=self.gw)
+                np.dot(self.x.T, grad, out=self.gw)
             layer.weight.grad = self.gw
         if self.gb is not None:
             # ndarray.sum lowers to add.reduce; call it directly to skip
@@ -277,10 +277,10 @@ class _LinearStep:
             layer.bias.grad = self.gb
         if self.gin is not None:
             if self.gin_acc:
-                self.gemm(grad, layer.weight.data.T, out=self.gin_tmp)
+                np.dot(grad, layer.weight.data.T, out=self.gin_tmp)
                 self.gin += self.gin_tmp
             else:
-                self.gemm(grad, layer.weight.data.T, out=self.gin)
+                np.dot(grad, layer.weight.data.T, out=self.gin)
 
 
 class _ReLUStep:

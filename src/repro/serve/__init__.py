@@ -4,8 +4,7 @@ The deployment layer of the reproduction: versioned artifact export of the
 distilled end model *and* the full taglet ensemble
 (:mod:`~repro.serve.artifact`, schema v2), a hot-swappable
 :class:`ModelRegistry`, a dynamic micro-batching engine with priority /
-deadline scheduling and multi-worker draining
-(:mod:`~repro.serve.batching`), and a :class:`Server` front end with a
+deadline scheduling (:mod:`~repro.serve.batching`), and a :class:`Server` front end with a
 stdlib JSON-over-HTTP endpoint plus a ``python -m repro.serve`` CLI.
 
 Typical lifecycle::

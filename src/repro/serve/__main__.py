@@ -135,7 +135,6 @@ def _attach_capacity(server: Server, model_name: str,
               f"{args.autotune_rate:.0f} req/s: "
               f"max_batch_size={tuned.max_batch_size} "
               f"max_latency_ms={tuned.max_latency_ms} "
-              f"num_workers={tuned.num_workers} "
               f"(predicted p99 {prediction.p99_ms:.1f} ms, capacity "
               f"{prediction.capacity:.0f} req/s)", flush=True)
     if args.admission_max_delay_ms is not None:
@@ -166,10 +165,6 @@ def main(argv=None) -> int:
                         help="max time the first request waits for a batch")
     parser.add_argument("--cache-size", type=int, default=1024,
                         help="LRU prediction-cache entries (0 disables)")
-    parser.add_argument("--num-workers", type=int, default=1,
-                        help="worker threads per model draining the batch "
-                             "queue (forwards release the GIL; >1 overlaps "
-                             "forwards on multi-core hosts)")
     parser.add_argument("--fleet", type=int, default=0, metavar="N",
                         help="serve with N worker processes behind a routing "
                              "front end (health checks, retry, respawn) "
@@ -206,8 +201,7 @@ def main(argv=None) -> int:
 
     batching = BatchingConfig(max_batch_size=args.max_batch_size,
                               max_latency_ms=args.max_latency_ms,
-                              cache_size=args.cache_size,
-                              num_workers=args.num_workers)
+                              cache_size=args.cache_size)
 
     models = _parse_models(args)
     if args.demo:

@@ -31,8 +31,9 @@ Serving forwards are **compiled**: at load time the rebuilt Linear/ReLU
 chain is flattened into a plan of raw NumPy kernels that replay the engine's
 ops bit-for-bit (``x @ W``, ``+= b``, ``maximum(x, 0)``) in the artifact's
 own dtype.  The compiled path touches no engine state at all, and concurrent
-forwards need no lock — which is what lets the multi-worker micro-batcher
-(``BatchingConfig.num_workers``) genuinely overlap forwards.  An unexpected
+forwards need no lock — one servable may be called from several threads at
+once (offline calls next to a live batcher, the old and new batchers of a
+hot swap, ensemble serving next to either).  An unexpected
 architecture falls back to the tape-based module forward under a
 ``default_dtype`` scope, which is context-local, so it needs no lock either.
 """
@@ -346,9 +347,10 @@ def _compile_forward(model: ClassificationModel) -> Optional[
     The plan replays the engine's inference ops bit-for-bit — ``x @ W`` then
     ``+= b`` (:func:`repro.nn.functional.linear`) and ``maximum(x, 0)``
     (``Tensor.relu``) — in the weights' own dtype, touching no engine state:
-    no tape, no default-dtype scope, no lock.  Concurrent calls
-    are safe (the plan only reads the weight arrays), which is what the
-    multi-worker micro-batcher relies on.  Returns ``None`` when the model
+    no tape, no default-dtype scope, no lock.  Concurrent calls are safe
+    (the plan only reads the weight arrays), which is what lets offline
+    calls, ensemble serving and a hot swap's old and new batchers share one
+    servable.  Returns ``None`` when the model
     contains a layer the compiler does not know, and the servable falls back
     to the tape-based module forward.
     """

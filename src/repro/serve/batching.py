@@ -3,8 +3,8 @@
 The serving hot path has the same shape as the training fast path: NumPy's
 per-call overhead dwarfs the arithmetic at small batch sizes, so answering
 each request with its own forward wastes most of the machine.  The
-:class:`MicroBatcher` instead drains a request queue on one or more worker
-threads into batches bounded by ``max_batch_size`` and ``max_latency_ms``,
+:class:`MicroBatcher` instead drains a request queue on one thread into
+batches bounded by ``max_batch_size`` and ``max_latency_ms``,
 runs *one* forward over the concatenated rows, and fans the result rows back
 out to per-request futures — the batched-routing shape of distributed
 serving stacks, scaled to one process.
@@ -12,11 +12,9 @@ serving stacks, scaled to one process.
 Traffic shaping: requests carry an optional **priority** (higher drains
 first; FIFO within a level) and an optional **deadline** — a request whose
 deadline passes while it queues fails fast with :class:`DeadlineExceeded`
-instead of occupying rows in a forward.  With ``num_workers > 1`` several
-workers drain the same queue concurrently: module forwards are BLAS-bound
-and release the GIL, so on a multi-core host forwards genuinely overlap
-(the batch quantum stays fixed, so served bits do not depend on which
-worker answered).
+instead of occupying rows in a forward.  Each batcher has exactly one
+drain thread; serving scales out across cores with fleet replicas
+(:mod:`repro.serve.fleet`), not with more drainers per queue.
 
 Isolation: a request is validated against the servable's feature width and
 dtype *at submit time*, so one malformed request fails alone with a
@@ -48,7 +46,7 @@ __all__ = ["BatchingConfig", "BatcherStats", "DeadlineExceeded",
 
 
 class DeadlineExceeded(RuntimeError):
-    """A request's deadline passed before a worker could serve it."""
+    """A request's deadline passed before the batcher could serve it."""
 
 
 class Overloaded(RuntimeError):
@@ -126,13 +124,6 @@ class BatchingConfig:
     #: to offline inference at the same quantum
     #: (``ServableModel.predict_proba(x, batch_size=max_batch_size)``).
     pad_to_max_batch: bool = True
-    #: worker threads draining the queue.  Forwards are BLAS-bound and
-    #: release the GIL, so on a multi-core host N workers genuinely overlap
-    #: N forwards; on a single CPU extra workers only add switching, so the
-    #: default stays 1.  Bit-determinism is preserved at any worker count:
-    #: with ``pad_to_max_batch`` every forward runs at the fixed quantum,
-    #: and a row's result does not depend on which worker ran it.
-    num_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -141,8 +132,6 @@ class BatchingConfig:
             raise ValueError("max_latency_ms must be >= 0")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
 
 
 @dataclass
@@ -172,7 +161,7 @@ class BatcherStats:
     #: request never completes successfully after its own deadline)
     expired: int = 0
     #: queued requests failed fast with :class:`ShuttingDown` because the
-    #: batcher stopped before a worker could serve them
+    #: batcher stopped before its drain thread could serve them
     shed: int = 0
 
     def add(self, other: "BatcherStats") -> "BatcherStats":
@@ -276,7 +265,7 @@ class _Request:
         return (now if now is not None else time.perf_counter()) > self.deadline
 
 
-#: Sentinel asking the worker threads to drain the queue and exit.
+#: Sentinel asking the drain thread to finish the queue and exit.
 _SHUTDOWN = object()
 
 #: Budget an answer must still have when it is delivered.  The caller sees
@@ -291,10 +280,9 @@ class _RequestQueue:
 
     Orders by ``(-priority, enqueue_seq)``: higher priorities drain first,
     FIFO within a priority level.  The shutdown sentinel sorts *after*
-    every request, so by the time any worker pops it the queue holds no
-    unanswered work — which is what lets N workers share one queue and one
-    sentinel.  ``maxsize=0`` means unbounded; when bounded, ``put`` blocks
-    (back-pressure) unless forced.
+    every request, so by the time the drain thread pops it the queue holds
+    no unanswered work.  ``maxsize=0`` means unbounded; when bounded,
+    ``put`` blocks (back-pressure) unless forced.
     """
 
     def __init__(self, maxsize: int = 0):
@@ -323,8 +311,8 @@ class _RequestQueue:
 
     def put_back(self, request: "_Request") -> None:
         """Re-insert a popped request under its original key (it keeps its
-        place in line).  Never blocks — a worker handing work back must not
-        deadlock against a full queue."""
+        place in line).  Never blocks — the drain thread handing work back
+        must not deadlock against a full queue."""
         with self._lock:
             heapq.heappush(self._heap, (request.sort_key, request))
             self._not_empty.notify()
@@ -351,9 +339,9 @@ class _RequestQueue:
     def drain_pending(self) -> List["_Request"]:
         """Atomically remove and return every queued *request*.
 
-        The shutdown sentinel (if queued) stays put so workers still wake
-        up and exit.  Used by a non-draining ``close`` to fail pending
-        futures fast instead of leaving clients hanging.
+        The shutdown sentinel (if queued) stays put so the drain thread
+        still wakes up and exits.  Used by a non-draining ``close`` to fail
+        pending futures fast instead of leaving clients hanging.
         """
         with self._lock:
             requests = [item for _, item in self._heap if item is not _SHUTDOWN]
@@ -374,11 +362,9 @@ class MicroBatcher:
 
     ``predict_fn`` maps a ``(n, d)`` float array to an ``(n, k)`` array;
     rows are independent (as in any batched model forward), which is what
-    makes fan-out/fan-in sound.  With ``num_workers == 1`` a single daemon
-    worker thread owns the model forward, so the model itself needs no
-    thread safety; with more workers ``predict_fn`` must be safe to call
-    concurrently (true of the read-only compiled servable forwards — see
-    :mod:`repro.serve.artifact`).
+    makes fan-out/fan-in sound.  One daemon drain thread owns this
+    batcher's forwards, so a batcher never calls ``predict_fn`` from two
+    threads at once.
 
     ``input_dim`` / ``dtype``, when given (the :class:`~repro.serve.Server`
     plumbs them from the servable), are enforced at :meth:`submit`: a
@@ -406,17 +392,12 @@ class MicroBatcher:
         self._stats_lock = threading.Lock()
         self._closed = False
         # Serializes enqueues against close(): a request put under this lock
-        # is guaranteed to sort ahead of the shutdown sentinel, so a worker
-        # always answers it before exiting (no future ever hangs).
+        # is guaranteed to sort ahead of the shutdown sentinel, so the drain
+        # thread always answers it before exiting (no future ever hangs).
         self._submit_lock = threading.Lock()
-        self._worker_stats = [BatcherStats()
-                              for _ in range(self.config.num_workers)]
-        self._workers = [
-            threading.Thread(target=self._run, args=(stats,), daemon=True,
-                             name=f"repro-serve-batcher-{i}")
-            for i, stats in enumerate(self._worker_stats)]
-        for worker in self._workers:
-            worker.start()
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="repro-serve-batcher")
+        self._thread.start()
 
     # ------------------------------------------------------------------ #
     # Client side
@@ -512,47 +493,23 @@ class MicroBatcher:
                            deadline_ms=deadline_ms).result(timeout=timeout)
 
     def snapshot(self) -> BatcherStats:
-        """All counters rolled up across workers, as one BatcherStats."""
+        """A consistent copy of every counter."""
         with self._stats_lock:
-            merged = self._stats.copy()
-            for worker_stats in self._worker_stats:
-                merged.add(worker_stats)
-        return merged
+            return self._stats.copy()
 
-    def worker_breakdown(self) -> Optional[List[Dict[str, int]]]:
-        """Per-worker batch counters, or ``None`` with a single worker."""
-        if self.config.num_workers <= 1:
-            return None
-        with self._stats_lock:
-            return [{"batches": ws.batches,
-                     "batched_examples": ws.batched_examples,
-                     "largest_batch": ws.largest_batch}
-                    for ws in self._worker_stats]
-
-    def stats(self, merged: Optional[BatcherStats] = None) -> Dict[str, object]:
-        """Rolled-up counters plus worker metadata, as one JSON-ready dict.
-
-        ``merged`` substitutes pre-merged counters (the :class:`Server`
-        passes the snapshot combined with a retired predecessor's counters)
-        so every ``stats`` consumer shares this one entry shape.
-        """
-        stats = merged if merged is not None else self.snapshot()
-        result: Dict[str, object] = stats.as_dict()
-        result["num_workers"] = self.config.num_workers
-        breakdown = self.worker_breakdown()
-        if breakdown is not None:   # the live batcher's share only
-            result["per_worker"] = breakdown
-        return result
+    def stats(self) -> Dict[str, float]:
+        """The counters as one JSON-ready dict."""
+        return self.snapshot().as_dict()
 
     def close(self, timeout: Optional[float] = 10.0,
               drain: bool = True) -> None:
-        """Stop accepting work and shut the workers down.
+        """Stop accepting work and shut the drain thread down.
 
         With ``drain`` (the default) everything already queued is still
-        served before the workers exit.  With ``drain=False`` — a replica
+        served before the thread exits.  With ``drain=False`` — a replica
         being torn down, a server that must stop *now* — queued requests
         fail fast with :class:`ShuttingDown` instead.  Either way, any
-        request still queued once the join ``timeout`` lapses (a worker
+        request still queued once the join ``timeout`` lapses (the thread
         wedged inside a forward, say) is failed with :class:`ShuttingDown`
         rather than left as a future nobody will ever resolve: a stopping
         batcher never hangs its clients.
@@ -563,17 +520,10 @@ class MicroBatcher:
             self._closed = True
             if not drain:
                 self._shed(self._queue.drain_pending())
-            # One sentinel is enough for N workers: it sorts after every
-            # request, and each exiting worker re-enqueues it for the next.
+            # The sentinel sorts after every request already queued.
             self._queue.put(_SHUTDOWN, force=True)
-        # One shared deadline across all joins, so the worst case is
-        # ``timeout`` total — not ``timeout`` per worker.
-        deadline = (time.monotonic() + timeout) if timeout is not None else None
-        for worker in self._workers:
-            remaining = (max(0.0, deadline - time.monotonic())
-                         if deadline is not None else None)
-            worker.join(timeout=remaining)
-        # Workers that did not exit in time will never serve what is left.
+        self._thread.join(timeout=timeout)
+        # A thread that did not exit in time will never serve what is left.
         self._shed(self._queue.drain_pending())
 
     def _shed(self, requests: List["_Request"]) -> None:
@@ -590,14 +540,11 @@ class MicroBatcher:
         """Requests currently waiting in the queue (health-check signal)."""
         return len(self._queue)
 
-    def workers_alive(self) -> int:
-        """How many worker threads are currently running."""
-        return sum(1 for worker in self._workers if worker.is_alive())
-
-    def is_draining(self) -> bool:
-        """True while any worker thread is still running (e.g. answering
-        queued requests after :meth:`close`) — its counters may still move."""
-        return any(worker.is_alive() for worker in self._workers)
+    def is_alive(self) -> bool:
+        """True while the drain thread runs — before :meth:`close` and
+        while it answers the requests still queued after it; until then
+        the counters may still move."""
+        return self._thread.is_alive()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -606,7 +553,7 @@ class MicroBatcher:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Worker side
+    # Drain-thread side
     # ------------------------------------------------------------------ #
     def _expire(self, request: "_Request") -> None:
         with self._stats_lock:
@@ -661,8 +608,7 @@ class MicroBatcher:
             return self.predict_fn(fused)
         return run_at_quantum(self.predict_fn, fused, quantum)
 
-    def _process(self, batch: List["_Request"],
-                 worker_stats: BatcherStats) -> None:
+    def _process(self, batch: List["_Request"]) -> None:
         # Fuse-time re-check: a deadline can pass between the gather in
         # _drain_batch (where expiry was last checked) and this forward —
         # the batch may have waited out max_latency_ms collecting company.
@@ -690,9 +636,9 @@ class MicroBatcher:
                 request.future.set_exception(error)
             return
         with self._stats_lock:
-            worker_stats.batches += 1
-            worker_stats.batched_examples += rows
-            worker_stats.largest_batch = max(worker_stats.largest_batch, rows)
+            self._stats.batches += 1
+            self._stats.batched_examples += rows
+            self._stats.largest_batch = max(self._stats.largest_batch, rows)
         offset = 0
         delivered = 0
         for request in batch:
@@ -719,16 +665,14 @@ class MicroBatcher:
             with self._stats_lock:
                 self._stats.served += delivered
 
-    def _run(self, worker_stats: BatcherStats) -> None:
+    def _run(self) -> None:
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 # Requests all sort ahead of the sentinel, so the queue
-                # holds no unanswered work; re-enqueue it so sibling
-                # workers wake up and exit too.
-                self._queue.put(_SHUTDOWN, force=True)
+                # holds no unanswered work.
                 return
             if item.expired():
                 self._expire(item)
                 continue
-            self._process(self._drain_batch(item), worker_stats)
+            self._process(self._drain_batch(item))

@@ -5,7 +5,7 @@ its *real* configuration parameters, validate the model against measured
 behavior, then invert it to make decisions.  This module does exactly that
 for the micro-batched serving tier — the knobs are the ones
 :class:`~repro.serve.BatchingConfig` already exposes (``max_batch_size``,
-``max_latency_ms``, ``num_workers``) plus fleet size, and the measured
+``max_latency_ms``) plus fleet size, and the measured
 ground truth is the traffic harness (:mod:`repro.serve.traffic`) and
 ``BENCH_serve.json``.
 
@@ -43,9 +43,9 @@ Model assumptions (also in ``docs/serving.md``):
 * With ``pad_to_max_batch`` (the default) every forward costs ``s(B)``
   regardless of fill — the price of bitwise determinism is part of the
   model, not noise around it.
-* Workers overlap forwards only up to the host's core count; the
-  per-request dispatch overhead (submit path, GIL-bound) never
-  parallelizes.
+* Each replica runs one drain thread per batcher, and replicas overlap
+  forwards only up to the host's core count; the per-request dispatch
+  overhead (submit path, GIL-bound) never parallelizes.
 * Queueing delay uses the Sakasegawa M/M/c approximation halved for
   near-deterministic service (M/D/c); the p99 tail treats queue wait as
   exponential.  These are engineering approximations — the documented
@@ -93,7 +93,7 @@ class ServiceModel:
     ``overhead_s`` is the per-request dispatch cost of the submit path
     (validation, digest, queue insertion, future fan-out), which is paid
     once per request and, being GIL-bound Python, never parallelizes
-    across batcher workers.
+    across replicas.
     """
 
     base_s: float
@@ -245,10 +245,10 @@ class CapacityModel:
     """Closed-form throughput/latency predictions for the batching tier.
 
     Built from a calibrated :class:`ServiceModel`; ``replicas`` counts
-    fleet processes serving the same model (their workers pool), ``cpus``
-    bounds how many forwards genuinely overlap (defaults to the host's
-    affinity count — on a 1-CPU container extra workers model as no-ops,
-    matching the measured ``workers2_vs_1`` ≈ 1× bench row).
+    fleet processes serving the same model, each with one drain thread,
+    and ``cpus`` bounds how many of their forwards genuinely overlap
+    (defaults to the host's affinity count — on a 1-CPU host extra
+    replicas model as no-ops).
     """
 
     def __init__(self, service: ServiceModel, replicas: int = 1,
@@ -264,8 +264,9 @@ class CapacityModel:
                 cpus = os.cpu_count() or 1
         self.cpus = max(1, int(cpus))
 
-    def _effective_workers(self, config: BatchingConfig) -> int:
-        return max(1, min(config.num_workers * self.replicas, self.cpus))
+    def _parallelism(self) -> int:
+        """Forwards that genuinely overlap: one per replica, up to the cores."""
+        return min(self.replicas, self.cpus)
 
     def _service_s(self, config: BatchingConfig, fill: float) -> float:
         """Seconds one forward costs at the given expected fill."""
@@ -276,14 +277,14 @@ class CapacityModel:
     def capacity(self, config: BatchingConfig) -> float:
         """Maximum sustainable single-row request rate (req/s).
 
-        At saturation batches run full, so each worker retires
+        At saturation batches run full, so each drain thread retires
         ``B / s(B)`` rows per second; the per-request dispatch overhead is
         serialized on the submit side and adds ``overhead_s`` per request
-        regardless of worker count.
+        regardless of replica count.
         """
-        workers = self._effective_workers(config)
         batch = config.max_batch_size
-        per_request = (self._service_s(config, batch) / (batch * workers)
+        per_request = (self._service_s(config, batch)
+                       / (batch * self._parallelism())
                        + self.service.overhead_s)
         return 1.0 / per_request
 
@@ -295,7 +296,7 @@ class CapacityModel:
         rate = float(arrival_rate)
         batch = config.max_batch_size
         window_s = config.max_latency_ms / 1000.0
-        workers = self._effective_workers(config)
+        servers = self._parallelism()
         capacity = self.capacity(config)
         utilization = rate / capacity
 
@@ -323,27 +324,27 @@ class CapacityModel:
         # is sooner; a random request waits about half the gather window.
         gather_s = 0.0 if batch <= 1 else min(window_s, (batch - 1) / rate)
         # Batch fill has two sources: company gathered during the window,
-        # and backlog accumulated while the worker ran the previous forward
-        # (arrivals during one service+gather cycle open the next batch
-        # together).  The cycle term is a fixed point because the service
-        # time depends on the fill when padding is off; a few damped
-        # iterations converge.
+        # and backlog accumulated while the drain thread ran the previous
+        # forward (arrivals during one service+gather cycle open the next
+        # batch together).  The cycle term is a fixed point because the
+        # service time depends on the fill when padding is off; a few
+        # damped iterations converge.
         fill = min(float(batch), 1.0 + rate * gather_s)
         for _ in range(8):
             cycle_s = self._service_s(config, fill) + gather_s
             target = min(float(batch),
                          max(1.0 + rate * gather_s,
-                             rate * cycle_s / workers))
+                             rate * cycle_s / servers))
             fill = 0.5 * fill + 0.5 * target
         service_s = self._service_s(config, fill)
-        # Queueing for a free worker, at the *capacity* utilization — fill
+        # Queueing for a free server, at the *capacity* utilization — fill
         # self-regulates (a deeper backlog makes fuller batches), so the
         # long-run busy fraction is rate/capacity, not the instantaneous
         # fill's ratio.  Sakasegawa's M/M/c mean wait, halved for
         # near-deterministic (M/D/c) service.
         rho = min(utilization, 0.999)
         queue_wait_s = 0.5 * service_s * (
-            rho ** math.sqrt(2.0 * (workers + 1))) / (workers * (1.0 - rho))
+            rho ** math.sqrt(2.0 * (servers + 1))) / (servers * (1.0 - rho))
         base_s = self.service.overhead_s + service_s
         p50 = (base_s + 0.5 * gather_s + queue_wait_s) * 1000.0
         # p99: a request that opens a batch eats the whole gather window, on
@@ -363,47 +364,42 @@ class CapacityModel:
                  batch_sizes: Iterable[int] = (1, 2, 4, 8, 16, 32, 64, 128),
                  latencies_ms: Iterable[float] = (0.0, 0.5, 1.0, 2.0, 5.0,
                                                   10.0, 20.0, 50.0),
-                 max_workers: int = 4,
                  base_config: Optional[BatchingConfig] = None,
                  ) -> Tuple[BatchingConfig, CapacityPrediction]:
         """The cheapest :class:`BatchingConfig` meeting ``slo`` at ``arrival_rate``.
 
         Searches the knob grid and returns ``(config, prediction)`` for the
         least-cost config whose *predicted* operating point satisfies every
-        stated objective — cost ordered by worker count first (hardware),
-        then batch size (memory and per-request latency floor), then the
-        batching window.  Raises ``ValueError`` (naming the best achievable
-        operating point) when no point in the grid meets the SLO — the
-        honest answer being "buy more capacity", not a config that will
-        miss its promise.
+        stated objective — cost ordered by batch size first (memory and
+        per-request latency floor), then the batching window.  Raises
+        ``ValueError`` (naming the best achievable operating point) when no
+        point in the grid meets the SLO — the honest answer being "buy more
+        capacity", not a config that will miss its promise.
         """
         base = base_config or BatchingConfig()
         required_rate = max(float(arrival_rate), slo.min_throughput or 0.0)
         best: Optional[Tuple[tuple, BatchingConfig, CapacityPrediction]] = None
         closest: Optional[Tuple[float, BatchingConfig, CapacityPrediction]] = None
-        for workers in range(1, max_workers + 1):
-            for batch in sorted(set(int(b) for b in batch_sizes)):
-                for window in sorted(set(float(w) for w in latencies_ms)):
-                    config = replace(base, max_batch_size=batch,
-                                     max_latency_ms=window,
-                                     num_workers=workers)
-                    prediction = self.predict(config, required_rate)
-                    meets = (prediction.shed_rate <= slo.max_shed_rate + 1e-9
-                             and (slo.min_throughput is None
-                                  or prediction.throughput
-                                  >= slo.min_throughput)
-                             and (slo.p99_ms is None
-                                  or prediction.p99_ms <= slo.p99_ms))
-                    if meets:
-                        cost = (workers, batch, window)
-                        if best is None or cost < best[0]:
-                            best = (cost, config, prediction)
-                    else:
-                        miss = (prediction.p99_ms
-                                if math.isfinite(prediction.p99_ms)
-                                else float("inf"))
-                        if closest is None or miss < closest[0]:
-                            closest = (miss, config, prediction)
+        for batch in sorted(set(int(b) for b in batch_sizes)):
+            for window in sorted(set(float(w) for w in latencies_ms)):
+                config = replace(base, max_batch_size=batch,
+                                 max_latency_ms=window)
+                prediction = self.predict(config, required_rate)
+                meets = (prediction.shed_rate <= slo.max_shed_rate + 1e-9
+                         and (slo.min_throughput is None
+                              or prediction.throughput >= slo.min_throughput)
+                         and (slo.p99_ms is None
+                              or prediction.p99_ms <= slo.p99_ms))
+                if meets:
+                    cost = (batch, window)
+                    if best is None or cost < best[0]:
+                        best = (cost, config, prediction)
+                else:
+                    miss = (prediction.p99_ms
+                            if math.isfinite(prediction.p99_ms)
+                            else float("inf"))
+                    if closest is None or miss < closest[0]:
+                        closest = (miss, config, prediction)
         if best is None:
             detail = ""
             if closest is not None:
@@ -412,7 +408,7 @@ class CapacityModel:
             raise ValueError(
                 f"no config in the search grid meets {slo.as_dict()} at "
                 f"{arrival_rate:.0f} req/s (model capacity tops out at "
-                f"{self.capacity(replace(base, max_batch_size=max(batch_sizes), num_workers=max_workers)):.0f} req/s)"
+                f"{self.capacity(replace(base, max_batch_size=max(batch_sizes))):.0f} req/s)"
                 + detail)
         return best[1], best[2]
 

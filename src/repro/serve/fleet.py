@@ -1,8 +1,8 @@
 """Multi-process serving: a fleet of worker processes behind one router.
 
-In-process scaling of the serving path is GIL-bound (two batcher worker
-threads buy ~1.03x on one CPU — ``BENCH_serve.json``); the next order of
-magnitude is process-level.  A :class:`ServingFleet` spawns N **worker
+In-process scaling of the serving path is GIL-bound (a second drain thread
+per batcher bought ~1.06x and was removed); the next order of magnitude is
+process-level.  A :class:`ServingFleet` spawns N **worker
 processes** via :mod:`multiprocessing`, each a full
 :class:`~repro.serve.Server` — its own registry shard (or model replica),
 micro-batchers, and HTTP endpoint — and fronts them with a

@@ -47,6 +47,7 @@ only genuine serving failures return **500**.
 from __future__ import annotations
 
 import json
+import math
 import socket as socket_module
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -197,8 +198,12 @@ class _ServeHandler(BaseHTTPRequestHandler):
                      f"got shape {array.shape}")
             return
         # null is treated like an absent field for both optional knobs.
+        # JSON admits NaN, Infinity and overflowing literals (1e400), so
+        # both knobs must also be finite; a float priority must be integral.
         priority = payload.get("priority")
         try:
+            if isinstance(priority, float) and not priority.is_integer():
+                raise ValueError(priority)
             priority = 0 if priority is None else int(priority)
         except (TypeError, ValueError):
             self._send_error_json(400, "'priority' must be an integer")
@@ -207,9 +212,12 @@ class _ServeHandler(BaseHTTPRequestHandler):
         if deadline_ms is not None:
             try:
                 deadline_ms = float(deadline_ms)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
+                deadline_ms = math.nan
+            if not math.isfinite(deadline_ms):
                 self._send_error_json(
-                    400, "'deadline_ms' must be a number of milliseconds")
+                    400, "'deadline_ms' must be a finite number of "
+                         "milliseconds")
                 return
         try:
             response = app.predict(

@@ -96,47 +96,12 @@ class RouterConfig:
     #: never retries more than ``max_attempts`` times.
     retry_backoff_ms: float = 20.0
     retry_backoff_cap_ms: float = 400.0
-    #: persistent connections kept per replica
-    pool_size: int = 8
 
     def __post_init__(self) -> None:
         if self.fail_threshold < 1:
             raise ValueError("fail_threshold must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-
-class _ConnectionPool:
-    """A small stack of persistent HTTP connections to one replica."""
-
-    def __init__(self, host: str, port: int, capacity: int):
-        self.host = host
-        self.port = port
-        self.capacity = capacity
-        self._idle: List[http.client.HTTPConnection] = []
-        self._lock = threading.Lock()
-
-    def acquire(self, timeout: float) -> http.client.HTTPConnection:
-        with self._lock:
-            if self._idle:
-                connection = self._idle.pop()
-                connection.timeout = timeout
-                return connection
-        return http.client.HTTPConnection(self.host, self.port,
-                                          timeout=timeout)
-
-    def release(self, connection: http.client.HTTPConnection) -> None:
-        with self._lock:
-            if len(self._idle) < self.capacity:
-                self._idle.append(connection)
-                return
-        connection.close()
-
-    def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
 
 
 class ReplicaHandle:
@@ -147,12 +112,10 @@ class ReplicaHandle:
     """
 
     def __init__(self, replica_id: str, host: str, port: int,
-                 pool_size: int = 8,
                  models: Optional[Iterable[str]] = None):
         self.id = replica_id
         self.host = host
         self.port = port
-        self.pool = _ConnectionPool(host, port, pool_size)
         #: model *names* this replica serves (its shard); ``None`` means
         #: unknown-yet — the replica is a candidate for every name until a
         #: health probe reports its manifest
@@ -179,22 +142,24 @@ class ReplicaHandle:
 
     def request(self, method: str, path: str, body: Optional[bytes] = None,
                 timeout: float = 60.0) -> Tuple[int, dict]:
-        """One HTTP exchange with this replica over a pooled connection.
+        """One HTTP exchange with this replica over a fresh connection.
 
-        Raises ``OSError`` (or an ``http.client`` protocol error) on any
-        transport-level failure — the signal the router retries on.
+        The replica answers in HTTP/1.0 and closes the socket after every
+        response, so a connection is never reused: each call opens one and
+        closes it.  Raises ``OSError`` (or an ``http.client`` protocol
+        error) on any transport-level failure — the signal the router
+        retries on.
         """
-        connection = self.pool.acquire(timeout)
+        connection = http.client.HTTPConnection(self.host, self.port,
+                                                 timeout=timeout)
         try:
             headers = {"Content-Type": "application/json"} if body else {}
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
-            raw = response.read()   # must drain before the conn is reusable
+            raw = response.read()
             status = response.status
-        except BaseException:
+        finally:
             connection.close()
-            raise
-        self.pool.release(connection)
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -252,23 +217,19 @@ class Router:
         Re-adding an existing id (a respawn that moved ports) replaces the
         handle but keeps its monotonic counters.
         """
-        handle = ReplicaHandle(replica_id, host, port,
-                               pool_size=self.config.pool_size, models=models)
+        handle = ReplicaHandle(replica_id, host, port, models=models)
         with self._lock:
             previous = self._replicas.get(replica_id)
             if previous is not None:
                 handle.served = previous.served
                 handle.transport_failures = previous.transport_failures
                 handle.respawns = previous.respawns
-                previous.pool.close()
             self._replicas[replica_id] = handle
         return handle
 
     def remove_replica(self, replica_id: str) -> None:
         with self._lock:
-            handle = self._replicas.pop(replica_id, None)
-        if handle is not None:
-            handle.pool.close()
+            self._replicas.pop(replica_id, None)
 
     def replica(self, replica_id: str) -> ReplicaHandle:
         with self._lock:
@@ -717,8 +678,6 @@ class Router:
         self._stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
-        for handle in self._handles():
-            handle.pool.close()
 
     def __enter__(self) -> "Router":
         return self

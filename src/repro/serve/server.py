@@ -67,7 +67,7 @@ class Server:
         self._retired: Dict[Tuple[str, str], BatcherStats] = {}
         #: retired batchers still draining queued requests; their counters
         #: are read live by ``stats()`` and folded into ``_retired`` once
-        #: the worker threads exit, so no served request is ever uncounted
+        #: their drain threads exit, so no served request is ever uncounted
         self._draining: Dict[Tuple[str, str], List[MicroBatcher]] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -129,7 +129,7 @@ class Server:
         for key, batchers in list(self._draining.items()):
             still_draining = []
             for batcher in batchers:
-                if batcher.is_draining():
+                if batcher.is_alive():
                     still_draining.append(batcher)
                 else:
                     self._retired.setdefault(key, BatcherStats()).add(
@@ -208,14 +208,10 @@ class Server:
         merged: Dict[str, dict] = {}
         for key in set(live) | set(draining) | set(retired):
             stats = retired.get(key, BatcherStats())
-            for batcher in draining.get(key, []):
-                stats.add(batcher.snapshot())
-            batcher = live.get(key)
-            if batcher is not None:
-                stats.add(batcher.snapshot())
-                merged[f"{key[0]}@{key[1]}"] = batcher.stats(merged=stats)
-            else:
-                merged[f"{key[0]}@{key[1]}"] = stats.as_dict()
+            for batcher in draining.get(key, []) + [live.get(key)]:
+                if batcher is not None:
+                    stats.add(batcher.snapshot())
+            merged[f"{key[0]}@{key[1]}"] = stats.as_dict()
         return merged
 
     def models(self) -> Dict[str, dict]:
@@ -226,9 +222,10 @@ class Server:
         """The ``GET /healthz`` payload: real routing/balancing signal.
 
         Beyond liveness, reports the loaded ``name@version`` list (shard
-        manifest), total queued requests, and batcher-worker counts — what
-        a fleet router's health checks need to route, balance, and decide
-        when a draining replica has actually gone quiet.
+        manifest), total queued requests, and how many batchers' drain
+        threads are alive out of how many exist — what a fleet router's
+        health checks need to route, balance, and decide when a draining
+        replica has actually gone quiet.
         """
         with self._lock:
             batchers = [entry[1] for entry in self._batchers.values()]
@@ -236,15 +233,13 @@ class Server:
                             for batcher in group)
             closed, draining = self._closed, self._drain_flag
         queue_depth = sum(batcher.queue_depth() for batcher in batchers)
-        workers_alive = sum(batcher.workers_alive() for batcher in batchers)
-        workers_expected = sum(batcher.config.num_workers
-                               for batcher in batchers)
+        alive = sum(batcher.is_alive() for batcher in batchers)
         status = "closed" if closed else ("draining" if draining else "ok")
         return {
             "status": status,
             "draining": draining,
             "queue_depth": queue_depth,
-            "workers": {"alive": workers_alive, "expected": workers_expected},
+            "workers": {"alive": alive, "expected": len(batchers)},
             "models": self.registry.manifest(),
         }
 
@@ -291,7 +286,6 @@ class Server:
             "batching": {
                 "max_batch_size": self.batching.max_batch_size,
                 "max_latency_ms": self.batching.max_latency_ms,
-                "num_workers": self.batching.num_workers,
                 "max_queue_size": self.batching.max_queue_size,
             },
             "model": None,
@@ -313,7 +307,6 @@ class Server:
                     "max_batch_size": self.batching.max_batch_size,
                     "max_latency_ms": self.batching.max_latency_ms,
                     "cache_size": self.batching.cache_size,
-                    "num_workers": self.batching.num_workers,
                 },
                 "stats": self.stats()}
 

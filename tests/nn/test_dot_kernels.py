@@ -72,23 +72,37 @@ def test_dot_into_an_arena_view_is_bit_identical(dtype):
     assert grad_w.tobytes() == (x.T @ g).tobytes()
 
 
-def test_layer_mixing_dtypes_still_replays():
-    # A float32 head on a float64 body: the head's weight gradient lands in
-    # a float32 buffer, which ``np.dot`` cannot write into, so that layer
-    # keeps ``np.matmul``.
+def _mixed_dtype_model(low: str) -> Sequential:
+    """A 24→48→5 MLP whose ``low`` layer ("head" or "body") is float32 and
+    whose other layer is float64."""
     init = np.random.default_rng(0)
-    body = Linear(6, 8, rng=init)
-    with default_dtype("float32"):
-        head = Linear(8, 3, rng=init)
-    model = Sequential(body, ReLU(), head)
-    stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1,
-                                     momentum=0.9))
-    rng = np.random.default_rng(1)
-    for _ in range(4):
-        stepper.step(rng.normal(size=(10, 6)), rng.integers(0, 3, 10))
-    assert (stepper.stats.captures, stepper.stats.replays) == (1, 3)
-    assert head.weight.data.dtype == np.float32
-    assert all(np.isfinite(p.data).all() for p in model.parameters())
+    with default_dtype("float32" if low == "body" else "float64"):
+        body = Linear(24, 48, rng=init)
+    with default_dtype("float32" if low == "head" else "float64"):
+        head = Linear(48, 5, rng=init)
+    return Sequential(body, ReLU(), head)
+
+
+@pytest.mark.parametrize("low", ["head", "body"])
+def test_layer_mixing_dtypes_trains_like_eager(low):
+    # Eager keeps each gradient in the dtype its op produced; replay's
+    # preallocated buffers would cast them, so a mixed-dtype Linear falls
+    # back to eager under a named reason and training stays byte-equal.
+    outcomes = []
+    for enabled in (True, False):
+        model = _mixed_dtype_model(low)
+        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1,
+                                         momentum=0.9), enabled=enabled)
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            stepper.step(rng.normal(size=(10, 24)), rng.integers(0, 5, 10))
+        outcomes.append((stepper.stats,
+                         [p.data.tobytes() for p in model.parameters()]))
+    (replayed, replayed_bytes), (_, eager_bytes) = outcomes
+    assert replayed_bytes == eager_bytes
+    assert replayed.replays == 0
+    assert replayed.fallbacks == {
+        "unsupported: a Linear layer mixing dtypes is not replayable": 4}
 
 
 def _outcome(targets, num_classes):

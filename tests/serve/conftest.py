@@ -31,8 +31,8 @@ CLASS_NAMES = [f"class_{i}" for i in range(NUM_CLASSES)]
 class GatedModel:
     """A recording stand-in model whose first call blocks on an event.
 
-    Lets a test park the batcher worker inside a forward while it stages
-    the queue, making batch-composition scenarios deterministic.
+    Lets a test park the batcher's drain thread inside a forward while it
+    stages the queue, making batch-composition scenarios deterministic.
     """
 
     def __init__(self):

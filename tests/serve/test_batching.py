@@ -25,8 +25,6 @@ class TestConfig:
             BatchingConfig(max_latency_ms=-1)
         with pytest.raises(ValueError):
             BatchingConfig(cache_size=-1)
-        with pytest.raises(ValueError):
-            BatchingConfig(num_workers=0)
 
 
 class TestFanOutFanIn:
@@ -225,21 +223,19 @@ class TestErrorsAndLifecycle:
         with pytest.raises(ShuttingDown):
             batcher.submit(np.ones(2))
 
-    def test_queue_depth_and_workers_alive_track_reality(self):
+    def test_queue_depth_and_liveness_track_reality(self):
         model = GatedModel()
         batcher = MicroBatcher(model, BatchingConfig(max_batch_size=1,
                                                      max_latency_ms=0,
-                                                     cache_size=0,
-                                                     num_workers=2))
-        assert batcher.workers_alive() == 2
+                                                     cache_size=0))
+        assert batcher.is_alive()
         assert batcher.queue_depth() == 0
         first = batcher.submit(np.ones(2))
         assert model.entered.wait(timeout=10)
         model.release.set()
         assert np.array_equal(first.result(timeout=10), np.ones(2))
         batcher.close()
-        assert batcher.workers_alive() == 0
-        assert not batcher.is_draining()
+        assert not batcher.is_alive()
 
 
 class TestRequestValidation:

@@ -75,19 +75,13 @@ class TestCapacityModel:
         # Amortizing the per-call base cost is the whole point of batching.
         assert large > 2 * small
 
-    def test_workers_beyond_cpus_add_nothing(self):
-        model = self.model(cpus=1)
-        one = model.capacity(BatchingConfig(max_batch_size=8, num_workers=1))
-        two = model.capacity(BatchingConfig(max_batch_size=8, num_workers=2))
+    def test_replicas_beyond_cpus_add_nothing(self):
+        config = BatchingConfig(max_batch_size=8)
+        one = self.model(replicas=1, cpus=1).capacity(config)
+        two = self.model(replicas=2, cpus=1).capacity(config)
         assert two == pytest.approx(one)
 
-    def test_workers_scale_capacity_given_cores(self):
-        model = self.model(cpus=4)
-        one = model.capacity(BatchingConfig(max_batch_size=8, num_workers=1))
-        two = model.capacity(BatchingConfig(max_batch_size=8, num_workers=2))
-        assert two > 1.5 * one
-
-    def test_replicas_pool_like_workers(self):
+    def test_replicas_scale_capacity_given_cores(self):
         doubled = CapacityModel(
             ServiceModel(base_s=BASE_S, per_row_s=PER_ROW_S), replicas=2,
             cpus=8)
@@ -159,9 +153,8 @@ class TestAutotune:
     def test_prefers_cheaper_configs(self):
         model = self.model()
         lax, _ = model.autotune(SLO(p99_ms=10_000.0), arrival_rate=10.0)
-        # A laughably lax SLO at trivial load needs one worker and the
-        # smallest batch the grid offers.
-        assert lax.num_workers == 1
+        # A laughably lax SLO at trivial load needs only the smallest
+        # batch the grid offers.
         assert lax.max_batch_size == 1
 
     def test_tight_slo_needs_bigger_batches_than_lax(self):

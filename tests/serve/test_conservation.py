@@ -9,8 +9,7 @@ once every future has resolved,
 ``rejected`` requests fail synchronously at submit and never count into
 ``requests``; with the cache enabled, ``cache_hits + cache_misses``
 partition the single-row lookups.  The law is exercised under concurrent
-submit / expiry / shed / close traffic, against both 1-worker and
-2-worker batchers.
+submit / expiry / shed / close traffic.
 """
 
 from __future__ import annotations
@@ -19,12 +18,8 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.serve import BatchingConfig, MicroBatcher
-
-pytestmark = pytest.mark.parametrize("num_workers", [1, 2])
-
 
 def conserved(stats: dict) -> bool:
     return stats["requests"] == (stats["served"] + stats["expired"]
@@ -102,34 +97,34 @@ def run_chaos(config: BatchingConfig, close_drain: bool,
 
 
 class TestConservationUnderChaos:
-    def test_concurrent_submit_expiry_and_drain_close(self, num_workers):
+    def test_concurrent_submit_expiry_and_drain_close(self):
         config = BatchingConfig(max_batch_size=8, max_latency_ms=1.0,
-                                cache_size=0, num_workers=num_workers)
+                                cache_size=0)
         stats = run_chaos(config, close_drain=True)
         assert conserved(stats), stats
         assert stats["expired"] > 0          # the doomed deadlines fired
         assert stats["served"] > 0
         assert stats["rejected"] == stats["_rejected_seen"]
 
-    def test_abrupt_close_sheds_instead_of_hanging(self, num_workers):
+    def test_abrupt_close_sheds_instead_of_hanging(self):
         config = BatchingConfig(max_batch_size=8, max_latency_ms=1.0,
-                                cache_size=0, num_workers=num_workers)
+                                cache_size=0)
         stats = run_chaos(config, close_drain=False)
         assert conserved(stats), stats
 
-    def test_forward_errors_land_in_their_bucket(self, num_workers):
+    def test_forward_errors_land_in_their_bucket(self):
         config = BatchingConfig(max_batch_size=4, max_latency_ms=1.0,
-                                cache_size=0, num_workers=num_workers)
+                                cache_size=0)
         stats = run_chaos(config, close_drain=True, poison=True)
         assert conserved(stats), stats
         assert stats["errors"] > 0
 
-    def test_cache_hits_and_misses_partition_lookups(self, num_workers):
+    def test_cache_hits_and_misses_partition_lookups(self):
         """With the cache on and no deadlines, every single-row submit is
         exactly one lookup: hits + misses == requests — and hits are
         served without touching the conservation law."""
         config = BatchingConfig(max_batch_size=8, max_latency_ms=1.0,
-                                cache_size=256, num_workers=num_workers)
+                                cache_size=256)
         with MicroBatcher(chaotic_predict, config) as batcher:
             rng = np.random.default_rng(0)
             distinct = rng.normal(size=(10, 3))

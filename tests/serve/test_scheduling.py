@@ -1,4 +1,4 @@
-"""Tests for traffic shaping: priorities, deadlines, multi-worker batchers."""
+"""Tests for traffic shaping: priorities, deadlines, concurrent clients."""
 
 import threading
 import time
@@ -155,11 +155,11 @@ class TestDeadlines:
         assert np.array_equal(result, np.full(3, 2.0))
 
 
-class TestMultiWorker:
+class TestConcurrentClients:
     def test_results_bit_identical_to_quantized_offline(self):
-        """Bit-determinism survives concurrent workers: every forward runs
+        """Bit-determinism survives concurrent clients: every forward runs
         at the fixed quantum, and a row's result is a pure function of
-        (row, weights, batch row count) — not of which worker ran it."""
+        (row, weights, batch row count) — not of its batch-mates."""
         rng = np.random.default_rng(21)
         weights = rng.normal(size=(6, 4))
 
@@ -169,7 +169,7 @@ class TestMultiWorker:
         inputs = rng.normal(size=(200, 6))
         reference = run_at_quantum(forward, inputs, 8)
         config = BatchingConfig(max_batch_size=8, max_latency_ms=2,
-                                cache_size=0, num_workers=3)
+                                cache_size=0)
         results = np.zeros((200, 4))
         errors = []
         with MicroBatcher(forward, config) as batcher:
@@ -191,60 +191,34 @@ class TestMultiWorker:
         assert not errors
         assert np.array_equal(results, reference)
 
-    def test_workers_overlap_forwards(self):
-        """Two workers must genuinely run two forwards at the same time
-        (forwards sleep, releasing the GIL like a BLAS call does)."""
-        lock = threading.Lock()
-        state = {"active": 0, "max_active": 0}
-
-        def slow(batch):
-            with lock:
-                state["active"] += 1
-                state["max_active"] = max(state["max_active"],
-                                          state["active"])
-            time.sleep(0.05)
-            with lock:
-                state["active"] -= 1
-            return batch.copy()
-
-        config = BatchingConfig(max_batch_size=1, max_latency_ms=0,
-                                cache_size=0, num_workers=2)
-        with MicroBatcher(slow, config) as batcher:
-            futures = [batcher.submit(np.ones(2)) for _ in range(6)]
-            for future in futures:
-                future.result(timeout=30)
-        assert state["max_active"] == 2
-
-    def test_per_worker_stats_roll_up(self):
-        config = BatchingConfig(max_batch_size=4, max_latency_ms=1,
-                                cache_size=0, num_workers=2)
-        with MicroBatcher(lambda b: b.copy(), config) as batcher:
-            futures = [batcher.submit(np.ones(2)) for _ in range(40)]
-            for future in futures:
-                future.result(timeout=30)
-            stats = batcher.stats()
-        assert stats["num_workers"] == 2
-        assert stats["requests"] == 40
-        per_worker = stats["per_worker"]
-        assert len(per_worker) == 2
-        assert sum(w["batches"] for w in per_worker) == stats["batches"]
-        assert sum(w["batched_examples"] for w in per_worker) == 40
-
-    def test_close_answers_everything_with_multiple_workers(self):
+    def test_close_answers_everything_submitted_by_concurrent_clients(self):
         for _ in range(5):
             batcher = MicroBatcher(lambda b: b.copy(),
                                    BatchingConfig(max_latency_ms=0,
-                                                  cache_size=0,
-                                                  num_workers=3))
-            futures = [batcher.submit(np.ones(2)) for _ in range(30)]
+                                                  cache_size=0))
+            futures = []
+            lock = threading.Lock()
+
+            def client():
+                mine = [batcher.submit(np.ones(2)) for _ in range(10)]
+                with lock:
+                    futures.extend(mine)
+
+            threads = [threading.Thread(target=client) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
             batcher.close()
+            assert len(futures) == 30
             for future in futures:
                 assert np.array_equal(future.result(timeout=10), np.ones(2))
 
-    def test_single_worker_stats_have_no_per_worker_breakdown(self):
+    def test_stats_are_exactly_the_counters(self):
         with MicroBatcher(lambda b: b.copy(),
                           BatchingConfig(cache_size=0)) as batcher:
             batcher.predict(np.ones(2), timeout=10)
             stats = batcher.stats()
-        assert stats["num_workers"] == 1
-        assert "per_worker" not in stats
+        assert stats == batcher.snapshot().as_dict()
+        assert stats["requests"] == stats["served"] == 1
