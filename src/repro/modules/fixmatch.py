@@ -35,7 +35,8 @@ from ..nn.optim import SGD
 from ..nn.replay import GraphReplay
 from ..nn.schedulers import FixMatchCosineLR
 from ..nn.tensor import get_default_dtype
-from ..nn.training import TrainConfig, iterate_forever, train_classifier
+from ..nn.training import (TrainConfig, iterate_forever, softmax_rows,
+                           train_classifier)
 from ..nn.transforms import strong_augment, weak_augment
 from .base import (ModelTaglet, ModuleInput, Taglet, TrainingModule,
                    fine_tune_on_auxiliary)
@@ -92,7 +93,7 @@ def consistency_step(stepper, weak_labeled, labeled_y, weak_unlabeled,
     stepper.set_training(False)
     weak_logits = stepper.forward(weak_unlabeled)
     stepper.set_training(True)
-    weak_probs = _softmax(weak_logits)
+    weak_probs = softmax_rows(weak_logits)
     mask_w = (weak_probs.max(axis=1) >= threshold).astype(dtype)
     stepper.step_fn(_two_view_step, {
         "weak_x": weak_labeled,
@@ -227,9 +228,3 @@ class FixMatchModule(TrainingModule):
                                      config.confidence_threshold, dtype)
         model.eval()
         return ModelTaglet(self.name, model)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)

@@ -31,7 +31,7 @@ from ..nn.tensor import get_default_dtype, inference_mode
 from ..nn.optim import Adam
 from ..nn.replay import GraphReplay
 from ..nn.tensor import Tensor
-from ..nn.training import predict_logits
+from ..nn.training import predict_logits, softmax_rows
 from ..scads.builder import ScadsBundle
 from ..scads.query import target_class_vector
 from .base import ModuleInput, Taglet, TrainingModule
@@ -126,11 +126,9 @@ class ZslKgTaglet(Taglet):
 
     def predict_proba(self, features: np.ndarray,
                       batch_size: Optional[int] = 256) -> np.ndarray:
-        logits = predict_logits(self.model, features,
-                                batch_size=batch_size) * self.logit_scale
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return softmax_rows(predict_logits(self.model, features,
+                                           batch_size=batch_size)
+                            * self.logit_scale)
 
 
 class ZslKgModule(TrainingModule):

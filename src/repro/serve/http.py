@@ -189,7 +189,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             array = np.asarray(inputs, dtype=np.float64)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             self._send_error_json(400, f"inputs are not numeric: {error}")
             return
         if array.ndim not in (1, 2) or array.size == 0:

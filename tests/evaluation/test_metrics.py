@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.evaluation import (Aggregate, confusion_matrix,
                               mean_confidence_interval, top1_accuracy)
+from repro.evaluation.metrics import student_t_ppf
 
 
 class TestAccuracy:
@@ -101,6 +102,32 @@ class TestConfidenceInterval:
         aggregate = mean_confidence_interval([0.42])
         assert aggregate.as_tuple() == (pytest.approx(0.42), 0.0)
         assert aggregate.count == 1
+
+
+class TestStudentTQuantile:
+    #: two-sided 95% critical values t(0.975, df) from the standard table
+    TABLE = {1: 12.706, 2: 4.303, 4: 2.776, 9: 2.262, 29: 2.045, 120: 1.980}
+
+    @pytest.mark.parametrize("df", sorted(TABLE))
+    def test_matches_tabulated_95_percent_values(self, df):
+        assert student_t_ppf(0.975, df) == pytest.approx(self.TABLE[df],
+                                                         abs=5e-4)
+
+    def test_symmetric_about_the_median(self):
+        assert student_t_ppf(0.5, 7) == 0.0
+        assert student_t_ppf(0.025, 7) == -student_t_ppf(0.975, 7)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+    def test_rejects_probabilities_outside_the_open_interval(self, p):
+        with pytest.raises(ValueError):
+            student_t_ppf(p, 3)
+
+    def test_matches_scipy_where_available(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in range(1, 201):
+            for p in (0.6, 0.9, 0.95, 0.975, 0.995):
+                assert student_t_ppf(p, df) == pytest.approx(
+                    stats.t.ppf(p, df), rel=1e-10, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)

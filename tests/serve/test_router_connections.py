@@ -65,22 +65,17 @@ def test_each_hop_opens_and_closes_one_connection(counted_replica,
     assert all(connection.sock is None for connection in opened)
 
 
-@pytest.mark.parametrize("knob,value", [
-    ("priority", "1e400"), ("priority", "Infinity"), ("priority", "NaN"),
-    ("priority", "1.5"), ("deadline_ms", "NaN"), ("deadline_ms", "Infinity"),
-])
-def test_router_refuses_non_finite_knobs_without_a_hop(counted_replica, knob,
-                                                       value):
-    app, (host, port), _ = counted_replica
+def _post_to_router(replica_address, body):
+    """POST ``body`` to a router in front of one replica; return the status
+    and the decoded JSON answer."""
     router = Router()
-    router.add_replica("r0", host, port, models=["default"])
+    router.add_replica("r0", *replica_address, models=["default"])
     httpd = make_http_server(router, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
         connection = http.client.HTTPConnection(*httpd.server_address[:2],
                                                 timeout=10)
-        body = f'{{"inputs": [0.0, 0.0, 0.0, 0.0], "{knob}": {value}}}'
         connection.request("POST", "/predict", body=body,
                            headers={"Content-Type": "application/json"})
         response = connection.getresponse()
@@ -90,6 +85,30 @@ def test_router_refuses_non_finite_knobs_without_a_hop(counted_replica, knob,
         httpd.shutdown()
         httpd.server_close()
         router.close()
-    assert response.status == 400
+    return response.status, payload
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("priority", "1e400"), ("priority", "Infinity"), ("priority", "NaN"),
+    ("priority", "1.5"), ("deadline_ms", "NaN"), ("deadline_ms", "Infinity"),
+])
+def test_router_refuses_non_finite_knobs_without_a_hop(counted_replica, knob,
+                                                       value):
+    app, address, _ = counted_replica
+    status, payload = _post_to_router(
+        address, f'{{"inputs": [0.0, 0.0, 0.0, 0.0], "{knob}": {value}}}')
+    assert status == 400
     assert knob in payload["error"]
+    assert app.calls == 0
+
+
+def test_router_refuses_an_overflowing_integer_input_without_a_hop(
+        counted_replica):
+    # The float64 conversion of a 400-digit integer raised OverflowError
+    # past the handler, and the client saw a dropped connection.
+    app, address, _ = counted_replica
+    status, payload = _post_to_router(
+        address, '{"inputs": [[1' + "0" * 400 + ', 0.0, 0.0, 0.0]]}')
+    assert status == 400
+    assert "numeric" in payload["error"]
     assert app.calls == 0

@@ -320,6 +320,9 @@ class TestHttpEndpoint:
     @pytest.mark.parametrize("payload,fragment", [
         ({}, "missing 'inputs'"),
         ({"inputs": "not numbers"}, "numeric"),
+        # An integer too large for a float raised OverflowError past the
+        # handler and the client saw a dropped connection.
+        ({"inputs": [[10 ** 400] * 24]}, "numeric"),
         ({"inputs": []}, "non-empty"),
         ({"inputs": [1.0, 2.0]}, "features per row"),
         ({"inputs": [[1.0] * 24], "priority": "urgent"}, "priority"),
