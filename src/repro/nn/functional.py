@@ -12,7 +12,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .tensor import _TRACE_RECORDS, Tensor, fused_ops_enabled, get_default_dtype
+from . import ops
+from .ops import check_label_range
+from .tensor import (_TRACE_RECORDS, Tensor, apply, fused_ops_enabled,
+                     get_default_dtype)
 
 __all__ = [
     "one_hot",
@@ -44,33 +47,18 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Fused affine transform ``y = x W + b`` with a hand-written backward.
+    """Fused affine transform ``y = x W + b`` (the table's Linear op).
 
-    Replaces the two-node ``(x @ W) + b`` graph with a single node whose
-    backward computes all three gradients directly (``g W^T``, ``x^T g``,
-    ``g.sum(0)``) — one closure, no ``_unbroadcast`` calls, and no defensive
-    copies of freshly allocated gradient arrays.
+    One tape node whose backward computes all three gradients directly
+    (``g W^T``, ``x^T g``, ``g.sum(0)``) instead of the two-node
+    ``(x @ W) + b`` graph.
     """
     if not fused_ops_enabled() or x.ndim != 2:
         out = x @ weight
         if bias is not None:
             out = out + bias
         return out
-
-    data = x.data @ weight.data
-    if bias is not None:
-        data += bias.data
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate_owned(grad @ weight.data.T)
-        if weight.requires_grad:
-            weight._accumulate_owned(x.data.T @ grad)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate_owned(grad.sum(axis=0))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(data, parents, backward)
+    return apply(ops.LINEAR, (x,), (weight, bias))
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -102,26 +90,6 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray,
     return -picked * (1.0 / denom)
 
 
-def _softmax_parts(z: np.ndarray):
-    """Stable softmax pieces shared by the fused losses."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    sumexp = exp.sum(axis=1, keepdims=True)
-    return shifted, exp, sumexp
-
-
-def check_label_range(targets: np.ndarray, num_classes: int) -> None:
-    """Reject integer labels outside ``[0, num_classes)``.
-
-    NumPy's fancy indexing would silently wrap negative labels, so both the
-    fused cross-entropy kernel and the replay executor validate explicitly
-    (matching the reference path's error behavior).
-    """
-    if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
-        raise ValueError("labels out of range for num_classes "
-                         f"{num_classes}: [{targets.min()}, {targets.max()}]")
-
-
 def softmax_cross_entropy(logits: Tensor, targets: Union[np.ndarray, list],
                           sample_weights: Optional[np.ndarray] = None) -> Tensor:
     """Fused softmax + cross entropy with a single hand-written backward.
@@ -131,37 +99,8 @@ def softmax_cross_entropy(logits: Tensor, targets: Union[np.ndarray, list],
     ``(softmax(z) - onehot(y)) / n`` instead of a chain of primitive closures
     each allocating intermediates.
     """
-    orig_targets, orig_weights = targets, sample_weights
-    targets = np.asarray(targets, dtype=np.int64)
-    z = logits.data
-    n = z.shape[0]
-    check_label_range(targets, z.shape[1])
-    rows = np.arange(n)
-    shifted, exp, sumexp = _softmax_parts(z)
-    log_probs_picked = shifted[rows, targets] - np.log(sumexp[:, 0])
-    if sample_weights is not None:
-        weights = np.asarray(sample_weights, dtype=z.dtype)
-        denom = float(weights.sum()) or 1.0
-        loss = -float(weights @ log_probs_picked) / denom
-    else:
-        weights = None
-        denom = float(n)
-        loss = -float(log_probs_picked.sum()) / denom
-
-    def backward(grad: np.ndarray) -> None:
-        d = exp / sumexp
-        d[rows, targets] -= 1.0
-        if weights is not None:
-            d *= weights[:, None]
-        d *= float(grad) / denom
-        logits._accumulate_owned(d)
-
-    out = Tensor._make(np.asarray(loss, dtype=z.dtype), (logits,), backward)
-    records = _TRACE_RECORDS.get()
-    if records is not None:
-        records.append(("loss", "cross_entropy", logits,
-                        orig_targets, orig_weights, out))
-    return out
+    return _fused_loss("cross_entropy", logits, targets, sample_weights,
+                       w=sample_weights)
 
 
 def cross_entropy(logits: Tensor, targets: Union[np.ndarray, list],
@@ -203,56 +142,26 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray,
             denom = float(logits.shape[0])
         return -(log_probs * Tensor(target_probs)).sum() * (1.0 / denom)
 
-    z = logits.data
-    orig_targets, orig_weights = target_probs, sample_weights
-    targets = np.asarray(target_probs, dtype=z.dtype)
-    shifted, exp, sumexp = _softmax_parts(z)
-    log_probs = shifted - np.log(sumexp)
-    if sample_weights is not None:
-        weights = np.asarray(sample_weights, dtype=z.dtype)
-        targets = targets * weights[:, None]
-        denom = float(weights.sum()) or 1.0
-    else:
-        denom = float(z.shape[0])
-    loss = -float((log_probs * targets).sum()) / denom
+    return _fused_loss("soft_cross_entropy", logits, target_probs,
+                       sample_weights, w=sample_weights)
 
-    def backward(grad: np.ndarray) -> None:
-        # d/dz of -sum(t * logsoftmax(z)) is softmax(z) * rowsum(t) - t.
-        d = exp / sumexp
-        d *= targets.sum(axis=1, keepdims=True)
-        d -= targets
-        d *= float(grad) / denom
-        logits._accumulate_owned(d)
 
-    out = Tensor._make(np.asarray(loss, dtype=z.dtype), (logits,), backward)
+def _fused_loss(kind: str, logits: Tensor, targets, extra, **attrs) -> Tensor:
+    """Apply the fused loss ``kind`` (:data:`repro.nn.ops.LOSSES`) and
+    record it for the replay compiler as
+    ``("loss", kind, logits, targets, extra, out)``."""
+    out = apply(ops.LOSSES[kind], (logits,), t=targets, **attrs)
     records = _TRACE_RECORDS.get()
     if records is not None:
-        records.append(("loss", "soft_cross_entropy", logits,
-                        orig_targets, orig_weights, out))
+        records.append(("loss", kind, logits, targets, extra, out))
     return out
 
 
 def _fused_squared_error(predictions: Tensor, target_data: np.ndarray,
                          denom: float) -> Tensor:
-    """Shared fused forward/backward for the squared-error losses.
-
-    ``loss = sum((p - t)^2) / denom`` with the closed-form backward
-    ``2 (p - t) / denom`` — one graph node instead of the subtract /
-    multiply / sum / scale chain.
-    """
-    diff = predictions.data - target_data
-    loss = float((diff * diff).sum()) / denom
-
-    def backward(grad: np.ndarray) -> None:
-        d = diff * (2.0 * float(grad) / denom)
-        predictions._accumulate_owned(d)
-
-    out = Tensor._make(np.asarray(loss, dtype=predictions.data.dtype),
-                       (predictions,), backward)
-    records = _TRACE_RECORDS.get()
-    if records is not None:
-        records.append(("loss", "sqerr", predictions, target_data, denom, out))
-    return out
+    """``sum((p - t)^2) / denom`` as one tape node, with the closed-form
+    backward ``2 (p - t) / denom``."""
+    return _fused_loss("sqerr", predictions, target_data, denom, denom=denom)
 
 
 def mse_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray]) -> Tensor:

@@ -16,8 +16,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import init as init_module
+from . import ops
 from .functional import linear as _fused_linear
-from .tensor import _TRACE_RECORDS, Tensor, get_default_dtype, trace_ops
+from .tensor import _TRACE_RECORDS, Tensor, apply, get_default_dtype, trace_ops
 
 # --------------------------------------------------------------------------- #
 # Module-call tracing (the capture phase of the graph replay executor)
@@ -173,8 +174,19 @@ class Module:
         return duplicate
 
 
+def op_of(module: Module) -> Optional[ops.Op]:
+    """The table op a leaf layer runs (:mod:`repro.nn.ops`), or None.
+
+    Looked up on the exact class: a subclass may override ``forward``, so
+    it does not inherit its base's op.
+    """
+    return vars(type(module)).get("op")
+
+
 class Linear(Module):
     """Fully connected layer ``y = x W + b``."""
+
+    op = ops.LINEAR
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: Optional[np.random.Generator] = None):
@@ -196,11 +208,15 @@ class Linear(Module):
 
 
 class ReLU(Module):
+    op = ops.RELU
+
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 
 
 class Tanh(Module):
+    op = ops.TANH
+
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
 
@@ -213,6 +229,8 @@ class Identity(Module):
 class Dropout(Module):
     """Inverted dropout; active only in training mode."""
 
+    op = ops.DROPOUT
+
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
         super().__init__()
         if not 0.0 <= p < 1.0:
@@ -223,13 +241,13 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * Tensor(mask)
+        return apply(ops.DROPOUT, (x,), layer=self, cast=get_default_dtype())
 
 
 class BatchNorm1d(Module):
     """Batch normalization over the feature dimension of ``(n, d)`` inputs."""
+
+    op = ops.BATCHNORM
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -244,19 +262,8 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise ValueError(f"expected (n, {self.num_features}) input, got {x.shape}")
-        if self.training:
-            batch_mean = x.data.mean(axis=0)
-            batch_var = x.data.var(axis=0)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * batch_mean)
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * batch_var)
-            mean, var = batch_mean, batch_var
-        else:
-            mean, var = self.running_mean, self.running_var
-        scale = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - Tensor(mean)) * Tensor(scale)
-        return normalized * self.gamma + self.beta
+        return apply(ops.BATCHNORM, (x,), (self.gamma, self.beta),
+                     layer=self, cast=get_default_dtype())
 
 
 class Sequential(Module):

@@ -98,19 +98,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from .modules import (BatchNorm1d, Dropout, Linear, Module, ReLU, Tanh,
-                      trace_module_calls)
+from . import ops
+from .modules import Module, op_of, trace_module_calls
+from .ops import Frame, Op, ReplayUnsupported
 from .optim import Optimizer
-from .tensor import (Tensor, _unbroadcast, fused_ops_enabled,
+from .tensor import (Tensor, fused_ops_enabled,
                      get_default_dtype, graph_replay_enabled, inference_mode,
                      is_grad_enabled)
 
 __all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported", "compile_step",
            "collect_replay_stats"]
-
-
-class ReplayUnsupported(RuntimeError):
-    """Raised during capture when a traced step cannot be compiled."""
 
 
 _LOSS_FNS: Dict[str, Callable] = {
@@ -194,17 +191,17 @@ def collect_replay_stats(stats: ReplayStats):
 
 
 # --------------------------------------------------------------------------- #
-# Compiled kernel nodes
+# Plan nodes
 # --------------------------------------------------------------------------- #
-# Each node owns its preallocated forward/backward buffers and reads layer
-# parameters through the live module attribute (``layer.weight.data``), so
-# in-place parameter updates and ``load_state_dict`` swaps are picked up
-# without recompiling.  Gradient deposit slots (``gw``/``gb``/``gin``/``ta``
-# /``tb``/``tz``) are wired by the compiler: ``None`` means "not needed",
-# otherwise the slot holds the target buffer — a producer node's grad buffer
-# or an optimizer flat-gradient view — plus an ``*_acc`` flag.  The first
-# contribution in backward-execution order writes the target; later ones
-# accumulate through a private ``*_tmp`` buffer, reproducing the eager
+# A node is a frame of one table op (:mod:`repro.nn.ops`) whose buffers the
+# op's ``alloc`` rule preallocated.  It reads layer parameters through the
+# live tensors (``p[i].data``), so in-place parameter updates and
+# ``load_state_dict`` swaps are picked up without recompiling.  Its
+# ``deposits`` are wired by the compiler, one ``(kernel, target, tmp,
+# param)`` per gradient it sends back, in the op's deposit order.  The target
+# is a producer node's grad buffer or an optimizer flat-gradient view.  The
+# first contribution in backward-execution order writes the target; later
+# ones compute into a private ``tmp`` and add it, reproducing the eager
 # engine's write-then-add gradient accumulation bit for bit.
 
 
@@ -218,566 +215,30 @@ class _InputNode:
         self.cast_dtype = cast_dtype
 
 
-class _LinearStep:
-    """``x @ W + b`` and its three backward GEMMs.
+class _Node(Frame):
+    """One op application in a compiled plan."""
 
-    The GEMMs go through ``np.dot``, which hands a transposed operand to
-    BLAS as a flag where ``np.matmul`` may copy it first; the results are
-    bit-equal to ``@`` (``tests/nn/test_dot_kernels.py``).  A layer whose
-    input, weight and output dtypes differ is not replayed: eager keeps
-    each gradient in the dtype its op produced, which the step's
-    preallocated gradient buffers cannot reproduce.
-    """
-
-    __slots__ = ("index", "layer", "requires_grad", "x", "out", "grad",
-                 "gw", "gw_acc", "gw_tmp", "gb", "gb_acc", "gb_tmp",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: Linear, inp: Tensor, out: Tensor):
-        if inp.ndim != 2:
-            raise ReplayUnsupported("only the 2-D fused linear path is "
-                                    "replayable")
-        if not inp.data.dtype == layer.weight.data.dtype == out.data.dtype:
-            raise ReplayUnsupported("a Linear layer mixing dtypes is not "
-                                    "replayable")
-        self.layer = layer
-        self.x: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gw = self.gb = self.gin = None
-        self.gw_acc = self.gb_acc = self.gin_acc = False
-        self.gw_tmp = self.gb_tmp = self.gin_tmp = None
-
-    def forward(self) -> None:
-        layer = self.layer
-        out = self.out
-        np.dot(self.x, layer.weight.data, out=out)
-        if layer.bias is not None:
-            out += layer.bias.data
-
-    def backward(self) -> None:
-        layer = self.layer
-        grad = self.grad
-        if self.gw is not None:
-            if self.gw_acc:
-                np.dot(self.x.T, grad, out=self.gw_tmp)
-                self.gw += self.gw_tmp
-            else:
-                np.dot(self.x.T, grad, out=self.gw)
-            layer.weight.grad = self.gw
-        if self.gb is not None:
-            # ndarray.sum lowers to add.reduce; call it directly to skip
-            # the np.sum dispatch layer (hot path: once per linear per step).
-            if self.gb_acc:
-                np.add.reduce(grad, axis=0, out=self.gb_tmp)
-                self.gb += self.gb_tmp
-            else:
-                np.add.reduce(grad, axis=0, out=self.gb)
-            layer.bias.grad = self.gb
-        if self.gin is not None:
-            if self.gin_acc:
-                np.dot(grad, layer.weight.data.T, out=self.gin_tmp)
-                self.gin += self.gin_tmp
-            else:
-                np.dot(grad, layer.weight.data.T, out=self.gin)
+    def __init__(self, op: Op, index: int, train: bool):
+        self.op = op
+        self.index = index
+        #: runs a backward (its output requires grad in a training plan)
+        self.train = train
+        #: input name -> (producer node or input, whether it requires grad)
+        self.srcs: Dict[str, tuple] = {}
+        self.deposits: tuple = ()
+        #: the inputs this node deposits a gradient into
+        self.fed: list = []
 
 
-class _ReLUStep:
-    """``max(x, 0)``; runs in place over its producer's buffer when
-    :func:`_reuse_relu_buffers` allows it (then ``out is x``)."""
-
-    __slots__ = ("index", "requires_grad", "x", "out", "grad", "mask",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: ReLU, inp: Tensor, out: Tensor):
-        self.x: Optional[np.ndarray] = None
-        # Allocated by the compiler only for nodes that run a backward, so
-        # eval and forward-only plans carry no mask.
-        self.mask: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gin = None
-        self.gin_acc = False
-        self.gin_tmp = None
-
-    def forward(self) -> None:
-        # The mask is taken before ``maximum`` may overwrite ``x``.
-        if self.mask is not None:
-            np.greater(self.x, 0, out=self.mask)
-        np.maximum(self.x, 0, out=self.out)
-
-    def backward(self) -> None:
-        if self.gin is None:
-            return
-        if self.gin_acc:
-            np.multiply(self.grad, self.mask, out=self.gin_tmp)
-            self.gin += self.gin_tmp
+def _run_backward(node: _Node) -> None:
+    grad = node.grad
+    for kernel, target, tmp, param in node.deposits:
+        if tmp is None:
+            kernel(node, grad, target)
         else:
-            np.multiply(self.grad, self.mask, out=self.gin)
-
-
-class _TanhStep:
-    __slots__ = ("index", "requires_grad", "x", "out", "grad", "tmp",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: Tanh, inp: Tensor, out: Tensor):
-        self.x: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.tmp = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gin = None
-        self.gin_acc = False
-        self.gin_tmp = None
-
-    def forward(self) -> None:
-        np.tanh(self.x, out=self.out)
-
-    def backward(self) -> None:
-        if self.gin is None:
-            return
-        # Eager computes ``grad * (1 - out ** 2)``; ``out ** 2`` lowers to
-        # an elementwise square, which np.square reproduces bit-for-bit.
-        np.square(self.out, out=self.tmp)
-        np.subtract(1.0, self.tmp, out=self.tmp)
-        if self.gin_acc:
-            np.multiply(self.grad, self.tmp, out=self.gin_tmp)
-            self.gin += self.gin_tmp
-        else:
-            np.multiply(self.grad, self.tmp, out=self.gin)
-
-
-class _DropoutStep:
-    __slots__ = ("index", "requires_grad", "layer", "x", "out", "grad",
-                 "mask", "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: Dropout, inp: Tensor, out: Tensor):
-        self.layer = layer
-        self.x: Optional[np.ndarray] = None
-        self.mask: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.gin = None
-        self.gin_acc = False
-        self.gin_tmp = None
-
-    def forward(self) -> None:
-        layer = self.layer
-        x = self.x
-        keep = 1.0 - layer.p
-        # Draw from the layer's own RNG with the exact expression the eager
-        # forward uses, keeping the RNG stream aligned with eager training.
-        self.mask = (layer._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        np.multiply(x, self.mask, out=self.out)
-
-    def backward(self) -> None:
-        if self.gin is None:
-            return
-        if self.gin_acc:
-            np.multiply(self.grad, self.mask, out=self.gin_tmp)
-            self.gin += self.gin_tmp
-        else:
-            np.multiply(self.grad, self.mask, out=self.gin)
-
-
-class _BatchNormStep:
-    """BatchNorm1d kernel, mirroring the eager forward line for line.
-
-    Train mode computes batch statistics and updates the running stats with
-    the exact eager expression (allocating and *rebinding* fresh running
-    arrays, so external holders of the old arrays see eager-identical
-    behavior); eval mode reads the live running stats.  The statistics pass
-    through the same ``Tensor()`` dtype cast the eager forward applies, and
-    the backward treats them as constants — the eager engine's semantic —
-    so ``grad_x = (grad * gamma) * scale`` in that exact multiply order.
-    """
-
-    __slots__ = ("index", "requires_grad", "layer", "training", "cast_dtype",
-                 "x", "out", "grad", "meanbuf", "varbuf", "scalebuf",
-                 "negmean", "diff", "norm", "t2", "scratch", "gmul", "_scale",
-                 "gg", "gg_acc", "gg_tmp", "gb", "gb_acc", "gb_tmp",
-                 "gin", "gin_acc", "gin_tmp",
-                 "_src", "_src_rg")
-
-    def __init__(self, layer: BatchNorm1d, inp: Tensor, out: Tensor):
-        if inp.ndim != 2:
-            raise ReplayUnsupported("BatchNorm1d replays on 2-D inputs only")
-        self.layer = layer
-        self.training = layer.training
-        self.cast_dtype = np.dtype(get_default_dtype())
-        in_dt = inp.data.dtype
-        n, d = inp.shape
-        self.x: Optional[np.ndarray] = None
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        if self.training:
-            self.meanbuf = np.empty(d, dtype=in_dt)
-            self.varbuf = np.empty(d, dtype=in_dt)
-            self.scalebuf = np.empty(d, dtype=in_dt)
-        else:
-            self.meanbuf = self.varbuf = None
-            # Eval mode derives the scale from the running variance (whose
-            # dtype is pinned by the fingerprint, so preallocating is safe).
-            self.scalebuf = np.empty(d, dtype=layer.running_var.dtype)
-        self.negmean = np.empty(d, dtype=self.cast_dtype)
-        diff_dt = np.promote_types(in_dt, self.cast_dtype)
-        self.diff = np.empty((n, d), dtype=diff_dt)
-        norm_dt = np.promote_types(diff_dt, self.cast_dtype)
-        self.norm = np.empty((n, d), dtype=norm_dt)
-        self.t2 = np.empty((n, d),
-                           dtype=np.promote_types(norm_dt,
-                                                  layer.gamma.data.dtype))
-        self.scratch = np.empty_like(out.data)
-        self.gmul = np.empty_like(out.data)
-        self._scale: Optional[np.ndarray] = None
-        self.gg = self.gb = self.gin = None
-        self.gg_acc = self.gb_acc = self.gin_acc = False
-        self.gg_tmp = self.gb_tmp = self.gin_tmp = None
-
-    def forward(self) -> None:
-        layer = self.layer
-        x = self.x
-        if self.training:
-            np.mean(x, axis=0, out=self.meanbuf)
-            np.var(x, axis=0, out=self.varbuf)
-            m = layer.momentum
-            layer.running_mean = ((1 - m) * layer.running_mean
-                                  + m * self.meanbuf)
-            layer.running_var = ((1 - m) * layer.running_var
-                                 + m * self.varbuf)
-            np.add(self.varbuf, layer.eps, out=self.scalebuf)
-            np.sqrt(self.scalebuf, out=self.scalebuf)
-            np.divide(1.0, self.scalebuf, out=self.scalebuf)
-            mean, scale = self.meanbuf, self.scalebuf
-        else:
-            mean = layer.running_mean
-            np.add(layer.running_var, layer.eps, out=self.scalebuf)
-            np.sqrt(self.scalebuf, out=self.scalebuf)
-            np.divide(1.0, self.scalebuf, out=self.scalebuf)
-            scale = self.scalebuf
-        # The eager forward routes mean/scale through Tensor(), which casts
-        # to the engine dtype; a no-op when the dtypes already agree.
-        if mean.dtype != self.cast_dtype:
-            mean = mean.astype(self.cast_dtype)
-        if scale.dtype != self.cast_dtype:
-            scale = scale.astype(self.cast_dtype)
-        self._scale = scale
-        np.negative(mean, out=self.negmean)
-        np.add(x, self.negmean, out=self.diff)
-        np.multiply(self.diff, scale, out=self.norm)
-        np.multiply(self.norm, layer.gamma.data, out=self.t2)
-        np.add(self.t2, layer.beta.data, out=self.out)
-
-    def backward(self) -> None:
-        layer = self.layer
-        grad = self.grad
-        if self.gb is not None:
-            if self.gb_acc:
-                np.add.reduce(grad, axis=0, out=self.gb_tmp)
-                self.gb += self.gb_tmp
-            else:
-                np.add.reduce(grad, axis=0, out=self.gb)
-            layer.beta.grad = self.gb
-        if self.gg is not None:
-            np.multiply(grad, self.norm, out=self.scratch)
-            if self.gg_acc:
-                np.add.reduce(self.scratch, axis=0, out=self.gg_tmp)
-                self.gg += self.gg_tmp
-            else:
-                np.add.reduce(self.scratch, axis=0, out=self.gg)
-            layer.gamma.grad = self.gg
-        if self.gin is not None:
-            np.multiply(grad, layer.gamma.data, out=self.gmul)
-            if self.gin_acc:
-                np.multiply(self.gmul, self._scale, out=self.gmul)
-                self.gin += self.gmul
-            else:
-                np.multiply(self.gmul, self._scale, out=self.gin)
-
-
-class _AddStep:
-    """Tensor ``a + b`` (loss fan-in, residual sums)."""
-
-    __slots__ = ("index", "requires_grad", "a", "b", "out", "grad",
-                 "a_shape", "b_shape", "ta", "ta_acc", "tb", "tb_acc",
-                 "_srcs")
-
-    def __init__(self, a: Tensor, b: Tensor, out: Tensor):
-        self.a: Optional[np.ndarray] = None
-        self.b: Optional[np.ndarray] = None
-        self.a_shape = a.shape
-        self.b_shape = b.shape
-        self.out = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.ta = self.tb = None
-        self.ta_acc = self.tb_acc = False
-
-    def forward(self) -> None:
-        np.add(self.a, self.b, out=self.out)
-
-    def backward(self) -> None:
-        grad = self.grad
-        if self.ta is not None:
-            ga = grad if grad.shape == self.a_shape else \
-                _unbroadcast(grad, self.a_shape)
-            if self.ta_acc:
-                self.ta += ga
-            else:
-                np.copyto(self.ta, ga)
-        if self.tb is not None:
-            gb = grad if grad.shape == self.b_shape else \
-                _unbroadcast(grad, self.b_shape)
-            if self.tb_acc:
-                self.tb += gb
-            else:
-                np.copyto(self.tb, gb)
-
-
-class _MulStep:
-    """Tensor ``a * b`` (e.g. the weighted consistency-loss term)."""
-
-    __slots__ = ("index", "requires_grad", "a", "b", "out", "grad",
-                 "a_shape", "b_shape", "tmp_a", "tmp_b",
-                 "ta", "ta_acc", "tb", "tb_acc",
-                 "_srcs")
-
-    def __init__(self, a: Tensor, b: Tensor, out: Tensor):
-        self.a: Optional[np.ndarray] = None
-        self.b: Optional[np.ndarray] = None
-        self.a_shape = a.shape
-        self.b_shape = b.shape
-        self.out = np.empty_like(out.data)
-        # Product staging buffers (``grad * other`` has the output's shape
-        # and dtype; the operands' dtypes are already folded into it).
-        self.tmp_a = np.empty_like(out.data)
-        self.tmp_b = np.empty_like(out.data)
-        self.grad: Optional[np.ndarray] = None
-        self.ta = self.tb = None
-        self.ta_acc = self.tb_acc = False
-
-    def forward(self) -> None:
-        np.multiply(self.a, self.b, out=self.out)
-
-    def backward(self) -> None:
-        grad = self.grad
-        if self.ta is not None:
-            np.multiply(grad, self.b, out=self.tmp_a)
-            ga = (self.tmp_a if self.tmp_a.shape == self.a_shape
-                  else _unbroadcast(self.tmp_a, self.a_shape))
-            if self.ta_acc:
-                self.ta += ga
-            else:
-                np.copyto(self.ta, ga)
-        if self.tb is not None:
-            np.multiply(grad, self.a, out=self.tmp_b)
-            gb = (self.tmp_b if self.tmp_b.shape == self.b_shape
-                  else _unbroadcast(self.tmp_b, self.b_shape))
-            if self.tb_acc:
-                self.tb += gb
-            else:
-                np.copyto(self.tb, gb)
-
-
-# --------------------------------------------------------------------------- #
-# Compiled loss kernels
-# --------------------------------------------------------------------------- #
-
-
-class _HardCELoss:
-    """Fused softmax + hard cross entropy (matches ``softmax_cross_entropy``),
-    with optional per-sample weights (FixMatch's confidence mask)."""
-
-    __slots__ = ("index", "requires_grad", "z", "targets", "weights",
-                 "weighted", "out", "grad", "need_value", "rows", "maxbuf",
-                 "shifted", "exp", "sumexp", "logbuf", "d", "denom",
-                 "num_classes", "dtype", "_t", "_w", "tz", "tz_acc",
-                 "_src", "_src_rg")
-
-    def __init__(self, logits: Tensor, weighted: bool):
-        z = logits.data
-        n, c = z.shape
-        dtype = z.dtype
-        self.z: Optional[np.ndarray] = None
-        self.targets: Optional[np.ndarray] = None
-        self.weights: Optional[np.ndarray] = None
-        self.weighted = weighted
-        self.out = np.empty((), dtype=dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.need_value = True
-        self.rows = np.arange(n)
-        self.maxbuf = np.empty((n, 1), dtype=dtype)
-        self.shifted = np.empty((n, c), dtype=dtype)
-        self.exp = np.empty((n, c), dtype=dtype)
-        self.sumexp = np.empty((n, 1), dtype=dtype)
-        self.logbuf = np.empty(n, dtype=dtype)
-        self.d = np.empty((n, c), dtype=dtype)
-        self.denom = float(n)
-        self.num_classes = c
-        self.dtype = dtype
-        self._t = self._w = None
-        self.tz = None
-        self.tz_acc = False
-
-    def forward(self) -> None:
-        t = np.asarray(self.targets, dtype=np.int64)
-        F.check_label_range(t, self.num_classes)
-        self._t = t
-        z = self.z
-        np.maximum.reduce(z, axis=1, keepdims=True, out=self.maxbuf)
-        np.subtract(z, self.maxbuf, out=self.shifted)
-        np.exp(self.shifted, out=self.exp)
-        np.add.reduce(self.exp, axis=1, keepdims=True, out=self.sumexp)
-        if self.weighted:
-            w = np.asarray(self.weights, dtype=self.dtype)
-            self._w = w
-            self.denom = float(w.sum()) or 1.0
-        if not self.need_value:
-            # The backward needs only exp/sumexp (and the weighted denom);
-            # the scalar is elided when the caller does not consume it.
-            return
-        np.log(self.sumexp[:, 0], out=self.logbuf)
-        picked = self.shifted[self.rows, self._t]
-        picked -= self.logbuf
-        if self.weighted:
-            self.out[()] = -float(self._w @ picked) / self.denom
-        else:
-            self.out[()] = -float(picked.sum()) / self.denom
-
-    def backward(self) -> None:
-        if self.tz is None:
-            return
-        g = float(self.grad)
-        d = self.d if self.tz_acc else self.tz
-        np.divide(self.exp, self.sumexp, out=d)
-        d[self.rows, self._t] -= 1.0
-        if self.weighted:
-            d *= self._w[:, None]
-        d *= g / self.denom
-        if self.tz_acc:
-            self.tz += d
-
-
-class _SoftCELoss:
-    """Fused soft-target cross entropy (matches ``soft_cross_entropy``)."""
-
-    __slots__ = ("index", "requires_grad", "z", "targets", "weights",
-                 "weighted", "out", "grad", "need_value", "maxbuf", "shifted",
-                 "exp", "sumexp", "logbuf", "prod", "tsum", "tbuf", "d",
-                 "denom", "dtype", "_t", "tz", "tz_acc",
-                 "_src", "_src_rg")
-
-    def __init__(self, logits: Tensor, weighted: bool):
-        z = logits.data
-        n, c = z.shape
-        dtype = z.dtype
-        self.z: Optional[np.ndarray] = None
-        self.targets: Optional[np.ndarray] = None
-        self.weights: Optional[np.ndarray] = None
-        self.weighted = weighted
-        self.out = np.empty((), dtype=dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.need_value = True
-        self.maxbuf = np.empty((n, 1), dtype=dtype)
-        self.shifted = np.empty((n, c), dtype=dtype)
-        self.exp = np.empty((n, c), dtype=dtype)
-        self.sumexp = np.empty((n, 1), dtype=dtype)
-        self.logbuf = np.empty((n, 1), dtype=dtype)
-        self.prod = np.empty((n, c), dtype=dtype)
-        self.tsum = np.empty((n, 1), dtype=dtype)
-        self.tbuf = np.empty((n, c), dtype=dtype) if weighted else None
-        self.d = np.empty((n, c), dtype=dtype)
-        self.denom = float(n)
-        self.dtype = dtype
-        self._t = None
-        self.tz = None
-        self.tz_acc = False
-
-    def forward(self) -> None:
-        t = np.asarray(self.targets, dtype=self.dtype)
-        z = self.z
-        np.maximum.reduce(z, axis=1, keepdims=True, out=self.maxbuf)
-        np.subtract(z, self.maxbuf, out=self.shifted)
-        np.exp(self.shifted, out=self.exp)
-        np.add.reduce(self.exp, axis=1, keepdims=True, out=self.sumexp)
-        if self.weighted:
-            w = np.asarray(self.weights, dtype=self.dtype)
-            np.multiply(t, w[:, None], out=self.tbuf)
-            t = self.tbuf
-            self.denom = float(w.sum()) or 1.0
-        self._t = t
-        if not self.need_value:
-            return
-        np.log(self.sumexp, out=self.logbuf)
-        # log_probs = shifted - log(sumexp); loss = -sum(t * log_probs)/denom
-        np.subtract(self.shifted, self.logbuf, out=self.prod)
-        np.multiply(self.prod, t, out=self.prod)
-        self.out[()] = -float(self.prod.sum()) / self.denom
-
-    def backward(self) -> None:
-        if self.tz is None:
-            return
-        g = float(self.grad)
-        d = self.d if self.tz_acc else self.tz
-        np.divide(self.exp, self.sumexp, out=d)
-        np.add.reduce(self._t, axis=1, keepdims=True, out=self.tsum)
-        d *= self.tsum
-        d -= self._t
-        d *= g / self.denom
-        if self.tz_acc:
-            self.tz += d
-
-
-class _SqErrLoss:
-    """Fused squared-error loss (matches ``l2_loss`` / ``mse_loss``; the
-    recorded denominator distinguishes the two)."""
-
-    __slots__ = ("index", "requires_grad", "z", "targets", "out", "grad",
-                 "need_value", "diff", "sq", "d", "denom", "tz", "tz_acc",
-                 "_src", "_src_rg")
-
-    def __init__(self, predictions: Tensor, denom: float):
-        p = predictions.data
-        self.z: Optional[np.ndarray] = None
-        self.targets: Optional[np.ndarray] = None
-        self.out = np.empty((), dtype=p.dtype)
-        self.grad: Optional[np.ndarray] = None
-        self.need_value = True
-        self.diff = np.empty_like(p)
-        self.sq = np.empty_like(p)
-        self.d = np.empty_like(p)
-        self.denom = denom
-        self.tz = None
-        self.tz_acc = False
-
-    def forward(self) -> None:
-        np.subtract(self.z, self.targets, out=self.diff)
-        if not self.need_value:
-            return
-        np.multiply(self.diff, self.diff, out=self.sq)
-        self.out[()] = float(self.sq.sum()) / self.denom
-
-    def backward(self) -> None:
-        if self.tz is None:
-            return
-        g = float(self.grad)
-        d = self.d if self.tz_acc else self.tz
-        np.multiply(self.diff, 2.0 * g / self.denom, out=d)
-        if self.tz_acc:
-            self.tz += d
-
-
-_MODULE_KERNELS = {
-    Linear: _LinearStep,
-    ReLU: _ReLUStep,
-    Tanh: _TanhStep,
-    Dropout: _DropoutStep,
-    BatchNorm1d: _BatchNormStep,
-}
-
-_LOSS_NODES = (_HardCELoss, _SoftCELoss, _SqErrLoss)
+            target += kernel(node, grad, tmp)
+        if param is not None:
+            param.grad = target
 
 
 # --------------------------------------------------------------------------- #
@@ -790,36 +251,18 @@ def _model_fingerprint(module: Module) -> tuple:
     (once per epoch per mode inside :meth:`GraphReplay.epoch`).
 
     Captures everything a compiled plan depends on: the identity and type of
-    every submodule in attribute order, parameter shapes/dtypes and
-    ``requires_grad`` flags for ``Linear`` layers, mode/probability for
-    ``Dropout``, and for ``BatchNorm1d`` the feature count, momentum, eps,
-    train/eval mode, parameter identities/dtypes, and the running-stat
-    dtypes (a config or dtype change must force a recapture, never a replay
-    of stale kernels).  Any mutation — adding a layer, replacing a head,
+    every submodule in attribute order, and for each leaf layer what its
+    table op's ``fingerprint`` names (parameter identities, shapes, dtypes
+    and ``requires_grad`` flags; mode and probability for ``Dropout``;
+    feature count, momentum, eps, mode and running-stat dtypes for
+    ``BatchNorm1d``).  Any mutation — adding a layer, replacing a head,
     freezing a parameter, flipping a layer's mode — changes the fingerprint.
     """
     out = []
     for m in module.modules():
-        t = type(m)
-        if t is Linear:
-            w = m.weight
-            b = m.bias
-            out.append((id(m), t, id(w), w.data.shape, w.data.dtype,
-                        w.requires_grad,
-                        None if b is None else (id(b), b.data.shape,
-                                                b.data.dtype,
-                                                b.requires_grad)))
-        elif t is Dropout:
-            out.append((id(m), t, m.p, m.training))
-        elif t is BatchNorm1d:
-            g, b = m.gamma, m.beta
-            out.append((id(m), t, m.num_features, m.momentum,
-                        m.eps, m.training,
-                        (id(g), g.data.dtype, g.requires_grad),
-                        (id(b), b.data.dtype, b.requires_grad),
-                        m.running_mean.dtype, m.running_var.dtype))
-        else:
-            out.append((id(m), t))
+        op = op_of(m)
+        out.append((id(m), type(m)) if op is None
+                   else (id(m), type(m), op.fingerprint(m)))
     return tuple(out)
 
 
@@ -831,9 +274,9 @@ def _model_fingerprint(module: Module) -> tuple:
 class _CompiledPlan:
     """A compiled kernel DAG: forward in trace order, backward reversed.
 
-    A training step that does not return its loss runs ``_lean_forwards``
-    and tells the ``_value_losses`` to skip their scalar (see
-    :func:`_value_elision`).
+    ``_forwards`` holds ``(kernel, node)`` pairs.  A training step that does
+    not return its loss runs ``_lean_forwards`` and tells the
+    ``_value_losses`` to skip their scalar (see :func:`_value_elision`).
     """
 
     __slots__ = ("_forwards", "_lean_forwards", "_value_losses",
@@ -865,12 +308,12 @@ class _CompiledPlan:
         self._bind(inputs)
         for loss in self._value_losses:
             loss.need_value = need_value
-        for forward in (self._forwards if need_value
-                        else self._lean_forwards):
-            forward()
+        for forward, node in (self._forwards if need_value
+                              else self._lean_forwards):
+            forward(node)
         value = float(self.root.out) if need_value else None
-        for backward in self._backwards:
-            backward()
+        for node in self._backwards:
+            _run_backward(node)
         # Optimizer parameters this plan computes no gradient for must not
         # advance: eager's zero_grad() leaves them at None, so clear any
         # binding left over from an earlier step with different coverage.
@@ -879,84 +322,86 @@ class _CompiledPlan:
         self.optimizer.step()
         return value
 
-    def run_eval(self, inputs: Dict[str, np.ndarray]) -> float:
-        """Forward + loss value only (the compiled inference pass)."""
-        self._bind(inputs)
-        for forward in self._forwards:
-            forward()
-        return float(self.root.out)
-
     def run_forward(self, inputs: Dict[str, np.ndarray]) -> np.ndarray:
         """Forward only; returns the root output buffer (valid until the
         next call on this plan)."""
         self._bind(inputs)
-        for forward in self._forwards:
-            forward()
+        for forward, node in self._forwards:
+            forward(node)
         return self.root.out
 
 
-def _reuse_relu_buffers(built: List[object], links: List[tuple],
-                        root) -> set:
-    """Buffer-reuse pass: run a ReLU in place over its ``Linear`` input.
+def _reuse_relu_buffers(built: List[_Node], root: _Node) -> set:
+    """Buffer-reuse pass: run an ``inplace`` op (ReLU) over its input.
 
-    Applies when the ReLU's input is a ``Linear`` output that feeds nothing
-    else and neither node is the plan root: no other kernel reads the
-    pre-activation values, and no caller is handed the buffer.  The ReLU
-    then writes ``max(x, 0)`` over the ``Linear`` output; in backward it
-    masks its own grad buffer in place and that buffer is the ``Linear``'s
-    grad (wired in :func:`_compile`).  The ``Linear`` backward reads only
-    its input, weight and grad — never its output — so the overwrite is
-    invisible to it.  Returns the ids of the ReLU nodes that run in place.
+    Applies when the input is the output of a ``reuse_out`` op (``Linear``)
+    that feeds nothing else, and neither node is the plan root: no other
+    kernel reads the pre-activation values, and no caller is handed the
+    buffer.  The ReLU then writes ``max(x, 0)`` over the producer's output;
+    in backward it masks its own grad buffer in place, and that buffer is
+    the producer's grad (wired in :func:`_compile`).  The producer's VJP
+    never reads its output, so the overwrite is invisible to it.  Returns
+    the ids of the nodes that run in place.
     """
     consumers: Dict[int, int] = {}
-    for _, _, src in links:
-        consumers[id(src)] = consumers.get(id(src), 0) + 1
+    for node in built:
+        for src, _ in node.srcs.values():
+            consumers[id(src)] = consumers.get(id(src), 0) + 1
     inplace = set()
     for node in built:
-        if type(node) is not _ReLUStep or node is root:
+        if not node.op.inplace or node is root:
             continue
-        src = node._src
-        if type(src) is _LinearStep and src is not root \
+        (src, _), = node.srcs.values()
+        if isinstance(src, _Node) and src.op.reuse_out and src is not root \
                 and consumers[id(src)] == 1:
             node.out = src.out
             inplace.add(id(node))
     return inplace
 
 
-def _value_elision(built: List[object]) -> Tuple[list, list]:
+def _value_elision(built: List[_Node]) -> Tuple[list, list]:
     """Value-elision pass for training steps whose loss nobody reads.
 
     Marks which scalar values such a step may skip: the root's value goes
-    only to the caller, an add reads its operands only to form its own
-    value, and a mul reads them for its value and for the other operand's
-    gradient.  Every module kernel and every loss reads its input.  A loss
-    whose value is unread still computes the softmax parts its backward
-    needs and skips only the scalar; an add/mul whose value is unread skips
-    its forward (neither backward reads its own output).  Returns the
-    optional-value losses and the forward list without the skipped nodes.
-    Runs after backward wiring, which decides whether a mul deposits into
-    each operand.
+    only to the caller, an ``elidable`` op (add, mul) reads its operands to
+    form its own value and for the gradients its ``vjp_reads`` name, and
+    every other op reads its inputs.  A loss whose value is unread still
+    computes the softmax parts its backward needs and skips only the
+    scalar; an elidable op whose value is unread skips its forward (no VJP
+    reads its own output).  Returns the optional-value losses and the
+    forward list without the skipped nodes.  Runs after backward wiring,
+    which decides which operands receive a gradient.
     """
     needed = set()
     for node in reversed(built):  # consumers before their producers
-        used = id(node) in needed
-        if type(node) is _AddStep:
-            if used:
-                needed.update(id(src) for src, _ in node._srcs)
-        elif type(node) is _MulStep:
-            (na, _), (nb, _) = node._srcs
-            if used or node.tb is not None:
-                needed.add(id(na))
-            if used or node.ta is not None:
-                needed.add(id(nb))
-        else:
-            needed.add(id(node._src))
+        op = node.op
+        if not op.elidable or id(node) in needed:
+            needed.update(id(src) for src, _ in node.srcs.values())
+            continue
+        for target in node.fed:
+            needed.update(id(node.srcs[name][0])
+                          for name in op.vjp_reads.get(target, ()))
     value_losses = [node for node in built
-                    if isinstance(node, _LOSS_NODES) and id(node) not in needed]
-    lean_forwards = [node.forward for node in built
-                     if id(node) in needed
-                     or not isinstance(node, (_AddStep, _MulStep))]
+                    if node.op.scalar and id(node) not in needed]
+    lean_forwards = [(node.op.forward, node) for node in built
+                     if id(node) in needed or not node.op.elidable]
     return value_losses, lean_forwards
+
+
+def _record_op(rec: tuple):
+    """``(op, module, traced inputs, extra)`` of one trace record (see
+    :func:`repro.nn.tensor.trace_ops`), or None for a record that produces
+    nothing: a container module, or an identity such as eval-mode dropout
+    (its output resolves through its true producer)."""
+    kind = rec[0]
+    if kind == "module":
+        module, inp, out = rec[1], rec[2], rec[3]
+        op = op_of(module)
+        return None if op is None or out is inp else (op, module,
+                                                        {"x": inp}, None)
+    if kind == "loss":
+        return ops.LOSSES[rec[1]], None, {"x": rec[2]}, rec[3:5]
+    return ops.TABLE[kind], None, {"a": rec[1], "b": rec[2]}, None
 
 
 def _compile(records: List[tuple], root: Tensor,
@@ -967,29 +412,14 @@ def _compile(records: List[tuple], root: Tensor,
     # ---- producer map: which record made each tensor ------------------- #
     prod: Dict[int, Tuple[int, tuple]] = {}
     for idx, rec in enumerate(records):
-        kind = rec[0]
-        if kind == "module":
-            module, inp, out = rec[1], rec[2], rec[3]
-            # Identity / eval-mode dropout return their input: claim nothing
-            # (the tensor resolves through its true producer).  Container
-            # modules are skipped; their leaves claim the outputs.
-            if type(module) in _MODULE_KERNELS and out is not inp:
-                prod[id(out)] = (idx, rec)
-        else:
-            prod[id(rec[-1])] = (idx, rec)
+        decoded = _record_op(rec)
+        if decoded is not None:
+            prod[id(rec[-1])] = (idx, rec, decoded)
 
     nodes: Dict[int, object] = {}
-    built: List[object] = []
+    built: List[_Node] = []
     input_sites: List[tuple] = []
-    links: List[tuple] = []
-
-    def wire(node, attr: str, src) -> None:
-        # Node-to-node links bind after the buffer-reuse pass, which may
-        # repoint a ReLU's output at its producer's buffer.
-        if isinstance(src, _InputNode):
-            input_sites.append((node, attr, src.key, src.cast_dtype))
-        else:
-            links.append((node, attr, src))
+    cast = np.dtype(get_default_dtype())
 
     def key_for(obj, what: str) -> str:
         oid = id(obj)
@@ -1021,46 +451,32 @@ def _compile(records: List[tuple], root: Tensor,
             raise ReplayUnsupported(
                 "tensor produced outside the replayable op set "
                 "(custom tensor math or a constant created in the step?)")
-        idx, rec = entry
-        kind = rec[0]
-        if kind == "module":
-            module, inp, out = rec[1], rec[2], rec[3]
-            src = resolve(inp)
-            node = _MODULE_KERNELS[type(module)](module, inp, out)
-            wire(node, "x", src)
-            node._src = src  # noqa: SLF001 - compiler-internal link
-            node._src_rg = inp.requires_grad
-        elif kind in ("add", "mul"):
-            a, b, out = rec[1], rec[2], rec[3]
-            na, nb = resolve(a), resolve(b)
-            node = (_AddStep if kind == "add" else _MulStep)(a, b, out)
-            wire(node, "a", na)
-            wire(node, "b", nb)
-            node._srcs = ((na, a.requires_grad), (nb, b.requires_grad))
-        else:  # loss
-            _, loss_kind, logits, targets, extra, out = rec
-            src = resolve(logits)
-            if logits.ndim != 2:
+        idx, rec, (op, module, ins, extra) = entry
+        node = _Node(op, idx, bool(t.requires_grad) and train)
+        node.cast = cast
+        if module is not None:
+            node.layer = module
+            node.p = tuple(getattr(module, name) for name in op.params)
+        for name, tensor in ins.items():
+            src = resolve(tensor)
+            node.srcs[name] = (src, tensor.requires_grad)
+            if isinstance(src, _InputNode):
+                input_sites.append((node, name, src.key, src.cast_dtype))
+        arrays = {name: tensor.data for name, tensor in ins.items()}
+        if op.scalar:
+            if arrays["x"].ndim != 2:
                 raise ReplayUnsupported("losses replay on 2-D logits only")
-            tkey = key_for(targets, "loss targets")
-            if loss_kind == "sqerr":
-                node = _SqErrLoss(logits, float(extra))
-                input_sites.append((node, "targets", tkey,
-                                    np.asarray(targets).dtype))
-            else:
-                weighted = extra is not None
-                cls = (_HardCELoss if loss_kind == "cross_entropy"
-                       else _SoftCELoss)
-                node = cls(logits, weighted)
-                input_sites.append((node, "targets", tkey, None))
-                if weighted:
-                    wkey = key_for(extra, "loss sample weights")
-                    input_sites.append((node, "weights", wkey, None))
-            wire(node, "z", src)
-            node._src = src
-            node._src_rg = logits.requires_grad
-        node.index = idx
-        node.requires_grad = bool(rec[-1].requires_grad) and train
+            targets, weights = extra
+            input_sites.append((node, "t", key_for(targets, "loss targets"),
+                                np.asarray(targets).dtype))
+            if op is ops.SQERR:
+                node.denom = float(weights)
+            elif weights is not None:
+                input_sites.append((node, "w",
+                                    key_for(weights, "loss sample weights"),
+                                    None))
+                arrays["w"] = weights
+        op.alloc(node, arrays, t.data)
         nodes[tid] = node
         built.append(node)
         return node
@@ -1068,99 +484,82 @@ def _compile(records: List[tuple], root: Tensor,
     root_node = resolve(root)
     if isinstance(root_node, _InputNode) or not built:
         raise ReplayUnsupported("traced graph contains no replayable ops")
-    if train and not root_node.requires_grad:
+    if train and not root_node.train:
         raise ReplayUnsupported("loss does not require gradients")
 
     # Every traced leaf-module call must be reachable from the root: a call
     # the plan would skip could have side effects (dropout RNG draws,
     # batch-norm running stats) that eager execution performs.
-    for idx, rec in enumerate(records):
-        if rec[0] == "module" and type(rec[1]) in _MODULE_KERNELS \
-                and rec[3] is not rec[2] and id(rec[3]) not in nodes:
+    for rec in records:
+        if rec[0] == "module" and _record_op(rec) is not None \
+                and id(rec[3]) not in nodes:
             raise ReplayUnsupported(
                 f"traced {type(rec[1]).__name__} call is not reachable "
                 "from the loss")
 
     built.sort(key=lambda n: n.index)
-    inplace = _reuse_relu_buffers(built, links, root_node)
-    for node, attr, src in links:
-        setattr(node, attr, src.out)
-    forwards = [node.forward for node in built]
+    inplace = _reuse_relu_buffers(built, root_node)
+    # Node-to-node links bind after the buffer-reuse pass, which may
+    # repoint a ReLU's output at its producer's buffer.
+    for node in built:
+        for name, (src, _) in node.srcs.items():
+            if isinstance(src, _Node):
+                setattr(node, name, src.out)
+    forwards = [(node.op.forward, node) for node in built]
 
-    backwards: List[Callable] = []
+    backwards: List[_Node] = []
+    param_targets: Dict[int, np.ndarray] = {}
     if train:
         # Gradient buffers: one per node that participates in the backward.
         for node in built:
-            if not node.requires_grad:
+            if not node.train:
                 continue
             node.grad = (np.ones_like(node.out) if node is root_node
                          else np.empty_like(node.out))
-            if type(node) is _ReLUStep:
-                node.mask = np.empty(node.out.shape, dtype=bool)
-                if id(node) in inplace:
-                    # The ReLU is the Linear's only consumer, hence the only
-                    # writer of its gradient: the two share one buffer.
-                    node._src.grad = node.grad
+            if id(node) in inplace:
+                # The ReLU is its producer's only consumer, hence the only
+                # writer of its gradient: the two share one buffer.
+                node.srcs["x"][0].grad = node.grad
         # Deposit wiring in backward-execution order: the first contribution
         # to each target writes it, later ones accumulate — exactly the
         # eager engine's copy-then-add ordering.
         written = set()
-        param_targets: Dict[int, np.ndarray] = {}
-
-        def assign(node, prefix: str, src, src_rg: bool,
-                   needs_tmp: bool = False) -> None:
-            # ``needs_tmp`` marks kernels whose accumulate path stages into
-            # a private ``*_tmp`` buffer; the others (losses, add/mul,
-            # batch-norm input grads) reuse their own scratch buffers.
-            if isinstance(src, _InputNode) or not src_rg:
-                return  # slot stays None
-            target = src.grad
-            acc = id(target) in written
-            written.add(id(target))
-            setattr(node, prefix, target)
-            setattr(node, prefix + "_acc", acc)
-            if acc and needs_tmp:
-                setattr(node, prefix + "_tmp", np.empty_like(target))
-
-        def assign_param(node, prefix: str, param) -> None:
-            if param is None or not param.requires_grad:
-                return
-            pid = id(param)
-            acc = pid in param_targets
-            if not acc:
-                target = (optimizer.grad_view_for(param)
-                          if optimizer is not None else None)
-                if target is None:
-                    target = np.empty_like(param.data)
-                param_targets[pid] = target
-            setattr(node, prefix, param_targets[pid])
-            setattr(node, prefix + "_acc", acc)
-            if acc:
-                setattr(node, prefix + "_tmp", np.empty_like(param.data))
-
         for node in reversed(built):
-            if not node.requires_grad:
+            if not node.train:
                 continue
-            if isinstance(node, _LinearStep):
-                assign_param(node, "gw", node.layer.weight)
-                assign_param(node, "gb", node.layer.bias)
-                assign(node, "gin", node._src, node._src_rg, needs_tmp=True)
-            elif isinstance(node, _BatchNormStep):
-                assign_param(node, "gb", node.layer.beta)
-                assign_param(node, "gg", node.layer.gamma)
-                assign(node, "gin", node._src, node._src_rg)
-            elif id(node) in inplace:
-                # Masks its own grad buffer in place; the Linear reads it.
-                node.gin = node.grad
-            elif isinstance(node, (_ReLUStep, _TanhStep, _DropoutStep)):
-                assign(node, "gin", node._src, node._src_rg, needs_tmp=True)
-            elif isinstance(node, (_AddStep, _MulStep)):
-                (na, a_rg), (nb, b_rg) = node._srcs
-                assign(node, "ta", na, a_rg)
-                assign(node, "tb", nb, b_rg)
-            else:  # loss node
-                assign(node, "tz", node._src, node._src_rg)
-            backwards.append(node.backward)
+            deposits = []
+            for target, kernel in node.op.grads:
+                if type(target) is int:
+                    param = node.p[target]
+                    if param is None or not param.requires_grad:
+                        continue
+                    acc = id(param) in param_targets
+                    if not acc:
+                        buf = (optimizer.grad_view_for(param)
+                               if optimizer is not None else None)
+                        param_targets[id(param)] = (
+                            buf if buf is not None
+                            else np.empty_like(param.data))
+                    buf = param_targets[id(param)]
+                    deposits.append((kernel, buf, np.empty_like(param.data)
+                                     if acc else None, param))
+                    continue
+                src, src_rg = node.srcs[target]
+                if isinstance(src, _InputNode) or not src_rg:
+                    continue
+                node.fed.append(target)
+                if id(node) in inplace:
+                    # Masks its own grad buffer in place; the producer reads it.
+                    deposits.append((kernel, node.grad, None, None))
+                    continue
+                buf = src.grad
+                acc = id(buf) in written
+                written.add(id(buf))
+                deposits.append((kernel, buf,
+                                 np.empty_like(buf) if acc else None, None))
+            node.deposits = tuple(deposits)
+            if deposits:
+                backwards.append(node)
 
     clear_grads: tuple = ()
     if train and optimizer is not None:
@@ -1632,7 +1031,7 @@ class GraphReplay:
         if plan is None:
             return self._eager_eval(x, y, reason)
         self._count_replay()
-        return plan.run_eval(inputs)
+        return float(plan.run_forward(inputs))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Raw model outputs on ``x`` via a compiled inference forward.

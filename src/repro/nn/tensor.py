@@ -20,6 +20,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import ops
+from .ops import _unbroadcast
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 # --------------------------------------------------------------------------- #
@@ -183,26 +186,6 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     return np.asarray(data, dtype=dtype)
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over the broadcast dimensions so it matches ``shape``.
-
-    NumPy broadcasting implicitly expands dimensions during the forward pass;
-    the corresponding backward pass must sum the gradient over those expanded
-    dimensions.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over leading dims added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over dims that were size-1 in the original shape.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff.
 
@@ -290,32 +273,12 @@ class Tensor:
         else:
             self.grad += grad
 
-    def _accumulate_owned(self, grad: np.ndarray) -> None:
-        """Accumulate a gradient array the caller owns (no defensive copy).
-
-        Fused backward closures compute fresh arrays (``grad @ W.T`` etc.)
-        that nothing else aliases, so the copy in :meth:`_accumulate` would
-        be pure overhead.
-        """
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = grad
-        else:
-            self.grad += grad
-
     # ------------------------------------------------------------------ #
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data + other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
-
-        out = Tensor._make(data, (self, other), backward)
+        out = apply(ops.ADD, (self, other))
         # Inlined trace check (hot path: every eager add pays it).
         records = _TRACE_RECORDS.get()
         if records is not None:
@@ -341,13 +304,7 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data * other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
-
-        out = Tensor._make(data, (self, other), backward)
+        out = apply(ops.MUL, (self, other))
         records = _TRACE_RECORDS.get()
         if records is not None:
             records.append(("mul", self, other, out))
@@ -414,12 +371,7 @@ class Tensor:
         return self ** 0.5
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
-
-        return Tensor._make(data, (self,), backward)
+        return apply(ops.TANH, (self,))
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
@@ -430,17 +382,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        # ``maximum`` (negatives map to +0.0, as in the replay kernel) is
-        # one pass, where a float-by-bool multiply costs nearly two.
-        data = np.maximum(self.data, 0)
-        if not (self.requires_grad and is_grad_enabled()):
-            return Tensor._make(data, (self,), None)
-        mask = self.data > 0
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward)
+        return apply(ops.RELU, (self,))
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         mask = self.data > 0
@@ -611,6 +553,41 @@ class Tensor:
 
 def _creation_stamp(node: Tensor) -> int:
     return node._seq
+
+
+def apply(op: ops.Op, inputs: Tuple[Tensor, ...],
+          params: Tuple[Optional[Tensor], ...] = (), **attrs) -> Tensor:
+    """Run a table op (:mod:`repro.nn.ops`) on the tape.
+
+    The forward kernel runs on a fresh frame, so NumPy allocates every
+    buffer; the backward closure calls the op's VJP kernels the same way.
+    ``params`` fill the frame's parameter slots (None for an absent bias),
+    and ``attrs`` set any other frame attribute the op reads.
+    """
+    n = ops.Frame()
+    for name, tensor in zip(op.inputs, inputs):
+        setattr(n, name, tensor.data)
+    n.p = params
+    for name, value in attrs.items():
+        setattr(n, name, value)
+    parents = inputs + tuple(p for p in params if p is not None)
+    requires = any(p.requires_grad for p in parents) and is_grad_enabled()
+    n.train = requires
+    op.forward(n)
+    out = Tensor(n.out, requires_grad=requires)
+    if requires:
+        sources = dict(zip(op.inputs, inputs))
+
+        def backward(grad: np.ndarray) -> None:
+            for target, kernel in op.grads:
+                source = (params[target] if type(target) is int
+                          else sources[target])
+                if source is not None and source.requires_grad:
+                    source._accumulate(kernel(n, grad, None))
+
+        out._parents = parents
+        out._backward = backward
+    return out
 
 
 

@@ -27,10 +27,11 @@ integrity-checked against its manifest SHA-256 digest on load.  The schema
 is versioned; schema-1 artifacts (end models from earlier exports) still
 load, unknown versions are loudly rejected.
 
-Serving forwards are **compiled**: at load time the rebuilt Linear/ReLU
-chain is flattened into a plan of raw NumPy kernels that replay the engine's
-ops bit-for-bit (``x @ W``, ``+= b``, ``maximum(x, 0)``) in the artifact's
-own dtype.  The compiled path touches no engine state at all, and concurrent
+Serving forwards are **compiled**: at load time the rebuilt model is traced
+into a chain of its leaf layers, and each forward runs the op table's
+forward kernels (:mod:`repro.nn.ops`, the same kernels the eager tape and
+the replay executor run) on fresh per-call buffers in the artifact's own
+dtype.  The compiled path touches no engine state at all, and concurrent
 forwards need no lock — one servable may be called from several threads at
 once (offline calls next to a live batcher, the old and new batchers of a
 hot swap, ensemble serving next to either).  An unexpected
@@ -44,7 +45,7 @@ import hashlib
 import json
 import os
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,11 +54,12 @@ from ..distill.end_model import EndModel
 from ..ensemble.voting import TagletEnsemble, renormalized_mean
 from ..modules.base import ModelTaglet, Taglet
 from ..modules.zsl_kg import ZslKgTaglet
-from ..nn.modules import Identity, Linear, MLP, ReLU, Sequential
+from ..nn.modules import op_of
+from ..nn.ops import Frame
 from ..nn.serialization import (load_state_dict, save_state_dict,
                                 state_dict_digest, state_dict_manifest,
                                 validate_state_dict)
-from ..nn.tensor import default_dtype
+from ..nn.tensor import Tensor, default_dtype, no_grad, trace_ops
 from ..nn.training import predict_logits, softmax_rows
 from .batching import run_at_quantum
 
@@ -340,56 +342,33 @@ def read_manifest(path: str) -> dict:
 # --------------------------------------------------------------------------- #
 # Compiled forwards
 # --------------------------------------------------------------------------- #
-def _compile_forward(model: ClassificationModel) -> Optional[
-        Callable[[np.ndarray], np.ndarray]]:
-    """Flatten a Linear/ReLU model into a raw-NumPy kernel plan.
+def _leaf_chain(model: ClassificationModel, dtype) -> Optional[list]:
+    """The model's forward as a chain of table ops, or None.
 
-    The plan replays the engine's inference ops bit-for-bit — ``x @ W`` then
-    ``+= b`` (:func:`repro.nn.functional.linear`) and ``maximum(x, 0)``
-    (``Tensor.relu``) — in the weights' own dtype, touching no engine state:
-    no tape, no default-dtype scope, no lock.  Concurrent calls are safe
-    (the plan only reads the weight arrays), which is what lets offline
-    calls, ensemble serving and a hot swap's old and new batchers share one
-    servable.  Returns ``None`` when the model
-    contains a layer the compiler does not know, and the servable falls back
-    to the tape-based module forward.
+    Traces one eval forward and keeps it when every traced op is a leaf
+    layer of the op table (:mod:`repro.nn.ops`) fed by the previous one,
+    from the input to the output.  Returns ``(op, frame attributes)`` per
+    leaf; :meth:`ServableModel._forward` runs them on fresh frames.
     """
-    steps: List[Tuple[str, Optional[np.ndarray], Optional[np.ndarray]]] = []
-
-    def add(module) -> bool:
-        if isinstance(module, Linear):
-            bias = module.bias.data if module.bias is not None else None
-            steps.append(("linear", module.weight.data, bias))
-        elif isinstance(module, ReLU):
-            steps.append(("relu", None, None))
-        elif isinstance(module, Identity):
-            pass
-        elif isinstance(module, Sequential):
-            return all(add(layer) for layer in module.layers)
-        elif isinstance(module, MLP):
-            return add(module.net)
-        else:
-            return False
-        return True
-
-    encoder = model.encoder
-    if type(encoder) is not Encoder or type(model) is not ClassificationModel:
-        return None
-    if not (add(encoder.trunk) and add(encoder.activation) and add(model.head)):
-        return None
-
-    def forward(features: np.ndarray) -> np.ndarray:
-        out = features
-        for kind, weight, bias in steps:
-            if kind == "linear":
-                out = out @ weight
-                if bias is not None:
-                    out += bias
-            else:
-                out = np.maximum(out, 0)
-        return out
-
-    return forward
+    records: list = []
+    probe = np.zeros((2, model.encoder.spec.input_dim), dtype=dtype)
+    with default_dtype(dtype), no_grad(), trace_ops(records):
+        current = root = Tensor(probe)
+        out = model(root)
+    chain = []
+    for rec in records:
+        if rec[0] != "module":
+            return None
+        module, inp, produced = rec[1:]
+        op = op_of(module)
+        if op is None or produced is inp:
+            continue  # a container, or an identity
+        if inp is not current:
+            return None
+        chain.append((op, {"layer": module, "cast": dtype, "p": tuple(
+            getattr(module, name) for name in op.params)}))
+        current = produced
+    return chain if current is out else None
 
 
 # --------------------------------------------------------------------------- #
@@ -436,10 +415,11 @@ class ServableModel(Servable):
     """An inference-only end model reconstructed from an artifact.
 
     The wrapped model is permanently in eval mode and never builds a
-    backward tape.  Forwards run through the compiled raw-NumPy plan (see
-    :func:`_compile_forward`) — lock-free and safe to call concurrently —
-    falling back to the tape-based module forward under the engine-wide
-    dtype lock for architectures the compiler does not know.
+    backward tape.  Forwards run the model's leaf layers through the op
+    table's forward kernels (see :func:`_leaf_chain`) with per-call outputs —
+    lock-free and safe to call concurrently — falling back to the
+    tape-based module forward under a context-local dtype scope for a model
+    that is not a plain chain of table ops.
     ``fingerprint`` (the artifact's weight digest) keys prediction caches
     and identifies the exact weights a response came from.
     """
@@ -455,7 +435,7 @@ class ServableModel(Servable):
         self.fingerprint: str = manifest["weights_digest"]
         # ``compiled=False`` forces the tape-based module forward (the serving
         # benchmark uses it to keep a history-comparable naive baseline).
-        self._compiled = _compile_forward(model) if compiled else None
+        self._compiled = _leaf_chain(model, self.dtype) if compiled else None
 
     @property
     def num_classes(self) -> int:
@@ -467,7 +447,7 @@ class ServableModel(Servable):
 
     @property
     def compiled(self) -> bool:
-        """Whether forwards run the lock-free compiled kernel plan."""
+        """Whether forwards run the lock-free chain of table kernels."""
         return self._compiled is not None
 
     def predict_logits(self, features: np.ndarray,
@@ -502,7 +482,13 @@ class ServableModel(Servable):
 
     def _forward(self, features: np.ndarray) -> np.ndarray:
         if self._compiled is not None:
-            return self._compiled(features)
+            for op, attrs in self._compiled:
+                frame = Frame()
+                frame.__dict__.update(attrs)
+                frame.x = features
+                op.forward(frame)
+                features = frame.out
+            return features
         with default_dtype(self.dtype):
             return predict_logits(self._model, features, batch_size=None)
 

@@ -376,6 +376,24 @@ def case_l2_loss(rng):
             lambda x: float(((x - t) ** 2).sum(axis=-1).mean()))
 
 
+def case_dropout(rng):
+    """Dropout in training mode: the mask, drawn from a seeded layer RNG,
+    is a constant of the case."""
+    from repro.nn.modules import Dropout
+
+    shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+    x = rng.normal(size=shape)
+    weights = rng.normal(size=shape)
+    seed, p = int(rng.integers(2 ** 31)), 0.4
+    mask = (np.random.default_rng(seed).random(shape) < 1 - p) / (1 - p)
+
+    def tensor_fn(xt):
+        dropout = Dropout(p, rng=np.random.default_rng(seed))
+        return (dropout(xt) * Tensor(weights.astype(xt.dtype))).sum()
+
+    return ([x], tensor_fn, lambda x_: float((x_ * mask * weights).sum()))
+
+
 def _bn_forward_frozen(x, gamma, beta, mean, var, eps=1e-5):
     """The engine's BatchNorm1d forward with *fixed* statistics."""
     scale = 1.0 / np.sqrt(var + eps)
@@ -515,9 +533,20 @@ ALL_CASES = [
     case_log_softmax, case_softmax, case_linear,
     case_cross_entropy, case_cross_entropy_weighted,
     case_soft_cross_entropy, case_nll_loss, case_mse_loss, case_l2_loss,
-    case_batchnorm_train, case_batchnorm_eval,
+    case_dropout, case_batchnorm_train, case_batchnorm_eval,
     case_fanout_shared_hidden, case_fanin_two_losses, case_reused_tensor,
 ]
+
+#: the case for each entry of the op table (``repro.nn.ops.TABLE``);
+#: ``tests/nn/test_op_table.py`` checks that one exists for every entry
+#: and that it runs the entry's forward and every VJP kernel
+TABLE_CASES = {
+    "linear": case_linear, "relu": case_relu, "tanh": case_tanh,
+    "dropout": case_dropout, "batchnorm": case_batchnorm_train,
+    "add": case_add, "mul": case_mul,
+    "cross_entropy": case_cross_entropy_weighted,
+    "soft_cross_entropy": case_soft_cross_entropy, "sqerr": case_l2_loss,
+}
 
 #: ops with both fused kernels and primitive-composed reference paths
 FUSED_CASES = [case_linear, case_cross_entropy, case_cross_entropy_weighted,

@@ -20,7 +20,7 @@ from repro.nn import (MLP, Adam, GraphReplay, SGD, Tensor, TrainConfig,
 from repro.nn import functional as F
 from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
                               Sequential, Tanh)
-from repro.nn.replay import _ReLUStep
+from repro.nn import ops
 
 DTYPES = [
     pytest.param(np.float64, id="float64"),
@@ -600,13 +600,14 @@ REUSE_CASES = {
 
 def _relu_nodes(stepper, kind):
     """The ReLU kernels of the stepper's ``kind`` plans (train/eval/fwd)."""
-    return [f.__self__ for sig, plan in stepper._plans.items()
-            if sig[0] == kind for f in plan._forwards
-            if isinstance(f.__self__, _ReLUStep)]
+    return [node for sig, plan in stepper._plans.items()
+            if sig[0] == kind for _, node in plan._forwards
+            if node.op is ops.RELU]
 
 
 def _in_place(node):
-    return node.out is getattr(node._src, "out", None)
+    (src, _), = node.srcs.values()
+    return node.out is getattr(src, "out", None)
 
 
 class TestReluBufferReuse:
@@ -661,3 +662,83 @@ class TestReluBufferReuse:
         assert compiled == [eager] * 3
         (relu,) = _relu_nodes(stepper, "fwd")
         assert not _in_place(relu)
+
+
+# --------------------------------------------------------------------------- #
+# One case per op-table entry
+# --------------------------------------------------------------------------- #
+
+
+def _ce_step(model, batch):
+    return F.cross_entropy(model(batch["x"]), batch["y"])
+
+
+def _soft_step(model, batch):
+    return F.soft_cross_entropy(model(batch["x"]), batch["probs"].data)
+
+
+def _sqerr_step(model, batch):
+    return F.l2_loss(model(batch["x"]), batch["target"].data)
+
+
+def _glue_step(model, batch):
+    logits = model(batch["x"])
+    return F.cross_entropy(logits, batch["y"]) \
+        + batch["c"] * F.mse_loss(logits, batch["target"].data)
+
+
+def _mlp(rng):
+    return Sequential(Linear(10, 16, rng=rng), ReLU(), Linear(16, 4, rng=rng))
+
+
+def _with(middle):
+    return lambda rng: Sequential(Linear(10, 16, rng=rng), middle(rng),
+                                  Linear(16, 4, rng=rng))
+
+
+#: op-table entry -> (model factory, step function) of a case whose
+#: compiled plan runs that op; ``tests/nn/test_op_table.py`` checks that
+#: every entry of ``repro.nn.ops.TABLE`` has one
+TABLE_CASES = {
+    "linear": (_mlp, _ce_step),
+    "relu": (_mlp, _ce_step),
+    "tanh": (_with(lambda rng: Tanh()), _ce_step),
+    "dropout": (_with(lambda rng: Dropout(0.3, rng=np.random.default_rng(5))),
+                _ce_step),
+    "batchnorm": (_with(lambda rng: BatchNorm1d(16)), _ce_step),
+    "add": (_mlp, _glue_step),
+    "mul": (_mlp, _glue_step),
+    "cross_entropy": (_mlp, _ce_step),
+    "soft_cross_entropy": (_mlp, _soft_step),
+    "sqerr": (_mlp, _sqerr_step),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_table_op_replays_bit_identical_to_eager(name, dtype):
+    make, step = TABLE_CASES[name]
+    rng = np.random.default_rng(50)
+    batch = {"x": rng.normal(size=(24, 10)),
+             "y": rng.integers(0, 4, size=24),
+             "probs": rng.dirichlet(np.ones(4), size=24),
+             "target": rng.normal(size=(24, 4)),
+             "c": np.asarray(0.5)}
+
+    def run(replay):
+        with _dtype_scope(dtype):
+            model = make(np.random.default_rng(51))
+            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2),
+                                  enabled=replay)
+            losses = [stepper.step_fn(step, batch) for _ in range(5)]
+        return (_params(model), _bn_stats(model), losses), stepper
+
+    (replayed, stats_r, losses_r), stepper = run(True)
+    (eager, stats_e, losses_e), _ = run(False)
+    _assert_bit_identical(replayed, eager)
+    for (mean_r, var_r), (mean_e, var_e) in zip(stats_r, stats_e):
+        _assert_bit_identical([mean_r, var_r], [mean_e, var_e])
+    assert losses_r == losses_e
+    assert stepper.stats.eager_steps == 0 and stepper.stats.replays == 4
+    (plan,) = stepper._plans.values()
+    assert any(node.op is ops.TABLE[name] for _, node in plan._forwards)

@@ -13,9 +13,9 @@ import pytest
 from repro.modules.fixmatch import _two_view_step as _two_view
 from repro.nn import MLP, SGD, Adam, GraphReplay
 from repro.nn import functional as F
+from repro.nn import ops
 from repro.nn import replay as replay_module
 from repro.nn.modules import BatchNorm1d, Linear, ReLU, Sequential
-from repro.nn.replay import _AddStep, _MulStep
 
 
 def _params(model):
@@ -81,14 +81,14 @@ class TestLossElision:
             plans[fn] = _only_plan(stepper)
 
         def glue(forwards):
-            return sorted(type(f.__self__).__name__ for f in forwards
-                          if isinstance(f.__self__, (_AddStep, _MulStep)))
+            return sorted(node.op.name for _, node in forwards
+                          if node.op in (ops.ADD, ops.MUL))
 
         # Weighted sum: both loss scalars and the add/mul that combine them
         # are unread.
         two_view = plans[_two_view]
         assert len(two_view._value_losses) == 2
-        assert glue(two_view._forwards) == ["_AddStep", "_MulStep"]
+        assert glue(two_view._forwards) == ["add", "mul"]
         assert glue(two_view._lean_forwards) == []
         # Product of losses: the mul's backward reads both loss values, so
         # only the root mul itself is skipped.
