@@ -19,14 +19,15 @@ consumers), fan-in (summed / weighted-sum losses), and weight sharing (the
 same layer applied to several inputs, as in FixMatch's two-view consistency
 step), with gradient contributions written once and accumulated thereafter
 in exactly the eager backward order.  Every later step with the same
-signature replays raw NumPy kernels bound to preallocated buffers: no
-tensors, no closures, no tape, no topological sort.  The arithmetic is
-kernel-for-kernel identical to the fused eager path, so replayed training is
-bit-identical to eager training (asserted by ``tests/nn/test_replay.py`` and
-``tests/nn/test_replay_dag.py``).  One buffer-reuse rule shrinks the working
-set: a ReLU whose input is a ``Linear`` output read by nothing else, with
-neither node the plan root, runs in place over that output and shares its
-grad buffer with the ``Linear`` (:func:`_reuse_relu_buffers`).
+signature replays the op table's kernels (:mod:`repro.nn.ops`) on buffers
+the table's rules preallocated: no tensors, no closures, no tape, no
+topological sort.  The fused eager path runs the same kernels on fresh
+buffers, so replayed training is bit-identical to eager training (asserted
+by ``tests/nn/test_replay.py`` and ``tests/nn/test_replay_dag.py``).  One
+buffer-reuse rule shrinks the working set: a ReLU whose input is a
+``Linear`` output read by nothing else, with neither node the plan root,
+runs in place over that output and shares its grad buffer with the
+``Linear`` (:func:`_reuse_relu_buffers`).
 
 Fallback rules (checked on *every* step, before replaying; inside
 ``run_epoch`` or an ``epoch()`` scope the model-structure rule is checked
@@ -48,21 +49,16 @@ once per epoch):
   → the signature is marked unsupported and every step with it runs eagerly,
   with the reason recorded in :attr:`ReplayStats.fallbacks`.
 
-Supported leaf layers: ``Linear`` (2-D fused path), ``ReLU``, ``Tanh``,
-``Identity``, ``Dropout`` (in eval mode a no-op; in training mode the mask
-is drawn from the layer's own RNG exactly as the eager forward does, so the
-RNG stream stays aligned), and ``BatchNorm1d`` (train mode recomputes batch
-statistics and updates the running stats exactly as eager does — including
-rebinding fresh running-stat arrays — and eval mode normalizes with the live
-running stats; the backward treats the batch statistics as constants, which
-is the eager engine's semantic).  Supported glue ops: tensor ``+`` and ``*``
-(e.g. summed or weighted-sum losses).  Supported losses: the fused
-``cross_entropy`` (hard targets, with optional per-sample weights),
-``soft_cross_entropy``, and the fused squared-error losses (``l2_loss`` /
-``mse_loss``).  Optimizer updates reuse ``optimizer.step()`` itself —
-gradients are written into preallocated buffers (the optimizer's flat
-gradient views when available) and bound to ``param.grad``, so SGD momentum
-and Adam state evolve exactly as in eager mode.
+Supported ops are the entries of the op table: the leaf layers ``Linear``
+(2-D fused path), ``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
+(``Identity`` and eval-mode ``Dropout`` pass their input through), tensor
+``+`` and ``*`` (e.g. summed or weighted-sum losses), and the fused losses
+``cross_entropy`` (optionally per-sample weighted), ``soft_cross_entropy``
+and the squared-error losses (``l2_loss`` / ``mse_loss``).  Optimizer
+updates reuse ``optimizer.step()`` itself — gradients are written into
+preallocated buffers (the optimizer's flat gradient views when available)
+and bound to ``param.grad``, so SGD momentum and Adam state evolve exactly
+as in eager mode.
 
 Beyond the classic ``step(x, y)`` chain API, the executor exposes:
 

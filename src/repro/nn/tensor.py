@@ -568,8 +568,7 @@ def apply(op: ops.Op, inputs: Tuple[Tensor, ...],
     for name, tensor in zip(op.inputs, inputs):
         setattr(n, name, tensor.data)
     n.p = params
-    for name, value in attrs.items():
-        setattr(n, name, value)
+    vars(n).update(attrs)
     parents = inputs + tuple(p for p in params if p is not None)
     requires = any(p.requires_grad for p in parents) and is_grad_enabled()
     n.train = requires
