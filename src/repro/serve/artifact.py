@@ -347,8 +347,8 @@ def _leaf_chain(model: ClassificationModel, dtype) -> Optional[list]:
 
     Traces one eval forward and keeps it when every traced op is a leaf
     layer of the op table (:mod:`repro.nn.ops`) fed by the previous one,
-    from the input to the output.  Returns ``(op, frame attributes)`` per
-    leaf; :meth:`ServableModel._forward` runs them on fresh frames.
+    from the input to the output.  Returns ``(op, frame class)`` per leaf;
+    :meth:`ServableModel._forward` runs each op on a fresh frame.
     """
     records: list = []
     probe = np.zeros((2, model.encoder.spec.input_dim), dtype=dtype)
@@ -365,8 +365,11 @@ def _leaf_chain(model: ClassificationModel, dtype) -> Optional[list]:
             continue  # a container, or an identity
         if inp is not current:
             return None
-        chain.append((op, {"layer": module, "cast": dtype, "p": tuple(
-            getattr(module, name) for name in op.params)}))
+        # A frame class per leaf carries its parameters, so a call only
+        # instantiates it and sets its input.
+        chain.append((op, type("LeafFrame", (Frame,), {
+            "layer": module, "cast": dtype,
+            "p": tuple(getattr(module, name) for name in op.params)})))
         current = produced
     return chain if current is out else None
 
@@ -482,9 +485,8 @@ class ServableModel(Servable):
 
     def _forward(self, features: np.ndarray) -> np.ndarray:
         if self._compiled is not None:
-            for op, attrs in self._compiled:
-                frame = Frame()
-                frame.__dict__.update(attrs)
+            for op, leaf_frame in self._compiled:
+                frame = leaf_frame()
                 frame.x = features
                 op.forward(frame)
                 features = frame.out
