@@ -410,7 +410,7 @@ def _compile(records: List[tuple], root: Tensor,
     for idx, rec in enumerate(records):
         decoded = _record_op(rec)
         if decoded is not None:
-            prod[id(rec[-1])] = (idx, rec, decoded)
+            prod[id(rec[-1])] = (idx, decoded)
 
     nodes: Dict[int, object] = {}
     built: List[_Node] = []
@@ -447,7 +447,7 @@ def _compile(records: List[tuple], root: Tensor,
             raise ReplayUnsupported(
                 "tensor produced outside the replayable op set "
                 "(custom tensor math or a constant created in the step?)")
-        idx, rec, (op, module, ins, extra) = entry
+        idx, (op, module, ins, extra) = entry
         node = _Node(op, idx, bool(t.requires_grad) and train)
         node.cast = cast
         if module is not None:
@@ -462,16 +462,17 @@ def _compile(records: List[tuple], root: Tensor,
         if op.scalar:
             if arrays["x"].ndim != 2:
                 raise ReplayUnsupported("losses replay on 2-D logits only")
-            targets, weights = extra
+            # The record's extra is the sample weights, or squared error's
+            # denominator.
+            targets, aux = extra
             input_sites.append((node, "t", key_for(targets, "loss targets"),
                                 np.asarray(targets).dtype))
             if op is ops.SQERR:
-                node.denom = float(weights)
-            elif weights is not None:
+                node.denom = float(aux)
+            elif aux is not None:
                 input_sites.append((node, "w",
-                                    key_for(weights, "loss sample weights"),
-                                    None))
-                arrays["w"] = weights
+                                    key_for(aux, "loss sample weights"), None))
+                arrays["w"] = aux
         op.alloc(node, arrays, t.data)
         nodes[tid] = node
         built.append(node)
