@@ -60,7 +60,8 @@ class Frame:
     #: a loss must produce its scalar (the replay elides unread ones)
     train = False
     need_value = True
-    #: buffers
+    #: buffers (a forward also stashes what its VJPs read, e.g. a loss's
+    #: ``denom`` and cast targets ``tv``, before any VJP runs)
     out = mask = tmp = rows = max = shifted = exp = sumexp = logs = None
     prod = tsum = tw = diff = sq = mean = var = scale = negmean = None
     norm = t2 = gmul = None
