@@ -4,7 +4,7 @@ TAGLETS is an automatic semi-supervised learning system that exploits three
 kinds of data at once: limited labeled target data, unlabeled target data,
 and auxiliary data organized in a knowledge-graph-backed repository (SCADS).
 This package rebuilds the entire system — and every substrate it depends on —
-in pure NumPy/SciPy/networkx:
+on NumPy and the Python standard library alone:
 
 * :mod:`repro.nn` — autograd, layers, optimizers, data pipeline,
 * :mod:`repro.kg` — the ConceptNet-analog knowledge graph and embeddings,

@@ -17,14 +17,14 @@ both ingredients:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
 from .graph import KnowledgeGraph, Relation
 
-__all__ = ["generate_text_embeddings", "retrofit", "normalize_rows"]
+__all__ = ["generate_text_embeddings", "hierarchical_gaussian", "retrofit",
+           "normalize_rows"]
 
 
 def normalize_rows(matrix: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -46,28 +46,51 @@ def generate_text_embeddings(graph: KnowledgeGraph, dim: int = 64,
     """
     if not 0.0 <= inheritance < 1.0:
         raise ValueError("inheritance must be in [0, 1)")
-    rng = np.random.default_rng(seed)
-    embeddings: Dict[str, np.ndarray] = {}
+    return hierarchical_gaussian(graph, dim, inheritance, np.random.default_rng(seed))
+
+
+def hierarchical_gaussian(graph: KnowledgeGraph, dim: int, inheritance: float,
+                          rng: np.random.Generator) -> Dict[str, np.ndarray]:
+    """One standard-normal vector per concept, diffused down the ``IsA`` tree.
+
+    Roots get pure noise; a child reached breadth-first from its parent gets
+    ``inheritance * parent + sqrt(1 - inheritance^2) * noise``; concepts no
+    root reaches get pure noise.  The noise rows are drawn in that visit
+    order (roots, breadth-first children, then the unreached concepts in
+    concept order) with a single ``rng.normal`` call, which fills the array
+    from the generator's stream element by element exactly as one
+    ``size=dim`` draw per concept would, and leaves ``rng`` in the same
+    state.  Children are then combined with their parents one tree level at
+    a time.  Returns the vectors keyed in visit order.
+    """
     noise_scale = np.sqrt(1.0 - inheritance ** 2)
-
-    queue = deque()
-    for root in graph.roots():
-        embeddings[root] = rng.normal(0.0, 1.0, size=dim)
-        queue.append(root)
-    while queue:
-        parent = queue.popleft()
-        for child in graph.children(parent):
-            if child in embeddings:
-                continue
-            noise = rng.normal(0.0, 1.0, size=dim)
-            embeddings[child] = inheritance * embeddings[parent] + noise_scale * noise
-            queue.append(child)
-
-    # Concepts not reachable from a root (isolated nodes) get pure noise.
+    roots = graph.roots()
+    row = {concept: r for r, concept in enumerate(roots)}
+    parents = list(range(len(roots)))   # parent row of each row (roots: own)
+    level_ends: List[int] = []          # end row of each level below the roots
+    level = roots
+    while level:
+        following = []
+        for parent in level:
+            for child in graph.children(parent):
+                if child not in row:
+                    row[child] = len(row)
+                    parents.append(row[parent])
+                    following.append(child)
+        if following:
+            level_ends.append(len(row))
+        level = following
     for concept in graph.concepts:
-        if concept not in embeddings:
-            embeddings[concept] = rng.normal(0.0, 1.0, size=dim)
-    return embeddings
+        if concept not in row:
+            row[concept] = len(row)
+
+    vectors = rng.normal(0.0, 1.0, size=(len(row), dim))
+    start = len(roots)
+    for end in level_ends:
+        above = vectors[parents[start:end]]
+        vectors[start:end] = inheritance * above + noise_scale * vectors[start:end]
+        start = end
+    return {concept: vectors[r] for concept, r in row.items()}
 
 
 def retrofit(graph: KnowledgeGraph,
@@ -144,18 +167,62 @@ def retrofit(graph: KnowledgeGraph,
             pairs = [(j, beta * w) for j, w in raw]
         neighbor_lists.append(pairs)
 
-    for _ in range(iterations):
-        updated = retrofitted.copy()
-        for i, pairs in enumerate(neighbor_lists):
-            if not pairs:
-                continue
-            total_weight = alphas[i]
-            accumulator = alphas[i] * original[i]
-            for j, w in pairs:
-                accumulator = accumulator + w * retrofitted[j]
-                total_weight += w
-            if total_weight > 0:
-                updated[i] = accumulator / total_weight
-        retrofitted = updated
-
+    if iterations > 0:
+        retrofitted = _sweep(retrofitted, original, alphas, neighbor_lists, iterations)
     return {concept: retrofitted[i] for concept, i in index.items()}
+
+
+def _sweep(retrofitted: np.ndarray, original: np.ndarray, alphas: np.ndarray,
+           neighbor_lists, iterations: int) -> np.ndarray:
+    """Run the Jacobi sweeps of :func:`retrofit` over slot arrays.
+
+    Concept ``i`` is updated to
+    ``(alpha_i * e_i + w_1 * r_j1 + ... + w_d * r_jd) / (alpha_i + w_1 + ... + w_d)``,
+    summed left to right in neighbour order, unless it has no neighbours or
+    a non-positive total weight.  Rows are permuted so concepts come in
+    descending neighbour count; slot ``k`` then holds the ``k``-th neighbour
+    of a prefix of the rows, and adding the slots in order performs, for
+    every row, the same float64 multiply-adds in the same order as a loop
+    over that row's neighbours.  The results are therefore bit-identical to
+    the per-concept loop, with one gather, multiply and add per slot.
+    """
+    degrees = np.array([len(pairs) for pairs in neighbor_lists])
+    order = np.argsort(-degrees, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    active = int(np.count_nonzero(degrees))
+
+    cols = [[] for _ in range(int(degrees.max(initial=0)))]
+    weights = [[] for _ in cols]
+    for i in order[:active]:
+        for k, (j, w) in enumerate(neighbor_lists[i]):
+            cols[k].append(position[j])
+            weights[k].append(w)
+    slots = [(np.array(c, dtype=np.intp), np.array(w)[:, None])
+             for c, w in zip(cols, weights)]
+
+    current = retrofitted[order]
+    anchor = alphas[order[:active], None] * original[order[:active]]
+    total = alphas[order[:active]].copy()
+    for _, w in slots:
+        total[:len(w)] += w[:, 0]
+    stale = np.flatnonzero(~(total > 0))
+    total[stale] = 1.0          # these rows keep their value; avoid 0/0
+    total = total[:, None]
+
+    following = current.copy()
+    accumulator = np.empty_like(anchor)
+    gathered = np.empty_like(anchor)
+    for _ in range(iterations):
+        np.copyto(accumulator, anchor)
+        for c, w in slots:
+            rows = len(c)
+            # Indices are in range; "clip" lets take write straight into
+            # ``out`` (the default mode buffers it).
+            np.take(current, c, axis=0, out=gathered[:rows], mode="clip")
+            np.multiply(gathered[:rows], w, out=gathered[:rows])
+            np.add(accumulator[:rows], gathered[:rows], out=accumulator[:rows])
+        np.divide(accumulator, total, out=following[:active])
+        following[stale] = current[stale]
+        current, following = following, current
+    return current[position]

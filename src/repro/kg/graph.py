@@ -2,8 +2,9 @@
 
 The original system uses ConceptNet 5.5, whose nodes are natural-language
 concepts and whose edges carry typed relations (``IsA``, ``RelatedTo``,
-``AtLocation``, ...).  This module provides an equivalent structure on top of
-:mod:`networkx`, with first-class support for the operations SCADS needs:
+``AtLocation``, ...).  This module provides an equivalent structure built on
+insertion-ordered dicts, with first-class support for the operations SCADS
+needs:
 
 * typed, weighted edges between concepts,
 * a distinguished ``IsA`` hierarchy (the WordNet-style semantic tree used by
@@ -15,10 +16,8 @@ concepts and whose edges carry typed relations (``IsA``, ``RelatedTo``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 __all__ = ["Relation", "KnowledgeGraph"]
 
@@ -51,24 +50,39 @@ class KnowledgeGraph:
     relation type and weight; hierarchical ``IsA`` edges are additionally
     tracked in a directed parent->child tree so pruning can remove whole
     subtrees efficiently.
+
+    Every concept is a key of three insertion-ordered dicts: ``_adj``
+    (neighbour -> ``(relation, weight)``), ``_children`` and ``_parents``
+    (both used as ordered sets).  Concept order is insertion order, and each
+    neighbour list is in the order its edges were first added; retrofitting,
+    the ZSL-KG node descriptions and backbone pretraining all read that order.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
-        self._hierarchy = nx.DiGraph()
+        self._adj: Dict[str, Dict[str, Tuple[str, float]]] = {}
+        self._children: Dict[str, Dict[str, None]] = {}
+        self._parents: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def add_concept(self, concept: str, **attrs) -> None:
+    def add_concept(self, concept: str) -> None:
         """Add a concept node (idempotent)."""
-        concept = self.normalize(concept)
-        self._graph.add_node(concept, **attrs)
-        self._hierarchy.add_node(concept)
+        self._add_normalized(self.normalize(concept))
+
+    def _add_normalized(self, concept: str) -> None:
+        if concept not in self._adj:
+            self._adj[concept] = {}
+            self._children[concept] = {}
+            self._parents[concept] = {}
 
     def add_edge(self, source: str, target: str, relation: str = Relation.RELATED_TO,
                  weight: float = 1.0) -> None:
-        """Add a typed edge; ``IsA`` edges also register ``source`` as a child of ``target``."""
+        """Add a typed edge; ``IsA`` edges also register ``source`` as a child of ``target``.
+
+        Re-adding an existing edge overwrites its relation and weight in
+        place, so the neighbour order does not change.
+        """
         source = self.normalize(source)
         target = self.normalize(target)
         if source == target:
@@ -77,12 +91,15 @@ class KnowledgeGraph:
             raise ValueError(f"unknown relation {relation!r}")
         if weight <= 0:
             raise ValueError("edge weight must be positive")
-        self.add_concept(source)
-        self.add_concept(target)
-        self._graph.add_edge(source, target, relation=relation, weight=float(weight))
+        self._add_normalized(source)
+        self._add_normalized(target)
+        data = (relation, float(weight))
+        self._adj[source][target] = data
+        self._adj[target][source] = data
         if relation == Relation.IS_A:
             # "source IsA target" => target is the parent of source.
-            self._hierarchy.add_edge(target, source)
+            self._children[target][source] = None
+            self._parents[source][target] = None
 
     @staticmethod
     def normalize(concept: str) -> str:
@@ -96,59 +113,60 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------ #
     @property
     def concepts(self) -> List[str]:
-        return list(self._graph.nodes)
+        return list(self._adj)
 
     def __contains__(self, concept: str) -> bool:
         try:
-            return self.normalize(concept) in self._graph
+            return self.normalize(concept) in self._adj
         except ValueError:
             return False
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+
+    def _known(self, concept: str) -> str:
+        concept = self.normalize(concept)
+        if concept not in self._adj:
+            raise KeyError(f"unknown concept {concept!r}")
+        return concept
 
     def neighbors(self, concept: str,
                   relations: Optional[Sequence[str]] = None) -> List[Tuple[str, str, float]]:
         """Return ``(neighbor, relation, weight)`` triples of a concept."""
-        concept = self.normalize(concept)
-        if concept not in self._graph:
-            raise KeyError(f"unknown concept {concept!r}")
-        out = []
-        for neighbor, attrs in self._graph[concept].items():
-            relation = attrs.get("relation", Relation.RELATED_TO)
-            if relations is not None and relation not in relations:
-                continue
-            out.append((neighbor, relation, float(attrs.get("weight", 1.0))))
-        return out
+        nbrs = self._adj[self._known(concept)]
+        if relations is None:
+            return [(name, relation, weight) for name, (relation, weight) in nbrs.items()]
+        return [(name, relation, weight) for name, (relation, weight) in nbrs.items()
+                if relation in relations]
 
     def neighbor_names(self, concept: str,
                        relations: Optional[Sequence[str]] = None) -> List[str]:
         return [name for name, _, _ in self.neighbors(concept, relations=relations)]
 
     def degree(self, concept: str) -> int:
-        return int(self._graph.degree(self.normalize(concept)))
+        return len(self._adj[self._known(concept)])
 
     def parent(self, concept: str) -> Optional[str]:
         """Return the ``IsA`` parent of a concept (None for roots)."""
-        concept = self.normalize(concept)
-        predecessors = list(self._hierarchy.predecessors(concept))
-        if not predecessors:
-            return None
-        return predecessors[0]
+        return next(iter(self._parents[self._known(concept)]), None)
 
     def children(self, concept: str) -> List[str]:
-        concept = self.normalize(concept)
-        return list(self._hierarchy.successors(concept))
+        return list(self._children[self._known(concept)])
 
     def descendants(self, concept: str) -> Set[str]:
         """All concepts below ``concept`` in the semantic tree (excluding itself)."""
-        concept = self.normalize(concept)
-        if concept not in self._hierarchy:
-            raise KeyError(f"unknown concept {concept!r}")
-        return set(nx.descendants(self._hierarchy, concept))
+        found: Set[str] = set()
+        stack = [self._known(concept)]
+        while stack:
+            for child in self._children[stack.pop()]:
+                if child not in found:
+                    found.add(child)
+                    stack.append(child)
+        found.discard(concept)
+        return found
 
     def ancestors(self, concept: str) -> List[str]:
         """Path of ancestors from the immediate parent up to the root."""
@@ -160,17 +178,35 @@ class KnowledgeGraph:
         return out
 
     def roots(self) -> List[str]:
-        return [n for n in self._hierarchy.nodes if self._hierarchy.in_degree(n) == 0]
+        return [concept for concept, parents in self._parents.items() if not parents]
 
     def shortest_path_length(self, source: str, target: str) -> int:
-        """Unweighted hop distance over all edge types."""
-        return int(nx.shortest_path_length(self._graph, self.normalize(source),
-                                           self.normalize(target)))
+        """Unweighted hop distance over all edge types (breadth-first search)."""
+        source, target = self._known(source), self._known(target)
+        distance = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                return distance[node]
+            for neighbor in self._adj[node]:
+                if neighbor not in distance:
+                    distance[neighbor] = distance[node] + 1
+                    queue.append(neighbor)
+        raise ValueError(f"no path between {source!r} and {target!r}")
 
     def edges(self) -> Iterator[Tuple[str, str, str, float]]:
-        """Iterate ``(u, v, relation, weight)`` over all edges."""
-        for u, v, attrs in self._graph.edges(data=True):
-            yield u, v, attrs.get("relation", Relation.RELATED_TO), float(attrs.get("weight", 1.0))
+        """Iterate ``(u, v, relation, weight)`` over all edges.
+
+        Each edge is reported once, from whichever endpoint comes first in
+        concept order.
+        """
+        seen: Set[str] = set()
+        for u, nbrs in self._adj.items():
+            for v, (relation, weight) in nbrs.items():
+                if v not in seen:
+                    yield u, v, relation, weight
+            seen.add(u)
 
     # ------------------------------------------------------------------ #
     # Mutation (pruning, SCADS extensibility)
@@ -180,33 +216,48 @@ class KnowledgeGraph:
         removed = 0
         for concept in list(concepts):
             concept = self.normalize(concept)
-            if concept in self._graph:
-                self._graph.remove_node(concept)
-                removed += 1
-            if concept in self._hierarchy:
-                self._hierarchy.remove_node(concept)
+            if concept not in self._adj:
+                continue
+            for neighbor in self._adj.pop(concept):
+                del self._adj[neighbor][concept]
+            for child in self._children.pop(concept):
+                del self._parents[child][concept]
+            for parent in self._parents.pop(concept):
+                del self._children[parent][concept]
+            removed += 1
         return removed
 
     def copy(self) -> "KnowledgeGraph":
-        duplicate = KnowledgeGraph()
-        duplicate._graph = self._graph.copy()
-        duplicate._hierarchy = self._hierarchy.copy()
-        return duplicate
+        return self._induced(self._adj)
 
     def subgraph(self, concepts: Iterable[str]) -> "KnowledgeGraph":
-        """Graph induced on the given concepts."""
+        """Graph induced on the given concepts (kept in this graph's order)."""
         keep = {self.normalize(c) for c in concepts}
+        return self._induced(keep)
+
+    def _induced(self, keep) -> "KnowledgeGraph":
+        """A new graph on the concepts in ``keep``, built by re-adding edges.
+
+        Concepts are visited in order and each one's neighbours in order, so
+        an edge ``u-v`` lands at the end of both lists the first time either
+        endpoint meets it.  This re-orders neighbour lists relative to
+        ``self`` (a neighbour added early from the far side moves up), and
+        that is the order retrofitting and the ZSL-KG descriptions read on
+        pruned copies, so it is kept exactly.
+        """
         duplicate = KnowledgeGraph()
-        duplicate._graph = self._graph.subgraph(keep).copy()
-        duplicate._hierarchy = self._hierarchy.subgraph(keep).copy()
+        for concept in self._adj:
+            if concept in keep:
+                duplicate._add_normalized(concept)
+        adj = duplicate._adj
+        for u in adj:
+            for v, data in self._adj[u].items():
+                if v in adj:
+                    adj[u][v] = data
+                    adj[v][u] = data
+        for u in adj:
+            for v in self._children[u]:
+                if v in adj:
+                    duplicate._children[u][v] = None
+                    duplicate._parents[v][u] = None
         return duplicate
-
-    # ------------------------------------------------------------------ #
-    # Interop
-    # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.Graph:
-        """Return the underlying undirected graph (a copy)."""
-        return self._graph.copy()
-
-    def hierarchy_to_networkx(self) -> nx.DiGraph:
-        return self._hierarchy.copy()

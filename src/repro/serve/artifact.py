@@ -288,11 +288,18 @@ def read_manifest(path: str) -> dict:
     if not os.path.isdir(path) or not os.path.exists(manifest_path):
         raise ArtifactError(f"no servable artifact at {path!r} "
                             f"(expected a directory containing {MANIFEST_NAME})")
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        try:
-            manifest = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise ArtifactError(f"corrupt manifest at {manifest_path}: {error}")
+    with open(manifest_path, "rb") as handle:
+        raw = handle.read()
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise ArtifactError(f"corrupt manifest at {manifest_path}: {error}")
+    except RecursionError:
+        raise ArtifactError(f"corrupt manifest at {manifest_path}: "
+                            f"nested too deeply")
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"corrupt manifest at {manifest_path}: expected "
+                            f"a JSON object, got {type(manifest).__name__}")
     version = manifest.get("schema_version")
     if version not in _SUPPORTED_VERSIONS:
         raise ArtifactError(

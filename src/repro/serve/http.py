@@ -135,6 +135,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._send_error_json(400, f"invalid JSON body: {error}")
             return None
+        except RecursionError:
+            self._send_error_json(400, "invalid JSON body: nested too deeply")
+            return None
         if not isinstance(payload, dict):
             self._send_error_json(400, "JSON body must be an object")
             return None

@@ -23,12 +23,12 @@ Consequences (verified by tests):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..kg.embeddings import generate_text_embeddings, hierarchical_gaussian
 from ..kg.graph import KnowledgeGraph, Relation
 from .domains import DomainShift, NaturalDomain, build_domain
 
@@ -75,8 +75,6 @@ class VisualWorld:
         self.graph = graph
         self.spec = spec or WorldSpec()
         if semantic_embeddings is None:
-            from ..kg.embeddings import generate_text_embeddings
-
             semantic_embeddings = generate_text_embeddings(
                 graph, dim=self.spec.semantic_dim, seed=self.spec.seed)
         self._semantic = {KnowledgeGraph.normalize(k): np.asarray(v, dtype=np.float64)
@@ -91,26 +89,9 @@ class VisualWorld:
         spec = self.spec
         rng = np.random.default_rng(spec.seed)
         dim = spec.image_dim
-        noise_scale = np.sqrt(1.0 - spec.inheritance ** 2)
 
         # Hierarchy-diffused component (idiosyncratic but taxonomically smooth).
-        hierarchical: Dict[str, np.ndarray] = {}
-        queue = deque()
-        for root in self.graph.roots():
-            hierarchical[root] = rng.normal(0.0, 1.0, size=dim)
-            queue.append(root)
-        while queue:
-            parent = queue.popleft()
-            for child in self.graph.children(parent):
-                if child in hierarchical:
-                    continue
-                noise = rng.normal(0.0, 1.0, size=dim)
-                hierarchical[child] = (spec.inheritance * hierarchical[parent]
-                                       + noise_scale * noise)
-                queue.append(child)
-        for concept in self.graph.concepts:
-            if concept not in hierarchical:
-                hierarchical[concept] = rng.normal(0.0, 1.0, size=dim)
+        hierarchical = hierarchical_gaussian(self.graph, dim, spec.inheritance, rng)
 
         # Semantic component: a fixed random projection of the concept embedding.
         semantic_dims = {len(v) for v in self._semantic.values()}

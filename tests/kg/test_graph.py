@@ -77,6 +77,13 @@ class TestQueries:
     def test_shortest_path(self, small_graph):
         assert small_graph.shortest_path_length("cling_film", "stone") == 3
 
+    def test_shortest_path_needs_a_path_and_known_concepts(self, small_graph):
+        small_graph.add_concept("island")
+        with pytest.raises(ValueError):
+            small_graph.shortest_path_length("island", "stone")
+        with pytest.raises(KeyError):
+            small_graph.shortest_path_length("atlantis", "stone")
+
     def test_edges_iterator(self, small_graph):
         edges = list(small_graph.edges())
         assert len(edges) == small_graph.num_edges()
@@ -105,8 +112,69 @@ class TestMutation:
         assert len(sub) == 3
         assert sub.children("plastic") == ["cling_film"]
 
-    def test_to_networkx_copies(self, small_graph):
-        nx_graph = small_graph.to_networkx()
-        nx_graph.remove_node("plastic")
-        assert "plastic" in small_graph
-        assert small_graph.hierarchy_to_networkx().has_edge("material", "plastic")
+
+
+def order_graph():
+    """Edges added so that re-adding them node by node reorders some lists."""
+    graph = KnowledgeGraph()
+    graph.add_edge("b", "c")
+    graph.add_edge("a", "c", relation=Relation.USED_FOR)
+    graph.add_edge("a", "b", relation=Relation.IS_A)
+    graph.add_edge("d", "a", relation=Relation.IS_A)
+    graph.add_edge("d", "c", relation=Relation.IS_A)
+    graph.add_edge("e", "b")
+    graph.add_edge("d", "b", weight=2.0)
+    return graph
+
+
+def layout(graph):
+    return {concept: (graph.neighbor_names(concept), graph.children(concept),
+                      graph.parent(concept))
+            for concept in graph.concepts}
+
+
+class TestCopyOrder:
+    """``copy()``/``subgraph()`` re-add edges concept by concept, neighbour by
+    neighbour; the lists below are the order that rule gives (and the order
+    the previous networkx-backed graph gave), which pruned copies feed to
+    retrofitting and the ZSL-KG node descriptions."""
+
+    def test_original_keeps_insertion_order(self):
+        graph = order_graph()
+        assert graph.concepts == ["b", "c", "a", "d", "e"]
+        assert layout(graph) == {
+            "b": (["c", "a", "e", "d"], ["a"], None),
+            "c": (["b", "a", "d"], ["d"], None),
+            "a": (["c", "b", "d"], ["d"], "b"),
+            "d": (["a", "c", "b"], [], "a"),
+            "e": (["b"], [], None),
+        }
+
+    def test_copy_reorders_like_re_adding_edges(self):
+        duplicate = order_graph().copy()
+        assert duplicate.concepts == ["b", "c", "a", "d", "e"]
+        assert layout(duplicate) == {
+            "b": (["c", "a", "e", "d"], ["a"], None),
+            "c": (["b", "a", "d"], ["d"], None),
+            "a": (["b", "c", "d"], ["d"], "b"),
+            "d": (["b", "c", "a"], [], "c"),
+            "e": (["b"], [], None),
+        }
+        assert duplicate.roots() == ["b", "c", "e"]
+        assert duplicate.neighbors("d")[0] == ("b", Relation.RELATED_TO, 2.0)
+
+    def test_subgraph_keeps_graph_order(self):
+        sub = order_graph().subgraph(["d", "c", "b", "a"])
+        assert sub.concepts == ["b", "c", "a", "d"]
+        assert layout(sub) == {
+            "b": (["c", "a", "d"], ["a"], None),
+            "c": (["b", "a", "d"], ["d"], None),
+            "a": (["b", "c", "d"], ["d"], "b"),
+            "d": (["b", "c", "a"], [], "c"),
+        }
+        assert sub.num_edges() == 6
+
+    def test_copy_of_a_copy_is_stable(self):
+        once = order_graph().copy()
+        assert layout(once.copy()) == layout(once)
+        assert list(once.copy().edges()) == list(once.edges())

@@ -159,6 +159,18 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="corrupt manifest"):
             load_servable(artifact_dir)
 
+    @pytest.mark.parametrize("content", [
+        b"[]",                                      # AttributeError on .get
+        b'{"schema_version": "\xff\xfe"}',        # UnicodeDecodeError
+        b'{"members": ' + b"[" * 5000 + b"]" * 5000 + b"}",   # RecursionError
+    ], ids=["not-an-object", "not-utf8", "nested-too-deeply"])
+    def test_tampered_manifest_is_an_artifact_error(self, artifact_dir,
+                                                    content):
+        with open(os.path.join(artifact_dir, MANIFEST_NAME), "wb") as handle:
+            handle.write(content)
+        with pytest.raises(ArtifactError, match="corrupt manifest"):
+            load_servable(artifact_dir)
+
     def test_unknown_schema_version(self, artifact_dir):
         manifest_path = os.path.join(artifact_dir, MANIFEST_NAME)
         with open(manifest_path) as handle:

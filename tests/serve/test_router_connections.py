@@ -112,3 +112,14 @@ def test_router_refuses_an_overflowing_integer_input_without_a_hop(
     assert status == 400
     assert "numeric" in payload["error"]
     assert app.calls == 0
+
+
+def test_router_refuses_a_deeply_nested_body_without_a_hop(counted_replica):
+    # json.loads raised RecursionError past the handler, and the client saw
+    # a dropped connection.
+    app, address, _ = counted_replica
+    status, payload = _post_to_router(
+        address, '{"inputs": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert status == 400
+    assert "nested too deeply" in payload["error"]
+    assert app.calls == 0

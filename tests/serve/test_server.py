@@ -254,7 +254,9 @@ class TestHttpEndpoint:
         httpd.shutdown()
 
     def _post(self, url, payload, timeout=10):
-        body = json.dumps(payload).encode("utf-8")
+        """POST ``payload`` as JSON; ``bytes`` are sent as the raw body."""
+        body = (payload if isinstance(payload, bytes)
+                else json.dumps(payload).encode("utf-8"))
         request = urllib.request.Request(
             f"{url}/predict", data=body,
             headers={"Content-Type": "application/json"})
@@ -338,6 +340,10 @@ class TestHttpEndpoint:
         # An integer too large for a float raised OverflowError past the
         # handler and the client saw a dropped connection.
         ({"inputs": [[10 ** 400] * 24]}, "numeric"),
+        # A 10 KB body nested 5 000 deep raised RecursionError in json.loads
+        # past the handler, and the client saw a dropped connection.
+        pytest.param(b'{"inputs": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+                     "nested too deeply", id="nested-too-deeply"),
     ])
     def test_bad_requests_are_400(self, endpoint, payload, fragment):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -1,16 +1,18 @@
-"""Packaging sanity: metadata and the NumPy-only engine contract.
+"""Packaging sanity: metadata and the NumPy-only contract.
 
-``repro.nn`` — the training engine every module, baseline, and the end
-model run through — must be installable with no extras: its modules may
-import only the standard library, NumPy, and ``repro.nn`` itself (no
-reaching into sibling subpackages that pull in scipy/networkx).
-``setup.py`` must carry real metadata (it used to defer to a
-``pyproject.toml`` that did not exist).
+``setup.py`` declares NumPy as the only dependency, so every ``repro``
+module must import with nothing but the standard library and NumPy
+installed.  ``repro.nn`` — the training engine every module, baseline, and
+the end model run through — is held to more: it may import only the
+standard library, NumPy, and ``repro.nn`` itself.  ``setup.py`` must carry
+real metadata (it used to defer to a ``pyproject.toml`` that did not exist).
 """
 
 import ast
 import os
+import subprocess
 import sys
+import textwrap
 
 import repro
 import repro.nn
@@ -70,6 +72,43 @@ class TestExtrasFreeInstall:
         assert hasattr(repro.nn, "Tensor")
         assert hasattr(repro.nn, "no_grad")
         assert hasattr(repro.nn, "set_default_dtype")
+
+
+#: Imports every ``repro`` module with a ``sys.meta_path`` finder in front
+#: that refuses any top-level module outside the standard library and NumPy,
+#: as if nothing else were installed.  Run in a fresh interpreter so no
+#: module is already cached in ``sys.modules``.
+HERMETIC_IMPORT = textwrap.dedent("""
+    import importlib, pkgutil, sys
+
+    ALLOWED = set(sys.stdlib_module_names) | {"numpy", "repro"}
+
+    class Refuse:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] not in ALLOWED:
+                raise ModuleNotFoundError(f"{name} is not a declared dependency",
+                                          name=name)
+            return None
+
+    sys.meta_path.insert(0, Refuse())
+    import repro
+    names = ["repro"] + [info.name for info in pkgutil.walk_packages(
+        repro.__path__, "repro.")]
+    for name in names:
+        importlib.import_module(name)
+    print(len(names))
+""")
+
+
+class TestHermeticImports:
+    def test_every_module_imports_with_only_stdlib_and_numpy(self):
+        src = os.path.dirname(SRC_ROOT)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", HERMETIC_IMPORT],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) > 50      # walked the whole package
 
 
 class TestSetupMetadata:
