@@ -4,12 +4,12 @@ Measures the three layers of the training fast path and records them in
 ``BENCH_engine.json`` at the repo root so future perf PRs are judged against
 a tracked baseline:
 
-* training steps/sec of the autograd engine — seed-compatible path
-  (primitive-composed ops, tape-on inference, float64) vs the fused float64
-  and fused float32 paths;
-* inference throughput with and without the ``no_grad`` tape bypass;
-* end-to-end ``Controller.run`` — the seed float64 path vs the float32
-  fast path (the acceptance criterion: ≥2×).
+* training steps/sec of the autograd engine — the eager float64 and
+  float32 paths vs the graph replay executor;
+* inference throughput of a forward that records the backward tape vs one
+  under ``no_grad``;
+* end-to-end ``Controller.run`` — the eager float64 path, and the float32
+  fast path with replay off and on.
 
 Run with ``pytest benchmarks/test_engine_throughput.py`` (the ``bench``
 marker keeps it out of tier-1).
@@ -17,6 +17,7 @@ marker keeps it out of tier-1).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
@@ -28,8 +29,8 @@ from _bench_lib import update_bench_record
 from repro.core import Controller, ControllerConfig, Task
 from repro.kg import GraphSpec
 from repro.modules import ZslKgModule
-from repro.nn import (MLP, Adam, GraphReplay, TrainConfig, default_dtype,
-                      predict_proba, seed_compat_mode, train_classifier)
+from repro.nn import (MLP, Adam, GraphReplay, Tensor, TrainConfig,
+                      default_dtype, no_grad, softmax_rows, train_classifier)
 from repro.nn.modules import Linear, Module, ReLU
 from repro.synth import WorldSpec
 from repro.workspace import Workspace, WorkspaceSpec
@@ -45,8 +46,8 @@ def update_bench(section: str, payload: dict) -> None:
 # --------------------------------------------------------------------------- #
 # Layer 1: raw engine throughput
 # --------------------------------------------------------------------------- #
-# Three training-loop shapes, each measured on the seed-compatible path, the
-# fused eager paths, and the graph replay executor (``replay_*`` rows):
+# Four training-loop shapes, each measured on the eager paths and on the
+# graph replay executor (``replay_*`` rows):
 #
 # * ``backbone_shaped`` — the large MLP of PR 1's baseline (BLAS-dominated,
 #   so replay's per-step Python savings show least here);
@@ -73,7 +74,12 @@ FIX_L, FIX_U, FIX_D, FIX_C = 20, 64, 24, 10
 FIX_STEPS = 300
 
 
-def _train_once(dtype=None, compat=False, replay=False, shape="backbone") -> float:
+def _dtype_scope(dtype):
+    return (default_dtype(dtype) if dtype is not None
+            else contextlib.nullcontext())
+
+
+def _train_once(dtype=None, replay=False, shape="backbone") -> float:
     """Train one loop shape and return wall-clock seconds."""
     rng = np.random.default_rng(0)
     if shape == "backbone":
@@ -84,13 +90,8 @@ def _train_once(dtype=None, compat=False, replay=False, shape="backbone") -> flo
                                           TASK_EPOCHS, 32, [48, 32])
     features = rng.normal(size=(n, d))
     labels = rng.integers(0, c, size=n)
-    import contextlib
     start = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if compat:
-            stack.enter_context(seed_compat_mode())
-        if dtype is not None:
-            stack.enter_context(default_dtype(dtype))
+    with _dtype_scope(dtype):
         model = MLP(d, hidden, c, rng=np.random.default_rng(1))
         train_classifier(model, features, labels,
                          TrainConfig(epochs=epochs, batch_size=batch, seed=0,
@@ -111,14 +112,9 @@ class _ClassEncoder(Module):
         return self.fc2(self.activation(self.fc1(x)))
 
 
-def _pretrain_once(dtype=None, compat=False, replay=False) -> float:
+def _pretrain_once(dtype=None, replay=False) -> float:
     """The ZSL-KG pretrain step loop, as ``zsl_kg._pretrain`` drives it."""
-    import contextlib
-    with contextlib.ExitStack() as stack:
-        if compat:
-            stack.enter_context(seed_compat_mode())
-        if dtype is not None:
-            stack.enter_context(default_dtype(dtype))
+    with _dtype_scope(dtype):
         dt = np.float32 if dtype is not None else np.float64
         train_x = np.random.default_rng(2).normal(size=(PRE_N, PRE_D)).astype(dt)
         train_y = np.random.default_rng(3).normal(size=(PRE_N, PRE_OUT)).astype(dt)
@@ -131,18 +127,12 @@ def _pretrain_once(dtype=None, compat=False, replay=False) -> float:
         return time.perf_counter() - start
 
 
-def _fixmatch_once(dtype=None, compat=False, replay=False) -> float:
+def _fixmatch_once(dtype=None, replay=False) -> float:
     """The FixMatch two-view consistency loop, as ``FixMatchModule`` runs it."""
-    import contextlib
-
     from repro.modules.fixmatch import consistency_step
     from repro.nn import SGD
 
-    with contextlib.ExitStack() as stack:
-        if compat:
-            stack.enter_context(seed_compat_mode())
-        if dtype is not None:
-            stack.enter_context(default_dtype(dtype))
+    with _dtype_scope(dtype):
         dt = np.dtype(np.float32 if dtype is not None else np.float64)
         rng = np.random.default_rng(5)
         labeled_x = rng.normal(size=(FIX_L, FIX_D)).astype(dt)
@@ -170,19 +160,14 @@ def _measure(fn, repeats=7, **kwargs) -> float:
 
 def _loop_rows(fn, steps, **extra) -> dict:
     timings = {
-        "seed_compat_float64": _measure(fn, compat=True, **extra),
-        "fused_float64": _measure(fn, **extra),
-        "fused_float32": _measure(fn, dtype=np.float32, **extra),
+        "eager_float64": _measure(fn, **extra),
+        "eager_float32": _measure(fn, dtype=np.float32, **extra),
         "replay_float64": _measure(fn, replay=True, **extra),
         "replay_float32": _measure(fn, dtype=np.float32, replay=True, **extra),
     }
     rows = {name: round(steps / seconds, 1) for name, seconds in timings.items()}
-    rows["fused_float32_speedup_vs_seed"] = round(
-        timings["seed_compat_float64"] / timings["fused_float32"], 2)
-    rows["replay_float32_speedup_vs_fused_float32"] = round(
-        timings["fused_float32"] / timings["replay_float32"], 2)
-    rows["replay_float32_speedup_vs_seed"] = round(
-        timings["seed_compat_float64"] / timings["replay_float32"], 2)
+    rows["replay_float32_speedup_vs_eager_float32"] = round(
+        timings["eager_float32"] / timings["replay_float32"], 2)
     return rows
 
 
@@ -210,18 +195,17 @@ def test_training_steps_per_sec():
             **_loop_rows(_fixmatch_once, FIX_STEPS)),
     }
     update_bench("training_steps_per_sec", result)
-    assert result["backbone_shaped"]["fused_float32_speedup_vs_seed"] > 1.0
-    # The replay executor's acceptance bar: >=1.5x over the fused float32
-    # eager path on the overhead-dominated pipeline loops (the big-BLAS
-    # backbone shape reports its honest, smaller gain alongside).
-    replay_gains = [result[k]["replay_float32_speedup_vs_fused_float32"]
+    # The replay executor's acceptance bar: >=1.5x over the float32 eager
+    # path on the overhead-dominated pipeline loops (the big-BLAS backbone
+    # shape reports its honest, smaller gain alongside).
+    replay_gains = [result[k]["replay_float32_speedup_vs_eager_float32"]
                     for k in ("task_shaped", "pretrain_shaped")]
     assert max(replay_gains) >= 1.5, replay_gains
     assert min(replay_gains) >= 1.2, replay_gains
-    # The DAG generalization's acceptance bar (ISSUE 4): the FixMatch
-    # two-view step must replay >=1.2x over fused eager float32.
+    # The DAG generalization's acceptance bar: the FixMatch two-view step
+    # must replay >=1.2x over eager float32.
     assert result["fixmatch_shaped"][
-        "replay_float32_speedup_vs_fused_float32"] >= 1.2, \
+        "replay_float32_speedup_vs_eager_float32"] >= 1.2, \
         result["fixmatch_shaped"]
 
 
@@ -229,26 +213,27 @@ def test_inference_throughput():
     rng = np.random.default_rng(2)
     features = rng.normal(size=(4096, TRAIN_D))
     model = MLP(TRAIN_D, [128, 128], TRAIN_C, rng=np.random.default_rng(3))
+    model.eval()
 
-    def measure(compat: bool, repeats: int = 20) -> float:
-        import contextlib
-        with contextlib.ExitStack() as stack:
-            if compat:
-                stack.enter_context(seed_compat_mode())
-            predict_proba(model, features)  # warm-up
+    def measure(scope, repeats: int = 20) -> float:
+        """Examples/sec of the ``predict_proba`` forward under ``scope``."""
+        with scope:
+            softmax_rows(model(Tensor(features)).data)  # warm-up
             start = time.perf_counter()
             for _ in range(repeats):
-                predict_proba(model, features, batch_size=None)
+                softmax_rows(model(Tensor(features)).data)
             elapsed = time.perf_counter() - start
         return repeats * len(features) / elapsed
 
     result = {
-        "seed_compat_tape_examples_per_sec": round(measure(compat=True), 0),
-        "no_grad_examples_per_sec": round(measure(compat=False), 0),
+        # the parameters require grad, so this forward records the tape
+        "grad_tape_examples_per_sec": round(
+            measure(contextlib.nullcontext()), 0),
+        "no_grad_examples_per_sec": round(measure(no_grad()), 0),
     }
     result["no_grad_speedup"] = round(
         result["no_grad_examples_per_sec"]
-        / result["seed_compat_tape_examples_per_sec"], 2)
+        / result["grad_tape_examples_per_sec"], 2)
     update_bench("inference_throughput", result)
     assert result["no_grad_speedup"] > 1.0
 
@@ -269,14 +254,13 @@ def bench_task():
                            images_per_related_class=8)
 
 
-def _run_controller(task, dtype, compat: bool, replay: bool = True,
+def _run_controller(task, dtype, replay: bool = True,
                     repeats: int = 3) -> float:
     """Best-of-``repeats`` wall clock of a full paper-default-budget run.
 
     Best-of-N because the reference container is a single shared CPU: the
     minimum is the least-perturbed observation of each path.
     """
-    import contextlib
     timings = []
     for _ in range(repeats):
         # Clear the ZSL-KG pretraining cache so every run trains from scratch.
@@ -284,45 +268,32 @@ def _run_controller(task, dtype, compat: bool, replay: bool = True,
         config = ControllerConfig(dtype=dtype, replay=replay, seed=0)
         controller = Controller(config=config)  # the four default modules
         start = time.perf_counter()
-        with contextlib.ExitStack() as stack:
-            if compat:
-                stack.enter_context(seed_compat_mode())
-            controller.run(task)
+        controller.run(task)
         timings.append(time.perf_counter() - start)
     return min(timings)
 
 
-def test_controller_seed_vs_fast_path(bench_task):
-    """Acceptance criterion: float32 fast path ≥2× the seed path."""
+def test_controller_fast_path(bench_task):
+    """The float32 fast path, with the replay executor's share of it."""
     # Warm BLAS/caches once before timing anything.
-    _run_controller(bench_task, dtype=None, compat=False, repeats=1)
-    seed_seconds = _run_controller(bench_task, dtype=None, compat=True)
-    fast_seconds = _run_controller(bench_task, dtype="float32", compat=False)
-    # Secondary decompositions so the trajectory shows where the time goes:
-    # fused eager float64, and the fast path with the replay executor off
-    # (isolating replay's end-to-end contribution).
-    fused_sequential_f64 = _run_controller(bench_task, dtype=None,
-                                           compat=False, repeats=1)
+    _run_controller(bench_task, dtype=None, repeats=1)
+    float64_seconds = _run_controller(bench_task, dtype=None)
+    fast_seconds = _run_controller(bench_task, dtype="float32")
     fast_noreplay_seconds = _run_controller(bench_task, dtype="float32",
-                                            compat=False, replay=False)
-    speedup = seed_seconds / fast_seconds
+                                            replay=False)
     update_bench("controller_run", {
         "workload": ("fmd 5-shot, tiny workspace, four paper-default modules "
                      "+ end model, best of 3 runs"),
-        "seed_sequential_float64_sec": round(seed_seconds, 2),
-        "fused_sequential_float64_sec": round(fused_sequential_f64, 2),
+        "float64_sec": round(float64_seconds, 2),
         "fast_float32_noreplay_sec": round(fast_noreplay_seconds, 2),
         "fast_float32_sec": round(fast_seconds, 2),
-        "speedup_fast_vs_seed": round(speedup, 2),
+        "speedup_float32_vs_float64": round(float64_seconds / fast_seconds, 2),
         "speedup_replay_vs_noreplay": round(
             fast_noreplay_seconds / fast_seconds, 2),
     })
-    print(f"\nController.run: seed {seed_seconds:.2f}s -> "
-          f"fast {fast_seconds:.2f}s ({speedup:.2f}x, "
-          f"replay contribution {fast_noreplay_seconds / fast_seconds:.2f}x)")
-    assert speedup >= 2.0, (
-        f"fast path must be >=2x the seed sequential/float64 path, "
-        f"got {speedup:.2f}x")
+    print(f"\nController.run: float64 {float64_seconds:.2f}s -> "
+          f"fast {fast_seconds:.2f}s (replay contribution "
+          f"{fast_noreplay_seconds / fast_seconds:.2f}x)")
     # The replay executor must not regress the end-to-end fast path.
     assert fast_seconds <= fast_noreplay_seconds * 1.05, (
         f"replay-on fast path ({fast_seconds:.2f}s) regressed vs replay-off "

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..baselines import (BaselineInput, DistilledFineTuningBaseline,
                          FineTuningBaseline, FixMatchBaseline,
-                         MetaPseudoLabelsBaseline, SimCLRBaseline)
+                         MetaPseudoLabelsBaseline)
 from ..core import Controller, ControllerConfig, Task
 from ..datasets.base import TaskSplit
 from ..modules import DEFAULT_MODULES
@@ -131,8 +131,6 @@ def _build_baseline(name: str, workspace: Workspace, backbone_name: str):
         # The student always uses the ResNet-50 analog (paper Section 4.2).
         return MetaPseudoLabelsBaseline(
             student_backbone=workspace.backbone("resnet50"))
-    if name == "simclrv2":
-        return SimCLRBaseline()
     raise KeyError(f"unknown baseline {name!r}")
 
 
@@ -164,7 +162,6 @@ METHOD_REGISTRY: Dict[str, MethodSpec] = {
     "finetune_distilled": baseline_method("finetune_distilled"),
     "fixmatch": baseline_method("fixmatch"),
     "meta_pseudo_labels": baseline_method("meta_pseudo_labels"),
-    "simclrv2": baseline_method("simclrv2"),
     "taglets": taglets_method("taglets"),
     "taglets_prune0": taglets_method("taglets_prune0", prune_level=0),
     "taglets_prune1": taglets_method("taglets_prune1", prune_level=1),

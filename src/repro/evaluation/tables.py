@@ -21,7 +21,6 @@ METHOD_LABELS = {
     "finetune_distilled": "Fine-tuning (Distilled)",
     "fixmatch": "FixMatch",
     "meta_pseudo_labels": "Meta Pseudo Label",
-    "simclrv2": "SimCLRv2",
     "taglets": "TAGLETS",
     "taglets_prune0": "TAGLETS prune-level 0",
     "taglets_prune1": "TAGLETS prune-level 1",

@@ -27,7 +27,7 @@ import numpy as np
 from ..backbones.backbone import ClassificationModel, PretrainedBackbone
 from ..kg.graph import KnowledgeGraph
 from ..nn.modules import Linear, Module, ReLU
-from ..nn.tensor import get_default_dtype, inference_mode
+from ..nn.tensor import get_default_dtype, no_grad
 from ..nn.optim import Adam
 from ..nn.replay import GraphReplay
 from ..nn.tensor import Tensor
@@ -79,8 +79,8 @@ class GraphClassEncoder(Module):
 
 
 def _eval_forward(module: Module, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass for eval-only consumers, tape-free when enabled."""
-    with inference_mode():
+    """Forward pass for eval-only consumers, without a backward tape."""
+    with no_grad():
         return module(Tensor(inputs)).data
 
 

@@ -21,10 +21,9 @@ from .serialization import (StateDictMismatchError, load_into_module,
                             load_state_dict, save_module, save_state_dict,
                             state_dict_digest, state_dict_manifest,
                             validate_state_dict)
-from .tensor import (Tensor, concatenate, default_dtype, get_default_dtype,
+from .tensor import (Tensor, default_dtype, get_default_dtype,
                      graph_replay_enabled, is_grad_enabled, no_grad,
-                     seed_compat_mode, set_default_dtype, stack,
-                     use_fused_ops, use_graph_replay)
+                     set_default_dtype, use_graph_replay)
 from .training import (TrainConfig, build_optimizer, build_scheduler,
                        evaluate_accuracy, iterate_forever, predict_logits,
                        predict_proba, softmax_rows, train_classifier,
@@ -34,10 +33,9 @@ from .transforms import (Compose, GaussianJitter, IdentityTransform,
                          Transform, strong_augment, weak_augment)
 
 __all__ = [
-    "Tensor", "stack", "concatenate", "functional",
+    "Tensor", "functional",
     "no_grad", "is_grad_enabled", "default_dtype", "get_default_dtype",
-    "set_default_dtype", "use_fused_ops", "seed_compat_mode",
-    "use_graph_replay", "graph_replay_enabled",
+    "set_default_dtype", "use_graph_replay", "graph_replay_enabled",
     "GraphReplay", "ReplayStats", "ReplayUnsupported", "compile_step",
     "collect_replay_stats",
     "Module", "Parameter", "Linear", "ReLU", "Tanh", "Identity", "Dropout",

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import init as init_module
 from . import ops
-from .functional import linear as _fused_linear
 from .tensor import _TRACE_RECORDS, Tensor, apply, get_default_dtype, trace_ops
 
 # --------------------------------------------------------------------------- #
@@ -201,7 +200,10 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return _fused_linear(x, self.weight, self.bias)
+        if x.ndim != 2:
+            raise ValueError(f"expected (n, {self.in_features}) input, "
+                             f"got {x.shape}")
+        return apply(ops.LINEAR, (x,), (self.weight, self.bias))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Linear({self.in_features}, {self.out_features})"

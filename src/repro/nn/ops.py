@@ -162,9 +162,6 @@ class _Linear(Op):
 
     def alloc(self, n, ins, out):
         x = ins["x"]
-        if x.ndim != 2:
-            raise ReplayUnsupported("only the 2-D fused linear path is "
-                                    "replayable")
         # Eager keeps each gradient in the dtype its op produced, which a
         # preallocated gradient buffer cannot reproduce.
         if not x.dtype == n.p[0].data.dtype == out.dtype:
@@ -387,8 +384,7 @@ def check_label_range(targets: np.ndarray, num_classes: int) -> None:
     """Reject integer labels outside ``[0, num_classes)``.
 
     NumPy's fancy indexing would silently wrap negative labels, so the
-    fused cross-entropy kernel validates explicitly (matching the
-    reference path's error behavior).
+    fused cross-entropy kernel (and ``one_hot``) validate explicitly.
     """
     if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
         raise ValueError("labels out of range for num_classes "

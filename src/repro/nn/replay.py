@@ -21,7 +21,7 @@ step), with gradient contributions written once and accumulated thereafter
 in exactly the eager backward order.  Every later step with the same
 signature replays the op table's kernels (:mod:`repro.nn.ops`) on buffers
 the table's rules preallocated: no tensors, no closures, no tape, no
-topological sort.  The fused eager path runs the same kernels on fresh
+topological sort.  The eager tape runs the same kernels on fresh
 buffers, so replayed training is bit-identical to eager training (asserted
 by ``tests/nn/test_replay.py`` and ``tests/nn/test_replay_dag.py``).  One
 buffer-reuse rule shrinks the working set: a ReLU whose input is a
@@ -33,9 +33,8 @@ Fallback rules (checked on *every* step, before replaying; inside
 ``run_epoch`` or an ``epoch()`` scope the model-structure rule is checked
 once per epoch):
 
-* replay disabled (``TrainConfig.replay=False``, ``use_graph_replay(False)``,
-  or ``seed_compat_mode()``), fused ops disabled, or gradients disabled
-  → eager step;
+* replay disabled (``TrainConfig.replay=False`` or
+  ``use_graph_replay(False)``), or gradients disabled → eager step;
 * batch shape/dtype or target shape/dtype changed → separate plan per
   signature (the capture step for a new signature runs eagerly);
 * model structure changed — layer added/removed/replaced, parameter shape,
@@ -49,8 +48,8 @@ once per epoch):
   → the signature is marked unsupported and every step with it runs eagerly,
   with the reason recorded in :attr:`ReplayStats.fallbacks`.
 
-Supported ops are the entries of the op table: the leaf layers ``Linear``
-(2-D fused path), ``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
+Supported ops are the entries of the op table: the leaf layers ``Linear``,
+``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
 (``Identity`` and eval-mode ``Dropout`` pass their input through), tensor
 ``+`` and ``*`` (e.g. summed or weighted-sum losses), and the fused losses
 ``cross_entropy`` (optionally per-sample weighted), ``soft_cross_entropy``
@@ -98,9 +97,8 @@ from . import ops
 from .modules import Module, op_of, trace_module_calls
 from .ops import Frame, Op, ReplayUnsupported
 from .optim import Optimizer
-from .tensor import (Tensor, fused_ops_enabled,
-                     get_default_dtype, graph_replay_enabled, inference_mode,
-                     is_grad_enabled)
+from .tensor import (Tensor, get_default_dtype, graph_replay_enabled,
+                     is_grad_enabled, no_grad)
 
 __all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported", "compile_step",
            "collect_replay_stats"]
@@ -719,7 +717,7 @@ class GraphReplay:
     def _replay_on(self, need_grad: bool = True) -> bool:
         enabled = (self._enabled if self._enabled is not None
                    else graph_replay_enabled())
-        if not (enabled and fused_ops_enabled()):
+        if not enabled:
             return False
         return is_grad_enabled() if need_grad else True
 
@@ -783,7 +781,7 @@ class GraphReplay:
 
         Returns ``(plan_or_None, pins, root_tensor, reason_or_None)``.
         """
-        with inference_mode():
+        with no_grad():
             bound, ids = _wrap_inputs(inputs, tensor_keys)
             records: List[tuple] = []
             with trace_module_calls(records):
@@ -1004,14 +1002,14 @@ class GraphReplay:
     # -- compiled inference ----------------------------------------------- #
     def _eager_eval(self, x, y, reason: str) -> float:
         self._count_eager(reason)
-        with inference_mode():
+        with no_grad():
             return self._loss_fn(self.model(Tensor(x)), y).item()
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Loss of the model on ``(x, y)`` via a compiled inference pass.
 
         The tape-free equivalent of ``loss_fn(model(Tensor(x)), y).item()``
-        under :func:`~repro.nn.tensor.inference_mode`, replayed through
+        under :func:`~repro.nn.tensor.no_grad`, replayed through
         forward-only kernels.  Same signature guards and eager fallback as
         :meth:`step`; separate plans, so train/eval batch shapes coexist.
         """
@@ -1034,14 +1032,14 @@ class GraphReplay:
         """Raw model outputs on ``x`` via a compiled inference forward.
 
         The tape-free equivalent of ``model(Tensor(x)).data`` under
-        :func:`~repro.nn.tensor.inference_mode` (FixMatch's pseudo-label
+        :func:`~repro.nn.tensor.no_grad` (FixMatch's pseudo-label
         view).  Returns the plan's output buffer: consume it before the
         next call on this stepper.
         """
         x = np.asarray(x)
         if not self._replay_on(need_grad=False):
             self._count_eager(_R_DISABLED)
-            with inference_mode():
+            with no_grad():
                 return self.model(Tensor(x)).data
         inputs = {"x": x}
         plan, reason, result = self._resolve_or_capture(
@@ -1051,7 +1049,7 @@ class GraphReplay:
             return result.data
         if plan is None:
             self._count_eager(reason)
-            with inference_mode():
+            with no_grad():
                 return self.model(Tensor(x)).data
         self._count_replay()
         return plan.run_forward(inputs)

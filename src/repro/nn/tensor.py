@@ -1,27 +1,27 @@
 """A small reverse-mode automatic differentiation engine on NumPy arrays.
 
 This is the training substrate for the TAGLETS reproduction.  All modules,
-baselines, backbones, and the end model are trained through this engine, so
-it supports exactly the operations those models need: dense linear algebra,
-elementwise nonlinearities, reductions, broadcasting, and indexing.
+baselines, backbones, and the end model are trained through this engine.
 
-The design follows the classic tape-based approach: every :class:`Tensor`
-produced by an operation keeps references to its parents and a closure that
-propagates gradients to them.  Calling :meth:`Tensor.backward` performs a
-topological sort of the graph and accumulates gradients.
+Every graph node comes from :func:`apply`, which runs one entry of the op
+table (:mod:`repro.nn.ops`): the entry's forward kernel computes the node's
+value, and its VJP kernels are the node's backward.  The graph replay
+executor (:mod:`repro.nn.replay`) and the serving forward run the same
+kernels, so there is one definition of each op.  A :class:`Tensor` keeps
+references to its parents; :meth:`Tensor.backward` orders the reachable
+nodes by creation stamp and calls each node's backward once.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import ops
-from .ops import _unbroadcast
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -29,21 +29,14 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 # Engine configuration: scoped state
 # --------------------------------------------------------------------------- #
 # Every engine setting lives in a ``ContextVar``, so a scope (``default_dtype``,
-# ``no_grad``, ``use_fused_ops``, ...) changes the setting for the current
+# ``no_grad``, ``use_graph_replay``) changes the setting for the current
 # thread (or asyncio task) only and restores it with ``var.reset(token)``.
 # Concurrent callers with different settings never see each other's scopes,
 # and a new thread starts at the defaults below.
 _DEFAULT_DTYPE: ContextVar = ContextVar("default_dtype", default=np.float64)
 
-# Engine feature switches.  ``fused_ops`` lets benchmarks and gradient tests
-# fall back to the primitive-composed (seed-equivalent) implementations of
-# ``linear`` / ``cross_entropy``; ``inference_no_grad`` controls whether
-# eval-time forwards skip the backward tape; ``graph_replay`` enables the
-# whole-graph capture/replay executor for static training loops
-# (:mod:`repro.nn.replay`).  Production code leaves all three on;
-# ``seed_compat_mode`` turns them off to measure the seed engine's behavior.
-_FUSED_OPS: ContextVar = ContextVar("fused_ops", default=True)
-_INFERENCE_NO_GRAD: ContextVar = ContextVar("inference_no_grad", default=True)
+# Whether static training loops run through the whole-graph capture/replay
+# executor (:mod:`repro.nn.replay`).
 _GRAPH_REPLAY: ContextVar = ContextVar("graph_replay", default=True)
 
 _GRAD_ENABLED: ContextVar = ContextVar("grad_enabled", default=True)
@@ -127,19 +120,6 @@ def no_grad():
     return _scoped(_GRAD_ENABLED, False)
 
 
-def fused_ops_enabled() -> bool:
-    return _FUSED_OPS.get()
-
-
-def inference_no_grad_enabled() -> bool:
-    return _INFERENCE_NO_GRAD.get()
-
-
-def use_fused_ops(enabled: bool):
-    """Toggle the fused ``linear`` / cross-entropy kernels (benchmarks/tests)."""
-    return _scoped(_FUSED_OPS, bool(enabled))
-
-
 def graph_replay_enabled() -> bool:
     return _GRAPH_REPLAY.get()
 
@@ -153,28 +133,6 @@ def use_graph_replay(enabled: bool):
     its ``replay`` config field through here).
     """
     return _scoped(_GRAPH_REPLAY, bool(enabled))
-
-
-def inference_mode():
-    """Context for eval-time forwards: ``no_grad()`` unless the engine is in
-    seed-compat mode (where inference keeps building the tape)."""
-    if inference_no_grad_enabled():
-        return no_grad()
-    return nullcontext()
-
-
-@contextmanager
-def seed_compat_mode():
-    """Reproduce the seed engine's behavior for benchmarking baselines.
-
-    Disables the fused ops (losses and ``linear`` run as chains of primitive
-    tape nodes), re-enables tape construction during inference (which is
-    what the seed engine did on every eval forward), and switches off the
-    graph replay executor so every step rebuilds the tape eagerly.
-    """
-    with _scoped(_FUSED_OPS, False), _scoped(_INFERENCE_NO_GRAD, False), \
-            _scoped(_GRAPH_REPLAY, False):
-        yield
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
@@ -251,20 +209,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    # ------------------------------------------------------------------ #
-    # Graph construction helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        requires = (any(p.requires_grad for p in parents)
-                    and is_grad_enabled())
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = parents
-            out._backward = backward
-        return out
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
@@ -274,7 +218,7 @@ class Tensor:
             self.grad += grad
 
     # ------------------------------------------------------------------ #
-    # Arithmetic
+    # Operations (each one table op)
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -287,21 +231,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
-
-        return Tensor._make(data, (self,), backward)
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) + (-self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out = apply(ops.MUL, (self, other))
@@ -312,186 +241,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
-
-        return Tensor._make(data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(data, (self,), backward)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data @ other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad @ np.swapaxes(other.data, -1, -2),
-                                              self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(np.swapaxes(self.data, -1, -2) @ grad,
-                                               other.shape))
-
-        return Tensor._make(data, (self, other), backward)
-
-    # ------------------------------------------------------------------ #
-    # Elementwise functions
-    # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
-    def tanh(self) -> "Tensor":
-        return apply(ops.TANH, (self,))
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         return apply(ops.RELU, (self,))
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        data = np.where(mask, self.data, negative_slope * self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.where(mask, 1.0, negative_slope))
-
-        return Tensor._make(data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
-
-        return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # Reductions
-    # ------------------------------------------------------------------ #
-    def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
-            keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % self.ndim for a in axes)
-                g = np.expand_dims(g, axis=tuple(sorted(axes)))
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return Tensor._make(data, (self,), backward)
-
-    def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
-             keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if axis is None:
-                mask = (self.data == data).astype(self.data.dtype)
-                mask /= mask.sum()
-                self._accumulate(grad * mask)
-            else:
-                expanded = data if keepdims else np.expand_dims(data, axis=axis)
-                mask = (self.data == expanded).astype(self.data.dtype)
-                mask /= mask.sum(axis=axis, keepdims=True)
-                g = grad if keepdims else np.expand_dims(grad, axis=axis)
-                self._accumulate(g * mask)
-
-        return Tensor._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # Shape manipulation
-    # ------------------------------------------------------------------ #
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        original = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-
-        return Tensor._make(data, (self,), backward)
-
-    def transpose(self, *axes: int) -> "Tensor":
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
-
-        return Tensor._make(data, (self,), backward)
+    def tanh(self) -> "Tensor":
+        return apply(ops.TANH, (self,))
 
     # ------------------------------------------------------------------ #
     # Graph traversal
@@ -587,38 +341,3 @@ def apply(op: ops.Op, inputs: Tuple[Tensor, ...],
         out._parents = parents
         out._backward = backward
     return out
-
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiable w.r.t. each input."""
-    data = np.stack([t.data for t in tensors], axis=axis)
-    tensors = tuple(tensors)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.split(grad, len(tensors), axis=axis)
-        for t, g in zip(tensors, slices):
-            t._accumulate(np.squeeze(g, axis=axis))
-
-    return Tensor._make(data, tensors, backward)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    tensors = tuple(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(start, end)
-            t._accumulate(grad[tuple(index)])
-
-    return Tensor._make(data, tensors, backward)
-
-
-def no_grad_copy(x: Tensor) -> Tensor:
-    """Alias of :meth:`Tensor.detach` kept for readability at call sites."""
-    return x.detach()

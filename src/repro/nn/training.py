@@ -22,7 +22,7 @@ from .optim import SGD, Adam, Optimizer
 from .replay import GraphReplay, ReplayStats
 from .schedulers import (ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
                          LRScheduler, MultiStepLR, WarmupMultiStepLR)
-from .tensor import Tensor, get_default_dtype, inference_mode
+from .tensor import Tensor, get_default_dtype, no_grad
 from .transforms import Transform
 
 __all__ = [
@@ -65,7 +65,7 @@ class TrainConfig:
     #: graph capture/replay executor for the training loop: ``None`` follows
     #: the engine-wide flag (on by default, see ``use_graph_replay``),
     #: ``True``/``False`` force it for this run.  Replayed training is
-    #: bit-identical to the eager fused path; unsupported models fall back
+    #: bit-identical to the eager path; unsupported models fall back
     #: to eager automatically (see :mod:`repro.nn.replay`).
     replay: Optional[bool] = None
     #: optional shared counter collecting the executor's per-step outcomes
@@ -126,7 +126,7 @@ def predict_logits(model: Module, features: np.ndarray,
     if batch_size is None:
         batch_size = max(len(features), 1)
 
-    with inference_mode():
+    with no_grad():
         chunks: List[np.ndarray] = []
         for start in range(0, len(features), batch_size):
             batch = features[start:start + batch_size]

@@ -32,7 +32,7 @@ __all__ = ["ScenarioResult", "ScenarioRunner", "BASELINE_METHODS",
 #: Baseline method names the runner accepts (resolved through
 #: :func:`repro.evaluation.runner.baseline_method`).
 BASELINE_METHODS = ("finetune", "finetune_distilled", "fixmatch",
-                    "meta_pseudo_labels", "simclrv2")
+                    "meta_pseudo_labels")
 
 
 @dataclass

@@ -292,7 +292,9 @@ def read_manifest(path: str) -> dict:
         raw = handle.read()
     try:
         manifest = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except ValueError as error:
+        # Bad JSON, bad UTF-8, or an integer literal past Python's
+        # int-string conversion limit.
         raise ArtifactError(f"corrupt manifest at {manifest_path}: {error}")
     except RecursionError:
         raise ArtifactError(f"corrupt manifest at {manifest_path}: "
@@ -324,7 +326,12 @@ def read_manifest(path: str) -> dict:
     if fmt not in (FORMAT_END_MODEL, FORMAT_ENSEMBLE):
         raise ArtifactError(f"artifact at {path!r} has unknown format {fmt!r}")
     if fmt == FORMAT_ENSEMBLE:
-        for index, entry in enumerate(manifest["members"]):
+        members = manifest["members"]
+        if not (isinstance(members, list)
+                and all(isinstance(entry, dict) for entry in members)):
+            raise ArtifactError(f"corrupt manifest at {manifest_path}: "
+                                f"'members' must be a list of JSON objects")
+        for index, entry in enumerate(members):
             member_missing = [key for key in _REQUIRED_MEMBER_KEYS
                               if key not in entry]
             if member_missing:

@@ -132,7 +132,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return None
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except ValueError as error:
+            # Bad JSON, bad UTF-8, or an integer literal past Python's
+            # int-string conversion limit.
             self._send_error_json(400, f"invalid JSON body: {error}")
             return None
         except RecursionError:
@@ -200,12 +202,14 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 400, f"inputs must be one example or a non-empty batch, "
                      f"got shape {array.shape}")
             return
-        # null is treated like an absent field for both optional knobs.
+        # null is treated like an absent field for the optional knobs.
         # JSON admits NaN, Infinity and overflowing literals (1e400), so
-        # both knobs must also be finite; a float priority must be integral.
+        # both numeric knobs must also be finite; a float priority must be
+        # integral, and a JSON boolean is not a number.
         priority = payload.get("priority")
         try:
-            if isinstance(priority, float) and not priority.is_integer():
+            if isinstance(priority, bool) or (
+                    isinstance(priority, float) and not priority.is_integer()):
                 raise ValueError(priority)
             priority = 0 if priority is None else int(priority)
         except (TypeError, ValueError):
@@ -214,6 +218,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
             try:
+                if isinstance(deadline_ms, bool):
+                    raise ValueError(deadline_ms)
                 deadline_ms = float(deadline_ms)
             except (TypeError, ValueError, OverflowError):
                 deadline_ms = math.nan
@@ -222,11 +228,17 @@ class _ServeHandler(BaseHTTPRequestHandler):
                     400, "'deadline_ms' must be a finite number of "
                          "milliseconds")
                 return
+        return_probabilities = payload.get("return_probabilities")
+        if return_probabilities is None:
+            return_probabilities = False
+        elif not isinstance(return_probabilities, bool):
+            self._send_error_json(
+                400, "'return_probabilities' must be true or false")
+            return
         try:
             response = app.predict(
                 array, model=str(model),
-                return_probabilities=bool(payload.get("return_probabilities",
-                                                      False)),
+                return_probabilities=return_probabilities,
                 priority=priority, deadline_ms=deadline_ms)
         except ModelNotFound as error:
             self._send_error_json(404, str(error))

@@ -6,10 +6,8 @@ import pytest
 from repro.baselines import (BaselineInput, DistilledFineTuningBaseline,
                              FineTuningBaseline, FineTuningConfig,
                              FixMatchBaseline, MetaPseudoLabelsBaseline,
-                             MetaPseudoLabelsConfig, SimCLRBaseline,
-                             SimCLRConfig, nt_xent_loss)
+                             MetaPseudoLabelsConfig)
 from repro.modules.fixmatch import FixMatchConfig
-from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -93,21 +91,3 @@ class TestMetaPseudoLabels:
         baseline = MetaPseudoLabelsBaseline(config, student_backbone=tiny_backbone)
         taglet = baseline.train(baseline_input)
         assert taglet.model.encoder.spec.name == tiny_backbone.name
-
-
-class TestSimCLR:
-    def test_nt_xent_loss_prefers_aligned_pairs(self):
-        rng = np.random.default_rng(0)
-        anchors = rng.normal(size=(8, 6))
-        aligned = nt_xent_loss(Tensor(anchors), Tensor(anchors + 0.01),
-                               temperature=0.5).item()
-        shuffled = nt_xent_loss(Tensor(anchors), Tensor(anchors[::-1].copy()),
-                                temperature=0.5).item()
-        assert aligned < shuffled
-
-    def test_trains_and_predicts(self, baseline_input, fmd_split):
-        config = SimCLRConfig(pretrain_epochs=1, finetune_epochs=15)
-        taglet = SimCLRBaseline(config).train(baseline_input)
-        probs = taglet.predict_proba(fmd_split.test_features[:5])
-        assert probs.shape == (5, fmd_split.num_classes)
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(5))

@@ -71,7 +71,7 @@ class TestRecords:
 class TestRegistry:
     def test_registry_contains_paper_methods(self):
         expected = {"finetune", "finetune_distilled", "fixmatch",
-                    "meta_pseudo_labels", "simclrv2", "taglets",
+                    "meta_pseudo_labels", "taglets",
                     "taglets_prune0", "taglets_prune1"}
         assert expected <= set(METHOD_REGISTRY)
 

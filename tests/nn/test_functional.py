@@ -1,12 +1,12 @@
-"""Tests for loss functions and activations."""
+"""Tests for the loss functions and the production softmax."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor
+from repro.nn import Tensor, softmax_rows
 from repro.nn import functional as F
 
 
@@ -25,31 +25,6 @@ class TestOneHot:
 
     def test_empty(self):
         assert F.one_hot(np.array([], dtype=int), 4).shape == (0, 4)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(5, 7)))
-        probs = F.softmax(logits).numpy()
-        np.testing.assert_allclose(probs.sum(axis=1), np.ones(5))
-        assert (probs >= 0).all()
-
-    def test_shift_invariance(self):
-        logits = np.array([[1.0, 2.0, 3.0]])
-        a = F.softmax(Tensor(logits)).numpy()
-        b = F.softmax(Tensor(logits + 100.0)).numpy()
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_log_softmax_consistency(self):
-        logits = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        log_probs = F.log_softmax(logits).numpy()
-        np.testing.assert_allclose(np.exp(log_probs), F.softmax(logits).numpy(),
-                                   atol=1e-12)
-
-    def test_numerical_stability_large_logits(self):
-        probs = F.softmax(Tensor([[1e4, 0.0, -1e4]])).numpy()
-        assert np.isfinite(probs).all()
-        np.testing.assert_allclose(probs.sum(), 1.0)
 
 
 class TestCrossEntropy:
@@ -123,10 +98,17 @@ class TestRegressionLossesAndAccuracy:
 
 @settings(max_examples=30, deadline=None)
 @given(hnp.arrays(np.float64, (5, 4), elements=st.floats(-5, 5)))
+@example(np.array([[1.0, 2.0, 3.0]]))
+@example(np.array([[1e4, 0.0, -1e4]]))   # exp(1e4) overflows unshifted
 def test_property_softmax_rows_are_distributions(logits):
-    probs = F.softmax(Tensor(logits)).numpy()
+    probs = softmax_rows(logits)
+    assert np.isfinite(probs).all()
     assert (probs >= 0).all()
-    np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-9)
+    np.testing.assert_allclose(probs.sum(axis=1), np.ones(len(logits)),
+                               atol=1e-9)
+    # Shift invariance: the max subtraction makes +100 a no-op.
+    np.testing.assert_allclose(softmax_rows(logits + 100.0), probs,
+                               atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

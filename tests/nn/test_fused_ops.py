@@ -1,20 +1,21 @@
 """Gradient-correctness tests for the fused engine ops.
 
-The fused ``linear`` and ``softmax_cross_entropy`` kernels replace chains of
-primitive tape nodes with single hand-written backward closures, so their
-gradients are checked against central finite differences in both float32 and
-float64, and against the primitive-composed reference implementations the
-seed engine used.  The ``no_grad`` inference mode is checked to build no
-backward tape at all.
+The ``Linear`` layer and the fused losses are single table ops with
+hand-written VJPs, so their gradients are checked against central finite
+differences in both float32 and float64, and against pure-NumPy closed
+forms (``test_grad_properties.py``).  The ``no_grad`` inference mode is
+checked to build no backward tape at all.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, default_dtype, no_grad, use_fused_ops
+from repro.nn import Tensor, default_dtype, no_grad
 from repro.nn import functional as F
 from repro.nn.modules import Linear
 from repro.nn.tensor import is_grad_enabled
+
+from .test_grad_properties import np_log_softmax, np_softmax
 
 # Acceptance tolerances per dtype: float32 carries ~7 decimal digits, so the
 # finite-difference probe uses a larger step and looser tolerance.
@@ -52,9 +53,11 @@ class TestFusedLinearGradients:
             x = Tensor(x0.copy(), requires_grad=True)
             w = Tensor(w0.copy(), requires_grad=True)
             b = Tensor(b0.copy(), requires_grad=True)
-            out = F.linear(x, w, b)
+            layer = Linear(4, 3)
+            layer.weight, layer.bias = w, b
+            out = layer(x)
             assert out.dtype == dtype
-            out.sum().backward()
+            out.backward()
 
             fd_x = finite_difference(
                 lambda a: float((a @ w0.astype(np.float64)
@@ -76,20 +79,22 @@ class TestFusedLinearGradients:
         rng = np.random.default_rng(1)
         x0 = rng.normal(size=(6, 5))
         layer = Linear(5, 3, rng=np.random.default_rng(2))
+        weight, bias = layer.weight.data.copy(), layer.bias.data.copy()
 
-        out_fused = layer(Tensor(x0))
-        out_fused.sum().backward()
-        fused_grads = [p.grad.copy() for p in layer.parameters()]
-        layer.zero_grad()
+        out = layer(Tensor(x0))
+        out.backward()
 
-        with use_fused_ops(False):
-            out_ref = layer(Tensor(x0))
-            out_ref.sum().backward()
-        ref_grads = [p.grad.copy() for p in layer.parameters()]
+        ones = np.ones((6, 3))
+        np.testing.assert_allclose(out.data, x0 @ weight + bias, atol=1e-12)
+        np.testing.assert_allclose(layer.weight.grad, x0.T @ ones, atol=1e-12)
+        np.testing.assert_allclose(layer.bias.grad, ones.sum(axis=0),
+                                   atol=1e-12)
 
-        np.testing.assert_allclose(out_fused.data, out_ref.data, atol=1e-12)
-        for fused, ref in zip(fused_grads, ref_grads):
-            np.testing.assert_allclose(fused, ref, atol=1e-12)
+    def test_rejects_inputs_that_are_not_2d(self):
+        layer = Linear(4, 3, rng=np.random.default_rng(3))
+        for shape in [(4,), (2, 2, 4)]:
+            with pytest.raises(ValueError, match=r"expected \(n, 4\) input"):
+                layer(Tensor(np.zeros(shape)))
 
 
 class TestFusedCrossEntropyGradients:
@@ -135,18 +140,18 @@ class TestFusedCrossEntropyGradients:
         targets = rng.integers(0, 4, size=6)
         weights = rng.random(6)
 
-        fused_logits = Tensor(z0.copy(), requires_grad=True)
-        fused = F.cross_entropy(fused_logits, targets, sample_weights=weights)
-        fused.backward()
+        logits = Tensor(z0.copy(), requires_grad=True)
+        loss = F.cross_entropy(logits, targets, sample_weights=weights)
+        loss.backward()
 
-        with use_fused_ops(False):
-            ref_logits = Tensor(z0.copy(), requires_grad=True)
-            ref = F.cross_entropy(ref_logits, targets, sample_weights=weights)
-            ref.backward()
-
-        assert fused.item() == pytest.approx(ref.item(), rel=1e-12)
-        np.testing.assert_allclose(fused_logits.grad, ref_logits.grad,
-                                   atol=1e-12)
+        rows = np.arange(6)
+        expected = -(weights * np_log_softmax(z0)[rows, targets]).sum() \
+            / weights.sum()
+        grad = np_softmax(z0)
+        grad[rows, targets] -= 1.0
+        grad *= weights[:, None] / weights.sum()
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(logits.grad, grad, atol=1e-12)
 
     def test_soft_weighted_matches_unfused_reference(self):
         rng = np.random.default_rng(6)
@@ -154,36 +159,34 @@ class TestFusedCrossEntropyGradients:
         probs = rng.dirichlet(np.ones(3), size=5)
         weights = rng.random(5)
 
-        fused_logits = Tensor(z0.copy(), requires_grad=True)
-        fused = F.soft_cross_entropy(fused_logits, probs, sample_weights=weights)
-        fused.backward()
+        logits = Tensor(z0.copy(), requires_grad=True)
+        loss = F.soft_cross_entropy(logits, probs, sample_weights=weights)
+        loss.backward()
 
-        with use_fused_ops(False):
-            ref_logits = Tensor(z0.copy(), requires_grad=True)
-            ref = F.soft_cross_entropy(ref_logits, probs, sample_weights=weights)
-            ref.backward()
-
-        assert fused.item() == pytest.approx(ref.item(), rel=1e-12)
-        np.testing.assert_allclose(fused_logits.grad, ref_logits.grad,
-                                   atol=1e-12)
+        weighted = probs * weights[:, None]
+        expected = -(weighted * np_log_softmax(z0)).sum() / weights.sum()
+        grad = (np_softmax(z0) * weighted.sum(axis=1, keepdims=True)
+                - weighted) / weights.sum()
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(logits.grad, grad, atol=1e-12)
 
     def test_out_of_range_labels_raise(self):
-        # The fused kernel must keep the reference path's range validation:
-        # numpy indexing would otherwise silently wrap negative labels.
+        # The fused kernel validates labels: numpy indexing would otherwise
+        # silently wrap negative labels.
         logits = Tensor(np.zeros((2, 3)), requires_grad=True)
         with pytest.raises(ValueError):
             F.cross_entropy(logits, np.array([-1, 2]))
         with pytest.raises(ValueError):
             F.cross_entropy(logits, np.array([0, 3]))
 
-    def test_mse_broadcast_targets_fall_back_to_reference(self):
-        # Broadcastable (non-equal-shape) targets must take the reference
-        # path: same loss value and a gradient shaped like the predictions.
+    @pytest.mark.parametrize("loss", [F.mse_loss, F.l2_loss],
+                             ids=["mse", "l2"])
+    def test_squared_error_targets_must_match_predictions(self, loss):
         predictions = Tensor(np.ones((3, 1)), requires_grad=True)
-        loss = F.mse_loss(predictions, np.zeros((3, 4)))
-        assert loss.item() == pytest.approx(1.0)
-        loss.backward()
-        assert predictions.grad.shape == (3, 1)
+        with pytest.raises(ValueError, match="targets of shape"):
+            loss(predictions, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="targets must be constants"):
+            loss(predictions, Tensor(np.zeros((3, 1)), requires_grad=True))
 
     def test_gradient_flows_through_upstream_ops(self):
         # The fused loss must keep the tape alive above it.

@@ -4,10 +4,7 @@ The whole-graph capture/replay executor (:mod:`repro.nn.replay`) promises
 that replayed training is *bit-identical* to the fused eager path: for every
 model/loss/optimizer combination used in the pipeline we train twice — once
 with replay forced on, once forced off — and require exactly equal
-parameters after N steps, in both float64 and float32.  The
-``seed_compat_mode`` primitive-composed reference must agree to numerical
-tolerance (its arithmetic order differs, so bitwise equality is not
-expected there).
+parameters after N steps, in both float64 and float32.
 """
 
 import contextlib
@@ -16,13 +13,12 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, Adam, GraphReplay, TrainConfig, default_dtype,
-                      seed_compat_mode, train_classifier,
-                      train_soft_classifier)
+                      train_classifier, train_soft_classifier)
 from repro.nn.modules import Dropout, Linear, Module, ReLU
 
 DTYPES = [
-    pytest.param(np.float64, 1e-8, id="float64"),
-    pytest.param(np.float32, 1e-3, id="float32"),
+    pytest.param(np.float64, id="float64"),
+    pytest.param(np.float32, id="float32"),
 ]
 
 
@@ -44,7 +40,7 @@ def _assert_bit_identical(got, expected):
 class TestHardCrossEntropySGD:
     """The transfer/multitask/fixmatch-supervised loop shape."""
 
-    def _train(self, dtype, replay, compat=False):
+    def _train(self, dtype, replay):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(150, 24))
         labels = rng.integers(0, 7, size=150)
@@ -52,25 +48,15 @@ class TestHardCrossEntropySGD:
                              nesterov=True, weight_decay=1e-4,
                              scheduler="multistep", milestones=(2,),
                              seed=0, replay=replay)
-        with contextlib.ExitStack() as stack:
-            if compat:
-                stack.enter_context(seed_compat_mode())
-            stack.enter_context(_dtype_scope(dtype))
+        with _dtype_scope(dtype):
             model = MLP(24, [48, 32], 7, rng=np.random.default_rng(1))
             train_classifier(model, features, labels, config)
             return _params(model)
 
-    @pytest.mark.parametrize("dtype,tol", DTYPES)
-    def test_replay_bit_identical_to_eager(self, dtype, tol):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_replay_bit_identical_to_eager(self, dtype):
         _assert_bit_identical(self._train(dtype, replay=True),
                               self._train(dtype, replay=False))
-
-    @pytest.mark.parametrize("dtype,tol", DTYPES)
-    def test_replay_matches_seed_compat_reference(self, dtype, tol):
-        replayed = self._train(dtype, replay=True)
-        reference = self._train(dtype, replay=None, compat=True)
-        for got, ref in zip(replayed, reference):
-            np.testing.assert_allclose(got, ref, atol=tol, rtol=tol)
 
 
 class TestSoftCrossEntropyAdam:
@@ -89,8 +75,8 @@ class TestSoftCrossEntropyAdam:
             train_soft_classifier(model, features, probs, config)
             return _params(model)
 
-    @pytest.mark.parametrize("dtype,tol", DTYPES)
-    def test_replay_bit_identical_to_eager(self, dtype, tol):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_replay_bit_identical_to_eager(self, dtype):
         _assert_bit_identical(self._train(dtype, replay=True),
                               self._train(dtype, replay=False))
 
@@ -131,8 +117,8 @@ class TestL2AdamPretrainLoop:
                 val_losses.append(stepper.eval_loss(val_x, val_y))
             return _params(encoder), val_losses, stepper.stats
 
-    @pytest.mark.parametrize("dtype,tol", DTYPES)
-    def test_replay_bit_identical_to_eager(self, dtype, tol):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_replay_bit_identical_to_eager(self, dtype):
         replay_params, replay_vals, stats = self._train(dtype, replay=True)
         eager_params, eager_vals, _ = self._train(dtype, replay=False)
         _assert_bit_identical(replay_params, eager_params)

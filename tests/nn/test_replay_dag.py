@@ -4,7 +4,7 @@ The DAG generalization of the replay executor (BatchNorm kernels, weight
 sharing across views, fan-out/fan-in, summed and weighted-sum losses, the
 ``step_fn`` / ``forward`` APIs) promises the same contract as the linear
 chains of ``test_replay.py``: replayed training is **bit-identical** to the
-fused eager path.  Every graph shape here trains twice — replay forced on
+eager path.  Every graph shape here trains twice — replay forced on
 vs forced off — and requires exactly equal parameters (and, for BatchNorm,
 exactly equal running statistics) after N steps, in float64 and float32,
 across the pipeline's optimizers.
@@ -106,7 +106,7 @@ class TestBatchNormChain:
         assert stats.replays == 3 * 3 - 1
 
     def test_batchnorm_eval_loss_matches_eager_inference(self):
-        from repro.nn.tensor import inference_mode
+        from repro.nn import no_grad
 
         rng = np.random.default_rng(4)
         model = MLP(10, [16], 3, batch_norm=True,
@@ -118,7 +118,7 @@ class TestBatchNormChain:
         stepper.step(x, y)
         model.eval()
         compiled = [stepper.eval_loss(x, y) for _ in range(3)]
-        with inference_mode():
+        with no_grad():
             eager = F.cross_entropy(model(Tensor(x)), y).item()
         assert compiled == [eager] * 3
 
@@ -530,7 +530,7 @@ class TestIntegerFeatures:
 
 class TestCompiledForward:
     def test_forward_matches_eager_inference(self):
-        from repro.nn.tensor import inference_mode
+        from repro.nn import no_grad
 
         rng = np.random.default_rng(18)
         model = MLP(8, [16], 4, rng=np.random.default_rng(19))
@@ -539,7 +539,7 @@ class TestCompiledForward:
         stepper = GraphReplay(model, optimizer)
         x = rng.normal(size=(12, 8))
         compiled = [stepper.forward(x).copy() for _ in range(3)]
-        with inference_mode():
+        with no_grad():
             eager = model(Tensor(x)).data
         for got in compiled:
             np.testing.assert_array_equal(got, eager)
@@ -648,7 +648,7 @@ class TestReluBufferReuse:
             assert all(n.mask is None for n in _relu_nodes(stepper, kind))
 
     def test_relu_as_forward_root_keeps_its_own_buffer(self):
-        from repro.nn.tensor import inference_mode
+        from repro.nn import no_grad
 
         rng = np.random.default_rng(42)
         x = rng.normal(size=(12, 10))
@@ -657,7 +657,7 @@ class TestReluBufferReuse:
         model.eval()
         stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
         compiled = [stepper.forward(x).tobytes() for _ in range(3)]
-        with inference_mode():
+        with no_grad():
             eager = model(Tensor(x)).data.tobytes()
         assert compiled == [eager] * 3
         (relu,) = _relu_nodes(stepper, "fwd")

@@ -12,8 +12,7 @@ silent stale-buffer reuse.
 import numpy as np
 import pytest
 
-from repro.nn import (GraphReplay, SGD, Tensor, seed_compat_mode,
-                      use_graph_replay)
+from repro.nn import GraphReplay, SGD, Tensor, use_graph_replay
 from repro.nn.modules import (BatchNorm1d, Linear, Module, ReLU, Sequential)
 
 
@@ -243,16 +242,6 @@ class TestEngineModeSwitches:
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
 
-    def test_seed_compat_mode_disables_replay(self):
-        model = _make_model()
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
-        x, y = _batches(15)
-        with seed_compat_mode():
-            stepper.step(x, y)
-        assert stepper.stats.replays == 0
-        assert stepper.stats.eager_steps == 1
-
 
 class TestFrozenParameters:
     def test_head_only_training_matches_eager(self):
@@ -330,13 +319,13 @@ class TestEvalGuards:
 
     def test_eval_loss_matches_eager_inference(self):
         from repro.nn import functional as F
-        from repro.nn.tensor import inference_mode
+        from repro.nn import no_grad
 
         model = _make_model(seed=26)
         optimizer = SGD(model.parameters(), lr=0.1)
         stepper = GraphReplay(model, optimizer, loss="cross_entropy")
         x, y = _batches(27)
         compiled = [stepper.eval_loss(x, y) for _ in range(3)]
-        with inference_mode():
+        with no_grad():
             eager = F.cross_entropy(model(Tensor(x)), y).item()
         assert compiled == [eager] * 3

@@ -1,8 +1,7 @@
 """Engine scopes are context-local: a scope on one thread is invisible to others.
 
-Every engine setting (default dtype, fused ops, graph replay, no-grad
-inference, grad mode, the op tracer and ambient replay-stats sinks) lives in
-a ``contextvars.ContextVar``.  Two threads that interleave their scopes must
+Every engine setting (default dtype, graph replay, grad mode, the op tracer
+and ambient replay-stats sinks) lives in a ``contextvars.ContextVar``.  Two threads that interleave their scopes must
 each see only their own values, both must restore cleanly in any exit
 order, and a thread that never opened a scope runs at the defaults.
 """
@@ -13,18 +12,15 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, SGD, GraphReplay, ReplayStats, collect_replay_stats,
-                      default_dtype, get_default_dtype, no_grad,
-                      seed_compat_mode, set_default_dtype, use_fused_ops,
+                      default_dtype, get_default_dtype, graph_replay_enabled,
+                      is_grad_enabled, no_grad, set_default_dtype,
                       use_graph_replay)
-from repro.nn.tensor import (fused_ops_enabled, graph_replay_enabled,
-                             inference_no_grad_enabled, is_grad_enabled)
 
-DEFAULTS = (np.float64, True, True, True, True)
+DEFAULTS = (np.float64, True, True)
 
 
 def snapshot():
-    return (get_default_dtype(), fused_ops_enabled(), graph_replay_enabled(),
-            inference_no_grad_enabled(), is_grad_enabled())
+    return get_default_dtype(), graph_replay_enabled(), is_grad_enabled()
 
 
 def run_threads(*targets, timeout=30):
@@ -60,13 +56,12 @@ class TestInterleavedScopes:
         seen = {}
 
         def thread_a(barrier):
-            with default_dtype("float32"), use_graph_replay(False), \
-                    use_fused_ops(False):
+            with default_dtype("float32"), use_graph_replay(False):
                 barrier.wait()                      # 1: A in scope
                 barrier.wait()                      # 2: B in scope
                 seen["a_mid"] = snapshot()
-                barrier.wait()                      # 3: B in seed-compat
-                seen["a_compat"] = snapshot()
+                barrier.wait()                      # 3: B in its inner scope
+                seen["a_inner"] = snapshot()
                 barrier.wait()                      # 4
             # A exits first, while B is still inside its scopes.
             seen["a_after"] = snapshot()
@@ -75,26 +70,25 @@ class TestInterleavedScopes:
 
         def thread_b(barrier):
             barrier.wait()                          # 1
-            with default_dtype("float64"), use_graph_replay(True), \
-                    use_fused_ops(True):
+            with default_dtype("float64"), use_graph_replay(True):
                 barrier.wait()                      # 2
                 seen["b_mid"] = snapshot()
-                with seed_compat_mode():
+                with use_graph_replay(False), no_grad():
                     barrier.wait()                  # 3
-                    seen["b_compat"] = snapshot()
+                    seen["b_inner"] = snapshot()
                     barrier.wait()                  # 4
                     barrier.wait()                  # 5: A has exited
-                    seen["b_compat_after_a"] = snapshot()
+                    seen["b_inner_after_a"] = snapshot()
             seen["b_after"] = snapshot()
             barrier.wait()                          # 6
 
         run_threads(thread_a, thread_b)
 
-        assert seen["a_mid"] == (np.float32, False, False, True, True)
-        assert seen["b_mid"] == (np.float64, True, True, True, True)
-        assert seen["a_compat"] == seen["a_mid"]
-        assert seen["b_compat"] == (np.float64, False, False, False, True)
-        assert seen["b_compat_after_a"] == seen["b_compat"]
+        assert seen["a_mid"] == (np.float32, False, True)
+        assert seen["b_mid"] == (np.float64, True, True)
+        assert seen["a_inner"] == seen["a_mid"]
+        assert seen["b_inner"] == (np.float64, False, False)
+        assert seen["b_inner_after_a"] == seen["b_inner"]
         assert seen["a_after"] == DEFAULTS
         assert seen["b_after"] == DEFAULTS
         assert snapshot() == before == DEFAULTS
@@ -115,15 +109,15 @@ class TestInterleavedScopes:
 
         run_threads(worker, main_side)
         assert seen["worker"] == DEFAULTS
-        assert seen["main"] == (np.float32, True, True, True, False)
+        assert seen["main"] == (np.float32, True, False)
 
     def test_new_threads_start_at_the_defaults(self):
         seen = []
-        with default_dtype("float32"), use_fused_ops(False):
+        with default_dtype("float32"), use_graph_replay(False), no_grad():
             thread = threading.Thread(target=lambda: seen.append(snapshot()))
             thread.start()
             thread.join(timeout=30)
-            assert snapshot()[:2] == (np.float32, False)
+            assert snapshot() == (np.float32, False, False)
         assert seen == [DEFAULTS]
 
     def test_set_default_dtype_is_context_local(self):

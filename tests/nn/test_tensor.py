@@ -1,4 +1,8 @@
-"""Unit and property-based tests for the autograd engine."""
+"""Unit and property-based tests for the autograd engine.
+
+The op kernels themselves are fuzzed against finite differences in
+``test_grad_properties.py``; these tests pin the tape's mechanics.
+"""
 
 import numpy as np
 import pytest
@@ -6,31 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, concatenate, stack
-
-
-def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued function of an array."""
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + eps
-        upper = fn(x)
-        flat[i] = original - eps
-        lower = fn(x)
-        flat[i] = original
-        grad_flat[i] = (upper - lower) / (2 * eps)
-    return grad
+from repro.nn import Tensor
 
 
 class TestBasicOps:
     def test_add_backward_broadcast(self):
         a = Tensor(np.ones((3, 4)), requires_grad=True)
         b = Tensor(np.ones(4), requires_grad=True)
-        out = (a + b).sum()
-        out.backward()
+        (a + b).backward()
         assert a.grad.shape == (3, 4)
         assert b.grad.shape == (4,)
         np.testing.assert_allclose(b.grad, 3.0 * np.ones(4))
@@ -38,126 +25,32 @@ class TestBasicOps:
     def test_mul_backward(self):
         a = Tensor([2.0, 3.0], requires_grad=True)
         b = Tensor([4.0, 5.0], requires_grad=True)
-        (a * b).sum().backward()
+        (a * b).backward()
         np.testing.assert_allclose(a.grad, [4.0, 5.0])
         np.testing.assert_allclose(b.grad, [2.0, 3.0])
 
-    def test_div_backward(self):
-        a = Tensor([6.0], requires_grad=True)
-        b = Tensor([3.0], requires_grad=True)
-        (a / b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0 / 3.0])
-        np.testing.assert_allclose(b.grad, [-6.0 / 9.0])
-
-    def test_matmul_backward_matches_numerical(self):
-        rng = np.random.default_rng(0)
-        a_value = rng.normal(size=(3, 4))
-        b_value = rng.normal(size=(4, 2))
-
-        a = Tensor(a_value.copy(), requires_grad=True)
-        b = Tensor(b_value.copy(), requires_grad=True)
-        (a @ b).sum().backward()
-
-        num_a = numerical_gradient(lambda x: (x @ b_value).sum(), a_value.copy())
-        num_b = numerical_gradient(lambda x: (a_value @ x).sum(), b_value.copy())
-        np.testing.assert_allclose(a.grad, num_a, atol=1e-5)
-        np.testing.assert_allclose(b.grad, num_b, atol=1e-5)
-
-    def test_pow_and_sqrt(self):
-        x = Tensor([4.0, 9.0], requires_grad=True)
-        x.sqrt().sum().backward()
-        np.testing.assert_allclose(x.grad, [0.25, 1.0 / 6.0])
-
-    def test_neg_sub(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        (5.0 - x).sum().backward()
-        np.testing.assert_allclose(x.grad, [-1.0, -1.0])
-
     def test_scalar_interop(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        out = (2.0 * x + 1.0) / 2.0
-        out.sum().backward()
+        out = (2.0 * x + 1.0) * 0.5
+        out.backward()
+        np.testing.assert_allclose(out.data, [1.5, 2.5])
         np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
 
 class TestElementwise:
     @pytest.mark.parametrize("op,derivative", [
-        ("exp", lambda x: np.exp(x)),
         ("tanh", lambda x: 1 - np.tanh(x) ** 2),
-        ("sigmoid", lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
     ])
     def test_unary_gradients(self, op, derivative):
         value = np.array([-0.5, 0.1, 1.2])
         x = Tensor(value.copy(), requires_grad=True)
-        getattr(x, op)().sum().backward()
+        getattr(x, op)().backward()
         np.testing.assert_allclose(x.grad, derivative(value), atol=1e-8)
 
     def test_relu_gradient_mask(self):
         x = Tensor([-1.0, 0.5, 2.0], requires_grad=True)
-        x.relu().sum().backward()
+        x.relu().backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0, 1.0])
-
-    def test_log_gradient(self):
-        x = Tensor([0.5, 2.0], requires_grad=True)
-        x.log().sum().backward()
-        np.testing.assert_allclose(x.grad, [2.0, 0.5])
-
-    def test_clip_gradient(self):
-        x = Tensor([-2.0, 0.0, 2.0], requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_abs_gradient(self):
-        x = Tensor([-2.0, 3.0], requires_grad=True)
-        x.abs().sum().backward()
-        np.testing.assert_allclose(x.grad, [-1.0, 1.0])
-
-
-class TestReductionsAndShapes:
-    def test_sum_axis_keepdims(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.sum(axis=0).sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((2, 3)))
-
-    def test_mean_gradient(self):
-        x = Tensor(np.ones((4, 5)), requires_grad=True)
-        x.mean().backward()
-        np.testing.assert_allclose(x.grad, np.full((4, 5), 1.0 / 20.0))
-
-    def test_max_gradient_goes_to_argmax(self):
-        x = Tensor([1.0, 5.0, 3.0], requires_grad=True)
-        x.max().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_reshape_transpose_roundtrip(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = x.reshape(3, 2).T
-        assert out.shape == (2, 3)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((2, 3)))
-
-    def test_getitem_gradient(self):
-        x = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
-        x[1].sum().backward()
-        expected = np.zeros((3, 3))
-        expected[1] = 1.0
-        np.testing.assert_allclose(x.grad, expected)
-
-    def test_stack_and_concatenate(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(2 * np.ones(3), requires_grad=True)
-        stacked = stack([a, b], axis=0)
-        assert stacked.shape == (2, 3)
-        stacked.sum().backward()
-        np.testing.assert_allclose(a.grad, np.ones(3))
-
-        a.zero_grad()
-        b.zero_grad()
-        joined = concatenate([a, b], axis=0)
-        assert joined.shape == (6,)
-        (joined * joined).sum().backward()
-        np.testing.assert_allclose(a.grad, 2 * np.ones(3))
-        np.testing.assert_allclose(b.grad, 4 * np.ones(3))
 
 
 class TestGraphMechanics:
@@ -186,16 +79,6 @@ class TestGraphMechanics:
             out = out + 1.0
         out.backward()
         np.testing.assert_allclose(x.grad, [1.0])
-
-
-@settings(max_examples=30, deadline=None)
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
-                                               min_side=1, max_side=5),
-                  elements=st.floats(-3, 3)))
-def test_property_sum_gradient_is_ones(values):
-    x = Tensor(values.copy(), requires_grad=True)
-    x.sum().backward()
-    np.testing.assert_allclose(x.grad, np.ones_like(values))
 
 
 @settings(max_examples=30, deadline=None)

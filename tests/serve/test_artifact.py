@@ -11,7 +11,7 @@ import pytest
 from repro.nn import default_dtype, get_default_dtype
 from repro.serve import (ArtifactError, SCHEMA_VERSION, export_end_model,
                          load_servable, read_manifest)
-from repro.serve.artifact import MANIFEST_NAME, WEIGHTS_NAME
+from repro.serve.artifact import FORMAT_ENSEMBLE, MANIFEST_NAME, WEIGHTS_NAME
 
 from .conftest import CLASS_NAMES, NUM_CLASSES, SPEC, make_end_model
 
@@ -148,6 +148,13 @@ class TestFallbackForward:
         assert get_default_dtype() is np.float64
 
 
+def _ensemble_manifest(members) -> bytes:
+    """An ensemble manifest carrying every required key, with ``members``."""
+    return json.dumps({"schema_version": 2, "format": FORMAT_ENSEMBLE,
+                       "class_names": ["a", "b"],
+                       "members": members}).encode("utf-8")
+
+
 class TestValidation:
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(ArtifactError, match="no servable artifact"):
@@ -163,7 +170,12 @@ class TestValidation:
         b"[]",                                      # AttributeError on .get
         b'{"schema_version": "\xff\xfe"}',        # UnicodeDecodeError
         b'{"members": ' + b"[" * 5000 + b"]" * 5000 + b"}",   # RecursionError
-    ], ids=["not-an-object", "not-utf8", "nested-too-deeply"])
+        b'{"schema_version": ' + b"9" * 5000 + b"}",  # ValueError (int limit)
+        _ensemble_manifest(5),                      # TypeError on iteration
+        _ensemble_manifest([5]),                    # TypeError on ``in``
+    ], ids=["not-an-object", "not-utf8", "nested-too-deeply",
+            "oversized-integer-literal", "members-not-a-list",
+            "member-not-an-object"])
     def test_tampered_manifest_is_an_artifact_error(self, artifact_dir,
                                                     content):
         with open(os.path.join(artifact_dir, MANIFEST_NAME), "wb") as handle:

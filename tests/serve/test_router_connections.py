@@ -91,6 +91,8 @@ def _post_to_router(replica_address, body):
 @pytest.mark.parametrize("knob,value", [
     ("priority", "1e400"), ("priority", "Infinity"), ("priority", "NaN"),
     ("priority", "1.5"), ("deadline_ms", "NaN"), ("deadline_ms", "Infinity"),
+    ("priority", "true"), ("deadline_ms", "true"),
+    ("return_probabilities", '"false"'), ("return_probabilities", "1"),
 ])
 def test_router_refuses_non_finite_knobs_without_a_hop(counted_replica, knob,
                                                        value):
@@ -115,11 +117,16 @@ def test_router_refuses_an_overflowing_integer_input_without_a_hop(
 
 
 def test_router_refuses_a_deeply_nested_body_without_a_hop(counted_replica):
-    # json.loads raised RecursionError past the handler, and the client saw
-    # a dropped connection.
+    # json.loads raised RecursionError on the deep body, and ValueError on
+    # an integer literal past Python's 4300-digit limit, past the handler;
+    # the client saw a dropped connection.
     app, address, _ = counted_replica
-    status, payload = _post_to_router(
-        address, '{"inputs": ' + "[" * 5000 + "]" * 5000 + "}")
-    assert status == 400
-    assert "nested too deeply" in payload["error"]
+    for body, fragment in [
+            ('{"inputs": ' + "[" * 5000 + "]" * 5000 + "}",
+             "nested too deeply"),
+            ('{"inputs": [[1]], "priority": ' + "9" * 5000 + "}",
+             "invalid JSON body")]:
+        status, payload = _post_to_router(address, body)
+        assert status == 400
+        assert fragment in payload["error"]
     assert app.calls == 0

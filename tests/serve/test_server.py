@@ -344,12 +344,38 @@ class TestHttpEndpoint:
         # past the handler, and the client saw a dropped connection.
         pytest.param(b'{"inputs": ' + b"[" * 5000 + b"]" * 5000 + b"}",
                      "nested too deeply", id="nested-too-deeply"),
+        # An integer literal past Python's 4300-digit int-string limit
+        # raised ValueError in json.loads past the handler, and the client
+        # saw a dropped connection.
+        pytest.param(b'{"inputs": [[1]], "priority": ' + b"9" * 5000 + b"}",
+                     "invalid JSON body", id="oversized-integer-literal"),
+        # The string "false" was read with bool() and returned
+        # probabilities; a JSON true was taken as priority 1 and as a 1 ms
+        # deadline.
+        ({"inputs": [[1.0] * 24], "return_probabilities": "false"},
+         "return_probabilities"),
+        ({"inputs": [[1.0] * 24], "return_probabilities": 1},
+         "return_probabilities"),
+        ({"inputs": [[1.0] * 24], "priority": True}, "priority"),
+        ({"inputs": [[1.0] * 24], "deadline_ms": True}, "deadline_ms"),
     ])
     def test_bad_requests_are_400(self, endpoint, payload, fragment):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, payload)
         assert excinfo.value.code == 400
         assert fragment in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize("flag,expected", [
+        (True, True), (False, False), (None, False), ("absent", False)],
+        ids=["true", "false", "null", "absent"])
+    def test_return_probabilities_flag(self, endpoint, features, flag,
+                                       expected):
+        payload = {"inputs": features[:2].tolist(), "priority": None,
+                   "deadline_ms": None}
+        if flag != "absent":
+            payload["return_probabilities"] = flag
+        response = self._post(endpoint, payload)
+        assert ("probabilities" in response) is expected
 
     @pytest.mark.parametrize("body", [[[1.0] * 24], "inputs", 42],
                              ids=["array", "string", "number"])
