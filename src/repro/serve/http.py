@@ -145,6 +145,19 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return None
         return payload
 
+    def _bool_field(self, payload: dict, key: str,
+                    default: bool) -> Optional[bool]:
+        """Read an optional JSON boolean (null reads as absent); answers a
+        400 itself (and returns ``None``) for any other type — ``bool()``
+        would read the string ``"false"`` as true."""
+        value = payload.get(key)
+        if value is None:
+            return default
+        if not isinstance(value, bool):
+            self._send_error_json(400, f"{key!r} must be true or false")
+            return None
+        return value
+
     def _do_admin(self, payload: dict) -> None:
         """The fleet control plane: hot-swap loads and drain flags."""
         app = type(self).serve_app
@@ -154,17 +167,22 @@ class _ServeHandler(BaseHTTPRequestHandler):
             if not name or not path:
                 self._send_error_json(400, "'name' and 'path' are required")
                 return
+            make_latest = self._bool_field(payload, "make_latest", True)
+            if make_latest is None:
+                return
             try:
                 version = app.load(str(name), str(path),
                                    version=payload.get("version"),
-                                   make_latest=bool(payload.get("make_latest",
-                                                                True)))
+                                   make_latest=make_latest)
             except Exception as error:
                 self._send_error_json(400, f"{type(error).__name__}: {error}")
                 return
             self._send_json({"name": str(name), "version": version})
         elif self.path == "/admin/drain":
-            app.set_draining(bool(payload.get("draining", True)))
+            draining = self._bool_field(payload, "draining", True)
+            if draining is None:
+                return
+            app.set_draining(draining)
             self._send_json(app.health())
         else:
             self._send_error_json(404, f"unknown admin path {self.path!r}")
@@ -228,12 +246,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
                     400, "'deadline_ms' must be a finite number of "
                          "milliseconds")
                 return
-        return_probabilities = payload.get("return_probabilities")
+        return_probabilities = self._bool_field(
+            payload, "return_probabilities", False)
         if return_probabilities is None:
-            return_probabilities = False
-        elif not isinstance(return_probabilities, bool):
-            self._send_error_json(
-                400, "'return_probabilities' must be true or false")
             return
         try:
             response = app.predict(

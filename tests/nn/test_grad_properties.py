@@ -22,15 +22,15 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, default_dtype, ops
+from repro.nn import Tensor, default_dtype, no_grad, ops
 from repro.nn import functional as F
 from repro.nn.modules import BatchNorm1d, Dropout, Linear
 from repro.nn.tensor import apply
 
 SEEDS = [0, 1, 2]
 
-# float64 everywhere; a representative subset re-runs in float32 with the
-# coarser probe/tolerance that its ~7 significant digits allow.
+# Every case runs in float64 and again in float32 with the coarser
+# probe/tolerance that its ~7 significant digits allow.
 F64 = (np.float64, 1e-6, 5e-6)
 F32 = (np.float32, 1e-2, 2e-3)
 
@@ -389,12 +389,6 @@ TABLE_CASES = {
 ORACLE_CASES = [case_linear, case_cross_entropy, case_cross_entropy_weighted,
                 case_soft_cross_entropy, case_mse_loss, case_l2_loss]
 
-#: representative subset re-checked in float32
-F32_CASES = [case_linear, case_cross_entropy, case_soft_cross_entropy,
-             case_l2_loss, case_relu, case_tanh, case_batchnorm_train,
-             case_fanin_two_losses]
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("builder", ALL_CASES, ids=lambda b: b.__name__)
 def test_gradients_float64(builder, seed):
@@ -403,7 +397,7 @@ def test_gradients_float64(builder, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("builder", F32_CASES, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("builder", ALL_CASES, ids=lambda b: b.__name__)
 def test_gradients_float32(builder, seed):
     dtype, eps, tol = F32
     check_gradients(builder, seed, dtype, eps, tol)
@@ -426,3 +420,50 @@ def test_matches_closed_form_oracle(builder, seed):
     for tensor, expected in zip(tensors, grads):
         np.testing.assert_allclose(tensor.grad, expected, atol=1e-12,
                                    rtol=1e-12)
+
+
+DTYPES = [np.float64, np.float32]
+
+
+def build_case(builder, dtype):
+    """A case's seed-0 leaves (requiring grad) and its output in ``dtype``."""
+    arrays, tensor_fn = builder(np.random.default_rng(0))[:2]
+    with default_dtype(dtype):
+        tensors = [Tensor(np.asarray(a, dtype=dtype), requires_grad=True)
+                   for a in arrays]
+        return tensors, tensor_fn, tensor_fn(*tensors)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("builder", ALL_CASES, ids=lambda b: b.__name__)
+def test_no_grad_forward_is_bitwise_the_grad_forward(builder, dtype):
+    """Inference runs the same forward kernels without recording a graph:
+    the value is byte-identical to the training forward's."""
+    _, _, eager = build_case(builder, dtype)
+    with no_grad():
+        _, _, inference = build_case(builder, dtype)
+    assert eager.requires_grad and eager._backward is not None
+    assert inference.requires_grad is False
+    assert inference._backward is None and inference._parents == ()
+    assert inference.dtype == eager.dtype == dtype
+    assert inference.shape == eager.shape
+    assert inference.data.tobytes() == eager.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("builder", ALL_CASES, ids=lambda b: b.__name__)
+def test_gradients_accumulate_across_backward_passes(builder, dtype):
+    """A second graph over the same leaves adds its gradients to the first
+    graph's: leaf gradients are accumulated into, never overwritten, and
+    never alias a buffer a later backward writes."""
+    tensors, tensor_fn, out = build_case(builder, dtype)
+    cotangent = cotangent_for(out.shape, 0)
+    out.backward(cotangent)
+    once = [tensor.grad.copy() for tensor in tensors]
+    with default_dtype(dtype):
+        tensor_fn(*tensors).backward(cotangent)
+    tol = 1e-12 if dtype is np.float64 else 1e-5
+    for i, (tensor, grad) in enumerate(zip(tensors, once)):
+        assert tensor.grad.dtype == dtype
+        np.testing.assert_allclose(tensor.grad, 2 * grad, rtol=tol, atol=tol,
+                                   err_msg=f"input {i}")

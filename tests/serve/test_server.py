@@ -8,7 +8,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import BatchingConfig, Server, start_http_server
+from repro.serve import (BatchingConfig, Server, make_http_server,
+                         start_http_server)
 
 
 @pytest.fixture()
@@ -435,3 +436,65 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{endpoint}/nope", timeout=10)
         assert excinfo.value.code == 404
+
+
+class TestAdminEndpoint:
+    """The fleet worker's ``/admin/*`` control plane over HTTP."""
+
+    @pytest.fixture()
+    def admin(self, server):
+        httpd = make_http_server(server, port=0, admin=True)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+        httpd.shutdown()
+        httpd.server_close()
+
+    def _post(self, url, path, payload):
+        request = urllib.request.Request(
+            f"{url}{path}", data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return json.loads(response.read())
+
+    @pytest.mark.parametrize("flag,expected", [
+        (True, True), (False, False), (None, True), ("absent", True)],
+        ids=["true", "false", "null", "absent"])
+    def test_drain_flag(self, admin, server, flag, expected):
+        server.set_draining(not expected)
+        payload = {} if flag == "absent" else {"draining": flag}
+        assert self._post(admin, "/admin/drain", payload)["draining"] is \
+            expected
+        assert server.health()["draining"] is expected
+
+    @pytest.mark.parametrize("flag,latest", [
+        (True, "2"), (False, "1"), (None, "2")],
+        ids=["true", "false", "null"])
+    def test_load_make_latest(self, admin, server, artifact_dir, flag,
+                              latest):
+        response = self._post(admin, "/admin/load", {
+            "name": "default", "path": artifact_dir, "make_latest": flag})
+        assert response == {"name": "default", "version": "2"}
+        assert server.models()["default"]["latest"] == latest
+
+    @pytest.mark.parametrize("path,field,value", [
+        # The string "false" was read with bool() and drained the worker.
+        ("/admin/drain", "draining", "false"),
+        ("/admin/drain", "draining", 0),
+        ("/admin/drain", "draining", [True]),
+        ("/admin/load", "make_latest", "false"),
+        ("/admin/load", "make_latest", 1),
+    ])
+    def test_non_boolean_flags_are_400(self, admin, server, artifact_dir,
+                                       path, field, value):
+        payload = {field: value}
+        if path == "/admin/load":
+            payload.update(name="other", path=artifact_dir)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(admin, path, payload)
+        assert excinfo.value.code == 400
+        assert f"'{field}' must be true or false" in json.loads(
+            excinfo.value.read())["error"]
+        # Refused before acting: no drain flag set, no model loaded.
+        assert server.health()["draining"] is False
+        assert "other" not in server.models()
