@@ -43,7 +43,8 @@ L, U, D, C = 20, 64, 24, 10
 
 def _run_loop(replay: bool, stats: ReplayStats):
     """The FixMatch two-view loop; returns (params, wall-clock seconds)."""
-    with default_dtype(np.float32):
+    with default_dtype(np.float32), use_graph_replay(replay), \
+            collect_replay_stats(stats):
         dt = np.dtype(np.float32)
         rng = np.random.default_rng(0)
         labeled_x = rng.normal(size=(L, D)).astype(dt)
@@ -54,7 +55,7 @@ def _run_loop(replay: bool, stats: ReplayStats):
         model = MLP(D, [48, 32], C, rng=np.random.default_rng(1))
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9,
                         nesterov=True)
-        stepper = GraphReplay(model, optimizer, enabled=replay, stats=stats)
+        stepper = GraphReplay(model, optimizer)
         model.train()
         start = time.perf_counter()
         with stepper.epoch():

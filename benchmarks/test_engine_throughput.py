@@ -30,7 +30,8 @@ from repro.core import Controller, ControllerConfig, Task
 from repro.kg import GraphSpec
 from repro.modules import ZslKgModule
 from repro.nn import (MLP, Adam, GraphReplay, Tensor, TrainConfig,
-                      default_dtype, no_grad, softmax_rows, train_classifier)
+                      default_dtype, no_grad, softmax_rows, train_classifier,
+                      use_graph_replay)
 from repro.nn.modules import Linear, Module, ReLU
 from repro.synth import WorldSpec
 from repro.workspace import Workspace, WorkspaceSpec
@@ -91,11 +92,11 @@ def _train_once(dtype=None, replay=False, shape="backbone") -> float:
     features = rng.normal(size=(n, d))
     labels = rng.integers(0, c, size=n)
     start = time.perf_counter()
-    with _dtype_scope(dtype):
+    with _dtype_scope(dtype), use_graph_replay(replay):
         model = MLP(d, hidden, c, rng=np.random.default_rng(1))
         train_classifier(model, features, labels,
                          TrainConfig(epochs=epochs, batch_size=batch, seed=0,
-                                     momentum=0.9, replay=replay))
+                                     momentum=0.9))
     return time.perf_counter() - start
 
 
@@ -114,13 +115,13 @@ class _ClassEncoder(Module):
 
 def _pretrain_once(dtype=None, replay=False) -> float:
     """The ZSL-KG pretrain step loop, as ``zsl_kg._pretrain`` drives it."""
-    with _dtype_scope(dtype):
+    with _dtype_scope(dtype), use_graph_replay(replay):
         dt = np.float32 if dtype is not None else np.float64
         train_x = np.random.default_rng(2).normal(size=(PRE_N, PRE_D)).astype(dt)
         train_y = np.random.default_rng(3).normal(size=(PRE_N, PRE_OUT)).astype(dt)
         encoder = _ClassEncoder(np.random.default_rng(4))
         optimizer = Adam(encoder.parameters(), lr=1e-2)
-        stepper = GraphReplay(encoder, optimizer, loss="l2", enabled=replay)
+        stepper = GraphReplay(encoder, optimizer, loss="l2")
         start = time.perf_counter()
         for _ in range(PRE_EPOCHS):
             stepper.step(train_x, train_y, compute_loss=False)
@@ -132,7 +133,7 @@ def _fixmatch_once(dtype=None, replay=False) -> float:
     from repro.modules.fixmatch import consistency_step
     from repro.nn import SGD
 
-    with _dtype_scope(dtype):
+    with _dtype_scope(dtype), use_graph_replay(replay):
         dt = np.dtype(np.float32 if dtype is not None else np.float64)
         rng = np.random.default_rng(5)
         labeled_x = rng.normal(size=(FIX_L, FIX_D)).astype(dt)
@@ -143,7 +144,7 @@ def _fixmatch_once(dtype=None, replay=False) -> float:
         model = MLP(FIX_D, [48, 32], FIX_C, rng=np.random.default_rng(6))
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9,
                         nesterov=True)
-        stepper = GraphReplay(model, optimizer, enabled=replay)
+        stepper = GraphReplay(model, optimizer)
         model.train()
         start = time.perf_counter()
         with stepper.epoch():

@@ -26,19 +26,16 @@ class FixMatchBaseline(BaselineMethod):
     """FixMatch semi-supervised learning from a pretrained encoder.
 
     Like the module, the baseline's two-view consistency step runs through
-    the graph replay executor (``config.replay`` forces it on/off per run;
-    ``None`` follows the engine-wide flag).
+    the graph replay executor, which the ambient ``use_graph_replay`` scope
+    switches.
     """
 
     name = "fixmatch_baseline"
 
-    def __init__(self, config: Optional[FixMatchConfig] = None,
-                 replay: Optional[bool] = None):
+    def __init__(self, config: Optional[FixMatchConfig] = None):
         config = config or FixMatchConfig()
         # The baseline never uses auxiliary data, whatever the config says.
         config.use_aux_pretraining = False
-        if replay is not None:
-            config.replay = replay
         self._module = FixMatchModule(config)
 
     def train(self, data: BaselineInput) -> Taglet:

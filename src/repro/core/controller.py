@@ -64,7 +64,8 @@ class ControllerConfig:
     #: the run (module fine-tuning, the ZSL-KG pretrain, FixMatch's two-view
     #: step, the multi-task joint step, end-model distillation):
     #: ``None`` inherits the engine-wide flag (on by default), ``True``/
-    #: ``False`` force it for this run — mirroring ``TrainConfig.replay``.
+    #: ``False`` open a ``use_graph_replay`` scope for this run, the one
+    #: replay switch every loop reads.
     #: Replayed steps are bit-identical to eager; unsupported models fall
     #: back automatically (see docs/performance.md).  Context-local, like
     #: ``dtype``.

@@ -64,8 +64,7 @@ class ModuleInput:
 
 def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
                            epochs: int, batch_size: int, lr: float,
-                           momentum: float, augment: bool,
-                           replay: Optional[bool] = None
+                           momentum: float, augment: bool
                            ) -> ClassificationModel:
     """The intermediate phase (paper Eq. 1): fine-tune the backbone on ``R``.
 
@@ -79,8 +78,9 @@ def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
     dtype and the backbone object (which the key pins), so a memo hit
     returns exactly the weights the call would have trained.  The model is
     always built from ``rng``, so the caller's stream advances as if the
-    phase had trained.  ``replay`` only picks the executor, which is
-    bit-identical to eager, so it is not part of the key.
+    phase had trained.  Whether the ambient ``use_graph_replay`` scope
+    replays the phase is not part of the key: replay is bit-identical to
+    eager.
 
     The memo lives on the selection, i.e. one ``Controller.run``; a lock
     makes concurrent callers that share a selection train the phase once.
@@ -97,7 +97,7 @@ def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
             config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
                                  momentum=momentum,
                                  augment=weak_augment() if augment else None,
-                                 seed=data.seed, replay=replay)
+                                 seed=data.seed)
             train_classifier(model, auxiliary.features, auxiliary.labels,
                              config)
             auxiliary._fine_tuned[key] = model.state_dict()

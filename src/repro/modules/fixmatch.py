@@ -68,11 +68,6 @@ class FixMatchConfig:
     #: weight of the unlabeled consistency loss
     unlabeled_loss_weight: float = 1.0
     use_aux_pretraining: bool = True
-    #: graph capture/replay executor for every training phase (auxiliary
-    #: fine-tuning, head warm-up, and the two-view consistency step):
-    #: ``None`` follows the engine-wide flag, ``True``/``False`` force it —
-    #: mirroring ``TrainConfig.replay``
-    replay: Optional[bool] = None
 
 
 def consistency_step(stepper, weak_labeled, labeled_y, weak_unlabeled,
@@ -146,7 +141,7 @@ class FixMatchModule(TrainingModule):
             model = fine_tune_on_auxiliary(
                 data, rng, epochs=config.aux_epochs,
                 batch_size=config.aux_batch_size, lr=config.aux_lr,
-                momentum=config.momentum, augment=True, replay=config.replay)
+                momentum=config.momentum, augment=True)
             model.replace_head(data.num_classes, rng=rng)
         else:
             model = ClassificationModel.from_backbone(
@@ -159,8 +154,7 @@ class FixMatchModule(TrainingModule):
             warmup = TrainConfig(epochs=config.head_warmup_epochs,
                                  batch_size=config.batch_size,
                                  lr=config.head_warmup_lr, momentum=config.momentum,
-                                 augment=weak_augment(), seed=data.seed,
-                                 replay=config.replay)
+                                 augment=weak_augment(), seed=data.seed)
             train_classifier(model, data.labeled_features, data.labeled_labels, warmup)
 
         # ------------------------------------------------------------------ #
@@ -201,7 +195,7 @@ class FixMatchModule(TrainingModule):
         # which zeroes their gradient exactly.
         dtype = get_default_dtype()
         cons_weight = np.asarray(config.unlabeled_loss_weight, dtype=dtype)
-        stepper = GraphReplay(model, optimizer, enabled=config.replay)
+        stepper = GraphReplay(model, optimizer)
 
         model.train()
         for _ in range(config.epochs):

@@ -14,7 +14,7 @@ from .modules import (MLP, BatchNorm1d, Dropout, Identity, Linear, Module,
                       Parameter, ReLU, Sequential, Tanh)
 from .optim import SGD, Adam, Optimizer
 from .replay import (GraphReplay, ReplayStats, ReplayUnsupported,
-                     collect_replay_stats, compile_step)
+                     collect_replay_stats)
 from .schedulers import (ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
                          LRScheduler, MultiStepLR, StepLR, WarmupMultiStepLR)
 from .serialization import (StateDictMismatchError, load_into_module,
@@ -36,8 +36,7 @@ __all__ = [
     "Tensor", "functional",
     "no_grad", "is_grad_enabled", "default_dtype", "get_default_dtype",
     "set_default_dtype", "use_graph_replay", "graph_replay_enabled",
-    "GraphReplay", "ReplayStats", "ReplayUnsupported", "compile_step",
-    "collect_replay_stats",
+    "GraphReplay", "ReplayStats", "ReplayUnsupported", "collect_replay_stats",
     "Module", "Parameter", "Linear", "ReLU", "Tanh", "Identity", "Dropout",
     "BatchNorm1d", "Sequential", "MLP",
     "Optimizer", "SGD", "Adam",

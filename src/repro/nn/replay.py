@@ -33,8 +33,8 @@ Fallback rules (checked on *every* step, before replaying; inside
 ``run_epoch`` or an ``epoch()`` scope the model-structure rule is checked
 once per epoch):
 
-* replay disabled (``TrainConfig.replay=False`` or
-  ``use_graph_replay(False)``), or gradients disabled → eager step;
+* replay switched off by the ambient ``use_graph_replay(False)`` scope, or
+  gradients disabled → eager step;
 * batch shape/dtype or target shape/dtype changed → separate plan per
   signature (the capture step for a new signature runs eagerly);
 * model structure changed — layer added/removed/replaced, parameter shape,
@@ -100,7 +100,7 @@ from .optim import Optimizer
 from .tensor import (Tensor, get_default_dtype, graph_replay_enabled,
                      is_grad_enabled, no_grad)
 
-__all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported", "compile_step",
+__all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported",
            "collect_replay_stats"]
 
 
@@ -648,15 +648,15 @@ class GraphReplay:
     ``scheduler.step()`` before each ``step`` exactly as in the eager loop
     (the replayed update reads ``optimizer.lr`` live).
 
-    ``stats`` may be a shared :class:`ReplayStats` (e.g.
-    ``TrainConfig.replay_stats``); ambient sinks registered through
-    :func:`collect_replay_stats` at construction time are updated too.
+    Replay is on unless the ambient :func:`~repro.nn.use_graph_replay`
+    scope switches it off; the flag is read on every step, not fixed at
+    construction.  :attr:`stats` is this stepper's own fresh
+    :class:`ReplayStats`; every counter registered through
+    :func:`collect_replay_stats` when the stepper is built is updated too.
     """
 
     def __init__(self, model: Module, optimizer: Optimizer,
-                 loss: str = "cross_entropy",
-                 enabled: Optional[bool] = None,
-                 stats: Optional[ReplayStats] = None):
+                 loss: str = "cross_entropy"):
         if loss not in _LOSS_FNS:
             raise ValueError(f"unknown replay loss {loss!r}; "
                              f"known: {sorted(_LOSS_FNS)}")
@@ -664,7 +664,6 @@ class GraphReplay:
         self.optimizer = optimizer
         self.loss_kind = loss
         self._loss_fn = _LOSS_FNS[loss]
-        self._enabled = enabled
         self._plans: Dict[tuple, object] = {}
         self._last_sig: Optional[tuple] = None
         self._last_plan: Optional[_CompiledPlan] = None
@@ -676,10 +675,10 @@ class GraphReplay:
         #: the model's modules, walked once on entering an :meth:`epoch`
         #: scope (for :meth:`set_training`); None outside
         self._epoch_modules: Optional[Tuple[Module, ...]] = None
-        own = stats if stats is not None else ReplayStats()
-        # Dedupe by identity: the same counter may arrive both explicitly
-        # (TrainConfig.replay_stats) and ambiently (collect_replay_stats);
-        # it must tick once per event, not once per registration.
+        own = ReplayStats()
+        # Dedupe by identity: nested collect_replay_stats scopes may register
+        # one counter twice; it must tick once per event, not once per
+        # registration.
         sinks = [own]
         for sink in _AMBIENT_SINKS.get():
             if all(sink is not existing for existing in sinks):
@@ -715,9 +714,7 @@ class GraphReplay:
 
     # -- mode ------------------------------------------------------------ #
     def _replay_on(self, need_grad: bool = True) -> bool:
-        enabled = (self._enabled if self._enabled is not None
-                   else graph_replay_enabled())
-        if not enabled:
+        if not graph_replay_enabled():
             return False
         return is_grad_enabled() if need_grad else True
 
@@ -1054,9 +1051,3 @@ class GraphReplay:
         self._count_replay()
         return plan.run_forward(inputs)
 
-
-def compile_step(model: Module, optimizer: Optimizer,
-                 loss: str = "cross_entropy",
-                 enabled: Optional[bool] = None) -> GraphReplay:
-    """Build a :class:`GraphReplay` stepper for a static training loop."""
-    return GraphReplay(model, optimizer, loss=loss, enabled=enabled)

@@ -127,10 +127,11 @@ def graph_replay_enabled() -> bool:
 def use_graph_replay(enabled: bool):
     """Toggle the whole-graph capture/replay executor for static loops.
 
-    Training loops consult this flag when :class:`~repro.nn.TrainConfig`
-    leaves ``replay`` unset, so one context manager switches the executor
-    for a whole pipeline run (the :class:`~repro.core.Controller` threads
-    its ``replay`` config field through here).
+    This scope is the engine's only replay switch: every
+    :class:`~repro.nn.GraphReplay` stepper reads it on each step, so one
+    context manager switches the executor for every step taken inside it
+    (the :class:`~repro.core.Controller` opens it from its ``replay``
+    config field).  An inner scope overrides an outer one.
     """
     return _scoped(_GRAPH_REPLAY, bool(enabled))
 
@@ -288,21 +289,6 @@ class Tensor:
         for node in nodes:
             if node.grad is not None:
                 node._backward(node.grad)
-
-    # convenience constructors -------------------------------------------------
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, rng: Optional[np.random.Generator] = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        rng = rng if rng is not None else np.random.default_rng()
-        return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
 
 
 def _creation_stamp(node: Tensor) -> int:

@@ -19,7 +19,7 @@ from . import functional as F
 from .data import ArrayDataset, DataLoader, SoftLabeledDataset
 from .modules import Module
 from .optim import SGD, Adam, Optimizer
-from .replay import GraphReplay, ReplayStats
+from .replay import GraphReplay
 from .schedulers import (ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
                          LRScheduler, MultiStepLR, WarmupMultiStepLR)
 from .tensor import Tensor, get_default_dtype, no_grad
@@ -62,17 +62,6 @@ class TrainConfig:
     augment: Optional[Transform] = None
     seed: int = 0
     shuffle: bool = True
-    #: graph capture/replay executor for the training loop: ``None`` follows
-    #: the engine-wide flag (on by default, see ``use_graph_replay``),
-    #: ``True``/``False`` force it for this run.  Replayed training is
-    #: bit-identical to the eager path; unsupported models fall back
-    #: to eager automatically (see :mod:`repro.nn.replay`).
-    replay: Optional[bool] = None
-    #: optional shared counter collecting the executor's per-step outcomes
-    #: (captures / replays / eager fallbacks with reasons) for this run —
-    #: pass a :class:`~repro.nn.replay.ReplayStats` to turn silent eager
-    #: fallbacks into an observable (and testable) signal
-    replay_stats: Optional[ReplayStats] = None
 
     def with_updates(self, **overrides) -> "TrainConfig":
         """Return a copy with selected fields replaced."""
@@ -191,8 +180,7 @@ def train_classifier(model: Module, features: np.ndarray, labels: np.ndarray,
     scheduler = build_scheduler(optimizer, config, total_steps,
                                 steps_per_epoch=len(loader))
 
-    stepper = GraphReplay(model, optimizer, loss="cross_entropy",
-                          enabled=config.replay, stats=config.replay_stats)
+    stepper = GraphReplay(model, optimizer, loss="cross_entropy")
     model.train()
     for epoch in range(config.epochs):
         # The fused-epoch API checks the structural fingerprint once per
@@ -223,8 +211,7 @@ def train_soft_classifier(model: Module, features: np.ndarray,
     scheduler = build_scheduler(optimizer, config, total_steps,
                                 steps_per_epoch=len(loader))
 
-    stepper = GraphReplay(model, optimizer, loss="soft_cross_entropy",
-                          enabled=config.replay, stats=config.replay_stats)
+    stepper = GraphReplay(model, optimizer, loss="soft_cross_entropy")
     model.train()
     for epoch in range(config.epochs):
         losses = stepper.run_epoch(loader, scheduler=scheduler,

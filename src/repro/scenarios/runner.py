@@ -85,19 +85,18 @@ class ScenarioRunner:
     # Single cells
     # ------------------------------------------------------------------ #
     def run_cell(self, spec: ScenarioSpec, method: str = "taglets",
-                 seed: int = 0,
-                 replay_stats: Optional[ReplayStats] = None) -> ScenarioResult:
+                 seed: int = 0) -> ScenarioResult:
         """Run one (scenario, method, seed) cell and return its row.
 
-        ``replay_stats`` lets callers (the zero-fallback regression suite)
-        attach their own shared counter; by default the runner attaches a
-        private one and records its fallback count on the row.
+        The row's fallback count comes from a counter private to the cell;
+        a caller that wants the counts too opens
+        :func:`~repro.nn.collect_replay_stats` around the call.
         """
         scenario_task = spec.build(self.workspace)
         started = time.perf_counter()
         if method == "taglets":
             accuracy, fallbacks, extras = self._run_taglets(
-                spec, scenario_task, seed, replay_stats)
+                spec, scenario_task, seed)
         elif method in BASELINE_METHODS:
             accuracy, extras = self._run_baseline(method, spec, scenario_task,
                                                   seed)
@@ -114,9 +113,9 @@ class ScenarioRunner:
             fallbacks=fallbacks, axes=spec.axes(), extras=extras)
 
     def _run_taglets(self, spec: ScenarioSpec, scenario_task: ScenarioTask,
-                     seed: int, replay_stats: Optional[ReplayStats]):
+                     seed: int):
         backbone = self.workspace.backbone(spec.backbone)
-        stats = replay_stats if replay_stats is not None else ReplayStats()
+        stats = ReplayStats()
         extras: Dict[str, float] = {}
         accuracy = 0.0
         for stage, split in enumerate(scenario_task.stages):

@@ -664,20 +664,18 @@ class ServableEnsemble(Servable):
 # --------------------------------------------------------------------------- #
 # Loading
 # --------------------------------------------------------------------------- #
-def _rebuild_model(entry: dict, weights_path: str,
-                   verify_digest: bool) -> ClassificationModel:
+def _rebuild_model(entry: dict, weights_path: str) -> ClassificationModel:
     """Rebuild one model from a manifest entry + weight archive, strictly
-    validating every key/shape/dtype and (optionally) the content digest."""
+    validating the content digest and every key/shape/dtype."""
     if not os.path.exists(weights_path):
         raise ArtifactError(f"artifact weight archive missing: {weights_path}")
     state = load_state_dict(weights_path)
-    if verify_digest:
-        digest = state_dict_digest(state)
-        if digest != entry["weights_digest"]:
-            raise ArtifactError(
-                f"weight archive at {weights_path} does not match its "
-                f"manifest digest (expected {entry['weights_digest'][:12]}…, "
-                f"got {digest[:12]}…) — the artifact is corrupt or was edited")
+    digest = state_dict_digest(state)
+    if digest != entry["weights_digest"]:
+        raise ArtifactError(
+            f"weight archive at {weights_path} does not match its "
+            f"manifest digest (expected {entry['weights_digest'][:12]}…, "
+            f"got {digest[:12]}…) — the artifact is corrupt or was edited")
     backbone = entry["backbone"]
     spec = BackboneSpec(name=backbone["name"],
                         input_dim=int(backbone["input_dim"]),
@@ -698,15 +696,14 @@ def _rebuild_model(entry: dict, weights_path: str,
     return model
 
 
-def load_servable(path: str, verify_digest: bool = True,
-                  compiled: bool = True) -> Servable:
+def load_servable(path: str, *, compiled: bool = True) -> Servable:
     """Reconstruct an inference-only servable from an exported artifact.
 
     Dispatches on the manifest's ``format``: end-model artifacts load as
     :class:`ServableModel`, ensemble artifacts as :class:`ServableEnsemble`.
     Every weight archive is strictly validated against the rebuilt
-    architecture (every key, shape, and dtype) and, unless disabled,
-    integrity-checked against its manifest digest.  ``compiled=False``
+    architecture (every key, shape, and dtype) and integrity-checked
+    against its manifest digest.  ``compiled=False``
     forces the tape-based module forward instead of the compiled kernel
     plan (benchmark baseline; predictions are bit-identical either way).
     """
@@ -717,8 +714,7 @@ def load_servable(path: str, verify_digest: bool = True,
         scales: List[Optional[float]] = []
         for entry in manifest["members"]:
             model = _rebuild_model(
-                entry, os.path.join(path, entry["weights_file"]),
-                verify_digest)
+                entry, os.path.join(path, entry["weights_file"]))
             member_manifest = dict(entry)
             member_manifest["class_names"] = manifest["class_names"]
             members.append(ServableModel(model, member_manifest, path=path,
@@ -727,6 +723,5 @@ def load_servable(path: str, verify_digest: bool = True,
             scales.append(entry.get("logit_scale")
                           if entry["kind"] == "zsl_kg" else None)
         return ServableEnsemble(members, kinds, scales, manifest, path=path)
-    model = _rebuild_model(manifest, os.path.join(path, WEIGHTS_NAME),
-                           verify_digest)
+    model = _rebuild_model(manifest, os.path.join(path, WEIGHTS_NAME))
     return ServableModel(model, manifest, path=path, compiled=compiled)

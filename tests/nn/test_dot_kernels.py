@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import SGD, GraphReplay, default_dtype
+from repro.nn import SGD, GraphReplay, default_dtype, use_graph_replay
 from repro.nn.functional import check_label_range
 from repro.nn.modules import Linear, ReLU, Sequential
 
@@ -91,13 +91,14 @@ def test_layer_mixing_dtypes_trains_like_eager(low):
     outcomes = []
     for enabled in (True, False):
         model = _mixed_dtype_model(low)
-        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1,
-                                         momentum=0.9), enabled=enabled)
-        rng = np.random.default_rng(1)
-        for _ in range(4):
-            stepper.step(rng.normal(size=(10, 24)), rng.integers(0, 5, 10))
-        outcomes.append((stepper.stats,
-                         [p.data.tobytes() for p in model.parameters()]))
+        with use_graph_replay(enabled):
+            stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1,
+                                             momentum=0.9))
+            rng = np.random.default_rng(1)
+            for _ in range(4):
+                stepper.step(rng.normal(size=(10, 24)), rng.integers(0, 5, 10))
+            outcomes.append((stepper.stats,
+                             [p.data.tobytes() for p in model.parameters()]))
     (replayed, replayed_bytes), (_, eager_bytes) = outcomes
     assert replayed_bytes == eager_bytes
     assert replayed.replays == 0

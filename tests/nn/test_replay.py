@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, Adam, GraphReplay, TrainConfig, default_dtype,
-                      train_classifier, train_soft_classifier)
+                      train_classifier, train_soft_classifier,
+                      use_graph_replay)
 from repro.nn.modules import Dropout, Linear, Module, ReLU
 
 DTYPES = [
@@ -47,8 +48,8 @@ class TestHardCrossEntropySGD:
         config = TrainConfig(epochs=4, batch_size=32, lr=0.05, momentum=0.9,
                              nesterov=True, weight_decay=1e-4,
                              scheduler="multistep", milestones=(2,),
-                             seed=0, replay=replay)
-        with _dtype_scope(dtype):
+                             seed=0)
+        with _dtype_scope(dtype), use_graph_replay(replay):
             model = MLP(24, [48, 32], 7, rng=np.random.default_rng(1))
             train_classifier(model, features, labels, config)
             return _params(model)
@@ -69,8 +70,8 @@ class TestSoftCrossEntropyAdam:
         config = TrainConfig(epochs=4, batch_size=32, lr=3e-3,
                              optimizer="adam", weight_decay=1e-4,
                              scheduler="multistep", milestones=(2,),
-                             seed=0, replay=replay)
-        with _dtype_scope(dtype):
+                             seed=0)
+        with _dtype_scope(dtype), use_graph_replay(replay):
             model = MLP(16, [32], 5, rng=np.random.default_rng(3))
             train_soft_classifier(model, features, probs, config)
             return _params(model)
@@ -98,7 +99,7 @@ class TestL2AdamPretrainLoop:
     """The ZSL-KG pretrain loop: full-batch L2 regression + per-epoch eval."""
 
     def _train(self, dtype, replay, epochs=40):
-        with _dtype_scope(dtype):
+        with _dtype_scope(dtype), use_graph_replay(replay):
             dt = np.float32 if dtype is np.float32 else np.float64
             rng = np.random.default_rng(4)
             train_x = rng.normal(size=(30, 48)).astype(dt)
@@ -107,8 +108,7 @@ class TestL2AdamPretrainLoop:
             val_y = rng.normal(size=(4, 32)).astype(dt)
             encoder = _ClassEncoder(np.random.default_rng(5))
             optimizer = Adam(encoder.parameters(), lr=1e-2)
-            stepper = GraphReplay(encoder, optimizer, loss="l2",
-                                  enabled=replay)
+            stepper = GraphReplay(encoder, optimizer, loss="l2")
             val_losses = []
             for _ in range(epochs):
                 encoder.train()
@@ -136,9 +136,10 @@ class TestDropoutRNGAlignment:
         features = rng.normal(size=(96, 12))
         labels = rng.integers(0, 4, size=96)
         config = TrainConfig(epochs=3, batch_size=32, lr=0.05, momentum=0.9,
-                             seed=0, replay=replay)
+                             seed=0)
         model = MLP(12, [24], 4, dropout=0.3, rng=np.random.default_rng(7))
-        train_classifier(model, features, labels, config)
+        with use_graph_replay(replay):
+            train_classifier(model, features, labels, config)
         return _params(model)
 
     def test_replay_bit_identical_to_eager(self):
@@ -152,9 +153,10 @@ class TestUnevenBatches:
         rng = np.random.default_rng(8)
         features = rng.normal(size=(70, 10))
         labels = rng.integers(0, 3, size=70)
-        config = TrainConfig(epochs=3, batch_size=32, seed=0, replay=replay)
+        config = TrainConfig(epochs=3, batch_size=32, seed=0)
         model = MLP(10, [16], 3, rng=np.random.default_rng(9))
-        train_classifier(model, features, labels, config)
+        with use_graph_replay(replay):
+            train_classifier(model, features, labels, config)
         return _params(model)
 
     def test_replay_bit_identical_to_eager(self):
@@ -171,9 +173,10 @@ class TestAugmentedLoop:
         features = rng.normal(size=(80, 8))
         labels = rng.integers(0, 4, size=80)
         config = TrainConfig(epochs=3, batch_size=32, seed=0,
-                             augment=weak_augment(), replay=replay)
+                             augment=weak_augment())
         model = MLP(8, [16], 4, rng=np.random.default_rng(11))
-        train_classifier(model, features, labels, config)
+        with use_graph_replay(replay):
+            train_classifier(model, features, labels, config)
         return _params(model)
 
     def test_replay_bit_identical_to_eager(self):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, Adam, GraphReplay, SGD, Tensor, TrainConfig,
-                      default_dtype, train_classifier)
+                      default_dtype, train_classifier, use_graph_replay)
 from repro.nn import functional as F
 from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
                               Sequential, Tanh)
@@ -72,8 +72,8 @@ class TestBatchNormChain:
         config = TrainConfig(epochs=4, batch_size=32, lr=0.05, momentum=0.9,
                              nesterov=True, weight_decay=1e-4,
                              scheduler="multistep", milestones=(2,),
-                             seed=0, replay=replay)
-        with _dtype_scope(dtype):
+                             seed=0)
+        with _dtype_scope(dtype), use_graph_replay(replay):
             model = MLP(24, [48, 32], 7, batch_norm=True,
                         rng=np.random.default_rng(1))
             train_classifier(model, features, labels, config)
@@ -89,17 +89,17 @@ class TestBatchNormChain:
             np.testing.assert_array_equal(rv, ev)
 
     def test_replay_actually_replays_batchnorm(self):
-        from repro.nn import ReplayStats
+        from repro.nn import ReplayStats, collect_replay_stats
 
         stats = ReplayStats()
         rng = np.random.default_rng(2)
         features = rng.normal(size=(96, 12))
         labels = rng.integers(0, 4, size=96)
-        config = TrainConfig(epochs=3, batch_size=32, seed=0, replay=True,
-                             replay_stats=stats)
+        config = TrainConfig(epochs=3, batch_size=32, seed=0)
         model = MLP(12, [24], 4, batch_norm=True, dropout=0.2,
                     rng=np.random.default_rng(3))
-        train_classifier(model, features, labels, config)
+        with use_graph_replay(True), collect_replay_stats(stats):
+            train_classifier(model, features, labels, config)
         assert stats.eager_steps == 0
         assert stats.fallbacks == {}
         assert stats.captures == 1
@@ -135,13 +135,14 @@ class TestBatchNormChain:
             bn = [m for m in model.modules()
                   if isinstance(m, BatchNorm1d)][0]
             optimizer = SGD(model.parameters(), lr=0.1)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            for _ in range(3):
-                stepper.step(x, y)
-            bn.momentum = 0.5
-            for _ in range(3):
-                stepper.step(x, y)
-            return _params(model), _bn_stats(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                for _ in range(3):
+                    stepper.step(x, y)
+                bn.momentum = 0.5
+                for _ in range(3):
+                    stepper.step(x, y)
+                return _params(model), _bn_stats(model), stepper.stats
 
         replay_params, replay_bn, stats = run(True)
         eager_params, eager_bn, _ = run(False)
@@ -181,10 +182,10 @@ class TestSharedEncoderFanOut:
         y = rng.integers(0, 5, size=40)
 
         def run(replay):
-            with _dtype_scope(dtype):
+            with _dtype_scope(dtype), use_graph_replay(replay):
                 model = _ForkedModel(np.random.default_rng(9))
                 optimizer = OPTIMIZERS[opt](model.parameters())
-                stepper = GraphReplay(model, optimizer, enabled=replay)
+                stepper = GraphReplay(model, optimizer)
                 for _ in range(8):
                     stepper.step(x, y)
                 return _params(model), stepper.stats
@@ -214,13 +215,13 @@ class TestTwoViewStepFn:
     weighted per-sample consistency loss, and a weighted sum of losses."""
 
     def _run(self, dtype, opt, replay, steps=10):
-        with _dtype_scope(dtype):
+        with _dtype_scope(dtype), use_graph_replay(replay):
             dt = np.dtype(dtype)
             rng = np.random.default_rng(10)
             model = MLP(12, [24, 16], 4, dropout=0.2,
                         rng=np.random.default_rng(11))
             optimizer = OPTIMIZERS[opt](model.parameters())
-            stepper = GraphReplay(model, optimizer, enabled=replay)
+            stepper = GraphReplay(model, optimizer)
             cons_w = np.asarray(0.7, dtype=dt)
             losses = []
             model.train()
@@ -257,18 +258,19 @@ class TestTwoViewStepFn:
             rng = np.random.default_rng(12)
             model = MLP(8, [16], 3, rng=np.random.default_rng(13))
             optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            for i in range(6):
-                batch = {
-                    "weak_x": rng.normal(size=(10, 8)),
-                    "labels": rng.integers(0, 3, size=10),
-                    "strong_x": rng.normal(size=(24, 8)),
-                    "pseudo": rng.integers(0, 3, size=24),
-                    "mask_w": (np.zeros(24) if i % 2 else np.ones(24)),
-                    "cons_w": np.asarray(1.0),
-                }
-                stepper.step_fn(_two_view, batch)
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                for i in range(6):
+                    batch = {
+                        "weak_x": rng.normal(size=(10, 8)),
+                        "labels": rng.integers(0, 3, size=10),
+                        "strong_x": rng.normal(size=(24, 8)),
+                        "pseudo": rng.integers(0, 3, size=24),
+                        "mask_w": (np.zeros(24) if i % 2 else np.ones(24)),
+                        "cons_w": np.asarray(1.0),
+                    }
+                    stepper.step_fn(_two_view, batch)
+                return _params(model), stepper.stats
 
         replay_params, stats = run(True)
         eager_params, _ = run(False)
@@ -291,11 +293,12 @@ class TestTwoViewStepFn:
         def run(replay):
             model = MLP(8, [16], 3, rng=np.random.default_rng(15))
             optimizer = SGD(model.parameters(), lr=0.1)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            for w in (0.25, 0.5, 1.0, 2.0):
-                stepper.step_fn(_two_view,
-                                dict(batch_base, cons_w=np.asarray(w)))
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                for w in (0.25, 0.5, 1.0, 2.0):
+                    stepper.step_fn(_two_view,
+                                    dict(batch_base, cons_w=np.asarray(w)))
+                return _params(model), stepper.stats
 
         replay_params, stats = run(True)
         eager_params, _ = run(False)
@@ -327,12 +330,12 @@ class TestMultiLossGraphs:
                              ids=["weighted_ce_plus_l2", "ce_plus_soft_ce"])
     def test_replay_bit_identical_to_eager(self, dtype, fn):
         def run(replay):
-            with _dtype_scope(dtype):
+            with _dtype_scope(dtype), use_graph_replay(replay):
                 dt = np.dtype(dtype)
                 rng = np.random.default_rng(16)
                 model = MLP(10, [20], 6, rng=np.random.default_rng(17))
                 optimizer = Adam(model.parameters(), lr=1e-2)
-                stepper = GraphReplay(model, optimizer, enabled=replay)
+                stepper = GraphReplay(model, optimizer)
                 losses = []
                 for _ in range(8):
                     y2 = (rng.dirichlet(np.ones(6), size=24)
@@ -371,14 +374,15 @@ class TestSharedLogitsTwoLosses:
             rng = np.random.default_rng(22)
             model = MLP(8, [16], 4, rng=np.random.default_rng(23))
             optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            losses = []
-            for _ in range(6):
-                batch = {"x": rng.normal(size=(12, 8)),
-                         "y": rng.integers(0, 4, size=12),
-                         "p": rng.dirichlet(np.ones(4), size=12)}
-                losses.append(stepper.step_fn(_shared_logits, batch))
-            return _params(model), losses, stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                losses = []
+                for _ in range(6):
+                    batch = {"x": rng.normal(size=(12, 8)),
+                             "y": rng.integers(0, 4, size=12),
+                             "p": rng.dirichlet(np.ones(4), size=12)}
+                    losses.append(stepper.step_fn(_shared_logits, batch))
+                return _params(model), losses, stepper.stats
 
         replay_params, replay_losses, stats = run(True)
         eager_params, eager_losses, _ = run(False)
@@ -403,14 +407,15 @@ class TestBatchNormSharedAcrossViews:
             model = MLP(8, [16], 4, batch_norm=True,
                         rng=np.random.default_rng(25))
             optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            for _ in range(6):
-                batch = {"x1": rng.normal(size=(10, 8)),
-                         "y1": rng.integers(0, 4, size=10),
-                         "x2": rng.normal(size=(14, 8)),
-                         "y2": rng.integers(0, 4, size=14)}
-                stepper.step_fn(_bn_two_view, batch)
-            return _params(model), _bn_stats(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                for _ in range(6):
+                    batch = {"x1": rng.normal(size=(10, 8)),
+                             "y1": rng.integers(0, 4, size=10),
+                             "x2": rng.normal(size=(14, 8)),
+                             "y2": rng.integers(0, 4, size=14)}
+                    stepper.step_fn(_bn_two_view, batch)
+                return _params(model), _bn_stats(model), stepper.stats
 
         replay_params, replay_bn, stats = run(True)
         eager_params, eager_bn, _ = run(False)
@@ -452,12 +457,13 @@ class TestPartialParameterCoverage:
             rng = np.random.default_rng(28)
             model = _Heads()
             optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            for i in range(8):
-                batch = {"x": rng.normal(size=(10, 8)),
-                         "y": rng.integers(0, 4, size=10)}
-                stepper.step_fn(_h1_only if i % 2 == 0 else _h2_only, batch)
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                for i in range(8):
+                    batch = {"x": rng.normal(size=(10, 8)),
+                             "y": rng.integers(0, 4, size=10)}
+                    stepper.step_fn(_h1_only if i % 2 == 0 else _h2_only, batch)
+                return _params(model), stepper.stats
 
         replay_params, stats = run(True)
         eager_params, _ = run(False)
@@ -484,11 +490,12 @@ class TestAliasedInputs:
         def run(replay):
             model = MLP(6, [12], 3, rng=np.random.default_rng(32))
             optimizer = SGD(model.parameters(), lr=0.1)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            # Step 1 aliases ya under both target keys; step 2 un-aliases.
-            stepper.step_fn(fn, {"xa": x, "ya": ya, "xb": x, "yb": ya})
-            stepper.step_fn(fn, {"xa": x, "ya": ya, "xb": x, "yb": yb})
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                # Step 1 aliases ya under both target keys; step 2 un-aliases.
+                stepper.step_fn(fn, {"xa": x, "ya": ya, "xb": x, "yb": ya})
+                stepper.step_fn(fn, {"xa": x, "ya": ya, "xb": x, "yb": yb})
+                return _params(model), stepper.stats
 
         replay_params, stats = run(True)
         eager_params, _ = run(False)
@@ -510,11 +517,12 @@ class TestIntegerFeatures:
         def run(replay):
             model = MLP(6, [12], 3, rng=np.random.default_rng(30))
             optimizer = SGD(model.parameters(), lr=0.1)
-            stepper = GraphReplay(model, optimizer, enabled=replay)
-            losses = [stepper.step(x, y) for _ in range(5)]
-            stepper.eval_loss(x, y)
-            stepper.forward(x)
-            return _params(model), losses, stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer)
+                losses = [stepper.step(x, y) for _ in range(5)]
+                stepper.eval_loss(x, y)
+                stepper.forward(x)
+                return _params(model), losses, stepper.stats
 
         replay_params, replay_losses, stats = run(True)
         eager_params, eager_losses, _ = run(False)
@@ -620,10 +628,9 @@ class TestReluBufferReuse:
         rng = np.random.default_rng(40)
         x = rng.normal(size=(24, 10))
         y = rng.integers(0, 4, size=24)
-        with _dtype_scope(dtype):
+        with _dtype_scope(dtype), use_graph_replay(replay):
             model = make(np.random.default_rng(41))
-            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2),
-                                  enabled=replay)
+            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2))
             losses = [stepper.step(x, y) for _ in range(6)]
             model.eval()
             losses.append(stepper.eval_loss(x, y))
@@ -726,10 +733,9 @@ def test_table_op_replays_bit_identical_to_eager(name, dtype):
              "c": np.asarray(0.5)}
 
     def run(replay):
-        with _dtype_scope(dtype):
+        with _dtype_scope(dtype), use_graph_replay(replay):
             model = make(np.random.default_rng(51))
-            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2),
-                                  enabled=replay)
+            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2))
             losses = [stepper.step_fn(step, batch) for _ in range(5)]
         return (_params(model), _bn_stats(model), losses), stepper
 

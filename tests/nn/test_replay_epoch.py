@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.modules.fixmatch import _two_view_step as _two_view
-from repro.nn import MLP, SGD, Adam, GraphReplay
+from repro.nn import MLP, SGD, Adam, GraphReplay, use_graph_replay
 from repro.nn import functional as F
 from repro.nn import ops
 from repro.nn import replay as replay_module
@@ -53,12 +53,12 @@ class TestLossElision:
         def run(replay, compute_loss):
             rng = np.random.default_rng(0)
             model = MLP(10, [16], 4, rng=np.random.default_rng(1))
-            stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2),
-                                  enabled=replay)
-            losses = [stepper.step_fn(fn, _batch(rng),
-                                      compute_loss=compute_loss)
-                      for _ in range(6)]
-            return _params(model), losses, stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2))
+                losses = [stepper.step_fn(fn, _batch(rng),
+                                          compute_loss=compute_loss)
+                          for _ in range(6)]
+                return _params(model), losses, stepper.stats
 
         eager, eager_losses, _ = run(False, True)
         lean, lean_losses, stats = run(True, False)
@@ -138,21 +138,22 @@ class TestEpochGuard:
             rng = np.random.default_rng(6)
             model = MLP(10, [16], 4, batch_norm=True,
                         rng=np.random.default_rng(7))
-            stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
-                                             momentum=0.9), enabled=replay)
-            logits = []
-            with stepper.epoch():
-                for _ in range(4):
-                    batch = _batch(rng)
-                    model.eval()
-                    logits.append(stepper.forward(batch["strong_x"])
-                                  .tobytes())
-                    stepper.step_fn(_two_view, batch)
-                    model.train()
-                    stepper.step_fn(_two_view, batch)
-            running = [(m.running_mean.tobytes(), m.running_var.tobytes())
-                       for m in model.modules() if isinstance(m, BatchNorm1d)]
-            return (_params(model), logits, running), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
+                                                 momentum=0.9))
+                logits = []
+                with stepper.epoch():
+                    for _ in range(4):
+                        batch = _batch(rng)
+                        model.eval()
+                        logits.append(stepper.forward(batch["strong_x"])
+                                      .tobytes())
+                        stepper.step_fn(_two_view, batch)
+                        model.train()
+                        stepper.step_fn(_two_view, batch)
+                running = [(m.running_mean.tobytes(), m.running_var.tobytes())
+                           for m in model.modules() if isinstance(m, BatchNorm1d)]
+                return (_params(model), logits, running), stepper.stats
 
         replayed, stats = run(True)
         eager, _ = run(False)
@@ -167,17 +168,17 @@ class TestEpochGuard:
             init = np.random.default_rng(9)
             model = Sequential(Linear(10, 16, rng=init), ReLU(),
                                Linear(16, 4, rng=init))
-            stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1),
-                                  enabled=replay)
-            for epoch in range(2):
-                if epoch == 1:
-                    # Parameter-free, so the optimizer's list is unchanged.
-                    model.append(ReLU())
-                with stepper.epoch():
-                    for _ in range(3):
-                        stepper.step_fn(_two_view, _batch(rng),
-                                        compute_loss=False)
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
+                for epoch in range(2):
+                    if epoch == 1:
+                        # Parameter-free, so the optimizer's list is unchanged.
+                        model.append(ReLU())
+                    with stepper.epoch():
+                        for _ in range(3):
+                            stepper.step_fn(_two_view, _batch(rng),
+                                            compute_loss=False)
+                return _params(model), stepper.stats
 
         replayed, stats = run(True)
         eager, _ = run(False)
@@ -200,33 +201,33 @@ class TestSetTraining:
         rng = np.random.default_rng(12)
         model = MLP(10, [16, 12], 4, dropout=0.2, batch_norm=True,
                     rng=np.random.default_rng(13))
-        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
-                                         momentum=0.9, nesterov=True),
-                              enabled=replay)
-        if explicit:
-            stepper.set_training = model.train  # walks the model every call
-        model.train()
-        for epoch in range(3):
-            if epoch == swap_at:
-                # An in-place container edit: no attribute is assigned.
-                layers = model.net.layers
-                index = next(i for i, layer in enumerate(layers)
-                             if isinstance(layer, Dropout))
-                layers[index] = Dropout(0.5, rng=np.random.default_rng(14))
-            with stepper.epoch():
-                for _ in range(4):
-                    batch = _batch(rng)
-                    weak_unlabeled = rng.normal(size=batch["strong_x"].shape)
-                    consistency_step(stepper, batch["weak_x"],
-                                     batch["labels"], weak_unlabeled,
-                                     batch["strong_x"], batch["cons_w"],
-                                     0.3, np.float64)
-                    assert all(m.training for m in model.modules())
-        running = [(m.running_mean.tobytes(), m.running_var.tobytes())
-                   for m in model.modules() if isinstance(m, BatchNorm1d)]
-        stats = stepper.stats
-        return ((_params(model), running),
-                (stats.captures, stats.replays, stats.eager_steps))
+        with use_graph_replay(replay):
+            stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
+                                             momentum=0.9, nesterov=True))
+            if explicit:
+                stepper.set_training = model.train  # walks the model every call
+            model.train()
+            for epoch in range(3):
+                if epoch == swap_at:
+                    # An in-place container edit: no attribute is assigned.
+                    layers = model.net.layers
+                    index = next(i for i, layer in enumerate(layers)
+                                 if isinstance(layer, Dropout))
+                    layers[index] = Dropout(0.5, rng=np.random.default_rng(14))
+                with stepper.epoch():
+                    for _ in range(4):
+                        batch = _batch(rng)
+                        weak_unlabeled = rng.normal(size=batch["strong_x"].shape)
+                        consistency_step(stepper, batch["weak_x"],
+                                         batch["labels"], weak_unlabeled,
+                                         batch["strong_x"], batch["cons_w"],
+                                         0.3, np.float64)
+                        assert all(m.training for m in model.modules())
+            running = [(m.running_mean.tobytes(), m.running_var.tobytes())
+                       for m in model.modules() if isinstance(m, BatchNorm1d)]
+            stats = stepper.stats
+            return ((_params(model), running),
+                    (stats.captures, stats.replays, stats.eager_steps))
 
     def test_consistency_step_matches_explicit_mode_switch(self):
         scoped, scoped_counts = self._fixmatch_run(explicit=False)

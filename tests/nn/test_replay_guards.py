@@ -37,13 +37,13 @@ def _run_script(script, replay):
     """Run a list of (model_mutator_or_None, x, y) steps; return params."""
     model = _make_model()
     optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
-    stepper = GraphReplay(model, optimizer, loss="cross_entropy",
-                          enabled=replay)
-    for mutate, x, y in script:
-        if mutate is not None:
-            mutate(model, optimizer)
-        stepper.step(x, y)
-    return _params(model), stepper.stats
+    with use_graph_replay(replay):
+        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        for mutate, x, y in script:
+            if mutate is not None:
+                mutate(model, optimizer)
+            stepper.step(x, y)
+        return _params(model), stepper.stats
 
 
 class TestBatchShapeChange:
@@ -157,11 +157,11 @@ class TestUnsupportedStructures:
         def run(replay):
             model = Siamese()
             optimizer = SGD(model.parameters(), lr=0.1)
-            stepper = GraphReplay(model, optimizer, loss="cross_entropy",
-                                  enabled=replay)
-            for _ in range(4):
-                stepper.step(x, y)
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                for _ in range(4):
+                    stepper.step(x, y)
+                return _params(model), stepper.stats
 
         replay_params, stats = run(True)
         eager_params, _ = run(False)
@@ -201,11 +201,11 @@ class TestUnsupportedStructures:
         def run(replay):
             model = build()
             optimizer = SGD(model.parameters(), lr=0.1)
-            stepper = GraphReplay(model, optimizer, loss="cross_entropy",
-                                  enabled=replay)
-            for _ in range(5):
-                stepper.step(x, y)
-            return _params(model)
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                for _ in range(5):
+                    stepper.step(x, y)
+                return _params(model)
 
         for a, b in zip(run(True), run(False)):
             np.testing.assert_array_equal(a, b)
@@ -228,15 +228,15 @@ class TestEngineModeSwitches:
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
 
-    def test_enabled_true_overrides_ambient_off(self):
-        # Tri-state force-on: enabled=True (TrainConfig/ControllerConfig
-        # replay=True) wins over an ambient use_graph_replay(False).
+    def test_inner_scope_overrides_ambient_off(self):
+        # Force-on: an inner use_graph_replay(True), which is what
+        # ControllerConfig(replay=True) opens, wins over an enclosing
+        # use_graph_replay(False).
         model = _make_model()
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy",
-                              enabled=True)
+        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
         x, y = _batches(28)
-        with use_graph_replay(False):
+        with use_graph_replay(False), use_graph_replay(True):
             stepper.step(x, y)
             stepper.step(x, y)
         assert stepper.stats.captures == 1
@@ -252,11 +252,11 @@ class TestFrozenParameters:
             for p in model.layers[0].parameters():
                 p.requires_grad = False
             optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
-            stepper = GraphReplay(model, optimizer, loss="cross_entropy",
-                                  enabled=replay)
-            for _ in range(5):
-                stepper.step(x, y)
-            return _params(model), stepper.stats
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                for _ in range(5):
+                    stepper.step(x, y)
+                return _params(model), stepper.stats
 
         replay_params, stats = run(True)
         eager_params, _ = run(False)

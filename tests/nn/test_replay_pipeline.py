@@ -6,7 +6,9 @@ correctly but forfeited the replay speedup, and nothing failed.  These tests
 turn that into a caught regression: every static training loop in the
 pipeline runs with a :class:`~repro.nn.ReplayStats` counter attached and
 must report **zero eager fallbacks** — one capture per signature, replays
-for everything else.
+for everything else.  Replay is switched only by the engine scope
+(``use_graph_replay``), so a whole pipeline run with it off must train
+every byte the same as with it on.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from repro.nn import (MLP, Adam, GraphReplay, ReplayStats, TrainConfig,
                       collect_replay_stats, train_classifier,
-                      train_soft_classifier)
+                      train_soft_classifier, use_graph_replay)
 from repro.nn.modules import Linear, Module, ReLU
 
 
@@ -33,10 +35,11 @@ class TestTrainingLoops:
         features = rng.normal(size=(150, 16))
         labels = rng.integers(0, 5, size=150)
         config = TrainConfig(epochs=4, batch_size=32, lr=0.05, momentum=0.9,
-                             seed=0, replay=True, replay_stats=stats)
+                             seed=0)
         model = MLP(16, [32, 24], 5, batch_norm=True, dropout=0.2,
                     rng=np.random.default_rng(1))
-        train_classifier(model, features, labels, config)
+        with use_graph_replay(True), collect_replay_stats(stats):
+            train_classifier(model, features, labels, config)
         _assert_no_fallbacks(stats)
 
     def test_train_soft_classifier_zero_fallbacks(self):
@@ -45,10 +48,10 @@ class TestTrainingLoops:
         features = rng.normal(size=(120, 12))
         probs = rng.dirichlet(np.ones(4), size=120)
         config = TrainConfig(epochs=4, batch_size=32, lr=3e-3,
-                             optimizer="adam", seed=0, replay=True,
-                             replay_stats=stats)
+                             optimizer="adam", seed=0)
         model = MLP(12, [24], 4, rng=np.random.default_rng(3))
-        train_soft_classifier(model, features, probs, config)
+        with use_graph_replay(True), collect_replay_stats(stats):
+            train_soft_classifier(model, features, probs, config)
         _assert_no_fallbacks(stats)
 
     def test_zsl_kg_pretrain_loop_zero_fallbacks(self):
@@ -72,34 +75,47 @@ class TestTrainingLoops:
         val_y = rng.normal(size=(5, 16))
         encoder = _ClassEncoder(np.random.default_rng(5))
         optimizer = Adam(encoder.parameters(), lr=1e-2)
-        stepper = GraphReplay(encoder, optimizer, loss="l2", enabled=True,
-                              stats=stats)
-        for _ in range(20):
-            encoder.train()
-            stepper.step(train_x, train_y, compute_loss=False)
-            encoder.eval()
-            stepper.eval_loss(val_x, val_y)
+        with use_graph_replay(True), collect_replay_stats(stats):
+            stepper = GraphReplay(encoder, optimizer, loss="l2")
+            for _ in range(20):
+                encoder.train()
+                stepper.step(train_x, train_y, compute_loss=False)
+                encoder.eval()
+                stepper.eval_loss(val_x, val_y)
         _assert_no_fallbacks(stats)
         assert stats.captures == 2  # one train plan + one eval plan
 
 
+def _fmd_task(workspace, backbone):
+    from repro.core import Task
+
+    split = workspace.make_task_split("fmd", shots=5, split_seed=0)
+    return Task.from_split(split, scads=workspace.scads, backbone=backbone,
+                           wanted_num_related_class=3,
+                           images_per_related_class=8)
+
+
+def _counts(stats: ReplayStats):
+    return (stats.captures, stats.replays, stats.eager_steps,
+            dict(stats.fallbacks))
+
+
 class TestSharedCounter:
-    def test_counter_registered_twice_ticks_once_per_step(self):
-        # The same ReplayStats arriving both ambiently (collect_replay_stats)
-        # and explicitly (TrainConfig.replay_stats) must count each step
-        # exactly once.
-        stats = ReplayStats()
-        rng = np.random.default_rng(7)
-        features = rng.normal(size=(64, 8))
-        labels = rng.integers(0, 4, size=64)
-        config = TrainConfig(epochs=3, batch_size=32, seed=0, replay=True,
-                             replay_stats=stats)
-        model = MLP(8, [16], 4, rng=np.random.default_rng(8))
-        with collect_replay_stats(stats):
-            train_classifier(model, features, labels, config)
-        assert stats.total == 3 * 2  # 6 steps: 1 capture + 5 replays
-        assert stats.captures == 1
-        assert stats.replays == 5
+    def test_counter_registered_twice_ticks_once_per_step(self, tiny_workspace,
+                                                          tiny_backbone):
+        # The same ReplayStats arriving both through
+        # ControllerConfig.replay_stats and an enclosing collect_replay_stats
+        # must count each step exactly once: it ends equal to a second
+        # counter registered once on the same run.
+        from repro.core import Controller, ControllerConfig
+
+        task = _fmd_task(tiny_workspace, tiny_backbone)
+        shared, single = ReplayStats(), ReplayStats()
+        with collect_replay_stats(single), collect_replay_stats(shared):
+            Controller(config=ControllerConfig(replay_stats=shared,
+                                               seed=0)).run(task)
+        assert _counts(shared) == _counts(single)
+        _assert_no_fallbacks(single)
 
 
 class TestFixMatchTwoView:
@@ -130,8 +146,8 @@ class TestFixMatchTwoView:
                            auxiliary=aux, backbone=backbone, seed=0)
         stats = ReplayStats()
         config = FixMatchConfig(aux_epochs=2, head_warmup_epochs=2, epochs=3,
-                                confidence_threshold=0.5, replay=True)
-        with collect_replay_stats(stats):
+                                confidence_threshold=0.5)
+        with use_graph_replay(True), collect_replay_stats(stats):
             FixMatchModule(config).train(data)
         _assert_no_fallbacks(stats)
 
@@ -172,8 +188,9 @@ class TestScenarioLoops:
 
         stats = ReplayStats()
         runner = ScenarioRunner(tiny_workspace)
-        row = runner.run_cell(get_scenario(name), method="taglets", seed=0,
-                              replay_stats=stats)
+        with collect_replay_stats(stats):
+            row = runner.run_cell(get_scenario(name), method="taglets",
+                                  seed=0)
         _assert_no_fallbacks(stats)
         assert row.fallbacks == 0
 
@@ -184,8 +201,9 @@ class TestScenarioLoops:
 
         stats = ReplayStats()
         runner = ScenarioRunner(tiny_workspace)
-        row = runner.run_cell(get_scenario("cifar_incremental_2phase"),
-                              method="taglets", seed=0, replay_stats=stats)
+        with collect_replay_stats(stats):
+            row = runner.run_cell(get_scenario("cifar_incremental_2phase"),
+                                  method="taglets", seed=0)
         _assert_no_fallbacks(stats)
         assert row.fallbacks == 0
 
@@ -195,14 +213,44 @@ class TestControllerRun:
         # Every training loop in a full TAGLETS run — all four paper-default
         # modules plus the end-model distillation — reports into one shared
         # counter via ControllerConfig.replay_stats, and none may fall back.
-        from repro.core import Controller, ControllerConfig, Task
+        from repro.core import Controller, ControllerConfig
 
-        split = tiny_workspace.make_task_split("fmd", shots=5, split_seed=0)
-        task = Task.from_split(split, scads=tiny_workspace.scads,
-                               backbone=tiny_backbone,
-                               wanted_num_related_class=3,
-                               images_per_related_class=8)
+        task = _fmd_task(tiny_workspace, tiny_backbone)
         stats = ReplayStats()
         config = ControllerConfig(replay=True, replay_stats=stats, seed=0)
         Controller(config=config).run(task)
         _assert_no_fallbacks(stats)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_replay_off_matches_replay_on(self, dtype, tiny_workspace,
+                                          tiny_backbone):
+        # The one replay switch reaches every loop: with it off, no stepper
+        # in the run captures or replays, and every output byte is the same
+        # as the replayed run's.
+        from repro.core import Controller, ControllerConfig
+
+        task = _fmd_task(tiny_workspace, tiny_backbone)
+        runs = {}
+        for replay in (True, False):
+            stats = ReplayStats()
+            config = ControllerConfig(dtype=dtype, replay=replay,
+                                      replay_stats=stats, seed=0)
+            runs[replay] = (Controller(config=config).run(task), stats)
+        (on, on_stats), (off, off_stats) = runs[True], runs[False]
+        _assert_no_fallbacks(on_stats)
+        assert off_stats.captures == off_stats.replays == 0
+        assert off_stats.eager_steps > 0
+        assert off_stats.fallbacks == {"replay_disabled":
+                                       off_stats.eager_steps}
+        assert on.pseudo_labels.dtype == off.pseudo_labels.dtype
+        assert on.pseudo_labels.tobytes() == off.pseudo_labels.tobytes()
+        assert [t.name for t in on.taglets] == [t.name for t in off.taglets]
+        for got, expected in zip(on.taglets + [on.end_model],
+                                 off.taglets + [off.end_model]):
+            got_state = got.model.state_dict()
+            expected_state = expected.model.state_dict()
+            assert list(got_state) == list(expected_state), got.name
+            for key, value in got_state.items():
+                assert value.dtype == expected_state[key].dtype
+                assert value.tobytes() == expected_state[key].tobytes(), \
+                    (got.name, key)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.nn import (MLP, TrainConfig, build_optimizer, build_scheduler,
                       evaluate_accuracy, iterate_forever, predict_logits,
-                      predict_proba, train_classifier, train_soft_classifier)
+                      predict_proba, train_classifier, train_soft_classifier,
+                      use_graph_replay)
 from repro.nn import functional as F
 from repro.nn.data import ArrayDataset, DataLoader
 
@@ -79,13 +80,13 @@ class TestLossElision:
         features, labels = make_blobs(n_per_class=30)
         targets = F.one_hot(labels, 3) * 0.8 + 0.2 / 3 if soft else labels
         train = train_soft_classifier if soft else train_classifier
-        config = TrainConfig(epochs=4, batch_size=32, lr=0.05, seed=0,
-                             replay=True)
+        config = TrainConfig(epochs=4, batch_size=32, lr=0.05, seed=0)
 
         def run(callback):
             model = MLP(8, [16], 3, batch_norm=True,
                         rng=np.random.default_rng(1))
-            train(model, features, targets, config, callback=callback)
+            with use_graph_replay(True):
+                train(model, features, targets, config, callback=callback)
             return [p.data.tobytes() for p in model.parameters()]
 
         losses = []

@@ -213,15 +213,6 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="digest"):
             load_servable(artifact_dir)
 
-    def test_digest_check_can_be_skipped(self, artifact_dir):
-        weights_path = os.path.join(artifact_dir, WEIGHTS_NAME)
-        state = np.load(weights_path)
-        tampered = {name: state[name].copy() for name in state.files}
-        first = next(iter(tampered))
-        tampered[first] = tampered[first] + 1.0
-        np.savez(weights_path, **tampered)
-        assert load_servable(artifact_dir, verify_digest=False) is not None
-
     def test_wrong_architecture_names_parameter(self, tmp_path, artifact_dir):
         """A weights/manifest mismatch fails with the offending key named."""
         manifest_path = os.path.join(artifact_dir, MANIFEST_NAME)
@@ -231,7 +222,7 @@ class TestValidation:
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(ArtifactError, match="encoder.trunk"):
-            load_servable(artifact_dir, verify_digest=False)
+            load_servable(artifact_dir)
 
 
 class TestPipelineExport:
