@@ -22,6 +22,7 @@ after the run (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,32 +99,12 @@ def write_report(name: str, text: str) -> str:
     return path
 
 
-def update_bench_record(path: str, section: str, payload: dict) -> None:
-    """Merge one section into a ``BENCH_*.json`` trajectory file.
+def print_bench_row(section: str, payload: dict) -> None:
+    """Print one section of the engine, serving or capacity benchmark.
 
-    Shared by the engine and serving throughput benchmarks: preserves the
-    other sections and stamps the timestamp and the host on every write, so
-    the record names the host that produced its latest section.
+    Runs only print: the committed ``BENCH_engine.json`` and
+    ``BENCH_serve.json`` are a frozen record, not rewritten by a run.
     """
-    import json
-    import platform
-    from datetime import datetime, timezone
-
-    import numpy as np
-
-    record = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    record["created"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    record["host"] = {
-        "cpus": os.cpu_count(),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-    }
-    record[section] = payload
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    print(f"\n{section}: {json.dumps(payload, indent=2)}")
 
 

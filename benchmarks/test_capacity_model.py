@@ -4,8 +4,8 @@ Where ``capacity_smoke.py`` validates the model against a servable with a
 *known* service law, this benchmark closes the loop against the real
 thing: the production-shaped end-model artifact (the same ``SPEC`` as
 ``test_serve_throughput.py``), calibrated live, then validated with the
-traffic harness.  Records ``capacity_model_*`` rows in
-``BENCH_serve.json``:
+traffic harness.  Prints ``capacity_model_*`` rows (the committed
+``BENCH_serve.json`` is a frozen record of earlier runs):
 
 * ``capacity_model_calibration`` — the fitted affine service law
   (base + per-row cost, dispatch overhead) of the compiled forward;
@@ -41,7 +41,7 @@ import os
 
 import numpy as np
 
-from _bench_lib import update_bench_record
+from _bench_lib import print_bench_row
 
 from repro.backbones.backbone import BackboneSpec, ClassificationModel, Encoder
 from repro.distill import EndModel
@@ -51,9 +51,6 @@ from repro.serve import (AdmissionController, BatchingConfig, CapacityModel,
                          export_end_model, load_servable, poisson_trace)
 from repro.serve.capacity import (LATENCY_ERROR_BOUND,
                                   THROUGHPUT_ERROR_BOUND)
-
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "BENCH_serve.json")
 
 #: Sized so the forward dominates dispatch: ~250 us of service per request
 #: at the batch-8 quantum vs ~20 us of harness cost (see module docstring).
@@ -87,7 +84,7 @@ def test_capacity_model(tmp_path):
     config = BatchingConfig(max_batch_size=BATCH, max_latency_ms=2.0,
                             cache_size=0)
     capacity = model.capacity(config)
-    update_bench_record(BENCH_PATH, "capacity_model_calibration", {
+    print_bench_row("capacity_model_calibration", {
         "servable": f"end model {SPEC.input_dim}->"
                     f"{list(SPEC.hidden_dims)}->{NUM_CLASSES}",
         "base_ms": round(service.base_s * 1e3, 4),
@@ -110,7 +107,7 @@ def test_capacity_model(tmp_path):
     overload = max((replay(poisson_trace(2.0 * capacity, 1.0, seed=s))
                     for s in range(REPEATS)), key=lambda r: r.throughput())
     throughput_error = abs(overload.throughput() - capacity) / capacity
-    update_bench_record(BENCH_PATH, "capacity_model_throughput", {
+    print_bench_row("capacity_model_throughput", {
         "workload": "open-loop Poisson at 2x predicted capacity, 1 s",
         "predicted_capacity_req_per_sec": round(capacity, 1),
         "observed_req_per_sec": round(overload.throughput(), 1),
@@ -124,7 +121,7 @@ def test_capacity_model(tmp_path):
     prediction = model.predict(config, rate)
     light = replay(poisson_trace(rate, 3.0, seed=3), deadline_ms=1000.0)
     errors = compare_prediction(light, prediction)
-    update_bench_record(BENCH_PATH, "capacity_model_latency", {
+    print_bench_row("capacity_model_latency", {
         "workload": f"open-loop Poisson at {rate:.0f} req/s "
                     f"(~30% utilization), 3 s, deadline 1000 ms",
         "predicted_p50_ms": round(prediction.p50_ms, 2),
@@ -142,7 +139,7 @@ def test_capacity_model(tmp_path):
     tuned, tuned_prediction = model.autotune(slo, arrival_rate=rate)
     tuned_report = replay(poisson_trace(rate, 2.0, seed=4),
                           batching=tuned, deadline_ms=1000.0)
-    update_bench_record(BENCH_PATH, "capacity_model_autotune", {
+    print_bench_row("capacity_model_autotune", {
         "slo_p99_ms": slo.p99_ms,
         "arrival_rate_req_per_sec": round(rate, 1),
         "chosen_batch": tuned.max_batch_size,
@@ -158,7 +155,7 @@ def test_capacity_model(tmp_path):
     storm = replay(adversarial_trace(3.0 * capacity, 1.0,
                                      spike_every_s=0.25, seed=5),
                    deadline_ms=250.0, admission=admission)
-    update_bench_record(BENCH_PATH, "capacity_model_admission", {
+    print_bench_row("capacity_model_admission", {
         "workload": "adversarial spikes at 3x capacity, 1 s, "
                     "admission budget 50 ms, deadline 250 ms",
         "sent": storm.sent,

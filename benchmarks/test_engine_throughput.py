@@ -1,8 +1,7 @@
-"""Engine and pipeline throughput benchmarks (the ``BENCH_*`` trajectory).
+"""Engine and pipeline throughput benchmarks.
 
-Measures the three layers of the training fast path and records them in
-``BENCH_engine.json`` at the repo root so future perf PRs are judged against
-a tracked baseline:
+Measures the three layers of the training fast path and prints them (the
+committed ``BENCH_engine.json`` is a frozen record of earlier runs):
 
 * training steps/sec of the autograd engine — the eager float64 and
   float32 paths vs the graph replay executor;
@@ -18,13 +17,12 @@ marker keeps it out of tier-1).
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 
 import numpy as np
 import pytest
 
-from _bench_lib import update_bench_record
+from _bench_lib import print_bench_row
 
 from repro.core import Controller, ControllerConfig, Task
 from repro.kg import GraphSpec
@@ -35,14 +33,6 @@ from repro.nn import (MLP, Adam, GraphReplay, Tensor, TrainConfig,
 from repro.nn.modules import Linear, Module, ReLU
 from repro.synth import WorldSpec
 from repro.workspace import Workspace, WorkspaceSpec
-
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "BENCH_engine.json")
-
-
-def update_bench(section: str, payload: dict) -> None:
-    update_bench_record(BENCH_PATH, section, payload)
-
 
 # --------------------------------------------------------------------------- #
 # Layer 1: raw engine throughput
@@ -195,7 +185,7 @@ def test_training_steps_per_sec():
                      "pseudo-label forward + weighted-sum DAG step",
             **_loop_rows(_fixmatch_once, FIX_STEPS)),
     }
-    update_bench("training_steps_per_sec", result)
+    print_bench_row("training_steps_per_sec", result)
     # The replay executor's acceptance bar: >=1.5x over the float32 eager
     # path on the overhead-dominated pipeline loops (the big-BLAS backbone
     # shape reports its honest, smaller gain alongside).
@@ -235,7 +225,7 @@ def test_inference_throughput():
     result["no_grad_speedup"] = round(
         result["no_grad_examples_per_sec"]
         / result["grad_tape_examples_per_sec"], 2)
-    update_bench("inference_throughput", result)
+    print_bench_row("inference_throughput", result)
     assert result["no_grad_speedup"] > 1.0
 
 
@@ -282,7 +272,7 @@ def test_controller_fast_path(bench_task):
     fast_seconds = _run_controller(bench_task, dtype="float32")
     fast_noreplay_seconds = _run_controller(bench_task, dtype="float32",
                                             replay=False)
-    update_bench("controller_run", {
+    print_bench_row("controller_run", {
         "workload": ("fmd 5-shot, tiny workspace, four paper-default modules "
                      "+ end model, best of 3 runs"),
         "float64_sec": round(float64_seconds, 2),

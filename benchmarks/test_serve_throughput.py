@@ -1,7 +1,8 @@
 """Serving-layer benchmark: micro-batched vs unbatched request throughput.
 
-Records ``BENCH_serve.json`` at the repo root: request latency (p50/p99)
-and throughput for the same concurrent client workload served
+Prints request latency (p50/p99) and throughput (the committed
+``BENCH_serve.json`` is a frozen record of earlier runs) for the same
+concurrent client workload served
 
 * unbatched — ``max_batch_size=1``, one fused forward per request (what a
   naive serving loop does), and
@@ -31,7 +32,7 @@ import time
 
 import numpy as np
 
-from _bench_lib import update_bench_record
+from _bench_lib import print_bench_row
 
 from repro.backbones.backbone import BackboneSpec, ClassificationModel, Encoder
 from repro.distill import EndModel
@@ -41,9 +42,6 @@ from repro.serve import (BatchingConfig, FleetConfig, RouterConfig, Server,
                          ServingFleet, export_end_model, export_ensemble,
                          load_servable, replicated_specs)
 from repro.serve.batching import run_at_quantum
-
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "BENCH_serve.json")
 
 #: The end model's architecture: the production-scale backbone shape of the
 #: engine benchmark (BENCH_engine.json's backbone_shaped row) — serving is
@@ -87,19 +85,16 @@ def _make_ensemble(tmp_path):
     return ensemble, path
 
 
-def _drive(artifact: str, config: BatchingConfig, inputs: np.ndarray,
-           compiled: bool = True) -> dict:
+def _drive(artifact: str, config: BatchingConfig, inputs: np.ndarray) -> dict:
     """Serve ``inputs`` as single-example requests under saturation.
 
     Open-loop heavy-traffic shape: ``NUM_CLIENTS`` producer threads submit
     their requests as fast as the server accepts them; per-request latency
     is submit → future-resolution (so it includes queueing delay — the cost
     an overloaded unbatched server actually imposes on its callers).
-    ``compiled=False`` serves through the tape-based module forward (the
-    pre-v2 serving path — the history-comparable naive baseline).
     """
     server = Server(batching=config)
-    server.register("bench", load_servable(artifact, compiled=compiled))
+    server.register("bench", load_servable(artifact))
     submitted = np.zeros(len(inputs))
     completed = np.zeros(len(inputs))
     futures: list = [None] * len(inputs)
@@ -222,21 +217,12 @@ def test_serve_throughput(tmp_path):
     _drive(artifact, BatchingConfig(max_batch_size=32, max_latency_ms=2,
                                     cache_size=0), inputs[:256])
 
-    def best_of(config, artifact=artifact, compiled=True) -> dict:
-        runs = [_drive(artifact, config, inputs, compiled=compiled)
-                for _ in range(REPEATS)]
+    def best_of(config, artifact=artifact) -> dict:
+        runs = [_drive(artifact, config, inputs) for _ in range(REPEATS)]
         return max(runs, key=lambda run: run["throughput_req_per_sec"])
 
-    # The naive baseline (one forward per request) is measured through the
-    # tape-based module forward — the serving path every earlier BENCH
-    # record used — so the batched-vs-unbatched ratio stays comparable
-    # across the benchmark's history.  The compiled-forward naive loop is
-    # recorded as its own row: the per-request win of compiling servable
-    # forwards to raw NumPy kernels.
-    unbatched = best_of(BatchingConfig(max_batch_size=1, cache_size=0),
-                        compiled=False)
-    unbatched_compiled = best_of(BatchingConfig(max_batch_size=1,
-                                                cache_size=0))
+    # The naive baseline: one forward per request.
+    unbatched = best_of(BatchingConfig(max_batch_size=1, cache_size=0))
     batched = best_of(BatchingConfig(max_batch_size=32, max_latency_ms=2,
                                      cache_size=0))
     # The cache hot path: every request repeats one of 32 distinct inputs.
@@ -283,19 +269,13 @@ def test_serve_throughput(tmp_path):
 
     speedup = (batched["throughput_req_per_sec"]
                / unbatched["throughput_req_per_sec"])
-    compiled_gain = (unbatched_compiled["throughput_req_per_sec"]
-                     / unbatched["throughput_req_per_sec"])
     payload = {
         "workload": (f"{NUM_REQUESTS} single-example requests from "
                      f"{NUM_CLIENTS} client threads, end model "
                      f"{SPEC.input_dim}->{list(SPEC.hidden_dims)}->"
                      f"{NUM_CLASSES}; ensemble = {NUM_MEMBERS} such members, "
-                     f"renormalized vote average; unbatched baseline runs "
-                     f"the tape-based module forward (pre-v2 path, "
-                     f"history-comparable)"),
+                     f"renormalized vote average"),
         "unbatched_batch1": unbatched,
-        "unbatched_batch1_compiled": unbatched_compiled,
-        "compiled_vs_module_unbatched_throughput": round(compiled_gain, 2),
         "microbatched_batch32": batched,
         "cached_hot_requests": hot,
         "ensemble_batch32": ensemble_row,
@@ -307,10 +287,8 @@ def test_serve_throughput(tmp_path):
         "served_bit_identical_to_offline": True,
         "ensemble_bit_identical_to_offline_voting": True,
     }
-    update_bench_record(BENCH_PATH, "serve_throughput", payload)
-    print(f"\nserving: unbatched {unbatched['throughput_req_per_sec']}/s "
-          f"(compiled {unbatched_compiled['throughput_req_per_sec']}/s, "
-          f"{compiled_gain:.2f}x) -> "
+    print_bench_row("serve_throughput", payload)
+    print(f"\nserving: unbatched {unbatched['throughput_req_per_sec']}/s -> "
           f"batched {batched['throughput_req_per_sec']}/s ({speedup:.2f}x), "
           f"cache-hot {hot['throughput_req_per_sec']}/s, ensemble "
           f"{ensemble_row['throughput_req_per_sec']}/s, fleet-over-HTTP "
@@ -319,9 +297,6 @@ def test_serve_throughput(tmp_path):
           f"({fleet_ratio:.2f}x, {cpus} CPU(s))")
     assert speedup >= 3.0, (
         f"micro-batching must be >=3x unbatched throughput, got {speedup:.2f}x")
-    assert compiled_gain >= 1.0, (
-        f"compiled forwards must not serve slower than the module path, "
-        f"got {compiled_gain:.2f}x")
     assert hot["cache_hits"] > 0
     if cpus > 1:
         # The tentpole bar — only meaningful where two worker processes can

@@ -8,7 +8,7 @@ unlabeled target data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,10 @@ class FixMatchBaseline(BaselineMethod):
     name = "fixmatch_baseline"
 
     def __init__(self, config: Optional[FixMatchConfig] = None):
-        config = config or FixMatchConfig()
-        # The baseline never uses auxiliary data, whatever the config says.
-        config.use_aux_pretraining = False
+        # The baseline never uses auxiliary data, whatever the config says;
+        # it works on a copy so a config shared with a FixMatchModule keeps
+        # its auxiliary phase.
+        config = replace(config or FixMatchConfig(), use_aux_pretraining=False)
         self._module = FixMatchModule(config)
 
     def train(self, data: BaselineInput) -> Taglet:

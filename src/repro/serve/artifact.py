@@ -34,9 +34,9 @@ the replay executor run) on fresh per-call buffers in the artifact's own
 dtype.  The compiled path touches no engine state at all, and concurrent
 forwards need no lock — one servable may be called from several threads at
 once (offline calls next to a live batcher, the old and new batchers of a
-hot swap, ensemble serving next to either).  An unexpected
-architecture falls back to the tape-based module forward under a
-``default_dtype`` scope, which is context-local, so it needs no lock either.
+hot swap, ensemble serving next to either).  Every architecture the loader
+rebuilds is such a chain; a model that is not is refused at load with
+:class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from ..nn.serialization import (load_state_dict, save_state_dict,
                                 state_dict_digest, state_dict_manifest,
                                 validate_state_dict)
 from ..nn.tensor import Tensor, default_dtype, no_grad, trace_ops
-from ..nn.training import predict_logits, softmax_rows
+from ..nn.training import softmax_rows
 from .batching import run_at_quantum
 
 __all__ = ["SCHEMA_VERSION", "MANIFEST_NAME", "WEIGHTS_NAME",
@@ -434,15 +434,14 @@ class ServableModel(Servable):
     The wrapped model is permanently in eval mode and never builds a
     backward tape.  Forwards run the model's leaf layers through the op
     table's forward kernels (see :func:`_leaf_chain`) with per-call outputs —
-    lock-free and safe to call concurrently — falling back to the
-    tape-based module forward under a context-local dtype scope for a model
-    that is not a plain chain of table ops.
+    lock-free and safe to call concurrently.  A model that is not a plain
+    chain of table ops raises :class:`ArtifactError`.
     ``fingerprint`` (the artifact's weight digest) keys prediction caches
     and identifies the exact weights a response came from.
     """
 
     def __init__(self, model: ClassificationModel, manifest: dict,
-                 path: Optional[str] = None, compiled: bool = True):
+                 path: Optional[str] = None):
         model.eval()
         self._model = model
         self.manifest = manifest
@@ -450,9 +449,12 @@ class ServableModel(Servable):
         self.class_names: List[str] = list(manifest["class_names"])
         self.dtype = np.dtype(manifest["dtype"])
         self.fingerprint: str = manifest["weights_digest"]
-        # ``compiled=False`` forces the tape-based module forward (the serving
-        # benchmark uses it to keep a history-comparable naive baseline).
-        self._compiled = _leaf_chain(model, self.dtype) if compiled else None
+        chain = _leaf_chain(model, self.dtype)
+        if chain is None:
+            raise ArtifactError(
+                f"{type(model).__name__} is not a plain chain of op-table "
+                f"layers and cannot be served")
+        self._chain = chain
 
     @property
     def num_classes(self) -> int:
@@ -461,11 +463,6 @@ class ServableModel(Servable):
     @property
     def input_dim(self) -> int:
         return self._model.encoder.spec.input_dim
-
-    @property
-    def compiled(self) -> bool:
-        """Whether forwards run the lock-free chain of table kernels."""
-        return self._compiled is not None
 
     def predict_logits(self, features: np.ndarray,
                        batch_size: Optional[int] = None) -> np.ndarray:
@@ -498,15 +495,12 @@ class ServableModel(Servable):
         return self._forward(features)
 
     def _forward(self, features: np.ndarray) -> np.ndarray:
-        if self._compiled is not None:
-            for op, leaf_frame in self._compiled:
-                frame = leaf_frame()
-                frame.x = features
-                op.forward(frame)
-                features = frame.out
-            return features
-        with default_dtype(self.dtype):
-            return predict_logits(self._model, features, batch_size=None)
+        for op, leaf_frame in self._chain:
+            frame = leaf_frame()
+            frame.x = features
+            op.forward(frame)
+            features = frame.out
+        return features
 
     def predict_proba(self, features: np.ndarray,
                       batch_size: Optional[int] = None) -> np.ndarray:
@@ -588,11 +582,6 @@ class ServableEnsemble(Servable):
     def member_names(self) -> List[str]:
         return [entry["name"] for entry in self.manifest["members"]]
 
-    @property
-    def compiled(self) -> bool:
-        """Whether every member forward runs the lock-free compiled plan."""
-        return all(member.compiled for member in self._members)
-
     def _member_proba(self, index: int, rows: np.ndarray) -> np.ndarray:
         """One member's probabilities over ``rows`` (one full-array forward),
         replaying the member taglet's own logits-to-probabilities recipe."""
@@ -669,25 +658,37 @@ def _rebuild_model(entry: dict, weights_path: str) -> ClassificationModel:
     validating the content digest and every key/shape/dtype."""
     if not os.path.exists(weights_path):
         raise ArtifactError(f"artifact weight archive missing: {weights_path}")
-    state = load_state_dict(weights_path)
+    try:
+        state = load_state_dict(weights_path)
+    except Exception as error:
+        # A truncated or byte-flipped archive surfaces from zipfile and
+        # numpy's header parser as unrelated types: BadZipFile, EOFError,
+        # OSError, ValueError, SyntaxError, tokenize.TokenError,
+        # NotImplementedError and RuntimeError all showed up in a scan.
+        raise ArtifactError(f"unreadable weight archive {weights_path}: "
+                            f"{error!r}") from error
     digest = state_dict_digest(state)
     if digest != entry["weights_digest"]:
         raise ArtifactError(
             f"weight archive at {weights_path} does not match its "
-            f"manifest digest (expected {entry['weights_digest'][:12]}…, "
+            f"manifest digest (expected {str(entry['weights_digest'])[:12]}…, "
             f"got {digest[:12]}…) — the artifact is corrupt or was edited")
-    backbone = entry["backbone"]
-    spec = BackboneSpec(name=backbone["name"],
-                        input_dim=int(backbone["input_dim"]),
-                        hidden_dims=tuple(backbone["hidden_dims"]),
-                        feature_dim=int(backbone["feature_dim"]),
-                        pretraining=backbone.get("pretraining", "none"))
-    # Rebuild under the recorded dtype so parameters (and therefore served
-    # logits) match the training-time model exactly.
-    with default_dtype(entry["dtype"]):
-        encoder = Encoder(spec, rng=np.random.default_rng(0))
-        model = ClassificationModel(encoder, int(entry["num_classes"]),
-                                    rng=np.random.default_rng(0))
+    try:
+        backbone = entry["backbone"]
+        spec = BackboneSpec(name=backbone["name"],
+                            input_dim=int(backbone["input_dim"]),
+                            hidden_dims=tuple(backbone["hidden_dims"]),
+                            feature_dim=int(backbone["feature_dim"]),
+                            pretraining=backbone.get("pretraining", "none"))
+        # Rebuild under the recorded dtype so parameters (and therefore
+        # served logits) match the training-time model exactly.
+        with default_dtype(entry["dtype"]):
+            encoder = Encoder(spec, rng=np.random.default_rng(0))
+            model = ClassificationModel(encoder, int(entry["num_classes"]),
+                                        rng=np.random.default_rng(0))
+    except (KeyError, TypeError, ValueError) as error:
+        raise ArtifactError(f"manifest cannot rebuild the model of "
+                            f"{weights_path}: {error!r}") from error
     try:
         validate_state_dict(model, state, source=weights_path)
     except ValueError as error:
@@ -696,16 +697,15 @@ def _rebuild_model(entry: dict, weights_path: str) -> ClassificationModel:
     return model
 
 
-def load_servable(path: str, *, compiled: bool = True) -> Servable:
+def load_servable(path: str) -> Servable:
     """Reconstruct an inference-only servable from an exported artifact.
 
     Dispatches on the manifest's ``format``: end-model artifacts load as
     :class:`ServableModel`, ensemble artifacts as :class:`ServableEnsemble`.
     Every weight archive is strictly validated against the rebuilt
     architecture (every key, shape, and dtype) and integrity-checked
-    against its manifest digest.  ``compiled=False``
-    forces the tape-based module forward instead of the compiled kernel
-    plan (benchmark baseline; predictions are bit-identical either way).
+    against its manifest digest.  Anything that fails to load raises
+    :class:`ArtifactError`.
     """
     manifest = read_manifest(path)
     if manifest.get("format") == FORMAT_ENSEMBLE:
@@ -717,11 +717,10 @@ def load_servable(path: str, *, compiled: bool = True) -> Servable:
                 entry, os.path.join(path, entry["weights_file"]))
             member_manifest = dict(entry)
             member_manifest["class_names"] = manifest["class_names"]
-            members.append(ServableModel(model, member_manifest, path=path,
-                                         compiled=compiled))
+            members.append(ServableModel(model, member_manifest, path=path))
             kinds.append(entry["kind"])
             scales.append(entry.get("logit_scale")
                           if entry["kind"] == "zsl_kg" else None)
         return ServableEnsemble(members, kinds, scales, manifest, path=path)
     model = _rebuild_model(manifest, os.path.join(path, WEIGHTS_NAME))
-    return ServableModel(model, manifest, path=path, compiled=compiled)
+    return ServableModel(model, manifest, path=path)

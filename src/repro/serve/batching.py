@@ -4,10 +4,12 @@ The serving hot path has the same shape as the training fast path: NumPy's
 per-call overhead dwarfs the arithmetic at small batch sizes, so answering
 each request with its own forward wastes most of the machine.  The
 :class:`MicroBatcher` instead drains a request queue on one thread into
-batches bounded by ``max_batch_size`` and ``max_latency_ms``,
-runs *one* forward over the concatenated rows, and fans the result rows back
-out to per-request futures — the batched-routing shape of distributed
-serving stacks, scaled to one process.
+batches bounded by ``max_batch_size`` and ``max_latency_ms``, runs *one*
+forward over the concatenated rows (padded to exactly ``max_batch_size``,
+so served rows are bit-identical to offline inference at that quantum),
+and fans the result rows back out to per-request futures — the
+batched-routing shape of distributed serving stacks, scaled to one
+process.
 
 Traffic shaping: requests carry an optional **priority** (higher drains
 first; FIFO within a level) and an optional **deadline** — a request whose
@@ -106,24 +108,23 @@ class BatchingConfig:
     ``max_latency_ms`` bounds how long the first request of a batch waits
     for company.  ``max_batch_size=1`` degenerates to one forward per
     request (the unbatched baseline the serving benchmark compares against).
+
+    Every forward runs at *exactly* ``max_batch_size`` rows, padding
+    smaller batches and chunking larger ones.  BLAS gemm kernels pick
+    different reduction orders for different row counts, so a row's result
+    is a pure function of (row, weights, batch rows) — fixing the row count
+    makes every served prediction bit-for-bit reproducible regardless of
+    what traffic it happened to share a batch with, equal to offline
+    inference at the same quantum
+    (``ServableModel.predict_proba(x, batch_size=max_batch_size)``).  The
+    queue is unbounded; overload is shed by admission control
+    (:class:`~repro.serve.capacity.AdmissionController`) and deadlines.
     """
 
     max_batch_size: int = 32
     max_latency_ms: float = 2.0
     #: LRU prediction-cache capacity in entries; 0 disables caching.
     cache_size: int = 1024
-    #: queue capacity; 0 means unbounded.  When bounded, ``submit`` blocks
-    #: once the backlog is full (back-pressure instead of memory growth).
-    max_queue_size: int = 0
-    #: run every forward at *exactly* ``max_batch_size`` rows, padding
-    #: smaller batches and chunking larger ones.  BLAS gemm kernels pick
-    #: different reduction orders for different row counts, so a row's
-    #: result is a pure function of (row, weights, batch rows) — fixing the
-    #: row count makes every served prediction bit-for-bit reproducible
-    #: regardless of what traffic it happened to share a batch with, equal
-    #: to offline inference at the same quantum
-    #: (``ServableModel.predict_proba(x, batch_size=max_batch_size)``).
-    pad_to_max_batch: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -281,23 +282,17 @@ class _RequestQueue:
     Orders by ``(-priority, enqueue_seq)``: higher priorities drain first,
     FIFO within a priority level.  The shutdown sentinel sorts *after*
     every request, so by the time the drain thread pops it the queue holds
-    no unanswered work.  ``maxsize=0`` means unbounded; when bounded,
-    ``put`` blocks (back-pressure) unless forced.
+    no unanswered work.
     """
 
-    def __init__(self, maxsize: int = 0):
-        self._maxsize = maxsize
+    def __init__(self):
         self._heap: List[tuple] = []
         self._seq = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
 
-    def put(self, item, force: bool = False) -> None:
+    def put(self, item) -> None:
         with self._lock:
-            if self._maxsize > 0 and not force:
-                while len(self._heap) >= self._maxsize:
-                    self._not_full.wait()
             self._seq += 1
             # Keys are unique (the sequence number is embedded), so heap
             # comparisons never fall through to the item itself.
@@ -311,8 +306,7 @@ class _RequestQueue:
 
     def put_back(self, request: "_Request") -> None:
         """Re-insert a popped request under its original key (it keeps its
-        place in line).  Never blocks — the drain thread handing work back
-        must not deadlock against a full queue."""
+        place in line)."""
         with self._lock:
             heapq.heappush(self._heap, (request.sort_key, request))
             self._not_empty.notify()
@@ -332,8 +326,6 @@ class _RequestQueue:
                         raise queue.Empty
                     self._not_empty.wait(remaining)
             _, item = heapq.heappop(self._heap)
-            if self._maxsize > 0:
-                self._not_full.notify()
             return item
 
     def drain_pending(self) -> List["_Request"]:
@@ -348,8 +340,6 @@ class _RequestQueue:
             self._heap = [(key, item) for key, item in self._heap
                           if item is _SHUTDOWN]
             heapq.heapify(self._heap)
-            if self._maxsize > 0:
-                self._not_full.notify_all()
             return requests
 
     def __len__(self) -> int:
@@ -387,7 +377,7 @@ class MicroBatcher:
         self.input_dim = input_dim
         self.dtype = np.dtype(dtype) if dtype is not None else None
         self._cache = _LRUCache(self.config.cache_size)
-        self._queue = _RequestQueue(self.config.max_queue_size)
+        self._queue = _RequestQueue()
         self._stats = BatcherStats()
         self._stats_lock = threading.Lock()
         self._closed = False
@@ -521,7 +511,7 @@ class MicroBatcher:
             if not drain:
                 self._shed(self._queue.drain_pending())
             # The sentinel sorts after every request already queued.
-            self._queue.put(_SHUTDOWN, force=True)
+            self._queue.put(_SHUTDOWN)
         self._thread.join(timeout=timeout)
         # A thread that did not exit in time will never serve what is left.
         self._shed(self._queue.drain_pending())
@@ -568,9 +558,8 @@ class MicroBatcher:
         A request whose rows would push the batch past ``max_batch_size`` is
         handed back to the queue (keeping its place in line) and opens the
         next batch instead — a batch never overshoots the configured max.
-        Only a single request larger than the whole quantum runs alone:
-        chunked to the quantum by ``run_at_quantum`` when
-        ``pad_to_max_batch`` is on, as one oversized forward otherwise.
+        Only a single request larger than the whole quantum runs alone,
+        chunked to the quantum by ``run_at_quantum``.
         """
         batch = [first]
         rows = first.rows
@@ -589,7 +578,7 @@ class MicroBatcher:
                 break
             if item is _SHUTDOWN:
                 # Re-enqueue so the outer loop sees it after this batch.
-                self._queue.put(_SHUTDOWN, force=True)
+                self._queue.put(_SHUTDOWN)
                 break
             if item.expired():
                 self._expire(item)
@@ -600,13 +589,6 @@ class MicroBatcher:
             batch.append(item)
             rows += item.rows
         return batch
-
-    def _forward(self, fused: np.ndarray) -> np.ndarray:
-        """One model call — at the fixed batch quantum when padding is on."""
-        quantum = self.config.max_batch_size
-        if not self.config.pad_to_max_batch or len(fused) == quantum:
-            return self.predict_fn(fused)
-        return run_at_quantum(self.predict_fn, fused, quantum)
 
     def _process(self, batch: List["_Request"]) -> None:
         # Fuse-time re-check: a deadline can pass between the gather in
@@ -628,7 +610,8 @@ class MicroBatcher:
         fused = (batch[0].features if len(batch) == 1
                  else np.concatenate([r.features for r in batch]))
         try:
-            predictions = self._forward(fused)
+            predictions = run_at_quantum(self.predict_fn, fused,
+                                         self.config.max_batch_size)
         except BaseException as error:  # fan the failure out, keep serving
             with self._stats_lock:
                 self._stats.errors += len(batch)

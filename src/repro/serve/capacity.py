@@ -6,8 +6,7 @@ behavior, then invert it to make decisions.  This module does exactly that
 for the micro-batched serving tier — the knobs are the ones
 :class:`~repro.serve.BatchingConfig` already exposes (``max_batch_size``,
 ``max_latency_ms``) plus fleet size, and the measured
-ground truth is the traffic harness (:mod:`repro.serve.traffic`) and
-``BENCH_serve.json``.
+ground truth is the traffic harness (:mod:`repro.serve.traffic`).
 
 Three layers:
 
@@ -23,8 +22,8 @@ Three layers:
   throughput, p50/p99 latency, utilization, expected batch fill, and shed
   rate.  The model's assumptions (and its documented error bounds,
   :data:`THROUGHPUT_ERROR_BOUND` / :data:`LATENCY_ERROR_BOUND`) are
-  validated live by ``benchmarks/capacity_smoke.py`` and recorded as
-  ``capacity_model_*`` rows in ``BENCH_serve.json``.
+  validated live by ``benchmarks/capacity_smoke.py`` and by the
+  ``capacity_model_*`` rows ``benchmarks/test_capacity_model.py`` prints.
 * **Inversion** (:meth:`CapacityModel.autotune`,
   :class:`AdmissionController`).  The autotuner searches the model for the
   cheapest config meeting a stated :class:`SLO`; the admission controller
@@ -40,7 +39,7 @@ Model assumptions (also in ``docs/serving.md``):
 * Poisson-ish arrivals at rate λ; batches form by waiting at most
   ``max_latency_ms`` for company, so the expected fill is
   ``b = min(B, 1 + λ·w)`` with gather window ``w = min(L, (B-1)/λ)``.
-* With ``pad_to_max_batch`` (the default) every forward costs ``s(B)``
+* Every forward runs padded to the quantum, so it costs ``s(B)``
   regardless of fill — the price of bitwise determinism is part of the
   model, not noise around it.
 * Each replica runs one drain thread per batcher, and replicas overlap
@@ -73,8 +72,8 @@ __all__ = ["AdmissionController", "CapacityModel", "CapacityPrediction",
            "THROUGHPUT_ERROR_BOUND", "calibrate_service_model"]
 
 #: Documented relative-error bound on throughput/capacity predictions,
-#: asserted by ``benchmarks/capacity_smoke.py`` and the
-#: ``capacity_model_*`` rows of ``BENCH_serve.json``.
+#: asserted by ``benchmarks/capacity_smoke.py`` and
+#: ``benchmarks/test_capacity_model.py``.
 THROUGHPUT_ERROR_BOUND = 0.35
 #: Documented relative-error bound on p50/p99 latency predictions (the
 #: tail of a queueing system is intrinsically noisier than its mean).
@@ -268,11 +267,9 @@ class CapacityModel:
         """Forwards that genuinely overlap: one per replica, up to the cores."""
         return min(self.replicas, self.cpus)
 
-    def _service_s(self, config: BatchingConfig, fill: float) -> float:
-        """Seconds one forward costs at the given expected fill."""
-        if config.pad_to_max_batch:
-            return self.service.forward_s(config.max_batch_size)
-        return self.service.forward_s(int(math.ceil(fill)))
+    def _service_s(self, config: BatchingConfig) -> float:
+        """Seconds one forward costs: every forward is padded to the quantum."""
+        return self.service.forward_s(config.max_batch_size)
 
     def capacity(self, config: BatchingConfig) -> float:
         """Maximum sustainable single-row request rate (req/s).
@@ -283,7 +280,7 @@ class CapacityModel:
         regardless of replica count.
         """
         batch = config.max_batch_size
-        per_request = (self._service_s(config, batch)
+        per_request = (self._service_s(config)
                        / (batch * self._parallelism())
                        + self.service.overhead_s)
         return 1.0 / per_request
@@ -299,24 +296,15 @@ class CapacityModel:
         servers = self._parallelism()
         capacity = self.capacity(config)
         utilization = rate / capacity
+        service_s = self._service_s(config)
 
         if utilization >= 1.0:
-            # Saturated: the queue grows until back-pressure, deadlines, or
-            # admission control shed the excess.  Latency is then set by
-            # the queue bound, not by the arrival rate.
-            fill = float(batch)
-            service_s = self._service_s(config, fill)
-            if config.max_queue_size > 0:
-                # A full bounded queue drains in depth/capacity seconds.
-                wait_s = config.max_queue_size / capacity
-                p50 = p99 = ((self.service.overhead_s + wait_s + service_s)
-                             * 1000.0)
-            else:
-                p50 = p99 = float("inf")
+            # Saturated: the unbounded queue grows until deadlines or
+            # admission control shed the excess, so latency diverges.
             return CapacityPrediction(
                 arrival_rate=rate, capacity=capacity, throughput=capacity,
-                utilization=utilization, batch_fill=fill,
-                p50_ms=p50, p99_ms=p99,
+                utilization=utilization, batch_fill=float(batch),
+                p50_ms=float("inf"), p99_ms=float("inf"),
                 shed_rate=1.0 - capacity / rate)
 
         # Below saturation.  The batch opener waits for company at most
@@ -326,17 +314,9 @@ class CapacityModel:
         # Batch fill has two sources: company gathered during the window,
         # and backlog accumulated while the drain thread ran the previous
         # forward (arrivals during one service+gather cycle open the next
-        # batch together).  The cycle term is a fixed point because the
-        # service time depends on the fill when padding is off; a few
-        # damped iterations converge.
-        fill = min(float(batch), 1.0 + rate * gather_s)
-        for _ in range(8):
-            cycle_s = self._service_s(config, fill) + gather_s
-            target = min(float(batch),
-                         max(1.0 + rate * gather_s,
-                             rate * cycle_s / servers))
-            fill = 0.5 * fill + 0.5 * target
-        service_s = self._service_s(config, fill)
+        # batch together).
+        fill = min(float(batch), max(1.0 + rate * gather_s,
+                                     rate * (service_s + gather_s) / servers))
         # Queueing for a free server, at the *capacity* utilization — fill
         # self-regulates (a deeper backlog makes fuller batches), so the
         # long-run busy fraction is rate/capacity, not the instantaneous
@@ -452,7 +432,7 @@ class AdmissionController:
         #: the latency floor a request pays even on an empty queue
         self.service_floor_ms = (
             model.service.overhead_s
-            + model._service_s(config, config.max_batch_size)
+            + model._service_s(config)
             + config.max_latency_ms / 1000.0) * 1000.0
         if max_delay_ms is None and slo is not None and slo.p99_ms is not None:
             # Budget = the SLO's p99 minus the unavoidable service floor.

@@ -17,9 +17,10 @@ backlog while a replica is down are answered by its replacement, and the
 router's table never has to chase moving ports.
 
 **Supervision.**  All replacement goes through one respawn path: the
-router's health monitor (plus a process-liveness sweep) reports a replica
-down, the supervisor thread re-spawns it on the same socket with bounded
-exponential backoff, and the first successful health probe re-admits it.
+router's health monitor (plus a process-liveness sweep every
+:data:`SUPERVISE_INTERVAL` seconds) reports a replica down, the supervisor
+thread re-spawns it on the same socket with bounded exponential backoff,
+and the first successful health probe re-admits it.
 
 **Rolling hot-swap.**  :meth:`ServingFleet.rolling_swap` upgrades an
 artifact across the fleet one replica at a time: drain (router stops
@@ -29,8 +30,8 @@ replica serves either the old or the new version in full — served
 predictions stay bit-identical to offline inference at the serving
 quantum throughout, and capacity never drops by more than one replica.
 
-Determinism note: every worker runs the same fixed-quantum batching
-(``pad_to_max_batch``), so a prediction's bits do not depend on *which*
+Determinism note: every worker pads every forward to the same
+``max_batch_size`` quantum, so a prediction's bits do not depend on *which*
 replica served it — routing, retries, and failovers are invisible in the
 output, which is what makes retry-on-replica-death safe.
 """
@@ -52,6 +53,16 @@ from .router import Router, RouterConfig
 
 __all__ = ["FleetConfig", "ReplicaSpec", "ServingFleet", "replicated_specs",
            "sharded_specs"]
+
+#: seconds the parent waits for a spawned worker's ready signal
+SPAWN_TIMEOUT = 30.0
+#: bounded respawn backoff: ``min(initial * 2**n, cap)`` seconds, where n
+#: counts the replica's respawns within the last ``RESPAWN_BACKOFF_WINDOW``
+RESPAWN_BACKOFF_INITIAL = 0.05
+RESPAWN_BACKOFF_CAP = 2.0
+RESPAWN_BACKOFF_WINDOW = 30.0
+#: how often the supervisor sweeps process liveness
+SUPERVISE_INTERVAL = 0.2
 
 
 @dataclass
@@ -105,15 +116,6 @@ class FleetConfig:
     #: at ~0.5 s startup each; ``fork`` starts near-instantly but inherits
     #: the parent's whole world.
     start_method: str = "spawn"
-    #: seconds the parent waits for a spawned worker's ready signal
-    spawn_timeout: float = 30.0
-    #: bounded respawn backoff: ``min(initial * 2**n, cap)`` seconds, where
-    #: n counts *recent* (within ``backoff_window``) respawns of a replica
-    respawn_backoff_initial: float = 0.05
-    respawn_backoff_cap: float = 2.0
-    backoff_window: float = 30.0
-    #: how often the supervisor sweeps process liveness
-    supervise_interval: float = 0.2
 
 
 def _worker_main(spec: ReplicaSpec, batching: BatchingConfig,
@@ -213,7 +215,7 @@ class ServingFleet:
                 models=replica.spec.names() or None)
         if wait_healthy:
             if not self.router.wait_healthy(len(self._replicas),
-                                            timeout=self.config.spawn_timeout):
+                                            timeout=SPAWN_TIMEOUT):
                 raise RuntimeError("fleet did not become healthy in time")
         self.router.start_health_monitor()
         self._supervisor = threading.Thread(target=self._supervise,
@@ -233,11 +235,11 @@ class ServingFleet:
             name=f"repro-serve-{replica.spec.replica_id}")
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self.config.spawn_timeout):
+        if not parent_conn.poll(SPAWN_TIMEOUT):
             process.terminate()
             raise RuntimeError(
                 f"worker {replica.spec.replica_id!r} did not come up within "
-                f"{self.config.spawn_timeout}s")
+                f"{SPAWN_TIMEOUT}s")
         parent_conn.recv()
         parent_conn.close()
         replica.process = process
@@ -253,7 +255,7 @@ class ServingFleet:
 
     def _supervise(self) -> None:
         while not self._stop.is_set():
-            self._respawn_signal.wait(self.config.supervise_interval)
+            self._respawn_signal.wait(SUPERVISE_INTERVAL)
             self._respawn_signal.clear()
             if self._stop.is_set():
                 return
@@ -271,7 +273,7 @@ class ServingFleet:
 
         Every replacement in the fleet goes through here — spawned on the
         *same* parent-held socket, with exponential backoff bounded by
-        ``respawn_backoff_cap`` over the recent-respawn window, so a
+        :data:`RESPAWN_BACKOFF_CAP` over the recent-respawn window, so a
         crash-looping artifact cannot melt the host.
         """
         if self._closed:
@@ -280,12 +282,11 @@ class ServingFleet:
         if replica is None or replica.alive():
             return  # a transient connection failure, not a death
         now = time.monotonic()
-        window = self.config.backoff_window
         replica.respawn_times = [t for t in replica.respawn_times
-                                 if now - t < window]
+                                 if now - t < RESPAWN_BACKOFF_WINDOW]
         recent = len(replica.respawn_times)
-        delay = min(self.config.respawn_backoff_initial * (2 ** recent),
-                    self.config.respawn_backoff_cap)
+        delay = min(RESPAWN_BACKOFF_INITIAL * (2 ** recent),
+                    RESPAWN_BACKOFF_CAP)
         if self._stop.wait(delay):
             return
         if replica.process is not None:

@@ -18,7 +18,7 @@ Routing semantics:
   picks the replica with the fewest outstanding requests, breaking ties
   round-robin — least-loaded first, and fair under uniform load.
 * **Health.** A background monitor probes every replica's ``/healthz`` on
-  an interval; ``fail_threshold`` consecutive misses mark it down (and a
+  an interval; :data:`FAIL_THRESHOLD` consecutive misses mark it down (and a
   connection-level failure on the request path marks it down immediately —
   death is detected at the first broken request, not the next probe).
   Probes also refresh each replica's served-model manifest and queue
@@ -73,6 +73,10 @@ from .registry import ModelNotFound, parse_reference
 __all__ = ["NoHealthyReplica", "ReplicaHandle", "Router", "RouterConfig"]
 
 
+#: consecutive probe failures before a replica is marked down
+FAIL_THRESHOLD = 2
+
+
 class NoHealthyReplica(RuntimeError):
     """Every routing attempt failed — no replica could answer the request."""
 
@@ -83,8 +87,6 @@ class RouterConfig:
 
     #: seconds between health-probe sweeps of the replica table
     health_interval: float = 0.5
-    #: consecutive probe failures before a replica is marked down
-    fail_threshold: int = 2
     #: socket timeout of one health probe
     probe_timeout: float = 2.0
     #: socket timeout of one forwarded /predict call
@@ -98,8 +100,6 @@ class RouterConfig:
     retry_backoff_cap_ms: float = 400.0
 
     def __post_init__(self) -> None:
-        if self.fail_threshold < 1:
-            raise ValueError("fail_threshold must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
@@ -295,7 +295,7 @@ class Router:
 
     def _note_transport_failure(self, handle: ReplicaHandle) -> None:
         """A broken connection means the process is (almost certainly)
-        gone: mark it down *now* instead of waiting out ``fail_threshold``
+        gone: mark it down *now* instead of waiting out ``FAIL_THRESHOLD``
         probes, and let the fleet's respawn path decide what happened."""
         fire = False
         with self._lock:
@@ -489,7 +489,7 @@ class Router:
             else:
                 handle.consecutive_failures += 1
                 if (handle.healthy and handle.consecutive_failures
-                        >= self.config.fail_threshold):
+                        >= FAIL_THRESHOLD):
                     handle.healthy = False
                     fire = True
         if fire and self.on_replica_down is not None:
@@ -665,7 +665,7 @@ class Router:
                     "replicas": {handle.id: handle.describe()
                                  for handle in self._handles()},
                     "health_interval": self.config.health_interval,
-                    "fail_threshold": self.config.fail_threshold,
+                    "fail_threshold": FAIL_THRESHOLD,
                     "max_attempts": self.config.max_attempts,
                 },
                 "stats": self.stats()}

@@ -286,7 +286,6 @@ class Server:
             "batching": {
                 "max_batch_size": self.batching.max_batch_size,
                 "max_latency_ms": self.batching.max_latency_ms,
-                "max_queue_size": self.batching.max_queue_size,
             },
             "model": None,
             "admission": None,

@@ -7,7 +7,7 @@ from repro.baselines import (BaselineInput, DistilledFineTuningBaseline,
                              FineTuningBaseline, FineTuningConfig,
                              FixMatchBaseline, MetaPseudoLabelsBaseline,
                              MetaPseudoLabelsConfig)
-from repro.modules.fixmatch import FixMatchConfig
+from repro.modules.fixmatch import FixMatchConfig, FixMatchModule
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,13 @@ class TestFixMatchBaseline:
     def test_never_uses_auxiliary_data(self):
         baseline = FixMatchBaseline(FixMatchConfig(use_aux_pretraining=True))
         assert baseline._module.config.use_aux_pretraining is False
+
+    def test_leaves_a_shared_config_untouched(self):
+        config = FixMatchConfig()
+        module = FixMatchModule(config)
+        FixMatchBaseline(config)
+        assert config.use_aux_pretraining is True
+        assert module.config.use_aux_pretraining is True
 
     def test_beats_chance(self, baseline_input, fmd_split):
         baseline = FixMatchBaseline(FixMatchConfig(head_warmup_epochs=15, epochs=3))

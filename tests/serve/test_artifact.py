@@ -93,22 +93,20 @@ class TestRoundTrip:
         assert description["fingerprint"] == servable.fingerprint
 
 
-class TestFallbackForward:
-    """``load_servable(..., compiled=False)``: the tape-based module forward."""
+class TestConcurrentForward:
+    """The leaf-chain forward runs on per-call buffers and no engine state."""
 
-    def test_concurrent_threads_match_compiled(self, tmp_path, features):
+    def test_concurrent_threads_match_serial(self, tmp_path, features):
         # A float32 artifact served from 4 threads while the caller sits in
-        # a float64 scope: each forward opens its own context-local dtype
-        # scope, so neither side ever sees the other's dtype.
+        # a float64 scope: the forward touches no dtype scope, so every
+        # thread gets the serial bytes and the caller keeps its dtype.
         with default_dtype("float32"):
             path = export_end_model(make_end_model(seed=3),
                                     str(tmp_path / "f32"),
                                     class_names=CLASS_NAMES)
-        compiled = load_servable(path)
-        fallback = load_servable(path, compiled=False)
-        assert compiled.compiled and not fallback.compiled
+        servable = load_servable(path)
         batches = [features[:1], features[:7], features[:32], features]
-        expected = [compiled.predict_proba(rows) for rows in batches]
+        expected = [servable.predict_proba(rows) for rows in batches]
         mismatches, errors, seen_dtypes = [], [], set()
         start = threading.Barrier(len(batches) + 1, timeout=30)
 
@@ -116,7 +114,7 @@ class TestFallbackForward:
             try:
                 start.wait()
                 for _ in range(25):
-                    served = fallback.predict_proba(batches[i])
+                    served = servable.predict_proba(batches[i])
                     if (served.dtype != np.float32
                             or served.tobytes() != expected[i].tobytes()):
                         mismatches.append(i)

@@ -55,17 +55,18 @@ class TestFanOutFanIn:
             return batch.copy()
 
         config = BatchingConfig(max_batch_size=16, max_latency_ms=50,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(64, 3))
         with MicroBatcher(record, config) as batcher:
             futures = [batcher.submit(row) for row in inputs]
             for future in futures:
                 future.result(timeout=10)
-        stats_batches = len(calls)
-        assert stats_batches < 64              # genuinely fused
-        assert max(calls) <= 16                # respects max_batch_size
-        assert sum(calls) == 64                # nothing lost or duplicated
+        stats = batcher.snapshot()
+        assert stats.batches < 64              # genuinely fused
+        assert len(calls) == stats.batches     # one forward per batch
+        assert stats.largest_batch <= 16       # respects max_batch_size
+        assert stats.batched_examples == 64    # nothing lost or duplicated
 
     def test_padded_forwards_run_at_the_fixed_quantum(self):
         """With padding on (the default), every model call sees exactly
@@ -249,7 +250,7 @@ class TestRequestValidation:
     def test_wrong_width_fails_alone_while_batchmates_succeed(self):
         model = GatedModel()
         config = BatchingConfig(max_batch_size=16, max_latency_ms=50,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         rng = np.random.default_rng(11)
         good = rng.normal(size=(6, 4))
         with MicroBatcher(model, config, input_dim=4) as batcher:
@@ -268,7 +269,9 @@ class TestRequestValidation:
         # a forward (every call the model saw was 4 wide).
         assert np.array_equal(results, good)
         assert all(call.shape[1] == 4 for call in model.calls)
-        assert batcher.stats()["rejected"] == 1
+        stats = batcher.snapshot()
+        assert stats.rejected == 1
+        assert stats.batched_examples == 7        # the plug and six good rows
 
     def test_wrong_ndim_and_empty_still_rejected(self):
         with MicroBatcher(square_rows, input_dim=4) as batcher:
@@ -314,7 +317,7 @@ class TestRequestValidation:
         servable dtype at submit, so the fused forward always sees it."""
         model = GatedModel()
         config = BatchingConfig(max_batch_size=8, max_latency_ms=50,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         with MicroBatcher(model, config, input_dim=3,
                           dtype=np.float64) as batcher:
             plug = batcher.submit(np.ones(3))
@@ -326,6 +329,9 @@ class TestRequestValidation:
             f32.result(timeout=10)
             f64.result(timeout=10)
         assert all(call.dtype == np.float64 for call in model.calls)
+        stats = batcher.snapshot()
+        assert stats.batches == 2                 # float32 and float64 fused
+        assert stats.largest_batch == 2
 
     def test_identical_rows_share_one_cache_entry_across_dtypes(self):
         """Regression: the cache digest was keyed on the *submitted* dtype,
@@ -363,7 +369,7 @@ class TestBacklogScooping:
     def test_window_zero_fuses_the_backlog(self):
         model = GatedModel()
         config = BatchingConfig(max_batch_size=4, max_latency_ms=0,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         with MicroBatcher(model, config) as batcher:
             plug = batcher.submit(np.ones(3))
             assert model.entered.wait(timeout=10)
@@ -376,7 +382,10 @@ class TestBacklogScooping:
                 assert np.array_equal(future.result(timeout=10),
                                       np.full(3, float(i)))
         # ...and are served as ONE four-row forward, not four singles.
-        assert model.call_sizes == [1, 4]
+        stats = batcher.snapshot()
+        assert stats.batches == 2
+        assert stats.largest_batch == 4
+        assert stats.batched_examples == 5
 
 
 class TestBatchOvershoot:
@@ -385,7 +394,7 @@ class TestBatchOvershoot:
     def test_multi_row_requests_never_overflow_the_batch(self):
         model = GatedModel()
         config = BatchingConfig(max_batch_size=8, max_latency_ms=50,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         rng = np.random.default_rng(12)
         blocks = [rng.normal(size=(3, 4)) for _ in range(3)]
         with MicroBatcher(model, config) as batcher:
@@ -398,8 +407,11 @@ class TestBatchOvershoot:
                 assert np.array_equal(future.result(timeout=10), block)
         # The three 3-row requests were queued together: 3+3 fused, the
         # third carried into the next batch (3+3+3 would overshoot 8).
-        assert model.call_sizes == [1, 6, 3]
-        assert batcher.stats()["largest_batch"] <= 8
+        stats = batcher.snapshot()
+        assert stats.batches == 3                 # plug, 3+3, then 3
+        assert stats.largest_batch == 6
+        assert stats.batched_examples == 10
+        assert model.call_sizes == [8, 8, 8]      # each padded to the quantum
 
     def test_single_oversized_request_still_served(self):
         """One request larger than the quantum runs alone (chunked by

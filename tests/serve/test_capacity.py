@@ -113,17 +113,6 @@ class TestCapacityModel:
         # Unbounded queue under overload: latency diverges.
         assert prediction.p99_ms == float("inf")
 
-    def test_bounded_queue_bounds_saturated_latency(self):
-        model = self.model()
-        config = BatchingConfig(max_batch_size=16, max_latency_ms=2.0,
-                                max_queue_size=64)
-        capacity = model.capacity(config)
-        prediction = model.predict(config, arrival_rate=capacity * 2.0)
-        assert math.isfinite(prediction.p99_ms)
-        # A full bounded queue drains in about depth/capacity seconds.
-        assert prediction.p99_ms == pytest.approx(
-            64 / capacity * 1000.0, rel=0.5)
-
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError, match="arrival_rate"):
             self.model().predict(BatchingConfig(), 0.0)

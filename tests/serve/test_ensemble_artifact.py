@@ -74,7 +74,6 @@ class TestRoundTrip:
         assert isinstance(servable_ensemble, Servable)
         assert servable_ensemble.num_members == len(ensemble.taglets)
         assert servable_ensemble.num_classes == NUM_CLASSES
-        assert servable_ensemble.compiled        # lock-free member forwards
 
     def test_full_batch_votes_bit_identical_to_offline(self, servable_ensemble,
                                                        ensemble, features):

@@ -48,7 +48,7 @@ class TestDeadlines:
     def test_expired_request_fails_fast_and_skips_the_forward(self):
         model = GatedModel()
         config = BatchingConfig(max_batch_size=8, max_latency_ms=5,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         with MicroBatcher(model, config) as batcher:
             plug = batcher.submit(np.zeros(3))
             assert model.entered.wait(timeout=10)
@@ -62,10 +62,11 @@ class TestDeadlines:
             # The batch-mate with a live deadline is served normally.
             assert np.array_equal(survivor.result(timeout=10), np.full(3, 9.0))
         # The expired rows never occupied a forward.
-        assert not any((call == 7.0).all() for call in model.calls)
+        assert not any((call == 7.0).all(axis=1).any() for call in model.calls)
         stats = batcher.stats()
         assert stats["expired"] == 1
         assert stats["requests"] == 3
+        assert batcher.snapshot().batched_examples == 2   # plug + survivor
 
     def test_deadline_expiring_between_gather_and_forward(self):
         """The fuse-time re-check: a request gathered *live* whose deadline
@@ -82,7 +83,7 @@ class TestDeadlines:
         # deadline is still live), then the 150 ms gather window outlives
         # its 40 ms deadline.
         config = BatchingConfig(max_batch_size=8, max_latency_ms=150,
-                                cache_size=0, pad_to_max_batch=False)
+                                cache_size=0)
         with MicroBatcher(recording, config) as batcher:
             doomed = batcher.submit(np.full(3, 7.0), deadline_ms=40)
             survivor = batcher.submit(np.full(3, 9.0), deadline_ms=60_000)
@@ -91,11 +92,12 @@ class TestDeadlines:
             assert np.array_equal(survivor.result(timeout=10),
                                   np.full(3, 9.0))
         # The doomed rows never reached the model.
-        assert not any((call == 7.0).all() for call in calls)
+        assert not any((call == 7.0).all(axis=1).any() for call in calls)
         stats = batcher.stats()
         assert stats["expired"] == 1
         assert stats["served"] == 1
         assert stats["requests"] == 2
+        assert batcher.snapshot().batched_examples == 1   # the survivor alone
 
     def test_deadline_expiring_during_the_forward(self):
         """The delivery-time re-check: a request whose forward *finishes*
