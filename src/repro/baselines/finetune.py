@@ -33,7 +33,6 @@ class FineTuningConfig:
     batch_size: int = 32
     lr: float = 0.01
     momentum: float = 0.9
-    use_augmentation: bool = True
     #: distillation pass over pseudo-labeled + labeled data
     distill_epochs: int = 12
     distill_lr: float = 5e-3
@@ -43,16 +42,14 @@ class FineTuningConfig:
                            lr=self.lr, momentum=self.momentum,
                            scheduler="multistep",
                            milestones=(self.epochs * 2 // 3, self.epochs * 5 // 6),
-                           augment=weak_augment() if self.use_augmentation else None,
-                           seed=seed)
+                           augment=weak_augment(), seed=seed)
 
     def distill_config(self, seed: int) -> TrainConfig:
         return TrainConfig(epochs=self.distill_epochs, batch_size=128,
                            lr=self.distill_lr, optimizer="adam",
                            scheduler="multistep",
                            milestones=(self.distill_epochs * 2 // 3,),
-                           augment=weak_augment() if self.use_augmentation else None,
-                           seed=seed)
+                           augment=weak_augment(), seed=seed)
 
 
 class FineTuningBaseline(BaselineMethod):

@@ -52,7 +52,6 @@ class MetaPseudoLabelsConfig:
     #: final supervised fine-tuning of the student
     finetune_epochs: int = 30
     finetune_lr: float = 1e-2
-    use_augmentation: bool = True
 
 
 class MetaPseudoLabelsBaseline(BaselineMethod):
@@ -71,7 +70,7 @@ class MetaPseudoLabelsBaseline(BaselineMethod):
         data.validate()
         config = self.config
         rng = np.random.default_rng(data.seed)
-        augment = weak_augment() if config.use_augmentation else None
+        augment = weak_augment()
 
         student_backbone = self.student_backbone or data.backbone
         teacher = ClassificationModel.from_backbone(data.backbone,
@@ -94,11 +93,11 @@ class MetaPseudoLabelsBaseline(BaselineMethod):
         labeled_loader = DataLoader(
             ArrayDataset(data.labeled_features, data.labeled_labels),
             batch_size=min(config.batch_size, len(data.labeled_features)),
-            shuffle=True, rng=np.random.default_rng(data.seed))
+            rng=np.random.default_rng(data.seed))
         unlabeled_loader = DataLoader(
             UnlabeledDataset(data.unlabeled_features),
             batch_size=min(config.unlabeled_batch_size, len(data.unlabeled_features)),
-            shuffle=True, rng=np.random.default_rng(data.seed + 1))
+            rng=np.random.default_rng(data.seed + 1))
         labeled_stream = iterate_forever(labeled_loader)
         unlabeled_stream = iterate_forever(unlabeled_loader)
 
@@ -114,9 +113,8 @@ class MetaPseudoLabelsBaseline(BaselineMethod):
         for _ in range(config.steps):
             labeled_x, labeled_y = next(labeled_stream)
             unlabeled_x = next(unlabeled_stream)
-            if augment is not None:
-                labeled_x = augment(labeled_x, rng)
-                unlabeled_x = augment(unlabeled_x, rng)
+            labeled_x = augment(labeled_x, rng)
+            unlabeled_x = augment(unlabeled_x, rng)
             teacher_scheduler.step()
             student_scheduler.step()
 

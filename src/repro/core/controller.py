@@ -53,8 +53,6 @@ class ControllerConfig:
     #: whether the exact target concepts may be selected as auxiliary classes
     exclude_target_concepts: bool = False
     end_model: EndModelConfig = field(default_factory=EndModelConfig)
-    #: train the end model even when there is no unlabeled data to pseudo-label
-    train_end_model_without_unlabeled: bool = True
     #: engine dtype for the whole run: None keeps the caller's default,
     #: "float32" selects the halved-bandwidth fast mode (see docs/performance.md).
     #: The dtype scope is context-local, so Controllers with different dtypes

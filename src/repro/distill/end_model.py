@@ -33,7 +33,6 @@ class EndModelConfig:
     lr: float = 3e-3
     optimizer: str = "adam"
     weight_decay: float = 1e-4
-    use_augmentation: bool = True
     #: if True the pseudo labels are hardened to one-hot before training
     #: (an ablation of the soft-label design choice; the paper uses soft labels)
     harden_pseudo_labels: bool = False
@@ -112,7 +111,6 @@ def train_end_model(backbone: PretrainedBackbone,
         epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
         optimizer=config.optimizer, weight_decay=config.weight_decay,
         scheduler="multistep", milestones=(config.epochs * 2 // 3,),
-        augment=weak_augment() if config.use_augmentation else None,
-        seed=seed)
+        augment=weak_augment(), seed=seed)
     train_soft_classifier(model, features, soft_targets, train_config)
     return EndModel(model)

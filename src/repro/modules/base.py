@@ -9,8 +9,8 @@ labels for the distillation stage.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -64,13 +64,12 @@ class ModuleInput:
 
 def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
                            epochs: int, batch_size: int, lr: float,
-                           momentum: float, augment: bool
-                           ) -> ClassificationModel:
+                           momentum: float) -> ClassificationModel:
     """The intermediate phase (paper Eq. 1): fine-tune the backbone on ``R``.
 
     Returns a model with one head output per auxiliary class, trained with
-    cross entropy on ``data.auxiliary`` (weak augmentation if ``augment``,
-    loader seeded with ``data.seed``).  The Transfer and FixMatch modules
+    cross entropy on ``data.auxiliary`` (weak augmentation, loader seeded
+    with ``data.seed``).  The Transfer and FixMatch modules
     both start with this phase, and with their default recipes it is the
     same computation, so the selection memoizes the trained weights: the
     first call with a given key trains, later calls load a private copy.
@@ -88,15 +87,14 @@ def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
     auxiliary = data.auxiliary
     key = (data.backbone, pickle.dumps(rng.bit_generator.state), data.seed,
            np.dtype(get_default_dtype()).str, epochs, batch_size, lr,
-           momentum, augment)
+           momentum)
     model = ClassificationModel.from_backbone(
         data.backbone, num_classes=auxiliary.num_aux_classes, rng=rng)
     with auxiliary._fine_tune_lock:
         state = auxiliary._fine_tuned.get(key)
         if state is None:
             config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
-                                 momentum=momentum,
-                                 augment=weak_augment() if augment else None,
+                                 momentum=momentum, augment=weak_augment(),
                                  seed=data.seed)
             train_classifier(model, auxiliary.features, auxiliary.labels,
                              config)

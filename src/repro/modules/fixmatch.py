@@ -141,7 +141,7 @@ class FixMatchModule(TrainingModule):
             model = fine_tune_on_auxiliary(
                 data, rng, epochs=config.aux_epochs,
                 batch_size=config.aux_batch_size, lr=config.aux_lr,
-                momentum=config.momentum, augment=True)
+                momentum=config.momentum)
             model.replace_head(data.num_classes, rng=rng)
         else:
             model = ClassificationModel.from_backbone(
@@ -165,14 +165,14 @@ class FixMatchModule(TrainingModule):
         labeled_loader = DataLoader(
             ArrayDataset(data.labeled_features, data.labeled_labels),
             batch_size=min(config.batch_size, len(data.labeled_features)),
-            shuffle=True, rng=np.random.default_rng(data.seed))
+            rng=np.random.default_rng(data.seed))
         has_unlabeled = len(data.unlabeled_features) > 0
         if has_unlabeled:
             unlabeled_loader = DataLoader(
                 UnlabeledDataset(data.unlabeled_features),
                 batch_size=min(config.unlabeled_batch_size,
                                len(data.unlabeled_features)),
-                shuffle=True, rng=np.random.default_rng(data.seed + 1))
+                rng=np.random.default_rng(data.seed + 1))
             unlabeled_stream = iterate_forever(unlabeled_loader)
             steps_per_epoch = max(len(unlabeled_loader), len(labeled_loader), 1)
         else:

@@ -46,7 +46,6 @@ class MultiTaskConfig:
     momentum: float = 0.9
     #: weight of the auxiliary loss (lambda in Eq. 3)
     aux_loss_weight: float = 1.0
-    use_augmentation: bool = True
     #: LR decay milestones expressed as fractions of total epochs
     milestone_fractions: tuple = (0.5, 0.75)
 
@@ -93,21 +92,20 @@ class MultiTaskModule(TrainingModule):
             # Without auxiliary data the module degenerates to fine-tuning.
             fallback = TrainConfig(epochs=config.epochs * 3, batch_size=config.batch_size,
                                    lr=config.lr, momentum=config.momentum,
-                                   augment=weak_augment() if config.use_augmentation else None,
-                                   seed=data.seed)
+                                   augment=weak_augment(), seed=data.seed)
             train_classifier(model, data.labeled_features, data.labeled_labels, fallback)
             return ModelTaglet(self.name, model)
 
         aux_head = Linear(model.encoder.feature_dim, auxiliary.num_aux_classes, rng=rng)
-        augment = weak_augment() if config.use_augmentation else None
+        augment = weak_augment()
 
         target_loader = DataLoader(
             ArrayDataset(data.labeled_features, data.labeled_labels),
             batch_size=min(config.batch_size, len(data.labeled_features)),
-            shuffle=True, rng=np.random.default_rng(data.seed))
+            rng=np.random.default_rng(data.seed))
         aux_loader = DataLoader(
             ArrayDataset(auxiliary.features, auxiliary.labels),
-            batch_size=config.batch_size, shuffle=True,
+            batch_size=config.batch_size,
             rng=np.random.default_rng(data.seed + 1))
         aux_stream = iterate_forever(aux_loader)
 
@@ -129,9 +127,8 @@ class MultiTaskModule(TrainingModule):
                 for _ in range(steps_per_epoch):
                     target_x, target_y = next(target_stream)
                     aux_x, aux_y = next(aux_stream)
-                    if augment is not None:
-                        target_x = augment(target_x, rng)
-                        aux_x = augment(aux_x, rng)
+                    target_x = augment(target_x, rng)
+                    aux_x = augment(aux_x, rng)
                     scheduler.step()
                     stepper.step_fn(_joint_step, {
                         "target_x": target_x, "target_y": target_y,

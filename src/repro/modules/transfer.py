@@ -15,7 +15,7 @@ private copies of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ class TransferConfig:
     target_lr: float = 0.01
     target_batch_size: int = 32
     momentum: float = 0.9
-    use_augmentation: bool = True
 
     def target_train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(epochs=self.target_epochs, batch_size=self.target_batch_size,
@@ -48,8 +47,7 @@ class TransferConfig:
                            scheduler="multistep",
                            milestones=(self.target_epochs * 2 // 3,
                                        self.target_epochs * 5 // 6),
-                           augment=weak_augment() if self.use_augmentation else None,
-                           seed=seed)
+                           augment=weak_augment(), seed=seed)
 
 
 class TransferModule(TrainingModule):
@@ -70,8 +68,7 @@ class TransferModule(TrainingModule):
             model = fine_tune_on_auxiliary(
                 data, rng, epochs=self.config.aux_epochs,
                 batch_size=self.config.aux_batch_size, lr=self.config.aux_lr,
-                momentum=self.config.momentum,
-                augment=self.config.use_augmentation)
+                momentum=self.config.momentum)
             # Target phase: swap the head and fine-tune on X (Eq. 2).
             model.replace_head(data.num_classes, rng=rng)
         else:

@@ -20,7 +20,7 @@ to the number of shots — visible as the flat ZSL-KG line in Figure 5.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,22 +213,26 @@ class ZslKgModule(TrainingModule):
         # NumPy kernels for the remaining epochs — bit-identical to the
         # eager loop, with the training-loss scalar elided since nothing
         # consumes it.  Inputs are cast to the engine dtype up front so
-        # every replayed step hits the zero-copy fast path.
+        # every replayed step hits the zero-copy fast path.  Nothing in the
+        # loop changes the encoder's structure, so the whole pretrain runs
+        # in one epoch scope: the encoder is fingerprinted once per mode,
+        # and its mode flips over the module list walked on entry.
         dtype = get_default_dtype()
         train_x = descriptions[train_idx].astype(dtype)
         train_y = targets[train_idx].astype(dtype)
         val_x = descriptions[val_idx].astype(dtype)
         val_y = targets[val_idx].astype(dtype)
         stepper = GraphReplay(class_encoder, optimizer, loss="l2")
-        for _ in range(config.pretrain_epochs):
-            class_encoder.train()
-            stepper.step(train_x, train_y, compute_loss=False)
-            class_encoder.eval()
-            val_loss = stepper.eval_loss(val_x, val_y)
-            if val_loss < best_val:
-                best_val = val_loss
-                for saved, param in checkpoint:
-                    np.copyto(saved, param.data)
+        with stepper.epoch():
+            for _ in range(config.pretrain_epochs):
+                stepper.set_training(True)
+                stepper.step(train_x, train_y, compute_loss=False)
+                stepper.set_training(False)
+                val_loss = stepper.eval_loss(val_x, val_y)
+                if val_loss < best_val:
+                    best_val = val_loss
+                    for saved, param in checkpoint:
+                        np.copyto(saved, param.data)
 
         self._pretrained_cache[cache_key] = (backbone, graph, best_state)
         return best_state

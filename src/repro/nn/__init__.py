@@ -7,16 +7,15 @@ pipeline, augmentations, and shared training loops.
 """
 
 from . import functional
-from .data import (ArrayDataset, ConcatDataset, DataLoader, Dataset,
-                   SoftLabeledDataset, Subset, UnlabeledDataset,
-                   train_test_indices)
+from .data import (ArrayDataset, DataLoader, Dataset, SoftLabeledDataset,
+                   UnlabeledDataset, train_test_indices)
 from .modules import (MLP, BatchNorm1d, Dropout, Identity, Linear, Module,
                       Parameter, ReLU, Sequential, Tanh)
 from .optim import SGD, Adam, Optimizer
 from .replay import (GraphReplay, ReplayStats, ReplayUnsupported,
                      collect_replay_stats)
 from .schedulers import (ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
-                         LRScheduler, MultiStepLR, StepLR, WarmupMultiStepLR)
+                         LRScheduler, MultiStepLR)
 from .serialization import (StateDictMismatchError, load_into_module,
                             load_state_dict, save_module, save_state_dict,
                             state_dict_digest, state_dict_manifest,
@@ -40,10 +39,10 @@ __all__ = [
     "Module", "Parameter", "Linear", "ReLU", "Tanh", "Identity", "Dropout",
     "BatchNorm1d", "Sequential", "MLP",
     "Optimizer", "SGD", "Adam",
-    "LRScheduler", "ConstantLR", "StepLR", "MultiStepLR", "CosineAnnealingLR",
-    "FixMatchCosineLR", "WarmupMultiStepLR",
+    "LRScheduler", "ConstantLR", "MultiStepLR", "CosineAnnealingLR",
+    "FixMatchCosineLR",
     "Dataset", "ArrayDataset", "UnlabeledDataset", "SoftLabeledDataset",
-    "Subset", "ConcatDataset", "DataLoader", "train_test_indices",
+    "DataLoader", "train_test_indices",
     "Transform", "Compose", "IdentityTransform", "GaussianJitter",
     "RandomScale", "RandomFeatureDrop", "RandomPermuteBlocks",
     "weak_augment", "strong_augment",

@@ -5,12 +5,14 @@ limited labeled target set, the unlabeled target pool, auxiliary examples
 retrieved from SCADS, and pseudo-labeled data for the distillation stage.
 These primitives keep that bookkeeping explicit: labeled datasets yield
 ``(x, y)``, unlabeled datasets yield ``x``, and soft-labeled datasets yield
-``(x, p)`` with probability-vector targets.
+``(x, p)`` with probability-vector targets.  Every dataset is backed by
+arrays, and :class:`DataLoader` cuts each batch out of them with one fancy
+index, in an order drawn from the caller's seeded generator.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -21,20 +23,21 @@ __all__ = [
     "ArrayDataset",
     "UnlabeledDataset",
     "SoftLabeledDataset",
-    "Subset",
-    "ConcatDataset",
     "DataLoader",
     "train_test_indices",
 ]
 
 
 class Dataset:
-    """Minimal map-style dataset interface."""
+    """Array-backed dataset interface: a length, items, and whole batches."""
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __getitem__(self, index: int):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _batch_arrays(self, indices: np.ndarray):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -118,102 +121,32 @@ class SoftLabeledDataset(Dataset):
         return self.features, self.soft_labels
 
 
-class Subset(Dataset):
-    """View of a dataset restricted to a list of indices."""
-
-    def __init__(self, dataset: Dataset, indices: Sequence[int]):
-        self.dataset = dataset
-        self.indices = list(int(i) for i in indices)
-        n = len(dataset)
-        for i in self.indices:
-            if i < 0 or i >= n:
-                raise IndexError(f"index {i} out of range for dataset of size {n}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index: int):
-        return self.dataset[self.indices[index]]
-
-
-class ConcatDataset(Dataset):
-    """Concatenation of several datasets with the same item structure."""
-
-    def __init__(self, datasets: Sequence[Dataset]):
-        if not datasets:
-            raise ValueError("ConcatDataset needs at least one dataset")
-        self.datasets = list(datasets)
-        self._sizes = [len(d) for d in self.datasets]
-        self._offsets = np.cumsum([0] + self._sizes)
-
-    def __len__(self) -> int:
-        return int(self._offsets[-1])
-
-    def __getitem__(self, index: int):
-        if index < 0:
-            index += len(self)
-        if index < 0 or index >= len(self):
-            raise IndexError(index)
-        which = int(np.searchsorted(self._offsets, index, side="right") - 1)
-        return self.datasets[which][index - self._offsets[which]]
-
-
 class DataLoader:
-    """Mini-batch iterator with optional shuffling and epoch-stable RNG.
+    """Mini-batch iterator over a dataset in a freshly shuffled order per epoch.
 
-    Batches of labeled data are ``(X, y)`` array pairs; unlabeled data yields
-    a single array; soft-labeled data yields ``(X, P)``.
+    Each pass permutes the rows with ``rng`` (the caller's seeded generator,
+    so a run is reproducible) and yields the batches in that order; the last
+    batch holds the remainder.  Batches of labeled data are ``(X, y)`` array
+    pairs; unlabeled data yields a single array; soft-labeled data yields
+    ``(X, P)``.
     """
 
-    def __init__(self, dataset: Dataset, batch_size: int = 32,
-                 shuffle: bool = False, drop_last: bool = False,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, dataset: Dataset, batch_size: int,
+                 rng: np.random.Generator):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._rng = rng
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
-    def _batch_indices(self) -> Iterator[np.ndarray]:
-        n = len(self.dataset)
-        order = np.arange(n)
-        if self.shuffle:
-            self._rng.shuffle(order)
-        for start in range(0, n, self.batch_size):
-            batch = order[start:start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                return
-            yield batch
-
-    def __iter__(self):
-        # Array-backed datasets yield whole batches by fancy indexing — the
-        # per-item Python loop below is kept for map-style datasets (Subset,
-        # ConcatDataset, user-defined).  Exact type check: a subclass that
-        # overrides __getitem__ must go through the generic path.
-        fast_batch = (self.dataset._batch_arrays
-                      if type(self.dataset) in (ArrayDataset, UnlabeledDataset,
-                                                SoftLabeledDataset)
-                      else None)
-        if fast_batch is not None:
-            for batch in self._batch_indices():
-                yield fast_batch(batch)
-            return
-        for batch in self._batch_indices():
-            items = [self.dataset[int(i)] for i in batch]
-            first = items[0]
-            if isinstance(first, tuple):
-                columns = list(zip(*items))
-                yield tuple(np.asarray(col) for col in columns)
-            else:
-                yield np.asarray(items)
+    def __iter__(self) -> Iterator:
+        order = np.arange(len(self.dataset))
+        self._rng.shuffle(order)
+        for start in range(0, len(order), self.batch_size):
+            yield self.dataset._batch_arrays(order[start:start + self.batch_size])
 
 
 def train_test_indices(labels: np.ndarray, test_per_class: int,

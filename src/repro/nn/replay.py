@@ -976,7 +976,7 @@ class GraphReplay:
         return plan.run(inputs, compute_loss)
 
     # -- the fused epoch -------------------------------------------------- #
-    def run_epoch(self, batches: Iterable, scheduler=None, augment=None,
+    def run_epoch(self, batches: Iterable, scheduler, augment=None,
                   rng=None, compute_loss: bool = True) -> List[Optional[float]]:
         """Run a whole epoch of ``(x, y)`` batches through the executor.
 
@@ -991,8 +991,7 @@ class GraphReplay:
             for batch_x, batch_y in batches:
                 if augment is not None:
                     batch_x = augment(batch_x, rng)
-                if scheduler is not None:
-                    scheduler.step()
+                scheduler.step()
                 losses.append(self.step(batch_x, batch_y, compute_loss))
         return losses
 

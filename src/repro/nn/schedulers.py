@@ -1,8 +1,7 @@
 """Learning-rate schedules from the paper's training details (Appendix A.3).
 
 The Transfer and Multi-task modules decay the rate at fixed epochs
-(:class:`MultiStepLR`), BiT recipes warm up linearly before decaying
-(:class:`WarmupMultiStepLR`), FixMatch uses the ``cos(7*pi*k / 16*K)``
+(:class:`MultiStepLR`), FixMatch uses the ``cos(7*pi*k / 16*K)``
 schedule (:class:`FixMatchCosineLR`), and Meta Pseudo Labels uses a plain
 cosine decay (:class:`CosineAnnealingLR`).
 """
@@ -10,18 +9,16 @@ cosine decay (:class:`CosineAnnealingLR`).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 from .optim import Optimizer
 
 __all__ = [
     "LRScheduler",
     "ConstantLR",
-    "StepLR",
     "MultiStepLR",
     "CosineAnnealingLR",
     "FixMatchCosineLR",
-    "WarmupMultiStepLR",
 ]
 
 
@@ -47,20 +44,6 @@ class LRScheduler:
 class ConstantLR(LRScheduler):
     def get_lr(self, step: int) -> float:
         return self.base_lr
-
-
-class StepLR(LRScheduler):
-    """Decay the LR by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.step_size)
 
 
 class MultiStepLR(LRScheduler):
@@ -104,21 +87,3 @@ class FixMatchCosineLR(LRScheduler):
         k = min(step, self.total_steps)
         return self.base_lr * math.cos(7.0 * math.pi * k / (16.0 * self.total_steps))
 
-
-class WarmupMultiStepLR(LRScheduler):
-    """Linear warmup followed by multi-step decay (the BiT recipe)."""
-
-    def __init__(self, optimizer: Optimizer, warmup_steps: int,
-                 milestones: Sequence[int], gamma: float = 0.1):
-        super().__init__(optimizer)
-        if warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
-        self.warmup_steps = warmup_steps
-        self.milestones = sorted(milestones)
-        self.gamma = gamma
-
-    def get_lr(self, step: int) -> float:
-        if self.warmup_steps > 0 and step < self.warmup_steps:
-            return self.base_lr * (step + 1) / self.warmup_steps
-        passed = sum(1 for m in self.milestones if step >= m)
-        return self.base_lr * self.gamma ** passed

@@ -10,7 +10,7 @@ contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -20,8 +20,7 @@ from .data import ArrayDataset, DataLoader, SoftLabeledDataset
 from .modules import Module
 from .optim import SGD, Adam, Optimizer
 from .replay import GraphReplay
-from .schedulers import (ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
-                         LRScheduler, MultiStepLR, WarmupMultiStepLR)
+from .schedulers import ConstantLR, LRScheduler, MultiStepLR
 from .tensor import Tensor, get_default_dtype, no_grad
 from .transforms import Transform
 
@@ -44,7 +43,8 @@ class TrainConfig:
     """Hyperparameters of a supervised training run.
 
     The defaults follow the ResNet-50 recipes of Appendix A.3, scaled down to
-    the synthetic workload (fewer epochs, smaller batches).
+    the synthetic workload (fewer epochs, smaller batches).  Each epoch visits
+    the rows in a fresh order drawn from ``seed``.
     """
 
     epochs: int = 10
@@ -54,20 +54,12 @@ class TrainConfig:
     nesterov: bool = False
     weight_decay: float = 0.0
     optimizer: str = "sgd"              # "sgd" or "adam"
-    scheduler: str = "constant"          # constant | multistep | warmup | cosine | fixmatch
+    scheduler: str = "constant"          # "constant" or "multistep"
     #: epoch indices at which the LR decays (converted to steps internally)
     milestones: Tuple[int, ...] = ()
-    warmup_steps: int = 0
     gamma: float = 0.1
     augment: Optional[Transform] = None
     seed: int = 0
-    shuffle: bool = True
-
-    def with_updates(self, **overrides) -> "TrainConfig":
-        """Return a copy with selected fields replaced."""
-        from dataclasses import replace
-
-        return replace(self, **overrides)
 
 
 def build_optimizer(model: Module, config: TrainConfig) -> Optimizer:
@@ -81,23 +73,16 @@ def build_optimizer(model: Module, config: TrainConfig) -> Optimizer:
 
 
 def build_scheduler(optimizer: Optimizer, config: TrainConfig,
-                    total_steps: int, steps_per_epoch: int = 1) -> LRScheduler:
+                    steps_per_epoch: int = 1) -> LRScheduler:
     """Build the LR scheduler; epoch-based milestones are converted to steps."""
-    steps_per_epoch = max(steps_per_epoch, 1)
-    milestone_steps = [m * steps_per_epoch for m in config.milestones]
     if config.scheduler == "constant":
         return ConstantLR(optimizer)
     if config.scheduler == "multistep":
-        return MultiStepLR(optimizer, milestones=milestone_steps,
+        steps_per_epoch = max(steps_per_epoch, 1)
+        return MultiStepLR(optimizer,
+                           milestones=[m * steps_per_epoch
+                                       for m in config.milestones],
                            gamma=config.gamma)
-    if config.scheduler == "warmup":
-        return WarmupMultiStepLR(optimizer, warmup_steps=config.warmup_steps,
-                                 milestones=milestone_steps,
-                                 gamma=config.gamma)
-    if config.scheduler == "cosine":
-        return CosineAnnealingLR(optimizer, total_steps=max(total_steps, 1))
-    if config.scheduler == "fixmatch":
-        return FixMatchCosineLR(optimizer, total_steps=max(total_steps, 1))
     raise ValueError(f"unknown scheduler {config.scheduler!r}")
 
 
@@ -153,34 +138,18 @@ def evaluate_accuracy(model: Module, features: np.ndarray,
     return F.accuracy(logits, labels)
 
 
-def _epoch_loader(features: np.ndarray, labels: np.ndarray, config: TrainConfig,
-                  rng: np.random.Generator, soft: bool) -> DataLoader:
-    dataset = (SoftLabeledDataset(features, labels) if soft
-               else ArrayDataset(features, labels))
-    return DataLoader(dataset, batch_size=config.batch_size,
-                      shuffle=config.shuffle, rng=rng)
-
-
-def train_classifier(model: Module, features: np.ndarray, labels: np.ndarray,
-                     config: TrainConfig,
-                     callback: Optional[Callable[[int, float], None]] = None) -> Module:
-    """Train ``model`` with hard-label cross entropy (paper Eq. 1/2/4/5).
-
-    ``callback(epoch, mean_loss)`` is invoked after each epoch, which the
-    experiment runner uses for logging.
-    """
-    features = np.asarray(features, dtype=get_default_dtype())
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(features) == 0:
+def _train(model: Module, dataset, loss: str, config: TrainConfig,
+           callback: Optional[Callable[[int, float], None]]) -> Module:
+    """The one supervised epoch loop behind both public trainers."""
+    if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
-    loader = _epoch_loader(features, labels, config, rng, soft=False)
+    loader = DataLoader(dataset, batch_size=config.batch_size, rng=rng)
     optimizer = build_optimizer(model, config)
-    total_steps = config.epochs * max(len(loader), 1)
-    scheduler = build_scheduler(optimizer, config, total_steps,
+    scheduler = build_scheduler(optimizer, config,
                                 steps_per_epoch=len(loader))
 
-    stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+    stepper = GraphReplay(model, optimizer, loss=loss)
     model.train()
     for epoch in range(config.epochs):
         # The fused-epoch API checks the structural fingerprint once per
@@ -196,39 +165,32 @@ def train_classifier(model: Module, features: np.ndarray, labels: np.ndarray,
     return model
 
 
+def train_classifier(model: Module, features: np.ndarray, labels: np.ndarray,
+                     config: TrainConfig,
+                     callback: Optional[Callable[[int, float], None]] = None) -> Module:
+    """Train ``model`` with hard-label cross entropy (paper Eq. 1/2/4/5).
+
+    ``callback(epoch, mean_loss)`` is invoked after each epoch, which the
+    experiment runner uses for logging.
+    """
+    return _train(model, ArrayDataset(features, labels), "cross_entropy",
+                  config, callback)
+
+
 def train_soft_classifier(model: Module, features: np.ndarray,
                           soft_labels: np.ndarray, config: TrainConfig,
                           callback: Optional[Callable[[int, float], None]] = None) -> Module:
     """Train ``model`` with soft-target cross entropy (paper Eq. 7)."""
-    features = np.asarray(features, dtype=get_default_dtype())
-    soft_labels = np.asarray(soft_labels, dtype=get_default_dtype())
-    if len(features) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(config.seed)
-    loader = _epoch_loader(features, soft_labels, config, rng, soft=True)
-    optimizer = build_optimizer(model, config)
-    total_steps = config.epochs * max(len(loader), 1)
-    scheduler = build_scheduler(optimizer, config, total_steps,
-                                steps_per_epoch=len(loader))
-
-    stepper = GraphReplay(model, optimizer, loss="soft_cross_entropy")
-    model.train()
-    for epoch in range(config.epochs):
-        losses = stepper.run_epoch(loader, scheduler=scheduler,
-                                   augment=config.augment, rng=rng,
-                                   compute_loss=callback is not None)
-        if callback is not None:
-            callback(epoch, float(np.mean(losses)) if losses else float("nan"))
-    model.eval()
-    return model
+    return _train(model, SoftLabeledDataset(features, soft_labels),
+                  "soft_cross_entropy", config, callback)
 
 
 def iterate_forever(loader: DataLoader) -> Iterator:
     """Cycle a loader indefinitely (used by step-based recipes like FixMatch).
 
-    Raises ``ValueError`` when a full pass yields no batch (for example
-    ``drop_last=True`` with fewer rows than ``batch_size``), where cycling
-    would otherwise spin forever without producing one.
+    Raises ``ValueError`` when a full pass yields no batch (an empty
+    dataset), where cycling would otherwise spin forever without producing
+    one.
     """
     while True:
         empty = True

@@ -78,6 +78,9 @@ THROUGHPUT_ERROR_BOUND = 0.35
 #: Documented relative-error bound on p50/p99 latency predictions (the
 #: tail of a queueing system is intrinsically noisier than its mean).
 LATENCY_ERROR_BOUND = 0.75
+#: The knob grid :meth:`CapacityModel.autotune` searches by default.
+AUTOTUNE_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64, 128)
+AUTOTUNE_WINDOWS_MS = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -341,9 +344,8 @@ class CapacityModel:
     # Inversion: the SLO autotuner
     # ------------------------------------------------------------------ #
     def autotune(self, slo: SLO, arrival_rate: float,
-                 batch_sizes: Iterable[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-                 latencies_ms: Iterable[float] = (0.0, 0.5, 1.0, 2.0, 5.0,
-                                                  10.0, 20.0, 50.0),
+                 batch_sizes: Iterable[int] = AUTOTUNE_BATCH_SIZES,
+                 latencies_ms: Iterable[float] = AUTOTUNE_WINDOWS_MS,
                  base_config: Optional[BatchingConfig] = None,
                  ) -> Tuple[BatchingConfig, CapacityPrediction]:
         """The cheapest :class:`BatchingConfig` meeting ``slo`` at ``arrival_rate``.

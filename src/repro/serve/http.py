@@ -42,6 +42,14 @@ fails the request over to a healthy replica); a request shed by
 model-driven admission control answers **429** (retryable — the request
 was fine, this replica just predicted it could not serve it in budget);
 only genuine serving failures return **500**.
+
+What the stdlib parser rejects gets a JSON body too: a malformed request
+line or an unsupported HTTP version is **400**, an oversized URI **414**,
+too many or too long headers **431**, and any method but GET and POST
+**405** (``Allow: GET, POST``; a HEAD answer carries headers only).  A body
+that stops short of its ``Content-Length`` is **408** once no byte has
+arrived for ``BODY_READ_TIMEOUT_S``, so a stalled client cannot hold a
+handler thread.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import json
 import math
 import socket as socket_module
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
@@ -63,6 +72,8 @@ __all__ = ["make_http_server", "start_http_server"]
 
 #: Largest accepted request body (a crude guard against unbounded reads).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds a request body may stall before the answer is 408.
+BODY_READ_TIMEOUT_S = 10.0
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -73,20 +84,47 @@ class _ServeHandler(BaseHTTPRequestHandler):
     serve_app: Server
     #: whether the /admin/* control plane is exposed (fleet workers only)
     admin_enabled: bool = False
+    #: answer a request line too malformed to name its version with a status
+    #: line and headers (the stdlib default, HTTP/0.9, sends the body alone)
+    default_request_version = "HTTP/1.0"
 
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200,
+                   headers: Tuple[Tuple[str, str], ...] = ()) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json({"error": message}, status=status)
+    def _send_error_json(self, status: int, message: str,
+                         headers: Tuple[Tuple[str, str], ...] = ()) -> None:
+        self._send_json({"error": message}, status=status, headers=headers)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib parser's rejections, answered as JSON 4xx errors.
+
+        ``http.server`` calls this for a malformed request line (400), an
+        HTTP version of 2.0 or later (505, answered 400), an oversized URI
+        (414) or header block (431), and a method without a ``do_*``
+        handler (501, answered 405).
+        """
+        self.close_connection = True
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            self._send_error_json(
+                405, f"method {self.command!r} not allowed; use GET or POST",
+                headers=(("Allow", "GET, POST"),))
+            return
+        if code == HTTPStatus.HTTP_VERSION_NOT_SUPPORTED:
+            code = HTTPStatus.BAD_REQUEST
+        self._send_error_json(int(code), message or HTTPStatus(code).phrase)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging is the caller's business, not stderr's
@@ -130,8 +168,22 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 413, f"request body of {length} bytes exceeds the "
                      f"{MAX_BODY_BYTES}-byte limit — split the batch")
             return None
+        self.connection.settimeout(BODY_READ_TIMEOUT_S)
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            self._send_error_json(
+                408, f"request body stalled for {BODY_READ_TIMEOUT_S:g} s "
+                     f"before its {length} bytes arrived")
+            return None
+        if len(body) < length:
+            self._send_error_json(
+                400, f"request body ended after {len(body)} of its "
+                     f"{length} bytes")
+            return None
+        try:
+            payload = json.loads(body.decode("utf-8"))
         except ValueError as error:
             # Bad JSON, bad UTF-8, or an integer literal past Python's
             # int-string conversion limit.

@@ -96,7 +96,7 @@ class TestSharedPhase:
         assert len(data.auxiliary._fine_tuned) == 2
 
     @pytest.mark.parametrize("override", [{"aux_epochs": 3},
-                                          {"use_augmentation": False}])
+                                          {"aux_lr": 0.01}])
     def test_another_recipe_trains_separately(self, module_input, override,
                                               phase_runs):
         transfer = TransferModule(replace(TRANSFER, **override))
@@ -114,7 +114,7 @@ class TestSharedPhase:
         def phase():
             return fine_tune_on_auxiliary(
                 data, np.random.default_rng(data.seed), epochs=2,
-                batch_size=128, lr=0.02, momentum=0.9, augment=True)
+                batch_size=128, lr=0.02, momentum=0.9)
 
         trained, loaded = phase(), phase()
         (memo,) = data.auxiliary._fine_tuned.values()
@@ -143,7 +143,7 @@ class TestSharedPhase:
         def phase():
             model = fine_tune_on_auxiliary(
                 data, np.random.default_rng(data.seed), epochs=1,
-                batch_size=128, lr=0.02, momentum=0.9, augment=True)
+                batch_size=128, lr=0.02, momentum=0.9)
             states.append(model.state_dict())
 
         interval = sys.getswitchinterval()
@@ -168,7 +168,7 @@ class TestSharedPhase:
         for _ in range(2):
             rng = np.random.default_rng(data.seed)
             fine_tune_on_auxiliary(data, rng, epochs=1, batch_size=128,
-                                   lr=0.02, momentum=0.9, augment=True)
+                                   lr=0.02, momentum=0.9)
             after.append(rng.bit_generator.state)
         assert after[0] == after[1]
 
@@ -177,7 +177,7 @@ class TestSharedPhase:
         rng = np.random.default_rng(data.seed)
         for _ in range(2):
             fine_tune_on_auxiliary(data, rng, epochs=1, batch_size=128,
-                                   lr=0.02, momentum=0.9, augment=True)
+                                   lr=0.02, momentum=0.9)
         # The second call drew its head from an advanced stream: no hit.
         assert len(phase_runs) == 2
 

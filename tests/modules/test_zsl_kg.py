@@ -6,6 +6,7 @@ import pytest
 from repro.modules import GraphClassEncoder, ZslKgConfig, ZslKgModule
 from repro.modules.zsl_kg import _PROTOTYPE_CHUNK, _prototype_targets
 from repro.nn import Tensor, default_dtype, no_grad, use_graph_replay
+from repro.nn import replay as replay_module
 
 
 FAST_CONFIG = ZslKgConfig()
@@ -137,6 +138,28 @@ class TestPretrainFastPath:
         for name in eager:
             assert replayed[name].dtype == np.dtype(dtype)
             assert replayed[name].tobytes() == eager[name].tobytes(), name
+
+    def test_pretrain_fingerprints_the_encoder_once_per_mode(
+            self, module_input, monkeypatch):
+        # The whole pretrain is one epoch scope: one structural fingerprint
+        # for the training mode and one for the validation mode, however
+        # many epochs run (two per epoch before).
+        calls = []
+        fingerprint = replay_module._model_fingerprint
+
+        def counting(module):
+            calls.append(module)
+            return fingerprint(module)
+
+        monkeypatch.setattr(replay_module, "_model_fingerprint", counting)
+        config = ZslKgConfig(pretrain_epochs=20, max_training_concepts=100)
+        ZslKgModule._pretrained_cache.clear()
+        try:
+            ZslKgModule(config)._pretrain(module_input.scads,
+                                          module_input.backbone, seed=0)
+        finally:
+            ZslKgModule._pretrained_cache.clear()
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_chunked_targets_match_per_concept_loop(self, tiny_workspace,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (ArrayDataset, ConcatDataset, DataLoader, SoftLabeledDataset,
-                      Subset, UnlabeledDataset, train_test_indices)
+from repro.nn import (ArrayDataset, DataLoader, SoftLabeledDataset,
+                      UnlabeledDataset, train_test_indices)
 
 
 class TestDatasets:
@@ -34,45 +34,43 @@ class TestDatasets:
         _, soft = dataset[1]
         assert soft.shape == (4,)
 
-    def test_subset(self):
-        dataset = ArrayDataset(np.arange(10).reshape(5, 2), np.arange(5))
-        subset = Subset(dataset, [4, 0])
-        assert len(subset) == 2
-        assert subset[0][1] == 4
-        with pytest.raises(IndexError):
-            Subset(dataset, [7])
-
-    def test_concat_dataset(self):
-        a = UnlabeledDataset(np.zeros((2, 3)))
-        b = UnlabeledDataset(np.ones((3, 3)))
-        joined = ConcatDataset([a, b])
-        assert len(joined) == 5
-        np.testing.assert_allclose(joined[4], np.ones(3))
-        np.testing.assert_allclose(joined[-1], np.ones(3))
-        with pytest.raises(IndexError):
-            joined[5]
 
 
 class TestDataLoader:
     def test_batches_cover_all_examples(self):
         dataset = ArrayDataset(np.arange(20).reshape(10, 2), np.arange(10))
-        loader = DataLoader(dataset, batch_size=3, shuffle=False)
-        seen = []
-        for batch_x, batch_y in loader:
-            assert batch_x.shape[1] == 2
-            seen.extend(batch_y.tolist())
-        assert sorted(seen) == list(range(10))
+        loader = DataLoader(dataset, batch_size=3, rng=np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        for _ in range(2):  # each epoch draws a fresh order
+            order = reference.permutation(10)
+            batches = list(loader)
+            assert [len(y) for _, y in batches] == [3, 3, 3, 1]
+            np.testing.assert_array_equal(
+                np.concatenate([y for _, y in batches]), order)
+            np.testing.assert_array_equal(
+                np.concatenate([x for x, _ in batches]),
+                dataset.features[order])
         assert len(loader) == 4
 
-    def test_drop_last(self):
-        dataset = UnlabeledDataset(np.zeros((10, 2)))
-        loader = DataLoader(dataset, batch_size=4, drop_last=True)
-        assert len(loader) == 2
-        assert sum(len(batch) for batch in loader) == 8
+    @pytest.mark.parametrize("dataset", [
+        UnlabeledDataset(np.arange(14.0).reshape(7, 2)),
+        SoftLabeledDataset(np.arange(14.0).reshape(7, 2),
+                           np.full((7, 3), 1 / 3))],
+        ids=["unlabeled", "soft"])
+    def test_batch_structure_per_dataset_kind(self, dataset):
+        loader = DataLoader(dataset, batch_size=4, rng=np.random.default_rng(1))
+        order = np.random.default_rng(1).permutation(7)
+        batches = list(loader)
+        if isinstance(dataset, UnlabeledDataset):
+            features = np.concatenate(batches)
+        else:
+            features = np.concatenate([x for x, _ in batches])
+            assert all(p.shape[1] == 3 for _, p in batches)
+        np.testing.assert_array_equal(features, dataset.features[order])
 
     def test_shuffle_changes_order_but_not_content(self):
         dataset = ArrayDataset(np.arange(40).reshape(20, 2), np.arange(20))
-        loader = DataLoader(dataset, batch_size=20, shuffle=True,
+        loader = DataLoader(dataset, batch_size=20,
                             rng=np.random.default_rng(0))
         (_, labels) = next(iter(loader))
         assert sorted(labels.tolist()) == list(range(20))
@@ -80,7 +78,8 @@ class TestDataLoader:
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            DataLoader(UnlabeledDataset(np.zeros((2, 2))), batch_size=0)
+            DataLoader(UnlabeledDataset(np.zeros((2, 2))), batch_size=0,
+                       rng=np.random.default_rng(0))
 
 
 class TestTrainTestIndices:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (SGD, Adam, ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
-                      MultiStepLR, Parameter, StepLR, WarmupMultiStepLR)
+                      MultiStepLR, Parameter)
 
 
 @pytest.fixture()
@@ -18,11 +18,6 @@ class TestSchedules:
     def test_constant(self, optimizer):
         scheduler = ConstantLR(optimizer)
         assert [scheduler.step() for _ in range(3)] == [1.0, 1.0, 1.0]
-
-    def test_step_lr(self, optimizer):
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = [scheduler.step() for _ in range(5)]
-        np.testing.assert_allclose(lrs, [1.0, 1.0, 0.1, 0.1, 0.01])
 
     def test_multistep(self, optimizer):
         scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.5)
@@ -43,16 +38,6 @@ class TestSchedules:
             expected = math.cos(7 * math.pi * k / (16 * total))
             assert scheduler.get_lr(k) == pytest.approx(expected)
 
-    def test_warmup_then_decay(self, optimizer):
-        scheduler = WarmupMultiStepLR(optimizer, warmup_steps=4, milestones=[8],
-                                      gamma=0.1)
-        lrs = [scheduler.step() for _ in range(10)]
-        # Linear ramp over the first 4 steps...
-        np.testing.assert_allclose(lrs[:4], [0.25, 0.5, 0.75, 1.0])
-        # ...full LR until the milestone, then decayed.
-        assert lrs[7] == pytest.approx(1.0)
-        assert lrs[9] == pytest.approx(0.1)
-
     def test_applies_lr_to_optimizer(self, optimizer):
         scheduler = MultiStepLR(optimizer, milestones=[1], gamma=0.1)
         scheduler.step()
@@ -61,10 +46,6 @@ class TestSchedules:
 
     def test_invalid_arguments(self, optimizer):
         with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
             CosineAnnealingLR(optimizer, total_steps=0)
         with pytest.raises(ValueError):
             FixMatchCosineLR(optimizer, total_steps=-1)
-        with pytest.raises(ValueError):
-            WarmupMultiStepLR(optimizer, warmup_steps=-1, milestones=[])

@@ -20,7 +20,8 @@ from repro.ensemble import TagletEnsemble
 from repro.modules import MultiTaskConfig, MultiTaskModule
 from repro.modules.base import ModelTaglet
 from repro.modules.zsl_kg import ZslKgTaglet
-from repro.serve import export_end_model, export_ensemble, load_servable
+from repro.serve import (BatchingConfig, Router, Server, export_end_model,
+                         export_ensemble, load_servable, make_http_server)
 
 SPEC = BackboneSpec(name="resnet50", input_dim=24, hidden_dims=(48, 32),
                     feature_dim=32)
@@ -145,3 +146,48 @@ def trained_export(tmp_path_factory, tiny_workspace, tiny_backbone):
                             config=config)
     result = controller.run(task)
     return result, split, path
+
+
+class HttpApps:
+    """A :class:`Server` and a :class:`Router` in front of it, each behind
+    the stock HTTP handler on an ephemeral port (``urls["server"]``,
+    ``urls["router"]``): the two apps one handler serves."""
+
+    def __init__(self, artifact: str):
+        self.server = Server(batching=BatchingConfig(max_batch_size=8,
+                                                     max_latency_ms=1))
+        self.server.load("default", artifact)
+        self.router = Router()
+        self._httpds = []
+        self.urls = {"server": self._serve(self.server)}
+        host, port = self.address("server")
+        self.router.add_replica("replica-0", host, port)
+        self.urls["router"] = self._serve(self.router)
+
+    def _serve(self, app) -> str:
+        httpd = make_http_server(app, port=0)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        self._httpds.append(httpd)
+        host, port = httpd.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def address(self, app: str):
+        host, port = self.urls[app][len("http://"):].rsplit(":", 1)
+        return host, int(port)
+
+    def close(self) -> None:
+        for httpd in self._httpds:
+            httpd.shutdown()
+            httpd.server_close()
+        self.router.close()
+        self.server.close()
+
+
+@pytest.fixture(scope="module")
+def http_apps(tmp_path_factory):
+    """A Server-backed and a Router-backed HTTP endpoint over one artifact."""
+    path = str(tmp_path_factory.mktemp("http-apps") / "artifact")
+    export_end_model(make_end_model(), path, class_names=CLASS_NAMES)
+    apps = HttpApps(path)
+    yield apps
+    apps.close()
