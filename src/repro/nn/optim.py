@@ -60,6 +60,10 @@ class Optimizer:
         self._flat_grad_views: List[np.ndarray] = []
         self._arena: Optional[np.ndarray] = None
         self._arena_views: List[np.ndarray] = []
+        #: the update rule's state buffers, built on the first step by
+        #: :meth:`_materialize`: one ``(flat array or None, per-parameter
+        #: arrays)`` pair each
+        self._state: Optional[List[tuple]] = None
         if self._flat_ok:
             self._flat_grad, self._flat_grad_views = self._alloc_flat()
             self._arena, self._arena_views = self._alloc_flat()
@@ -71,7 +75,29 @@ class Optimizer:
         for p in self.parameters:
             p.zero_grad()
 
-    def step(self) -> None:  # pragma: no cover - abstract
+    def step(self) -> None:
+        """Apply the update rule once over the whole arena (the fused flat
+        path), or else once per parameter that has a gradient, on the same
+        state buffers/views (the fallback: some gradients missing, mixed
+        dtypes, a repeated parameter or a retired arena)."""
+        if self._state is None:
+            self._state = self._materialize()
+        self._sync_arena()
+        grad_flat = self._gather_grads()
+        if grad_flat is not None:
+            self._update(self._arena, grad_flat,
+                         *[flat for flat, _ in self._state])
+            return
+        for i, p in enumerate(self.parameters):
+            if p.grad is not None:
+                self._update(p.data, p.grad,
+                             *[views[i] for _, views in self._state])
+
+    def _materialize(self) -> List[tuple]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _update(self, data, grad, *state) -> None:  # pragma: no cover
+        """The update rule over ``data`` in place (abstract)."""
         raise NotImplementedError
 
     def set_lr(self, lr: float) -> None:
@@ -96,6 +122,20 @@ class Optimizer:
             views.append(flat[offset:offset + p.data.size].reshape(p.data.shape))
             offset += p.data.size
         return flat, views
+
+    def _buffer(self, zero: bool = False) -> tuple:
+        """One state buffer: views of a flat array in flat mode, standalone
+        per-parameter arrays otherwise; zero-filled or uninitialized."""
+        if self._flat_ok:
+            return self._alloc_flat(fill=0.0 if zero else None)
+        make = np.zeros_like if zero else np.empty_like
+        return None, [make(p.data) for p in self.parameters]
+
+    def _decay_buffer(self) -> tuple:
+        """The weight-decayed gradient's buffer (all None without decay)."""
+        if self.weight_decay:
+            return self._buffer()
+        return None, [None] * len(self.parameters)
 
     def grad_view_for(self, param: Parameter) -> Optional[np.ndarray]:
         """The flat-gradient view backing ``param``, or None.
@@ -160,89 +200,30 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.nesterov = nesterov
         self.weight_decay = weight_decay
-        # Per-parameter state and work buffers; allocated on first use as
-        # views of flat arrays when possible (see module docstring), as
-        # standalone arrays otherwise.  ``_step_buf`` composes the scaled
-        # update, ``_decayed`` holds the weight-decayed gradient.
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._step_buf: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._decayed: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._velocity_flat: Optional[np.ndarray] = None
-        self._step_flat: Optional[np.ndarray] = None
-        self._decayed_flat: Optional[np.ndarray] = None
-        self._materialized = False
 
-    def _materialize(self) -> None:
-        self._materialized = True
-        if self._flat_ok:
-            self._velocity_flat, self._velocity = self._alloc_flat(fill=0.0)
-            self._step_flat, self._step_buf = self._alloc_flat()
-            if self.weight_decay:
-                self._decayed_flat, self._decayed = self._alloc_flat()
-        else:
-            self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-            self._step_buf = [np.empty_like(p.data) for p in self.parameters]
-            if self.weight_decay:
-                self._decayed = [np.empty_like(p.data) for p in self.parameters]
+    def _materialize(self) -> List[tuple]:
+        # The momentum buffer, the scaled update, the decayed gradient.
+        return [self._buffer(zero=True), self._buffer(), self._decay_buffer()]
 
-    def step(self) -> None:
-        if not self._materialized:
-            self._materialize()
+    def _update(self, data, grad, velocity, step_buf, decayed) -> None:
         momentum = self.momentum
-        lr = self.lr
-        weight_decay = self.weight_decay
-        self._sync_arena()
-        grad_flat = self._gather_grads()
-        if grad_flat is not None:
-            # Fused flat path: a handful of whole-buffer ufunc calls.
-            arena = self._arena
-            if weight_decay:
-                decayed = self._decayed_flat
-                np.multiply(arena, weight_decay, out=decayed)
-                decayed += grad_flat
-                grad_flat = decayed
-            if momentum:
-                velocity = self._velocity_flat
-                velocity *= momentum
-                velocity += grad_flat
-                if self.nesterov:
-                    np.multiply(velocity, momentum, out=self._step_flat)
-                    self._step_flat += grad_flat
-                    update = self._step_flat
-                else:
-                    update = velocity
+        if self.weight_decay:
+            np.multiply(data, self.weight_decay, out=decayed)
+            decayed += grad
+            grad = decayed
+        if momentum:
+            velocity *= momentum
+            velocity += grad
+            if self.nesterov:
+                np.multiply(velocity, momentum, out=step_buf)
+                step_buf += grad
+                update = step_buf
             else:
-                update = grad_flat
-            np.multiply(update, lr, out=self._step_flat)
-            np.subtract(arena, self._step_flat, out=arena)
-            return
-        # Per-parameter fallback (some gradients missing, mixed dtypes, a
-        # repeated parameter or a retired arena); operates on the same state buffers/views as the flat path.
-        nesterov = self.nesterov
-        for i, p in enumerate(self.parameters):
-            grad = p.grad
-            if grad is None:
-                continue
-            step_buf = self._step_buf[i]
-            if weight_decay:
-                decayed = self._decayed[i]
-                np.multiply(p.data, weight_decay, out=decayed)
-                decayed += grad
-                grad = decayed
-            if momentum:
-                velocity = self._velocity[i]
-                velocity *= momentum
-                velocity += grad
-                if nesterov:
-                    np.multiply(velocity, momentum, out=step_buf)
-                    step_buf += grad
-                    update = step_buf
-                else:
-                    update = velocity
-            else:
-                update = grad
-            np.multiply(update, lr, out=step_buf)
-            np.subtract(p.data, step_buf, out=p.data)
+                update = velocity
+        else:
+            update = grad
+        np.multiply(update, self.lr, out=step_buf)
+        np.subtract(data, step_buf, out=data)
 
 
 class Adam(Optimizer):
@@ -259,91 +240,35 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._scratch: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._decayed: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._m_flat: Optional[np.ndarray] = None
-        self._v_flat: Optional[np.ndarray] = None
-        self._scratch_flat: Optional[np.ndarray] = None
-        self._decayed_flat: Optional[np.ndarray] = None
-        self._materialized = False
         self._t = 0
 
-    def _materialize(self) -> None:
-        self._materialized = True
-        if self._flat_ok:
-            self._m_flat, self._m = self._alloc_flat(fill=0.0)
-            self._v_flat, self._v = self._alloc_flat(fill=0.0)
-            self._scratch_flat, self._scratch = self._alloc_flat()
-            if self.weight_decay:
-                self._decayed_flat, self._decayed = self._alloc_flat()
-        else:
-            self._m = [np.zeros_like(p.data) for p in self.parameters]
-            self._v = [np.zeros_like(p.data) for p in self.parameters]
-            self._scratch = [np.empty_like(p.data) for p in self.parameters]
-            if self.weight_decay:
-                self._decayed = [np.empty_like(p.data) for p in self.parameters]
+    def _materialize(self) -> List[tuple]:
+        # The two moments, a scratch buffer, the decayed gradient.
+        return [self._buffer(zero=True), self._buffer(zero=True),
+                self._buffer(), self._decay_buffer()]
 
     def step(self) -> None:
-        if not self._materialized:
-            self._materialize()
         self._t += 1
+        super().step()
+
+    def _update(self, data, grad, m, v, scratch, decayed) -> None:
+        # 13 ufunc calls (15 with decay), whole-buffer on the flat path.
         beta1, beta2 = self.beta1, self.beta2
-        one_minus_beta1 = 1.0 - beta1
-        one_minus_beta2 = 1.0 - beta2
-        bias1 = 1.0 - beta1 ** self._t
-        bias2 = 1.0 - beta2 ** self._t
-        weight_decay = self.weight_decay
-        eps = self.eps
-        lr_over_bias1 = self.lr / bias1
-        self._sync_arena()
-        grad_flat = self._gather_grads()
-        if grad_flat is not None:
-            # Fused flat path: 13 whole-buffer ufunc calls (15 with decay).
-            arena = self._arena
-            if weight_decay:
-                np.multiply(arena, weight_decay, out=self._decayed_flat)
-                self._decayed_flat += grad_flat
-                grad_flat = self._decayed_flat
-            m, v, scratch = self._m_flat, self._v_flat, self._scratch_flat
-            np.multiply(grad_flat, one_minus_beta1, out=scratch)
-            m *= beta1
-            m += scratch
-            np.multiply(grad_flat, grad_flat, out=scratch)
-            scratch *= one_minus_beta2
-            v *= beta2
-            v += scratch
-            # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= lr_over_bias1
-            np.subtract(arena, scratch, out=arena)
-            return
-        # Per-parameter fallback on the same state buffers/views.
-        for i, p in enumerate(self.parameters):
-            grad = p.grad
-            if grad is None:
-                continue
-            scratch = self._scratch[i]
-            if weight_decay:
-                decayed = self._decayed[i]
-                np.multiply(p.data, weight_decay, out=decayed)
-                decayed += grad
-                grad = decayed
-            m, v = self._m[i], self._v[i]
-            np.multiply(grad, one_minus_beta1, out=scratch)
-            m *= beta1
-            m += scratch
-            np.multiply(grad, grad, out=scratch)
-            scratch *= one_minus_beta2
-            v *= beta2
-            v += scratch
-            np.divide(v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= lr_over_bias1
-            np.subtract(p.data, scratch, out=p.data)
+        if self.weight_decay:
+            np.multiply(data, self.weight_decay, out=decayed)
+            decayed += grad
+            grad = decayed
+        np.multiply(grad, 1.0 - beta1, out=scratch)
+        m *= beta1
+        m += scratch
+        np.multiply(grad, grad, out=scratch)
+        scratch *= 1.0 - beta2
+        v *= beta2
+        v += scratch
+        # update = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, 1.0 - beta2 ** self._t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, scratch, out=scratch)
+        scratch *= self.lr / (1.0 - beta1 ** self._t)
+        np.subtract(data, scratch, out=data)

@@ -29,9 +29,16 @@ buffer-reuse rule shrinks the working set: a ReLU whose input is a
 runs in place over that output and shares its grad buffer with the
 ``Linear`` (:func:`_reuse_relu_buffers`).
 
-Fallback rules (checked on *every* step, before replaying; inside
-``run_epoch`` or an ``epoch()`` scope the model-structure rule is checked
-once per epoch):
+All four entry points (``step``, ``step_fn``, ``eval_loss``, ``forward``)
+are thin wrappers over one call path, :meth:`GraphReplay._call`.  It builds
+the call's signature — training or inference, the step function's
+identity, and the input names, shapes and dtypes — and resolves it in one
+order: the outcome remembered in the open ``epoch()`` scope, then the plan
+dict (keyed by the signature plus the structural fingerprint), then a
+capture.  It then replays the plan, or runs the one eager reference path.
+
+Fallback rules (checked on *every* call, before replaying; inside an
+``epoch()`` scope the model-structure rule is checked once per epoch):
 
 * replay switched off by the ambient ``use_graph_replay(False)`` scope, or
   gradients disabled → eager step;
@@ -67,15 +74,13 @@ Beyond the classic ``step(x, y)`` chain API, the executor exposes:
 * :meth:`GraphReplay.forward` — a compiled inference forward returning raw
   logits (FixMatch's pseudo-label view);
 * :meth:`GraphReplay.eval_loss` — a compiled forward + loss value;
-* :meth:`GraphReplay.run_epoch` — the fused-epoch API: the structural
-  fingerprint is checked once per (shape, dtype) signature per epoch instead
-  of per step, amortizing the per-step guard across a whole epoch.  The
-  caller promises not to mutate the model structure mid-epoch (the training
-  loops in :mod:`repro.nn.training` cannot);
-* :meth:`GraphReplay.epoch` — the same once-per-epoch guard for loops that
-  call :meth:`~GraphReplay.step_fn` / :meth:`~GraphReplay.forward`
-  directly (FixMatch, the multi-task joint step): inside the scope the
-  fingerprint is computed once per model mode, under the same promise.
+* :meth:`GraphReplay.epoch` — the once-per-epoch guard: inside the scope
+  the structural fingerprint is computed once per model mode and each
+  signature's outcome is remembered, instead of both on every call.  The
+  caller promises not to mutate the model structure mid-epoch; every
+  training loop in the pipeline (:mod:`repro.nn.training`, FixMatch, the
+  multi-task joint step, the ZSL-KG pretrain) calls the executor only
+  inside one.
 
 A training step called with ``compute_loss=False`` skips every scalar no
 one reads (:func:`_value_elision`): the loss values and the adds/muls that
@@ -88,7 +93,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -573,7 +578,8 @@ def _compile(records: List[tuple], root: Tensor,
 
 
 class _UnsupportedPlan:
-    """Negative cache entry: this signature cannot be compiled.
+    """Negative cache entry: this signature cannot be compiled (or, as
+    ``_CACHE_FULL``, finds the plan dict full).
 
     Pins the traced modules (and the step function) so their ids — which
     participate in the signature — cannot be recycled for different objects
@@ -631,6 +637,9 @@ _MAX_PLANS = 16
 #: eager-fallback reason: replay is switched off for this call
 _R_DISABLED = "replay_disabled"
 
+#: the outcome of a call whose signature finds the plan dict full
+_CACHE_FULL = _UnsupportedPlan(None, "plan_cache_full")
+
 
 class GraphReplay:
     """Capture/replay stepper for one ``(model, loss, optimizer)`` loop.
@@ -664,12 +673,11 @@ class GraphReplay:
         self.optimizer = optimizer
         self.loss_kind = loss
         self._loss_fn = _LOSS_FNS[loss]
+        #: full signature -> compiled plan or ``_UnsupportedPlan``
         self._plans: Dict[tuple, object] = {}
-        self._last_sig: Optional[tuple] = None
-        self._last_plan: Optional[_CompiledPlan] = None
         #: while an :meth:`epoch` scope is open: the structural fingerprint
         #: per ``model.training``, and what each call signature resolved to
-        #: per mode (a plan or an eager-fallback reason); None outside
+        #: per mode (a plan or an ``_UnsupportedPlan``); None outside
         self._epoch_fingerprints: Optional[Dict[bool, tuple]] = None
         self._epoch_outcomes: Optional[Dict[tuple, object]] = None
         #: the model's modules, walked once on entering an :meth:`epoch`
@@ -712,26 +720,67 @@ class GraphReplay:
         for sink in self._sinks:
             sink.add_eager(reason)
 
-    # -- mode ------------------------------------------------------------ #
-    def _replay_on(self, need_grad: bool = True) -> bool:
-        if not graph_replay_enabled():
-            return False
-        return is_grad_enabled() if need_grad else True
+    # -- the one call path ----------------------------------------------- #
+    def _call(self, train: bool, fn, inputs: Dict[str, np.ndarray],
+              tensor_keys=(), compute_loss: bool = True):
+        """Resolve one call, then replay its plan or run it eagerly.
 
-    # -- eager reference paths ------------------------------------------- #
-    def _eager_step(self, x, y, reason: str) -> float:
-        self._count_eager(reason)
-        logits = self.model(Tensor(x))
-        loss = self._loss_fn(logits, y)
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
+        The call's signature is its kind (training or inference), ``fn``'s
+        identity and the input names (in the caller's order), shapes and
+        dtypes.  It resolves to the outcome remembered in the open
+        :meth:`epoch` scope, else to the plan dict entry under the signature
+        plus the structural fingerprint, else to a capture, which runs the
+        call eagerly itself.  Returns the loss float of a training call
+        (None when a replayed step elides it) or the root output array of
+        an inference call.
+        """
+        if not graph_replay_enabled() or (train and not is_grad_enabled()):
+            return self._eager(train, fn, inputs, tensor_keys, _R_DISABLED)
+        key = (train, id(fn),
+               tuple([(k, v.shape, v.dtype) for k, v in inputs.items()]))
+        outcomes = self._epoch_outcomes
+        plan = None
+        if outcomes is not None:
+            epoch_key = (key, self.model.training)
+            plan = outcomes.get(epoch_key)
+        if plan is None:
+            sig = key + self._fingerprint_sig()
+            plan = self._plans.get(sig)
+            result = None
+            if plan is None and len(self._plans) >= _MAX_PLANS:
+                plan = _CACHE_FULL
+            elif plan is None:
+                capture = (self._capture_train if train
+                           else self._capture_no_grad)
+                plan, records, result = capture(fn, inputs, tensor_keys)
+                pins = ([rec[1] for rec in records if rec[0] == "module"], fn)
+                if isinstance(plan, str):
+                    plan = _UnsupportedPlan(pins, plan)
+                    self._count_eager(plan.reason)
+                else:
+                    plan.pins = pins
+                    self._count_capture()
+                self._plans[sig] = plan
+            if outcomes is not None:
+                outcomes[epoch_key] = plan
+            if result is not None:
+                return result
+        if isinstance(plan, _UnsupportedPlan):
+            return self._eager(train, fn, inputs, tensor_keys, plan.reason)
+        self._count_replay()
+        if train:
+            return plan.run(inputs, compute_loss)
+        return plan.run_forward(inputs)
 
-    def _eager_fn(self, fn, inputs: Dict[str, np.ndarray],
-                  reason: str, tensor_keys=()) -> float:
+    def _eager(self, train: bool, fn, inputs: Dict[str, np.ndarray],
+               tensor_keys, reason: str):
+        """The eager reference path of :meth:`_call`: ``fn`` on the tape
+        with an optimizer update (training), or under ``no_grad``."""
         self._count_eager(reason)
         bound, _ = _wrap_inputs(inputs, tensor_keys)
+        if not train:
+            with no_grad():
+                return fn(self.model, bound).data
         root = fn(self.model, bound)
         self.optimizer.zero_grad()
         root.backward()
@@ -739,15 +788,14 @@ class GraphReplay:
         return root.item()
 
     # -- capture --------------------------------------------------------- #
-    def _capture_train(self, fn, inputs: Dict[str, np.ndarray],
-                       tensor_keys=()):
+    def _capture_train(self, fn, inputs: Dict[str, np.ndarray], tensor_keys):
         """Run one eager step with the op tracer on and compile it.
 
         The step always completes eagerly — including when compilation
         fails — so the capture step is indistinguishable from a plain eager
         step (same updates, same RNG draws, and ``zero_grad`` clears any
         stale gradient state before buffer-bound gradients take over).
-        Returns ``(plan_or_None, pins, loss, reason_or_None)``.
+        Returns ``(plan or failure reason, trace records, loss)``.
         """
         bound, ids = _wrap_inputs(inputs, tensor_keys)
         records: List[tuple] = []
@@ -755,46 +803,36 @@ class GraphReplay:
             root = fn(self.model, bound)
         if not isinstance(root, Tensor):
             raise TypeError("step function must return a loss Tensor")
-        reason = None
-        plan = None
         try:
             if root.shape != ():
                 raise ReplayUnsupported("step function must return a "
                                         "scalar loss")
             plan = _compile(records, root, ids, self.optimizer, train=True)
         except ReplayUnsupported as exc:
-            reason = f"unsupported: {exc}"
+            plan = f"unsupported: {exc}"
         self.optimizer.zero_grad()
         root.backward()
         self.optimizer.step()
-        pins = ([rec[1] for rec in records if rec[0] == "module"], fn)
-        if plan is not None:
-            plan.pins = pins
-        return plan, pins, root.item(), reason
+        return plan, records, root.item()
 
     def _capture_no_grad(self, fn, inputs: Dict[str, np.ndarray],
-                         tensor_keys=()):
+                         tensor_keys):
         """Eager inference pass (tape-free) with the tracer on.
 
-        Returns ``(plan_or_None, pins, root_tensor, reason_or_None)``.
+        Returns ``(plan or failure reason, trace records, root output)``.
         """
         with no_grad():
             bound, ids = _wrap_inputs(inputs, tensor_keys)
             records: List[tuple] = []
             with trace_module_calls(records):
                 root = fn(self.model, bound)
-            reason = None
-            plan = None
             try:
                 plan = _compile(records, root, ids, None, train=False)
             except ReplayUnsupported as exc:
-                reason = f"unsupported: {exc}"
-            pins = ([rec[1] for rec in records if rec[0] == "module"], fn)
-            if plan is not None:
-                plan.pins = pins
-            return plan, pins, root, reason
+                plan = f"unsupported: {exc}"
+            return plan, records, root.data
 
-    # -- plan-cache dance ------------------------------------------------ #
+    # -- the epoch scope ------------------------------------------------- #
     def _fingerprint_sig(self) -> tuple:
         cache = self._epoch_fingerprints
         if cache is not None:
@@ -816,15 +854,15 @@ class GraphReplay:
         per model mode (``model.training``) instead of on every call: the
         fingerprint is computed once per mode, and each signature's first
         call remembers what it resolved to — a compiled plan or an eager
-        fallback — for the rest of the epoch.  The caller promises what
-        :meth:`run_epoch` relies on: the model structure, the optimizer's
-        parameter list and the engine dtype do not change inside the scope
-        except through ``model.train()`` / ``model.eval()``.  A loop that
-        flips the mode every step (FixMatch's pseudo-label forward) gets
-        one plan per mode.  The next scope fingerprints afresh, so a change
-        between epochs is caught.  The same promise lets
-        :meth:`set_training` flip the mode over the module list walked on
-        entry, instead of walking the model on every call.
+        fallback — for the rest of the epoch.  The caller promises that the
+        model structure, the optimizer's parameter list and the engine
+        dtype do not change inside the scope except through
+        ``model.train()`` / ``model.eval()``.  A loop that flips the mode
+        every step (FixMatch's pseudo-label forward) gets one plan per
+        mode.  The next scope fingerprints afresh, so a change between
+        epochs is caught.  The same promise lets :meth:`set_training` flip
+        the mode over the module list walked on entry, instead of walking
+        the model on every call.
         """
         outer = (self._epoch_fingerprints, self._epoch_outcomes,
                  self._epoch_modules)
@@ -850,75 +888,7 @@ class GraphReplay:
         for module in modules:
             module.training = mode
 
-    def _resolve(self, sig: tuple):
-        """Look up a cached plan for ``sig``: returns the plan, an
-        ``_UnsupportedPlan``, or None (uncached)."""
-        if sig == self._last_sig:
-            return self._last_plan
-        plan = self._plans.get(sig)
-        if plan is not None and not isinstance(plan, _UnsupportedPlan):
-            self._last_sig, self._last_plan = sig, plan
-        return plan
-
-    def _resolve_or_capture(self, key: tuple, fn,
-                            inputs: Dict[str, np.ndarray], train: bool,
-                            tensor_keys=()):
-        """Resolve a call to a compiled plan, capturing on a cache miss.
-
-        ``key`` is the call's shape signature; the structural fingerprint
-        completes it.  The one plan-cache protocol shared by every entry
-        point.  Returns ``(plan, reason, result)``:
-
-        * ``(plan, None, result)`` — fresh capture: the step already ran
-          eagerly and ``result`` is its outcome (the loss float for train
-          captures, the root Tensor for no-grad captures);
-        * ``(plan, None, None)`` — cache hit: the caller replays the plan;
-        * ``(None, reason, result)`` — capture failed: the step still ran
-          eagerly (``result`` as above) and the signature is now
-          negative-cached under ``reason``;
-        * ``(None, reason, None)`` — the caller must run its eager path
-          (plan cache full, or the signature is negative-cached).
-
-        Inside an :meth:`epoch` scope the outcome is remembered per key and
-        mode, and later calls skip the fingerprint and the lookup.
-        """
-        outcomes = self._epoch_outcomes
-        if outcomes is not None:
-            epoch_key = (key, self.model.training)
-            known = outcomes.get(epoch_key)
-            if known is not None:
-                if isinstance(known, str):
-                    return None, known, None
-                return known, None, None
-        plan, reason, result = self._lookup_or_capture(
-            key + self._fingerprint_sig(), fn, inputs, train, tensor_keys)
-        if outcomes is not None:
-            outcomes[epoch_key] = plan if plan is not None else reason
-        return plan, reason, result
-
-    def _lookup_or_capture(self, sig: tuple, fn,
-                           inputs: Dict[str, np.ndarray], train: bool,
-                           tensor_keys=()):
-        """:meth:`_resolve_or_capture` for a full signature, unscoped."""
-        plan = self._resolve(sig)
-        if plan is not None:
-            if isinstance(plan, _UnsupportedPlan):
-                return None, plan.reason, None
-            return plan, None, None
-        if len(self._plans) >= _MAX_PLANS:
-            return None, "plan_cache_full", None
-        capture = self._capture_train if train else self._capture_no_grad
-        plan, pins, result, reason = capture(fn, inputs, tensor_keys)
-        if plan is None:
-            self._plans[sig] = _UnsupportedPlan(pins, reason)
-            self._count_eager(reason)
-            return None, reason, result
-        self._plans[sig] = plan
-        self._last_sig, self._last_plan = sig, plan
-        self._count_capture()
-        return plan, None, result
-
-    # -- the step -------------------------------------------------------- #
+    # -- public entry points --------------------------------------------- #
     def step(self, x: np.ndarray, y: np.ndarray,
              compute_loss: bool = True) -> Optional[float]:
         """One training step (forward, loss, backward, optimizer update).
@@ -928,22 +898,10 @@ class GraphReplay:
         used by loops that discard the training loss, like the ZSL-KG
         pretrain.  Eager/capture steps still compute and return it.
         """
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if not self._replay_on():
-            return self._eager_step(x, y, _R_DISABLED)
-        inputs = {"x": x, "y": y}
-        plan, reason, result = self._resolve_or_capture(
-            ("train", x.shape, x.dtype, y.shape, y.dtype), self._chain_fn,
-            inputs, train=True, tensor_keys=("x",))
-        if result is not None:
-            return result
-        if plan is None:
-            return self._eager_step(x, y, reason)
-        self._count_replay()
-        return plan.run(inputs, compute_loss)
+        return self._call(True, self._chain_fn,
+                          {"x": np.asarray(x), "y": np.asarray(y)},
+                          ("x",), compute_loss)
 
-    # -- arbitrary step functions ---------------------------------------- #
     def step_fn(self, fn, inputs: Dict[str, np.ndarray],
                 compute_loss: bool = True) -> Optional[float]:
         """One training step driven by ``fn(model, batch) -> scalar loss``.
@@ -959,47 +917,9 @@ class GraphReplay:
         is keyed on its identity.  ``compute_loss=False`` works as in
         :meth:`step`.
         """
-        inputs = {k: np.asarray(v) for k, v in inputs.items()}
-        if not self._replay_on():
-            return self._eager_fn(fn, inputs, _R_DISABLED)
-        # Keys are unique, so the sort never compares the shape/dtype parts.
-        key = ("fn", id(fn),
-               tuple(sorted([(k, v.shape, v.dtype)
-                             for k, v in inputs.items()])))
-        plan, reason, result = self._resolve_or_capture(key, fn, inputs,
-                                                        train=True)
-        if result is not None:
-            return result
-        if plan is None:
-            return self._eager_fn(fn, inputs, reason)
-        self._count_replay()
-        return plan.run(inputs, compute_loss)
-
-    # -- the fused epoch -------------------------------------------------- #
-    def run_epoch(self, batches: Iterable, scheduler, augment=None,
-                  rng=None, compute_loss: bool = True) -> List[Optional[float]]:
-        """Run a whole epoch of ``(x, y)`` batches through the executor.
-
-        Each batch is one :meth:`step` inside an :meth:`epoch` scope, so the
-        structural guard runs once per (shape, dtype) signature per epoch —
-        the model cannot be mutated from inside this loop.  ``augment`` and
-        ``scheduler`` run inside the loop in the same order as the eager
-        epoch (augment → scheduler.step() → training step).
-        """
-        losses: List[Optional[float]] = []
-        with self.epoch():
-            for batch_x, batch_y in batches:
-                if augment is not None:
-                    batch_x = augment(batch_x, rng)
-                scheduler.step()
-                losses.append(self.step(batch_x, batch_y, compute_loss))
-        return losses
-
-    # -- compiled inference ----------------------------------------------- #
-    def _eager_eval(self, x, y, reason: str) -> float:
-        self._count_eager(reason)
-        with no_grad():
-            return self._loss_fn(self.model(Tensor(x)), y).item()
+        return self._call(True, fn, {k: np.asarray(v)
+                                     for k, v in inputs.items()},
+                          (), compute_loss)
 
     def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Loss of the model on ``(x, y)`` via a compiled inference pass.
@@ -1009,20 +929,9 @@ class GraphReplay:
         forward-only kernels.  Same signature guards and eager fallback as
         :meth:`step`; separate plans, so train/eval batch shapes coexist.
         """
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if not self._replay_on(need_grad=False):
-            return self._eager_eval(x, y, _R_DISABLED)
-        inputs = {"x": x, "y": y}
-        plan, reason, result = self._resolve_or_capture(
-            ("eval", x.shape, x.dtype, y.shape, y.dtype), self._chain_fn,
-            inputs, train=False, tensor_keys=("x",))
-        if result is not None:
-            return result.item()
-        if plan is None:
-            return self._eager_eval(x, y, reason)
-        self._count_replay()
-        return float(plan.run_forward(inputs))
+        return float(self._call(False, self._chain_fn,
+                                {"x": np.asarray(x), "y": np.asarray(y)},
+                                ("x",)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Raw model outputs on ``x`` via a compiled inference forward.
@@ -1032,21 +941,4 @@ class GraphReplay:
         view).  Returns the plan's output buffer: consume it before the
         next call on this stepper.
         """
-        x = np.asarray(x)
-        if not self._replay_on(need_grad=False):
-            self._count_eager(_R_DISABLED)
-            with no_grad():
-                return self.model(Tensor(x)).data
-        inputs = {"x": x}
-        plan, reason, result = self._resolve_or_capture(
-            ("fwd", x.shape, x.dtype), self._fwd_fn, inputs, train=False,
-            tensor_keys=("x",))
-        if result is not None:
-            return result.data
-        if plan is None:
-            self._count_eager(reason)
-            with no_grad():
-                return self.model(Tensor(x)).data
-        self._count_replay()
-        return plan.run_forward(inputs)
-
+        return self._call(False, self._fwd_fn, {"x": np.asarray(x)}, ("x",))

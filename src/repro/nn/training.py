@@ -152,13 +152,18 @@ def _train(model: Module, dataset, loss: str, config: TrainConfig,
     stepper = GraphReplay(model, optimizer, loss=loss)
     model.train()
     for epoch in range(config.epochs):
-        # The fused-epoch API checks the structural fingerprint once per
-        # batch signature per epoch instead of once per step; nothing inside
-        # the loop can mutate the model, so the amortization is sound.  The
+        # The epoch scope checks the structural fingerprint once per batch
+        # signature per epoch instead of once per step; nothing inside the
+        # loop can mutate the model, so the amortization is sound.  The
         # loss scalar is materialized only when a callback reads it.
-        losses = stepper.run_epoch(loader, scheduler=scheduler,
-                                   augment=config.augment, rng=rng,
-                                   compute_loss=callback is not None)
+        losses = []
+        with stepper.epoch():
+            for batch_x, batch_y in loader:
+                if config.augment is not None:
+                    batch_x = config.augment(batch_x, rng)
+                scheduler.step()
+                losses.append(stepper.step(batch_x, batch_y,
+                                           callback is not None))
         if callback is not None:
             callback(epoch, float(np.mean(losses)) if losses else float("nan"))
     model.eval()

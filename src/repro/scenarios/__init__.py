@@ -20,8 +20,7 @@ from .gates import (DEFAULT_GATES, Gate, GateFailure, GateRegistry,
 from .grid import (SCENARIO_GRID, SMOKE_SCENARIOS, get_scenario,
                    scenario_workspace, scenario_workspace_spec,
                    scenarios_by_family)
-from .runner import (BASELINE_METHODS, ScenarioResult, ScenarioRunner,
-                     experiment_records)
+from .runner import ScenarioResult, ScenarioRunner, experiment_records
 from .scoreboard import (SCOREBOARD_SCHEMA, build_scoreboard,
                          format_scoreboard, load_scoreboard, write_scoreboard)
 from .spec import (FAMILIES, CorruptionAxis, ScenarioSpec, ScenarioTask,
@@ -34,8 +33,7 @@ __all__ = [
     "class_incremental_splits", "streaming_splits",
     "SCENARIO_GRID", "SMOKE_SCENARIOS", "get_scenario",
     "scenario_workspace", "scenario_workspace_spec", "scenarios_by_family",
-    "ScenarioRunner", "ScenarioResult", "BASELINE_METHODS",
-    "experiment_records",
+    "ScenarioRunner", "ScenarioResult", "experiment_records",
     "Gate", "GateReport", "GateFailure", "GateRegistry", "DEFAULT_GATES",
     "default_registry",
     "SCOREBOARD_SCHEMA", "build_scoreboard", "write_scoreboard",

@@ -17,22 +17,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from ..core import Controller, ControllerConfig, Task
-from ..datasets.base import TaskSplit
-from ..evaluation.runner import ExperimentResult, baseline_method
+from ..evaluation.runner import METHOD_REGISTRY, ExperimentResult
 from ..nn.replay import ReplayStats
 from ..workspace import Workspace
 from .spec import ScenarioSpec, ScenarioTask
 
-__all__ = ["ScenarioResult", "ScenarioRunner", "BASELINE_METHODS",
-           "experiment_records"]
-
-#: Baseline method names the runner accepts (resolved through
-#: :func:`repro.evaluation.runner.baseline_method`).
-BASELINE_METHODS = ("finetune", "finetune_distilled", "fixmatch",
-                    "meta_pseudo_labels")
+__all__ = ["ScenarioResult", "ScenarioRunner", "experiment_records"]
 
 
 @dataclass
@@ -88,23 +79,26 @@ class ScenarioRunner:
                  seed: int = 0) -> ScenarioResult:
         """Run one (scenario, method, seed) cell and return its row.
 
-        The row's fallback count comes from a counter private to the cell;
-        a caller that wants the counts too opens
+        ``"taglets"`` runs every stage of the scenario; any other name is a
+        :data:`~repro.evaluation.runner.METHOD_REGISTRY` entry, run on the
+        final stage's data (all arrivals landed).  The row's fallback count
+        (TAGLETS only) comes from a counter private to the cell; a caller
+        that wants the counts too opens
         :func:`~repro.nn.collect_replay_stats` around the call.
         """
+        if method not in METHOD_REGISTRY:
+            raise KeyError(f"unknown method {method!r}; known: "
+                           f"{sorted(METHOD_REGISTRY)}")
         scenario_task = spec.build(self.workspace)
         started = time.perf_counter()
         if method == "taglets":
             accuracy, fallbacks, extras = self._run_taglets(
                 spec, scenario_task, seed)
-        elif method in BASELINE_METHODS:
-            accuracy, extras = self._run_baseline(method, spec, scenario_task,
-                                                  seed)
-            fallbacks = 0
         else:
-            raise KeyError(
-                f"unknown method {method!r}; expected 'taglets' or one of "
-                f"{BASELINE_METHODS}")
+            record = METHOD_REGISTRY[method].run(
+                self.workspace, scenario_task.final, spec.backbone, seed)
+            accuracy, fallbacks, extras = (record.accuracy, 0,
+                                           dict(record.extras))
         wall_time = time.perf_counter() - started
         return ScenarioResult(
             scenario=spec.name, family=spec.family, method=method,
@@ -135,13 +129,6 @@ class ScenarioRunner:
                     split.test_features, split.test_labels)
                 extras["end_model"] = accuracy
         return accuracy, stats.fallback_count, extras
-
-    def _run_baseline(self, method: str, spec: ScenarioSpec,
-                      scenario_task: ScenarioTask, seed: int):
-        """Baselines see the final stage's data (all arrivals landed)."""
-        record = baseline_method(method).run(
-            self.workspace, scenario_task.final, spec.backbone, seed)
-        return record.accuracy, dict(record.extras)
 
     # ------------------------------------------------------------------ #
     # Grids

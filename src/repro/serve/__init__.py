@@ -34,8 +34,7 @@ from .registry import ModelNotFound, ModelRegistry, parse_reference
 from .router import NoHealthyReplica, Router, RouterConfig
 from .server import Server
 from .traffic import (TrafficGenerator, TrafficReport, adversarial_trace,
-                      bursty_trace, compare_prediction, diurnal_trace,
-                      poisson_trace)
+                      compare_prediction, poisson_trace)
 
 __all__ = [
     "SCHEMA_VERSION", "ArtifactError", "Servable", "ServableModel",
@@ -51,6 +50,6 @@ __all__ = [
     "AdmissionController", "CapacityModel", "CapacityPrediction",
     "ServiceModel", "SLO", "calibrate_service_model",
     "THROUGHPUT_ERROR_BOUND", "LATENCY_ERROR_BOUND",
-    "TrafficGenerator", "TrafficReport", "adversarial_trace", "bursty_trace",
-    "compare_prediction", "diurnal_trace", "poisson_trace",
+    "TrafficGenerator", "TrafficReport", "adversarial_trace",
+    "compare_prediction", "poisson_trace",
 ]

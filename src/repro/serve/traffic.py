@@ -3,12 +3,12 @@ model validation.
 
 The evaluation half of the capacity program (:mod:`repro.serve.capacity`):
 a model of p99 is only as honest as the traffic that measures it, so this
-module generates *arrival traces* (bursty, diurnal, adversarial — the
-shapes production serving actually sees, not just closed-loop saturation)
-and replays them **open-loop** against a live :class:`~repro.serve.Server`
-or :class:`~repro.serve.router.Router`: requests fire at their scheduled
-instants whether or not earlier ones have finished, which is what makes
-overload visible instead of silently throttling the load generator.
+module generates *arrival traces* (Poisson and adversarial spikes, not
+just closed-loop saturation) and replays them **open-loop** against a live
+:class:`~repro.serve.Server` or :class:`~repro.serve.router.Router`:
+requests fire at their scheduled instants whether or not earlier ones have
+finished, which is what makes overload visible instead of silently
+throttling the load generator.
 
 Every request's outcome is recorded individually — served, expired (504),
 overloaded (429), shed (503), rejected (400), errored — along with its
@@ -36,8 +36,7 @@ from .capacity import CapacityPrediction
 from .registry import ModelNotFound
 
 __all__ = ["TrafficGenerator", "TrafficReport", "adversarial_trace",
-           "bursty_trace", "compare_prediction", "diurnal_trace",
-           "poisson_trace"]
+           "compare_prediction", "poisson_trace"]
 
 
 # --------------------------------------------------------------------------- #
@@ -53,52 +52,6 @@ def poisson_trace(rate: float, duration_s: float,
     count = max(16, int(rate * duration_s * 1.5) + 64)
     offsets = np.cumsum(rng.exponential(1.0 / rate, size=count))
     return offsets[offsets < duration_s]
-
-
-def bursty_trace(base_rate: float, burst_rate: float, duration_s: float,
-                 period_s: float = 1.0, burst_fraction: float = 0.2,
-                 seed: int = 0) -> np.ndarray:
-    """A steady floor with periodic bursts riding on top.
-
-    Every ``period_s``, the first ``burst_fraction`` of the period arrives
-    at ``burst_rate`` instead of ``base_rate`` — the flash-crowd shape that
-    makes unbounded queues melt and admission control earn its keep.
-    """
-    if burst_rate < base_rate:
-        raise ValueError("burst_rate must be >= base_rate")
-    base = poisson_trace(base_rate, duration_s, seed=seed)
-    pieces = [base]
-    extra = burst_rate - base_rate
-    window = period_s * burst_fraction
-    start, index = 0.0, 1
-    while start < duration_s and extra > 0:
-        span = min(window, duration_s - start)
-        burst = poisson_trace(extra, span, seed=seed + index) + start
-        pieces.append(burst)
-        start += period_s
-        index += 1
-    return np.sort(np.concatenate(pieces))
-
-
-def diurnal_trace(mean_rate: float, duration_s: float,
-                  period_s: float = 10.0, amplitude: float = 0.8,
-                  seed: int = 0) -> np.ndarray:
-    """Sinusoidally modulated arrivals (a compressed day/night cycle).
-
-    Implemented by thinning a Poisson stream at the peak rate: an arrival
-    at time ``t`` survives with probability ``rate(t) / peak``, giving an
-    inhomogeneous Poisson process with
-    ``rate(t) = mean_rate * (1 + amplitude * sin(2πt/period))``.
-    """
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must be in [0, 1]")
-    peak = mean_rate * (1.0 + amplitude)
-    candidates = poisson_trace(peak, duration_s, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    rate_at = mean_rate * (1.0 + amplitude
-                           * np.sin(2.0 * np.pi * candidates / period_s))
-    keep = rng.random(len(candidates)) < rate_at / peak
-    return candidates[keep]
 
 
 def adversarial_trace(rate: float, duration_s: float,

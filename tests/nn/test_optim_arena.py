@@ -233,3 +233,36 @@ def test_clone_of_an_adopted_model_is_independent():
     clone_opt.step()
     assert [p.data.tobytes() for p in model.parameters()] == model_bytes
     assert [p.data.tobytes() for p in clone.parameters()] != clone_bytes
+
+
+_OPTION_SETS = {
+    "sgd_plain": lambda params: SGD(params, lr=0.05),
+    "sgd_momentum": lambda params: SGD(params, lr=0.05, momentum=0.9),
+    "sgd_nesterov_decay": lambda params: SGD(
+        params, lr=0.05, momentum=0.9, nesterov=True, weight_decay=1e-3),
+    "adam": lambda params: Adam(params, lr=0.01),
+    "adam_decay": lambda params: Adam(params, lr=0.01, weight_decay=1e-3),
+}
+
+
+@pytest.mark.parametrize("options", sorted(_OPTION_SETS))
+def test_flat_and_per_parameter_paths_give_the_same_bytes(options):
+    # Each update rule is written once and runs either over the whole arena
+    # or over each parameter's own arrays; every option branch must give
+    # the same bytes both ways.  A float32 bystander that never gets a
+    # gradient puts the second optimizer on the per-parameter path.
+    build = _OPTION_SETS[options]
+    flat_model, loop_model = _model(0), _model(0)
+    bystander = Parameter(np.zeros(2))
+    bystander.data = bystander.data.astype(np.float32)
+    flat = build(flat_model.parameters())
+    loop = build(loop_model.parameters() + [bystander])
+    assert flat._arena is not None and loop._arena is None
+    rng, loop_rng = np.random.default_rng(10), np.random.default_rng(10)
+    for _ in range(4):
+        _set_grads(flat_model.parameters(), rng)
+        _set_grads(loop_model.parameters(), loop_rng)
+        flat.step()
+        loop.step()
+        assert _same_bytes(flat_model.parameters(), loop_model.parameters())
+    assert not bystander.data.any()

@@ -607,9 +607,15 @@ REUSE_CASES = {
 
 
 def _relu_nodes(stepper, kind):
-    """The ReLU kernels of the stepper's ``kind`` plans (train/eval/fwd)."""
+    """The ReLU kernels of the stepper's ``kind`` plans (train/eval/fwd).
+
+    A plan's signature starts with the call kind (training or inference)
+    and the identity of the step function it traced."""
+    head = {"train": (True, id(stepper._chain_fn)),
+            "eval": (False, id(stepper._chain_fn)),
+            "fwd": (False, id(stepper._fwd_fn))}[kind]
     return [node for sig, plan in stepper._plans.items()
-            if sig[0] == kind for _, node in plan._forwards
+            if sig[:2] == head for _, node in plan._forwards
             if node.op is ops.RELU]
 
 

@@ -228,6 +228,20 @@ class TestEngineModeSwitches:
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
 
+    def test_inference_calls_with_replay_off_match_replayed(self):
+        # eval_loss and forward share the training step's eager path: with
+        # replay off they run under no_grad and give the replayed bytes.
+        model = _make_model(seed=30)
+        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
+        x, y = _batches(31)
+        replayed = [(stepper.eval_loss(x, y), stepper.forward(x).tobytes())
+                    for _ in range(2)]
+        with use_graph_replay(False):
+            eager = (stepper.eval_loss(x, y), stepper.forward(x).tobytes())
+        assert replayed == [eager] * 2
+        assert stepper.stats.captures == 2 and stepper.stats.replays == 2
+        assert stepper.stats.fallbacks == {"replay_disabled": 2}
+
     def test_inner_scope_overrides_ambient_off(self):
         # Force-on: an inner use_graph_replay(True), which is what
         # ControllerConfig(replay=True) opens, wins over an enclosing
@@ -241,6 +255,42 @@ class TestEngineModeSwitches:
             stepper.step(x, y)
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
+
+
+class TestPlanCacheFull:
+    @pytest.mark.parametrize("scoped", [False, True],
+                             ids=["unscoped", "epoch_scope"])
+    def test_signatures_past_the_cap_run_eagerly_and_match(self, scoped):
+        # Past the plan cap a new signature is not compiled: it runs on the
+        # eager path under "plan_cache_full", while the captured signatures
+        # keep replaying, and every weight matches a replay-off run.
+        import contextlib
+
+        from repro.nn import replay as replay_module
+
+        cap = replay_module._MAX_PLANS
+        sizes = range(8, 8 + cap + 2)
+        script = [_batches(40 + n, n=n) for n in sizes] * 2
+
+        def run(replay):
+            model = _make_model()
+            optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                with (stepper.epoch() if scoped
+                      else contextlib.nullcontext()):
+                    losses = [stepper.step(x, y) for x, y in script]
+            return _params(model), losses, stepper
+
+        params, losses, stepper = run(True)
+        eager_params, eager_losses, _ = run(False)
+        for a, b in zip(params, eager_params):
+            np.testing.assert_array_equal(a, b)
+        assert losses == eager_losses
+        assert len(stepper._plans) == cap
+        assert stepper.stats.captures == cap
+        assert stepper.stats.replays == cap
+        assert stepper.stats.fallbacks == {"plan_cache_full": 4}
 
 
 class TestFrozenParameters:

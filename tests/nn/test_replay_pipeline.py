@@ -221,6 +221,56 @@ class TestControllerRun:
         Controller(config=config).run(task)
         _assert_no_fallbacks(stats)
 
+    def test_every_call_resolves_inside_an_epoch_scope(
+            self, tiny_workspace, tiny_backbone, monkeypatch):
+        # The executor keeps no cache outside an epoch() scope, so a loop
+        # that called it unscoped would fingerprint the model on every call.
+        # A cold float32 run (the ZSL-KG pretrain included) must make every
+        # call inside a scope, and fingerprint each stepper's model at most
+        # once per scope per mode.
+        from repro.core import Controller, ControllerConfig
+        from repro.modules.zsl_kg import ZslKgModule
+        from repro.nn import replay as replay_module
+
+        monkeypatch.setattr(ZslKgModule, "_pretrained_cache", {})
+        scoped, current, keep = [], [], []
+        fingerprints = {}
+        real_call = GraphReplay._call
+        real_sig = GraphReplay._fingerprint_sig
+        real_fingerprint = replay_module._model_fingerprint
+
+        def call(self, *args, **kwargs):
+            scoped.append(self._epoch_outcomes is not None)
+            return real_call(self, *args, **kwargs)
+
+        def fingerprint_sig(self):
+            current.append(self)
+            try:
+                return real_sig(self)
+            finally:
+                current.pop()
+
+        def fingerprint(module):
+            stepper = current[-1]
+            scope = stepper._epoch_fingerprints
+            keep.append((stepper, scope))  # no id reuse while counting
+            key = (id(stepper), id(scope), module.training)
+            fingerprints[key] = fingerprints.get(key, 0) + 1
+            return real_fingerprint(module)
+
+        monkeypatch.setattr(GraphReplay, "_call", call)
+        monkeypatch.setattr(GraphReplay, "_fingerprint_sig", fingerprint_sig)
+        monkeypatch.setattr(replay_module, "_model_fingerprint", fingerprint)
+        stats = ReplayStats()
+        config = ControllerConfig(dtype="float32", replay=True,
+                                  replay_stats=stats, seed=0)
+        Controller(config=config).run(_fmd_task(tiny_workspace,
+                                                tiny_backbone))
+        _assert_no_fallbacks(stats)
+        assert len(scoped) == stats.total
+        assert all(scoped), f"{scoped.count(False)} calls outside epoch()"
+        assert fingerprints and max(fingerprints.values()) == 1
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_replay_off_matches_replay_on(self, dtype, tiny_workspace,
                                           tiny_backbone):

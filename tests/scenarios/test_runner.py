@@ -50,7 +50,7 @@ class TestRunCell:
         assert row.method == "finetune" and row.fallbacks == 0
 
     def test_unknown_method(self, runner):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="known: .*'finetune'.*'taglets'"):
             runner.run_cell(get_scenario("fmd_5shot_clean"), method="magic")
 
     def test_multi_stage_records_per_stage_accuracy(self, runner):

@@ -15,8 +15,8 @@ import pytest
 
 from repro.serve import (AdmissionController, BatchingConfig, CapacityModel,
                          MicroBatcher, Server, ServiceModel,
-                         TrafficGenerator, adversarial_trace, bursty_trace,
-                         compare_prediction, diurnal_trace, poisson_trace)
+                         TrafficGenerator, adversarial_trace,
+                         compare_prediction, poisson_trace)
 from repro.serve.traffic import OUTCOMES
 
 BASE_S = 0.001
@@ -52,36 +52,6 @@ class TestTraces:
             poisson_trace(0.0, 1.0)
         with pytest.raises(ValueError):
             poisson_trace(10.0, -1.0)
-
-    def test_bursty_carries_more_arrivals_than_its_floor(self):
-        base = poisson_trace(50.0, 2.0, seed=0)
-        bursty = bursty_trace(base_rate=50.0, burst_rate=500.0,
-                              duration_s=2.0, period_s=0.5,
-                              burst_fraction=0.2, seed=0)
-        assert len(bursty) > len(base) * 1.5
-        assert np.all(np.diff(bursty) >= 0)
-
-    def test_bursty_rejects_inverted_rates(self):
-        with pytest.raises(ValueError, match="burst_rate"):
-            bursty_trace(base_rate=100.0, burst_rate=10.0, duration_s=1.0)
-
-    def test_diurnal_mean_rate_holds(self):
-        trace = diurnal_trace(mean_rate=150.0, duration_s=4.0, period_s=2.0,
-                              amplitude=0.8, seed=1)
-        assert len(trace) == pytest.approx(600, rel=0.3)
-        assert np.all(np.diff(trace) >= 0)
-
-    def test_diurnal_peak_to_trough_modulation(self):
-        trace = diurnal_trace(mean_rate=200.0, duration_s=8.0, period_s=8.0,
-                              amplitude=0.9, seed=2)
-        # One full cycle: the first half (rising sine) must carry far more
-        # arrivals than the second half (falling below the mean).
-        first, second = np.sum(trace < 4.0), np.sum(trace >= 4.0)
-        assert first > 1.5 * second
-
-    def test_diurnal_rejects_bad_amplitude(self):
-        with pytest.raises(ValueError, match="amplitude"):
-            diurnal_trace(100.0, 1.0, amplitude=1.5)
 
     def test_adversarial_bunches_arrivals(self):
         trace = adversarial_trace(rate=200.0, duration_s=2.0,
