@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -45,13 +44,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if _BENCH_DIR in str(getattr(item, "fspath", "")):
             item.add_marker(pytest.mark.bench)
-
-
-@pytest.fixture()
-def benchmark():
-    """Each benchmark times one regeneration as
-    ``benchmark.pedantic(fn, rounds=1, iterations=1)``: a single call."""
-    return SimpleNamespace(pedantic=lambda fn, rounds=1, iterations=1: fn())
 
 
 @pytest.fixture(scope="session")

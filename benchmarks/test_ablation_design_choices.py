@@ -53,7 +53,7 @@ def _random_selection(workspace, split, num_related, images_per_concept, seed=0)
                               concepts=chosen)
 
 
-def test_ablation_selection_strategy(benchmark, bench_workspace, bench_grid):
+def test_ablation_selection_strategy(bench_workspace, bench_grid):
     """SCADS graph-based selection vs random auxiliary selection."""
     backbone_name = bench_grid.backbones[0]
     split, task = _split_and_task(bench_workspace, backbone_name)
@@ -76,7 +76,7 @@ def test_ablation_selection_strategy(benchmark, bench_workspace, bench_grid):
             accuracies[name] = taglet.accuracy(split.test_features, split.test_labels)
         return accuracies
 
-    accuracies = benchmark.pedantic(run, rounds=1, iterations=1)
+    accuracies = run()
     write_report("ablation_selection_strategy",
                  "Ablation — auxiliary selection strategy (Transfer module, "
                  f"{DATASET} {SHOTS}-shot)\n"
@@ -85,7 +85,7 @@ def test_ablation_selection_strategy(benchmark, bench_workspace, bench_grid):
     assert accuracies["scads_selection"] > accuracies["random_selection"]
 
 
-def test_ablation_soft_vs_hard_pseudo_labels(benchmark, bench_workspace, bench_grid):
+def test_ablation_soft_vs_hard_pseudo_labels(bench_workspace, bench_grid):
     """Soft (Eq. 7) vs hardened pseudo labels in the distillation stage."""
     backbone_name = bench_grid.backbones[0]
     split, task = _split_and_task(bench_workspace, backbone_name)
@@ -109,7 +109,7 @@ def test_ablation_soft_vs_hard_pseudo_labels(benchmark, bench_workspace, bench_g
                                                  split.test_labels),
         }
 
-    accuracies = benchmark.pedantic(run, rounds=1, iterations=1)
+    accuracies = run()
     write_report("ablation_soft_vs_hard_pseudo_labels",
                  "Ablation — distillation targets "
                  f"({DATASET} {SHOTS}-shot)\n"
@@ -120,7 +120,7 @@ def test_ablation_soft_vs_hard_pseudo_labels(benchmark, bench_workspace, bench_g
     assert accuracies["hard_pseudo_labels"] > 0
 
 
-def test_ablation_auxiliary_budget(benchmark, bench_workspace, bench_grid):
+def test_ablation_auxiliary_budget(bench_workspace, bench_grid):
     """Accuracy of the Transfer module as the number of related concepts N grows."""
     backbone_name = bench_grid.backbones[0]
     backbone = bench_workspace.backbone(backbone_name)
@@ -144,7 +144,7 @@ def test_ablation_auxiliary_budget(benchmark, bench_workspace, bench_grid):
                                                       split.test_labels)
         return accuracies
 
-    accuracies = benchmark.pedantic(run, rounds=1, iterations=1)
+    accuracies = run()
     write_report("ablation_auxiliary_budget",
                  "Ablation — related concepts per class (Transfer module, "
                  f"{DATASET} {SHOTS}-shot)\n"

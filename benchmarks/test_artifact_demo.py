@@ -16,12 +16,12 @@ METHODS = ("finetune", "taglets")
 SHOTS = (5,)
 
 
-def test_artifact_demo(benchmark, record_cache, bench_grid):
+def test_artifact_demo(record_cache, bench_grid):
     def regenerate():
         return record_cache.collect(METHODS, ["cifar_demo"], SHOTS, bench_grid,
                                     split_seeds=[0])
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     table = format_results_table(records, dataset="cifar_demo",
                                  shots_list=list(SHOTS), methods=list(METHODS),
                                  backbones=bench_grid.backbones, split_seed=0,

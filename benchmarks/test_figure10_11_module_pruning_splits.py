@@ -33,7 +33,7 @@ def _datasets():
                                               default).split(",") if d.strip()]
 
 
-def test_figure10_11(benchmark, record_cache, bench_grid):
+def test_figure10_11(record_cache, bench_grid):
     splits = _splits()
     datasets = _datasets()
     backbone = bench_grid.backbones[0]
@@ -46,7 +46,7 @@ def test_figure10_11(benchmark, record_cache, bench_grid):
                 split_seeds=splits))
         return records
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     blocks = []
     for split_seed in splits:
         for dataset in datasets:

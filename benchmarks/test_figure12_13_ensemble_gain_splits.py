@@ -32,7 +32,7 @@ def _datasets():
                                               default).split(",") if d.strip()]
 
 
-def test_figure12_13(benchmark, record_cache, bench_grid):
+def test_figure12_13(record_cache, bench_grid):
     splits = _splits()
     datasets = _datasets()
     backbone = bench_grid.backbones[0]
@@ -45,7 +45,7 @@ def test_figure12_13(benchmark, record_cache, bench_grid):
                 split_seeds=splits))
         return records
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     blocks = []
     positive_cells = 0
     total_cells = 0

@@ -30,7 +30,7 @@ def _retrieve(workspace, target_class, prune_level):
     return [concept for concept, _ in ranked]
 
 
-def test_figure4(benchmark, bench_workspace):
+def test_figure4(bench_workspace):
     def regenerate():
         table = {}
         for target in TARGET_CLASSES:
@@ -38,7 +38,7 @@ def test_figure4(benchmark, bench_workspace):
                              for level in PRUNE_LEVELS}
         return table
 
-    retrieved = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    retrieved = regenerate()
 
     lines = ["Figure 4 — top related concepts under pruning",
              "=" * 52]

@@ -17,14 +17,14 @@ SHOTS = (1, 5, 20)
 METHODS = ("taglets", "taglets_prune0", "taglets_prune1")
 
 
-def test_figure6(benchmark, record_cache, bench_grid):
+def test_figure6(record_cache, bench_grid):
     backbone = bench_grid.backbones[0]
 
     def regenerate():
         return record_cache.collect(METHODS, [DATASET], SHOTS, bench_grid,
                                     split_seeds=[0])
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     gains = ensemble_improvement_series(records, dataset=DATASET, backbone=backbone,
                                         split_seed=0)
     flattened = {f"{shots}-shot / {prune}": cell

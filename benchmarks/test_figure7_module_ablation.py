@@ -26,7 +26,7 @@ def _datasets():
     return [d.strip() for d in raw.split(",") if d.strip()]
 
 
-def test_figure7(benchmark, record_cache, bench_grid):
+def test_figure7(record_cache, bench_grid):
     datasets = _datasets()
     # Register one leave-one-out variant of TAGLETS per module.
     ablated_methods = {}
@@ -44,8 +44,7 @@ def test_figure7(benchmark, record_cache, bench_grid):
                    for removed, name in ablated_methods.items()}
         return full, ablated
 
-    full_records, ablated_records = benchmark.pedantic(regenerate, rounds=1,
-                                                       iterations=1)
+    full_records, ablated_records = regenerate()
     deltas = module_removal_deltas(full_records, ablated_records)
     write_report("figure7_module_ablation",
                  format_series({m: {"delta": agg} for m, agg in deltas.items()},

@@ -19,14 +19,14 @@ CASES = (("officehome_clipart", (1, 5, 20)),
 
 @pytest.mark.parametrize("dataset,shots_list", CASES,
                          ids=[case[0] for case in CASES])
-def test_figure9(benchmark, dataset, shots_list, record_cache, bench_grid):
+def test_figure9(dataset, shots_list, record_cache, bench_grid):
     backbone = bench_grid.backbones[0]
 
     def regenerate():
         return record_cache.collect(METHODS, [dataset], shots_list, bench_grid,
                                     split_seeds=[0])
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     gains = ensemble_improvement_series(records, dataset=dataset, backbone=backbone,
                                         split_seed=0)
     flattened = {f"{shots}-shot / {prune}": cell

@@ -18,7 +18,7 @@ def fmd_classes(bench_workspace):
     return bench_workspace.dataset("fmd").classes
 
 
-def test_scads_graph_query_latency(benchmark, bench_workspace, fmd_classes):
+def test_scads_graph_query_latency(bench_workspace, fmd_classes):
     """Latency of the graph-based SCADS query (the system's selection path)."""
     rng = np.random.default_rng(0)
 
@@ -26,11 +26,11 @@ def test_scads_graph_query_latency(benchmark, bench_workspace, fmd_classes):
         return bench_workspace.scads.select(fmd_classes, num_related_concepts=5,
                                             images_per_concept=20, rng=rng)
 
-    selection = benchmark(query)
+    selection = query()
     assert not selection.is_empty()
 
 
-def test_visual_similarity_scan_latency(benchmark, bench_workspace, fmd_classes):
+def test_visual_similarity_scan_latency(bench_workspace, fmd_classes):
     """Latency of the strawman visual-similarity scan over all auxiliary images.
 
     For every target class, computes the distance from the class's labeled
@@ -50,11 +50,11 @@ def test_visual_similarity_scan_latency(benchmark, bench_workspace, fmd_classes)
             picked.append(np.argsort(distances)[:100])
         return np.concatenate(picked)
 
-    result = benchmark(scan)
+    result = scan()
     assert len(result) == len(fmd_classes) * 100
 
 
-def test_selection_quality_report(benchmark, bench_workspace, fmd_classes):
+def test_selection_quality_report(bench_workspace, fmd_classes):
     """Report the visual relevance of SCADS-selected concepts (per prune level)."""
 
     def measure():
@@ -74,7 +74,7 @@ def test_selection_quality_report(benchmark, bench_workspace, fmd_classes):
             rows[label] = float(np.mean(distances))
         return rows
 
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = measure()
     write_report("scads_selection_quality",
                  "SCADS selection quality — mean visual distance of selected "
                  "concepts to their target class\n"

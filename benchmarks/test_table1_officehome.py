@@ -22,12 +22,12 @@ METHODS = tuple(TABLE_METHODS) + tuple(TABLE_PRUNED_METHODS)
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table1(benchmark, dataset, record_cache, bench_grid):
+def test_table1(dataset, record_cache, bench_grid):
     def regenerate():
         return record_cache.collect(METHODS, [dataset], SHOTS, bench_grid,
                                     split_seeds=[0])
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     table = format_results_table(records, dataset=dataset, shots_list=list(SHOTS),
                                  methods=list(METHODS),
                                  backbones=bench_grid.backbones, split_seed=0,

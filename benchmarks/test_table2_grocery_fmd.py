@@ -19,12 +19,12 @@ CASES = (("grocery_store", (1, 5)), ("fmd", (1, 5, 20)))
 
 @pytest.mark.parametrize("dataset,shots_list", CASES,
                          ids=[case[0] for case in CASES])
-def test_table2(benchmark, dataset, shots_list, record_cache, bench_grid):
+def test_table2(dataset, shots_list, record_cache, bench_grid):
     def regenerate():
         return record_cache.collect(METHODS, [dataset], shots_list, bench_grid,
                                     split_seeds=[0])
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     table = format_results_table(records, dataset=dataset,
                                  shots_list=list(shots_list),
                                  methods=list(METHODS),

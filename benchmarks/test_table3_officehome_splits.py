@@ -28,14 +28,14 @@ def _extra_splits():
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table3(benchmark, dataset, record_cache, bench_grid):
+def test_table3(dataset, record_cache, bench_grid):
     splits = _extra_splits()
 
     def regenerate():
         return record_cache.collect(METHODS, [dataset], SHOTS, bench_grid,
                                     split_seeds=splits)
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     blocks = []
     for split_seed in splits:
         blocks.append(format_results_table(

@@ -29,14 +29,14 @@ def _extra_splits():
 
 @pytest.mark.parametrize("dataset,shots_list", CASES,
                          ids=[case[0] for case in CASES])
-def test_table4(benchmark, dataset, shots_list, record_cache, bench_grid):
+def test_table4(dataset, shots_list, record_cache, bench_grid):
     splits = _extra_splits()
 
     def regenerate():
         return record_cache.collect(METHODS, [dataset], shots_list, bench_grid,
                                     split_seeds=splits)
 
-    records = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    records = regenerate()
     blocks = []
     for split_seed in splits:
         blocks.append(format_results_table(

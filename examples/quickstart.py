@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import time
 
-from repro.baselines import BaselineInput, FineTuningBaseline
 from repro.core import Controller, Task
+from repro.modules import TransferModule
+from repro.modules.base import ModuleInput
+from repro.scads.query import AuxiliarySelection
 from repro.workspace import build_workspace
 
 
@@ -38,12 +40,14 @@ def main() -> None:
     controller = Controller()
     result = controller.run(task)
 
+    # Plain fine-tuning is the Transfer module with no auxiliary data.
     print("Running the fine-tuning baseline for comparison...")
-    baseline = FineTuningBaseline().train(BaselineInput(
-        labeled_features=split.labeled_features,
+    baseline = TransferModule().train(ModuleInput(
+        classes=split.classes, labeled_features=split.labeled_features,
         labeled_labels=split.labeled_labels,
         unlabeled_features=split.unlabeled_features,
-        num_classes=split.num_classes, backbone=backbone, seed=0))
+        auxiliary=AuxiliarySelection.empty(split.labeled_features.shape[1]),
+        backbone=backbone, seed=0))
 
     test_x, test_y = split.test_features, split.test_labels
     print("\n--- results (top-1 accuracy on the held-out test set) ---")

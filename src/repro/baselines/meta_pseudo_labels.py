@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..backbones.backbone import ClassificationModel, PretrainedBackbone
-from ..modules.base import ModelTaglet, Taglet
+from ..modules.base import ModelTaglet, ModuleInput, Taglet, TrainingModule
 from ..nn import functional as F
 from ..nn.data import ArrayDataset, DataLoader, UnlabeledDataset
 from ..nn.optim import SGD
@@ -34,7 +34,6 @@ from ..nn.schedulers import CosineAnnealingLR
 from ..nn.tensor import Tensor
 from ..nn.training import TrainConfig, iterate_forever, train_classifier
 from ..nn.transforms import weak_augment
-from .base import BaselineInput, BaselineMethod
 
 __all__ = ["MetaPseudoLabelsConfig", "MetaPseudoLabelsBaseline"]
 
@@ -54,8 +53,11 @@ class MetaPseudoLabelsConfig:
     finetune_lr: float = 1e-2
 
 
-class MetaPseudoLabelsBaseline(BaselineMethod):
-    """Teacher-student pseudo labeling with student-feedback to the teacher."""
+class MetaPseudoLabelsBaseline(TrainingModule):
+    """Teacher-student pseudo labeling with student-feedback to the teacher.
+
+    Ignores ``data.auxiliary``.
+    """
 
     name = "meta_pseudo_labels"
 
@@ -66,7 +68,7 @@ class MetaPseudoLabelsBaseline(BaselineMethod):
         #: always uses the ResNet-50 analog for the student)
         self.student_backbone = student_backbone
 
-    def train(self, data: BaselineInput) -> Taglet:
+    def train(self, data: ModuleInput) -> Taglet:
         data.validate()
         config = self.config
         rng = np.random.default_rng(data.seed)

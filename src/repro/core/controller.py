@@ -154,9 +154,7 @@ class Controller:
     def select_auxiliary_data(self, task: Task) -> AuxiliarySelection:
         """Step 1: query (optionally pruned) SCADS for task-related data."""
         if task.scads is None:
-            return AuxiliarySelection(features=np.zeros((0, task.input_shape)),
-                                      labels=np.zeros(0, dtype=np.int64),
-                                      concepts=[])
+            return AuxiliarySelection.empty(task.input_shape)
         bundle = task.scads
         if self.config.prune_level is not None:
             bundle = bundle.pruned(task.classes, self.config.prune_level)

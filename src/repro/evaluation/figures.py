@@ -29,14 +29,6 @@ PRUNE_METHOD_LABELS = {
 }
 
 
-def _records_of(records: Iterable[ExperimentResult], **filters) -> List[ExperimentResult]:
-    out = []
-    for record in records:
-        if all(getattr(record, key) == value for key, value in filters.items()):
-            out.append(record)
-    return out
-
-
 def module_accuracy_series(records: Iterable[ExperimentResult], dataset: str,
                            backbone: str = "resnet50",
                            modules: Sequence[str] = ("multitask", "transfer",

@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
-from ..baselines import (BaselineInput, DistilledFineTuningBaseline,
-                         FineTuningBaseline, FixMatchBaseline,
-                         MetaPseudoLabelsBaseline)
+from ..baselines import DistilledFineTuningBaseline, MetaPseudoLabelsBaseline
 from ..core import Controller, ControllerConfig, Task
 from ..datasets.base import TaskSplit
-from ..modules import DEFAULT_MODULES
+from ..modules import DEFAULT_MODULES, FixMatchModule, TransferModule
+from ..modules.base import ModuleInput, TrainingModule
+from ..scads.query import AuxiliarySelection
 from ..workspace import Workspace
 from .metrics import Aggregate, mean_confidence_interval
 
@@ -79,27 +77,22 @@ class MethodSpec:
 # --------------------------------------------------------------------------- #
 def taglets_method(name: str = "taglets",
                    modules: Sequence[str] = DEFAULT_MODULES,
-                   prune_level: Optional[int] = None,
-                   num_related_concepts: int = 5,
-                   images_per_concept: int = 30,
-                   dtype: Optional[str] = "float32") -> MethodSpec:
+                   prune_level: Optional[int] = None) -> MethodSpec:
     """Build a TAGLETS method spec (optionally pruned or with modules removed).
 
-    ``dtype`` defaults to the float32 fast mode: the parity gate
-    (``tests/core/test_float32_parity.py``) shows accuracy is
-    dtype-invariant across every dataset/backbone of the benchmark grid, so
-    the runner takes the halved-bandwidth path by default.  Pass
-    ``dtype=None`` to reproduce the seed float64 behaviour exactly.
+    Every run selects the paper's ``N = 5`` related concepts with ``K = 30``
+    images each (the :meth:`Task.from_split` defaults) and trains in the
+    float32 fast mode: the parity gate (``tests/core/test_float32_parity.py``)
+    shows accuracy is dtype-invariant across every dataset/backbone of the
+    benchmark grid.
     """
 
     def run(workspace: Workspace, split: TaskSplit, backbone_name: str,
             seed: int) -> ExperimentResult:
         backbone = workspace.backbone(backbone_name)
-        task = Task.from_split(split, scads=workspace.scads, backbone=backbone,
-                               wanted_num_related_class=num_related_concepts,
-                               images_per_related_class=images_per_concept)
+        task = Task.from_split(split, scads=workspace.scads, backbone=backbone)
         config = ControllerConfig(modules=modules, prune_level=prune_level,
-                                  dtype=dtype, seed=seed)
+                                  dtype="float32", seed=seed)
         controller = Controller(config=config)
         result = controller.run(task)
         test_x, test_y = split.test_features, split.test_labels
@@ -120,33 +113,24 @@ def taglets_method(name: str = "taglets",
 # --------------------------------------------------------------------------- #
 # Baseline methods
 # --------------------------------------------------------------------------- #
-def _build_baseline(name: str, workspace: Workspace, backbone_name: str):
-    if name == "finetune":
-        return FineTuningBaseline()
-    if name == "finetune_distilled":
-        return DistilledFineTuningBaseline()
-    if name == "fixmatch":
-        return FixMatchBaseline()
-    if name == "meta_pseudo_labels":
-        # The student always uses the ResNet-50 analog (paper Section 4.2).
-        return MetaPseudoLabelsBaseline(
-            student_backbone=workspace.backbone("resnet50"))
-    raise KeyError(f"unknown baseline {name!r}")
+def baseline_method(name: str,
+                    build: Callable[[Workspace], TrainingModule]) -> MethodSpec:
+    """Build a baseline method spec: one module trained without SCADS.
 
-
-def baseline_method(name: str) -> MethodSpec:
-    """Build a baseline method spec by name."""
+    ``build`` makes the module from the workspace; it trains on the split
+    with an empty auxiliary selection, and its taglet is named ``name``.
+    """
 
     def run(workspace: Workspace, split: TaskSplit, backbone_name: str,
             seed: int) -> ExperimentResult:
-        backbone = workspace.backbone(backbone_name)
-        baseline = _build_baseline(name, workspace, backbone_name)
-        data = BaselineInput(labeled_features=split.labeled_features,
-                             labeled_labels=split.labeled_labels,
-                             unlabeled_features=split.unlabeled_features,
-                             num_classes=split.num_classes,
-                             backbone=backbone, seed=seed)
-        taglet = baseline.train(data)
+        data = ModuleInput(
+            classes=split.classes, labeled_features=split.labeled_features,
+            labeled_labels=split.labeled_labels,
+            unlabeled_features=split.unlabeled_features,
+            auxiliary=AuxiliarySelection.empty(split.labeled_features.shape[1]),
+            backbone=workspace.backbone(backbone_name), seed=seed)
+        taglet = build(workspace).train(data)
+        taglet.name = name
         accuracy = taglet.accuracy(split.test_features, split.test_labels)
         return ExperimentResult(method=name, dataset=split.dataset_name,
                                 shots=split.shots, split_seed=split.split_seed,
@@ -158,10 +142,16 @@ def baseline_method(name: str) -> MethodSpec:
 
 #: Methods appearing in the paper's main tables.
 METHOD_REGISTRY: Dict[str, MethodSpec] = {
-    "finetune": baseline_method("finetune"),
-    "finetune_distilled": baseline_method("finetune_distilled"),
-    "fixmatch": baseline_method("fixmatch"),
-    "meta_pseudo_labels": baseline_method("meta_pseudo_labels"),
+    # Fine-tuning is the Transfer module without its intermediate phase,
+    # and the FixMatch baseline is the module without the SCADS warm start.
+    "finetune": baseline_method("finetune", lambda workspace: TransferModule()),
+    "finetune_distilled": baseline_method(
+        "finetune_distilled", lambda workspace: DistilledFineTuningBaseline()),
+    "fixmatch": baseline_method("fixmatch", lambda workspace: FixMatchModule()),
+    # The student always uses the ResNet-50 analog (paper Section 4.2).
+    "meta_pseudo_labels": baseline_method(
+        "meta_pseudo_labels", lambda workspace: MetaPseudoLabelsBaseline(
+            student_backbone=workspace.backbone("resnet50"))),
     "taglets": taglets_method("taglets"),
     "taglets_prune0": taglets_method("taglets_prune0", prune_level=0),
     "taglets_prune1": taglets_method("taglets_prune1", prune_level=1),

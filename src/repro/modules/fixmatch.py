@@ -6,8 +6,9 @@ model is confident above a threshold ``tau``), and the model is trained to
 predict that label on a strongly augmented view.  Under very limited labels
 this suffers from confirmation bias, so — as in the paper — the module first
 fine-tunes the backbone on the SCADS-selected auxiliary data ``R`` before
-running FixMatch on the target task.  That phase is the Transfer module's
-Eq. 1 with the same default recipe, so both run through
+running FixMatch on the target task (on an empty selection the phase is
+skipped, which is the paper's FixMatch baseline).  That phase is the
+Transfer module's Eq. 1 with the same default recipe, so both run through
 :func:`~repro.modules.base.fine_tune_on_auxiliary` and one run trains it
 once (see docs/performance.md, "Shared intermediate phase").
 
@@ -67,7 +68,6 @@ class FixMatchConfig:
     confidence_threshold: float = 0.8
     #: weight of the unlabeled consistency loss
     unlabeled_loss_weight: float = 1.0
-    use_aux_pretraining: bool = True
 
 
 def consistency_step(stepper, weak_labeled, labeled_y, weak_unlabeled,
@@ -134,10 +134,10 @@ class FixMatchModule(TrainingModule):
         auxiliary = data.auxiliary
 
         # ------------------------------------------------------------------ #
-        # Phase 1: fine-tune the backbone on the selected auxiliary data.
+        # Phase 1: fine-tune the backbone on the selected auxiliary data
+        # (skipped on an empty selection: the paper's FixMatch baseline).
         # ------------------------------------------------------------------ #
-        if (config.use_aux_pretraining and auxiliary is not None
-                and not auxiliary.is_empty()):
+        if auxiliary is not None and not auxiliary.is_empty():
             model = fine_tune_on_auxiliary(
                 data, rng, epochs=config.aux_epochs,
                 batch_size=config.aux_batch_size, lr=config.aux_lr,

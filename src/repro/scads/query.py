@@ -49,6 +49,12 @@ class AuxiliarySelection:
     _fine_tune_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, compare=False, repr=False)
 
+    @classmethod
+    def empty(cls, dim: int) -> "AuxiliarySelection":
+        """A selection with no auxiliary data over ``dim``-wide features."""
+        return cls(features=np.zeros((0, dim)),
+                   labels=np.zeros(0, dtype=np.int64), concepts=[])
+
     @property
     def num_aux_classes(self) -> int:
         return len(self.concepts)
@@ -123,9 +129,7 @@ def select_auxiliary_data(scads: Scads, embedding: ScadsEmbedding,
 
     candidates = scads.concepts_with_images()
     if not candidates:
-        return AuxiliarySelection(features=np.zeros((0, 0)),
-                                  labels=np.zeros(0, dtype=np.int64),
-                                  concepts=[])
+        return AuxiliarySelection.empty(0)
 
     target_concept_names = {KnowledgeGraph.normalize(c.concept)
                             for c in target_classes if c.concept}
@@ -172,9 +176,9 @@ def select_auxiliary_data(scads: Scads, embedding: ScadsEmbedding,
         labels.append(np.full(len(images), aux_label, dtype=np.int64))
 
     if not features:
-        return AuxiliarySelection(features=np.zeros((0, scads.image_dim)),
-                                  labels=np.zeros(0, dtype=np.int64),
-                                  concepts=[], per_target_concepts=per_target)
+        selection = AuxiliarySelection.empty(scads.image_dim)
+        selection.per_target_concepts = per_target
+        return selection
     return AuxiliarySelection(features=np.concatenate(features, axis=0),
                               labels=np.concatenate(labels, axis=0),
                               concepts=unique_concepts,

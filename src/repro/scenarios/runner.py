@@ -1,8 +1,9 @@
 """Executing scenario cells: TAGLETS and baselines over built scenarios.
 
-:class:`ScenarioRunner` runs one method over one built scenario and records a
-:class:`ScenarioResult` row: final-stage accuracy, wall time, and — for the
-TAGLETS method — the replay executor's eager-fallback count, which the
+:class:`ScenarioRunner` runs one
+:data:`~repro.evaluation.runner.METHOD_REGISTRY` method over one built
+scenario and records a :class:`ScenarioResult` row: final-stage accuracy,
+wall time, and the replay executor's eager-fallback count, which the
 zero-fallback regression suite pins to 0 for every scenario-grid loop.
 
 Multi-stage scenarios (incremental arrivals, streaming pools) retrain from
@@ -17,13 +18,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..core import Controller, ControllerConfig, Task
 from ..evaluation.runner import METHOD_REGISTRY, ExperimentResult
-from ..nn.replay import ReplayStats
+from ..nn.replay import ReplayStats, collect_replay_stats
 from ..workspace import Workspace
-from .spec import ScenarioSpec, ScenarioTask
+from .spec import ScenarioSpec
 
 __all__ = ["ScenarioResult", "ScenarioRunner", "experiment_records"]
+
+#: the final stage's record extras a row keeps (TAGLETS reports them)
+_ROW_EXTRAS = ("ensemble", "end_model")
 
 
 @dataclass
@@ -39,8 +42,8 @@ class ScenarioResult:
     seed: int
     accuracy: float
     wall_time_s: float
-    #: eager fallbacks reported by the replay executor (TAGLETS rows only;
-    #: must be 0 — every scenario loop is a static graph)
+    #: eager fallbacks reported by the replay executor (must be 0 — every
+    #: scenario loop is a static graph)
     fallbacks: int = 0
     axes: Dict[str, object] = field(default_factory=dict)
     extras: Dict[str, float] = field(default_factory=dict)
@@ -68,9 +71,8 @@ class ScenarioResult:
 class ScenarioRunner:
     """Sweeps methods over scenario cells against one shared workspace."""
 
-    def __init__(self, workspace: Workspace, dtype: Optional[str] = "float32"):
+    def __init__(self, workspace: Workspace):
         self.workspace = workspace
-        self.dtype = dtype
 
     # ------------------------------------------------------------------ #
     # Single cells
@@ -79,56 +81,36 @@ class ScenarioRunner:
                  seed: int = 0) -> ScenarioResult:
         """Run one (scenario, method, seed) cell and return its row.
 
-        ``"taglets"`` runs every stage of the scenario; any other name is a
-        :data:`~repro.evaluation.runner.METHOD_REGISTRY` entry, run on the
-        final stage's data (all arrivals landed).  The row's fallback count
-        (TAGLETS only) comes from a counter private to the cell; a caller
-        that wants the counts too opens
+        Every method is a :data:`~repro.evaluation.runner.METHOD_REGISTRY`
+        entry.  ``"taglets"`` runs once per stage of the scenario; any other
+        method runs on the final stage's data (all arrivals landed).  The
+        row's fallback count comes from a counter private to the cell; a
+        caller that wants the counts too opens
         :func:`~repro.nn.collect_replay_stats` around the call.
         """
         if method not in METHOD_REGISTRY:
             raise KeyError(f"unknown method {method!r}; known: "
                            f"{sorted(METHOD_REGISTRY)}")
         scenario_task = spec.build(self.workspace)
+        stages = (scenario_task.stages if method == "taglets"
+                  else [scenario_task.final])
+        stats = ReplayStats()
+        extras: Dict[str, float] = {}
         started = time.perf_counter()
-        if method == "taglets":
-            accuracy, fallbacks, extras = self._run_taglets(
-                spec, scenario_task, seed)
-        else:
-            record = METHOD_REGISTRY[method].run(
-                self.workspace, scenario_task.final, spec.backbone, seed)
-            accuracy, fallbacks, extras = (record.accuracy, 0,
-                                           dict(record.extras))
+        with collect_replay_stats(stats):
+            for stage, split in enumerate(stages):
+                record = METHOD_REGISTRY[method].run(
+                    self.workspace, split, spec.backbone, seed)
+                if len(stages) > 1:
+                    extras[f"stage{stage}_accuracy"] = record.accuracy
         wall_time = time.perf_counter() - started
+        extras.update((key, record.extras[key]) for key in _ROW_EXTRAS
+                      if key in record.extras)
         return ScenarioResult(
             scenario=spec.name, family=spec.family, method=method,
             dataset=spec.dataset, shots=spec.shots, backbone=spec.backbone,
-            seed=seed, accuracy=accuracy, wall_time_s=wall_time,
-            fallbacks=fallbacks, axes=spec.axes(), extras=extras)
-
-    def _run_taglets(self, spec: ScenarioSpec, scenario_task: ScenarioTask,
-                     seed: int):
-        backbone = self.workspace.backbone(spec.backbone)
-        stats = ReplayStats()
-        extras: Dict[str, float] = {}
-        accuracy = 0.0
-        for stage, split in enumerate(scenario_task.stages):
-            task = Task.from_split(
-                split, scads=self.workspace.scads, backbone=backbone,
-                wanted_num_related_class=spec.num_related_concepts,
-                images_per_related_class=spec.images_per_concept)
-            config = ControllerConfig(dtype=self.dtype, seed=seed,
-                                      replay_stats=stats)
-            result = Controller(config=config).run(task)
-            accuracy = result.end_model_accuracy(split.test_features,
-                                                 split.test_labels)
-            if scenario_task.multi_stage:
-                extras[f"stage{stage}_accuracy"] = accuracy
-            if stage == len(scenario_task.stages) - 1:
-                extras["ensemble"] = result.ensemble_accuracy(
-                    split.test_features, split.test_labels)
-                extras["end_model"] = accuracy
-        return accuracy, stats.fallback_count, extras
+            seed=seed, accuracy=record.accuracy, wall_time_s=wall_time,
+            fallbacks=stats.fallback_count, axes=spec.axes(), extras=extras)
 
     # ------------------------------------------------------------------ #
     # Grids

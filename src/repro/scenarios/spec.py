@@ -212,9 +212,6 @@ class ScenarioSpec:
     stream_chunks: Optional[int] = None
     #: cut the unlabeled pool to this fraction before anything else
     unlabeled_fraction: Optional[float] = None
-    #: SCADS auxiliary-selection knobs (the paper defaults)
-    num_related_concepts: int = 5
-    images_per_concept: int = 30
     description: str = ""
 
     def __post_init__(self):

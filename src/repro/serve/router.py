@@ -227,10 +227,6 @@ class Router:
             self._replicas[replica_id] = handle
         return handle
 
-    def remove_replica(self, replica_id: str) -> None:
-        with self._lock:
-            self._replicas.pop(replica_id, None)
-
     def replica(self, replica_id: str) -> ReplicaHandle:
         with self._lock:
             return self._replicas[replica_id]

@@ -5,7 +5,7 @@ The evaluation half of the capacity program (:mod:`repro.serve.capacity`):
 a model of p99 is only as honest as the traffic that measures it, so this
 module generates *arrival traces* (Poisson and adversarial spikes, not
 just closed-loop saturation) and replays them **open-loop** against a live
-:class:`~repro.serve.Server` or :class:`~repro.serve.router.Router`:
+:class:`~repro.serve.Server` or :class:`~repro.serve.MicroBatcher`:
 requests fire at their scheduled instants whether or not earlier ones have
 finished, which is what makes overload visible instead of silently
 throttling the load generator.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -176,12 +175,9 @@ def _classify(error: BaseException) -> str:
 class TrafficGenerator:
     """Replay an arrival trace against a live serving target.
 
-    ``target`` is anything with the server surface: a
-    :class:`~repro.serve.Server` or :class:`~repro.serve.MicroBatcher`
-    (replayed **open-loop** through ``submit`` — no client-thread cap, the
-    mode capacity validation uses) or a
-    :class:`~repro.serve.router.Router` (blocking ``predict`` calls on a
-    thread pool of ``client_threads`` — an HTTP hop per request).
+    ``target`` is a :class:`~repro.serve.Server` or
+    :class:`~repro.serve.MicroBatcher`, replayed **open-loop** through
+    ``submit`` (no client-thread cap, the mode capacity validation uses).
 
     Inputs are ``distinct_inputs`` pre-generated feature rows cycled
     through in order; size it above the server's LRU capacity (or disable
@@ -191,11 +187,9 @@ class TrafficGenerator:
     def __init__(self, target, model: str = "default",
                  input_dim: Optional[int] = None,
                  dtype=np.float64, seed: int = 0,
-                 distinct_inputs: int = 2048, client_threads: int = 16,
-                 dispatch_threads: int = 4):
+                 distinct_inputs: int = 2048, dispatch_threads: int = 4):
         self.target = target
         self.model = model
-        self.client_threads = int(client_threads)
         self.dispatch_threads = max(1, int(dispatch_threads))
         if input_dim is None:
             registry = getattr(target, "registry", None)
@@ -221,14 +215,6 @@ class TrafficGenerator:
         offsets = np.sort(np.asarray(offsets, dtype=np.float64))
         if len(offsets) == 0:
             raise ValueError("empty trace")
-        if hasattr(self.target, "submit"):
-            return self._run_open_loop(offsets, deadline_ms, priority,
-                                       timeout_s)
-        return self._run_blocking(offsets, deadline_ms, priority, timeout_s)
-
-    def _run_open_loop(self, offsets: np.ndarray,
-                       deadline_ms: Optional[float], priority: int,
-                       timeout_s: float) -> TrafficReport:
         n = len(offsets)
         latencies = np.full(n, np.nan)
         outcomes: List[str] = ["error"] * n
@@ -303,48 +289,6 @@ class TrafficGenerator:
             if finished.any() else time.perf_counter() - start
         return TrafficReport(offsets=offsets, latencies_ms=latencies,
                              outcomes=outcomes, duration_s=duration,
-                             deadline_ms=deadline_ms, errors=errors)
-
-    def _run_blocking(self, offsets: np.ndarray,
-                      deadline_ms: Optional[float], priority: int,
-                      timeout_s: float) -> TrafficReport:
-        n = len(offsets)
-        latencies = np.full(n, np.nan)
-        outcomes: List[str] = ["error"] * n
-        errors: List[str] = []
-        start = time.perf_counter()
-        last_done = [start]
-        lock = threading.Lock()
-
-        def call(index: int) -> None:
-            row = self._inputs[index % len(self._inputs)]
-            sent = time.perf_counter()
-            try:
-                self.target.predict(row, model=self.model, priority=priority,
-                                    deadline_ms=deadline_ms)
-            except BaseException as error:
-                outcomes[index] = _classify(error)
-                if outcomes[index] == "error":
-                    errors.append(f"{type(error).__name__}: {error}")
-            else:
-                outcomes[index] = "ok"
-            done = time.perf_counter()
-            latencies[index] = (done - sent) * 1000.0
-            with lock:
-                last_done[0] = max(last_done[0], done)
-
-        with ThreadPoolExecutor(max_workers=self.client_threads) as pool:
-            futures = []
-            for i in range(n):
-                delay = start + offsets[i] - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                futures.append(pool.submit(call, i))
-            for future in futures:
-                future.result(timeout=timeout_s)
-        return TrafficReport(offsets=offsets, latencies_ms=latencies,
-                             outcomes=outcomes,
-                             duration_s=last_done[0] - start,
                              deadline_ms=deadline_ms, errors=errors)
 
 

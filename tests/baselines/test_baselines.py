@@ -1,43 +1,81 @@
 """Tests for the baseline methods of the evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.baselines import (BaselineInput, DistilledFineTuningBaseline,
-                             FineTuningBaseline, FineTuningConfig,
-                             FixMatchBaseline, MetaPseudoLabelsBaseline,
-                             MetaPseudoLabelsConfig)
-from repro.modules.fixmatch import FixMatchConfig, FixMatchModule
+from repro.baselines import (DistilledFineTuningBaseline, FineTuningConfig,
+                             MetaPseudoLabelsBaseline, MetaPseudoLabelsConfig)
+from repro.datasets.base import ClassSpec
+from repro.evaluation import METHOD_REGISTRY
+from repro.modules import FixMatchConfig, FixMatchModule, TransferModule
+from repro.modules.base import ModuleInput
+from repro.scads.query import AuxiliarySelection
 
 
 @pytest.fixture(scope="module")
 def baseline_input(tiny_workspace, tiny_backbone, fmd_split):
-    return BaselineInput(labeled_features=fmd_split.labeled_features,
-                         labeled_labels=fmd_split.labeled_labels,
-                         unlabeled_features=fmd_split.unlabeled_features[:100],
-                         num_classes=fmd_split.num_classes,
-                         backbone=tiny_backbone, seed=0)
+    dim = fmd_split.labeled_features.shape[1]
+    return ModuleInput(classes=fmd_split.classes,
+                       labeled_features=fmd_split.labeled_features,
+                       labeled_labels=fmd_split.labeled_labels,
+                       unlabeled_features=fmd_split.unlabeled_features[:100],
+                       auxiliary=AuxiliarySelection.empty(dim),
+                       backbone=tiny_backbone, seed=0)
 
 
-FAST_FT = FineTuningConfig(epochs=30, distill_epochs=10)
+@pytest.fixture()
+def no_unlabeled(baseline_input):
+    dim = baseline_input.labeled_features.shape[1]
+    return replace(baseline_input, unlabeled_features=np.zeros((0, dim)))
 
 
-class TestBaselineInput:
+FAST_FT = FineTuningConfig(distill_epochs=10)
+
+
+class TestModuleInput:
     def test_validation(self, tiny_backbone):
-        bad = BaselineInput(labeled_features=np.zeros((2, 4)),
-                            labeled_labels=np.array([0, 5]),
-                            unlabeled_features=np.zeros((0, 4)),
-                            num_classes=3, backbone=tiny_backbone)
+        bad = ModuleInput(classes=[ClassSpec(name=f"c{i}", concept=f"c{i}")
+                                   for i in range(3)],
+                          labeled_features=np.zeros((2, 4)),
+                          labeled_labels=np.array([0, 5]),
+                          unlabeled_features=np.zeros((0, 4)),
+                          auxiliary=AuxiliarySelection.empty(4),
+                          backbone=tiny_backbone)
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_empty_selection(self):
+        selection = AuxiliarySelection.empty(7)
+        assert selection.is_empty() and len(selection) == 0
+        assert selection.features.shape == (0, 7)
+        assert selection.num_aux_classes == 0
+
+
+class TestRegistryBaselines:
+    @pytest.mark.parametrize("name", ["finetune", "fixmatch"])
+    def test_never_fine_tune_on_auxiliary_data(self, name, tiny_workspace,
+                                               monkeypatch):
+        # Fine-tuning and FixMatch are the Transfer and FixMatch modules on
+        # an empty selection, which skips the intermediate phase.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a baseline fine-tuned on auxiliary data")
+
+        for module in ("base", "transfer", "fixmatch"):
+            monkeypatch.setattr(f"repro.modules.{module}.fine_tune_on_auxiliary",
+                                refuse)
+        split = tiny_workspace.make_task_split("fmd", shots=1, split_seed=0)
+        record = METHOD_REGISTRY[name].run(tiny_workspace, split, "resnet50", 0)
+        assert record.method == name and 0.0 <= record.accuracy <= 1.0
 
 
 class TestFineTuning:
     def test_finetune_beats_chance(self, baseline_input, fmd_split):
-        taglet = FineTuningBaseline(FAST_FT).train(baseline_input)
+        # Plain fine-tuning: the Transfer module on an empty selection.
+        taglet = TransferModule().train(baseline_input)
         assert taglet.accuracy(fmd_split.test_features, fmd_split.test_labels) > \
             2.0 / fmd_split.num_classes
-        assert taglet.name == "finetune"
 
     def test_distilled_finetune_runs_and_beats_chance(self, baseline_input, fmd_split):
         taglet = DistilledFineTuningBaseline(FAST_FT).train(baseline_input)
@@ -45,34 +83,18 @@ class TestFineTuning:
             2.0 / fmd_split.num_classes
         assert taglet.name == "finetune_distilled"
 
-    def test_distilled_without_unlabeled_falls_back(self, baseline_input, fmd_split):
-        import copy
-
-        no_unlabeled = copy.copy(baseline_input)
-        no_unlabeled.unlabeled_features = np.zeros(
-            (0, baseline_input.labeled_features.shape[1]))
+    def test_distilled_without_unlabeled_falls_back(self, no_unlabeled, fmd_split):
         taglet = DistilledFineTuningBaseline(FAST_FT).train(no_unlabeled)
         assert taglet.accuracy(fmd_split.test_features, fmd_split.test_labels) > 0
 
 
 class TestFixMatchBaseline:
-    def test_never_uses_auxiliary_data(self):
-        baseline = FixMatchBaseline(FixMatchConfig(use_aux_pretraining=True))
-        assert baseline._module.config.use_aux_pretraining is False
-
-    def test_leaves_a_shared_config_untouched(self):
-        config = FixMatchConfig()
-        module = FixMatchModule(config)
-        FixMatchBaseline(config)
-        assert config.use_aux_pretraining is True
-        assert module.config.use_aux_pretraining is True
-
     def test_beats_chance(self, baseline_input, fmd_split):
-        baseline = FixMatchBaseline(FixMatchConfig(head_warmup_epochs=15, epochs=3))
-        taglet = baseline.train(baseline_input)
+        # The FixMatch module on an empty selection.
+        module = FixMatchModule(FixMatchConfig(head_warmup_epochs=15, epochs=3))
+        taglet = module.train(baseline_input)
         assert taglet.accuracy(fmd_split.test_features, fmd_split.test_labels) > \
             2.0 / fmd_split.num_classes
-        assert taglet.name == "fixmatch_baseline"
 
 
 class TestMetaPseudoLabels:
@@ -82,13 +104,8 @@ class TestMetaPseudoLabels:
         assert taglet.accuracy(fmd_split.test_features, fmd_split.test_labels) > \
             1.5 / fmd_split.num_classes
 
-    def test_without_unlabeled_degenerates_to_finetuning(self, baseline_input,
+    def test_without_unlabeled_degenerates_to_finetuning(self, no_unlabeled,
                                                          fmd_split):
-        import copy
-
-        no_unlabeled = copy.copy(baseline_input)
-        no_unlabeled.unlabeled_features = np.zeros(
-            (0, baseline_input.labeled_features.shape[1]))
         config = MetaPseudoLabelsConfig(steps=10, finetune_epochs=6)
         taglet = MetaPseudoLabelsBaseline(config).train(no_unlabeled)
         assert taglet.accuracy(fmd_split.test_features, fmd_split.test_labels) > 0

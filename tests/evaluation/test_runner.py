@@ -6,6 +6,7 @@ import pytest
 from repro.evaluation import (METHOD_REGISTRY, ExperimentResult, ExperimentRunner,
                               MethodSpec, aggregate_records, baseline_method,
                               taglets_method)
+from repro.modules import TransferConfig, TransferModule
 
 
 def fake_record(method="m", dataset="d", shots=1, split_seed=0, backbone="b",
@@ -81,11 +82,22 @@ class TestRegistry:
         assert isinstance(spec, MethodSpec)
         assert spec.name == "taglets_no_transfer"
 
-    def test_baseline_method_unknown_name_fails_at_run_time(self, tiny_workspace,
-                                                            fmd_split):
-        spec = baseline_method("not_a_baseline")
-        with pytest.raises(KeyError):
-            spec.run(tiny_workspace, fmd_split, "resnet50", 0)
+    def test_baseline_method_trains_the_module_without_auxiliary_data(
+            self, tiny_workspace, fmd_split):
+        seen = []
+
+        class Probe(TransferModule):
+            def train(self, data):
+                seen.append(data)
+                return super().train(data)
+
+        spec = baseline_method(
+            "probe", lambda workspace: Probe(TransferConfig(target_epochs=2)))
+        record = spec.run(tiny_workspace, fmd_split, "resnet50", 3)
+        assert record.method == "probe" and record.seed == 3
+        (data,) = seen
+        assert data.auxiliary.is_empty() and data.seed == 3
+        assert data.num_classes == fmd_split.num_classes
 
 
 class TestRunner:

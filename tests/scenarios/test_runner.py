@@ -12,7 +12,8 @@ from repro.scenarios import (Gate, GateRegistry, ScenarioRunner, ScenarioSpec,
                              build_scoreboard, experiment_records,
                              format_scoreboard, get_scenario, load_scoreboard,
                              scenario_workspace_spec, write_scoreboard)
-from repro.evaluation import aggregate_records
+from repro.evaluation import METHOD_REGISTRY, aggregate_records
+from repro.nn import ReplayStats, collect_replay_stats
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,23 @@ class TestRunCell:
         assert {"stage0_accuracy", "stage1_accuracy"} <= set(row.extras)
         assert row.extras["stage1_accuracy"] == pytest.approx(row.accuracy)
         assert row.fallbacks == 0
+
+    def test_multi_stage_cell_is_per_stage_registry_runs(self, runner,
+                                                         tiny_workspace):
+        spec = get_scenario("cifar_incremental_2phase")
+        row = runner.run_cell(spec, method="taglets", seed=0)
+        stats = ReplayStats()
+        with collect_replay_stats(stats):
+            records = [METHOD_REGISTRY["taglets"].run(tiny_workspace, split,
+                                                      spec.backbone, 0)
+                       for split in spec.build(tiny_workspace).stages]
+        final = records[-1]
+        assert row.accuracy == final.accuracy
+        assert row.extras == {"stage0_accuracy": records[0].accuracy,
+                              "stage1_accuracy": final.accuracy,
+                              "ensemble": final.extras["ensemble"],
+                              "end_model": final.extras["end_model"]}
+        assert row.fallbacks == stats.fallback_count == 0
 
 
 class TestRunGrid:

@@ -10,8 +10,10 @@ individual modules) rather than any particular number.
 import numpy as np
 import pytest
 
-from repro.baselines import BaselineInput, FineTuningBaseline, FineTuningConfig
 from repro.core import Controller, ControllerConfig, Task
+from repro.modules import TransferModule
+from repro.modules.base import ModuleInput
+from repro.scads.query import AuxiliarySelection
 
 
 def run_taglets(workspace, backbone, split, prune_level=None):
@@ -22,12 +24,15 @@ def run_taglets(workspace, backbone, split, prune_level=None):
 
 
 def run_finetune(backbone, split):
-    baseline = FineTuningBaseline(FineTuningConfig())
-    data = BaselineInput(labeled_features=split.labeled_features,
-                         labeled_labels=split.labeled_labels,
-                         unlabeled_features=split.unlabeled_features,
-                         num_classes=split.num_classes, backbone=backbone, seed=0)
-    return baseline.train(data)
+    # Plain fine-tuning: the Transfer module with no auxiliary data.
+    data = ModuleInput(classes=split.classes,
+                       labeled_features=split.labeled_features,
+                       labeled_labels=split.labeled_labels,
+                       unlabeled_features=split.unlabeled_features,
+                       auxiliary=AuxiliarySelection.empty(
+                           split.labeled_features.shape[1]),
+                       backbone=backbone, seed=0)
+    return TransferModule().train(data)
 
 
 @pytest.fixture(scope="module")
