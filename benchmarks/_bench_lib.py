@@ -14,10 +14,12 @@ laptop-friendly while a full run reproduces the paper's complete grid:
 * ``REPRO_BENCH_BACKBONES`` — comma-separated backbones       (default ``resnet50``)
 * ``REPRO_BENCH_FULL=1``    — shorthand for seeds 0,1,2 / splits 0,1,2 /
   backbones resnet50,bit (the paper's full grid)
+* ``REPRO_BENCH_SCALE``     — ``small`` (default) or ``full`` workspace
+  (read by the ``bench_workspace`` fixture in ``conftest.py``)
 
 Each benchmark prints the regenerated rows/series and also writes them to
 ``benchmarks/results/<name>.txt`` so they can be compared against the paper
-after the run (see EXPERIMENTS.md).
+after the run.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.evaluation import ExperimentResult, ExperimentRunner
-from repro.workspace import build_workspace
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 

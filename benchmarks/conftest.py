@@ -1,23 +1,7 @@
 """Pytest fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures.  They all
-draw from the same experimental grid (method × dataset × shots × split ×
-backbone × seed), so a session-scoped :class:`~_bench_lib.RecordCache`
-memoizes every cell: a figure benchmark that needs the same TAGLETS runs as a
-table benchmark reuses them instead of re-training.
-
-Grid size is controlled by environment variables so the default run stays
-laptop-friendly while a full run reproduces the paper's complete grid:
-
-* ``REPRO_BENCH_SEEDS``     — comma-separated training seeds  (default ``0``)
-* ``REPRO_BENCH_SPLITS``    — comma-separated split seeds     (default ``0``)
-* ``REPRO_BENCH_BACKBONES`` — comma-separated backbones       (default ``resnet50``)
-* ``REPRO_BENCH_FULL=1``    — shorthand for seeds 0,1,2 / splits 0,1,2 /
-  backbones resnet50,bit (the paper's full grid)
-* ``REPRO_BENCH_SCALE``     — ``small`` (default) or ``full`` workspace
-
-Each benchmark prints the regenerated rows/series and also writes them to
-``benchmarks/results/<name>.txt`` (compare against the paper via EXPERIMENTS.md).
+The grid the benchmarks sweep, the record cache they share and the
+environment variables that size them are described in ``_bench_lib.py``.
 """
 
 from __future__ import annotations

@@ -29,10 +29,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.evaluation import ExperimentRunner
 from repro.scenarios import (SCENARIO_GRID, SMOKE_SCENARIOS, GateFailure,
-                             ScenarioRunner, default_registry,
-                             format_scoreboard, load_scoreboard,
-                             scenario_workspace, write_scoreboard)
+                             default_registry, format_scoreboard,
+                             load_scoreboard, scenario_workspace,
+                             write_scoreboard)
 
 SCOREBOARD_PATH = os.path.join(os.path.dirname(__file__), "..",
                                "SCENARIOS.json")
@@ -86,7 +87,7 @@ def main() -> int:
     workspace = scenario_workspace()
     print(f"workspace built in {time.perf_counter() - started:.1f}s")
 
-    runner = ScenarioRunner(workspace)
+    runner = ExperimentRunner(workspace)
     rows = runner.run_grid(specs, methods=("taglets", "finetune"),
                            seeds=tuple(range(args.seeds)))
     registry = default_registry()

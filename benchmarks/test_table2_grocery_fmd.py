@@ -25,6 +25,8 @@ def test_table2(dataset, shots_list, record_cache, bench_grid):
                                     split_seeds=[0])
 
     records = regenerate()
+    # Every paper method's training loops replay with zero eager fallbacks.
+    assert [(r.method, r.shots) for r in records if r.fallbacks] == []
     table = format_results_table(records, dataset=dataset,
                                  shots_list=list(shots_list),
                                  methods=list(METHODS),

@@ -1,15 +1,19 @@
-"""The experiment runner: every cell of the paper's tables is one call here.
+"""The experiment runner: every cell of the paper's tables and of the
+scenario grid is one call here.
 
 A *method* is a named recipe mapping ``(workspace, split, backbone_name,
 seed)`` to a result record.  The registry contains the paper's baselines and
-TAGLETS variants (full system, pruned SCADS, leave-one-module-out), and
-:class:`ExperimentRunner` sweeps methods over datasets, shot counts, splits,
-backbones and seeds, producing flat records the table/figure formatters
-aggregate.
+TAGLETS variants (full system, pruned SCADS, leave-one-module-out).
+:class:`ExperimentRunner` runs one method per cell — a paper-table cell
+(:meth:`~ExperimentRunner.evaluate`) or a scenario cell
+(:meth:`~ExperimentRunner.run_cell`) — timing it and counting the replay
+executor's eager fallbacks, and records one flat :class:`ExperimentResult`
+the table/figure formatters and the scenario gates read.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -18,6 +22,7 @@ from ..core import Controller, ControllerConfig, Task
 from ..datasets.base import TaskSplit
 from ..modules import DEFAULT_MODULES, FixMatchModule, TransferModule
 from ..modules.base import ModuleInput, TrainingModule
+from ..nn.replay import ReplayStats, collect_replay_stats
 from ..scads.query import AuxiliarySelection
 from ..workspace import Workspace
 from .metrics import Aggregate, mean_confidence_interval
@@ -29,7 +34,8 @@ __all__ = ["ExperimentResult", "MethodSpec", "ExperimentRunner",
 
 @dataclass
 class ExperimentResult:
-    """One (method, dataset, shots, split, backbone, seed) measurement."""
+    """One (method, dataset, shots, split, backbone, seed) measurement: a
+    paper-table cell, or a scenario cell when ``scenario`` is set."""
 
     method: str
     dataset: str
@@ -40,8 +46,13 @@ class ExperimentResult:
     accuracy: float
     #: extra measurements (module accuracies, ensemble accuracy, ...)
     extras: Dict[str, float] = field(default_factory=dict)
+    #: wall-clock seconds the cell took (every stage of a multi-stage cell)
+    wall_time_s: float = 0.0
+    #: eager fallbacks the replay executor reported during the cell (0 on
+    #: every static training loop)
+    fallbacks: int = 0
     #: scenario-matrix provenance: ``None`` for paper-table rows, the
-    #: scenario name for rows produced by :mod:`repro.scenarios` — so table
+    #: scenario name for rows of :meth:`ExperimentRunner.run_cell` — so table
     #: and figure filters can select scenario rows structurally instead of
     #: parsing method or dataset strings
     scenario: Optional[str] = None
@@ -163,8 +174,12 @@ TABLE_METHODS = ("finetune", "finetune_distilled", "fixmatch",
 TABLE_PRUNED_METHODS = ("taglets_prune0", "taglets_prune1")
 
 
+#: the final stage's extras a scenario row keeps (TAGLETS reports them)
+_SCENARIO_EXTRAS = ("ensemble", "end_model")
+
+
 class ExperimentRunner:
-    """Sweeps methods over the experimental grid and collects records."""
+    """Runs registry methods over paper-table and scenario cells."""
 
     def __init__(self, workspace: Workspace,
                  registry: Optional[Dict[str, MethodSpec]] = None):
@@ -174,35 +189,68 @@ class ExperimentRunner:
     def register(self, spec: MethodSpec) -> None:
         self.registry[spec.name] = spec
 
+    def _run_stages(self, method: str, stages: Sequence[TaskSplit],
+                    backbone: str, seed: int) -> ExperimentResult:
+        """Run ``method`` once per stage; return the final stage's record.
+
+        The record is timed over every stage and carries the fallback count
+        of a replay counter private to the call (a caller that wants the
+        counts too opens :func:`~repro.nn.collect_replay_stats` around it).
+        A multi-stage run also records ``stage{i}_accuracy`` extras.
+        """
+        if method not in self.registry:
+            raise KeyError(f"unknown method {method!r}; known: "
+                           f"{sorted(self.registry)}")
+        stats = ReplayStats()
+        stage_accuracies: Dict[str, float] = {}
+        started = time.perf_counter()
+        with collect_replay_stats(stats):
+            for index, split in enumerate(stages):
+                record = self.registry[method].run(self.workspace, split,
+                                                   backbone, seed)
+                stage_accuracies[f"stage{index}_accuracy"] = record.accuracy
+        record.wall_time_s = time.perf_counter() - started
+        record.fallbacks = stats.fallback_count
+        if len(stages) > 1:
+            record.extras = {**stage_accuracies, **record.extras}
+        return record
+
     def evaluate(self, method: str, dataset: str, shots: int, split_seed: int,
                  backbone: str, seed: int) -> ExperimentResult:
-        """Run one cell of the grid."""
-        if method not in self.registry:
-            raise KeyError(f"unknown method {method!r}; known: {sorted(self.registry)}")
+        """Run one paper-table cell."""
         split = self.workspace.make_task_split(dataset, shots=shots,
                                                split_seed=split_seed)
-        return self.registry[method].run(self.workspace, split, backbone, seed)
+        return self._run_stages(method, [split], backbone, seed)
 
-    def run_grid(self, methods: Sequence[str], datasets: Sequence[str],
-                 shots_list: Sequence[int], backbones: Sequence[str],
-                 split_seeds: Sequence[int] = (0,),
-                 seeds: Sequence[int] = (0,),
-                 progress: Optional[Callable[[ExperimentResult], None]] = None
-                 ) -> List[ExperimentResult]:
-        """Run the full cartesian grid and return all records."""
-        records: List[ExperimentResult] = []
-        for dataset in datasets:
-            for shots in shots_list:
-                for split_seed in split_seeds:
-                    for backbone in backbones:
-                        for method in methods:
-                            for seed in seeds:
-                                record = self.evaluate(method, dataset, shots,
-                                                       split_seed, backbone, seed)
-                                records.append(record)
-                                if progress is not None:
-                                    progress(record)
-        return records
+    def run_cell(self, spec, method: str = "taglets",
+                 seed: int = 0) -> ExperimentResult:
+        """Run one (scenario, method, seed) cell of the scenario grid.
+
+        ``spec`` is a :class:`~repro.scenarios.ScenarioSpec` (anything with
+        its ``build``, ``name``, ``family``, ``axes()``, ``split_seed`` and
+        ``backbone``).  ``"taglets"`` runs once per built stage; any other
+        method runs on the final stage (all arrivals landed).  The record is
+        tagged with the scenario and keeps only the final stage's
+        ``ensemble``/``end_model`` extras beside the per-stage accuracies.
+        """
+        stages = spec.build(self.workspace)
+        if method != "taglets":
+            stages = stages[-1:]
+        record = self._run_stages(method, stages, spec.backbone, seed)
+        record.extras = {key: value for key, value in record.extras.items()
+                         if key.startswith("stage") or key in _SCENARIO_EXTRAS}
+        record.split_seed = spec.split_seed
+        record.scenario = spec.name
+        record.scenario_family = spec.family
+        record.axes = spec.axes()
+        return record
+
+    def run_grid(self, specs: Sequence,
+                 methods: Sequence[str] = ("taglets", "finetune"),
+                 seeds: Sequence[int] = (0,)) -> List[ExperimentResult]:
+        """Run every (scenario, method, seed) cell and return all records."""
+        return [self.run_cell(spec, method=method, seed=seed)
+                for spec in specs for method in methods for seed in seeds]
 
 
 def aggregate_records(records: Iterable[ExperimentResult],

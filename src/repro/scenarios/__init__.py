@@ -4,12 +4,13 @@ The paper's claim is that automatic SSL from auxiliary data survives hard
 regimes; this package turns that claim into executable gates.  A declarative
 :class:`ScenarioSpec` composes regime axes (label scarcity, class imbalance,
 input corruption, distribution shift, class-incremental arrivals, streaming
-unlabeled pools) into reproducible task splits over the synthetic world; a
-:class:`ScenarioRunner` sweeps TAGLETS and baselines over the grid recording
-accuracy, wall time, and replay fallback counts; and a :class:`GateRegistry`
-asserts per-scenario accuracy floors — plus taglets-beats-supervised margin
-floors where the paper predicts one — non-advisorily, like the float32
-parity gate but for robustness.
+unlabeled pools) into reproducible task splits over the synthetic world;
+:meth:`repro.evaluation.ExperimentRunner.run_grid` sweeps TAGLETS and
+baselines over the grid, recording accuracy, wall time, and replay fallback
+counts on every :class:`~repro.evaluation.ExperimentResult`; and a
+:class:`GateRegistry` asserts per-scenario accuracy floors — plus
+taglets-beats-supervised margin floors where the paper predicts one —
+non-advisorily, like the float32 parity gate but for robustness.
 
 New backbones and methods land in this grid as new rows, not new test
 suites.  See ``docs/scenarios.md``.
@@ -18,22 +19,19 @@ suites.  See ``docs/scenarios.md``.
 from .gates import (DEFAULT_GATES, Gate, GateFailure, GateRegistry,
                     GateReport, default_registry)
 from .grid import (SCENARIO_GRID, SMOKE_SCENARIOS, get_scenario,
-                   scenario_workspace, scenario_workspace_spec,
-                   scenarios_by_family)
-from .runner import ScenarioResult, ScenarioRunner, experiment_records
+                   scenario_workspace, scenario_workspace_spec)
 from .scoreboard import (SCOREBOARD_SCHEMA, build_scoreboard,
                          format_scoreboard, load_scoreboard, write_scoreboard)
-from .spec import (FAMILIES, CorruptionAxis, ScenarioSpec, ScenarioTask,
-                   apply_corruption, apply_imbalance, apply_shift,
-                   class_incremental_splits, streaming_splits)
+from .spec import (FAMILIES, CorruptionAxis, ScenarioSpec, apply_corruption,
+                   apply_imbalance, apply_shift, class_incremental_splits,
+                   streaming_splits)
 
 __all__ = [
-    "ScenarioSpec", "ScenarioTask", "CorruptionAxis", "FAMILIES",
+    "ScenarioSpec", "CorruptionAxis", "FAMILIES",
     "apply_imbalance", "apply_corruption", "apply_shift",
     "class_incremental_splits", "streaming_splits",
     "SCENARIO_GRID", "SMOKE_SCENARIOS", "get_scenario",
-    "scenario_workspace", "scenario_workspace_spec", "scenarios_by_family",
-    "ScenarioRunner", "ScenarioResult", "experiment_records",
+    "scenario_workspace", "scenario_workspace_spec",
     "Gate", "GateReport", "GateFailure", "GateRegistry", "DEFAULT_GATES",
     "default_registry",
     "SCOREBOARD_SCHEMA", "build_scoreboard", "write_scoreboard",

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .runner import ScenarioResult
+from ..evaluation.runner import ExperimentResult
 
 __all__ = ["Gate", "GateReport", "GateFailure", "GateRegistry",
            "DEFAULT_GATES", "default_registry"]
@@ -74,7 +74,7 @@ class GateFailure(AssertionError):
     """Raised by :meth:`GateRegistry.assert_all` when any floor is breached."""
 
 
-def _mean_accuracy(rows: Sequence[ScenarioResult]) -> float:
+def _mean_accuracy(rows: Sequence[ExperimentResult]) -> float:
     return float(np.mean([row.accuracy for row in rows]))
 
 
@@ -101,7 +101,7 @@ class GateRegistry:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def check(self, results: Iterable[ScenarioResult],
+    def check(self, results: Iterable[ExperimentResult],
               require_all: bool = False) -> List[GateReport]:
         """Evaluate gates against rows; mean over seeds when several exist.
 
@@ -111,7 +111,7 @@ class GateRegistry:
         the full-grid sweep uses it so a silently-skipped scenario cannot
         pass.
         """
-        by_key: Dict[Tuple[str, str], List[ScenarioResult]] = {}
+        by_key: Dict[Tuple[str, str], List[ExperimentResult]] = {}
         scenarios_present = set()
         for row in results:
             scenarios_present.add(row.scenario)
@@ -153,7 +153,7 @@ class GateRegistry:
                                       passed=passed, detail=detail))
         return reports
 
-    def assert_all(self, results: Iterable[ScenarioResult],
+    def assert_all(self, results: Iterable[ExperimentResult],
                    require_all: bool = False) -> List[GateReport]:
         """Raise :class:`GateFailure` naming every breached floor."""
         reports = self.check(results, require_all=require_all)

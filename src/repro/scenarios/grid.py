@@ -16,7 +16,7 @@ subset (one cell per family) swept non-advisorily in CI;
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 from ..kg import GraphSpec
 from ..synth import WorldSpec
@@ -24,7 +24,7 @@ from ..workspace import Workspace, WorkspaceSpec
 from .spec import CorruptionAxis, ScenarioSpec
 
 __all__ = ["SCENARIO_GRID", "SMOKE_SCENARIOS", "scenario_workspace_spec",
-           "scenario_workspace", "get_scenario", "scenarios_by_family"]
+           "scenario_workspace", "get_scenario"]
 
 
 def scenario_workspace_spec(seed: int = 0) -> WorkspaceSpec:
@@ -135,11 +135,3 @@ def get_scenario(name: str) -> ScenarioSpec:
             f"unknown scenario {name!r}; known: {sorted(SCENARIO_GRID)}")
     return SCENARIO_GRID[name]
 
-
-def scenarios_by_family(names: Iterable[str] = ()) -> Dict[str, List[ScenarioSpec]]:
-    """Group (a subset of) the grid by regime family."""
-    selected = [SCENARIO_GRID[n] for n in names] if names else list(_SPECS)
-    grouped: Dict[str, List[ScenarioSpec]] = {}
-    for spec in selected:
-        grouped.setdefault(spec.family, []).append(spec)
-    return grouped

@@ -1,20 +1,18 @@
 """The SCENARIOS.json scoreboard: recorded grid results + gate outcomes.
 
-Mirrors ``BENCH_engine.json`` / ``BENCH_serve.json``: a committed, versioned
-record of what the grid measured on the pinned scenario workspace, which
-floors guard each scenario, and whether they held.  ``scenario-smoke`` and
-the full ``-m scenarios`` sweep both regenerate their slice and compare
-against the committed floors.
+A committed, versioned record of what the grid measured on the pinned
+scenario workspace, which floors guard each scenario, and whether they held.
+``scenario-smoke`` and the full ``-m scenarios`` sweep both regenerate their
+slice and compare against the committed floors.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
-from .gates import GateReport, GateRegistry
-from .grid import SCENARIO_GRID
-from .runner import ScenarioResult
+from ..evaluation.runner import ExperimentResult
+from .gates import GateReport
 
 __all__ = ["SCOREBOARD_SCHEMA", "build_scoreboard", "write_scoreboard",
            "load_scoreboard", "format_scoreboard"]
@@ -22,7 +20,7 @@ __all__ = ["SCOREBOARD_SCHEMA", "build_scoreboard", "write_scoreboard",
 SCOREBOARD_SCHEMA = 1
 
 
-def build_scoreboard(results: Iterable[ScenarioResult],
+def build_scoreboard(results: Iterable[ExperimentResult],
                      reports: Iterable[GateReport] = (),
                      workspace: str = "scenario_workspace(seed=0)"
                      ) -> Dict[str, object]:
@@ -30,7 +28,7 @@ def build_scoreboard(results: Iterable[ScenarioResult],
     scenarios: Dict[str, Dict[str, object]] = {}
     for row in results:
         entry = scenarios.setdefault(row.scenario, {
-            "family": row.family,
+            "family": row.scenario_family,
             "dataset": row.dataset,
             "axes": dict(row.axes),
             "methods": {},
@@ -68,7 +66,7 @@ def build_scoreboard(results: Iterable[ScenarioResult],
     }
 
 
-def write_scoreboard(path: str, results: Iterable[ScenarioResult],
+def write_scoreboard(path: str, results: Iterable[ExperimentResult],
                      reports: Iterable[GateReport] = (),
                      workspace: str = "scenario_workspace(seed=0)"
                      ) -> Dict[str, object]:
@@ -90,17 +88,18 @@ def load_scoreboard(path: str) -> Dict[str, object]:
     return scoreboard
 
 
-def format_scoreboard(results: Iterable[ScenarioResult],
+def format_scoreboard(results: Iterable[ExperimentResult],
                       reports: Iterable[GateReport] = ()) -> str:
     """A human-readable grid summary (printed by the smoke job)."""
-    rows = sorted(results, key=lambda r: (r.family, r.scenario, r.method,
-                                          r.seed))
+    rows = sorted(results, key=lambda r: (r.scenario_family, r.scenario,
+                                          r.method, r.seed))
     lines = [f"{'scenario':<26} {'family':<12} {'method':<10} "
              f"{'accuracy':>9} {'time':>7} {'fb':>3}"]
     lines.append("-" * len(lines[0]))
     for row in rows:
-        lines.append(f"{row.scenario:<26} {row.family:<12} {row.method:<10} "
-                     f"{row.accuracy:>9.3f} {row.wall_time_s:>6.1f}s "
+        lines.append(f"{row.scenario:<26} {row.scenario_family:<12} "
+                     f"{row.method:<10} {row.accuracy:>9.3f} "
+                     f"{row.wall_time_s:>6.1f}s "
                      f"{row.fallbacks:>3d}")
     reports = list(reports)
     if reports:

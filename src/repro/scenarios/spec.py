@@ -16,10 +16,10 @@ dataset and shot count plus any combination of regime axes —
 * **streaming** — the unlabeled pool arrives in cumulative chunks, or is cut
   to a fraction of its full size.
 
-``build(workspace)`` turns the spec into a :class:`ScenarioTask`: a list of
-training-stage :class:`~repro.datasets.base.TaskSplit` objects (one for plain
-scenarios, one per arrival for incremental/streaming ones) whose last stage
-is the gated evaluation split.  Everything derives deterministically from the
+``build(workspace)`` turns the spec into a list of training-stage
+:class:`~repro.datasets.base.TaskSplit` objects (one for plain scenarios, one
+per arrival for incremental/streaming ones) whose last stage is the gated
+evaluation split.  Everything derives deterministically from the
 spec's seeds, so two processes building the same scenario train on
 bit-identical arrays.
 """
@@ -27,7 +27,7 @@ bit-identical arrays.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, replace as dataclass_replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from ..synth.domains import CORRUPTION_NAMES, MAX_SEVERITY, build_corruption
 from ..synth.streams import ArrivalSchedule, chunk_indices, subsample_indices
 from ..workspace import Workspace
 
-__all__ = ["FAMILIES", "CorruptionAxis", "ScenarioSpec", "ScenarioTask",
+__all__ = ["FAMILIES", "CorruptionAxis", "ScenarioSpec",
            "apply_imbalance", "apply_corruption", "apply_shift",
            "class_incremental_splits", "streaming_splits"]
 
@@ -248,8 +248,9 @@ class ScenarioSpec:
             axes["unlabeled_fraction"] = self.unlabeled_fraction
         return axes
 
-    def build(self, workspace: Workspace) -> "ScenarioTask":
-        """Compose the axes into concrete training stages (deterministic)."""
+    def build(self, workspace: Workspace) -> List[TaskSplit]:
+        """Compose the axes into training stages (deterministic); the last
+        stage is the one evaluated and gated."""
         seed = _scenario_seed(self.name, self.split_seed)
         split = workspace.make_task_split(self.dataset, shots=self.shots,
                                           split_seed=self.split_seed)
@@ -266,25 +267,7 @@ class ScenarioSpec:
             split = apply_shift(split, self.shift, workspace)
 
         if self.phases is not None:
-            stages = class_incremental_splits(split, self.phases, seed=seed)
-        elif self.stream_chunks is not None:
-            stages = streaming_splits(split, self.stream_chunks, seed=seed)
-        else:
-            stages = [split]
-        return ScenarioTask(spec=self, stages=stages)
-
-
-@dataclass
-class ScenarioTask:
-    """A built scenario: ordered training stages, last one is evaluated/gated."""
-
-    spec: ScenarioSpec
-    stages: List[TaskSplit] = field(default_factory=list)
-
-    @property
-    def final(self) -> TaskSplit:
-        return self.stages[-1]
-
-    @property
-    def multi_stage(self) -> bool:
-        return len(self.stages) > 1
+            return class_incremental_splits(split, self.phases, seed=seed)
+        if self.stream_chunks is not None:
+            return streaming_splits(split, self.stream_chunks, seed=seed)
+        return [split]

@@ -174,10 +174,6 @@ def main(argv=None) -> int:
                         help="with --fleet: partition the models across the "
                              "workers instead of replicating every model on "
                              "every worker")
-    parser.add_argument("--start-method", default="spawn",
-                        choices=["spawn", "fork", "forkserver"],
-                        help="multiprocessing start method for --fleet "
-                             "workers (default: spawn)")
     parser.add_argument("--demo", action="store_true",
                         help="train a small synthetic pipeline and serve it "
                              "(both the end model and the taglet ensemble)")
@@ -220,11 +216,9 @@ def main(argv=None) -> int:
                   "with --fleet", file=sys.stderr, flush=True)
         specs = (sharded_specs(models, args.fleet) if args.shard
                  else replicated_specs(models, args.fleet))
-        fleet = ServingFleet(specs, FleetConfig(
-            batching=batching, start_method=args.start_method))
+        fleet = ServingFleet(specs, FleetConfig(batching=batching))
         print(f"spawning {args.fleet} serving worker process(es) "
-              f"({'sharded' if args.shard else 'replicated'}, "
-              f"{args.start_method})...", flush=True)
+              f"({'sharded' if args.shard else 'replicated'})...", flush=True)
         fleet.start()
         for replica_id, (host, port) in sorted(fleet.addresses().items()):
             served = sorted(fleet.router.replica(replica_id).versions)

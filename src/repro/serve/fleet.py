@@ -111,11 +111,6 @@ class FleetConfig:
     batching: BatchingConfig = field(default_factory=BatchingConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
     host: str = "127.0.0.1"
-    #: multiprocessing start method.  ``spawn`` (default) gives workers a
-    #: clean interpreter — no inherited locks or threads to deadlock on —
-    #: at ~0.5 s startup each; ``fork`` starts near-instantly but inherits
-    #: the parent's whole world.
-    start_method: str = "spawn"
 
 
 def _worker_main(spec: ReplicaSpec, batching: BatchingConfig,
@@ -185,7 +180,9 @@ class ServingFleet:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate replica ids in {ids}")
         self.config = config or FleetConfig()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        # Spawned workers get a clean interpreter — no inherited locks or
+        # threads to deadlock on — at ~0.5 s startup each.
+        self._ctx = multiprocessing.get_context("spawn")
         self.router = Router(config=self.config.router,
                              on_replica_down=self._on_replica_down)
         self._replicas: Dict[str, _Replica] = {}

@@ -530,6 +530,20 @@ class Router:
         with self._lock:
             return list(self._replicas.values())
 
+    def _gather(self, path: str) -> List[Tuple[ReplicaHandle, dict]]:
+        """``GET path`` from every replica; the dict replies of those that
+        answer 200 (transport errors and other replies are skipped)."""
+        replies: List[Tuple[ReplicaHandle, dict]] = []
+        for handle in self._handles():
+            try:
+                status, payload = handle.request(
+                    "GET", path, timeout=self.config.probe_timeout)
+            except (OSError, http.client.HTTPException):
+                continue
+            if status == 200 and isinstance(payload, dict):
+                replies.append((handle, payload))
+        return replies
+
     def health(self) -> dict:
         """Fleet-wide health: per-replica states plus the merged manifest."""
         handles = self._handles()
@@ -557,14 +571,7 @@ class Router:
     def models(self) -> Dict[str, dict]:
         """The merged registry listing across every reachable replica."""
         merged: Dict[str, dict] = {}
-        for handle in self._handles():
-            try:
-                status, payload = handle.request(
-                    "GET", "/models", timeout=self.config.probe_timeout)
-            except (OSError, http.client.HTTPException):
-                continue
-            if status != 200 or not isinstance(payload, dict):
-                continue
+        for _, payload in self._gather("/models"):
             for name, entry in payload.items():
                 into = merged.setdefault(name, {"latest": entry.get("latest"),
                                                 "versions": {}})
@@ -582,14 +589,7 @@ class Router:
         """
         merged: Dict[str, dict] = {}
         weighted: Dict[str, float] = {}
-        for handle in self._handles():
-            try:
-                status, payload = handle.request(
-                    "GET", "/stats", timeout=self.config.probe_timeout)
-            except (OSError, http.client.HTTPException):
-                continue
-            if status != 200 or not isinstance(payload, dict):
-                continue
+        for _, payload in self._gather("/stats"):
             for key, entry in payload.items():
                 if not isinstance(entry, dict):
                     continue
@@ -630,14 +630,7 @@ class Router:
         modeled = 0
         queue_depth = 0
         admitted = shed = 0
-        for handle in self._handles():
-            try:
-                status, payload = handle.request(
-                    "GET", "/capacity", timeout=self.config.probe_timeout)
-            except (OSError, http.client.HTTPException):
-                continue
-            if status != 200 or not isinstance(payload, dict):
-                continue
+        for handle, payload in self._gather("/capacity"):
             replicas[handle.id] = payload
             queue_depth += int(payload.get("queue_depth", 0) or 0)
             if payload.get("capacity_req_per_sec") is not None:

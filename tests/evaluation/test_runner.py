@@ -103,7 +103,7 @@ class TestRegistry:
 class TestRunner:
     def test_unknown_method_rejected(self, tiny_workspace):
         runner = ExperimentRunner(tiny_workspace)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="known: .*'finetune'.*'taglets'"):
             runner.evaluate("nonexistent", "fmd", 1, 0, "resnet50", 0)
 
     def test_register_and_run_custom_method(self, tiny_workspace, tiny_backbone):
@@ -120,12 +120,14 @@ class TestRunner:
 
         runner = ExperimentRunner(tiny_workspace, registry={})
         runner.register(MethodSpec(name="majority", run=run))
-        records = runner.run_grid(methods=["majority"], datasets=["fmd"],
-                                  shots_list=[1, 5], backbones=["unused"],
-                                  split_seeds=[0], seeds=[0, 1])
-        assert len(records) == 4
+        records = [runner.evaluate("majority", "fmd", shots, 0, "unused", seed)
+                   for shots in (1, 5) for seed in (0, 1)]
         assert {r.shots for r in records} == {1, 5}
-        progress_calls = []
-        runner.run_grid(methods=["majority"], datasets=["fmd"], shots_list=[1],
-                        backbones=["unused"], progress=progress_calls.append)
-        assert len(progress_calls) == 1
+        assert all(r.scenario is None and r.extras == {} for r in records)
+
+    def test_paper_cell_is_timed_with_zero_fallbacks(self, tiny_workspace):
+        record = ExperimentRunner(tiny_workspace).evaluate(
+            "finetune", "fmd", 1, 0, "resnet50", 0)
+        assert record.method == "finetune" and record.scenario is None
+        assert record.wall_time_s > 0
+        assert record.fallbacks == 0

@@ -184,10 +184,11 @@ class TestScenarioLoops:
     @pytest.mark.parametrize("name", ["fmd_5shot_imbalanced",
                                       "cifar_5shot_mixing_s2"])
     def test_single_stage_scenario_zero_fallbacks(self, name, tiny_workspace):
-        from repro.scenarios import ScenarioRunner, get_scenario
+        from repro.evaluation import ExperimentRunner
+        from repro.scenarios import get_scenario
 
         stats = ReplayStats()
-        runner = ScenarioRunner(tiny_workspace)
+        runner = ExperimentRunner(tiny_workspace)
         with collect_replay_stats(stats):
             row = runner.run_cell(get_scenario(name), method="taglets",
                                   seed=0)
@@ -197,10 +198,11 @@ class TestScenarioLoops:
     def test_multi_stage_scenario_zero_fallbacks(self, tiny_workspace):
         # Incremental stages retrain from scratch on different class counts
         # — new graph signatures per stage, but still never an eager step.
-        from repro.scenarios import ScenarioRunner, get_scenario
+        from repro.evaluation import ExperimentRunner
+        from repro.scenarios import get_scenario
 
         stats = ReplayStats()
-        runner = ScenarioRunner(tiny_workspace)
+        runner = ExperimentRunner(tiny_workspace)
         with collect_replay_stats(stats):
             row = runner.run_cell(get_scenario("cifar_incremental_2phase"),
                                   method="taglets", seed=0)

@@ -10,8 +10,9 @@ import os
 
 import pytest
 
-from repro.scenarios import (DEFAULT_GATES, SCENARIO_GRID, ScenarioRunner,
-                             default_registry, load_scoreboard)
+from repro.evaluation import ExperimentRunner
+from repro.scenarios import (DEFAULT_GATES, SCENARIO_GRID, default_registry,
+                             load_scoreboard)
 
 SCOREBOARD_PATH = os.path.join(os.path.dirname(__file__), "..", "..",
                                "SCENARIOS.json")
@@ -57,7 +58,7 @@ class TestCommittedScoreboard:
 @pytest.mark.scenarios
 class TestFullGrid:
     def test_full_grid_passes_every_gate(self, tiny_workspace):
-        runner = ScenarioRunner(tiny_workspace)
+        runner = ExperimentRunner(tiny_workspace)
         rows = runner.run_grid(list(SCENARIO_GRID.values()),
                                methods=("taglets", "finetune"), seeds=(0,))
         reports = default_registry().assert_all(rows, require_all=True)

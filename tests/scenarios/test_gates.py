@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.evaluation import ExperimentResult
 from repro.scenarios import (DEFAULT_GATES, SCENARIO_GRID, Gate, GateFailure,
-                             GateRegistry, ScenarioResult, default_registry)
+                             GateRegistry, default_registry)
 
 
 def _row(scenario="s", method="taglets", accuracy=0.5, seed=0, family="clean"):
-    return ScenarioResult(scenario=scenario, family=family, method=method,
-                          dataset="fmd", shots=5, backbone="resnet50",
-                          seed=seed, accuracy=accuracy, wall_time_s=0.1)
+    return ExperimentResult(method=method, dataset="fmd", shots=5,
+                            split_seed=0, backbone="resnet50", seed=seed,
+                            accuracy=accuracy, wall_time_s=0.1,
+                            scenario=scenario, scenario_family=family)
 
 
 class TestAccuracyGates:

@@ -1,24 +1,24 @@
-"""Tests for the scenario runner and scoreboard on the shared tiny workspace.
+"""Tests for scenario cells and the scoreboard on the shared tiny workspace.
 
 The session ``tiny_workspace`` fixture is spec-identical to
 ``scenario_workspace()`` (same graph, world, SCADS, and seeds), so cells run
 here exercise exactly the data the committed floors were calibrated on.
 """
 
-import numpy as np
 import pytest
 
-from repro.scenarios import (Gate, GateRegistry, ScenarioRunner, ScenarioSpec,
-                             build_scoreboard, experiment_records,
-                             format_scoreboard, get_scenario, load_scoreboard,
-                             scenario_workspace_spec, write_scoreboard)
-from repro.evaluation import METHOD_REGISTRY, aggregate_records
+from repro.scenarios import (Gate, GateRegistry, ScenarioSpec,
+                             build_scoreboard, format_scoreboard, get_scenario,
+                             load_scoreboard, scenario_workspace_spec,
+                             write_scoreboard)
+from repro.evaluation import (METHOD_REGISTRY, ExperimentRunner,
+                              aggregate_records)
 from repro.nn import ReplayStats, collect_replay_stats
 
 
 @pytest.fixture(scope="module")
 def runner(tiny_workspace):
-    return ScenarioRunner(tiny_workspace)
+    return ExperimentRunner(tiny_workspace)
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +39,26 @@ class TestRunCell:
     def test_taglets_row_complete(self, clean_rows):
         row = clean_rows[0]
         assert row.scenario == "fmd_5shot_clean"
-        assert row.family == "clean" and row.method == "taglets"
+        assert row.scenario_family == "clean" and row.method == "taglets"
         assert 0.0 <= row.accuracy <= 1.0
         assert row.wall_time_s > 0
         assert row.fallbacks == 0
         assert row.axes == {"shots": 5}
-        assert {"ensemble", "end_model"} <= set(row.extras)
+        assert row.split_seed == 0
+        # the final stage's ensemble/end-model accuracies, no module extras
+        assert set(row.extras) == {"ensemble", "end_model"}
 
     def test_baseline_row(self, clean_rows):
         row = clean_rows[1]
         assert row.method == "finetune" and row.fallbacks == 0
+        assert row.wall_time_s > 0 and row.extras == {}
+
+    def test_row_records_the_spec_split_seed(self, runner):
+        spec = ScenarioSpec(name="probe_split1", family="clean",
+                            dataset="fmd", shots=1, split_seed=1)
+        row = runner.run_cell(spec, method="finetune", seed=0)
+        assert row.split_seed == 1
+        assert row.scenario == "probe_split1"
 
     def test_unknown_method(self, runner):
         with pytest.raises(KeyError, match="known: .*'finetune'.*'taglets'"):
@@ -70,7 +80,7 @@ class TestRunCell:
         with collect_replay_stats(stats):
             records = [METHOD_REGISTRY["taglets"].run(tiny_workspace, split,
                                                       spec.backbone, 0)
-                       for split in spec.build(tiny_workspace).stages]
+                       for split in spec.build(tiny_workspace)]
         final = records[-1]
         assert row.accuracy == final.accuracy
         assert row.extras == {"stage0_accuracy": records[0].accuracy,
@@ -81,29 +91,24 @@ class TestRunCell:
 
 
 class TestRunGrid:
-    def test_grid_yields_row_per_cell_with_progress(self, runner):
-        specs = [get_scenario("fmd_5shot_clean")]
-        seen = []
-        rows = runner.run_grid(specs, methods=("taglets", "finetune"),
-                               seeds=(0,), progress=seen.append)
-        assert len(rows) == 2 and seen == rows
-        assert {row.method for row in rows} == {"taglets", "finetune"}
+    def test_grid_yields_row_per_cell(self, runner, clean_rows):
+        rows = runner.run_grid([get_scenario("fmd_5shot_clean")],
+                               methods=("taglets", "finetune"), seeds=(0,))
+        assert [(row.method, row.accuracy) for row in rows] == [
+            (row.method, row.accuracy) for row in clean_rows]
 
 
-class TestExperimentRecords:
-    def test_rows_become_scenario_tagged_records(self, clean_rows):
-        records = experiment_records(clean_rows)
-        for record in records:
-            assert record.scenario == "fmd_5shot_clean"
-            assert record.scenario_family == "clean"
+class TestScenarioRecords:
+    def test_rows_are_scenario_tagged_records(self, clean_rows):
+        for record in clean_rows:
             data = record.as_dict()
             assert data["scenario"] == "fmd_5shot_clean"
+            assert data["scenario_family"] == "clean"
             assert data["axis_shots"] == 5
 
     def test_records_aggregate_by_scenario(self, clean_rows):
-        aggregates = aggregate_records(
-            [r.as_experiment_result() for r in clean_rows],
-            group_by=("scenario", "method"))
+        aggregates = aggregate_records(clean_rows,
+                                       group_by=("scenario", "method"))
         assert ("fmd_5shot_clean", "taglets") in aggregates
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from repro.scenarios import (FAMILIES, SCENARIO_GRID, SMOKE_SCENARIOS,
                              CorruptionAxis, ScenarioSpec, apply_corruption,
-                             apply_imbalance, get_scenario,
-                             scenarios_by_family)
+                             apply_imbalance, get_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +34,6 @@ class TestGridCoverage:
         with pytest.raises(KeyError):
             get_scenario("no_such_scenario")
 
-    def test_scenarios_by_family_groups(self):
-        grouped = scenarios_by_family()
-        assert set(grouped) == set(FAMILIES)
-        subset = scenarios_by_family(["fmd_1shot", "fmd_20shot"])
-        assert set(subset) == {"scarcity"}
-        assert len(subset["scarcity"]) == 2
-
 
 class TestBuildDeterminism:
     @pytest.mark.parametrize("name", ["fmd_5shot_imbalanced",
@@ -51,8 +43,8 @@ class TestBuildDeterminism:
         spec = SCENARIO_GRID[name]
         first = spec.build(tiny_workspace)
         second = spec.build(tiny_workspace)
-        assert len(first.stages) == len(second.stages)
-        for left, right in zip(first.stages, second.stages):
+        assert len(first) == len(second)
+        for left, right in zip(first, second):
             np.testing.assert_array_equal(left.labeled_features,
                                           right.labeled_features)
             np.testing.assert_array_equal(left.labeled_labels,
@@ -121,14 +113,13 @@ class TestIncrementalStages:
     def test_stages_grow_to_full_task(self, tiny_workspace):
         spec = ScenarioSpec(name="probe_incr", family="incremental",
                             dataset="fmd", shots=5, phases=2)
-        task = spec.build(tiny_workspace)
+        stages = spec.build(tiny_workspace)
         full = tiny_workspace.make_task_split("fmd", shots=5, split_seed=0)
-        assert task.multi_stage and len(task.stages) == 2
-        first, last = task.stages
+        first, last = stages
         assert 0 < len(first.classes) < full.num_classes
         assert len(last.classes) == full.num_classes
         # labels remapped to a dense range in every stage
-        for stage in task.stages:
+        for stage in stages:
             assert set(np.unique(stage.labeled_labels)) == set(
                 range(len(stage.classes)))
             # the unlabeled pool keeps future classes (deliberate pollution)
@@ -148,12 +139,12 @@ class TestStreamingStages:
     def test_pool_grows_chunkwise(self, tiny_workspace):
         spec = ScenarioSpec(name="probe_stream", family="streaming",
                             dataset="fmd", shots=5, stream_chunks=3)
-        task = spec.build(tiny_workspace)
+        stages = spec.build(tiny_workspace)
         full = tiny_workspace.make_task_split("fmd", shots=5, split_seed=0)
-        sizes = [len(stage.unlabeled_features) for stage in task.stages]
+        sizes = [len(stage.unlabeled_features) for stage in stages]
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
         assert sizes[-1] == len(full.unlabeled_features)
-        for stage in task.stages:  # labeled/test fixed across stages
+        for stage in stages:  # labeled/test fixed across stages
             np.testing.assert_array_equal(stage.labeled_features,
                                           full.labeled_features)
             np.testing.assert_array_equal(stage.test_features,
@@ -162,10 +153,9 @@ class TestStreamingStages:
     def test_fraction_shrinks_pool(self, tiny_workspace):
         spec = ScenarioSpec(name="probe_frac", family="streaming",
                             dataset="fmd", shots=5, unlabeled_fraction=0.25)
-        task = spec.build(tiny_workspace)
+        (stage,) = spec.build(tiny_workspace)
         full = tiny_workspace.make_task_split("fmd", shots=5, split_seed=0)
-        assert not task.multi_stage
-        assert len(task.final.unlabeled_features) == round(
+        assert len(stage.unlabeled_features) == round(
             0.25 * len(full.unlabeled_features))
 
     def test_validation(self):
