@@ -34,6 +34,8 @@ import os
 import sys
 import time
 
+import _blas_threads  # noqa: F401  (pins BLAS threads before numpy loads)
+
 import numpy as np
 
 from repro.serve import (AdmissionController, BatchingConfig, CapacityModel,

@@ -18,6 +18,7 @@ _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 if _BENCH_DIR not in sys.path:
     sys.path.insert(0, _BENCH_DIR)
 
+import _blas_threads  # noqa: F401  (pins BLAS threads before numpy loads)
 from _bench_lib import BenchGrid, RecordCache
 from repro.evaluation import ExperimentRunner
 from repro.workspace import build_workspace

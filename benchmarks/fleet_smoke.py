@@ -26,6 +26,8 @@ import tempfile
 import threading
 import time
 
+import _blas_threads  # noqa: F401  (pins BLAS threads before numpy loads)
+
 import numpy as np
 
 from repro.backbones.backbone import BackboneSpec, ClassificationModel, Encoder

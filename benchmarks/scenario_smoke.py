@@ -27,6 +27,8 @@ import os
 import sys
 import time
 
+import _blas_threads  # noqa: F401  (pins BLAS threads before numpy loads)
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.evaluation import ExperimentRunner

@@ -28,8 +28,8 @@ from repro.core import Controller, ControllerConfig, Task
 from repro.kg import GraphSpec
 from repro.modules import ZslKgModule
 from repro.nn import (MLP, Adam, GraphReplay, Tensor, TrainConfig,
-                      default_dtype, no_grad, softmax_rows, train_classifier,
-                      use_graph_replay)
+                      default_dtype, leaf_chain, no_grad, softmax_rows,
+                      train_classifier, use_graph_replay)
 from repro.nn.modules import Linear, Module, ReLU
 from repro.synth import WorldSpec
 from repro.workspace import Workspace, WorkspaceSpec
@@ -135,11 +135,13 @@ def _fixmatch_once(dtype=None, replay=False) -> float:
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9,
                         nesterov=True)
         stepper = GraphReplay(model, optimizer)
+        model.eval()
+        pseudo_forward = leaf_chain(model, FIX_D, dt)
         model.train()
         start = time.perf_counter()
         with stepper.epoch():
             for _ in range(FIX_STEPS):
-                consistency_step(stepper, labeled_x, labeled_y,
+                consistency_step(stepper, pseudo_forward, labeled_x, labeled_y,
                                  unlabeled_x, strong_x, cons_w, 0.6, dt)
         return time.perf_counter() - start
 

@@ -50,8 +50,6 @@ class ControllerConfig:
     modules: Sequence[str] = DEFAULT_MODULES
     #: SCADS pruning level: None (no pruning), 0 or 1 (paper Section 4.3)
     prune_level: Optional[int] = None
-    #: whether the exact target concepts may be selected as auxiliary classes
-    exclude_target_concepts: bool = False
     end_model: EndModelConfig = field(default_factory=EndModelConfig)
     #: engine dtype for the whole run: None keeps the caller's default,
     #: "float32" selects the halved-bandwidth fast mode (see docs/performance.md).
@@ -162,8 +160,7 @@ class Controller:
         return bundle.select(task.classes,
                              num_related_concepts=task.wanted_num_related_class,
                              images_per_concept=task.images_per_related_class,
-                             rng=rng,
-                             exclude_target_concepts=self.config.exclude_target_concepts)
+                             rng=rng)
 
     def train_taglets(self, task: Task,
                       auxiliary: AuxiliarySelection) -> List[Taglet]:

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..backbones.backbone import ClassificationModel
 from ..nn import functional as F
+from ..nn.chain import leaf_chain
 from ..nn.data import ArrayDataset, DataLoader, UnlabeledDataset
 from ..nn.optim import SGD
 from ..nn.replay import GraphReplay
@@ -70,23 +71,26 @@ class FixMatchConfig:
     unlabeled_loss_weight: float = 1.0
 
 
-def consistency_step(stepper, weak_labeled, labeled_y, weak_unlabeled,
-                     strong_unlabeled, cons_weight, threshold, dtype):
+def consistency_step(stepper, pseudo_forward, weak_labeled, labeled_y,
+                     weak_unlabeled, strong_unlabeled, cons_weight, threshold,
+                     dtype):
     """One full FixMatch consistency step through the replay executor.
 
-    Pseudo-labels the weakly augmented unlabeled view with a compiled
-    inference forward, converts the confidence threshold into per-sample
-    weights, and runs the two-view update (:func:`_two_view_step`) as one
-    compiled DAG step, without materializing the unread loss value.  The
-    single driver shared by the training loop in :class:`FixMatchModule`
-    and by the replay benchmarks/smoke checks, so what they measure is
-    exactly what the pipeline executes.  Call it inside a
-    ``stepper.epoch()`` scope to fingerprint the model once per epoch per
-    mode rather than twice per step, and to flip ``stepper.model``'s mode
+    Pseudo-labels the weakly augmented unlabeled view with
+    ``pseudo_forward`` (the model's compiled leaf chain,
+    :func:`repro.nn.leaf_chain`) in eval mode, converts the confidence
+    threshold into per-sample weights, and runs the two-view update
+    (:func:`_two_view_step`) as one compiled DAG step, without
+    materializing the unread loss value.  The single driver shared by the
+    training loop in :class:`FixMatchModule` and by the replay
+    benchmarks/smoke checks, so what they measure is exactly what the
+    pipeline executes.  Call it inside a
+    ``stepper.epoch()`` scope to fingerprint the model once per epoch
+    rather than once per step, and to flip ``stepper.model``'s mode
     without walking its modules.
     """
     stepper.set_training(False)
-    weak_logits = stepper.forward(weak_unlabeled)
+    weak_logits = pseudo_forward(weak_unlabeled)
     stepper.set_training(True)
     weak_probs = softmax_rows(weak_logits)
     mask_w = (weak_probs.max(axis=1) >= threshold).astype(dtype)
@@ -184,24 +188,27 @@ class FixMatchModule(TrainingModule):
         scheduler = FixMatchCosineLR(optimizer,
                                      total_steps=config.epochs * steps_per_epoch)
 
-        # The two-view consistency step runs through the graph replay
-        # executor: the pseudo-label view replays a compiled inference
-        # forward, and the supervised + consistency update replays
-        # ``_two_view_step`` as one compiled DAG (two forwards through the
-        # shared model, two losses, weighted sum).  The confidence mask is a
-        # per-sample *weight* on the full strong batch rather than a row
-        # selection, so batch shapes — and therefore the compiled plan —
-        # stay static across steps; rejected pseudo labels get weight zero,
-        # which zeroes their gradient exactly.
+        # The pseudo-label view runs the model's compiled leaf chain, and
+        # the graph replay executor replays the supervised + consistency
+        # update ``_two_view_step`` as one compiled DAG (two forwards
+        # through the shared model, two losses, weighted sum).  The
+        # confidence mask is a per-sample *weight* on the full strong batch
+        # rather than a row selection, so batch shapes — and therefore the
+        # compiled plan — stay static across steps; rejected pseudo labels
+        # get weight zero, which zeroes their gradient exactly.
         dtype = get_default_dtype()
         cons_weight = np.asarray(config.unlabeled_loss_weight, dtype=dtype)
         stepper = GraphReplay(model, optimizer)
+        # Traced once: its kernels read ``p.data`` on every call.
+        model.eval()
+        pseudo_forward = leaf_chain(model, data.labeled_features.shape[1],
+                                    dtype)
 
         model.train()
         for _ in range(config.epochs):
             labeled_stream = iterate_forever(labeled_loader)
             # Nothing in the epoch changes the model's structure, so the
-            # stepper fingerprints it once per mode, not on every call.
+            # stepper fingerprints it once, not on every call.
             with stepper.epoch():
                 for _ in range(steps_per_epoch):
                     labeled_x, labeled_y = next(labeled_stream)
@@ -216,7 +223,8 @@ class FixMatchModule(TrainingModule):
                     unlabeled_x = next(unlabeled_stream)
                     # Pseudo labels come from the weakly augmented view
                     # with no gradient flow, as in the original algorithm.
-                    consistency_step(stepper, weak_labeled, labeled_y,
+                    consistency_step(stepper, pseudo_forward,
+                                     weak_labeled, labeled_y,
                                      weak(unlabeled_x, rng),
                                      strong(unlabeled_x, rng), cons_weight,
                                      config.confidence_threshold, dtype)

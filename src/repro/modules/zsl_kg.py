@@ -26,11 +26,12 @@ import numpy as np
 
 from ..backbones.backbone import ClassificationModel, PretrainedBackbone
 from ..kg.graph import KnowledgeGraph
+from ..nn.chain import LeafChain, leaf_chain
 from ..nn.modules import Linear, Module, ReLU
-from ..nn.tensor import get_default_dtype, no_grad
+from ..nn.ops import SQERR, Frame
 from ..nn.optim import Adam
 from ..nn.replay import GraphReplay
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, get_default_dtype
 from ..nn.training import predict_logits, softmax_rows
 from ..scads.builder import ScadsBundle
 from ..scads.query import target_class_vector
@@ -78,17 +79,20 @@ class GraphClassEncoder(Module):
         return self.fc2(self.activation(self.fc1(node_descriptions)))
 
 
-def _eval_forward(module: Module, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass for eval-only consumers, without a backward tape."""
-    with no_grad():
-        return module(Tensor(inputs)).data
-
-
 #: concepts per frozen-backbone forward when building prototype targets: one
 #: ten-row forward per concept is bound by per-call overhead, while one
 #: forward over every concept would hold all their images and activations
 #: at once and raise peak memory
 _PROTOTYPE_CHUNK = 64
+
+
+def _validation_loss(chain: LeafChain, x: np.ndarray, y: np.ndarray) -> float:
+    """``l2_loss(encoder(x), y)`` under ``no_grad``: the compiled forward,
+    then the squared-error table op on a fresh frame."""
+    frame = Frame()
+    frame.x, frame.t, frame.denom = chain(x), y, float(len(x))
+    SQERR.forward(frame)
+    return float(frame.out)
 
 
 def _prototype_targets(scads, encoder: Module, concepts: Sequence[str],
@@ -106,7 +110,8 @@ def _prototype_targets(scads, encoder: Module, concepts: Sequence[str],
         groups = [scads.get_images(concept, limit=images_per_prototype,
                                    rng=rng)
                   for concept in concepts[start:start + _PROTOTYPE_CHUNK]]
-        features = _eval_forward(encoder, np.concatenate(groups))
+        features = predict_logits(encoder, np.concatenate(groups),
+                                  batch_size=None)
         offset = 0
         for images in groups:
             prototype = features[offset:offset + len(images)].mean(axis=0)
@@ -137,8 +142,9 @@ class ZslKgModule(TrainingModule):
     name = "zsl_kg"
 
     #: pretrained class encoders keyed by (backbone id, graph id, engine
-    #: dtype, config, seed); each entry is ``(backbone, graph, state)`` —
-    #: holding the objects keeps their ids from being recycled while it lives
+    #: dtype, config, seed, excluded concepts); each entry is
+    #: ``(backbone, graph, state)`` — holding the objects keeps their ids
+    #: from being recycled while it lives
     _pretrained_cache: Dict[tuple, Tuple[PretrainedBackbone, KnowledgeGraph,
                                          Dict[str, np.ndarray]]] = {}
 
@@ -173,10 +179,13 @@ class ZslKgModule(TrainingModule):
         graph = bundle.scads.graph
         # The engine dtype is part of the key, so float32-mode weights never
         # leak into a float64 run (or vice versa); so is the config, so a
-        # short pretrain never answers for a long one; and so is the seed,
-        # which draws the concept sample, prototypes, split and init.
+        # short pretrain never answers for a long one; so is the seed,
+        # which draws the concept sample, prototypes, split and init; and so
+        # is the bundle's exclusion set, since a pruned view shares the
+        # graph but pretrains on fewer concepts.
         cache_key = (id(backbone), id(graph),
-                     np.dtype(get_default_dtype()).name, astuple(config), seed)
+                     np.dtype(get_default_dtype()).name, astuple(config), seed,
+                     frozenset(bundle.scads.excluded_concepts))
         entry = self._pretrained_cache.get(cache_key)
         if entry is not None:
             return entry[2]
@@ -207,28 +216,30 @@ class ZslKgModule(TrainingModule):
                       for name, param in class_encoder.named_parameters()]
         best_val = float("inf")
         # The pretrain loop is the engine's most static workload: the same
-        # full-batch step (plus a validation forward) repeated
-        # ``pretrain_epochs`` times.  The graph replay executor captures the
-        # training step and the validation pass once each and replays raw
+        # full-batch step repeated ``pretrain_epochs`` times.  The graph
+        # replay executor captures the training step once and replays raw
         # NumPy kernels for the remaining epochs — bit-identical to the
         # eager loop, with the training-loss scalar elided since nothing
-        # consumes it.  Inputs are cast to the engine dtype up front so
-        # every replayed step hits the zero-copy fast path.  Nothing in the
-        # loop changes the encoder's structure, so the whole pretrain runs
-        # in one epoch scope: the encoder is fingerprinted once per mode,
-        # and its mode flips over the module list walked on entry.
+        # consumes it.  The validation pass runs the compiled leaf chain.
+        # Inputs are cast to the engine dtype up front so every replayed
+        # step hits the zero-copy fast path.  Nothing in the loop changes
+        # the encoder's structure, so the whole pretrain runs in one epoch
+        # scope: the encoder is fingerprinted once, and its mode flips over
+        # the module list walked on entry.
         dtype = get_default_dtype()
         train_x = descriptions[train_idx].astype(dtype)
         train_y = targets[train_idx].astype(dtype)
         val_x = descriptions[val_idx].astype(dtype)
         val_y = targets[val_idx].astype(dtype)
         stepper = GraphReplay(class_encoder, optimizer, loss="l2")
+        class_encoder.eval()
+        chain = leaf_chain(class_encoder, val_x.shape[1], dtype)
         with stepper.epoch():
             for _ in range(config.pretrain_epochs):
                 stepper.set_training(True)
                 stepper.step(train_x, train_y, compute_loss=False)
                 stepper.set_training(False)
-                val_loss = stepper.eval_loss(val_x, val_y)
+                val_loss = _validation_loss(chain, val_x, val_y)
                 if val_loss < best_val:
                     best_val = val_loss
                     for saved, param in checkpoint:
@@ -264,7 +275,8 @@ class ZslKgModule(TrainingModule):
                     vector = np.zeros(bundle.embedding.dim)
                 description = self._node_description(bundle, vector)
             descriptions.append(description)
-        class_vectors = _eval_forward(class_encoder, np.stack(descriptions))
+        class_vectors = predict_logits(class_encoder, np.stack(descriptions),
+                                       batch_size=None)
 
         model = ClassificationModel.from_backbone(data.backbone,
                                                   num_classes=data.num_classes,

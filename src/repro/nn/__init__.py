@@ -7,6 +7,7 @@ pipeline, augmentations, and shared training loops.
 """
 
 from . import functional
+from .chain import LeafChain, leaf_chain
 from .data import (ArrayDataset, DataLoader, Dataset, SoftLabeledDataset,
                    UnlabeledDataset, train_test_indices)
 from .modules import (MLP, BatchNorm1d, Dropout, Identity, Linear, Module,
@@ -36,6 +37,7 @@ __all__ = [
     "no_grad", "is_grad_enabled", "default_dtype", "get_default_dtype",
     "set_default_dtype", "use_graph_replay", "graph_replay_enabled",
     "GraphReplay", "ReplayStats", "ReplayUnsupported", "collect_replay_stats",
+    "LeafChain", "leaf_chain",
     "Module", "Parameter", "Linear", "ReLU", "Tanh", "Identity", "Dropout",
     "BatchNorm1d", "Sequential", "MLP",
     "Optimizer", "SGD", "Adam",

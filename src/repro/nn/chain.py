@@ -1,0 +1,88 @@
+"""The compiled inference forward: a model's leaf layers as a chain of
+op-table kernels.
+
+:func:`leaf_chain` traces one eval-mode forward of a model and keeps it
+when every traced op is a leaf layer of the op table (:mod:`repro.nn.ops`)
+fed by the previous one, from the input to the output.  Calling the
+resulting :class:`LeafChain` runs each leaf's forward kernel on a fresh
+frame, so NumPy allocates every output: the same calls, in the same order,
+as the eager ``no_grad`` tape (:func:`repro.nn.predict_logits`), without
+tensors, and without any engine state — concurrent calls need no lock.
+
+It is the one compiled inference forward: the servable end model
+(:class:`repro.serve.ServableModel`), FixMatch's pseudo-label view and the
+ZSL-KG validation loss run it.  The graph replay executor
+(:mod:`repro.nn.replay`) compiles training steps only.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple, Type
+
+import numpy as np
+
+from .modules import Module, op_of
+from .ops import Frame, Op
+from .tensor import Tensor, default_dtype, no_grad, trace_ops
+
+__all__ = ["LeafChain", "leaf_chain"]
+
+
+class LeafChain:
+    """A model's eval-mode forward as ``(op, frame class)`` per leaf layer.
+
+    Each frame class carries its layer and parameters, so a call only
+    instantiates it and sets its input.  Kernels read the parameters
+    through ``.data`` (and batch norm its running statistics) on every
+    call, so weight updates and optimizer-arena rebinding are picked up
+    without retracing.  Call it with the model in eval mode.
+    """
+
+    def __init__(self, leaves: List[Tuple[Op, Type[Frame]]],
+                 dtype: np.dtype):
+        self.leaves = leaves
+        self.dtype = dtype
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        # The ``Tensor(x)`` cast of the eager forward.
+        x = np.asarray(x, dtype=self.dtype)
+        for op, leaf_frame in self.leaves:
+            frame = leaf_frame()
+            frame.x = x
+            op.forward(frame)
+            x = frame.out
+        return x
+
+
+def leaf_chain(model: Module, width: int, dtype) -> Optional[LeafChain]:
+    """Trace ``model``'s forward on ``width``-feature rows in ``dtype``.
+
+    Returns None when the model is not a chain of op-table leaf layers
+    (tensor math outside a leaf layer, or a layer not fed by the previous
+    one).  Containers and identities (eval-mode dropout) drop out of the
+    chain.  The model must be in eval mode: a training-mode trace would
+    draw dropout masks and move batch-norm statistics.
+    """
+    if any(module.training for module in model.modules()):
+        raise ValueError("leaf_chain traces the eval-mode forward: call "
+                         "model.eval() first")
+    dtype = np.dtype(dtype)
+    records: list = []
+    with default_dtype(dtype), no_grad(), trace_ops(records):
+        current = Tensor(np.zeros((2, width), dtype=dtype))
+        out = model(current)
+    leaves = []
+    for rec in records:
+        if rec[0] != "module":
+            return None
+        module, inp, produced = rec[1:]
+        op = op_of(module)
+        if op is None or produced is inp:
+            continue  # a container, or an identity
+        if inp is not current:
+            return None
+        leaves.append((op, type("LeafFrame", (Frame,), {
+            "layer": module, "cast": dtype,
+            "p": tuple(getattr(module, name) for name in op.params)})))
+        current = produced
+    return LeafChain(leaves, dtype) if current is out else None

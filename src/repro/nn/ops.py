@@ -1,5 +1,5 @@
 """The op table: one definition of each op for the eager tape, the replay
-compiler and the serving forward.
+compiler and the leaf-chain forward.
 
 Each entry is an :class:`Op`.  It holds the op's forward kernel, one VJP
 kernel per gradient it deposits (``grads``, in deposit order), the rule
@@ -8,9 +8,9 @@ compiler's passes read (``inplace``, ``reuse_out``, ``elidable``,
 ``vjp_reads``, ``scalar``).  Kernels work on a :class:`Frame`, which holds
 one application's inputs, parameters and buffers as attributes:
 
-* the eager tape (:func:`repro.nn.tensor.apply`) and the serving forward
-  run a kernel on a fresh frame, whose buffers are None, so every NumPy
-  call allocates its result;
+* the eager tape (:func:`repro.nn.tensor.apply`) and the leaf chain
+  (:mod:`repro.nn.chain`) run a kernel on a fresh frame, whose buffers
+  are None, so every NumPy call allocates its result;
 * a replay node is a frame whose buffers ``alloc`` preallocated, so the
   same calls write in place.
 

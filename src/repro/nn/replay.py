@@ -25,17 +25,18 @@ topological sort.  The eager tape runs the same kernels on fresh
 buffers, so replayed training is bit-identical to eager training (asserted
 by ``tests/nn/test_replay.py`` and ``tests/nn/test_replay_dag.py``).  One
 buffer-reuse rule shrinks the working set: a ReLU whose input is a
-``Linear`` output read by nothing else, with neither node the plan root,
-runs in place over that output and shares its grad buffer with the
-``Linear`` (:func:`_reuse_relu_buffers`).
+``Linear`` output read by nothing else runs in place over that output and
+shares its grad buffer with the ``Linear`` (:func:`_reuse_relu_buffers`).
 
-All four entry points (``step``, ``step_fn``, ``eval_loss``, ``forward``)
-are thin wrappers over one call path, :meth:`GraphReplay._call`.  It builds
-the call's signature — training or inference, the step function's
-identity, and the input names, shapes and dtypes — and resolves it in one
-order: the outcome remembered in the open ``epoch()`` scope, then the plan
-dict (keyed by the signature plus the structural fingerprint), then a
-capture.  It then replays the plan, or runs the one eager reference path.
+The executor compiles training steps only; the compiled inference forward
+is the model's leaf chain (:mod:`repro.nn.chain`).  Both entry points
+(``step`` and ``step_fn``) are thin wrappers over one call path,
+:meth:`GraphReplay._call`.  It builds the call's signature — the step
+function's identity, and the input names, shapes and dtypes — and resolves
+it in one order: the outcome remembered in the open ``epoch()`` scope, then
+the plan dict (keyed by the signature plus the structural fingerprint),
+then a capture.  It then replays the plan, or runs the one eager reference
+path.
 
 Fallback rules (checked on *every* call, before replaying; inside an
 ``epoch()`` scope the model-structure rule is checked once per epoch):
@@ -71,9 +72,6 @@ Beyond the classic ``step(x, y)`` chain API, the executor exposes:
 * :meth:`GraphReplay.step_fn` — capture/replay an arbitrary step *function*
   ``fn(model, batch)`` returning a scalar loss Tensor (FixMatch's two-view
   consistency step runs through this);
-* :meth:`GraphReplay.forward` — a compiled inference forward returning raw
-  logits (FixMatch's pseudo-label view);
-* :meth:`GraphReplay.eval_loss` — a compiled forward + loss value;
 * :meth:`GraphReplay.epoch` — the once-per-epoch guard: inside the scope
   the structural fingerprint is computed once per model mode and each
   signature's outcome is remembered, instead of both on every call.  The
@@ -103,7 +101,7 @@ from .modules import Module, op_of, trace_module_calls
 from .ops import Frame, Op, ReplayUnsupported
 from .optim import Optimizer
 from .tensor import (Tensor, get_default_dtype, graph_replay_enabled,
-                     is_grad_enabled, no_grad)
+                     is_grad_enabled)
 
 __all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported",
            "collect_replay_stats"]
@@ -220,7 +218,7 @@ class _Node(Frame):
     def __init__(self, op: Op, index: int, train: bool):
         self.op = op
         self.index = index
-        #: runs a backward (its output requires grad in a training plan)
+        #: runs a backward (its output requires grad)
         self.train = train
         #: input name -> (producer node or input, whether it requires grad)
         self.srcs: Dict[str, tuple] = {}
@@ -294,17 +292,14 @@ class _CompiledPlan:
         self.optimizer = optimizer
         self.pins = None
 
-    def _bind(self, inputs: Dict[str, np.ndarray]) -> None:
+    def run(self, inputs: Dict[str, np.ndarray],
+            need_value: bool = True) -> Optional[float]:
         for node, attr, key, cast_dtype in self._input_sites:
             arr = inputs[key]
             if cast_dtype is not None and arr.dtype != cast_dtype:
                 # The eager path casts through ``Tensor(x)``; match it.
                 arr = arr.astype(cast_dtype)
             setattr(node, attr, arr)
-
-    def run(self, inputs: Dict[str, np.ndarray],
-            need_value: bool = True) -> Optional[float]:
-        self._bind(inputs)
         for loss in self._value_losses:
             loss.need_value = need_value
         for forward, node in (self._forwards if need_value
@@ -321,26 +316,18 @@ class _CompiledPlan:
         self.optimizer.step()
         return value
 
-    def run_forward(self, inputs: Dict[str, np.ndarray]) -> np.ndarray:
-        """Forward only; returns the root output buffer (valid until the
-        next call on this plan)."""
-        self._bind(inputs)
-        for forward, node in self._forwards:
-            forward(node)
-        return self.root.out
 
-
-def _reuse_relu_buffers(built: List[_Node], root: _Node) -> set:
+def _reuse_relu_buffers(built: List[_Node]) -> set:
     """Buffer-reuse pass: run an ``inplace`` op (ReLU) over its input.
 
     Applies when the input is the output of a ``reuse_out`` op (``Linear``)
-    that feeds nothing else, and neither node is the plan root: no other
-    kernel reads the pre-activation values, and no caller is handed the
-    buffer.  The ReLU then writes ``max(x, 0)`` over the producer's output;
-    in backward it masks its own grad buffer in place, and that buffer is
-    the producer's grad (wired in :func:`_compile`).  The producer's VJP
-    never reads its output, so the overwrite is invisible to it.  Returns
-    the ids of the nodes that run in place.
+    that feeds nothing else, so no other kernel reads the pre-activation
+    values (neither node can be the plan root, which is a scalar loss).
+    The ReLU then writes ``max(x, 0)`` over the producer's output; in
+    backward it masks its own grad buffer in place, and that buffer is the
+    producer's grad (wired in :func:`_compile`).  The producer's VJP never
+    reads its output, so the overwrite is invisible to it.  Returns the ids
+    of the nodes that run in place.
     """
     consumers: Dict[int, int] = {}
     for node in built:
@@ -348,10 +335,10 @@ def _reuse_relu_buffers(built: List[_Node], root: _Node) -> set:
             consumers[id(src)] = consumers.get(id(src), 0) + 1
     inplace = set()
     for node in built:
-        if not node.op.inplace or node is root:
+        if not node.op.inplace:
             continue
         (src, _), = node.srcs.values()
-        if isinstance(src, _Node) and src.op.reuse_out and src is not root \
+        if isinstance(src, _Node) and src.op.reuse_out \
                 and consumers[id(src)] == 1:
             node.out = src.out
             inplace.add(id(node))
@@ -404,9 +391,9 @@ def _record_op(rec: tuple):
 
 
 def _compile(records: List[tuple], root: Tensor,
-             input_keys: Dict[int, str], optimizer: Optional[Optimizer],
-             train: bool) -> _CompiledPlan:
-    """Build a replay plan from one traced eager step, or raise
+             input_keys: Dict[int, str],
+             optimizer: Optimizer) -> _CompiledPlan:
+    """Build a replay plan from one traced eager training step, or raise
     :class:`ReplayUnsupported`."""
     # ---- producer map: which record made each tensor ------------------- #
     prod: Dict[int, Tuple[int, tuple]] = {}
@@ -451,7 +438,7 @@ def _compile(records: List[tuple], root: Tensor,
                 "tensor produced outside the replayable op set "
                 "(custom tensor math or a constant created in the step?)")
         idx, (op, module, ins, extra) = entry
-        node = _Node(op, idx, bool(t.requires_grad) and train)
+        node = _Node(op, idx, bool(t.requires_grad))
         node.cast = cast
         if module is not None:
             node.layer = module
@@ -484,7 +471,7 @@ def _compile(records: List[tuple], root: Tensor,
     root_node = resolve(root)
     if isinstance(root_node, _InputNode) or not built:
         raise ReplayUnsupported("traced graph contains no replayable ops")
-    if train and not root_node.train:
+    if not root_node.train:
         raise ReplayUnsupported("loss does not require gradients")
 
     # Every traced leaf-module call must be reachable from the root: a call
@@ -498,7 +485,7 @@ def _compile(records: List[tuple], root: Tensor,
                 "from the loss")
 
     built.sort(key=lambda n: n.index)
-    inplace = _reuse_relu_buffers(built, root_node)
+    inplace = _reuse_relu_buffers(built)
     # Node-to-node links bind after the buffer-reuse pass, which may
     # repoint a ReLU's output at its producer's buffer.
     for node in built:
@@ -509,65 +496,59 @@ def _compile(records: List[tuple], root: Tensor,
 
     backwards: List[_Node] = []
     param_targets: Dict[int, np.ndarray] = {}
-    if train:
-        # Gradient buffers: one per node that participates in the backward.
-        for node in built:
-            if not node.train:
+    # Gradient buffers: one per node that participates in the backward.
+    for node in built:
+        if not node.train:
+            continue
+        node.grad = (np.ones_like(node.out) if node is root_node
+                     else np.empty_like(node.out))
+        if id(node) in inplace:
+            # The ReLU is its producer's only consumer, hence the only
+            # writer of its gradient: the two share one buffer.
+            node.srcs["x"][0].grad = node.grad
+    # Deposit wiring in backward-execution order: the first contribution
+    # to each target writes it, later ones accumulate — exactly the eager
+    # engine's copy-then-add ordering.
+    written = set()
+    for node in reversed(built):
+        if not node.train:
+            continue
+        deposits = []
+        for target, kernel in node.op.grads:
+            if type(target) is int:
+                param = node.p[target]
+                if param is None or not param.requires_grad:
+                    continue
+                acc = id(param) in param_targets
+                if not acc:
+                    buf = optimizer.grad_view_for(param)
+                    param_targets[id(param)] = (
+                        buf if buf is not None else np.empty_like(param.data))
+                buf = param_targets[id(param)]
+                deposits.append((kernel, buf, np.empty_like(param.data)
+                                 if acc else None, param))
                 continue
-            node.grad = (np.ones_like(node.out) if node is root_node
-                         else np.empty_like(node.out))
+            src, src_rg = node.srcs[target]
+            if isinstance(src, _InputNode) or not src_rg:
+                continue
+            node.fed.append(target)
             if id(node) in inplace:
-                # The ReLU is its producer's only consumer, hence the only
-                # writer of its gradient: the two share one buffer.
-                node.srcs["x"][0].grad = node.grad
-        # Deposit wiring in backward-execution order: the first contribution
-        # to each target writes it, later ones accumulate — exactly the
-        # eager engine's copy-then-add ordering.
-        written = set()
-        for node in reversed(built):
-            if not node.train:
+                # Masks its own grad buffer in place; the producer reads it.
+                deposits.append((kernel, node.grad, None, None))
                 continue
-            deposits = []
-            for target, kernel in node.op.grads:
-                if type(target) is int:
-                    param = node.p[target]
-                    if param is None or not param.requires_grad:
-                        continue
-                    acc = id(param) in param_targets
-                    if not acc:
-                        buf = (optimizer.grad_view_for(param)
-                               if optimizer is not None else None)
-                        param_targets[id(param)] = (
-                            buf if buf is not None
-                            else np.empty_like(param.data))
-                    buf = param_targets[id(param)]
-                    deposits.append((kernel, buf, np.empty_like(param.data)
-                                     if acc else None, param))
-                    continue
-                src, src_rg = node.srcs[target]
-                if isinstance(src, _InputNode) or not src_rg:
-                    continue
-                node.fed.append(target)
-                if id(node) in inplace:
-                    # Masks its own grad buffer in place; the producer reads it.
-                    deposits.append((kernel, node.grad, None, None))
-                    continue
-                buf = src.grad
-                acc = id(buf) in written
-                written.add(id(buf))
-                deposits.append((kernel, buf,
-                                 np.empty_like(buf) if acc else None, None))
-            node.deposits = tuple(deposits)
-            if deposits:
-                backwards.append(node)
+            buf = src.grad
+            acc = id(buf) in written
+            written.add(id(buf))
+            deposits.append((kernel, buf,
+                             np.empty_like(buf) if acc else None, None))
+        node.deposits = tuple(deposits)
+        if deposits:
+            backwards.append(node)
 
-    clear_grads: tuple = ()
-    if train and optimizer is not None:
-        clear_grads = tuple(p for p in optimizer.parameters
-                            if id(p) not in param_targets)
-
-    value_losses, lean_forwards = (_value_elision(built) if train
-                                   else ([], forwards))
+    # Optimizer parameters this plan computes no gradient for.
+    clear_grads = tuple(p for p in optimizer.parameters
+                        if id(p) not in param_targets)
+    value_losses, lean_forwards = _value_elision(built)
     return _CompiledPlan(forwards, lean_forwards, value_losses, backwards,
                          input_sites, clear_grads, root_node, optimizer)
 
@@ -602,9 +583,8 @@ def _wrap_inputs(inputs: Dict[str, np.ndarray], tensor_keys=()):
     Both the Tensor and its ``.data`` array are keyed, so a step function
     may hand ``batch["w"].data`` to a loss as targets/sample-weights and
     still resolve.  Keys in ``tensor_keys`` are wrapped regardless of dtype
-    — the chain APIs (``step``/``eval_loss``/``forward``) use this for the
-    model input so an integer feature array gets the exact ``Tensor(x)``
-    cast the eager step applies.
+    — :meth:`GraphReplay.step` uses this for the model input so an integer
+    feature array gets the exact ``Tensor(x)`` cast the eager step applies.
     """
     bound: Dict[str, object] = {}
     ids: Dict[int, Optional[str]] = {}
@@ -701,11 +681,7 @@ class GraphReplay:
             return loss_fn(model(batch["x"]),
                            y.data if isinstance(y, Tensor) else y)
 
-        def _fwd(model, batch):
-            return model(batch["x"])
-
         self._chain_fn = _chain
-        self._fwd_fn = _fwd
 
     # -- stats ----------------------------------------------------------- #
     def _count_capture(self) -> None:
@@ -721,22 +697,20 @@ class GraphReplay:
             sink.add_eager(reason)
 
     # -- the one call path ----------------------------------------------- #
-    def _call(self, train: bool, fn, inputs: Dict[str, np.ndarray],
-              tensor_keys=(), compute_loss: bool = True):
-        """Resolve one call, then replay its plan or run it eagerly.
+    def _call(self, fn, inputs: Dict[str, np.ndarray], tensor_keys=(),
+              compute_loss: bool = True) -> Optional[float]:
+        """Resolve one training call, then replay its plan or run it eagerly.
 
-        The call's signature is its kind (training or inference), ``fn``'s
-        identity and the input names (in the caller's order), shapes and
-        dtypes.  It resolves to the outcome remembered in the open
-        :meth:`epoch` scope, else to the plan dict entry under the signature
-        plus the structural fingerprint, else to a capture, which runs the
-        call eagerly itself.  Returns the loss float of a training call
-        (None when a replayed step elides it) or the root output array of
-        an inference call.
+        The call's signature is ``fn``'s identity and the input names (in
+        the caller's order), shapes and dtypes.  It resolves to the outcome
+        remembered in the open :meth:`epoch` scope, else to the plan dict
+        entry under the signature plus the structural fingerprint, else to
+        a capture, which runs the step eagerly itself.  Returns the loss
+        float (None when a replayed step elides it).
         """
-        if not graph_replay_enabled() or (train and not is_grad_enabled()):
-            return self._eager(train, fn, inputs, tensor_keys, _R_DISABLED)
-        key = (train, id(fn),
+        if not graph_replay_enabled() or not is_grad_enabled():
+            return self._eager(fn, inputs, tensor_keys, _R_DISABLED)
+        key = (id(fn),
                tuple([(k, v.shape, v.dtype) for k, v in inputs.items()]))
         outcomes = self._epoch_outcomes
         plan = None
@@ -746,13 +720,11 @@ class GraphReplay:
         if plan is None:
             sig = key + self._fingerprint_sig()
             plan = self._plans.get(sig)
-            result = None
+            loss = None
             if plan is None and len(self._plans) >= _MAX_PLANS:
                 plan = _CACHE_FULL
             elif plan is None:
-                capture = (self._capture_train if train
-                           else self._capture_no_grad)
-                plan, records, result = capture(fn, inputs, tensor_keys)
+                plan, records, loss = self._capture(fn, inputs, tensor_keys)
                 pins = ([rec[1] for rec in records if rec[0] == "module"], fn)
                 if isinstance(plan, str):
                     plan = _UnsupportedPlan(pins, plan)
@@ -763,24 +735,19 @@ class GraphReplay:
                 self._plans[sig] = plan
             if outcomes is not None:
                 outcomes[epoch_key] = plan
-            if result is not None:
-                return result
+            if loss is not None:
+                return loss
         if isinstance(plan, _UnsupportedPlan):
-            return self._eager(train, fn, inputs, tensor_keys, plan.reason)
+            return self._eager(fn, inputs, tensor_keys, plan.reason)
         self._count_replay()
-        if train:
-            return plan.run(inputs, compute_loss)
-        return plan.run_forward(inputs)
+        return plan.run(inputs, compute_loss)
 
-    def _eager(self, train: bool, fn, inputs: Dict[str, np.ndarray],
-               tensor_keys, reason: str):
-        """The eager reference path of :meth:`_call`: ``fn`` on the tape
-        with an optimizer update (training), or under ``no_grad``."""
+    def _eager(self, fn, inputs: Dict[str, np.ndarray], tensor_keys,
+               reason: str) -> float:
+        """The eager reference path of :meth:`_call`: ``fn`` on the tape,
+        then the optimizer update."""
         self._count_eager(reason)
         bound, _ = _wrap_inputs(inputs, tensor_keys)
-        if not train:
-            with no_grad():
-                return fn(self.model, bound).data
         root = fn(self.model, bound)
         self.optimizer.zero_grad()
         root.backward()
@@ -788,7 +755,7 @@ class GraphReplay:
         return root.item()
 
     # -- capture --------------------------------------------------------- #
-    def _capture_train(self, fn, inputs: Dict[str, np.ndarray], tensor_keys):
+    def _capture(self, fn, inputs: Dict[str, np.ndarray], tensor_keys):
         """Run one eager step with the op tracer on and compile it.
 
         The step always completes eagerly — including when compilation
@@ -807,30 +774,13 @@ class GraphReplay:
             if root.shape != ():
                 raise ReplayUnsupported("step function must return a "
                                         "scalar loss")
-            plan = _compile(records, root, ids, self.optimizer, train=True)
+            plan = _compile(records, root, ids, self.optimizer)
         except ReplayUnsupported as exc:
             plan = f"unsupported: {exc}"
         self.optimizer.zero_grad()
         root.backward()
         self.optimizer.step()
         return plan, records, root.item()
-
-    def _capture_no_grad(self, fn, inputs: Dict[str, np.ndarray],
-                         tensor_keys):
-        """Eager inference pass (tape-free) with the tracer on.
-
-        Returns ``(plan or failure reason, trace records, root output)``.
-        """
-        with no_grad():
-            bound, ids = _wrap_inputs(inputs, tensor_keys)
-            records: List[tuple] = []
-            with trace_module_calls(records):
-                root = fn(self.model, bound)
-            try:
-                plan = _compile(records, root, ids, None, train=False)
-            except ReplayUnsupported as exc:
-                plan = f"unsupported: {exc}"
-            return plan, records, root.data
 
     # -- the epoch scope ------------------------------------------------- #
     def _fingerprint_sig(self) -> tuple:
@@ -857,12 +807,11 @@ class GraphReplay:
         fallback — for the rest of the epoch.  The caller promises that the
         model structure, the optimizer's parameter list and the engine
         dtype do not change inside the scope except through
-        ``model.train()`` / ``model.eval()``.  A loop that flips the mode
-        every step (FixMatch's pseudo-label forward) gets one plan per
-        mode.  The next scope fingerprints afresh, so a change between
-        epochs is caught.  The same promise lets :meth:`set_training` flip
-        the mode over the module list walked on entry, instead of walking
-        the model on every call.
+        ``model.train()`` / ``model.eval()``.  A loop that steps in both
+        modes gets one plan per mode.  The next scope fingerprints afresh,
+        so a change between epochs is caught.  The same promise lets
+        :meth:`set_training` flip the mode over the module list walked on
+        entry, instead of walking the model on every call.
         """
         outer = (self._epoch_fingerprints, self._epoch_outcomes,
                  self._epoch_modules)
@@ -898,7 +847,7 @@ class GraphReplay:
         used by loops that discard the training loss, like the ZSL-KG
         pretrain.  Eager/capture steps still compute and return it.
         """
-        return self._call(True, self._chain_fn,
+        return self._call(self._chain_fn,
                           {"x": np.asarray(x), "y": np.asarray(y)},
                           ("x",), compute_loss)
 
@@ -917,28 +866,5 @@ class GraphReplay:
         is keyed on its identity.  ``compute_loss=False`` works as in
         :meth:`step`.
         """
-        return self._call(True, fn, {k: np.asarray(v)
-                                     for k, v in inputs.items()},
+        return self._call(fn, {k: np.asarray(v) for k, v in inputs.items()},
                           (), compute_loss)
-
-    def eval_loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Loss of the model on ``(x, y)`` via a compiled inference pass.
-
-        The tape-free equivalent of ``loss_fn(model(Tensor(x)), y).item()``
-        under :func:`~repro.nn.tensor.no_grad`, replayed through
-        forward-only kernels.  Same signature guards and eager fallback as
-        :meth:`step`; separate plans, so train/eval batch shapes coexist.
-        """
-        return float(self._call(False, self._chain_fn,
-                                {"x": np.asarray(x), "y": np.asarray(y)},
-                                ("x",)))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Raw model outputs on ``x`` via a compiled inference forward.
-
-        The tape-free equivalent of ``model(Tensor(x)).data`` under
-        :func:`~repro.nn.tensor.no_grad` (FixMatch's pseudo-label
-        view).  Returns the plan's output buffer: consume it before the
-        next call on this stepper.
-        """
-        return self._call(False, self._fwd_fn, {"x": np.asarray(x)}, ("x",))

@@ -6,10 +6,11 @@ baselines, backbones, and the end model are trained through this engine.
 Every graph node comes from :func:`apply`, which runs one entry of the op
 table (:mod:`repro.nn.ops`): the entry's forward kernel computes the node's
 value, and its VJP kernels are the node's backward.  The graph replay
-executor (:mod:`repro.nn.replay`) and the serving forward run the same
-kernels, so there is one definition of each op.  A :class:`Tensor` keeps
-references to its parents; :meth:`Tensor.backward` orders the reachable
-nodes by creation stamp and calls each node's backward once.
+executor (:mod:`repro.nn.replay`) and the leaf chain (:mod:`repro.nn.chain`)
+run the same kernels, so there is one definition of each op.  A
+:class:`Tensor` keeps references to its parents; :meth:`Tensor.backward`
+orders the reachable nodes by creation stamp and calls each node's backward
+once.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def no_grad():
     """Inference mode: operations inside record no backward tape at all.
 
     Outputs have ``requires_grad=False`` and keep no parent references, so
-    eval-time forwards (``predict_logits``, FixMatch's pseudo-label view)
+    eval-time forwards (``predict_logits``, the leaf-chain trace)
     allocate no closures and retain no intermediate arrays.
     """
     return _scoped(_GRAD_ENABLED, False)

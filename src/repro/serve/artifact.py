@@ -28,15 +28,15 @@ is versioned; schema-1 artifacts (end models from earlier exports) still
 load, unknown versions are loudly rejected.
 
 Serving forwards are **compiled**: at load time the rebuilt model is traced
-into a chain of its leaf layers, and each forward runs the op table's
-forward kernels (:mod:`repro.nn.ops`, the same kernels the eager tape and
-the replay executor run) on fresh per-call buffers in the artifact's own
-dtype.  The compiled path touches no engine state at all, and concurrent
-forwards need no lock — one servable may be called from several threads at
-once (offline calls next to a live batcher, the old and new batchers of a
-hot swap, ensemble serving next to either).  Every architecture the loader
-rebuilds is such a chain; a model that is not is refused at load with
-:class:`ArtifactError`.
+into a chain of its leaf layers (:func:`repro.nn.leaf_chain`), and each
+forward runs the op table's forward kernels (:mod:`repro.nn.ops`, the same
+kernels the eager tape and the replay executor run) on fresh per-call
+buffers in the artifact's own dtype.  The compiled path touches no engine
+state at all, and concurrent forwards need no lock — one servable may be
+called from several threads at once (offline calls next to a live batcher,
+the old and new batchers of a hot swap, ensemble serving next to either).
+Every architecture the loader rebuilds is such a chain; a model that is not
+is refused at load with :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -54,12 +54,11 @@ from ..distill.end_model import EndModel
 from ..ensemble.voting import TagletEnsemble, renormalized_mean
 from ..modules.base import ModelTaglet, Taglet
 from ..modules.zsl_kg import ZslKgTaglet
-from ..nn.modules import op_of
-from ..nn.ops import Frame
+from ..nn.chain import leaf_chain
 from ..nn.serialization import (load_state_dict, save_state_dict,
                                 state_dict_digest, state_dict_manifest,
                                 validate_state_dict)
-from ..nn.tensor import Tensor, default_dtype, no_grad, trace_ops
+from ..nn.tensor import default_dtype
 from ..nn.training import softmax_rows
 from .batching import run_at_quantum
 
@@ -354,41 +353,6 @@ def read_manifest(path: str) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Compiled forwards
-# --------------------------------------------------------------------------- #
-def _leaf_chain(model: ClassificationModel, dtype) -> Optional[list]:
-    """The model's forward as a chain of table ops, or None.
-
-    Traces one eval forward and keeps it when every traced op is a leaf
-    layer of the op table (:mod:`repro.nn.ops`) fed by the previous one,
-    from the input to the output.  Returns ``(op, frame class)`` per leaf;
-    :meth:`ServableModel._forward` runs each op on a fresh frame.
-    """
-    records: list = []
-    probe = np.zeros((2, model.encoder.spec.input_dim), dtype=dtype)
-    with default_dtype(dtype), no_grad(), trace_ops(records):
-        current = root = Tensor(probe)
-        out = model(root)
-    chain = []
-    for rec in records:
-        if rec[0] != "module":
-            return None
-        module, inp, produced = rec[1:]
-        op = op_of(module)
-        if op is None or produced is inp:
-            continue  # a container, or an identity
-        if inp is not current:
-            return None
-        # A frame class per leaf carries its parameters, so a call only
-        # instantiates it and sets its input.
-        chain.append((op, type("LeafFrame", (Frame,), {
-            "layer": module, "cast": dtype,
-            "p": tuple(getattr(module, name) for name in op.params)})))
-        current = produced
-    return chain if current is out else None
-
-
-# --------------------------------------------------------------------------- #
 # Servables
 # --------------------------------------------------------------------------- #
 class Servable:
@@ -433,9 +397,9 @@ class ServableModel(Servable):
 
     The wrapped model is permanently in eval mode and never builds a
     backward tape.  Forwards run the model's leaf layers through the op
-    table's forward kernels (see :func:`_leaf_chain`) with per-call outputs —
-    lock-free and safe to call concurrently.  A model that is not a plain
-    chain of table ops raises :class:`ArtifactError`.
+    table's forward kernels (see :func:`repro.nn.leaf_chain`) with per-call
+    outputs — lock-free and safe to call concurrently.  A model that is not
+    a plain chain of table ops raises :class:`ArtifactError`.
     ``fingerprint`` (the artifact's weight digest) keys prediction caches
     and identifies the exact weights a response came from.
     """
@@ -449,7 +413,7 @@ class ServableModel(Servable):
         self.class_names: List[str] = list(manifest["class_names"])
         self.dtype = np.dtype(manifest["dtype"])
         self.fingerprint: str = manifest["weights_digest"]
-        chain = _leaf_chain(model, self.dtype)
+        chain = leaf_chain(model, self.input_dim, self.dtype)
         if chain is None:
             raise ArtifactError(
                 f"{type(model).__name__} is not a plain chain of op-table "
@@ -491,16 +455,8 @@ class ServableModel(Servable):
         # differ from the batched gemm path in the last bit.  Pad singleton
         # batches to two rows so a lone example gets the gemm path.
         if features.ndim == 2 and len(features) == 1:
-            return self._forward(np.concatenate([features, features]))[:1]
-        return self._forward(features)
-
-    def _forward(self, features: np.ndarray) -> np.ndarray:
-        for op, leaf_frame in self._chain:
-            frame = leaf_frame()
-            frame.x = features
-            op.forward(frame)
-            features = frame.out
-        return features
+            return self._chain(np.concatenate([features, features]))[:1]
+        return self._chain(features)
 
     def predict_proba(self, features: np.ndarray,
                       batch_size: Optional[int] = None) -> np.ndarray:

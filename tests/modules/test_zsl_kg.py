@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.modules import GraphClassEncoder, ZslKgConfig, ZslKgModule
-from repro.modules.zsl_kg import _PROTOTYPE_CHUNK, _prototype_targets
-from repro.nn import Tensor, default_dtype, no_grad, use_graph_replay
+from repro.modules.zsl_kg import (_PROTOTYPE_CHUNK, _prototype_targets,
+                                  _validation_loss)
+from repro.nn import (Tensor, default_dtype, leaf_chain, no_grad,
+                      use_graph_replay)
+from repro.nn import functional as F
 from repro.nn import replay as replay_module
 
 
@@ -18,6 +21,21 @@ class TestGraphClassEncoder:
                                     rng=np.random.default_rng(0))
         out = encoder(Tensor(np.random.default_rng(1).normal(size=(4, 32))))
         assert out.shape == (4, 6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_validation_loss_is_the_eager_l2_loss(self, dtype):
+        # The pretrain's validation pass: the leaf chain, then the sqerr
+        # table op, byte for byte the eager no_grad loss.
+        rng = np.random.default_rng(2)
+        with default_dtype(dtype):
+            encoder = GraphClassEncoder(embedding_dim=16, hidden_dim=8,
+                                        output_dim=6, rng=rng).eval()
+        x = rng.normal(size=(7, 32)).astype(dtype)
+        y = rng.normal(size=(7, 6)).astype(dtype)
+        with default_dtype(dtype), no_grad():
+            eager = F.l2_loss(encoder(Tensor(x)), y).item()
+        chain = leaf_chain(encoder, 32, dtype)
+        assert _validation_loss(chain, x, y) == eager
 
 
 class TestZslKgModule:
@@ -72,6 +90,27 @@ class TestZslKgModule:
         for entry in ZslKgModule._pretrained_cache.values():
             assert entry[0] is backbone and entry[1] is scads.scads.graph
         ZslKgModule._pretrained_cache.clear()
+
+    def test_pretrain_cache_is_keyed_on_the_pruning(self, module_input):
+        """Regression: a pruned bundle shares the graph but pretrains on
+        fewer concepts; after an unpruned pretrain it was answered from
+        the unpruned entry."""
+        module = ZslKgModule(ZslKgConfig(pretrain_epochs=5,
+                                         max_training_concepts=60))
+        scads, backbone = module_input.scads, module_input.backbone
+        pruned = scads.pruned(module_input.classes, 0)
+        assert pruned.scads.graph is scads.scads.graph
+        ZslKgModule._pretrained_cache.clear()
+        fresh = module._pretrain(pruned, backbone, seed=0)
+        ZslKgModule._pretrained_cache.clear()
+        unpruned = module._pretrain(scads, backbone, seed=0)
+        after_unpruned = module._pretrain(pruned, backbone, seed=0)
+        ZslKgModule._pretrained_cache.clear()
+        assert any(unpruned[name].tobytes() != fresh[name].tobytes()
+                   for name in fresh)
+        assert list(after_unpruned) == list(fresh)
+        for name in fresh:
+            assert after_unpruned[name].tobytes() == fresh[name].tobytes(), name
 
     def test_pretrain_cache_is_keyed_on_the_seed(self, module_input):
         """Regression: a seed-2 pretrain after a seed-1 one was answered
@@ -142,8 +181,8 @@ class TestPretrainFastPath:
     def test_pretrain_fingerprints_the_encoder_once_per_mode(
             self, module_input, monkeypatch):
         # The whole pretrain is one epoch scope: one structural fingerprint
-        # for the training mode and one for the validation mode, however
-        # many epochs run (two per epoch before).
+        # for the training steps, however many epochs run.  The validation
+        # pass runs the leaf chain, which the executor never sees.
         calls = []
         fingerprint = replay_module._model_fingerprint
 
@@ -159,7 +198,7 @@ class TestPretrainFastPath:
                                           module_input.backbone, seed=0)
         finally:
             ZslKgModule._pretrained_cache.clear()
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_chunked_targets_match_per_concept_loop(self, tiny_workspace,

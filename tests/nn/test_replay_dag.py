@@ -15,7 +15,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.nn import (MLP, Adam, GraphReplay, SGD, Tensor, TrainConfig,
+from repro.nn import (MLP, Adam, GraphReplay, SGD, TrainConfig,
                       default_dtype, train_classifier, use_graph_replay)
 from repro.nn import functional as F
 from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
@@ -104,23 +104,6 @@ class TestBatchNormChain:
         assert stats.fallbacks == {}
         assert stats.captures == 1
         assert stats.replays == 3 * 3 - 1
-
-    def test_batchnorm_eval_loss_matches_eager_inference(self):
-        from repro.nn import no_grad
-
-        rng = np.random.default_rng(4)
-        model = MLP(10, [16], 3, batch_norm=True,
-                    rng=np.random.default_rng(5))
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
-        x = rng.normal(size=(20, 10))
-        y = rng.integers(0, 3, size=20)
-        stepper.step(x, y)
-        model.eval()
-        compiled = [stepper.eval_loss(x, y) for _ in range(3)]
-        with no_grad():
-            eager = F.cross_entropy(model(Tensor(x)), y).item()
-        assert compiled == [eager] * 3
 
     def test_batchnorm_momentum_change_forces_recapture(self):
         # The fingerprint must include BN momentum/eps so a config change
@@ -520,8 +503,6 @@ class TestIntegerFeatures:
             with use_graph_replay(replay):
                 stepper = GraphReplay(model, optimizer)
                 losses = [stepper.step(x, y) for _ in range(5)]
-                stepper.eval_loss(x, y)
-                stepper.forward(x)
                 return _params(model), losses, stepper.stats
 
         replay_params, replay_losses, stats = run(True)
@@ -529,46 +510,6 @@ class TestIntegerFeatures:
         assert replay_losses == eager_losses
         assert stats.eager_steps == 0
         _assert_bit_identical(replay_params, eager_params)
-
-
-# --------------------------------------------------------------------------- #
-# The compiled inference forward
-# --------------------------------------------------------------------------- #
-
-
-class TestCompiledForward:
-    def test_forward_matches_eager_inference(self):
-        from repro.nn import no_grad
-
-        rng = np.random.default_rng(18)
-        model = MLP(8, [16], 4, rng=np.random.default_rng(19))
-        model.eval()
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer)
-        x = rng.normal(size=(12, 8))
-        compiled = [stepper.forward(x).copy() for _ in range(3)]
-        with no_grad():
-            eager = model(Tensor(x)).data
-        for got in compiled:
-            np.testing.assert_array_equal(got, eager)
-        assert stepper.stats.captures == 1
-        assert stepper.stats.replays == 2
-
-    def test_forward_detects_weight_updates(self):
-        rng = np.random.default_rng(20)
-        model = MLP(8, [16], 4, rng=np.random.default_rng(21))
-        model.eval()
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer)
-        x = rng.normal(size=(12, 8))
-        before = stepper.forward(x).copy()
-        # In-place weight updates are picked up without recapture (kernels
-        # read parameters through the live module attributes).
-        for p in model.parameters():
-            p.data += 0.1
-        after = stepper.forward(x).copy()
-        assert stepper.stats.captures == 1  # no recapture needed
-        assert not np.array_equal(before, after)
 
 
 # --------------------------------------------------------------------------- #
@@ -606,16 +547,11 @@ REUSE_CASES = {
 }
 
 
-def _relu_nodes(stepper, kind):
-    """The ReLU kernels of the stepper's ``kind`` plans (train/eval/fwd).
-
-    A plan's signature starts with the call kind (training or inference)
-    and the identity of the step function it traced."""
-    head = {"train": (True, id(stepper._chain_fn)),
-            "eval": (False, id(stepper._chain_fn)),
-            "fwd": (False, id(stepper._fwd_fn))}[kind]
+def _relu_nodes(stepper):
+    """The ReLU kernels of the stepper's ``step`` plans (a plan's signature
+    starts with the identity of the step function it traced)."""
     return [node for sig, plan in stepper._plans.items()
-            if sig[:2] == head for _, node in plan._forwards
+            if sig[0] == id(stepper._chain_fn) for _, node in plan._forwards
             if node.op is ops.RELU]
 
 
@@ -626,9 +562,9 @@ def _in_place(node):
 
 class TestReluBufferReuse:
     """A ReLU runs in place over its producer's buffer only when that
-    producer is a Linear whose output nothing else reads and neither node is
-    the plan root.  Reused or refused, every case must stay byte-identical
-    to eager (signed zeros included)."""
+    producer is a Linear whose output nothing else reads.  Reused or
+    refused, every case must stay byte-identical to eager (signed zeros
+    included)."""
 
     def _run(self, make, dtype, replay):
         rng = np.random.default_rng(40)
@@ -638,11 +574,8 @@ class TestReluBufferReuse:
             model = make(np.random.default_rng(41))
             stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2))
             losses = [stepper.step(x, y) for _ in range(6)]
-            model.eval()
-            losses.append(stepper.eval_loss(x, y))
-            logits = [stepper.forward(x).tobytes() for _ in range(2)]
         params = [p.data.tobytes() for p in model.parameters()]
-        return (params, losses, logits), stepper
+        return (params, losses), stepper
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("case", sorted(REUSE_CASES))
@@ -652,30 +585,7 @@ class TestReluBufferReuse:
         eager, _ = self._run(make, dtype, replay=False)
         assert replayed == eager
         assert stepper.stats.eager_steps == 0
-        assert [_in_place(n) for n in _relu_nodes(stepper, "train")] \
-            == expected
-        assert [_in_place(n) for n in _relu_nodes(stepper, "eval")] \
-            == expected
-        # Only training plans run a backward, so only they carry a mask.
-        for kind in ("eval", "fwd"):
-            assert all(n.mask is None for n in _relu_nodes(stepper, kind))
-
-    def test_relu_as_forward_root_keeps_its_own_buffer(self):
-        from repro.nn import no_grad
-
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=(12, 10))
-        model = Sequential(Linear(10, 16, rng=np.random.default_rng(43)),
-                           ReLU())
-        model.eval()
-        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
-        compiled = [stepper.forward(x).tobytes() for _ in range(3)]
-        with no_grad():
-            eager = model(Tensor(x)).data.tobytes()
-        assert compiled == [eager] * 3
-        (relu,) = _relu_nodes(stepper, "fwd")
-        assert not _in_place(relu)
-
+        assert [_in_place(n) for n in _relu_nodes(stepper)] == expected
 
 # --------------------------------------------------------------------------- #
 # One case per op-table entry

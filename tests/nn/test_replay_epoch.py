@@ -1,7 +1,7 @@
 """The epoch-scoped structural guard and loss-value elision.
 
 ``GraphReplay.epoch()`` fingerprints the model once per epoch per model
-mode instead of on every ``step_fn`` / ``forward`` call, and a training step
+mode instead of on every ``step`` / ``step_fn`` call, and a training step
 run with ``compute_loss=False`` skips the scalars no one reads.  Neither may
 change a single weight byte relative to eager training, and neither may
 replay a plan compiled for a different structure or mode.
@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.modules.fixmatch import _two_view_step as _two_view
-from repro.nn import MLP, SGD, Adam, GraphReplay, use_graph_replay
+from repro.nn import (MLP, SGD, Adam, GraphReplay, leaf_chain,
+                      use_graph_replay)
 from repro.nn import functional as F
 from repro.nn import ops
 from repro.nn import replay as replay_module
@@ -99,13 +100,13 @@ class TestLossElision:
 
 
 class TestEpochGuard:
-    def _fixmatch_epochs(self, stepper, model, rng, epochs, steps):
+    def _two_mode_epochs(self, stepper, model, rng, epochs, steps):
         for _ in range(epochs):
             with stepper.epoch():
                 for _ in range(steps):
                     batch = _batch(rng)
                     model.eval()
-                    stepper.forward(batch["strong_x"])
+                    stepper.step_fn(_two_view, batch, compute_loss=False)
                     model.train()
                     stepper.step_fn(_two_view, batch, compute_loss=False)
 
@@ -121,13 +122,13 @@ class TestEpochGuard:
         rng = np.random.default_rng(4)
         model = MLP(10, [16], 4, dropout=0.2, rng=np.random.default_rng(5))
         stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
-        self._fixmatch_epochs(stepper, model, rng, epochs=2, steps=5)
+        self._two_mode_epochs(stepper, model, rng, epochs=2, steps=5)
         assert len(calls) == 2 * 2  # two epochs x {eval, train}
         assert stepper.stats.captures == 2
         assert stepper.stats.replays == 2 * 2 * 5 - 2
         # Outside a scope every call fingerprints again.
         model.eval()
-        stepper.forward(_batch(rng)["strong_x"])
+        stepper.step_fn(_two_view, _batch(rng))
         assert len(calls) == 5
 
     def test_batchnorm_mode_switch_resolves_a_plan_per_mode(self):
@@ -141,25 +142,22 @@ class TestEpochGuard:
             with use_graph_replay(replay):
                 stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
                                                  momentum=0.9))
-                logits = []
                 with stepper.epoch():
                     for _ in range(4):
                         batch = _batch(rng)
                         model.eval()
-                        logits.append(stepper.forward(batch["strong_x"])
-                                      .tobytes())
                         stepper.step_fn(_two_view, batch)
                         model.train()
                         stepper.step_fn(_two_view, batch)
                 running = [(m.running_mean.tobytes(), m.running_var.tobytes())
                            for m in model.modules() if isinstance(m, BatchNorm1d)]
-                return (_params(model), logits, running), stepper.stats
+                return (_params(model), running), stepper.stats
 
         replayed, stats = run(True)
         eager, _ = run(False)
         assert replayed == eager
-        assert stats.captures == 3  # eval forward, eval step, train step
-        assert stats.replays == 4 * 3 - 3
+        assert stats.captures == 2  # eval step, train step
+        assert stats.replays == 4 * 2 - 2
         assert stats.eager_steps == 0
 
     def test_structural_change_between_epochs_recaptures(self):
@@ -206,6 +204,8 @@ class TestSetTraining:
                                              momentum=0.9, nesterov=True))
             if explicit:
                 stepper.set_training = model.train  # walks the model every call
+            model.eval()
+            pseudo_forward = leaf_chain(model, 10, np.float64)
             model.train()
             for epoch in range(3):
                 if epoch == swap_at:
@@ -218,10 +218,10 @@ class TestSetTraining:
                     for _ in range(4):
                         batch = _batch(rng)
                         weak_unlabeled = rng.normal(size=batch["strong_x"].shape)
-                        consistency_step(stepper, batch["weak_x"],
-                                         batch["labels"], weak_unlabeled,
-                                         batch["strong_x"], batch["cons_w"],
-                                         0.3, np.float64)
+                        consistency_step(stepper, pseudo_forward,
+                                         batch["weak_x"], batch["labels"],
+                                         weak_unlabeled, batch["strong_x"],
+                                         batch["cons_w"], 0.3, np.float64)
                         assert all(m.training for m in model.modules())
             running = [(m.running_mean.tobytes(), m.running_var.tobytes())
                        for m in model.modules() if isinstance(m, BatchNorm1d)]
@@ -235,7 +235,7 @@ class TestSetTraining:
         eager, _ = self._fixmatch_run(explicit=True, replay=False)
         assert scoped == explicit == eager
         assert scoped_counts == explicit_counts
-        assert scoped_counts == (2, 3 * 4 * 2 - 2, 0)
+        assert scoped_counts == (1, 3 * 4 - 1, 0)
 
     def test_container_edit_between_epochs_recaptures(self):
         scoped, scoped_counts = self._fixmatch_run(explicit=False, swap_at=2)
@@ -243,10 +243,9 @@ class TestSetTraining:
                                                        swap_at=2)
         assert scoped == explicit
         assert scoped_counts == explicit_counts
-        # Both plans (pseudo-label forward, two-view step) are recaptured
-        # for the new layer; the swapped-in dropout was switched to eval
-        # for the forward, or its draws would have broken the equality.
-        assert scoped_counts == (4, 3 * 4 * 2 - 4, 0)
+        # The two-view step is recaptured for the new layer, which the
+        # scope's mode flips reach, or the equality would break.
+        assert scoped_counts == (2, 3 * 4 - 2, 0)
 
     def test_outside_a_scope_it_is_model_train(self):
         model = MLP(10, [16], 4, dropout=0.2, rng=np.random.default_rng(15))

@@ -12,7 +12,7 @@ silent stale-buffer reuse.
 import numpy as np
 import pytest
 
-from repro.nn import GraphReplay, SGD, Tensor, use_graph_replay
+from repro.nn import GraphReplay, SGD, use_graph_replay
 from repro.nn.modules import (BatchNorm1d, Linear, Module, ReLU, Sequential)
 
 
@@ -228,20 +228,6 @@ class TestEngineModeSwitches:
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
 
-    def test_inference_calls_with_replay_off_match_replayed(self):
-        # eval_loss and forward share the training step's eager path: with
-        # replay off they run under no_grad and give the replayed bytes.
-        model = _make_model(seed=30)
-        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
-        x, y = _batches(31)
-        replayed = [(stepper.eval_loss(x, y), stepper.forward(x).tobytes())
-                    for _ in range(2)]
-        with use_graph_replay(False):
-            eager = (stepper.eval_loss(x, y), stepper.forward(x).tobytes())
-        assert replayed == [eager] * 2
-        assert stepper.stats.captures == 2 and stepper.stats.replays == 2
-        assert stepper.stats.fallbacks == {"replay_disabled": 2}
-
     def test_inner_scope_overrides_ambient_off(self):
         # Force-on: an inner use_graph_replay(True), which is what
         # ControllerConfig(replay=True) opens, wins over an enclosing
@@ -350,32 +336,3 @@ class TestErrorBehavior:
         stepper.step(x, probs)
         with pytest.raises(ValueError):
             stepper.step(x, np.full((32, 5), 0.2))
-
-
-class TestEvalGuards:
-    def test_eval_plan_detects_model_mutation(self):
-        model = _make_model(seed=24)
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
-        x, y = _batches(25)
-        first = stepper.eval_loss(x, y)
-        again = stepper.eval_loss(x, y)
-        assert first == again  # weights unchanged -> identical loss
-        model.append(ReLU())
-        mutated = stepper.eval_loss(x, y)  # recaptured, not stale
-        with use_graph_replay(False):
-            reference = stepper.eval_loss(x, y)
-        assert mutated == reference
-
-    def test_eval_loss_matches_eager_inference(self):
-        from repro.nn import functional as F
-        from repro.nn import no_grad
-
-        model = _make_model(seed=26)
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
-        x, y = _batches(27)
-        compiled = [stepper.eval_loss(x, y) for _ in range(3)]
-        with no_grad():
-            eager = F.cross_entropy(model(Tensor(x)), y).item()
-        assert compiled == [eager] * 3

@@ -71,7 +71,7 @@ class TestLeafChain:
         expected = [ops.LINEAR, relu] * (len(spec.hidden_dims) + 1) \
             + [ops.LINEAR]
         for member in members:
-            assert [op for op, _ in member._chain] == expected
+            assert [op for op, _ in member._chain.leaves] == expected
         assert np.array_equal(servable.predict_proba(FEATURES), offline)
 
     def test_a_model_that_is_not_a_chain_is_refused(self):
