@@ -80,8 +80,7 @@ class EmbeddingIndex:
                 break
         return out
 
-    def top_k_batch(self, queries: np.ndarray, k: int,
-                    exclude: Optional[Sequence[str]] = None
+    def top_k_batch(self, queries: np.ndarray, k: int
                     ) -> List[List[Tuple[str, float]]]:
         """Top-k for a ``(q, d)`` batch of queries in one matrix multiply.
 
@@ -96,8 +95,7 @@ class EmbeddingIndex:
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
         safe = np.where(norms == 0, 1.0, norms)
         all_scores = (queries / safe) @ self._normalized.T
-        excluded = set(exclude or ())
-        return [self._rank(row, k, excluded) if norms[i, 0] else []
+        return [self._rank(row, k, set()) if norms[i, 0] else []
                 for i, row in enumerate(all_scores)]
 
 

@@ -23,7 +23,7 @@ from .serialization import (StateDictMismatchError, load_into_module,
                             validate_state_dict)
 from .tensor import (Tensor, default_dtype, get_default_dtype,
                      graph_replay_enabled, is_grad_enabled, no_grad,
-                     set_default_dtype, use_graph_replay)
+                     use_graph_replay)
 from .training import (TrainConfig, build_optimizer, build_scheduler,
                        evaluate_accuracy, iterate_forever, predict_logits,
                        predict_proba, softmax_rows, train_classifier,
@@ -35,7 +35,7 @@ from .transforms import (Compose, GaussianJitter, IdentityTransform,
 __all__ = [
     "Tensor", "functional",
     "no_grad", "is_grad_enabled", "default_dtype", "get_default_dtype",
-    "set_default_dtype", "use_graph_replay", "graph_replay_enabled",
+    "use_graph_replay", "graph_replay_enabled",
     "GraphReplay", "ReplayStats", "ReplayUnsupported", "collect_replay_stats",
     "LeafChain", "leaf_chain",
     "Module", "Parameter", "Linear", "ReLU", "Tanh", "Identity", "Dropout",

@@ -2,10 +2,13 @@
 op-table kernels.
 
 :func:`leaf_chain` traces one eval-mode forward of a model and keeps it
-when every traced op is a leaf layer of the op table (:mod:`repro.nn.ops`)
-fed by the previous one, from the input to the output.  Calling the
-resulting :class:`LeafChain` runs each leaf's forward kernel on a fresh
-frame, so NumPy allocates every output: the same calls, in the same order,
+when every trace record (``(op, frame, inputs, out)``, one per
+:func:`~repro.nn.tensor.apply`) is a one-input op of the op table
+(:mod:`repro.nn.ops`) fed by the previous one, from the input to the
+output.  Each leaf's frame class takes the parameters ``p`` and the
+``layer`` from the traced frame.  Calling the resulting
+:class:`LeafChain` runs each leaf's forward kernel on a fresh frame, so
+NumPy allocates every output: the same calls, in the same order,
 as the eager ``no_grad`` tape (:func:`repro.nn.predict_logits`), without
 tensors, and without any engine state — concurrent calls need no lock.
 
@@ -21,7 +24,7 @@ from typing import List, Optional, Tuple, Type
 
 import numpy as np
 
-from .modules import Module, op_of
+from .modules import Module
 from .ops import Frame, Op
 from .tensor import Tensor, default_dtype, no_grad, trace_ops
 
@@ -29,7 +32,7 @@ __all__ = ["LeafChain", "leaf_chain"]
 
 
 class LeafChain:
-    """A model's eval-mode forward as ``(op, frame class)`` per leaf layer.
+    """A model's eval-mode forward as ``(op, frame class)`` per traced op.
 
     Each frame class carries its layer and parameters, so a call only
     instantiates it and sets its input.  Kernels read the parameters
@@ -57,11 +60,12 @@ class LeafChain:
 def leaf_chain(model: Module, width: int, dtype) -> Optional[LeafChain]:
     """Trace ``model``'s forward on ``width``-feature rows in ``dtype``.
 
-    Returns None when the model is not a chain of op-table leaf layers
-    (tensor math outside a leaf layer, or a layer not fed by the previous
-    one).  Containers and identities (eval-mode dropout) drop out of the
-    chain.  The model must be in eval mode: a training-mode trace would
-    draw dropout masks and move batch-norm statistics.
+    Returns None when the model is not a chain of one-input table ops (a
+    sum, a product or a loss, an op not fed by the previous one, or array
+    math outside the op table).  Containers and identities (eval-mode
+    dropout) run no op, so they leave no record.  The model must be in
+    eval mode: a training-mode trace would draw dropout masks and move
+    batch-norm statistics.
     """
     if any(module.training for module in model.modules()):
         raise ValueError("leaf_chain traces the eval-mode forward: call "
@@ -72,17 +76,10 @@ def leaf_chain(model: Module, width: int, dtype) -> Optional[LeafChain]:
         current = Tensor(np.zeros((2, width), dtype=dtype))
         out = model(current)
     leaves = []
-    for rec in records:
-        if rec[0] != "module":
-            return None
-        module, inp, produced = rec[1:]
-        op = op_of(module)
-        if op is None or produced is inp:
-            continue  # a container, or an identity
-        if inp is not current:
+    for op, frame, inputs, produced in records:
+        if op.scalar or len(inputs) != 1 or inputs[0] is not current:
             return None
         leaves.append((op, type("LeafFrame", (Frame,), {
-            "layer": module, "cast": dtype,
-            "p": tuple(getattr(module, name) for name in op.params)})))
+            "layer": frame.layer, "cast": dtype, "p": frame.p})))
         current = produced
     return LeafChain(leaves, dtype) if current is out else None

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ops
 from .ops import check_label_range
-from .tensor import _TRACE_RECORDS, Tensor, apply, get_default_dtype
+from .tensor import Tensor, apply, get_default_dtype
 
 __all__ = [
     "one_hot",
@@ -47,8 +47,7 @@ def cross_entropy(logits: Tensor, targets: Union[np.ndarray, list],
     One tape node (the table's fused softmax + cross entropy) whose
     backward is the closed form ``(softmax(z) - onehot(y)) / n``.
     """
-    return _fused_loss("cross_entropy", logits, targets, sample_weights,
-                       w=sample_weights)
+    return apply(ops.HARD_CE, (logits,), t=targets, w=sample_weights)
 
 
 def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray,
@@ -63,19 +62,7 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray,
     if target_probs.shape != logits.shape:
         raise ValueError("target_probs shape must match logits shape: "
                          f"{target_probs.shape} vs {logits.shape}")
-    return _fused_loss("soft_cross_entropy", logits, target_probs,
-                       sample_weights, w=sample_weights)
-
-
-def _fused_loss(kind: str, logits: Tensor, targets, extra, **attrs) -> Tensor:
-    """Apply the fused loss ``kind`` (:data:`repro.nn.ops.LOSSES`) and
-    record it for the replay compiler as
-    ``("loss", kind, logits, targets, extra, out)``."""
-    out = apply(ops.LOSSES[kind], (logits,), t=targets, **attrs)
-    records = _TRACE_RECORDS.get()
-    if records is not None:
-        records.append(("loss", kind, logits, targets, extra, out))
-    return out
+    return apply(ops.SOFT_CE, (logits,), t=target_probs, w=sample_weights)
 
 
 def _squared_error(predictions: Tensor, targets: Union[Tensor, np.ndarray],
@@ -89,7 +76,7 @@ def _squared_error(predictions: Tensor, targets: Union[Tensor, np.ndarray],
     if targets.shape != predictions.shape:
         raise ValueError(f"squared-error targets of shape {targets.shape} do "
                          f"not match predictions of shape {predictions.shape}")
-    return _fused_loss("sqerr", predictions, targets.data, denom, denom=denom)
+    return apply(ops.SQERR, (predictions,), t=targets.data, denom=denom)
 
 
 def mse_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray]) -> Tensor:

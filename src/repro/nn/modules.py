@@ -17,24 +17,11 @@ import numpy as np
 
 from . import init as init_module
 from . import ops
-from .tensor import _TRACE_RECORDS, Tensor, apply, get_default_dtype, trace_ops
-
-# --------------------------------------------------------------------------- #
-# Module-call tracing (the capture phase of the graph replay executor)
-# --------------------------------------------------------------------------- #
-# While a trace is active on the current thread, every ``Module.__call__``
-# appends ``("module", module, input, output)`` to the recording list that
-# the engine-wide op trace (:func:`repro.nn.tensor.trace_ops`) maintains;
-# the traced tensor combinators and fused losses append their own tagged
-# records to the same list.  The replay compiler (:mod:`repro.nn.replay`)
-# runs one eager training step under this context and reconstructs the op
-# DAG from the records.
-trace_module_calls = trace_ops
+from .tensor import Tensor, apply, get_default_dtype
 
 __all__ = [
     "Parameter",
     "Module",
-    "trace_module_calls",
     "Linear",
     "ReLU",
     "Tanh",
@@ -71,11 +58,7 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.forward(x)
-        records = _TRACE_RECORDS.get()
-        if records is not None:
-            records.append(("module", self, x, out))
-        return out
+        return self.forward(x)
 
     # ------------------------------------------------------------------ #
     # Introspection

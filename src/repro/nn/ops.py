@@ -36,7 +36,7 @@ import numpy as np
 
 __all__ = ["Frame", "Op", "ReplayUnsupported", "LINEAR", "RELU", "TANH",
            "DROPOUT", "BATCHNORM", "ADD", "MUL", "HARD_CE", "SOFT_CE",
-           "SQERR", "TABLE", "LOSSES"]
+           "SQERR", "TABLE"]
 
 
 class ReplayUnsupported(RuntimeError):
@@ -529,7 +529,3 @@ HARD_CE, SOFT_CE, SQERR = _HardCE(), _SoftCE(), _SqErr()
 TABLE: Dict[str, Op] = {op.name: op for op in (
     LINEAR, RELU, TANH, DROPOUT, BATCHNORM, ADD, MUL,
     HARD_CE, SOFT_CE, SQERR)}
-
-#: the fused losses, by the kind their trace record names
-LOSSES: Dict[str, Op] = {"cross_entropy": HARD_CE,
-                         "soft_cross_entropy": SOFT_CE, "sqerr": SQERR}

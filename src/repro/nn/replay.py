@@ -7,13 +7,15 @@ reproduction the graph shape never changes between steps — same model, same
 loss, same batch shape — so all of that per-step Python work is redundant.
 
 :class:`GraphReplay` removes it.  The first time a step signature is seen it
-runs the ordinary eager step while *tracing* the op DAG: a context-local hook
-records every ``Module.__call__`` (``("module", module, input, output)``),
-every traced tensor combinator (``("add"/"mul", a, b, out)``), and every
-fused loss (``("loss", kind, logits, targets, extra, out)``).  The compiler
-walks the records backward from the loss root, resolving each tensor to the
-record that produced it or to a declared step input, and emits a kernel plan
-in the original execution order.  The plan is a general DAG, not just a
+runs the ordinary eager step while *tracing* the op DAG: every
+:func:`~repro.nn.tensor.apply` records ``(op, frame, inputs, out)``, one
+record per op application with the frame its forward kernel ran on.  The
+compiler walks the records backward from the loss root, resolving each
+tensor to the record that produced it or to a declared step input, reads
+from the record's frame what the op needs besides its inputs (parameters
+``p``, the owning ``layer``, a loss's targets ``t``, sample weights ``w`` and
+squared-error ``denom``), and emits one plan node per record, in the
+original execution order.  The plan is a general DAG, not just a
 linear chain: it supports fan-out (one activation consumed by several
 consumers), fan-in (summed / weighted-sum losses), and weight sharing (the
 same layer applied to several inputs, as in FixMatch's two-view consistency
@@ -51,15 +53,17 @@ Fallback rules (checked on *every* call, before replaying; inside an
   optimizer's parameter list changed, or the engine default dtype changed →
   recapture (an eager step) under the new signature; stale plans are never
   replayed;
-* unsupported structure (tensor math outside the traced op set, constants
-  created inside the step function, loss targets that are not step inputs)
-  → the signature is marked unsupported and every step with it runs eagerly,
-  with the reason recorded in :attr:`ReplayStats.fallbacks`.
+* unsupported structure (array math outside the op table, constants
+  created inside the step function, loss targets that are not step inputs,
+  a traced op whose output does not reach the loss) → the signature is
+  marked unsupported and every step with it runs eagerly, with the reason
+  recorded in :attr:`ReplayStats.fallbacks`.
 
-Supported ops are the entries of the op table: the leaf layers ``Linear``,
-``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
-(``Identity`` and eval-mode ``Dropout`` pass their input through), tensor
-``+`` and ``*`` (e.g. summed or weighted-sum losses), and the fused losses
+Supported ops are the entries of the op table, however they are called: the
+leaf layers ``Linear``, ``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
+(``Identity`` and eval-mode ``Dropout`` pass their input through and
+record nothing), ``Tensor.relu()`` and ``Tensor.tanh()``, tensor ``+``
+and ``*`` (e.g. summed or weighted-sum losses), and the fused losses
 ``cross_entropy`` (optionally per-sample weighted), ``soft_cross_entropy``
 and the squared-error losses (``l2_loss`` / ``mse_loss``).  Optimizer
 updates reuse ``optimizer.step()`` itself — gradients are written into
@@ -96,12 +100,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from . import ops
-from .modules import Module, op_of, trace_module_calls
+from .modules import Module, op_of
 from .ops import Frame, Op, ReplayUnsupported
 from .optim import Optimizer
 from .tensor import (Tensor, get_default_dtype, graph_replay_enabled,
-                     is_grad_enabled)
+                     is_grad_enabled, trace_ops)
 
 __all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported",
            "collect_replay_stats"]
@@ -374,33 +377,13 @@ def _value_elision(built: List[_Node]) -> Tuple[list, list]:
     return value_losses, lean_forwards
 
 
-def _record_op(rec: tuple):
-    """``(op, module, traced inputs, extra)`` of one trace record (see
-    :func:`repro.nn.tensor.trace_ops`), or None for a record that produces
-    nothing: a container module, or an identity such as eval-mode dropout
-    (its output resolves through its true producer)."""
-    kind = rec[0]
-    if kind == "module":
-        module, inp, out = rec[1], rec[2], rec[3]
-        op = op_of(module)
-        return None if op is None or out is inp else (op, module,
-                                                        {"x": inp}, None)
-    if kind == "loss":
-        return ops.LOSSES[rec[1]], None, {"x": rec[2]}, rec[3:5]
-    return ops.TABLE[kind], None, {"a": rec[1], "b": rec[2]}, None
-
-
 def _compile(records: List[tuple], root: Tensor,
              input_keys: Dict[int, str],
              optimizer: Optimizer) -> _CompiledPlan:
     """Build a replay plan from one traced eager training step, or raise
     :class:`ReplayUnsupported`."""
     # ---- producer map: which record made each tensor ------------------- #
-    prod: Dict[int, Tuple[int, tuple]] = {}
-    for idx, rec in enumerate(records):
-        decoded = _record_op(rec)
-        if decoded is not None:
-            prod[id(rec[-1])] = (idx, decoded)
+    prod = {id(rec[3]): (idx, rec) for idx, rec in enumerate(records)}
 
     nodes: Dict[int, object] = {}
     built: List[_Node] = []
@@ -418,8 +401,6 @@ def _compile(records: List[tuple], root: Tensor,
         return key
 
     def resolve(t):
-        if not isinstance(t, Tensor):
-            raise ReplayUnsupported("non-tensor operand in the traced graph")
         tid = id(t)
         node = nodes.get(tid)
         if node is not None:
@@ -437,32 +418,28 @@ def _compile(records: List[tuple], root: Tensor,
             raise ReplayUnsupported(
                 "tensor produced outside the replayable op set "
                 "(custom tensor math or a constant created in the step?)")
-        idx, (op, module, ins, extra) = entry
+        idx, (op, frame, inputs, _) = entry
         node = _Node(op, idx, bool(t.requires_grad))
         node.cast = cast
-        if module is not None:
-            node.layer = module
-            node.p = tuple(getattr(module, name) for name in op.params)
-        for name, tensor in ins.items():
+        node.layer, node.p = frame.layer, frame.p
+        arrays = {}
+        for name, tensor in zip(op.inputs, inputs):
             src = resolve(tensor)
             node.srcs[name] = (src, tensor.requires_grad)
             if isinstance(src, _InputNode):
                 input_sites.append((node, name, src.key, src.cast_dtype))
-        arrays = {name: tensor.data for name, tensor in ins.items()}
+            arrays[name] = tensor.data
         if op.scalar:
             if arrays["x"].ndim != 2:
                 raise ReplayUnsupported("losses replay on 2-D logits only")
-            # The record's extra is the sample weights, or squared error's
-            # denominator.
-            targets, aux = extra
-            input_sites.append((node, "t", key_for(targets, "loss targets"),
-                                np.asarray(targets).dtype))
-            if op is ops.SQERR:
-                node.denom = float(aux)
-            elif aux is not None:
-                input_sites.append((node, "w",
-                                    key_for(aux, "loss sample weights"), None))
-                arrays["w"] = aux
+            input_sites.append((node, "t", key_for(frame.t, "loss targets"),
+                                np.asarray(frame.t).dtype))
+            if frame.w is not None:
+                input_sites.append((node, "w", key_for(
+                    frame.w, "loss sample weights"), None))
+                arrays["w"] = frame.w
+            # Squared error's denominator; the cross entropies set their own.
+            node.denom = frame.denom
         op.alloc(node, arrays, t.data)
         nodes[tid] = node
         built.append(node)
@@ -474,15 +451,13 @@ def _compile(records: List[tuple], root: Tensor,
     if not root_node.train:
         raise ReplayUnsupported("loss does not require gradients")
 
-    # Every traced leaf-module call must be reachable from the root: a call
-    # the plan would skip could have side effects (dropout RNG draws,
-    # batch-norm running stats) that eager execution performs.
-    for rec in records:
-        if rec[0] == "module" and _record_op(rec) is not None \
-                and id(rec[3]) not in nodes:
-            raise ReplayUnsupported(
-                f"traced {type(rec[1]).__name__} call is not reachable "
-                "from the loss")
+    # Every traced op must be reachable from the root: an op the plan would
+    # skip could have side effects (dropout RNG draws, batch-norm running
+    # stats) that eager execution performs.
+    for op, _, _, out in records:
+        if id(out) not in nodes:
+            raise ReplayUnsupported(f"traced {op.name} is not reachable "
+                                    "from the loss")
 
     built.sort(key=lambda n: n.index)
     inplace = _reuse_relu_buffers(built)
@@ -562,7 +537,7 @@ class _UnsupportedPlan:
     """Negative cache entry: this signature cannot be compiled (or, as
     ``_CACHE_FULL``, finds the plan dict full).
 
-    Pins the traced modules (and the step function) so their ids — which
+    Pins the model's modules (and the step function) so their ids — which
     participate in the signature — cannot be recycled for different objects
     while the entry lives.  Carries the reason so every later eager step
     under this signature is tallied against it.
@@ -724,8 +699,8 @@ class GraphReplay:
             if plan is None and len(self._plans) >= _MAX_PLANS:
                 plan = _CACHE_FULL
             elif plan is None:
-                plan, records, loss = self._capture(fn, inputs, tensor_keys)
-                pins = ([rec[1] for rec in records if rec[0] == "module"], fn)
+                plan, loss = self._capture(fn, inputs, tensor_keys)
+                pins = (tuple(self.model.modules()), fn)
                 if isinstance(plan, str):
                     plan = _UnsupportedPlan(pins, plan)
                     self._count_eager(plan.reason)
@@ -762,11 +737,11 @@ class GraphReplay:
         fails — so the capture step is indistinguishable from a plain eager
         step (same updates, same RNG draws, and ``zero_grad`` clears any
         stale gradient state before buffer-bound gradients take over).
-        Returns ``(plan or failure reason, trace records, loss)``.
+        Returns ``(plan or failure reason, loss)``.
         """
         bound, ids = _wrap_inputs(inputs, tensor_keys)
         records: List[tuple] = []
-        with trace_module_calls(records):
+        with trace_ops(records):
             root = fn(self.model, bound)
         if not isinstance(root, Tensor):
             raise TypeError("step function must return a loss Tensor")
@@ -780,7 +755,7 @@ class GraphReplay:
         self.optimizer.zero_grad()
         root.backward()
         self.optimizer.step()
-        return plan, records, root.item()
+        return plan, root.item()
 
     # -- the epoch scope ------------------------------------------------- #
     def _fingerprint_sig(self) -> tuple:

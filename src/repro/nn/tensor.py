@@ -11,6 +11,13 @@ run the same kernels, so there is one definition of each op.  A
 :class:`Tensor` keeps references to its parents; :meth:`Tensor.backward`
 orders the reachable nodes by creation stamp and calls each node's backward
 once.
+
+:func:`apply` is also the only producer of trace records: inside a
+:func:`trace_ops` scope every application appends ``(op, frame, inputs,
+out)``, where ``frame`` is the :class:`~repro.nn.ops.Frame` its forward
+kernel just ran on.  The frame carries everything else the op read: the
+parameters ``p``, the owning ``layer``, a loss's targets ``t``, sample
+weights ``w`` and squared-error ``denom``.
 """
 
 from __future__ import annotations
@@ -45,14 +52,13 @@ _GRAD_ENABLED: ContextVar = ContextVar("grad_enabled", default=True)
 # ---------------------------------------------------------------------------- #
 # Op tracing (the capture phase of the graph replay executor)
 # ---------------------------------------------------------------------------- #
-# While a trace is active in the current context, instrumented operations
-# append tagged records to the recording list: every ``Module.__call__``
-# appends ``("module", module, input, output)`` (see repro.nn.modules), the
-# traced tensor combinators append ``("add"/"mul", a, b, out)``, and the
-# fused losses append ``("loss", kind, logits, targets, extra, out)``.  The
-# replay compiler (:mod:`repro.nn.replay`) runs one eager training step under
-# this context and reconstructs the op DAG from the records.  Context-local,
-# so a trace on one thread never records another thread's eager ops.
+# While a trace is active in the current context, every :func:`apply`
+# appends ``(op, frame, inputs, out)`` to the recording list.  The replay
+# compiler (:mod:`repro.nn.replay`) runs one eager training step under this
+# context and rebuilds the op DAG from the records; the leaf chain
+# (:mod:`repro.nn.chain`) reads one eval-mode forward the same way.
+# Context-local, so a trace on one thread never records another thread's
+# eager ops.
 _TRACE_RECORDS: ContextVar = ContextVar("trace_records", default=None)
 
 
@@ -94,12 +100,6 @@ def _check_dtype(dtype):
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
     return dtype.type
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the default dtype (``np.float32`` or ``np.float64``) for the
-    current context; other threads keep their own."""
-    _DEFAULT_DTYPE.set(_check_dtype(dtype))
 
 
 def default_dtype(dtype):
@@ -224,22 +224,13 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = apply(ops.ADD, (self, other))
-        # Inlined trace check (hot path: every eager add pays it).
-        records = _TRACE_RECORDS.get()
-        if records is not None:
-            records.append(("add", self, other, out))
-        return out
+        return apply(ops.ADD, (self, other))
 
     __radd__ = __add__
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = apply(ops.MUL, (self, other))
-        records = _TRACE_RECORDS.get()
-        if records is not None:
-            records.append(("mul", self, other, out))
-        return out
+        return apply(ops.MUL, (self, other))
 
     __rmul__ = __mul__
 
@@ -303,7 +294,9 @@ def apply(op: ops.Op, inputs: Tuple[Tensor, ...],
     The forward kernel runs on a fresh frame, so NumPy allocates every
     buffer; the backward closure calls the op's VJP kernels the same way.
     ``params`` fill the frame's parameter slots (None for an absent bias),
-    and ``attrs`` set any other frame attribute the op reads.
+    and ``attrs`` set any other frame attribute the op reads.  Inside a
+    :func:`trace_ops` scope the application is recorded as ``(op, frame,
+    inputs, out)``.
     """
     n = ops.Frame()
     for name, tensor in zip(op.inputs, inputs):
@@ -327,4 +320,7 @@ def apply(op: ops.Op, inputs: Tuple[Tensor, ...],
 
         out._parents = parents
         out._backward = backward
+    records = _TRACE_RECORDS.get()
+    if records is not None:
+        records.append((op, n, inputs, out))
     return out

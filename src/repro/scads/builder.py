@@ -37,14 +37,13 @@ class ScadsBundle:
 
     def select(self, target_classes: Sequence[ClassSpec],
                num_related_concepts: int = 5, images_per_concept: int = 20,
-               rng: Optional[np.random.Generator] = None,
-               exclude_target_concepts: bool = False) -> AuxiliarySelection:
+               rng: Optional[np.random.Generator] = None
+               ) -> AuxiliarySelection:
         """Query the bundle for task-related auxiliary data."""
         return select_auxiliary_data(
             self.scads, self.embedding, target_classes,
             num_related_concepts=num_related_concepts,
-            images_per_concept=images_per_concept, rng=rng,
-            exclude_target_concepts=exclude_target_concepts)
+            images_per_concept=images_per_concept, rng=rng)
 
     def pruned(self, target_classes: Sequence[ClassSpec],
                level: Optional[int]) -> "ScadsBundle":

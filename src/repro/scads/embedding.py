@@ -149,8 +149,7 @@ class ScadsEmbedding:
         return index.top_k(query, top_k, exclude=exclude)
 
     def related_concepts_batch(self, queries: Sequence[np.ndarray], top_k: int,
-                               candidates: Optional[Sequence[str]] = None,
-                               exclude: Optional[Sequence[str]] = None
+                               candidates: Optional[Sequence[str]] = None
                                ) -> List[List[Tuple[str, float]]]:
         """Top-k related concepts for many query vectors at once.
 
@@ -164,7 +163,7 @@ class ScadsEmbedding:
         index = self._candidate_index(candidates)
         if index is None:
             return [[] for _ in queries]
-        return index.top_k_batch(np.stack(queries), top_k, exclude=exclude)
+        return index.top_k_batch(np.stack(queries), top_k)
 
     def _candidate_index(self,
                          candidates: Optional[Sequence[str]]) -> Optional[EmbeddingIndex]:

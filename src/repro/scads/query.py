@@ -98,8 +98,7 @@ def select_auxiliary_data(scads: Scads, embedding: ScadsEmbedding,
                           target_classes: Sequence[ClassSpec],
                           num_related_concepts: int = 5,
                           images_per_concept: int = 20,
-                          rng: Optional[np.random.Generator] = None,
-                          exclude_target_concepts: bool = True
+                          rng: Optional[np.random.Generator] = None
                           ) -> AuxiliarySelection:
     """Select task-related auxiliary data ``R`` from SCADS.
 
@@ -115,13 +114,10 @@ def select_auxiliary_data(scads: Scads, embedding: ScadsEmbedding,
         ``N`` — concepts retrieved per target class.
     images_per_concept:
         ``K`` — images retrieved per selected concept.
-    exclude_target_concepts:
-        Whether the target concepts themselves are barred from selection.
-        The paper keeps them selectable when present in the auxiliary data
-        (no pruning) — pass ``False`` to reproduce that; the default ``True``
-        is the stricter setting used when the auxiliary pool legitimately
-        contains the exact target classes and one wants related-but-different
-        data.  The experiment runner passes ``False``.
+
+    A target concept that has images in SCADS is selectable, as in the
+    paper's unpruned setting; to bar concepts near the targets, select
+    from a pruned bundle (:meth:`~repro.scads.ScadsBundle.pruned`).
     """
     if num_related_concepts <= 0 or images_per_concept <= 0:
         raise ValueError("num_related_concepts and images_per_concept must be positive")
@@ -130,9 +126,6 @@ def select_auxiliary_data(scads: Scads, embedding: ScadsEmbedding,
     candidates = scads.concepts_with_images()
     if not candidates:
         return AuxiliarySelection.empty(0)
-
-    target_concept_names = {KnowledgeGraph.normalize(c.concept)
-                            for c in target_classes if c.concept}
 
     # Resolve every target class's query vector first, then rank all of them
     # against the candidate set in one batched similarity query (a single
@@ -148,10 +141,8 @@ def select_auxiliary_data(scads: Scads, embedding: ScadsEmbedding,
         queries.append(query)
         queried_specs.append(spec)
 
-    exclude = list(target_concept_names) if exclude_target_concepts else []
     ranked_batch = embedding.related_concepts_batch(
-        queries, top_k=num_related_concepts, candidates=candidates,
-        exclude=exclude)
+        queries, top_k=num_related_concepts, candidates=candidates)
 
     selected_concepts: List[str] = []
     for spec, ranked in zip(queried_specs, ranked_batch):

@@ -55,20 +55,28 @@ class ModelRegistry:
         Versions auto-increment (``"1"``, ``"2"``, …) unless given
         explicitly.  With ``make_latest`` (default) the ``latest`` pointer
         swings to the new version in the same critical section — the hot
-        swap is one atomic pointer update.
+        swap is one atomic pointer update.  A name or an explicit version
+        that is empty or contains ``@`` could never be resolved through
+        :func:`parse_reference`, so it raises ``ValueError``.
         """
         if not isinstance(servable, Servable):
             raise TypeError(f"expected a Servable (ServableModel or "
                             f"ServableEnsemble), got {type(servable).__name__}")
+        if not name or "@" in name:
+            raise ValueError(f"invalid model name {name!r}: it must be "
+                             "non-empty and contain no '@'")
+        if version is not None:
+            version = str(version)
+            if not version or "@" in version:
+                raise ValueError(f"invalid version {version!r}: it must be "
+                                 "non-empty and contain no '@'")
+            if version == LATEST:
+                raise ValueError(f"{LATEST!r} is a reserved version name")
         with self._lock:
             versions = self._models.setdefault(name, {})
             if version is None:
                 self._counters[name] = self._counters.get(name, 0) + 1
                 version = str(self._counters[name])
-            else:
-                version = str(version)
-                if version == LATEST:
-                    raise ValueError(f"{LATEST!r} is a reserved version name")
             if version in versions:
                 raise ValueError(f"model {name!r} already has version {version!r}")
             versions[version] = servable

@@ -7,12 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import SGD, Tensor, default_dtype, leaf_chain, no_grad
+from repro.nn import (SGD, Tensor, default_dtype, leaf_chain, no_grad, ops,
+                      predict_logits)
 from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
                               Sequential, Tanh)
 
-LAYERS = ("linear", "linear_no_bias", "relu", "tanh", "dropout", "batchnorm")
+LAYERS = ("linear", "linear_no_bias", "relu", "tanh", "dropout", "batchnorm",
+          "relu_method", "tanh_method")
 DTYPES = (np.float32, np.float64)
+
+
+class _Method(Module):
+    """An activation called as a tensor method inside a module with no op."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+    def forward(self, x):
+        return getattr(x, self.name)()
 
 
 def _layer(kind, width, out_width, rng):
@@ -31,6 +44,8 @@ def _layer(kind, width, out_width, rng):
         return layer, width
     if kind == "dropout":
         return Dropout(float(rng.uniform(0.0, 0.9)), rng=rng), width
+    if kind.endswith("_method"):
+        return _Method(kind[:-len("_method")]), width
     return (ReLU() if kind == "relu" else Tanh()), width
 
 
@@ -109,6 +124,31 @@ def test_a_model_that_is_not_a_chain_gives_none(make, dtype):
     with default_dtype(dtype):
         model = make(np.random.default_rng(0)).eval()
     assert leaf_chain(model, 6, dtype) is None
+
+
+class _TensorMethods(Module):
+    """A forward that calls ``relu()`` and ``tanh()`` on tensors directly."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.fc1 = Linear(6, 12, rng=rng)
+        self.fc2 = Linear(12, 3, rng=rng)
+
+    def forward(self, x):
+        return self.fc2(self.fc1(x).relu()).tanh()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_tensor_method_activations_are_a_chain(dtype):
+    with default_dtype(dtype):
+        model = _TensorMethods(np.random.default_rng(5)).eval()
+        x = np.random.default_rng(6).normal(size=(7, 6))
+        eager = predict_logits(model, x)
+    chain = leaf_chain(model, 6, dtype)
+    assert chain is not None
+    assert [op for op, _ in chain.leaves] == [ops.LINEAR, ops.RELU,
+                                              ops.LINEAR, ops.TANH]
+    assert chain(x).tobytes() == eager.tobytes()
 
 
 def test_reads_live_weights():

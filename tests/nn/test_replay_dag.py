@@ -531,9 +531,22 @@ class _PreActivationFanOut(Module):
         return self.fc2(self.act(h) + h)
 
 
+class _TensorMethods(Module):
+    """Activations called as tensor methods, not as ReLU/Tanh layers."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.fc1 = Linear(10, 16, rng=rng)
+        self.fc2 = Linear(16, 4, rng=rng)
+
+    def forward(self, x):
+        return self.fc2(self.fc1(x).relu().tanh())
+
+
 #: case -> (model factory, whether each traced ReLU of the training plan
 #: may run in place over its producer's buffer)
 REUSE_CASES = {
+    "tensor_method_relu": (_TensorMethods, [True]),
     "linear_relu_linear": (
         lambda rng: Sequential(Linear(10, 16, rng=rng), ReLU(),
                                Linear(16, 4, rng=rng)), [True]),
@@ -664,3 +677,70 @@ def test_table_op_replays_bit_identical_to_eager(name, dtype):
     assert stepper.stats.eager_steps == 0 and stepper.stats.replays == 4
     (plan,) = stepper._plans.values()
     assert any(node.op is ops.TABLE[name] for _, node in plan._forwards)
+
+
+# --------------------------------------------------------------------------- #
+# The plan is the trace: one node per ``apply`` call, in trace order
+# --------------------------------------------------------------------------- #
+
+
+def _joint_model(rng):
+    from repro.backbones.backbone import (BackboneSpec, ClassificationModel,
+                                          Encoder)
+    from repro.modules.multitask import _JointModel
+
+    spec = BackboneSpec("t", input_dim=10, hidden_dims=(16,), feature_dim=8)
+    model = ClassificationModel(Encoder(spec, rng=rng), 4, rng=rng)
+    return _JointModel(model, Linear(8, 3, rng=rng))
+
+
+def _plan_trace_cases():
+    from repro.modules.fixmatch import _two_view_step
+    from repro.modules.multitask import _joint_step
+
+    rng = np.random.default_rng(60)
+    mlp = lambda rng: MLP(10, [16], 4, dropout=0.2, batch_norm=True,  # noqa: E731
+                          rng=rng)
+    return {
+        "step": (mlp, None, ("x",), {
+            "x": rng.normal(size=(24, 10)),
+            "y": rng.integers(0, 4, size=24)}),
+        "fixmatch_two_view": (mlp, _two_view_step, (), {
+            "weak_x": rng.normal(size=(8, 10)),
+            "labels": rng.integers(0, 4, size=8),
+            "strong_x": rng.normal(size=(24, 10)),
+            "pseudo": rng.integers(0, 4, size=24),
+            "mask_w": (rng.random(24) < 0.6).astype(float),
+            "cons_w": np.asarray(0.7)}),
+        "multitask_joint": (_joint_model, _joint_step, (), {
+            "target_x": rng.normal(size=(8, 10)),
+            "target_y": rng.integers(0, 4, size=8),
+            "aux_x": rng.normal(size=(24, 10)),
+            "aux_y": rng.integers(0, 3, size=24),
+            "aux_w": np.asarray(1.0)}),
+    }
+
+
+PLAN_TRACE_CASES = _plan_trace_cases()
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_TRACE_CASES))
+def test_plan_nodes_are_the_traced_ops_in_order(case):
+    from repro.nn.replay import _wrap_inputs
+    from repro.nn.tensor import trace_ops
+
+    make, fn, tensor_keys, batch = PLAN_TRACE_CASES[case]
+    model = make(np.random.default_rng(61)).train()
+    stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
+    fn = fn or stepper._chain_fn
+    records = []
+    with trace_ops(records):
+        fn(model, _wrap_inputs(batch, tensor_keys)[0])
+    if fn is stepper._chain_fn:
+        stepper.step(batch["x"], batch["y"])
+    else:
+        stepper.step_fn(fn, batch)
+    assert stepper.stats.captures == 1 and stepper.stats.eager_steps == 0
+    (plan,) = stepper._plans.values()
+    assert [(node.index, node.op) for _, node in plan._forwards] == \
+        [(i, op) for i, (op, _, _, _) in enumerate(records)]

@@ -13,8 +13,7 @@ import pytest
 
 from repro.nn import (MLP, SGD, GraphReplay, ReplayStats, collect_replay_stats,
                       default_dtype, get_default_dtype, graph_replay_enabled,
-                      is_grad_enabled, no_grad, set_default_dtype,
-                      use_graph_replay)
+                      is_grad_enabled, no_grad, use_graph_replay)
 
 DEFAULTS = (np.float64, True, True)
 
@@ -120,22 +119,7 @@ class TestInterleavedScopes:
             assert snapshot() == (np.float32, False, False)
         assert seen == [DEFAULTS]
 
-    def test_set_default_dtype_is_context_local(self):
-        seen = []
-
-        def worker():
-            set_default_dtype(np.float32)
-            seen.append(get_default_dtype())
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=30)
-        assert seen == [np.float32]
-        assert get_default_dtype() is np.float64
-
-    def test_set_default_dtype_rejects_other_dtypes(self):
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int32)
+    def test_default_dtype_rejects_other_dtypes(self):
         with pytest.raises(ValueError):
             with default_dtype("float16"):
                 pass

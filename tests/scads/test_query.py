@@ -44,13 +44,17 @@ class TestSelection:
                                           rng=np.random.default_rng(0))
         assert len(selection.concepts) == len(set(selection.concepts))
 
-    def test_exclude_target_concepts(self, bundle, fmd_classes):
-        selection = select_auxiliary_data(bundle.scads, bundle.embedding, fmd_classes,
-                                          num_related_concepts=3, images_per_concept=2,
-                                          exclude_target_concepts=True,
+    def test_target_concepts_with_images_are_selectable(self, bundle, fmd_classes):
+        # The paper's unpruned setting: a target concept that has images in
+        # SCADS is its own nearest concept, so it is selected for itself.
+        with_images = set(bundle.scads.concepts_with_images())
+        targets = [c for c in fmd_classes if c.concept in with_images]
+        assert targets
+        selection = select_auxiliary_data(bundle.scads, bundle.embedding, targets,
+                                          num_related_concepts=1, images_per_concept=2,
                                           rng=np.random.default_rng(0))
-        target_names = {c.concept for c in fmd_classes}
-        assert not set(selection.concepts) & target_names
+        for spec in targets:
+            assert selection.per_target_concepts[spec.name] == [spec.concept]
 
     def test_pruned_selection_avoids_excluded_concepts(self, bundle, fmd_classes):
         pruned = bundle.pruned(fmd_classes, level=0)

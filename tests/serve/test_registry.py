@@ -51,6 +51,19 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already has version"):
             registry.register("fmd", servable, version="2024.1")
 
+    @pytest.mark.parametrize("name,version", [
+        ("", None), ("a@b", None), ("fmd", ""), ("fmd", "1@2")],
+        ids=["empty-name", "at-in-name", "empty-version", "at-in-version"])
+    def test_unresolvable_names_and_versions_are_refused(self, tmp_path,
+                                                         name, version):
+        # ``a@b`` would be listed as ``a@b@1`` and resolved as model ``a``;
+        # an empty version would be shadowed by ``latest``.
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match="invalid"):
+            registry.register(name, make_servable(tmp_path, 0, "a"),
+                              version=version)
+        assert len(registry) == 0 and registry.describe() == {}
+
     def test_register_without_promotion(self, tmp_path):
         registry = ModelRegistry()
         registry.register("fmd", make_servable(tmp_path, 0, "a"))

@@ -477,6 +477,19 @@ class TestAdminEndpoint:
         assert response == {"name": "default", "version": "2"}
         assert server.models()["default"]["latest"] == latest
 
+    @pytest.mark.parametrize("name,version", [
+        ("a@b", None), ("other", ""), ("other", "1@2")],
+        ids=["at-in-name", "empty-version", "at-in-version"])
+    def test_load_refuses_unresolvable_names_and_versions(
+            self, admin, server, artifact_dir, name, version):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(admin, "/admin/load", {
+                "name": name, "path": artifact_dir, "version": version})
+        assert excinfo.value.code == 400
+        assert "ValueError: invalid" in json.loads(
+            excinfo.value.read())["error"]
+        assert list(server.models()) == ["default"]
+
     @pytest.mark.parametrize("path,field,value", [
         # The string "false" was read with bool() and drained the worker.
         ("/admin/drain", "draining", "false"),

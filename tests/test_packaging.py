@@ -71,7 +71,7 @@ class TestExtrasFreeInstall:
     def test_engine_package_is_importable(self):
         assert hasattr(repro.nn, "Tensor")
         assert hasattr(repro.nn, "no_grad")
-        assert hasattr(repro.nn, "set_default_dtype")
+        assert hasattr(repro.nn, "default_dtype")
 
 
 #: Imports every ``repro`` module with a ``sys.meta_path`` finder in front
