@@ -132,7 +132,6 @@ class Controller:
                                               for m in module_specs]
         if not self.modules:
             raise ValueError("the controller needs at least one module")
-        self._last_result: Optional[TagletsResult] = None
 
     @staticmethod
     def _resolve_module(spec: Union[str, TrainingModule]) -> TrainingModule:
@@ -141,10 +140,6 @@ class Controller:
         if spec not in _MODULE_FACTORIES:
             raise KeyError(f"unknown module {spec!r}; known: {sorted(_MODULE_FACTORIES)}")
         return _MODULE_FACTORIES[spec]()
-
-    @property
-    def module_names(self) -> List[str]:
-        return [m.name for m in self.modules]
 
     # ------------------------------------------------------------------ #
     # Pipeline
@@ -224,7 +219,6 @@ class Controller:
         if self.config.export_ensemble_path is not None:
             self.export_ensemble(result, self.config.export_ensemble_path,
                                  task=task)
-        self._last_result = result
         return result
 
     def export(self, result: TagletsResult, path: str,
@@ -252,7 +246,3 @@ class Controller:
     def train_end_model(self, task: Task) -> EndModel:
         """Artifact-appendix style entry point: run the pipeline, return the end model."""
         return self.run(task).end_model
-
-    @property
-    def last_result(self) -> Optional[TagletsResult]:
-        return self._last_result

@@ -13,8 +13,8 @@ The same split seed drives both steps, exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class TargetDataset:
     @property
     def has_predetermined_test(self) -> bool:
         return self.test_features is not None
-
-    def images_per_class(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
 
 
 @dataclass

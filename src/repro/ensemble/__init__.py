@@ -1,7 +1,5 @@
 """``repro.ensemble`` — combining taglet predictions into soft pseudo labels."""
 
-from .voting import (TagletEnsemble, ensemble_probabilities,
-                     renormalized_mean, vote_matrix)
+from .voting import TagletEnsemble, renormalized_mean
 
-__all__ = ["TagletEnsemble", "ensemble_probabilities", "renormalized_mean",
-           "vote_matrix"]
+__all__ = ["TagletEnsemble", "renormalized_mean"]

@@ -16,22 +16,7 @@ import numpy as np
 
 from ..modules.base import Taglet
 
-__all__ = ["vote_matrix", "renormalized_mean", "ensemble_probabilities",
-           "TagletEnsemble"]
-
-
-def vote_matrix(taglet_probabilities: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack per-taglet probability matrices into a ``(|T|, n, C)`` vote tensor."""
-    if not taglet_probabilities:
-        raise ValueError("at least one taglet prediction is required")
-    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in taglet_probabilities])
-    if stacked.ndim != 3:
-        raise ValueError("each taglet prediction must be an (n, C) matrix")
-    first = stacked[0].shape
-    for probs in stacked[1:]:
-        if probs.shape != first:
-            raise ValueError("taglet predictions disagree on shape")
-    return stacked
+__all__ = ["renormalized_mean", "TagletEnsemble"]
 
 
 def renormalized_mean(votes: np.ndarray) -> np.ndarray:
@@ -46,11 +31,6 @@ def renormalized_mean(votes: np.ndarray) -> np.ndarray:
     row_sums = pseudo.sum(axis=1, keepdims=True)
     row_sums[row_sums == 0] = 1.0
     return pseudo / row_sums
-
-
-def ensemble_probabilities(taglet_probabilities: Sequence[np.ndarray]) -> np.ndarray:
-    """Soft pseudo labels: the average of the taglets' probability vectors (Eq. 6)."""
-    return renormalized_mean(vote_matrix(taglet_probabilities))
 
 
 def _member_proba(taglet: Taglet, features: np.ndarray,
@@ -80,10 +60,6 @@ class TagletEnsemble:
     @property
     def names(self) -> List[str]:
         return [t.name for t in self.taglets]
-
-    def member_probabilities(self, features: np.ndarray) -> Dict[str, np.ndarray]:
-        """Per-taglet probability matrices, keyed by taglet name."""
-        return {t.name: t.predict_proba(features) for t in self.taglets}
 
     def predict_proba(self, features: np.ndarray,
                       batch_size: Optional[int] = 256) -> np.ndarray:

@@ -2,15 +2,14 @@
 
 from .figures import (ensemble_improvement_series, module_accuracy_series,
                       module_removal_deltas)
-from .metrics import (Aggregate, confusion_matrix, mean_confidence_interval,
-                      top1_accuracy)
+from .metrics import Aggregate, mean_confidence_interval
 from .runner import (METHOD_REGISTRY, TABLE_METHODS, TABLE_PRUNED_METHODS,
                      ExperimentResult, ExperimentRunner, MethodSpec,
                      aggregate_records, baseline_method, taglets_method)
 from .tables import format_results_table, format_series, results_matrix
 
 __all__ = [
-    "top1_accuracy", "confusion_matrix", "mean_confidence_interval", "Aggregate",
+    "mean_confidence_interval", "Aggregate",
     "ExperimentResult", "MethodSpec", "ExperimentRunner",
     "taglets_method", "baseline_method", "METHOD_REGISTRY",
     "TABLE_METHODS", "TABLE_PRUNED_METHODS", "aggregate_records",

@@ -8,49 +8,13 @@ that statistic with a Student-t interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import math
 
 import numpy as np
 
-__all__ = ["top1_accuracy", "confusion_matrix", "mean_confidence_interval",
-           "student_t_ppf", "Aggregate"]
-
-
-def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of predictions equal to the labels (as a percentage would be *100)."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have the same shape")
-    if len(labels) == 0:
-        return 0.0
-    return float((predictions == labels).mean())
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray,
-                     num_classes: int) -> np.ndarray:
-    """Row = true class, column = predicted class.
-
-    Classes with no examples simply yield all-zero rows/columns; an empty
-    split yields the all-zero matrix.  Out-of-range or negative class ids
-    raise ``ValueError`` instead of silently wrapping into the wrong cell
-    (negative indices used to land in the *last* row/column).
-    """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have the same shape")
-    if num_classes <= 0:
-        raise ValueError("num_classes must be positive")
-    for name, arr in (("predictions", predictions), ("labels", labels)):
-        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-            raise ValueError(
-                f"{name} contain class ids outside [0, {num_classes})")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
+__all__ = ["mean_confidence_interval", "student_t_ppf", "Aggregate"]
 
 
 @dataclass
@@ -63,9 +27,6 @@ class Aggregate:
 
     def __str__(self) -> str:
         return f"{self.mean:.2f}±{self.half_width:.2f}"
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return self.mean, self.half_width
 
     def overlaps(self, other: "Aggregate") -> bool:
         """Whether the two 95% intervals overlap (the paper's tie criterion)."""

@@ -10,16 +10,15 @@ from . import vocabulary
 from .embeddings import generate_text_embeddings, normalize_rows, retrofit
 from .generator import GraphSpec, build_concept_graph
 from .graph import KnowledgeGraph, Relation
-from .hierarchy import (PRUNE_LEVEL_0, PRUNE_LEVEL_1, PRUNE_NONE, prune_graph,
-                        pruned_concepts)
-from .similarity import EmbeddingIndex, cosine_similarity, top_k_similar
+from .hierarchy import PRUNE_LEVEL_0, PRUNE_LEVEL_1, PRUNE_NONE, pruned_concepts
+from .similarity import EmbeddingIndex
 
 __all__ = [
     "KnowledgeGraph", "Relation",
     "GraphSpec", "build_concept_graph",
     "generate_text_embeddings", "retrofit", "normalize_rows",
-    "EmbeddingIndex", "cosine_similarity", "top_k_similar",
+    "EmbeddingIndex",
     "PRUNE_NONE", "PRUNE_LEVEL_0", "PRUNE_LEVEL_1",
-    "pruned_concepts", "prune_graph",
+    "pruned_concepts",
     "vocabulary",
 ]

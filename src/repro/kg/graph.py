@@ -9,15 +9,14 @@ needs:
 * typed, weighted edges between concepts,
 * a distinguished ``IsA`` hierarchy (the WordNet-style semantic tree used by
   the pruning experiments of Section 4.3),
-* descendant/ancestor queries and node removal for pruning,
+* parent and descendant queries for pruning,
 * neighbourhood queries used by embedding retrofitting and by the ZSL-KG
   graph neural network.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Relation", "KnowledgeGraph"]
 
@@ -48,7 +47,7 @@ class KnowledgeGraph:
     Nodes are concept names (lower-case strings with underscores, like
     ConceptNet surface forms).  Lateral edges are stored undirected with a
     relation type and weight; hierarchical ``IsA`` edges are additionally
-    tracked in a directed parent->child tree so pruning can remove whole
+    tracked in a directed parent->child tree so pruning can find whole
     subtrees efficiently.
 
     Every concept is a key of three insertion-ordered dicts: ``_adj``
@@ -124,9 +123,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self._adj)
 
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
     def _known(self, concept: str) -> str:
         concept = self.normalize(concept)
         if concept not in self._adj:
@@ -141,13 +137,6 @@ class KnowledgeGraph:
             return [(name, relation, weight) for name, (relation, weight) in nbrs.items()]
         return [(name, relation, weight) for name, (relation, weight) in nbrs.items()
                 if relation in relations]
-
-    def neighbor_names(self, concept: str,
-                       relations: Optional[Sequence[str]] = None) -> List[str]:
-        return [name for name, _, _ in self.neighbors(concept, relations=relations)]
-
-    def degree(self, concept: str) -> int:
-        return len(self._adj[self._known(concept)])
 
     def parent(self, concept: str) -> Optional[str]:
         """Return the ``IsA`` parent of a concept (None for roots)."""
@@ -168,32 +157,8 @@ class KnowledgeGraph:
         found.discard(concept)
         return found
 
-    def ancestors(self, concept: str) -> List[str]:
-        """Path of ancestors from the immediate parent up to the root."""
-        out = []
-        current = self.parent(concept)
-        while current is not None:
-            out.append(current)
-            current = self.parent(current)
-        return out
-
     def roots(self) -> List[str]:
         return [concept for concept, parents in self._parents.items() if not parents]
-
-    def shortest_path_length(self, source: str, target: str) -> int:
-        """Unweighted hop distance over all edge types (breadth-first search)."""
-        source, target = self._known(source), self._known(target)
-        distance = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                return distance[node]
-            for neighbor in self._adj[node]:
-                if neighbor not in distance:
-                    distance[neighbor] = distance[node] + 1
-                    queue.append(neighbor)
-        raise ValueError(f"no path between {source!r} and {target!r}")
 
     def edges(self) -> Iterator[Tuple[str, str, str, float]]:
         """Iterate ``(u, v, relation, weight)`` over all edges.
@@ -207,57 +172,3 @@ class KnowledgeGraph:
                 if v not in seen:
                     yield u, v, relation, weight
             seen.add(u)
-
-    # ------------------------------------------------------------------ #
-    # Mutation (pruning, SCADS extensibility)
-    # ------------------------------------------------------------------ #
-    def remove_concepts(self, concepts: Iterable[str]) -> int:
-        """Remove concepts (and incident edges) from the graph; returns count removed."""
-        removed = 0
-        for concept in list(concepts):
-            concept = self.normalize(concept)
-            if concept not in self._adj:
-                continue
-            for neighbor in self._adj.pop(concept):
-                del self._adj[neighbor][concept]
-            for child in self._children.pop(concept):
-                del self._parents[child][concept]
-            for parent in self._parents.pop(concept):
-                del self._children[parent][concept]
-            removed += 1
-        return removed
-
-    def copy(self) -> "KnowledgeGraph":
-        return self._induced(self._adj)
-
-    def subgraph(self, concepts: Iterable[str]) -> "KnowledgeGraph":
-        """Graph induced on the given concepts (kept in this graph's order)."""
-        keep = {self.normalize(c) for c in concepts}
-        return self._induced(keep)
-
-    def _induced(self, keep) -> "KnowledgeGraph":
-        """A new graph on the concepts in ``keep``, built by re-adding edges.
-
-        Concepts are visited in order and each one's neighbours in order, so
-        an edge ``u-v`` lands at the end of both lists the first time either
-        endpoint meets it.  This re-orders neighbour lists relative to
-        ``self`` (a neighbour added early from the far side moves up), and
-        that is the order retrofitting and the ZSL-KG descriptions read on
-        pruned copies, so it is kept exactly.
-        """
-        duplicate = KnowledgeGraph()
-        for concept in self._adj:
-            if concept in keep:
-                duplicate._add_normalized(concept)
-        adj = duplicate._adj
-        for u in adj:
-            for v, data in self._adj[u].items():
-                if v in adj:
-                    adj[u][v] = data
-                    adj[v][u] = data
-        for u in adj:
-            for v in self._children[u]:
-                if v in adj:
-                    duplicate._children[u][v] = None
-                    duplicate._parents[v][u] = None
-        return duplicate

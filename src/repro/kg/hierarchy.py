@@ -10,12 +10,11 @@ available: for a target class ``c``,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Set
 
 from .graph import KnowledgeGraph
 
-__all__ = ["PRUNE_NONE", "PRUNE_LEVEL_0", "PRUNE_LEVEL_1", "pruned_concepts",
-           "prune_graph"]
+__all__ = ["PRUNE_NONE", "PRUNE_LEVEL_0", "PRUNE_LEVEL_1", "pruned_concepts"]
 
 PRUNE_NONE = None
 PRUNE_LEVEL_0 = 0
@@ -43,19 +42,3 @@ def pruned_concepts(graph: KnowledgeGraph, target_class: str,
             removed.add(parent)
             removed |= graph.descendants(parent)
     return removed
-
-
-def prune_graph(graph: KnowledgeGraph, target_classes: Iterable[str],
-                level: int) -> KnowledgeGraph:
-    """Return a copy of ``graph`` pruned around every target class.
-
-    ``level`` may be ``None`` (no pruning), 0, or 1.
-    """
-    if level is PRUNE_NONE:
-        return graph.copy()
-    removed: Set[str] = set()
-    for cls in target_classes:
-        removed |= pruned_concepts(graph, cls, level)
-    pruned = graph.copy()
-    pruned.remove_concepts(removed)
-    return pruned

@@ -19,7 +19,7 @@ semantically-close auxiliary classes to retrieve.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 __all__ = [
     "TOP_LEVEL_DOMAINS",
@@ -128,19 +128,3 @@ GROCERY_OOV_ANCHORS: Dict[str, List[str]] = {
 #: leaf class (so SCADS retrieval has a rich pool even for curated classes).
 RELATED_SUFFIXES: List[str] = ["fragment", "closeup", "pattern", "stack", "pile"]
 RELATED_PREFIXES: List[str] = ["small", "large", "vintage", "toy", "broken"]
-
-
-def all_curated_concepts() -> List[str]:
-    """Every concept named explicitly in this vocabulary (no fillers/derived)."""
-    concepts = set(TOP_LEVEL_DOMAINS)
-    concepts.add("entity")
-    for parent, children in MATERIAL_TREE.items():
-        concepts.add(parent)
-        concepts.update(children)
-    for group, classes in OFFICE_HOME_GROUPS.items():
-        concepts.add(group)
-        concepts.update(classes)
-    for group, classes in GROCERY_GROUPS.items():
-        concepts.add(group)
-        concepts.update(classes)
-    return sorted(concepts)

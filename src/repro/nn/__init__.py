@@ -9,7 +9,7 @@ pipeline, augmentations, and shared training loops.
 from . import functional
 from .chain import LeafChain, leaf_chain
 from .data import (ArrayDataset, DataLoader, Dataset, SoftLabeledDataset,
-                   UnlabeledDataset, train_test_indices)
+                   UnlabeledDataset)
 from .modules import (MLP, BatchNorm1d, Dropout, Identity, Linear, Module,
                       Parameter, ReLU, Sequential, Tanh)
 from .optim import SGD, Adam, Optimizer
@@ -25,12 +25,11 @@ from .tensor import (Tensor, default_dtype, get_default_dtype,
                      graph_replay_enabled, is_grad_enabled, no_grad,
                      use_graph_replay)
 from .training import (TrainConfig, build_optimizer, build_scheduler,
-                       evaluate_accuracy, iterate_forever, predict_logits,
-                       predict_proba, softmax_rows, train_classifier,
-                       train_soft_classifier)
-from .transforms import (Compose, GaussianJitter, IdentityTransform,
-                         RandomFeatureDrop, RandomPermuteBlocks, RandomScale,
-                         Transform, strong_augment, weak_augment)
+                       iterate_forever, predict_logits, predict_proba,
+                       softmax_rows, train_classifier, train_soft_classifier)
+from .transforms import (Compose, GaussianJitter, RandomFeatureDrop,
+                         RandomPermuteBlocks, RandomScale, Transform,
+                         strong_augment, weak_augment)
 
 __all__ = [
     "Tensor", "functional",
@@ -44,12 +43,12 @@ __all__ = [
     "LRScheduler", "ConstantLR", "MultiStepLR", "CosineAnnealingLR",
     "FixMatchCosineLR",
     "Dataset", "ArrayDataset", "UnlabeledDataset", "SoftLabeledDataset",
-    "DataLoader", "train_test_indices",
-    "Transform", "Compose", "IdentityTransform", "GaussianJitter",
+    "DataLoader",
+    "Transform", "Compose", "GaussianJitter",
     "RandomScale", "RandomFeatureDrop", "RandomPermuteBlocks",
     "weak_augment", "strong_augment",
     "TrainConfig", "build_optimizer", "build_scheduler", "predict_logits",
-    "predict_proba", "softmax_rows", "evaluate_accuracy", "train_classifier",
+    "predict_proba", "softmax_rows", "train_classifier",
     "train_soft_classifier", "iterate_forever",
     "save_state_dict", "load_state_dict", "save_module", "load_into_module",
     "state_dict_manifest", "state_dict_digest", "validate_state_dict",

@@ -12,7 +12,7 @@ index, in an order drawn from the caller's seeded generator.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "UnlabeledDataset",
     "SoftLabeledDataset",
     "DataLoader",
-    "train_test_indices",
 ]
 
 
@@ -65,12 +64,6 @@ class ArrayDataset(Dataset):
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return the full ``(features, labels)`` pair (no copy)."""
         return self.features, self.labels
-
-    def class_counts(self) -> np.ndarray:
-        if len(self.labels) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.bincount(self.labels)
-
 
 class UnlabeledDataset(Dataset):
     """Unlabeled dataset over an ``(n, d)`` feature array."""
@@ -147,25 +140,3 @@ class DataLoader:
         self._rng.shuffle(order)
         for start in range(0, len(order), self.batch_size):
             yield self.dataset._batch_arrays(order[start:start + self.batch_size])
-
-
-def train_test_indices(labels: np.ndarray, test_per_class: int,
-                       rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Split indices into train/test taking ``test_per_class`` per class.
-
-    Mirrors the protocol of Appendix A.2: the test set is a fixed number of
-    images per class sampled uniformly, and the remainder is the train pool.
-    """
-    labels = np.asarray(labels)
-    train: List[int] = []
-    test: List[int] = []
-    for cls in np.unique(labels):
-        cls_indices = np.flatnonzero(labels == cls)
-        if len(cls_indices) <= test_per_class:
-            raise ValueError(
-                f"class {cls} has only {len(cls_indices)} examples, cannot hold out "
-                f"{test_per_class} for the test set")
-        permuted = rng.permutation(cls_indices)
-        test.extend(permuted[:test_per_class].tolist())
-        train.extend(permuted[test_per_class:].tolist())
-    return np.asarray(sorted(train)), np.asarray(sorted(test))

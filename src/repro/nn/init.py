@@ -6,43 +6,23 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros", "normal"]
+__all__ = ["kaiming_uniform", "zeros", "normal"]
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
+def _fan_in(shape: Tuple[int, ...]) -> int:
     if len(shape) < 1:
         raise ValueError("cannot compute fan for a scalar shape")
     if len(shape) == 1:
-        return shape[0], shape[0]
-    fan_in = int(np.prod(shape[:-1]))
-    fan_out = shape[-1]
-    return fan_in, fan_out
+        return shape[0]
+    return int(np.prod(shape[:-1]))
 
 
 def kaiming_uniform(shape: Tuple[int, ...],
                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """He/Kaiming uniform init, appropriate for ReLU networks."""
     rng = rng if rng is not None else np.random.default_rng()
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: Tuple[int, ...],
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """He/Kaiming normal init."""
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / max(fan_in, 1))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...],
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Glorot/Xavier uniform init, appropriate for tanh/linear heads."""
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from . import functional as F
 from .data import ArrayDataset, DataLoader, SoftLabeledDataset
 from .modules import Module
 from .optim import SGD, Adam, Optimizer
@@ -31,7 +30,6 @@ __all__ = [
     "predict_logits",
     "predict_proba",
     "softmax_rows",
-    "evaluate_accuracy",
     "train_classifier",
     "train_soft_classifier",
     "iterate_forever",
@@ -129,13 +127,6 @@ def predict_proba(model: Module, features: np.ndarray,
                   batch_size: Optional[int] = 256) -> np.ndarray:
     """Softmax probabilities of the model on ``features``."""
     return softmax_rows(predict_logits(model, features, batch_size=batch_size))
-
-
-def evaluate_accuracy(model: Module, features: np.ndarray,
-                      labels: np.ndarray) -> float:
-    """Top-1 accuracy of the model on a labeled array pair."""
-    logits = predict_logits(model, features)
-    return F.accuracy(logits, labels)
 
 
 def _train(model: Module, dataset, loss: str, config: TrainConfig,

@@ -20,7 +20,7 @@ reproducible in tests.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .tensor import get_default_dtype
 __all__ = [
     "Transform",
     "Compose",
-    "IdentityTransform",
     "GaussianJitter",
     "RandomScale",
     "RandomFeatureDrop",
@@ -44,11 +43,6 @@ class Transform:
 
     def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
-
-
-class IdentityTransform(Transform):
-    def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(batch, dtype=get_default_dtype())
 
 
 class Compose(Transform):

@@ -128,26 +128,6 @@ class ScadsEmbedding:
     # ------------------------------------------------------------------ #
     # Similarity queries
     # ------------------------------------------------------------------ #
-    def related_concepts(self, concept_or_vector, top_k: int,
-                         candidates: Optional[Sequence[str]] = None,
-                         exclude: Optional[Sequence[str]] = None
-                         ) -> List[Tuple[str, float]]:
-        """Top-k concepts most similar to a query concept or vector.
-
-        ``candidates`` restricts the search to a subset of concepts (e.g. the
-        concepts that actually have auxiliary images); ``exclude`` removes
-        specific concepts (typically the query itself).
-        """
-        if isinstance(concept_or_vector, str):
-            query = self.get_vector(concept_or_vector)
-            exclude = list(exclude or []) + [KnowledgeGraph.normalize(concept_or_vector)]
-        else:
-            query = np.asarray(concept_or_vector, dtype=np.float64)
-        index = self._candidate_index(candidates)
-        if index is None:
-            return []
-        return index.top_k(query, top_k, exclude=exclude)
-
     def related_concepts_batch(self, queries: Sequence[np.ndarray], top_k: int,
                                candidates: Optional[Sequence[str]] = None
                                ) -> List[List[Tuple[str, float]]]:

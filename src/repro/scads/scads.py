@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..kg.graph import KnowledgeGraph, Relation
+from ..kg.graph import KnowledgeGraph
 from ..kg.hierarchy import pruned_concepts
 
 __all__ = ["Scads"]
@@ -86,10 +86,6 @@ class Scads:
     # ------------------------------------------------------------------ #
     # Retrieval
     # ------------------------------------------------------------------ #
-    @property
-    def installed_datasets(self) -> List[str]:
-        return list(self._datasets)
-
     def concepts_with_images(self) -> List[str]:
         """Concepts that currently have selectable images (Q_YS minus pruned)."""
         return [c for c in self._images if c not in self._excluded]
@@ -116,15 +112,6 @@ class Scads:
         rng = rng if rng is not None else np.random.default_rng()
         indices = rng.choice(len(images), size=limit, replace=False)
         return images[indices]
-
-    def num_images(self, concept: Optional[str] = None) -> int:
-        if concept is not None:
-            concept = KnowledgeGraph.normalize(concept)
-            if concept not in self._images or concept in self._excluded:
-                return 0
-            return len(self._images[concept])
-        return int(sum(len(images) for c, images in self._images.items()
-                       if c not in self._excluded))
 
     @property
     def image_dim(self) -> int:

@@ -385,9 +385,6 @@ class Servable:
     def predict(self, features: np.ndarray) -> np.ndarray:
         return self.predict_proba(features).argmax(axis=1)
 
-    def predict_names(self, features: np.ndarray) -> List[str]:
-        return [self.class_names[i] for i in self.predict(features)]
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -534,10 +531,6 @@ class ServableEnsemble(Servable):
     def num_members(self) -> int:
         return len(self._members)
 
-    @property
-    def member_names(self) -> List[str]:
-        return [entry["name"] for entry in self.manifest["members"]]
-
     def _member_proba(self, index: int, rows: np.ndarray) -> np.ndarray:
         """One member's probabilities over ``rows`` (one full-array forward),
         replaying the member taglet's own logits-to-probabilities recipe."""
@@ -575,12 +568,6 @@ class ServableEnsemble(Servable):
         if batch_size is not None and batch_size > 0:
             return run_at_quantum(self._vote, features, batch_size)
         return self._vote(features)
-
-    def member_probabilities(self, features: np.ndarray) -> Dict[str, np.ndarray]:
-        """Per-member probability matrices, keyed by member taglet name."""
-        features = np.asarray(features, dtype=self.dtype)
-        return {entry["name"]: self._member_proba(index, features)
-                for index, entry in enumerate(self.manifest["members"])}
 
     def describe(self) -> dict:
         """A JSON-friendly summary (what ``GET /models`` reports)."""

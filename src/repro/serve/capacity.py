@@ -115,14 +115,6 @@ class ServiceModel:
                 "measurements": {str(k): v
                                  for k, v in self.measurements.items()}}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceModel":
-        return cls(base_s=float(payload["base_s"]),
-                   per_row_s=float(payload["per_row_s"]),
-                   overhead_s=float(payload.get("overhead_s", 0.0)),
-                   measurements={int(k): float(v) for k, v in
-                                 payload.get("measurements", {}).items()})
-
 
 def _time_forward(predict_fn: Callable[[np.ndarray], np.ndarray],
                   rows: np.ndarray, repeats: int) -> float:

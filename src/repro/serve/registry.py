@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from .artifact import Servable, ServableModel, load_servable
+from .artifact import Servable
 
 __all__ = ["ModelRegistry", "ModelNotFound", "parse_reference"]
 
@@ -55,23 +55,13 @@ class ModelRegistry:
         Versions auto-increment (``"1"``, ``"2"``, …) unless given
         explicitly.  With ``make_latest`` (default) the ``latest`` pointer
         swings to the new version in the same critical section — the hot
-        swap is one atomic pointer update.  A name or an explicit version
-        that is empty or contains ``@`` could never be resolved through
-        :func:`parse_reference`, so it raises ``ValueError``.
+        swap is one atomic pointer update.  The name and version must pass
+        :meth:`check_key`.
         """
         if not isinstance(servable, Servable):
             raise TypeError(f"expected a Servable (ServableModel or "
                             f"ServableEnsemble), got {type(servable).__name__}")
-        if not name or "@" in name:
-            raise ValueError(f"invalid model name {name!r}: it must be "
-                             "non-empty and contain no '@'")
-        if version is not None:
-            version = str(version)
-            if not version or "@" in version:
-                raise ValueError(f"invalid version {version!r}: it must be "
-                                 "non-empty and contain no '@'")
-            if version == LATEST:
-                raise ValueError(f"{LATEST!r} is a reserved version name")
+        version = self.check_key(name, version)
         with self._lock:
             versions = self._models.setdefault(name, {})
             if version is None:
@@ -84,11 +74,27 @@ class ModelRegistry:
                 self._latest[name] = version
             return version
 
-    def load(self, name: str, path: str, version: Optional[str] = None,
-             make_latest: bool = True) -> str:
-        """Load an exported artifact directory and register it."""
-        return self.register(name, load_servable(path), version=version,
-                             make_latest=make_latest)
+    @staticmethod
+    def check_key(name: str, version: Optional[str] = None) -> Optional[str]:
+        """Refuse a name or explicit version that could never be resolved.
+
+        A name or version that is empty or contains ``@`` could never come
+        back out of :func:`parse_reference`, and ``latest`` is the pointer's
+        own name; each raises ``ValueError``.  Returns the version as a
+        string (``None`` stays ``None``: :meth:`register` numbers it).
+        """
+        if not name or "@" in name:
+            raise ValueError(f"invalid model name {name!r}: it must be "
+                             "non-empty and contain no '@'")
+        if version is None:
+            return None
+        version = str(version)
+        if not version or "@" in version:
+            raise ValueError(f"invalid version {version!r}: it must be "
+                             "non-empty and contain no '@'")
+        if version == LATEST:
+            raise ValueError(f"{LATEST!r} is a reserved version name")
+        return version
 
     def unregister(self, name: str, version: Optional[str] = None) -> None:
         """Retire one version (or, with ``version=None``, the whole name).
@@ -146,12 +152,6 @@ class ModelRegistry:
             if name not in self._models:
                 raise ModelNotFound(name)
             return list(self._models[name])
-
-    def latest_version(self, name: str) -> str:
-        with self._lock:
-            if name not in self._latest:
-                raise ModelNotFound(name)
-            return self._latest[name]
 
     def names(self) -> List[str]:
         with self._lock:

@@ -244,13 +244,6 @@ class Router:
         with self._lock:
             self._replicas[replica_id].draining = bool(draining)
 
-    def set_healthy(self, replica_id: str, healthy: bool) -> None:
-        with self._lock:
-            handle = self._replicas[replica_id]
-            handle.healthy = bool(healthy)
-            if healthy:
-                handle.consecutive_failures = 0
-
     def note_respawn(self, replica_id: str) -> None:
         with self._lock:
             self._replicas[replica_id].respawns += 1

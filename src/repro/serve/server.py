@@ -85,6 +85,12 @@ class Server:
 
     def load(self, name: str, path: str, version: Optional[str] = None,
              make_latest: bool = True) -> str:
+        """Load an exported artifact directory and register it.
+
+        The name and version are checked first, so a key the registry would
+        refuse costs no artifact read or digest check.
+        """
+        version = ModelRegistry.check_key(name, version)
         return self.registry.register(name, load_servable(path),
                                       version=version, make_latest=make_latest)
 

@@ -24,7 +24,7 @@ Consequences (verified by tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -192,25 +192,6 @@ class VisualWorld:
         clean = styles * prototype[None, :] + rng.normal(0.0, noise,
                                                          size=(count, self.image_dim))
         return self.domain(domain)(clean)
-
-    def sample_dataset(self, concept_labels: Mapping[str, int], per_class: int,
-                       domain: str = "natural",
-                       rng: Optional[np.random.Generator] = None
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample a labeled dataset: ``per_class`` images for each concept.
-
-        ``concept_labels`` maps concept name -> integer label.
-        """
-        rng = rng if rng is not None else np.random.default_rng()
-        features: List[np.ndarray] = []
-        labels: List[np.ndarray] = []
-        for concept, label in concept_labels.items():
-            images = self.sample_images(concept, per_class, domain=domain, rng=rng)
-            features.append(images)
-            labels.append(np.full(per_class, label, dtype=np.int64))
-        if not features:
-            return np.zeros((0, self.image_dim)), np.zeros(0, dtype=np.int64)
-        return np.concatenate(features, axis=0), np.concatenate(labels, axis=0)
 
     def prototype_distance(self, concept_a: str, concept_b: str) -> float:
         """Euclidean distance between two concept prototypes."""

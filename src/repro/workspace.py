@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from .backbones import BackboneRegistry, PretrainedBackbone, default_registry
-from .datasets import (DATASET_BUILDERS, TEST_PER_CLASS, TargetDataset,
-                       TaskSplit, build_dataset, make_split)
+from .datasets import (TEST_PER_CLASS, TargetDataset, TaskSplit, build_dataset,
+                       make_split)
 from .kg import (GraphSpec, KnowledgeGraph, build_concept_graph,
                  generate_text_embeddings)
 from .scads import ScadsBundle, align_target_classes, build_scads
@@ -106,9 +104,6 @@ class Workspace:
         test_per_class = TEST_PER_CLASS.get(dataset_name, 10)
         return make_split(dataset, shots=shots, split_seed=split_seed,
                           test_per_class=test_per_class)
-
-    def available_datasets(self) -> list:
-        return sorted(DATASET_BUILDERS)
 
     # ------------------------------------------------------------------ #
     # Backbones

@@ -8,7 +8,8 @@ from repro.backbones import (BackboneRegistry, BackboneSpec, PretrainSpec,
                              resnet50_imagenet1k)
 from repro.backbones.backbone import ClassificationModel
 from repro.nn import Tensor
-from repro.nn.training import evaluate_accuracy, train_classifier, TrainConfig
+from repro.nn import functional as F
+from repro.nn.training import predict_logits, train_classifier, TrainConfig
 
 
 class TestPretraining:
@@ -35,7 +36,8 @@ class TestPretraining:
             head = MLP(24, [], split.num_classes, rng=np.random.default_rng(0))
             train_classifier(head, train_features, split.labeled_labels,
                              TrainConfig(epochs=40, lr=0.05, seed=0))
-            return evaluate_accuracy(head, test_features, split.test_labels)
+            return F.accuracy(predict_logits(head, test_features),
+                              split.test_labels)
 
         from repro.backbones.backbone import Encoder
 

@@ -71,7 +71,7 @@ class TestControllerPipeline:
 class TestControllerConfiguration:
     def test_module_names_resolution(self):
         controller = Controller(modules=("transfer", "zsl_kg"))
-        assert controller.module_names == ["transfer", "zsl_kg"]
+        assert [m.name for m in controller.modules] == ["transfer", "zsl_kg"]
         with pytest.raises(KeyError):
             Controller(modules=("unknown_module",))
         with pytest.raises(ValueError):
@@ -105,4 +105,3 @@ class TestControllerConfiguration:
             config=fast_config)
         end_model = controller.train_end_model(task)
         assert end_model.name == "end_model"
-        assert controller.last_result is not None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ensemble import TagletEnsemble, ensemble_probabilities, vote_matrix
+from repro.ensemble import TagletEnsemble, renormalized_mean
 from repro.modules.base import Taglet
 
 
@@ -21,35 +21,19 @@ class ConstantTaglet(Taglet):
         return np.tile(self._probabilities, (len(features), 1))
 
 
-class TestVoteMatrix:
-    def test_shape(self):
-        votes = vote_matrix([np.full((4, 3), 1 / 3), np.full((4, 3), 1 / 3)])
-        assert votes.shape == (2, 4, 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vote_matrix([])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            vote_matrix([np.zeros((2, 3)), np.zeros((2, 4))])
-        with pytest.raises(ValueError):
-            vote_matrix([np.zeros(3)])
-
-
-class TestEnsembleProbabilities:
+class TestRenormalizedMean:
     def test_average_of_members(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        np.testing.assert_allclose(ensemble_probabilities([a, b]), [[0.5, 0.5]])
+        np.testing.assert_allclose(renormalized_mean(np.stack([a, b])), [[0.5, 0.5]])
 
     def test_single_member_identity(self):
         probs = np.array([[0.2, 0.8], [0.6, 0.4]])
-        np.testing.assert_allclose(ensemble_probabilities([probs]), probs)
+        np.testing.assert_allclose(renormalized_mean(probs[None]), probs)
 
     def test_rows_renormalized(self):
         # Degenerate all-zero rows must not produce NaNs.
-        out = ensemble_probabilities([np.zeros((2, 3))])
+        out = renormalized_mean(np.zeros((1, 2, 3)))
         assert np.isfinite(out).all()
 
 
@@ -70,8 +54,6 @@ class TestTagletEnsemble:
         accuracies = ensemble.member_accuracies(features, labels)
         assert accuracies == {"right": 1.0, "wrong": 0.0}
         assert ensemble.names == ["right", "wrong"]
-        member = ensemble.member_probabilities(features)
-        assert set(member) == {"right", "wrong"}
 
     def test_accuracy_empty_features(self):
         ensemble = TagletEnsemble([ConstantTaglet("a", [0.5, 0.5])])
@@ -81,13 +63,24 @@ class TestTagletEnsemble:
         with pytest.raises(ValueError):
             TagletEnsemble([])
 
+    def test_member_shapes_must_agree(self):
+        features = np.zeros((2, 2))
+        mismatched = TagletEnsemble([ConstantTaglet("a", [0.5, 0.5]),
+                                     ConstantTaglet("b", [0.2, 0.3, 0.5])])
+        with pytest.raises(ValueError):
+            mismatched.predict_proba(features)
+        flat = ConstantTaglet("flat", [0.5, 0.5])
+        flat.predict_proba = lambda features: np.full(len(features), 0.5)
+        with pytest.raises(ValueError):
+            TagletEnsemble([flat]).predict_proba(features)
+
 
 @settings(max_examples=25, deadline=None)
 @given(hnp.arrays(np.float64, (3, 5, 4), elements=st.floats(0.01, 1.0)))
 def test_property_pseudo_labels_are_distributions(raw_votes):
     # Normalize each member's rows so the inputs are valid probability vectors.
     votes = raw_votes / raw_votes.sum(axis=2, keepdims=True)
-    pseudo = ensemble_probabilities(list(votes))
+    pseudo = renormalized_mean(votes)
     assert pseudo.shape == (5, 4)
     assert (pseudo >= 0).all()
     np.testing.assert_allclose(pseudo.sum(axis=1), np.ones(5), atol=1e-9)
@@ -97,6 +90,6 @@ def test_property_pseudo_labels_are_distributions(raw_votes):
 @given(hnp.arrays(np.float64, (2, 4, 3), elements=st.floats(0.01, 1.0)))
 def test_property_ensemble_is_permutation_invariant(raw_votes):
     votes = raw_votes / raw_votes.sum(axis=2, keepdims=True)
-    forward = ensemble_probabilities([votes[0], votes[1]])
-    reverse = ensemble_probabilities([votes[1], votes[0]])
+    forward = renormalized_mean(votes)
+    reverse = renormalized_mean(votes[::-1])
     np.testing.assert_allclose(forward, reverse)

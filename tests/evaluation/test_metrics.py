@@ -5,57 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import (Aggregate, confusion_matrix,
-                              mean_confidence_interval, top1_accuracy)
+from repro.evaluation import Aggregate, mean_confidence_interval
 from repro.evaluation.metrics import student_t_ppf
-
-
-class TestAccuracy:
-    def test_top1(self):
-        assert top1_accuracy(np.array([0, 1, 1]), np.array([0, 1, 0])) == pytest.approx(2 / 3)
-        assert top1_accuracy(np.array([]), np.array([])) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            top1_accuracy(np.zeros(3), np.zeros(4))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), 3)
-        assert matrix[0, 0] == 1 and matrix[2, 1] == 1 and matrix[2, 2] == 1
-        assert matrix.sum() == 4
-
-
-class TestConfusionMatrixEdges:
-    def test_empty_split_yields_zero_matrix(self):
-        matrix = confusion_matrix(np.array([]), np.array([]), 4)
-        assert matrix.shape == (4, 4)
-        assert matrix.sum() == 0
-
-    def test_absent_classes_yield_zero_rows(self):
-        # classes 0 and 3 never appear; their rows and columns stay zero
-        matrix = confusion_matrix(np.array([1, 2]), np.array([1, 2]), 4)
-        assert matrix[0].sum() == 0 and matrix[3].sum() == 0
-        assert matrix[:, 0].sum() == 0 and matrix[:, 3].sum() == 0
-        assert matrix[1, 1] == 1 and matrix[2, 2] == 1
-
-    def test_negative_ids_rejected(self):
-        # regression: -1 used to silently wrap into the last row/column
-        with pytest.raises(ValueError, match="outside"):
-            confusion_matrix(np.array([-1]), np.array([0]), 3)
-        with pytest.raises(ValueError, match="outside"):
-            confusion_matrix(np.array([0]), np.array([-1]), 3)
-
-    def test_out_of_range_ids_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            confusion_matrix(np.array([3]), np.array([0]), 3)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same shape"):
-            confusion_matrix(np.zeros(2), np.zeros(3), 3)
-
-    def test_nonpositive_num_classes_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            confusion_matrix(np.array([]), np.array([]), 0)
 
 
 class TestConfidenceInterval:
@@ -83,7 +34,7 @@ class TestConfidenceInterval:
         assert a.overlaps(b)
         assert not a.overlaps(c)
         assert "±" in str(a)
-        assert a.as_tuple() == (0.5, 0.1)
+        assert (a.mean, a.half_width) == (0.5, 0.1)
 
     def test_overlap_boundary_equality_counts_as_overlap(self):
         # Intervals that exactly touch — |Δmean| == sum of half-widths —
@@ -100,7 +51,8 @@ class TestConfidenceInterval:
 
     def test_single_value_interval_is_degenerate(self):
         aggregate = mean_confidence_interval([0.42])
-        assert aggregate.as_tuple() == (pytest.approx(0.42), 0.0)
+        assert aggregate.mean == pytest.approx(0.42)
+        assert aggregate.half_width == 0.0
         assert aggregate.count == 1
 
 

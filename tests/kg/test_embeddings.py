@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from repro.kg import (KnowledgeGraph, Relation, generate_text_embeddings,
                       normalize_rows, retrofit)
-from repro.kg.similarity import cosine_similarity
+
+
+def cosine_similarity(a, b):
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def chain_graph(n=5):

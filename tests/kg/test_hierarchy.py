@@ -1,9 +1,11 @@
 """Tests for semantic-tree pruning (paper Section 4.3)."""
 
+import numpy as np
 import pytest
 
 from repro.kg import (KnowledgeGraph, PRUNE_LEVEL_0, PRUNE_LEVEL_1, PRUNE_NONE,
-                      Relation, prune_graph, pruned_concepts)
+                      Relation, pruned_concepts)
+from repro.scads import Scads
 
 
 @pytest.fixture()
@@ -37,26 +39,36 @@ class TestPrunedConcepts:
             pruned_concepts(tree, "plastic", 2)
 
 
-class TestPruneGraph:
-    def test_no_pruning_returns_copy(self, tree):
-        pruned = prune_graph(tree, ["plastic"], PRUNE_NONE)
-        assert len(pruned) == len(tree)
-        pruned.remove_concepts(["plastic"])
-        assert "plastic" in tree
+class TestPrunedView:
+    """Prune levels applied through ``Scads.pruned`` over a SCADS that has
+    images on every concept of the tree."""
 
-    def test_level_0_keeps_siblings(self, tree):
-        pruned = prune_graph(tree, ["plastic"], PRUNE_LEVEL_0)
-        assert "plastic" not in pruned
-        assert "stone" in pruned
-        assert "keyboard" in pruned
+    @pytest.fixture()
+    def scads(self, tree):
+        scads = Scads(tree)
+        scads.install_dataset("all", {c: np.zeros((1, 2)) for c in tree.concepts})
+        return scads
 
-    def test_level_1_keeps_unrelated_branches(self, tree):
-        pruned = prune_graph(tree, ["plastic"], PRUNE_LEVEL_1)
-        assert "stone" not in pruned
-        assert "keyboard" in pruned
-        assert "entity" in pruned
+    def test_no_pruning_excludes_nothing(self, scads, tree):
+        pruned = scads.pruned(["plastic"], PRUNE_NONE)
+        assert pruned.excluded_concepts == set()
+        assert pruned.graph is tree
+        assert set(pruned.concepts_with_images()) == set(tree.concepts)
 
-    def test_multiple_target_classes(self, tree):
-        pruned = prune_graph(tree, ["plastic", "stone"], PRUNE_LEVEL_0)
-        assert "plastic" not in pruned and "stone" not in pruned
-        assert "material" in pruned
+    def test_level_0_keeps_siblings(self, scads):
+        pruned = scads.pruned(["plastic"], PRUNE_LEVEL_0)
+        assert not pruned.has_images("plastic")
+        assert pruned.has_images("stone")
+        assert pruned.has_images("keyboard")
+
+    def test_level_1_keeps_unrelated_branches(self, scads):
+        pruned = scads.pruned(["plastic"], PRUNE_LEVEL_1)
+        assert not pruned.has_images("stone")
+        assert pruned.has_images("keyboard")
+        assert pruned.has_images("entity")
+
+    def test_multiple_target_classes(self, scads):
+        pruned = scads.pruned(["plastic", "stone"], PRUNE_LEVEL_0)
+        assert not pruned.has_images("plastic") and not pruned.has_images("stone")
+        assert pruned.has_images("material")
+        assert "plastic" in pruned.graph

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kg import EmbeddingIndex, cosine_similarity, top_k_similar
-
-
-class TestCosineSimilarity:
-    def test_parallel_and_orthogonal(self):
-        assert cosine_similarity([1, 0], [2, 0]) == pytest.approx(1.0)
-        assert cosine_similarity([1, 0], [0, 3]) == pytest.approx(0.0)
-        assert cosine_similarity([1, 0], [-1, 0]) == pytest.approx(-1.0)
-
-    def test_zero_vector(self):
-        assert cosine_similarity([0, 0], [1, 2]) == 0.0
+from repro.kg import EmbeddingIndex
 
 
 class TestEmbeddingIndex:
@@ -27,32 +17,32 @@ class TestEmbeddingIndex:
         })
 
     def test_top_k_order(self, index):
-        results = index.top_k(np.array([1.0, 0.0]), k=3)
+        [results] = index.top_k_batch(np.array([[1.0, 0.0]]), k=3)
         assert [name for name, _ in results] == ["a", "b", "c"]
         scores = [score for _, score in results]
         assert scores == sorted(scores, reverse=True)
 
-    def test_exclusion(self, index):
-        results = index.top_k(np.array([1.0, 0.0]), k=2, exclude=["a"])
-        assert [name for name, _ in results] == ["b", "c"]
+    def test_one_result_list_per_query(self, index):
+        results = index.top_k_batch(np.array([[1.0, 0.0], [0.0, 2.0]]), k=1)
+        assert [[name for name, _ in row] for row in results] == [["a"], ["c"]]
 
     def test_k_zero_and_zero_query(self, index):
-        assert index.top_k(np.array([1.0, 0.0]), k=0) == []
-        assert index.top_k(np.zeros(2), k=3) == []
+        assert index.top_k_batch(np.array([[1.0, 0.0]]), k=0) == [[]]
+        assert index.top_k_batch(np.array([[0.0, 0.0], [1.0, 0.0]]), k=1) == [
+            [], [("a", pytest.approx(1.0))]]
 
     def test_k_larger_than_index(self, index):
-        results = index.top_k(np.array([0.0, 1.0]), k=10)
+        [results] = index.top_k_batch(np.array([[0.0, 1.0]]), k=10)
         assert len(results) == 4
 
-    def test_contains_and_vector(self, index):
+    def test_queries_must_be_a_matrix(self, index):
+        with pytest.raises(ValueError):
+            index.top_k_batch(np.array([1.0, 0.0]), k=1)
+
+    def test_contains_and_len(self, index):
         assert "a" in index and "zzz" not in index
-        np.testing.assert_allclose(np.linalg.norm(index.vector("b")), 1.0)
+        assert len(index) == 4
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingIndex({})
-
-    def test_top_k_similar_wrapper(self):
-        embeddings = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}
-        results = top_k_similar(embeddings, np.array([1.0, 0.1]), k=1)
-        assert results[0][0] == "x"

@@ -1,12 +1,10 @@
-"""Tests for datasets, loaders and the train/test split helper."""
+"""Tests for datasets and loaders."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nn import (ArrayDataset, DataLoader, SoftLabeledDataset,
-                      UnlabeledDataset, train_test_indices)
+                      UnlabeledDataset)
 
 
 class TestDatasets:
@@ -16,7 +14,6 @@ class TestDatasets:
         features, label = dataset[2]
         np.testing.assert_allclose(features, [4, 5])
         assert label == 2
-        np.testing.assert_array_equal(dataset.class_counts(), [2, 2, 2])
 
     def test_array_dataset_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -80,31 +77,3 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             DataLoader(UnlabeledDataset(np.zeros((2, 2))), batch_size=0,
                        rng=np.random.default_rng(0))
-
-
-class TestTrainTestIndices:
-    def test_respects_per_class_counts(self):
-        labels = np.repeat(np.arange(3), 10)
-        train, test = train_test_indices(labels, test_per_class=2,
-                                         rng=np.random.default_rng(0))
-        assert len(test) == 6
-        assert len(train) == 24
-        assert set(train) & set(test) == set()
-        for cls in range(3):
-            assert (labels[test] == cls).sum() == 2
-
-    def test_too_few_examples(self):
-        labels = np.array([0, 0, 1])
-        with pytest.raises(ValueError):
-            train_test_indices(labels, test_per_class=2,
-                               rng=np.random.default_rng(0))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 6), st.integers(5, 12), st.integers(1, 3))
-def test_property_split_is_a_partition(num_classes, per_class, test_per_class):
-    labels = np.repeat(np.arange(num_classes), per_class)
-    train, test = train_test_indices(labels, test_per_class=test_per_class,
-                                     rng=np.random.default_rng(0))
-    assert len(train) + len(test) == len(labels)
-    assert set(train.tolist()) | set(test.tolist()) == set(range(len(labels)))

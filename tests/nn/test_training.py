@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, TrainConfig, build_optimizer, build_scheduler,
-                      evaluate_accuracy, iterate_forever, predict_logits,
+                      iterate_forever, predict_logits,
                       predict_proba, train_classifier, train_soft_classifier,
                       use_graph_replay)
 from repro.nn import functional as F
@@ -29,7 +29,7 @@ class TestTrainClassifier:
         model = MLP(8, [16], 3, rng=np.random.default_rng(0))
         train_classifier(model, features, labels,
                          TrainConfig(epochs=15, lr=0.05, batch_size=32, seed=0))
-        assert evaluate_accuracy(model, features, labels) > 0.95
+        assert F.accuracy(predict_logits(model, features), labels) > 0.95
 
     def test_callback_receives_decreasing_loss(self):
         features, labels = make_blobs()
@@ -64,7 +64,7 @@ class TestSoftTraining:
         model = MLP(8, [16], 3, rng=np.random.default_rng(0))
         train_soft_classifier(model, features, soft,
                               TrainConfig(epochs=15, lr=0.05, seed=0))
-        assert evaluate_accuracy(model, features, labels) > 0.9
+        assert F.accuracy(predict_logits(model, features), labels) > 0.9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import (Compose, GaussianJitter, IdentityTransform,
-                      RandomFeatureDrop, RandomPermuteBlocks, RandomScale,
-                      strong_augment, weak_augment)
+from repro.nn import (Compose, GaussianJitter, RandomFeatureDrop,
+                      RandomPermuteBlocks, RandomScale, strong_augment,
+                      weak_augment)
 
 
 class TestIndividualTransforms:
-    def test_identity(self, rng):
-        batch = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_allclose(IdentityTransform()(batch, rng), batch)
-
     def test_gaussian_jitter_zero_sigma_is_identity(self, rng):
         batch = np.ones((3, 4))
         np.testing.assert_allclose(GaussianJitter(0.0)(batch, rng), batch)

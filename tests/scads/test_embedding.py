@@ -7,8 +7,7 @@ from repro.kg import KnowledgeGraph, Relation
 from repro.scads import ScadsEmbedding
 
 
-@pytest.fixture(scope="module")
-def graph():
+def build_graph():
     graph = KnowledgeGraph()
     graph.add_edge("material", "entity", relation=Relation.IS_A)
     graph.add_edge("plastic", "material", relation=Relation.IS_A)
@@ -18,6 +17,11 @@ def graph():
     graph.add_edge("yoghurt", "entity", relation=Relation.IS_A)
     graph.add_edge("carton", "entity", relation=Relation.IS_A)
     return graph
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return build_graph()
 
 
 @pytest.fixture(scope="module")
@@ -62,35 +66,39 @@ class TestVectors:
             embedding.register_vector("bad", np.ones(4))
 
     def test_compute_node_vector_is_neighbour_average(self, graph):
-        graph_copy = graph.copy()
-        graph_copy.add_edge("oatghurt", "yoghurt", relation=Relation.RELATED_TO)
-        graph_copy.add_edge("oatghurt", "carton", relation=Relation.RELATED_TO)
+        extended = build_graph()
+        extended.add_edge("oatghurt", "yoghurt", relation=Relation.RELATED_TO)
+        extended.add_edge("oatghurt", "carton", relation=Relation.RELATED_TO)
         embedding = ScadsEmbedding(graph, dim=16, seed=0)
-        embedding.graph = graph_copy
+        embedding.graph = extended
         vector = embedding.compute_node_vector("oatghurt")
         expected = (embedding.get_vector("yoghurt") + embedding.get_vector("carton")) / 2
         np.testing.assert_allclose(vector, expected)
 
 
+def related(embedding, concept, top_k, candidates=None):
+    [ranked] = embedding.related_concepts_batch(
+        [embedding.get_vector(concept)], top_k=top_k, candidates=candidates)
+    return ranked
+
+
 class TestRelatedConcepts:
     def test_related_concepts_returns_graph_neighbourhood(self, embedding):
-        related = [c for c, _ in embedding.related_concepts("plastic", top_k=3)]
-        assert "plastic_bag" in related or "plastic_wrap" in related
+        names = [c for c, _ in related(embedding, "plastic", top_k=4)]
+        assert "plastic_bag" in names or "plastic_wrap" in names
 
     def test_candidates_restriction(self, embedding):
-        related = embedding.related_concepts("plastic", top_k=5,
-                                             candidates=["stone", "yoghurt"])
-        names = [c for c, _ in related]
-        assert set(names) <= {"stone", "yoghurt"}
+        ranked = related(embedding, "plastic", top_k=5,
+                         candidates=["stone", "yoghurt"])
+        assert {c for c, _ in ranked} == {"stone", "yoghurt"}
 
     def test_query_by_vector(self, embedding):
-        vector = embedding.get_vector("plastic")
-        related = embedding.related_concepts(vector, top_k=1)
-        assert related[0][0] == "plastic"
+        assert related(embedding, "plastic", top_k=1)[0][0] == "plastic"
 
     def test_empty_candidates(self, embedding):
-        assert embedding.related_concepts("plastic", top_k=3, candidates=["nope"]) == []
+        assert related(embedding, "plastic", top_k=3, candidates=["nope"]) == []
 
     def test_scores_sorted_descending(self, embedding):
-        scores = [s for _, s in embedding.related_concepts("plastic", top_k=5)]
+        scores = [s for _, s in related(embedding, "plastic", top_k=5)]
+        assert len(scores) == 5
         assert scores == sorted(scores, reverse=True)

@@ -35,7 +35,7 @@ class TestSelection:
         assert plastic_related, "no concepts selected for plastic"
         # At least one selected concept should be from the plastic neighbourhood.
         neighbourhood = set(bundle.scads.graph.descendants("plastic")) | {"plastic"}
-        neighbourhood |= set(bundle.scads.graph.neighbor_names("plastic"))
+        neighbourhood |= {n for n, _, _ in bundle.scads.graph.neighbors("plastic")}
         assert set(plastic_related) & neighbourhood
 
     def test_concepts_deduplicated(self, bundle, fmd_classes):

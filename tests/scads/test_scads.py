@@ -30,11 +30,14 @@ def scads(graph):
     return scads
 
 
+def total_images(scads):
+    return sum(len(scads.get_images(c)) for c in scads.concepts_with_images())
+
+
 class TestInstallation:
     def test_install_counts(self, scads):
-        assert scads.num_images() == 24
-        assert scads.num_images("plastic") == 10
-        assert scads.installed_datasets == ["demo"]
+        assert total_images(scads) == 24
+        assert len(scads.get_images("plastic")) == 10
         assert scads.image_dim == 4
 
     def test_install_unknown_concept(self, graph):
@@ -53,7 +56,7 @@ class TestInstallation:
 
     def test_install_appends_to_existing_concept(self, scads, graph):
         scads.install_dataset("more", {"plastic": np.zeros((5, 4))})
-        assert scads.num_images("plastic") == 15
+        assert len(scads.get_images("plastic")) == 15
 
     def test_image_dim_requires_installation(self, graph):
         with pytest.raises(RuntimeError):
@@ -81,12 +84,12 @@ class TestExtensibility:
     def test_add_node_with_edges(self, scads):
         scads.add_node("oatghurt", edges=[("yoghurt", Relation.RELATED_TO)])
         assert "oatghurt" in scads.graph
-        assert "yoghurt" in scads.graph.neighbor_names("oatghurt")
+        assert [n for n, _, _ in scads.graph.neighbors("oatghurt")] == ["yoghurt"]
 
     def test_add_node_then_install(self, scads):
         scads.add_node("oatghurt", edges=[("yoghurt", Relation.RELATED_TO)])
         scads.install_dataset("user", {"oatghurt": np.zeros((3, 4))})
-        assert scads.num_images("oatghurt") == 3
+        assert len(scads.get_images("oatghurt")) == 3
 
 
 class TestPruning:
@@ -108,8 +111,8 @@ class TestPruning:
     def test_prune_does_not_mutate_original(self, scads):
         scads.pruned(["plastic"], level=1)
         assert scads.has_images("plastic")
-        assert scads.num_images() == 24
+        assert total_images(scads) == 24
 
     def test_prune_unknown_class_ignored(self, scads):
         pruned = scads.pruned(["not_there"], level=0)
-        assert pruned.num_images() == 24
+        assert total_images(pruned) == 24

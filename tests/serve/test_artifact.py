@@ -82,11 +82,6 @@ class TestRoundTrip:
         row = servable.predict_proba(features[:1])
         assert np.array_equal(row, full[:1])
 
-    def test_predict_names(self, servable, features):
-        names = servable.predict_names(features[:5])
-        indices = servable.predict(features[:5])
-        assert names == [CLASS_NAMES[i] for i in indices]
-
     def test_describe_is_json_serializable(self, servable):
         description = servable.describe()
         assert json.dumps(description)

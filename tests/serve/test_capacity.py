@@ -51,15 +51,13 @@ class TestCalibration:
         # Dispatch overhead is real but far below the forward cost.
         assert 0.0 <= service.overhead_s < BASE_S
 
-    def test_round_trips_through_dict(self, service):
-        clone = ServiceModel.from_dict(
-            json.loads(json.dumps(service.as_dict())))
-        assert clone.base_s == pytest.approx(service.base_s)
-        assert clone.per_row_s == pytest.approx(service.per_row_s)
-        assert clone.overhead_s == pytest.approx(service.overhead_s)
-        assert clone.measurements == {
-            int(k): pytest.approx(v)
-            for k, v in service.measurements.items()}
+    def test_as_dict_is_json_ready(self, service):
+        payload = json.loads(json.dumps(service.as_dict()))
+        assert payload["base_s"] == service.base_s
+        assert payload["per_row_s"] == service.per_row_s
+        assert payload["overhead_s"] == service.overhead_s
+        assert payload["measurements"] == {
+            str(k): v for k, v in service.measurements.items()}
 
 
 class TestCapacityModel:

@@ -46,7 +46,8 @@ class TestExport:
                 next(iter(entry["weights"].values())))
 
     def test_member_names_preserved(self, servable_ensemble, ensemble):
-        assert servable_ensemble.member_names == ensemble.names
+        members = servable_ensemble.describe()["members"]
+        assert [member["name"] for member in members] == ensemble.names
 
     def test_rejects_non_model_taglet(self, tmp_path):
         class OpaqueTaglet(Taglet):
@@ -86,17 +87,6 @@ class TestRoundTrip:
         offline = quantized_offline_votes(ensemble, features, 16)
         quantized = servable_ensemble.predict_proba(features, batch_size=16)
         assert np.array_equal(quantized, offline)
-
-    def test_member_probabilities_match_offline_members(self, servable_ensemble,
-                                                        ensemble, features):
-        offline = ensemble.member_probabilities(features)
-        served = servable_ensemble.member_probabilities(features)
-        assert set(served) == set(offline)
-        # Full-array member forwards match the offline taglets exactly
-        # (offline members default to chunked inference; compare unchunked).
-        for name, taglet in zip(ensemble.names, ensemble.taglets):
-            expected = taglet.predict_proba(features, batch_size=None)
-            assert np.array_equal(served[name], expected)
 
     def test_float32_members_round_trip(self, tmp_path, features):
         with default_dtype("float32"):
@@ -307,7 +297,8 @@ class TestControllerHook:
         result, split, path = trained_export
         servable = load_servable(path + "-ensemble")
         assert isinstance(servable, ServableEnsemble)
-        assert servable.member_names == result.ensemble.names
+        assert [member["name"] for member in servable.describe()["members"]] \
+            == result.ensemble.names
 
     def test_served_bit_identical_to_pipeline_ensemble(self, trained_export):
         result, split, path = trained_export

@@ -94,8 +94,10 @@ class TestRouterPicking:
     def test_draining_and_unhealthy_excluded(self):
         router = self._router_with({"a": 0, "b": 5})
         router.set_draining("a", True)
-        assert router._pick("m", exclude=set()).id == "b"
-        router.set_healthy("b", False)
+        picked = router._pick("m", exclude=set())
+        assert picked.id == "b"
+        router._release(picked)
+        router._note_transport_failure(picked)
         assert router._pick("m", exclude=set()) is None
 
     def test_shard_ownership_filters_candidates(self):

@@ -37,7 +37,7 @@ class TestRegistry:
         assert registry.register("fmd", s1) == "1"
         assert registry.register("fmd", s2) == "2"
         assert registry.versions("fmd") == ["1", "2"]
-        assert registry.latest_version("fmd") == "2"
+        assert registry.resolve("fmd")[1] == "2"
         assert registry.resolve("fmd")[1] == "2"
         assert registry.resolve("fmd@1")[2] is s1
         assert len(registry) == 2
@@ -69,7 +69,7 @@ class TestRegistry:
         registry.register("fmd", make_servable(tmp_path, 0, "a"))
         registry.register("fmd", make_servable(tmp_path, 1, "b"),
                           make_latest=False)
-        assert registry.latest_version("fmd") == "1"
+        assert registry.resolve("fmd")[1] == "1"
 
     def test_set_latest_rollback(self, tmp_path):
         registry = ModelRegistry()
@@ -85,7 +85,7 @@ class TestRegistry:
         registry.register("fmd", make_servable(tmp_path, 0, "a"))
         registry.register("fmd", make_servable(tmp_path, 1, "b"))
         registry.unregister("fmd", "2")
-        assert registry.latest_version("fmd") == "1"
+        assert registry.resolve("fmd")[1] == "1"
         registry.unregister("fmd")
         with pytest.raises(ModelNotFound):
             registry.resolve("fmd")
@@ -97,13 +97,6 @@ class TestRegistry:
         with pytest.raises(ModelNotFound):
             registry.versions("ghost")
         assert "ghost" not in registry
-
-    def test_load_from_artifact(self, tmp_path):
-        registry = ModelRegistry()
-        path = str(tmp_path / "artifact")
-        export_end_model(make_end_model(), path, class_names=CLASS_NAMES)
-        assert registry.load("fmd", path) == "1"
-        assert "fmd@1" in registry
 
     def test_describe_lists_every_version(self, tmp_path):
         registry = ModelRegistry()

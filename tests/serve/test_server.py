@@ -28,7 +28,8 @@ class TestServerApi:
         assert response["model"] == "default"
         assert response["version"] == "1"
         assert response["predictions"] == servable.predict(features[:3]).tolist()
-        assert response["labels"] == servable.predict_names(features[:3])
+        assert response["labels"] == [
+            servable.class_names[i] for i in servable.predict(features[:3])]
         assert np.array_equal(np.asarray(response["probabilities"]),
                               servable.predict_proba(features[:3]))
 
@@ -478,16 +479,23 @@ class TestAdminEndpoint:
         assert server.models()["default"]["latest"] == latest
 
     @pytest.mark.parametrize("name,version", [
-        ("a@b", None), ("other", ""), ("other", "1@2")],
-        ids=["at-in-name", "empty-version", "at-in-version"])
+        ("a@b", None), ("other", ""), ("other", "1@2"), ("other", "latest")],
+        ids=["at-in-name", "empty-version", "at-in-version", "reserved-version"])
     def test_load_refuses_unresolvable_names_and_versions(
-            self, admin, server, artifact_dir, name, version):
+            self, admin, server, artifact_dir, monkeypatch, name, version):
+        import repro.serve.server as server_module
+
+        # Refused before the artifact is read and digest-checked.
+        loads = []
+        real_load = server_module.load_servable
+        monkeypatch.setattr(server_module, "load_servable",
+                            lambda path: loads.append(path) or real_load(path))
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(admin, "/admin/load", {
                 "name": name, "path": artifact_dir, "version": version})
         assert excinfo.value.code == 400
-        assert "ValueError: invalid" in json.loads(
-            excinfo.value.read())["error"]
+        assert "ValueError: " in json.loads(excinfo.value.read())["error"]
+        assert loads == []
         assert list(server.models()) == ["default"]
 
     @pytest.mark.parametrize("path,field,value", [

@@ -77,16 +77,6 @@ class TestSampling:
     def test_domain_cached_and_consistent(self, world):
         assert world.domain("clipart") is world.domain("clipart")
 
-    def test_sample_dataset(self, world):
-        features, labels = world.sample_dataset({"plastic": 0, "stone": 1}, 4,
-                                                rng=np.random.default_rng(0))
-        assert features.shape == (8, 16)
-        np.testing.assert_array_equal(np.bincount(labels), [4, 4])
-
-    def test_sample_dataset_empty(self, world):
-        features, labels = world.sample_dataset({}, 5)
-        assert features.shape[0] == 0 and labels.shape[0] == 0
-
 
 class TestExtensibility:
     def test_add_concept_prototype_blends_anchors(self, graph):

@@ -1,4 +1,4 @@
-"""Packaging sanity: metadata and the NumPy-only contract.
+"""Packaging sanity: metadata, exports and the NumPy-only contract.
 
 ``setup.py`` declares NumPy as the only dependency, so every ``repro``
 module must import with nothing but the standard library and NumPy
@@ -9,7 +9,9 @@ real metadata (it used to defer to a ``pyproject.toml`` that did not exist).
 """
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -109,6 +111,27 @@ class TestHermeticImports:
                                 timeout=120)
         assert result.returncode == 0, result.stderr
         assert int(result.stdout) > 50      # walked the whole package
+
+
+class TestExports:
+    def test_every_name_in_all_resolves(self):
+        """A name left in an ``__all__`` after its definition is deleted
+        breaks ``from module import *`` only when someone runs it."""
+        names = ["repro"] + [info.name for info in pkgutil.walk_packages(
+            repro.__path__, "repro.")]
+        missing = {}
+        checked = 0
+        for name in names:
+            module = importlib.import_module(name)
+            exported = getattr(module, "__all__", None)
+            if exported is None:
+                continue
+            checked += 1
+            absent = [n for n in exported if not hasattr(module, n)]
+            if absent:
+                missing[name] = absent
+        assert not missing, f"__all__ lists names that do not resolve: {missing}"
+        assert checked > 40         # walked the whole package
 
 
 class TestSetupMetadata:

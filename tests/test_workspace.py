@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.datasets import DATASET_BUILDERS
 from repro.workspace import WorkspaceSpec, build_workspace
 
 
 class TestWorkspace:
     def test_tiny_workspace_is_complete(self, tiny_workspace):
         assert len(tiny_workspace.graph) > 0
-        assert tiny_workspace.scads.scads.num_images() > 0
-        assert set(tiny_workspace.available_datasets()) == {
+        assert tiny_workspace.scads.scads.concepts_with_images()
+        assert set(DATASET_BUILDERS) == {
             "fmd", "officehome_product", "officehome_clipart", "grocery_store",
             "cifar_demo"}
 
