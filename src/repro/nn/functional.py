@@ -97,6 +97,9 @@ def accuracy(logits_or_probs: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets)
     if scores.ndim != 2:
         raise ValueError("expected a 2-D score matrix")
+    if targets.shape != (len(scores),):
+        raise ValueError(f"expected {len(scores)} targets, got shape "
+                         f"{targets.shape}")
     if len(targets) == 0:
         return 0.0
     predictions = scores.argmax(axis=1)

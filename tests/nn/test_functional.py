@@ -95,6 +95,24 @@ class TestRegressionLossesAndAccuracy:
     def test_accuracy_empty(self):
         assert F.accuracy(np.zeros((0, 3)), np.array([])) == 0.0
 
+    @pytest.mark.parametrize("targets", [[0, 1], [0, 1, 1, 0], [1], [[0], [1], [1]]],
+                             ids=["too-few", "too-many", "one-broadcast",
+                                  "column"])
+    def test_accuracy_needs_one_target_per_row(self, targets):
+        # a single target used to broadcast against every prediction
+        scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+        with pytest.raises(ValueError, match="targets"):
+            F.accuracy(scores, np.array(targets))
+
+    def test_accuracy_needs_a_score_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            F.accuracy(np.array([0.2, 0.8]), np.array([1, 0]))
+
+    def test_accuracy_ties_go_to_the_lowest_class(self):
+        scores = np.array([[0.5, 0.5], [0.3, 0.3]])
+        assert F.accuracy(scores, np.array([0, 0])) == 1.0
+        assert F.accuracy(scores, np.array([1, 1])) == 0.0
+
 
 @settings(max_examples=30, deadline=None)
 @given(hnp.arrays(np.float64, (5, 4), elements=st.floats(-5, 5)))
@@ -118,3 +136,17 @@ def test_property_cross_entropy_nonnegative(logits, target_class):
     targets = np.full(4, target_class)
     loss = F.cross_entropy(Tensor(logits), targets).item()
     assert loss >= -1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 5)),
+                  elements=st.floats(-5, 5)),
+       st.data())
+def test_property_accuracy_is_the_argmax_hit_rate(scores, data):
+    targets = np.array(data.draw(st.lists(
+        st.integers(0, scores.shape[1] - 1), min_size=len(scores),
+        max_size=len(scores))))
+    value = F.accuracy(scores, targets)
+    hits = sum(int(np.argmax(row) == t) for row, t in zip(scores, targets))
+    assert 0.0 <= value <= 1.0
+    assert value == pytest.approx(hits / len(scores))

@@ -102,3 +102,20 @@ class TestRelatedConcepts:
         scores = [s for _, s in related(embedding, "plastic", top_k=5)]
         assert len(scores) == 5
         assert scores == sorted(scores, reverse=True)
+
+    def test_unknown_candidates_are_ignored(self, embedding):
+        ranked = related(embedding, "plastic", top_k=5,
+                         candidates=["stone", "nope", "carton"])
+        assert {c for c, _ in ranked} == {"stone", "carton"}
+
+    def test_no_queries(self, embedding):
+        assert embedding.related_concepts_batch([], top_k=3) == []
+
+    def test_batch_rows_match_single_queries(self, embedding):
+        concepts = ["plastic", "stone", "yoghurt"]
+        batch = embedding.related_concepts_batch(
+            [embedding.get_vector(c) for c in concepts], top_k=4)
+        for concept, ranked in zip(concepts, batch):
+            single = related(embedding, concept, top_k=4)
+            assert [c for c, _ in ranked] == [c for c, _ in single]
+            assert [s for _, s in ranked] == pytest.approx([s for _, s in single])

@@ -29,6 +29,24 @@ class TestReferences:
             parse_reference(bad)
 
 
+class TestCheckKey:
+    @pytest.mark.parametrize("name,version", [
+        ("", None), ("a@b", None), ("fmd", ""), ("fmd", "1@2"),
+        ("fmd", "latest")],
+        ids=["empty-name", "at-in-name", "empty-version", "at-in-version",
+             "reserved-version"])
+    def test_unresolvable_keys_raise(self, name, version):
+        with pytest.raises(ValueError):
+            ModelRegistry.check_key(name, version)
+
+    def test_version_comes_back_as_a_string(self):
+        assert ModelRegistry.check_key("fmd", 3) == "3"
+        assert ModelRegistry.check_key("fmd", "2024.1") == "2024.1"
+
+    def test_no_version_stays_none(self):
+        assert ModelRegistry.check_key("fmd") is None
+
+
 class TestRegistry:
     def test_register_auto_versions_and_latest(self, tmp_path):
         registry = ModelRegistry()
