@@ -10,12 +10,12 @@ each module a fresh copy of the pretrained encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..nn.modules import Linear, Module, MLP, ReLU, Sequential
+from ..nn.modules import Linear, Module, MLP, ReLU
 from ..nn.tensor import Tensor
 
 __all__ = ["BackboneSpec", "Encoder", "PretrainedBackbone", "ClassificationModel"]

@@ -21,7 +21,7 @@ larger than FMD; Grocery smallest per class) are preserved.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

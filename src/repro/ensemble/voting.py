@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..modules.base import Taglet
+from ..nn import functional as F
 
 __all__ = ["renormalized_mean", "TagletEnsemble"]
 
@@ -88,7 +89,7 @@ class TagletEnsemble:
     def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
         if len(features) == 0:
             return 0.0
-        return float((self.predict(features) == np.asarray(labels)).mean())
+        return F.accuracy(self.predict_proba(features), labels)
 
     def member_accuracies(self, features: np.ndarray,
                           labels: np.ndarray) -> Dict[str, float]:

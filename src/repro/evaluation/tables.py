@@ -8,7 +8,7 @@ paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .metrics import Aggregate
 from .runner import ExperimentResult, aggregate_records

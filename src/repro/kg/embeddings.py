@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Relation
+from .graph import KnowledgeGraph
 
 __all__ = ["generate_text_embeddings", "hierarchical_gaussian", "retrofit",
            "normalize_rows"]

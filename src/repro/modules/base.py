@@ -16,6 +16,7 @@ import numpy as np
 
 from ..backbones.backbone import ClassificationModel, PretrainedBackbone
 from ..datasets.base import ClassSpec
+from ..nn import functional as F
 from ..nn.tensor import get_default_dtype
 from ..nn.training import TrainConfig, predict_proba, train_classifier
 from ..nn.transforms import weak_augment
@@ -126,7 +127,7 @@ class Taglet:
     def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
         if len(features) == 0:
             return 0.0
-        return float((self.predict(features) == np.asarray(labels)).mean())
+        return F.accuracy(self.predict_proba(features), labels)
 
 
 class ModelTaglet(Taglet):

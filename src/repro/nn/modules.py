@@ -11,7 +11,7 @@ the familiar torch.nn API so the higher-level TAGLETS code reads naturally.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 

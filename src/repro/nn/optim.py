@@ -4,28 +4,25 @@ The paper's training recipes (Appendix A.3) use SGD with momentum (plain and
 Nesterov) and Adam; both are implemented here against the
 :class:`repro.nn.Parameter` abstraction.
 
-Both optimizers run their elementwise update in *fused flat* form whenever
-possible: all per-parameter state (momentum/moment buffers, scratch space)
-lives in per-parameter views of one contiguous array, gradients are gathered
-into a shared flat gradient buffer, and the update math executes as a handful
-of ufunc calls over the whole flat array instead of ``O(kernels × params)``
-dispatches.  Elementwise ops over disjoint views are bit-identical to the
-per-parameter loop, which is kept as the fallback for steps where some
-parameters have no gradient (their state must not advance) or parameters mix
-dtypes.  The graph replay executor (:mod:`repro.nn.replay`) writes gradients
-directly into the flat views (:meth:`Optimizer.grad_view_for`), making the
-gather step a no-op on the replay fast path.
+Both optimizers keep every parameter, gradient and state buffer in one
+contiguous array of the parameters' dtype, with a view per parameter, and
+run their elementwise update as a handful of ufunc calls over the whole
+array instead of ``O(kernels × params)`` dispatches.  At construction the
+optimizer copies every parameter into its *arena* and rebinds each
+``p.data`` to its view; everything else keeps reading ``p.data`` live.  The
+graph replay executor (:mod:`repro.nn.replay`) writes gradients straight
+into the flat gradient views (:meth:`Optimizer.grad_view_for`), so the
+gather before an update is a no-op on the replay fast path.
 
-The parameters themselves live in the same layout.  At construction the
-optimizer copies every parameter into one contiguous *arena* and rebinds each
-``p.data`` to its view of it, so weight decay reads, and the update writes,
-all parameters with one ufunc call each.  Everything else keeps reading
-``p.data`` live.  Each step checks that every ``p.data`` is still its arena
-view; a rebound one (``load_state_dict``, another optimizer's arena) is
-copied back in and rebound.  A parameter listed twice cannot be bound to two
-views, and one rebound to an array whose shape or dtype no longer fits its
-slot retires the arena; both turn flat mode off for good, so every later
-step takes the per-parameter fallback.
+The arena is the only update path.  Parameters that mix dtypes, or one
+listed twice, are refused with ``ValueError``.  Each step rebinds a
+``p.data`` that no longer is its view (``load_state_dict``, another
+optimizer's arena) after copying it back in, and raises if it no longer
+fits its slot.  A step on which some parameters have no gradient runs the
+same update once per maximal run of consecutive covered slots, so the
+others and their state do not advance; elementwise ops over disjoint
+slices give the bytes of a per-parameter loop
+(``tests/nn/test_optim_arena.py``).
 """
 
 from __future__ import annotations
@@ -48,52 +45,42 @@ class Optimizer:
             raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        if len({p.data.dtype for p in self.parameters}) != 1:
+            raise ValueError("optimizer parameters must share one dtype")
+        if len({id(p) for p in self.parameters}) != len(self.parameters):
+            raise ValueError("optimizer received a parameter twice")
         self.lr = float(lr)
         self.initial_lr = float(lr)
-        #: flat mode needs one dtype across distinct parameters; it then
-        #: owns a flat gradient buffer and the parameter arena, each with
-        #: per-parameter views
-        self._flat_ok = (
-            len({p.data.dtype for p in self.parameters}) == 1
-            and len({id(p) for p in self.parameters}) == len(self.parameters))
-        self._flat_grad: Optional[np.ndarray] = None
-        self._flat_grad_views: List[np.ndarray] = []
-        self._arena: Optional[np.ndarray] = None
-        self._arena_views: List[np.ndarray] = []
-        #: the update rule's state buffers, built on the first step by
-        #: :meth:`_materialize`: one ``(flat array or None, per-parameter
-        #: arrays)`` pair each
-        self._state: Optional[List[tuple]] = None
-        if self._flat_ok:
-            self._flat_grad, self._flat_grad_views = self._alloc_flat()
-            self._arena, self._arena_views = self._alloc_flat()
-            for p, view in zip(self.parameters, self._arena_views):
-                np.copyto(view, p.data)
-                p.data = view
+        #: slot ``i`` of every flat buffer is ``[offsets[i], offsets[i + 1])``
+        self._offsets = np.cumsum(
+            [0] + [p.data.size for p in self.parameters]).tolist()
+        self._flat_grad, self._flat_grad_views = self._alloc_flat()
+        self._arena, self._arena_views = self._alloc_flat()
+        for p, view in zip(self.parameters, self._arena_views):
+            np.copyto(view, p.data)
+            p.data = view
+        #: the update rule's flat state buffers (None where unused), built
+        #: on the first step by :meth:`_materialize`
+        self._state: Optional[List[Optional[np.ndarray]]] = None
 
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.zero_grad()
 
     def step(self) -> None:
-        """Apply the update rule once over the whole arena (the fused flat
-        path), or else once per parameter that has a gradient, on the same
-        state buffers/views (the fallback: some gradients missing, mixed
-        dtypes, a repeated parameter or a retired arena)."""
+        """Apply the update rule once per maximal run of consecutive arena
+        slots whose parameter has a gradient (the whole arena when every
+        parameter has one)."""
         if self._state is None:
             self._state = self._materialize()
         self._sync_arena()
-        grad_flat = self._gather_grads()
-        if grad_flat is not None:
-            self._update(self._arena, grad_flat,
-                         *[flat for flat, _ in self._state])
-            return
-        for i, p in enumerate(self.parameters):
-            if p.grad is not None:
-                self._update(p.data, p.grad,
-                             *[views[i] for _, views in self._state])
+        for start, stop in self._gather_grads():
+            self._update(self._arena[start:stop],
+                         self._flat_grad[start:stop],
+                         *[None if flat is None else flat[start:stop]
+                           for flat in self._state])
 
-    def _materialize(self) -> List[tuple]:  # pragma: no cover - abstract
+    def _materialize(self) -> List[Optional[np.ndarray]]:  # pragma: no cover
         raise NotImplementedError
 
     def _update(self, data, grad, *state) -> None:  # pragma: no cover
@@ -111,77 +98,72 @@ class Optimizer:
     # ------------------------------------------------------------------ #
     # Fused flat execution support
     # ------------------------------------------------------------------ #
-    def _alloc_flat(self, fill: Optional[float] = None):
-        """One contiguous array covering all parameters + per-param views."""
-        dtype = self.parameters[0].data.dtype
-        total = sum(p.data.size for p in self.parameters)
-        flat = (np.empty(total, dtype=dtype) if fill is None
-                else np.full(total, fill, dtype=dtype))
-        views, offset = [], 0
-        for p in self.parameters:
-            views.append(flat[offset:offset + p.data.size].reshape(p.data.shape))
-            offset += p.data.size
-        return flat, views
+    def _alloc_flat(self):
+        """One uninitialized flat array covering all parameters, and its
+        per-parameter views."""
+        flat = np.empty(self._offsets[-1], dtype=self.parameters[0].data.dtype)
+        return flat, [flat[start:stop].reshape(p.data.shape)
+                      for p, start, stop in zip(self.parameters,
+                                                self._offsets,
+                                                self._offsets[1:])]
 
-    def _buffer(self, zero: bool = False) -> tuple:
-        """One state buffer: views of a flat array in flat mode, standalone
-        per-parameter arrays otherwise; zero-filled or uninitialized."""
-        if self._flat_ok:
-            return self._alloc_flat(fill=0.0 if zero else None)
-        make = np.zeros_like if zero else np.empty_like
-        return None, [make(p.data) for p in self.parameters]
+    def _buffer(self, zero: bool = False) -> np.ndarray:
+        """One flat state buffer, zero-filled or uninitialized."""
+        make = np.zeros if zero else np.empty
+        return make(self._arena.size, dtype=self._arena.dtype)
 
-    def _decay_buffer(self) -> tuple:
-        """The weight-decayed gradient's buffer (all None without decay)."""
-        if self.weight_decay:
-            return self._buffer()
-        return None, [None] * len(self.parameters)
+    def _decay_buffer(self) -> Optional[np.ndarray]:
+        """The weight-decayed gradient's buffer (None without decay)."""
+        return self._buffer() if self.weight_decay else None
 
-    def grad_view_for(self, param: Parameter) -> Optional[np.ndarray]:
-        """The flat-gradient view backing ``param``, or None.
+    def grad_view_for(self, param: Parameter) -> np.ndarray:
+        """The flat-gradient view backing ``param``.
 
         The replay executor computes gradients straight into these views so
         the flat update needs no gather copy.  Callers that bind the view to
         ``param.grad`` get bit-identical behavior either way — the gather in
-        :meth:`_gather_grads` skips views that are already in place.
+        :meth:`_gather_grads` skips views that are already in place.  Raises
+        ``KeyError`` for a parameter this optimizer does not hold.
         """
-        if not self._flat_ok:
-            return None
         for p, view in zip(self.parameters, self._flat_grad_views):
             if p is param:
                 return view
-        return None
+        raise KeyError("the optimizer does not hold this parameter")
 
-    def _gather_grads(self) -> Optional[np.ndarray]:
+    def _gather_grads(self) -> List[list]:
         """Copy every ``param.grad`` into the flat buffer (no-op per view
-        already written in place).  Returns None — demanding the per-param
-        fallback — when flat mode is unavailable or any gradient is missing
-        (those parameters' state must not advance)."""
-        if not self._flat_ok:
-            return None
-        grads = [p.grad for p in self.parameters]
-        if any(g is None for g in grads):
-            return None
-        for g, view in zip(grads, self._flat_grad_views):
-            if g is not view:
-                np.copyto(view, g)
-        return self._flat_grad
+        already written in place) and return the ``[start, stop)`` offsets
+        of each maximal run of consecutive slots that have a gradient; a
+        parameter without one (its state must not advance) ends a run."""
+        runs, offsets = [], self._offsets
+        for i, (p, view) in enumerate(zip(self.parameters,
+                                          self._flat_grad_views)):
+            grad = p.grad
+            if grad is None:
+                continue
+            if grad is not view:
+                np.copyto(view, grad)
+            if runs and runs[-1][1] == offsets[i]:
+                runs[-1][1] = offsets[i + 1]
+            else:
+                runs.append([offsets[i], offsets[i + 1]])
+        return runs
 
     def _sync_arena(self) -> None:
         """Bind every ``p.data`` back to its arena view.
 
         A parameter whose ``data`` was rebound to an array that fits its
-        slot is copied back in; one that no longer fits turns flat mode off.
+        slot is copied back in; one that no longer fits raises
+        ``ValueError``.
         """
-        if not self._flat_ok:
-            return
         for p, view in zip(self.parameters, self._arena_views):
             data = p.data
             if data is not view:
                 if data.shape != view.shape or data.dtype != view.dtype:
-                    self._flat_ok = False
-                    self._arena = None
-                    return
+                    raise ValueError(
+                        f"a parameter was rebound to a {data.dtype} array of "
+                        f"shape {data.shape}, which no longer fits its "
+                        f"{view.dtype} {view.shape} optimizer slot")
                 np.copyto(view, data)
                 p.data = view
 
@@ -201,7 +183,7 @@ class SGD(Optimizer):
         self.nesterov = nesterov
         self.weight_decay = weight_decay
 
-    def _materialize(self) -> List[tuple]:
+    def _materialize(self) -> List[Optional[np.ndarray]]:
         # The momentum buffer, the scaled update, the decayed gradient.
         return [self._buffer(zero=True), self._buffer(), self._decay_buffer()]
 
@@ -242,7 +224,7 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self._t = 0
 
-    def _materialize(self) -> List[tuple]:
+    def _materialize(self) -> List[Optional[np.ndarray]]:
         # The two moments, a scratch buffer, the decayed gradient.
         return [self._buffer(zero=True), self._buffer(zero=True),
                 self._buffer(), self._decay_buffer()]
@@ -252,7 +234,7 @@ class Adam(Optimizer):
         super().step()
 
     def _update(self, data, grad, m, v, scratch, decayed) -> None:
-        # 13 ufunc calls (15 with decay), whole-buffer on the flat path.
+        # 13 ufunc calls (15 with decay) per run of covered slots.
         beta1, beta2 = self.beta1, self.beta2
         if self.weight_decay:
             np.multiply(data, self.weight_decay, out=decayed)

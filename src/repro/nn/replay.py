@@ -55,7 +55,8 @@ Fallback rules (checked on *every* call, before replaying; inside an
   replayed;
 * unsupported structure (array math outside the op table, constants
   created inside the step function, loss targets that are not step inputs,
-  a traced op whose output does not reach the loss) → the signature is
+  a traced op whose output does not reach the loss, a parameter outside
+  the optimizer that requires grad) → the signature is
   marked unsupported and every step with it runs eagerly, with the reason
   recorded in :attr:`ReplayStats.fallbacks`.
 
@@ -67,9 +68,10 @@ and ``*`` (e.g. summed or weighted-sum losses), and the fused losses
 ``cross_entropy`` (optionally per-sample weighted), ``soft_cross_entropy``
 and the squared-error losses (``l2_loss`` / ``mse_loss``).  Optimizer
 updates reuse ``optimizer.step()`` itself — gradients are written into
-preallocated buffers (the optimizer's flat gradient views when available)
-and bound to ``param.grad``, so SGD momentum and Adam state evolve exactly
-as in eager mode.
+the optimizer's flat gradient views and bound to ``param.grad``, so SGD
+momentum and Adam state evolve exactly as in eager mode.  A parameter that
+requires grad but is not the optimizer's has no view, so such a step is
+unsupported and runs eagerly.
 
 Beyond the classic ``step(x, y)`` chain API, the executor exposes:
 
@@ -496,9 +498,13 @@ def _compile(records: List[tuple], root: Tensor,
                     continue
                 acc = id(param) in param_targets
                 if not acc:
-                    buf = optimizer.grad_view_for(param)
-                    param_targets[id(param)] = (
-                        buf if buf is not None else np.empty_like(param.data))
+                    try:
+                        param_targets[id(param)] = optimizer.grad_view_for(
+                            param)
+                    except KeyError:
+                        raise ReplayUnsupported(
+                            "a parameter outside the optimizer requires "
+                            "grad") from None
                 buf = param_targets[id(param)]
                 deposits.append((kernel, buf, np.empty_like(param.data)
                                  if acc else None, param))

@@ -56,32 +56,31 @@ class ModelRegistry:
         explicitly.  With ``make_latest`` (default) the ``latest`` pointer
         swings to the new version in the same critical section — the hot
         swap is one atomic pointer update.  The name and version must pass
-        :meth:`check_key`.
+        :meth:`check_key` under the lock that adds them, so a racing
+        registration of the same version is refused too.
         """
         if not isinstance(servable, Servable):
             raise TypeError(f"expected a Servable (ServableModel or "
                             f"ServableEnsemble), got {type(servable).__name__}")
-        version = self.check_key(name, version)
         with self._lock:
-            versions = self._models.setdefault(name, {})
+            version = self.check_key(name, version)
             if version is None:
                 self._counters[name] = self._counters.get(name, 0) + 1
-                version = str(self._counters[name])
-            if version in versions:
-                raise ValueError(f"model {name!r} already has version {version!r}")
-            versions[version] = servable
+                version = self.check_key(name, self._counters[name])
+            self._models.setdefault(name, {})[version] = servable
             if make_latest or name not in self._latest:
                 self._latest[name] = version
             return version
 
-    @staticmethod
-    def check_key(name: str, version: Optional[str] = None) -> Optional[str]:
-        """Refuse a name or explicit version that could never be resolved.
+    def check_key(self, name: str,
+                  version: Optional[str] = None) -> Optional[str]:
+        """Refuse a name or explicit version this registry cannot add.
 
         A name or version that is empty or contains ``@`` could never come
-        back out of :func:`parse_reference`, and ``latest`` is the pointer's
-        own name; each raises ``ValueError``.  Returns the version as a
-        string (``None`` stays ``None``: :meth:`register` numbers it).
+        back out of :func:`parse_reference`, ``latest`` is the pointer's
+        own name, and a version the name already has would be a duplicate;
+        each raises ``ValueError``.  Returns the version as a string
+        (``None`` stays ``None``: :meth:`register` numbers it).
         """
         if not name or "@" in name:
             raise ValueError(f"invalid model name {name!r}: it must be "
@@ -94,6 +93,10 @@ class ModelRegistry:
                              "non-empty and contain no '@'")
         if version == LATEST:
             raise ValueError(f"{LATEST!r} is a reserved version name")
+        with self._lock:
+            if version in self._models.get(name, ()):
+                raise ValueError(
+                    f"model {name!r} already has version {version!r}")
         return version
 
     def unregister(self, name: str, version: Optional[str] = None) -> None:

@@ -88,9 +88,10 @@ class Server:
         """Load an exported artifact directory and register it.
 
         The name and version are checked first, so a key the registry would
-        refuse costs no artifact read or digest check.
+        refuse (a version the name already has included) costs no artifact
+        read or digest check.
         """
-        version = ModelRegistry.check_key(name, version)
+        version = self.registry.check_key(name, version)
         return self.registry.register(name, load_servable(path),
                                       version=version, make_latest=make_latest)
 

@@ -24,7 +24,6 @@ grows monotonically with severity.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional
 
 import numpy as np
 

@@ -59,6 +59,14 @@ class TestTagletEnsemble:
         ensemble = TagletEnsemble([ConstantTaglet("a", [0.5, 0.5])])
         assert ensemble.accuracy(np.zeros((0, 2)), np.zeros(0)) == 0.0
 
+    def test_accuracy_refuses_labels_that_do_not_match_the_rows(self):
+        # One label per row: a single label must not broadcast over rows.
+        ensemble = TagletEnsemble([ConstantTaglet("a", [0.9, 0.1])])
+        features = np.zeros((4, 2))
+        assert ensemble.accuracy(features, np.array([0, 1, 0, 0])) == 0.75
+        with pytest.raises(ValueError, match="expected 4 targets"):
+            ensemble.accuracy(features, np.array([0]))
+
     def test_requires_members(self):
         with pytest.raises(ValueError):
             TagletEnsemble([])

@@ -57,6 +57,20 @@ class TestTaglet:
         assert taglet.accuracy(np.zeros((0, tiny_backbone.input_dim)),
                                np.zeros(0)) == 0.0
 
+    def test_accuracy_refuses_labels_that_do_not_match_the_rows(
+            self, tiny_backbone):
+        # One label per row: a single label must not broadcast over rows.
+        model = ClassificationModel.from_backbone(tiny_backbone, num_classes=3,
+                                                  rng=np.random.default_rng(0))
+        taglet = ModelTaglet("test", model)
+        features = np.random.default_rng(1).normal(
+            size=(7, tiny_backbone.input_dim))
+        labels = np.arange(7) % 3
+        assert taglet.accuracy(features, labels) == float(
+            (taglet.predict(features) == labels).mean())
+        with pytest.raises(ValueError, match="expected 7 targets"):
+            taglet.accuracy(features, labels[:1])
+
     def test_base_taglet_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Taglet("abstract").predict_proba(np.zeros((1, 2)))

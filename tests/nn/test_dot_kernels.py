@@ -72,26 +72,20 @@ def test_dot_into_an_arena_view_is_bit_identical(dtype):
     assert grad_w.tobytes() == (x.T @ g).tobytes()
 
 
-def _mixed_dtype_model(low: str) -> Sequential:
-    """A 24→48→5 MLP whose ``low`` layer ("head" or "body") is float32 and
-    whose other layer is float64."""
-    init = np.random.default_rng(0)
-    with default_dtype("float32" if low == "body" else "float64"):
-        body = Linear(24, 48, rng=init)
-    with default_dtype("float32" if low == "head" else "float64"):
-        head = Linear(48, 5, rng=init)
-    return Sequential(body, ReLU(), head)
-
-
-@pytest.mark.parametrize("low", ["head", "body"])
-def test_layer_mixing_dtypes_trains_like_eager(low):
+@pytest.mark.parametrize("model_dtype,input_dtype", [
+    ("float32", "float64"), ("float64", "float32")])
+def test_layer_mixing_dtypes_trains_like_eager(model_dtype, input_dtype):
     # Eager keeps each gradient in the dtype its op produced; replay's
-    # preallocated buffers would cast them, so a mixed-dtype Linear falls
-    # back to eager under a named reason and training stays byte-equal.
+    # preallocated buffers would cast them, so a Linear whose input dtype
+    # (the engine default) is not its weights' falls back to eager under a
+    # named reason and training stays byte-equal.
     outcomes = []
     for enabled in (True, False):
-        model = _mixed_dtype_model(low)
-        with use_graph_replay(enabled):
+        with default_dtype(model_dtype):
+            init = np.random.default_rng(0)
+            model = Sequential(Linear(24, 48, rng=init), ReLU(),
+                               Linear(48, 5, rng=init))
+        with use_graph_replay(enabled), default_dtype(input_dtype):
             stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1,
                                              momentum=0.9))
             rng = np.random.default_rng(1)

@@ -2,54 +2,74 @@
 
 An optimizer copies its parameters into one contiguous buffer and rebinds
 each ``p.data`` to a view of it, so its update is one ufunc call over every
-parameter.  Whatever happens to ``p.data`` between steps, every step must
-give the bytes of the plain per-parameter update, written out here in the
-optimizers' op order.
+parameter, or one per run of consecutive parameters that have a gradient.
+Whatever happens to ``p.data`` between steps, every step must give the bytes
+of the plain per-parameter update, written out here in the optimizers' op
+order.  The arena is the only update path: parameters it cannot hold are
+refused.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import MLP, SGD, Adam, Parameter
 
 
 class _ReferenceSGD:
-    """Nesterov SGD with weight decay, one list entry at a time."""
+    """SGD with momentum, Nesterov and weight decay, one list entry at a
+    time; an entry without a gradient is skipped."""
 
-    def __init__(self, params, lr, momentum, weight_decay):
+    def __init__(self, params, lr, momentum=0.0, nesterov=False,
+                 weight_decay=0.0):
         self.params, self.lr = params, lr
-        self.momentum, self.weight_decay = momentum, weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in params]
+        self.momentum, self.nesterov = momentum, nesterov
+        self.weight_decay = weight_decay
+        self.state = [(np.zeros_like(p.data),) for p in params]
 
     def step(self):
-        for p, velocity in zip(self.params, self.velocity):
-            grad = p.data * self.weight_decay
-            grad += p.grad
-            velocity *= self.momentum
-            velocity += grad
-            update = velocity * self.momentum
-            update += grad
+        for p, (velocity,) in zip(self.params, self.state):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if self.weight_decay:
+                grad = p.data * self.weight_decay
+                grad += p.grad
+            update = grad
+            if self.momentum:
+                velocity *= self.momentum
+                velocity += grad
+                update = velocity
+                if self.nesterov:
+                    update = velocity * self.momentum
+                    update += grad
             np.subtract(p.data, update * self.lr, out=p.data)
 
 
 class _ReferenceAdam:
-    """Adam with weight decay, one list entry at a time."""
+    """Adam with weight decay, one list entry at a time; an entry without a
+    gradient is skipped (the step count still advances)."""
 
-    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999),
+    def __init__(self, params, lr, weight_decay=0.0, betas=(0.9, 0.999),
                  eps=1e-8):
         self.params, self.lr, self.weight_decay = params, lr, weight_decay
         (self.beta1, self.beta2), self.eps = betas, eps
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.state = [(np.zeros_like(p.data), np.zeros_like(p.data))
+                      for p in params]
         self.t = 0
 
     def step(self):
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            grad = p.data * self.weight_decay
-            grad += p.grad
+        for p, (m, v) in zip(self.params, self.state):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if self.weight_decay:
+                grad = p.data * self.weight_decay
+                grad += p.grad
             m *= self.beta1
             m += grad * (1.0 - self.beta1)
             sq = grad * grad
@@ -83,14 +103,11 @@ def _same_bytes(params_a, params_b):
 
 def _build(kind, params, reference):
     if kind == "sgd":
-        if reference:
-            return _ReferenceSGD(params, lr=0.05, momentum=0.9,
-                                 weight_decay=1e-3)
-        return SGD(params, lr=0.05, momentum=0.9, nesterov=True,
+        cls = _ReferenceSGD if reference else SGD
+        return cls(params, lr=0.05, momentum=0.9, nesterov=True,
                    weight_decay=1e-3)
-    if reference:
-        return _ReferenceAdam(params, lr=0.01, weight_decay=1e-3)
-    return Adam(params, lr=0.01, weight_decay=1e-3)
+    cls = _ReferenceAdam if reference else Adam
+    return cls(params, lr=0.01, weight_decay=1e-3)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -154,63 +171,44 @@ class TestArenaMatchesPerParameterUpdate:
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
-def test_mixed_dtypes_take_the_per_parameter_path(kind):
-    def build_params():
-        rng = np.random.default_rng(4)
-        weight = Parameter(rng.normal(size=(4, 3)))
-        bias = Parameter(np.zeros(3))
-        bias.data = rng.normal(size=3).astype(np.float32)
-        return [weight, bias]
-
-    params, ref_params = build_params(), build_params()
-    arrays = [p.data for p in params]
-    opt = _build(kind, params, reference=False)
-    ref_opt = _build(kind, ref_params, reference=True)
-    # No arena: the parameters keep their own arrays.
-    assert all(p.data is a for p, a in zip(params, arrays))
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(4):
-        _set_grads(params, rng)
-        _set_grads(ref_params, ref_rng)
-        opt.step()
-        ref_opt.step()
-        assert _same_bytes(params, ref_params)
+def test_mixed_dtypes_are_refused(kind):
+    rng = np.random.default_rng(4)
+    weight = Parameter(rng.normal(size=(4, 3)))
+    bias = Parameter(np.zeros(3))
+    bias.data = rng.normal(size=3).astype(np.float32)
+    arrays = [weight.data, bias.data]
+    with pytest.raises(ValueError, match="share one dtype"):
+        _build(kind, [weight, bias], reference=False)
+    # Refused before adopting anything: the parameters keep their arrays.
+    assert weight.data is arrays[0] and bias.data is arrays[1]
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
-def test_repeated_parameter_takes_the_per_parameter_path(kind):
-    # A parameter listed twice cannot be bound to two arena views, so the
-    # optimizer runs per parameter: the entry is updated twice in list
-    # order, with a state slot per entry.
-    model, ref = _model(0), _model(0)
-    params, ref_params = model.parameters(), ref.parameters()
+def test_repeated_parameter_is_refused(kind):
+    # A parameter listed twice cannot be bound to two arena views.
+    params = _model(0).parameters()
     arrays = [p.data for p in params]
-    opt = _build(kind, params + params[:1], reference=False)
-    ref_opt = _build(kind, ref_params + ref_params[:1], reference=True)
+    with pytest.raises(ValueError, match="twice"):
+        _build(kind, params + params[:1], reference=False)
     assert all(p.data is a for p, a in zip(params, arrays))
-    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(3):
-        _set_grads(params, rng)
-        _set_grads(ref_params, ref_rng)
-        opt.step()
-        ref_opt.step()
-        assert _same_bytes(params, ref_params)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
-def test_rebinding_to_another_dtype_retires_the_arena(kind):
+@pytest.mark.parametrize("rebind", ["dtype", "shape"])
+def test_rebinding_to_an_array_that_does_not_fit_raises(kind, rebind):
     model = _model(0, np.float32)
     opt = _build(kind, model.parameters(), reference=False)
     rng = np.random.default_rng(6)
     _set_grads(model.parameters(), rng)
     opt.step()
-    widened = model.parameters()[1]
-    widened.data = widened.data.astype(np.float64)
+    rebound = model.parameters()[1]
+    rebound.data = (rebound.data.astype(np.float64) if rebind == "dtype"
+                    else np.zeros(rebound.data.size + 1, np.float32))
     _set_grads(model.parameters(), rng)
     before = [p.data.copy() for p in model.parameters()]
-    opt.step()
-    assert widened.data.dtype == np.float64
-    assert all(not np.array_equal(p.data, b)
+    with pytest.raises(ValueError, match="no longer fits"):
+        opt.step()
+    assert all(np.array_equal(p.data, b)
                for p, b in zip(model.parameters(), before))
 
 
@@ -235,34 +233,72 @@ def test_clone_of_an_adopted_model_is_independent():
     assert [p.data.tobytes() for p in clone.parameters()] != clone_bytes
 
 
-_OPTION_SETS = {
-    "sgd_plain": lambda params: SGD(params, lr=0.05),
-    "sgd_momentum": lambda params: SGD(params, lr=0.05, momentum=0.9),
-    "sgd_nesterov_decay": lambda params: SGD(
-        params, lr=0.05, momentum=0.9, nesterov=True, weight_decay=1e-3),
-    "adam": lambda params: Adam(params, lr=0.01),
-    "adam_decay": lambda params: Adam(params, lr=0.01, weight_decay=1e-3),
+_OPTIONS = {
+    "sgd_plain": ("sgd", {}),
+    "sgd_momentum": ("sgd", {"momentum": 0.9}),
+    "sgd_momentum_decay": ("sgd", {"momentum": 0.9, "weight_decay": 1e-3}),
+    "sgd_nesterov_decay": ("sgd", {"momentum": 0.9, "nesterov": True,
+                                   "weight_decay": 1e-3}),
+    "adam": ("adam", {}),
+    "adam_decay": ("adam", {"weight_decay": 1e-3}),
 }
 
 
-@pytest.mark.parametrize("options", sorted(_OPTION_SETS))
-def test_flat_and_per_parameter_paths_give_the_same_bytes(options):
-    # Each update rule is written once and runs either over the whole arena
-    # or over each parameter's own arrays; every option branch must give
-    # the same bytes both ways.  A float32 bystander that never gets a
-    # gradient puts the second optimizer on the per-parameter path.
-    build = _OPTION_SETS[options]
-    flat_model, loop_model = _model(0), _model(0)
-    bystander = Parameter(np.zeros(2))
-    bystander.data = bystander.data.astype(np.float32)
-    flat = build(flat_model.parameters())
-    loop = build(loop_model.parameters() + [bystander])
-    assert flat._arena is not None and loop._arena is None
-    rng, loop_rng = np.random.default_rng(10), np.random.default_rng(10)
-    for _ in range(4):
-        _set_grads(flat_model.parameters(), rng)
-        _set_grads(loop_model.parameters(), loop_rng)
-        flat.step()
-        loop.step()
-        assert _same_bytes(flat_model.parameters(), loop_model.parameters())
-    assert not bystander.data.any()
+@st.composite
+def _coverage_case(draw):
+    shapes = draw(st.lists(
+        st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+        min_size=1, max_size=6))
+    steps = draw(st.lists(
+        st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes)),
+        min_size=1, max_size=5))
+    return (shapes, steps, draw(st.sampled_from(sorted(_OPTIONS))),
+            draw(st.sampled_from([np.float32, np.float64])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _slot_state(opt, i):
+    """Slot ``i`` of the optimizer's momentum buffer (zero without
+    momentum, like the reference's) or its two moment buffers."""
+    start, stop = opt._offsets[i], opt._offsets[i + 1]
+    flats = opt._state[:2] if isinstance(opt, Adam) else opt._state[:1]
+    return tuple(flat[start:stop] for flat in flats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coverage_case())
+def test_partial_coverage_matches_the_per_parameter_update(case):
+    # Each step gives a random subset of the parameters a gradient.  The
+    # covered ones must get the per-parameter update's bytes; the others
+    # keep their data and their optimizer state.
+    shapes, steps, options, dtype, seed = case
+    kind, kwargs = _OPTIONS[options]
+    rng = np.random.default_rng(seed)
+    params, ref_params = [], []
+    for shape in shapes:
+        values = rng.normal(size=shape).astype(dtype)
+        for group in (params, ref_params):
+            p = Parameter(np.zeros(shape))
+            p.data = values.copy()
+            group.append(p)
+    lr = 0.05 if kind == "sgd" else 0.01
+    opt = (SGD if kind == "sgd" else Adam)(params, lr=lr, **kwargs)
+    ref_opt = (_ReferenceSGD if kind == "sgd" else _ReferenceAdam)(
+        ref_params, lr=lr, **kwargs)
+    for mask in steps:
+        before = [(p.data.copy(), [s.copy() for s in ref_opt.state[i]])
+                  for i, p in enumerate(params)]
+        for p, q, covered in zip(params, ref_params, mask):
+            grad = rng.normal(size=p.data.shape).astype(dtype)
+            p.grad, q.grad = (grad, grad.copy()) if covered else (None, None)
+        opt.step()
+        ref_opt.step()
+        assert _same_bytes(params, ref_params)
+        for i, (covered, (data, state)) in enumerate(zip(mask, before)):
+            got = _slot_state(opt, i)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(got, ref_opt.state[i]))
+            if not covered:
+                assert params[i].data.tobytes() == data.tobytes()
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(got, state))

@@ -37,14 +37,22 @@ class TestCheckKey:
              "reserved-version"])
     def test_unresolvable_keys_raise(self, name, version):
         with pytest.raises(ValueError):
-            ModelRegistry.check_key(name, version)
+            ModelRegistry().check_key(name, version)
 
     def test_version_comes_back_as_a_string(self):
-        assert ModelRegistry.check_key("fmd", 3) == "3"
-        assert ModelRegistry.check_key("fmd", "2024.1") == "2024.1"
+        assert ModelRegistry().check_key("fmd", 3) == "3"
+        assert ModelRegistry().check_key("fmd", "2024.1") == "2024.1"
 
     def test_no_version_stays_none(self):
-        assert ModelRegistry.check_key("fmd") is None
+        assert ModelRegistry().check_key("fmd") is None
+
+    def test_a_version_the_name_already_has_is_refused(self, tmp_path):
+        registry = ModelRegistry()
+        registry.register("fmd", make_servable(tmp_path, 0, "a"), version="3")
+        with pytest.raises(ValueError, match="already has version"):
+            registry.check_key("fmd", 3)
+        assert registry.check_key("fmd", 4) == "4"
+        assert registry.check_key("other", 3) == "3"
 
 
 class TestRegistry:

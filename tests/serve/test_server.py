@@ -498,6 +498,27 @@ class TestAdminEndpoint:
         assert loads == []
         assert list(server.models()) == ["default"]
 
+    def test_load_refuses_a_version_the_name_has_before_reading(
+            self, admin, server, artifact_dir, monkeypatch):
+        import repro.serve.server as server_module
+
+        loads = []
+        real_load = server_module.load_servable
+        monkeypatch.setattr(server_module, "load_servable",
+                            lambda path: loads.append(path) or real_load(path))
+        assert server.load("m", artifact_dir, version="1") == "1"
+        with pytest.raises(ValueError, match="already has version"):
+            server.load("m", artifact_dir, version="1")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(admin, "/admin/load", {
+                "name": "m", "path": artifact_dir, "version": "1"})
+        assert excinfo.value.code == 400
+        assert "already has version" in json.loads(
+            excinfo.value.read())["error"]
+        # Only the first load read and digest-checked the artifact.
+        assert loads == [artifact_dir]
+        assert list(server.models()["m"]["versions"]) == ["1"]
+
     @pytest.mark.parametrize("path,field,value", [
         # The string "false" was read with bool() and drained the worker.
         ("/admin/drain", "draining", "false"),

@@ -134,6 +134,64 @@ class TestExports:
         assert checked > 40         # walked the whole package
 
 
+def unused_imports(path):
+    """Names a module imports and never reads.
+
+    A name counts as read when the module loads it (``ast.Name``), lists it
+    in ``__all__``, or names it in a string annotation.  Package
+    ``__init__`` modules re-export what they import, so callers skip them.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = set()
+
+    def read_names(subtree):
+        for sub in ast.walk(subtree):
+            if isinstance(sub, ast.Name):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read_names(ast.parse(sub.value, mode="eval"))
+
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    for annotation in annotations:
+        read_names(annotation)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+class TestNoUnusedImports:
+    def test_no_module_imports_a_name_it_never_reads(self):
+        unused = {}
+        for dirpath, _, filenames in os.walk(SRC_ROOT):
+            for filename in filenames:
+                if filename.endswith(".py") and filename != "__init__.py":
+                    path = os.path.join(dirpath, filename)
+                    found = unused_imports(path)
+                    if found:
+                        unused[os.path.relpath(path, SRC_ROOT)] = found
+        assert not unused, f"unused imports (line, name): {unused}"
+
+
 class TestSetupMetadata:
     def test_setup_py_declares_metadata(self):
         setup_path = os.path.join(os.path.dirname(SRC_ROOT), os.pardir, "setup.py")
