@@ -62,6 +62,8 @@ class Optimizer:
         #: the update rule's flat state buffers (None where unused), built
         #: on the first step by :meth:`_materialize`
         self._state: Optional[List[Optional[np.ndarray]]] = None
+        #: steps past the arena check (Adam's bias correction reads it)
+        self._t = 0
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -74,6 +76,7 @@ class Optimizer:
         if self._state is None:
             self._state = self._materialize()
         self._sync_arena()
+        self._t += 1
         for start, stop in self._gather_grads():
             self._update(self._arena[start:stop],
                          self._flat_grad[start:stop],
@@ -222,16 +225,11 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._t = 0
 
     def _materialize(self) -> List[Optional[np.ndarray]]:
         # The two moments, a scratch buffer, the decayed gradient.
         return [self._buffer(zero=True), self._buffer(zero=True),
                 self._buffer(), self._decay_buffer()]
-
-    def step(self) -> None:
-        self._t += 1
-        super().step()
 
     def _update(self, data, grad, m, v, scratch, decayed) -> None:
         # 13 ufunc calls (15 with decay) per run of covered slots.

@@ -196,11 +196,15 @@ def test_repeated_parameter_is_refused(kind):
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 @pytest.mark.parametrize("rebind", ["dtype", "shape"])
 def test_rebinding_to_an_array_that_does_not_fit_raises(kind, rebind):
-    model = _model(0, np.float32)
+    model, ref = _model(0, np.float32), _model(0, np.float32)
     opt = _build(kind, model.parameters(), reference=False)
+    ref_opt = _build(kind, ref.parameters(), reference=True)
     rng = np.random.default_rng(6)
     _set_grads(model.parameters(), rng)
+    _set_grads(ref.parameters(), np.random.default_rng(6))
     opt.step()
+    ref_opt.step()
+    first = [p.data.copy() for p in model.parameters()]
     rebound = model.parameters()[1]
     rebound.data = (rebound.data.astype(np.float64) if rebind == "dtype"
                     else np.zeros(rebound.data.size + 1, np.float32))
@@ -210,6 +214,14 @@ def test_rebinding_to_an_array_that_does_not_fit_raises(kind, rebind):
         opt.step()
     assert all(np.array_equal(p.data, b)
                for p, b in zip(model.parameters(), before))
+    # Rebound to an array that fits, the next step is the second update:
+    # the refused one advanced no state (Adam's step count included).
+    rebound.data = first[1].copy()
+    _set_grads(model.parameters(), np.random.default_rng(7))
+    _set_grads(ref.parameters(), np.random.default_rng(7))
+    opt.step()
+    ref_opt.step()
+    assert _same_bytes(model.parameters(), ref.parameters())
 
 
 def test_clone_of_an_adopted_model_is_independent():
