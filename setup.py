@@ -4,7 +4,8 @@ Kept as a classic ``setup.py`` so ``pip install -e .`` works on offline
 environments without the ``wheel`` package (legacy ``setup.py develop``
 path).  The only runtime dependency is NumPy: ``repro`` (and in particular
 the ``repro.nn`` training engine) must import with no extras installed,
-which ``tests/test_packaging.py`` enforces.
+which ``tests/test_packaging.py`` enforces.  The ``test`` extra declares
+what the test suite needs on top.
 """
 
 from setuptools import find_packages, setup
@@ -20,6 +21,9 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.20"],
+    # What the tier-1 suite imports beyond the package and NumPy
+    # (``pip install ".[test]"``); tests/test_packaging.py checks it.
+    extras_require={"test": ["pytest", "hypothesis"]},
     classifiers=[
         "Programming Language :: Python :: 3",
         "License :: OSI Approved :: Apache Software License",

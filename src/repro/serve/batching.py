@@ -37,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -182,16 +182,16 @@ class BatcherStats:
     def copy(self) -> "BatcherStats":
         return BatcherStats().add(self)
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, float]) -> "BatcherStats":
+        """Read counters back from an :meth:`as_dict` payload (a replica's
+        ``GET /stats`` entry); ``mean_batch_size`` is derived, not read."""
+        return cls(**{field.name: payload.get(field.name, 0)
+                      for field in fields(cls)})
+
     def as_dict(self) -> Dict[str, float]:
         mean = (self.batched_examples / self.batches) if self.batches else 0.0
-        return {"requests": self.requests, "examples": self.examples,
-                "batches": self.batches, "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "largest_batch": self.largest_batch,
-                "mean_batch_size": round(mean, 2),
-                "served": self.served, "errors": self.errors,
-                "rejected": self.rejected, "expired": self.expired,
-                "shed": self.shed}
+        return dict(asdict(self), mean_batch_size=round(mean, 2))
 
 
 def input_digest(features: np.ndarray, salt: str = "") -> str:

@@ -32,16 +32,15 @@ The handler serves any app exposing the small ``predict`` / ``health`` /
 :class:`~repro.serve.router.Router` both do, which is what keeps the
 client API identical whether one process or a fleet answers.
 
-Error mapping: a malformed request (bad JSON, wrong feature width or
-dtype) is the client's fault and returns **400** — and, because requests
-are validated before they are fused, it fails alone without disturbing the
-valid requests batched alongside it.  A request whose ``deadline_ms``
-passes while it queues returns **504**.  Unknown models are **404**; a
-server that is shutting down answers **503** (retryable — a fleet router
-fails the request over to a healthy replica); a request shed by
-model-driven admission control answers **429** (retryable — the request
-was fine, this replica just predicted it could not serve it in budget);
-only genuine serving failures return **500**.
+Error mapping: :data:`ERROR_TABLE` is the serving error protocol, the one
+place an exception class is paired with its HTTP status, its traffic
+outcome and whether a fleet router retries it on another replica.  The
+handler answers every exception a route raises from that table: a
+malformed request (bad JSON, wrong feature width or dtype) is a
+``ValueError`` and so a 400 — and, because requests are validated before
+they are fused, it fails alone without disturbing the valid requests
+batched alongside it.  Anything outside the table is a serving failure,
+a 500.
 
 What the stdlib parser rejects gets a JSON body too: a malformed request
 line or an unsupported HTTP version is **400**, an oversized URI **414**,
@@ -58,6 +57,7 @@ import json
 import math
 import socket as socket_module
 import threading
+from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -74,6 +74,57 @@ __all__ = ["make_http_server", "start_http_server"]
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Seconds a request body may stall before the answer is 408.
 BODY_READ_TIMEOUT_S = 10.0
+
+
+@dataclass(frozen=True)
+class ErrorRow:
+    """One row of the serving error protocol."""
+
+    #: the exception class a serving app raises (and a router re-raises)
+    error: type
+    #: the HTTP status the handler answers it with
+    status: int
+    #: the :class:`~repro.serve.traffic.TrafficGenerator` outcome label
+    outcome: str
+    #: whether a fleet router tries the request on another replica
+    retry: bool
+
+
+#: The serving error protocol, read by the HTTP handler (exception ->
+#: status), the fleet router (a replica's status -> exception, retry) and
+#: the traffic harness (exception -> outcome).  The first row whose class
+#: the error is an instance of wins.  A 404 is retried only on the owners
+#: not yet tried (another may already hold a swapped-in version); a 400 or
+#: 504 would fail identically anywhere.
+ERROR_TABLE: Tuple[ErrorRow, ...] = (
+    ErrorRow(ModelNotFound, 404, "rejected", retry=True),
+    ErrorRow(DeadlineExceeded, 504, "expired", retry=False),
+    ErrorRow(Overloaded, 429, "overloaded", retry=True),
+    ErrorRow(ShuttingDown, 503, "shed", retry=True),
+    ErrorRow(ValueError, 400, "rejected", retry=False),
+)
+#: every other error: a replica-local serving failure
+SERVING_FAILURE = ErrorRow(RuntimeError, 500, "error", retry=True)
+
+
+def row_of(error_class: type) -> ErrorRow:
+    """The protocol row an exception class falls under."""
+    return next((row for row in ERROR_TABLE
+                 if issubclass(error_class, row.error)), SERVING_FAILURE)
+
+
+def status_row(status: int) -> ErrorRow:
+    """The protocol row a replica's error status reads as.  A 413 (a body
+    over ``MAX_BODY_BYTES``) is a bad request, like a 400."""
+    if status == 413:
+        return row_of(ValueError)
+    return next((row for row in ERROR_TABLE if row.status == status),
+                SERVING_FAILURE)
+
+
+#: the status of a request for something this server does not have (an
+#: unknown path, a disabled surface): the not-found row's
+_NOT_FOUND = row_of(ModelNotFound).status
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -106,6 +157,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, message: str,
                          headers: Tuple[Tuple[str, str], ...] = ()) -> None:
         self._send_json({"error": message}, status=status, headers=headers)
+
+    def _send_exception(self, error: Exception) -> None:
+        """Answer an exception a route raised with its protocol row."""
+        row = row_of(type(error))
+        message = str(error) if row is not SERVING_FAILURE \
+            else f"{type(error).__name__}: {error}"
+        self._send_error_json(row.status, message)
 
     def send_error(self, code: int, message: Optional[str] = None,
                    explain: Optional[str] = None) -> None:
@@ -146,23 +204,24 @@ class _ServeHandler(BaseHTTPRequestHandler):
             capacity = getattr(app, "capacity", None)
             if capacity is None:
                 self._send_error_json(
-                    404, "this app exposes no capacity surface")
+                    _NOT_FOUND, "this app exposes no capacity surface")
             else:
                 self._send_json(capacity())
         else:
-            self._send_error_json(404, f"unknown path {self.path!r}")
+            self._send_error_json(_NOT_FOUND, f"unknown path {self.path!r}")
 
     def _read_json_body(self) -> Optional[dict]:
-        """Parse the request body as JSON; answers the error itself (and
-        returns ``None``) when the body is missing or malformed."""
+        """Parse the request body as a JSON object.
+
+        Raises ``ValueError`` for a missing or malformed body; answers an
+        oversized (413) or stalled (408) one itself and returns ``None``.
+        """
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
-            self._send_error_json(400, "invalid Content-Length")
-            return None
+            raise ValueError("invalid Content-Length") from None
         if length <= 0:
-            self._send_error_json(400, "request body required (JSON)")
-            return None
+            raise ValueError("request body required (JSON)")
         if length > MAX_BODY_BYTES:
             self._send_error_json(
                 413, f"request body of {length} bytes exceeds the "
@@ -178,100 +237,68 @@ class _ServeHandler(BaseHTTPRequestHandler):
                      f"before its {length} bytes arrived")
             return None
         if len(body) < length:
-            self._send_error_json(
-                400, f"request body ended after {len(body)} of its "
-                     f"{length} bytes")
-            return None
+            raise ValueError(f"request body ended after {len(body)} of its "
+                             f"{length} bytes")
         try:
             payload = json.loads(body.decode("utf-8"))
         except ValueError as error:
             # Bad JSON, bad UTF-8, or an integer literal past Python's
             # int-string conversion limit.
-            self._send_error_json(400, f"invalid JSON body: {error}")
-            return None
+            raise ValueError(f"invalid JSON body: {error}") from None
         except RecursionError:
-            self._send_error_json(400, "invalid JSON body: nested too deeply")
-            return None
+            raise ValueError("invalid JSON body: nested too deeply") from None
         if not isinstance(payload, dict):
-            self._send_error_json(400, "JSON body must be an object")
-            return None
+            raise ValueError("JSON body must be an object")
         return payload
 
-    def _bool_field(self, payload: dict, key: str,
-                    default: bool) -> Optional[bool]:
-        """Read an optional JSON boolean (null reads as absent); answers a
-        400 itself (and returns ``None``) for any other type — ``bool()``
-        would read the string ``"false"`` as true."""
+    @staticmethod
+    def _bool_field(payload: dict, key: str, default: bool) -> bool:
+        """Read an optional JSON boolean (null reads as absent); any other
+        type is a ``ValueError`` — ``bool()`` would read the string
+        ``"false"`` as true."""
         value = payload.get(key)
         if value is None:
             return default
         if not isinstance(value, bool):
-            self._send_error_json(400, f"{key!r} must be true or false")
-            return None
+            raise ValueError(f"{key!r} must be true or false")
         return value
 
-    def _do_admin(self, payload: dict) -> None:
-        """The fleet control plane: hot-swap loads and drain flags."""
-        app = type(self).serve_app
+    def _admin(self, app, payload: dict) -> Optional[dict]:
+        """The fleet control plane: hot-swap loads and drain flags.  Any
+        failure to load is the request's fault (a 400)."""
         if self.path == "/admin/load":
             name = payload.get("name")
             path = payload.get("path")
             if not name or not path:
-                self._send_error_json(400, "'name' and 'path' are required")
-                return
+                raise ValueError("'name' and 'path' are required")
             make_latest = self._bool_field(payload, "make_latest", True)
-            if make_latest is None:
-                return
             try:
                 version = app.load(str(name), str(path),
                                    version=payload.get("version"),
                                    make_latest=make_latest)
             except Exception as error:
-                self._send_error_json(400, f"{type(error).__name__}: {error}")
-                return
-            self._send_json({"name": str(name), "version": version})
-        elif self.path == "/admin/drain":
-            draining = self._bool_field(payload, "draining", True)
-            if draining is None:
-                return
-            app.set_draining(draining)
-            self._send_json(app.health())
-        else:
-            self._send_error_json(404, f"unknown admin path {self.path!r}")
+                raise ValueError(f"{type(error).__name__}: {error}") from error
+            return {"name": str(name), "version": version}
+        if self.path == "/admin/drain":
+            app.set_draining(self._bool_field(payload, "draining", True))
+            return app.health()
+        self._send_error_json(_NOT_FOUND,
+                              f"unknown admin path {self.path!r}")
+        return None
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
-        app = type(self).serve_app
-        if self.path.startswith("/admin/"):
-            if not type(self).admin_enabled:
-                self._send_error_json(
-                    404, "admin endpoints are not enabled on this server")
-                return
-            payload = self._read_json_body()
-            if payload is not None:
-                self._do_admin(payload)
-            return
-        if self.path != "/predict":
-            self._send_error_json(404, f"unknown path {self.path!r}")
-            return
-        payload = self._read_json_body()
-        if payload is None:
-            return
-
+    def _predict(self, app, payload: dict) -> dict:
+        """Validate a ``/predict`` body and answer it through the app."""
         model = payload.get("model", "default")
         inputs = payload.get("inputs")
         if inputs is None:
-            self._send_error_json(400, "missing 'inputs'")
-            return
+            raise ValueError("missing 'inputs'")
         try:
             array = np.asarray(inputs, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as error:
-            self._send_error_json(400, f"inputs are not numeric: {error}")
-            return
+            raise ValueError(f"inputs are not numeric: {error}") from None
         if array.ndim not in (1, 2) or array.size == 0:
-            self._send_error_json(
-                400, f"inputs must be one example or a non-empty batch, "
-                     f"got shape {array.shape}")
-            return
+            raise ValueError(f"inputs must be one example or a non-empty "
+                             f"batch, got shape {array.shape}")
         # null is treated like an absent field for the optional knobs.
         # JSON admits NaN, Infinity and overflowing literals (1e400), so
         # both numeric knobs must also be finite; a float priority must be
@@ -283,8 +310,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 raise ValueError(priority)
             priority = 0 if priority is None else int(priority)
         except (TypeError, ValueError):
-            self._send_error_json(400, "'priority' must be an integer")
-            return
+            raise ValueError("'priority' must be an integer") from None
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
             try:
@@ -294,41 +320,35 @@ class _ServeHandler(BaseHTTPRequestHandler):
             except (TypeError, ValueError, OverflowError):
                 deadline_ms = math.nan
             if not math.isfinite(deadline_ms):
-                self._send_error_json(
-                    400, "'deadline_ms' must be a finite number of "
-                         "milliseconds")
-                return
-        return_probabilities = self._bool_field(
-            payload, "return_probabilities", False)
-        if return_probabilities is None:
+                raise ValueError("'deadline_ms' must be a finite number of "
+                                 "milliseconds")
+        return app.predict(
+            array, model=str(model),
+            return_probabilities=self._bool_field(
+                payload, "return_probabilities", False),
+            priority=priority, deadline_ms=deadline_ms)
+
+    def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
+        app = type(self).serve_app
+        admin = self.path.startswith("/admin/")
+        if admin and not type(self).admin_enabled:
+            self._send_error_json(
+                _NOT_FOUND, "admin endpoints are not enabled on this server")
+            return
+        if not admin and self.path != "/predict":
+            self._send_error_json(_NOT_FOUND, f"unknown path {self.path!r}")
             return
         try:
-            response = app.predict(
-                array, model=str(model),
-                return_probabilities=return_probabilities,
-                priority=priority, deadline_ms=deadline_ms)
-        except ModelNotFound as error:
-            self._send_error_json(404, str(error))
+            payload = self._read_json_body()
+            if payload is None:
+                return
+            response = (self._admin(app, payload) if admin
+                        else self._predict(app, payload))
+        except Exception as error:
+            self._send_exception(error)
             return
-        except DeadlineExceeded as error:
-            self._send_error_json(504, str(error))
-            return
-        except Overloaded as error:
-            # Retryable: admission control shed the request before it
-            # queued — another replica (or a later retry) can serve it.
-            self._send_error_json(429, str(error))
-            return
-        except ShuttingDown as error:
-            # Retryable: the process is going away, the request was fine.
-            self._send_error_json(503, str(error))
-            return
-        except ValueError as error:
-            self._send_error_json(400, str(error))
-            return
-        except Exception as error:  # a serving failure, not a client error
-            self._send_error_json(500, f"{type(error).__name__}: {error}")
-            return
-        self._send_json(response)
+        if response is not None:
+            self._send_json(response)
 
 
 def make_http_server(app: Server, host: str = "127.0.0.1",

@@ -24,36 +24,28 @@ Routing semantics:
   Probes also refresh each replica's served-model manifest and queue
   depth, so balancing decisions track reality.  Down replicas are
   re-admitted by the first successful probe after they return.
-* **Retries.** A transport-level failure (replica died mid-request) is
-  retried on another replica with bounded exponential backoff.  Serving a
-  prediction is pure — same rows, same weights, same bits — so retrying is
-  always safe.  Deterministic *client* failures (400 bad request, 504
-  deadline) are never retried: they would fail identically anywhere.  A
-  404 is retried on the remaining owners (mid-swap, another replica may
-  already hold the requested version) and only surfaces once every owner
-  has answered 404.
+* **Retries.**  What a replica's error status means — re-raise it here, or
+  try another replica — is one row of the serving error protocol,
+  :data:`repro.serve.http.ERROR_TABLE`, the table the HTTP handler answers
+  from.  Serving a prediction is pure — same rows, same weights, same
+  bits — so retrying is always safe; deterministic *client* failures
+  (a bad request, an expired deadline) are not retried, since they would
+  fail identically anywhere.  A not-found is retried on the remaining
+  owners only (mid-swap, another replica may already hold the requested
+  version) and surfaces once every owner has answered it.  A transport
+  failure (the replica died mid-request) marks the replica down and is
+  retried elsewhere.  Attempts are bounded (``max_attempts``) and spaced by
+  exponential backoff; the router sleeps only *between* attempts, never
+  after the last one.  When every attempt failed the router raises
+  :class:`NoHealthyReplica` — or, if the last replica shed the request
+  (admission control), the retryable ``Overloaded``.
 * **Deadlines.** Every retry sleep is capped at the request's remaining
-  ``deadline_ms`` and an exhausted deadline fails fast with
-  ``DeadlineExceeded`` *before* sleeping — backoff never burns a deadline
-  the client already paid for.  A 200 that arrives past the deadline is
+  ``deadline_ms``, and an attempt whose deadline is already spent fails
+  fast with ``DeadlineExceeded`` — backoff never burns a deadline the
+  client already paid for.  A 200 that arrives past the deadline is
   suppressed (counted as ``late_responses``) and surfaces as the honest
-  504: no request ever completes successfully after its own deadline.
-
-The failure/retry matrix (also in ``docs/serving.md``):
-
-====================  ==========================  =========================
-replica answered      meaning                     router action
-====================  ==========================  =========================
-connection error      process died / port gone    mark down, retry elsewhere
-200                   served                      return
-200 past deadline     answer arrived too late     raise 504 — never serve late
-400 / 413             malformed request           raise — no retry anywhere
-404                   model/version not here      retry untried owners
-429                   admission control shed      retry elsewhere (bounded)
-503                   replica shutting down       retry elsewhere
-504                   deadline expired in queue   raise — request is stale
-other 5xx             replica-local failure       retry elsewhere (bounded)
-====================  ==========================  =========================
+  ``DeadlineExceeded``: no request ever completes successfully after its
+  own deadline.
 """
 
 from __future__ import annotations
@@ -67,7 +59,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .batching import DeadlineExceeded, Overloaded, ShuttingDown
+from .batching import BatcherStats, DeadlineExceeded, Overloaded, ShuttingDown
+from .http import status_row
 from .registry import ModelNotFound, parse_reference
 
 __all__ = ["NoHealthyReplica", "ReplicaHandle", "Router", "RouterConfig"]
@@ -175,10 +168,6 @@ class ReplicaHandle:
                 "served": self.served,
                 "transport_failures": self.transport_failures,
                 "respawns": self.respawns}
-
-
-#: statuses that fail a request identically on every replica — never retried
-_NO_RETRY = {400, 413, 504}
 
 
 class Router:
@@ -304,10 +293,10 @@ class Router:
         :meth:`repro.serve.Server.predict`.
 
         Retries transport failures on other replicas with bounded backoff;
-        raises the same typed errors an in-process server would
-        (``ModelNotFound``, ``DeadlineExceeded``, ``ValueError``,
-        :class:`ShuttingDown`) so the HTTP handler's status mapping holds
-        unchanged, plus :class:`NoHealthyReplica` when the fleet is gone.
+        raises the same typed errors an in-process server would (read from
+        a replica's status through the serving error protocol), so the
+        HTTP handler answers them unchanged, plus :class:`NoHealthyReplica`
+        when no attempt succeeded.
         """
         if self._closed:
             raise ShuttingDown("Router is closed")
@@ -317,53 +306,38 @@ class Router:
                    "return_probabilities": bool(return_probabilities),
                    "priority": int(priority)}
         started = time.perf_counter()
+        # Routing time is part of the latency the client asked us to
+        # bound: backoff and every forward are charged against the deadline.
+        deadline_at = (None if deadline_ms is None
+                       else started + float(deadline_ms) / 1000.0)
         request_timeout = (timeout if timeout is not None
                            else self.config.request_timeout)
         with self._lock:
             self._counters["requests"] += 1
 
-        def remaining_ms() -> Optional[float]:
-            """Milliseconds left on the request's own deadline (None = no
-            deadline).  All backoff/retry accounting is charged against it —
-            routing time is part of the latency the client asked us to bound."""
-            if deadline_ms is None:
-                return None
-            return (float(deadline_ms)
-                    - (time.perf_counter() - started) * 1000.0)
-
-        def backoff_sleep(seconds: float) -> None:
-            """Sleep between attempts — but never past the deadline.
-
-            A request with ``deadline_ms=50`` must not burn 20+40 ms of
-            unconditional backoff and be retried already-expired: each sleep
-            is capped at the remaining deadline, and an exhausted deadline
-            fails fast with DeadlineExceeded *before* sleeping.
-            """
-            remaining = remaining_ms()
-            if remaining is not None:
-                if remaining <= 0:
-                    elapsed = (time.perf_counter() - started) * 1000.0
-                    raise DeadlineExceeded(
-                        f"request deadline exceeded after {elapsed:.1f} ms "
-                        f"of routing")
-                seconds = min(seconds, remaining / 1000.0)
-            if seconds > 0:
-                time.sleep(seconds)
-
         backoff = self.config.retry_backoff_ms / 1000.0
-        backoff_cap = self.config.retry_backoff_cap_ms / 1000.0
+        pause = 0.0     # the backoff owed before the next attempt
         exclude: Set[str] = set()
         not_found: Optional[ModelNotFound] = None
         last_error: Optional[BaseException] = None
         for attempt in range(self.config.max_attempts):
-            remaining_deadline = remaining_ms()
-            if remaining_deadline is not None:
-                if remaining_deadline <= 0:
+            if pause:
+                # Between attempts only, and never past the deadline.
+                if deadline_at is not None:
+                    pause = min(pause,
+                                max(0.0, deadline_at - time.perf_counter()))
+                time.sleep(pause)
+                backoff = min(backoff * 2,
+                              self.config.retry_backoff_cap_ms / 1000.0)
+                pause = 0.0
+            if deadline_at is not None:
+                remaining_ms = (deadline_at - time.perf_counter()) * 1000.0
+                if remaining_ms <= 0:
                     elapsed_ms = (time.perf_counter() - started) * 1000.0
                     raise DeadlineExceeded(
                         f"request deadline exceeded after {elapsed_ms:.1f} ms "
                         f"of routing")
-                payload["deadline_ms"] = remaining_deadline
+                payload["deadline_ms"] = remaining_ms
             if attempt > 0:
                 with self._lock:
                     self._counters["retries"] += 1
@@ -381,8 +355,7 @@ class Router:
                     raise ModelNotFound(
                         f"no replica serves model {name!r}; fleet serves: "
                         f"{sorted(set().union(*(h.names or set() for h in self._replicas.values())))}")
-                backoff_sleep(backoff)
-                backoff = min(backoff * 2, backoff_cap)
+                pause = backoff
                 continue
             try:
                 status, body = handle.request(
@@ -396,13 +369,13 @@ class Router:
                     self._counters["failovers"] += 1
                 exclude.add(handle.id)
                 last_error = error
-                backoff_sleep(backoff)
-                backoff = min(backoff * 2, backoff_cap)
+                pause = backoff
                 continue
             self._release(handle)
             if status == 200:
-                remaining = remaining_ms()
-                if remaining is not None and remaining < 0:
+                late_ms = (0.0 if deadline_at is None
+                           else (time.perf_counter() - deadline_at) * 1000.0)
+                if late_ms > 0:
                     # The replica answered, but past the client's deadline
                     # (slow transit, a forward that barely missed).  A
                     # request must never complete successfully after its
@@ -411,40 +384,33 @@ class Router:
                     with self._lock:
                         self._counters["late_responses"] += 1
                     raise DeadlineExceeded(
-                        f"replica answered {-remaining:.1f} ms past the "
+                        f"replica answered {late_ms:.1f} ms past the "
                         f"{float(deadline_ms):.1f} ms deadline; late "
                         f"response suppressed")
                 with self._lock:
                     handle.served += 1
                 return body
-            message = body.get("error", f"replica answered HTTP {status}")
-            if status == 404:
-                # Mid-swap, another owner may already hold this version.
-                not_found = ModelNotFound(message)
-                exclude.add(handle.id)
-                continue
-            if status in _NO_RETRY:
-                if status == 504:
-                    raise DeadlineExceeded(message)
-                raise ValueError(message)
-            # 429 (admission shed), 503 (replica shutting down), and other
-            # 5xx: replica-local, the request itself is fine — fail over.
+            row = status_row(status)
+            error = row.error(body.get("error",
+                                       f"replica answered HTTP {status}"))
+            if not row.retry:
+                raise error
             exclude.add(handle.id)
-            if status == 429:
-                last_error = Overloaded(message)
-            elif status == 503:
-                last_error = ShuttingDown(message)
-            else:
-                last_error = RuntimeError(message)
-            backoff_sleep(backoff)
-            backoff = min(backoff * 2, backoff_cap)
+            if isinstance(error, ModelNotFound):
+                # Mid-swap, another owner may already hold this version:
+                # try the untried owners at once.
+                not_found = error
+                continue
+            last_error = error
+            pause = backoff
         if isinstance(last_error, Overloaded):
             # Every attempt was shed by admission control: the whole fleet
             # is saturated.  Surface the retryable 429, not a routing error.
             raise last_error
         raise NoHealthyReplica(
             f"no replica could answer for {model!r} after "
-            f"{self.config.max_attempts} attempts; last error: {last_error}")
+            f"{self.config.max_attempts} attempts; last error: {last_error}"
+        ) from last_error
 
     # ------------------------------------------------------------------ #
     # Health monitoring
@@ -574,40 +540,27 @@ class Router:
         return merged
 
     def stats(self) -> Dict[str, dict]:
-        """Fleet-wide counters: per-``model@version`` sums across replicas
+        """Fleet-wide counters: per-``model@version`` merges across replicas
         plus a ``_router`` entry (routing counters and per-replica state).
 
-        Counter keys sum; ``largest_batch`` takes the max; the merged
-        ``mean_batch_size`` is weighted by each replica's batch count.
+        Each replica's counters are read back into a :class:`BatcherStats`
+        and merged with :meth:`BatcherStats.add`, as :meth:`Server.stats`
+        merges retired batchers, so the fleet's ``mean_batch_size`` is the
+        exact ``batched_examples / batches``.
         """
-        merged: Dict[str, dict] = {}
-        weighted: Dict[str, float] = {}
+        merged: Dict[str, BatcherStats] = {}
         for _, payload in self._gather("/stats"):
             for key, entry in payload.items():
-                if not isinstance(entry, dict):
-                    continue
-                into = merged.setdefault(key, {})
-                for field, value in entry.items():
-                    if not isinstance(value, (int, float)) \
-                            or isinstance(value, bool):
-                        continue
-                    if field == "largest_batch":
-                        into[field] = max(into.get(field, 0), value)
-                    elif field == "mean_batch_size":
-                        weighted[key] = weighted.get(key, 0.0) \
-                            + value * entry.get("batches", 0)
-                    else:
-                        into[field] = into.get(field, 0) + value
-        for key, entry in merged.items():
-            batches = entry.get("batches", 0)
-            entry["mean_batch_size"] = (
-                round(weighted.get(key, 0.0) / batches, 2) if batches else 0.0)
+                if isinstance(entry, dict):
+                    merged.setdefault(key, BatcherStats()).add(
+                        BatcherStats.from_dict(entry))
+        stats = {key: counters.as_dict() for key, counters in merged.items()}
         with self._lock:
             counters = dict(self._counters)
         counters["replicas"] = {handle.id: handle.describe()
                                 for handle in self._handles()}
-        merged["_router"] = counters
-        return merged
+        stats["_router"] = counters
+        return stats
 
     def capacity(self) -> dict:
         """Fleet-wide ``GET /capacity``: per-replica payloads plus totals.

@@ -149,6 +149,20 @@ class Server:
     # ------------------------------------------------------------------ #
     # Prediction
     # ------------------------------------------------------------------ #
+    def _route(self, inputs: np.ndarray, model: str, priority: int,
+               deadline_ms: Optional[float]
+               ) -> Tuple[str, str, Servable, "Future[np.ndarray]"]:
+        """Resolve ``model``, pass the admission gate, and queue the request
+        on the servable's batcher: ``(name, version, servable, future)``."""
+        name, version, servable = self.registry.resolve(model)
+        batcher = self._batcher_for(name, version, servable)
+        if self.admission is not None:
+            self.admission.admit(batcher.queue_depth(),
+                                 deadline_ms=deadline_ms)
+        future = batcher.submit(inputs, priority=priority,
+                                deadline_ms=deadline_ms)
+        return name, version, servable, future
+
     def submit(self, inputs: np.ndarray, model: str = "default",
                priority: int = 0,
                deadline_ms: Optional[float] = None) -> "Future[np.ndarray]":
@@ -159,30 +173,18 @@ class Server:
         Higher ``priority`` requests drain first; with ``deadline_ms`` the
         request fails fast with ``DeadlineExceeded`` once expired.
         """
-        name, version, servable = self.registry.resolve(model)
-        batcher = self._batcher_for(name, version, servable)
-        if self.admission is not None:
-            self.admission.admit(batcher.queue_depth(),
-                                 deadline_ms=deadline_ms)
-        return batcher.submit(inputs, priority=priority,
-                              deadline_ms=deadline_ms)
+        return self._route(inputs, model, priority, deadline_ms)[3]
 
     def predict(self, inputs: np.ndarray, model: str = "default",
                 return_probabilities: bool = False,
                 timeout: Optional[float] = None, priority: int = 0,
                 deadline_ms: Optional[float] = None) -> dict:
         """Blocking prediction returning a JSON-friendly response dict."""
-        name, version, servable = self.registry.resolve(model)
-        batcher = self._batcher_for(name, version, servable)
-        if self.admission is not None:
-            self.admission.admit(batcher.queue_depth(),
-                                 deadline_ms=deadline_ms)
         array = np.asarray(inputs)
-        single = array.ndim == 1
-        probabilities = batcher.submit(array, priority=priority,
-                                       deadline_ms=deadline_ms).result(
-                                           timeout=timeout)
-        rows = probabilities[None, :] if single else probabilities
+        name, version, servable, future = self._route(
+            array, model, priority, deadline_ms)
+        probabilities = future.result(timeout=timeout)
+        rows = probabilities[None, :] if array.ndim == 1 else probabilities
         indices = rows.argmax(axis=1)
         response = {
             "model": name,

@@ -10,11 +10,12 @@ requests fire at their scheduled instants whether or not earlier ones have
 finished, which is what makes overload visible instead of silently
 throttling the load generator.
 
-Every request's outcome is recorded individually — served, expired (504),
-overloaded (429), shed (503), rejected (400), errored — along with its
-latency, and :meth:`TrafficReport.deadline_violations` counts the one
-outcome the stack promises never happens: a request that completed
-*successfully* after its own deadline.
+Every request's outcome is recorded individually — ``ok``, or the outcome
+its error's row in the serving error protocol
+(:data:`repro.serve.http.ERROR_TABLE`) names — along with its latency,
+and :meth:`TrafficReport.deadline_violations` counts the one outcome the
+stack promises never happens: a request that completed *successfully*
+after its own deadline.
 
 :func:`compare_prediction` closes the loop: observed throughput/p50/p99
 against a :class:`~repro.serve.capacity.CapacityPrediction`, as relative
@@ -25,14 +26,14 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .batching import DeadlineExceeded, Overloaded, ShuttingDown
 from .capacity import CapacityPrediction
-from .registry import ModelNotFound
+from .http import row_of
 
 __all__ = ["TrafficGenerator", "TrafficReport", "adversarial_trace",
            "compare_prediction", "poisson_trace"]
@@ -157,18 +158,6 @@ class TrafficReport:
         }
 
 
-def _classify(error: BaseException) -> str:
-    if isinstance(error, DeadlineExceeded):
-        return "expired"
-    if isinstance(error, Overloaded):
-        return "overloaded"
-    if isinstance(error, ShuttingDown):
-        return "shed"
-    if isinstance(error, (ModelNotFound, ValueError)):
-        return "rejected"
-    return "error"
-
-
 # --------------------------------------------------------------------------- #
 # The generator
 # --------------------------------------------------------------------------- #
@@ -227,7 +216,7 @@ class TrafficGenerator:
             try:
                 future.result(timeout=0)
             except BaseException as error:
-                outcomes[index] = _classify(error)
+                outcomes[index] = row_of(type(error)).outcome
                 if outcomes[index] == "error":
                     errors.append(f"{type(error).__name__}: {error}")
             else:
@@ -255,16 +244,11 @@ class TrafficGenerator:
                         future = self.target.submit(
                             row, priority=priority, deadline_ms=deadline_ms)
                 except BaseException as error:
-                    # Synchronous refusal: admission shed (429), shutdown
-                    # (503), validation (400) — all fail before queueing.
-                    done = time.perf_counter()
-                    outcomes[i] = _classify(error)
-                    if outcomes[i] == "error":
-                        errors.append(f"{type(error).__name__}: {error}")
-                    latencies[i] = (done - sent) * 1000.0
-                    finished[i] = done
-                    pending.release()
-                    continue
+                    # Synchronous refusal (admission shed, shutdown,
+                    # validation): failed before queueing, and recorded
+                    # like a future that failed.
+                    future = Future()
+                    future.set_exception(error)
                 future.add_done_callback(
                     lambda f, i=i, sent=sent: resolve(i, sent, f))
 

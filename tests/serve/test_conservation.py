@@ -9,7 +9,9 @@ once every future has resolved,
 ``rejected`` requests fail synchronously at submit and never count into
 ``requests``; with the cache enabled, ``cache_hits + cache_misses``
 partition the single-row lookups.  The law is exercised under concurrent
-submit / expiry / shed / close traffic.
+submit / expiry / shed / close traffic.  A fleet's ``GET /stats`` merges
+its replicas' counters with the same ``BatcherStats.add`` a server uses,
+so the merged counters are exact too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import time
 
 import numpy as np
 
-from repro.serve import BatchingConfig, MicroBatcher
+from repro.serve import (BatcherStats, BatchingConfig, MicroBatcher, Router,
+                         make_http_server)
 
 def conserved(stats: dict) -> bool:
     return stats["requests"] == (stats["served"] + stats["expired"]
@@ -141,3 +144,42 @@ class TestConservationUnderChaos:
             == stats["requests"] == 200
         assert stats["cache_hits"] == 190
         assert stats["served"] == 200
+
+
+class StatsReplica:
+    """A replica app whose ``GET /stats`` reports fixed batcher counters."""
+
+    def __init__(self, counters: BatcherStats):
+        self.counters = counters
+
+    def stats(self):
+        return {"m@1": self.counters.as_dict()}
+
+
+class TestFleetStatsMerge:
+    def test_mean_batch_size_is_the_exact_merge(self):
+        """One replica ran 1 batch of 1 row, the other 6 batches with 7
+        rows: the fleet's mean is 8 / 7 = 1.14.  Merging the replicas'
+        rounded means (1.0 and 1.17, weighted by batches) gives 1.15."""
+        first = BatcherStats(requests=1, examples=1, batches=1,
+                             batched_examples=1, largest_batch=1, served=1)
+        second = BatcherStats(requests=7, examples=7, batches=6,
+                              batched_examples=7, largest_batch=2, served=7)
+        router = Router()
+        httpds = []
+        for index, counters in enumerate((first, second)):
+            httpd = make_http_server(StatsReplica(counters), port=0)
+            threading.Thread(target=httpd.serve_forever, daemon=True).start()
+            httpds.append(httpd)
+            router.add_replica(f"r{index}", *httpd.server_address[:2])
+        try:
+            merged = router.stats()["m@1"]
+        finally:
+            for httpd in httpds:
+                httpd.shutdown()
+                httpd.server_close()
+            router.close()
+        assert merged["mean_batch_size"] == 1.14
+        assert merged == first.copy().add(second).as_dict()
+        assert merged["batched_examples"] == 8
+        assert conserved(merged)

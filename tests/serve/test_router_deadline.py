@@ -22,8 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import (DeadlineExceeded, Overloaded, Router, RouterConfig,
-                         make_http_server)
+from repro.serve import (DeadlineExceeded, NoHealthyReplica, Overloaded,
+                         Router, RouterConfig, make_http_server)
 
 INPUT = np.zeros(4)
 
@@ -122,6 +122,16 @@ class TestBackoffDeadlineCap:
         with pytest.raises(DeadlineExceeded):
             router.predict(INPUT, deadline_ms=-1.0)
         assert time.perf_counter() - started < 0.4
+        router.close()
+
+    def test_no_sleep_after_the_last_attempt(self):
+        """Backoff spaces attempts; it never follows the last one.  A single
+        attempt with nothing to route to fails at once, not after 500 ms."""
+        router = Router(RouterConfig(max_attempts=1, retry_backoff_ms=500))
+        started = time.perf_counter()
+        with pytest.raises(NoHealthyReplica):
+            router.predict(INPUT)
+        assert time.perf_counter() - started < 0.25
         router.close()
 
     def test_no_deadline_keeps_the_old_retry_patience(self):

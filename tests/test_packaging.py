@@ -5,13 +5,16 @@ module must import with nothing but the standard library and NumPy
 installed.  ``repro.nn`` — the training engine every module, baseline, and
 the end model run through — is held to more: it may import only the
 standard library, NumPy, and ``repro.nn`` itself.  ``setup.py`` must carry
-real metadata (it used to defer to a ``pyproject.toml`` that did not exist).
+real metadata (it used to defer to a ``pyproject.toml`` that did not exist),
+and its ``test`` extra must declare every third-party module the tests
+import, so ``pip install ".[test]"`` is the whole tier-1 install.
 """
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,8 +22,8 @@ import textwrap
 import repro
 import repro.nn
 
-SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "src", "repro")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 NN_ROOT = os.path.join(SRC_ROOT, "nn")
 
 ALLOWED_TOP_LEVEL = {"numpy"}
@@ -192,15 +195,58 @@ class TestNoUnusedImports:
         assert not unused, f"unused imports (line, name): {unused}"
 
 
+def setup_keywords():
+    """The keyword arguments of ``setup.py``'s ``setup()`` call (AST nodes)."""
+    setup_path = os.path.join(REPO_ROOT, "setup.py")
+    with open(setup_path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    call = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") == "setup")
+    return {kw.arg: kw.value for kw in call.keywords}
+
+
 class TestSetupMetadata:
     def test_setup_py_declares_metadata(self):
-        setup_path = os.path.join(os.path.dirname(SRC_ROOT), os.pardir, "setup.py")
-        with open(os.path.normpath(setup_path), "r", encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
-        call = next(node for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and getattr(node.func, "id", "") == "setup")
-        keywords = {kw.arg for kw in call.keywords}
+        keywords = setup_keywords()
         for required in ("name", "version", "package_dir", "packages",
                          "python_requires", "install_requires"):
             assert required in keywords, f"setup() missing {required!r}"
+
+
+def top_level_imports(path):
+    """Top-level names of a file's absolute imports."""
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+class TestDeclaredTestDependencies:
+    def test_every_test_import_is_declared(self):
+        """``pip install ".[test]"`` is all the suite needs: every
+        third-party module a test imports is NumPy or in the test extra."""
+        extras = setup_keywords().get("extras_require")
+        requirements = (ast.literal_eval(extras).get("test", [])
+                        if extras is not None else [])
+        declared = {re.split(r"[<>=!~;\[ ]", requirement)[0]
+                    .lower().replace("-", "_")
+                    for requirement in requirements}
+        allowed = STDLIB | ALLOWED_TOP_LEVEL | declared | {"repro"}
+        undeclared = {}
+        checked = 0
+        for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, "tests")):
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    path = os.path.join(dirpath, filename)
+                    checked += 1
+                    bad = sorted(set(top_level_imports(path)) - allowed)
+                    if bad:
+                        undeclared[os.path.relpath(path, REPO_ROOT)] = bad
+        assert not undeclared, \
+            f"test imports missing from the 'test' extra: {undeclared}"
+        assert checked > 50         # walked the whole suite
