@@ -4,9 +4,10 @@ Runs the grid of perfbench's ``train_sweep`` workload in one process: the
 workspace with 300 filler concepts, 3 related classes with 8 images each,
 5 datasets x {1, 5} shots, every task through ``Controller.run`` with graph
 replay on and the ZSL-KG pretrain cached from a first run on the first
-task.  For each task it prints the pseudo-label digest, the end-model
-digest, one digest per taglet and the task's replay counters
-``(captures, replays, eager_steps, fallbacks)``.
+task.  It first prints the digest of that cold pretrain's ZSL-KG class
+encoder (task ``zsl_kg/cold``), then, for each task, the pseudo-label
+digest, the end-model digest, one digest per taglet and the task's replay
+counters ``(captures, replays, eager_steps, fallbacks)``.
 
 Two checkouts produce the same lines exactly when a change keeps every
 output byte.  Run both under the same BLAS thread count (this script pins
@@ -15,6 +16,9 @@ it to 1 unless the shell sets one)::
     PYTHONPATH=src python benchmarks/output_digests.py --seed 1 > new.txt
     (cd ../parent && PYTHONPATH=src python ../repo/benchmarks/output_digests.py --seed 1) > old.txt
     diff old.txt new.txt
+
+``benchmarks/byte_identity.py`` runs that comparison for the three
+configurations CI checks.
 """
 
 from __future__ import annotations
@@ -77,6 +81,10 @@ def main() -> None:
 
     ZslKgModule._pretrained_cache.clear()
     Controller(modules=["zsl_kg"], config=config()).run(tasks[0][1])
+    (_, _, encoder), = ZslKgModule._pretrained_cache.values()
+    print(f"zsl_kg/cold encoder="
+          f"{_digest(*(encoder[name] for name in sorted(encoder)))}",
+          flush=True)
     for name, task in tasks:
         stats = ReplayStats()
         result = Controller(config=config(stats)).run(task)

@@ -10,17 +10,16 @@ from . import functional
 from .chain import LeafChain, leaf_chain
 from .data import (ArrayDataset, DataLoader, Dataset, SoftLabeledDataset,
                    UnlabeledDataset)
-from .modules import (MLP, BatchNorm1d, Dropout, Identity, Linear, Module,
-                      Parameter, ReLU, Sequential, Tanh)
+from .modules import (MLP, BatchNorm1d, Dropout, Linear, Module, Parameter,
+                      ReLU, Sequential, Tanh)
 from .optim import SGD, Adam, Optimizer
 from .replay import (GraphReplay, ReplayStats, ReplayUnsupported,
                      collect_replay_stats)
 from .schedulers import (ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
                          LRScheduler, MultiStepLR)
-from .serialization import (StateDictMismatchError, load_into_module,
-                            load_state_dict, save_module, save_state_dict,
-                            state_dict_digest, state_dict_manifest,
-                            validate_state_dict)
+from .serialization import (StateDictMismatchError, load_state_dict,
+                            save_state_dict, state_dict_digest,
+                            state_dict_manifest, validate_state_dict)
 from .tensor import (Tensor, default_dtype, get_default_dtype,
                      graph_replay_enabled, is_grad_enabled, no_grad,
                      use_graph_replay)
@@ -28,8 +27,7 @@ from .training import (TrainConfig, build_optimizer, build_scheduler,
                        iterate_forever, predict_logits, predict_proba,
                        softmax_rows, train_classifier, train_soft_classifier)
 from .transforms import (Compose, GaussianJitter, RandomFeatureDrop,
-                         RandomPermuteBlocks, RandomScale, Transform,
-                         strong_augment, weak_augment)
+                         RandomScale, Transform, strong_augment, weak_augment)
 
 __all__ = [
     "Tensor", "functional",
@@ -37,7 +35,7 @@ __all__ = [
     "use_graph_replay", "graph_replay_enabled",
     "GraphReplay", "ReplayStats", "ReplayUnsupported", "collect_replay_stats",
     "LeafChain", "leaf_chain",
-    "Module", "Parameter", "Linear", "ReLU", "Tanh", "Identity", "Dropout",
+    "Module", "Parameter", "Linear", "ReLU", "Tanh", "Dropout",
     "BatchNorm1d", "Sequential", "MLP",
     "Optimizer", "SGD", "Adam",
     "LRScheduler", "ConstantLR", "MultiStepLR", "CosineAnnealingLR",
@@ -45,12 +43,10 @@ __all__ = [
     "Dataset", "ArrayDataset", "UnlabeledDataset", "SoftLabeledDataset",
     "DataLoader",
     "Transform", "Compose", "GaussianJitter",
-    "RandomScale", "RandomFeatureDrop", "RandomPermuteBlocks",
-    "weak_augment", "strong_augment",
+    "RandomScale", "RandomFeatureDrop", "weak_augment", "strong_augment",
     "TrainConfig", "build_optimizer", "build_scheduler", "predict_logits",
     "predict_proba", "softmax_rows", "train_classifier",
     "train_soft_classifier", "iterate_forever",
-    "save_state_dict", "load_state_dict", "save_module", "load_into_module",
-    "state_dict_manifest", "state_dict_digest", "validate_state_dict",
-    "StateDictMismatchError",
+    "save_state_dict", "load_state_dict", "state_dict_manifest",
+    "state_dict_digest", "validate_state_dict", "StateDictMismatchError",
 ]

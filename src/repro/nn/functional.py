@@ -20,7 +20,6 @@ __all__ = [
     "check_label_range",
     "cross_entropy",
     "soft_cross_entropy",
-    "mse_loss",
     "l2_loss",
     "accuracy",
 ]
@@ -65,10 +64,12 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray,
     return apply(ops.SOFT_CE, (logits,), t=target_probs, w=sample_weights)
 
 
-def _squared_error(predictions: Tensor, targets: Union[Tensor, np.ndarray],
-                   denom: float) -> Tensor:
-    """``sum((p - t)^2) / denom`` as one tape node, with the closed-form
-    backward ``2 (p - t) / denom``."""
+def l2_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray]) -> Tensor:
+    """Mean squared L2 distance between rows (paper Eq. 9, ZSL-KG pretraining).
+
+    ``sum((p - t)^2) / rows`` as one tape node, with the closed-form
+    backward ``2 (p - t) / rows``.
+    """
     targets = targets if isinstance(targets, Tensor) else Tensor(targets)
     if targets.requires_grad:
         raise ValueError("squared-error targets must be constants, got a "
@@ -76,19 +77,9 @@ def _squared_error(predictions: Tensor, targets: Union[Tensor, np.ndarray],
     if targets.shape != predictions.shape:
         raise ValueError(f"squared-error targets of shape {targets.shape} do "
                          f"not match predictions of shape {predictions.shape}")
-    return apply(ops.SQERR, (predictions,), t=targets.data, denom=denom)
-
-
-def mse_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared error over all elements."""
-    return _squared_error(predictions, targets, float(predictions.size))
-
-
-def l2_loss(predictions: Tensor, targets: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared L2 distance between rows (paper Eq. 9, ZSL-KG pretraining)."""
     # mean over all leading dims of the per-row sums == total / (size / C)
     rows = max(predictions.size // predictions.shape[-1], 1)
-    return _squared_error(predictions, targets, float(rows))
+    return apply(ops.SQERR, (predictions,), t=targets.data, denom=float(rows))
 
 
 def accuracy(logits_or_probs: np.ndarray, targets: np.ndarray) -> float:

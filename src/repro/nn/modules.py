@@ -25,7 +25,6 @@ __all__ = [
     "Linear",
     "ReLU",
     "Tanh",
-    "Identity",
     "Dropout",
     "BatchNorm1d",
     "Sequential",
@@ -204,11 +203,6 @@ class Tanh(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Dropout(Module):

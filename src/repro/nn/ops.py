@@ -497,8 +497,8 @@ class _SoftCE(_Loss):
 
 
 class _SqErr(Op):
-    """``sum((p - t)^2) / denom``; the denominator (set on the frame)
-    tells ``mse_loss`` and ``l2_loss`` apart."""
+    """``sum((p - t)^2) / denom``, with the denominator set on the frame
+    (``l2_loss`` divides by the row count)."""
 
     name = "sqerr"
     scalar = True

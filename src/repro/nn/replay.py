@@ -62,14 +62,14 @@ Fallback rules (checked on *every* call, before replaying; inside an
 
 Supported ops are the entries of the op table, however they are called: the
 leaf layers ``Linear``, ``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
-(``Identity`` and eval-mode ``Dropout`` pass their input through and
-record nothing), ``Tensor.relu()`` and ``Tensor.tanh()``, tensor ``+``
-and ``*`` (e.g. summed or weighted-sum losses), and the fused losses
-``cross_entropy`` (optionally per-sample weighted), ``soft_cross_entropy``
-and the squared-error losses (``l2_loss`` / ``mse_loss``).  Optimizer
-updates reuse ``optimizer.step()`` itself — gradients are written into
-the optimizer's flat gradient views and bound to ``param.grad``, so SGD
-momentum and Adam state evolve exactly as in eager mode.  A parameter that
+(eval-mode ``Dropout`` passes its input through and records nothing),
+``Tensor.relu()`` and ``Tensor.tanh()``, tensor ``+`` and ``*`` (e.g.
+summed or weighted-sum losses), and the fused losses ``cross_entropy``
+(optionally per-sample weighted), ``soft_cross_entropy`` and the
+squared-error ``l2_loss``.  Optimizer updates reuse ``optimizer.step()``
+itself — gradients are written into the optimizer's flat gradient views
+and bound to ``param.grad``, so SGD momentum and Adam state evolve exactly
+as in eager mode.  A parameter that
 requires grad but is not the optimizer's has no view, so such a step is
 unsupported and runs eagerly.
 

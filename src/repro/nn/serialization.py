@@ -21,8 +21,6 @@ from .modules import Module
 __all__ = [
     "save_state_dict",
     "load_state_dict",
-    "save_module",
-    "load_into_module",
     "state_dict_manifest",
     "state_dict_digest",
     "validate_state_dict",
@@ -39,10 +37,10 @@ _CASTABLE_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 class StateDictMismatchError(ValueError):
     """A checkpoint does not fit the module it is being loaded into.
 
-    Raised by :func:`validate_state_dict` (and therefore by
-    :func:`load_into_module`) with a message naming every missing key,
-    unexpected key, shape mismatch, and dtype mismatch at once, so a wrong
-    archive fails loudly at load time rather than at the first forward.
+    Raised by :func:`validate_state_dict` with a message naming every
+    missing key, unexpected key, shape mismatch, and dtype mismatch at
+    once, so a wrong archive fails loudly at load time rather than at the
+    first forward.
     """
 
 
@@ -61,11 +59,6 @@ def load_state_dict(path: str) -> Dict[str, np.ndarray]:
     with np.load(path) as archive:
         return {name.replace(_KEY_SEPARATOR, "."): archive[name]
                 for name in archive.files}
-
-
-def save_module(module: Module, path: str) -> None:
-    """Persist a module's parameters and buffers."""
-    save_state_dict(module.state_dict(), path)
 
 
 def state_dict_manifest(state: Dict[str, np.ndarray]) -> Dict[str, Dict[str, object]]:
@@ -138,18 +131,3 @@ def validate_state_dict(module: Module, state: Dict[str, np.ndarray],
         raise StateDictMismatchError(
             f"state dict{origin} does not match "
             f"{type(module).__name__}: {summary}")
-
-
-def load_into_module(module: Module, path: str, strict: bool = True) -> Module:
-    """Load a checkpoint into an already-constructed module.
-
-    With ``strict`` (the default) the archive is validated against the
-    module first: every missing/unexpected key, shape mismatch, and dtype
-    mismatch is reported in one :class:`StateDictMismatchError` naming the
-    offending parameters and the archive path.
-    """
-    state = load_state_dict(path)
-    if strict:
-        validate_state_dict(module, state, source=path)
-    module.load_state_dict(state)
-    return module

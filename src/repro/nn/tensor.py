@@ -190,16 +190,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)

@@ -10,8 +10,6 @@ operations:
 * :class:`GaussianJitter` — additive noise, the analog of small crops (weak).
 * :class:`RandomFeatureDrop` — zeroing a random subset of features, the
   analog of cutout/strong color jitter (strong).
-* :class:`RandomPermuteBlocks` — shuffling small blocks of the feature grid,
-  the analog of aggressive geometric distortion (strong).
 
 All transforms consume and produce ``(n, d)`` NumPy batches and are
 deterministic given their RNG, which keeps FixMatch's two augmented views
@@ -32,7 +30,6 @@ __all__ = [
     "GaussianJitter",
     "RandomScale",
     "RandomFeatureDrop",
-    "RandomPermuteBlocks",
     "weak_augment",
     "strong_augment",
 ]
@@ -103,24 +100,6 @@ class RandomFeatureDrop(Transform):
             return batch.copy()
         mask = rng.random(batch.shape) >= self.p
         return batch * mask
-
-
-class RandomPermuteBlocks(Transform):
-    """Shuffle contiguous blocks of the feature vector (geometric-distortion analog)."""
-
-    def __init__(self, n_blocks: int = 4):
-        if n_blocks <= 0:
-            raise ValueError("n_blocks must be positive")
-        self.n_blocks = n_blocks
-
-    def __call__(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        batch = np.asarray(batch, dtype=get_default_dtype())
-        d = batch.shape[1]
-        n_blocks = min(self.n_blocks, d)
-        boundaries = np.linspace(0, d, n_blocks + 1, dtype=int)
-        blocks = [batch[:, boundaries[i]:boundaries[i + 1]] for i in range(n_blocks)]
-        order = rng.permutation(n_blocks)
-        return np.concatenate([blocks[i] for i in order], axis=1)
 
 
 def weak_augment(sigma: float = 0.03, scale: float = 0.05) -> Transform:

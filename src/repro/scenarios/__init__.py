@@ -18,8 +18,8 @@ suites.  See ``docs/scenarios.md``.
 
 from .gates import (DEFAULT_GATES, Gate, GateFailure, GateRegistry,
                     GateReport, default_registry)
-from .grid import (SCENARIO_GRID, SMOKE_SCENARIOS, get_scenario,
-                   scenario_workspace, scenario_workspace_spec)
+from .grid import (SCENARIO_GRID, SMOKE_SCENARIOS, scenario_workspace,
+                   scenario_workspace_spec)
 from .scoreboard import (SCOREBOARD_SCHEMA, build_scoreboard,
                          format_scoreboard, load_scoreboard, write_scoreboard)
 from .spec import (FAMILIES, CorruptionAxis, ScenarioSpec, apply_corruption,
@@ -30,7 +30,7 @@ __all__ = [
     "ScenarioSpec", "CorruptionAxis", "FAMILIES",
     "apply_imbalance", "apply_corruption", "apply_shift",
     "class_incremental_splits", "streaming_splits",
-    "SCENARIO_GRID", "SMOKE_SCENARIOS", "get_scenario",
+    "SCENARIO_GRID", "SMOKE_SCENARIOS",
     "scenario_workspace", "scenario_workspace_spec",
     "Gate", "GateReport", "GateFailure", "GateRegistry", "DEFAULT_GATES",
     "default_registry",

@@ -24,7 +24,7 @@ from ..workspace import Workspace, WorkspaceSpec
 from .spec import CorruptionAxis, ScenarioSpec
 
 __all__ = ["SCENARIO_GRID", "SMOKE_SCENARIOS", "scenario_workspace_spec",
-           "scenario_workspace", "get_scenario"]
+           "scenario_workspace"]
 
 
 def scenario_workspace_spec(seed: int = 0) -> WorkspaceSpec:
@@ -127,11 +127,3 @@ SMOKE_SCENARIOS: Tuple[str, ...] = (
     "cifar_incremental_2phase",  # incremental
     "fmd_5shot_streamed",        # streaming
 )
-
-
-def get_scenario(name: str) -> ScenarioSpec:
-    if name not in SCENARIO_GRID:
-        raise KeyError(
-            f"unknown scenario {name!r}; known: {sorted(SCENARIO_GRID)}")
-    return SCENARIO_GRID[name]
-

@@ -359,9 +359,9 @@ class Servable:
     """Anything the registry can hand out and the server can batch over.
 
     The contract the serving tier is written against: probability inference
-    over ``(n, input_dim)`` rows in a fixed ``dtype``, plus the identity
-    (``fingerprint``) that keys prediction caches and stale-batcher
-    detection, and a JSON-friendly :meth:`describe`.
+    over ``(n, input_dim)`` rows in a fixed ``dtype``, plus a JSON-friendly
+    :meth:`describe` that reports ``fingerprint``, the identity of the
+    weights it serves.
     """
 
     manifest: dict
@@ -397,8 +397,8 @@ class ServableModel(Servable):
     table's forward kernels (see :func:`repro.nn.leaf_chain`) with per-call
     outputs — lock-free and safe to call concurrently.  A model that is not
     a plain chain of table ops raises :class:`ArtifactError`.
-    ``fingerprint`` (the artifact's weight digest) keys prediction caches
-    and identifies the exact weights a response came from.
+    ``fingerprint`` (the artifact's weight digest) identifies the exact
+    weights a response came from.
     """
 
     def __init__(self, model: ClassificationModel, manifest: dict,
@@ -507,11 +507,10 @@ class ServableEnsemble(Servable):
         self.manifest = manifest
         self.path = path
         self.class_names: List[str] = list(manifest["class_names"])
-        # The fingerprint keys prediction caches and stale-batcher detection
-        # on a hot swap, so it must cover everything a served vote is a
-        # function of: member weights AND the serving recipe (kind, logit
-        # scale) — a re-exported ensemble differing only in a retuned
-        # logit_scale must never reuse the old cache.
+        # The fingerprint identifies what a served vote is a function of:
+        # member weights AND the serving recipe (kind, logit scale), so a
+        # re-exported ensemble differing only in a retuned logit_scale
+        # reports a different one.
         digest = hashlib.sha256()
         for member, kind, scale in zip(self._members, self._kinds,
                                        self._logit_scales):

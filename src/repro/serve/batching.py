@@ -194,18 +194,17 @@ class BatcherStats:
         return dict(asdict(self), mean_batch_size=round(mean, 2))
 
 
-def input_digest(features: np.ndarray, salt: str = "") -> str:
+def input_digest(features: np.ndarray) -> str:
     """Digest of one request's input rows (the prediction-cache key).
 
-    Covers shape, dtype, and raw bytes; ``salt`` carries the model
-    fingerprint so a hot-swap never serves stale cached predictions.  The
-    micro-batcher digests the rows *after* normalizing them to the
-    servable's dtype, so identical rows submitted as float32 vs float64
+    Covers shape, dtype, and raw bytes.  Each batcher's cache holds rows of
+    the one ``predict_fn`` it was built with, so the model needs no part in
+    the key.  The micro-batcher digests the rows *after* normalizing them to
+    the servable's dtype, so identical rows submitted as float32 vs float64
     share one cache entry.
     """
     array = np.ascontiguousarray(features)
     digest = hashlib.sha256()
-    digest.update(salt.encode("utf-8"))
     digest.update(str(array.shape).encode("utf-8"))
     digest.update(str(array.dtype).encode("utf-8"))
     digest.update(array.tobytes())
@@ -368,12 +367,10 @@ class MicroBatcher:
 
     def __init__(self, predict_fn: Callable[[np.ndarray], np.ndarray],
                  config: Optional[BatchingConfig] = None,
-                 cache_salt: str = "",
                  input_dim: Optional[int] = None,
                  dtype: Optional[np.dtype] = None):
         self.predict_fn = predict_fn
         self.config = config or BatchingConfig()
-        self.cache_salt = cache_salt
         self.input_dim = input_dim
         self.dtype = np.dtype(dtype) if dtype is not None else None
         self._cache = _LRUCache(self.config.cache_size)
@@ -456,7 +453,7 @@ class MicroBatcher:
             return request.future
         # Answer straight from the cache when possible — no queue, no batch.
         if self.config.cache_size > 0:
-            request.digest = input_digest(array, self.cache_salt)
+            request.digest = input_digest(array)
             cached = self._cache.get(request.digest)
             if cached is not None:
                 with self._stats_lock:

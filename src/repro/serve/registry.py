@@ -3,9 +3,11 @@
 The registry maps ``name -> {version -> servable}`` plus a ``latest``
 pointer per name.  References are strings of the form ``name``,
 ``name@latest``, or ``name@<version>``; resolution is atomic under a lock
-and returns the servable *object*, so a request that resolved version ``2``
-keeps using those exact weights even if ``3`` is registered (or ``2`` is
-retired) while the request is in flight — hot swaps never drop or corrupt
+and returns the servable *object*.  A registered version never changes: a
+version the name already has is refused, so new weights are a new version
+and a rollback repoints ``latest`` (:meth:`ModelRegistry.set_latest`).  A
+request that resolved version ``2`` keeps those exact weights even if ``3``
+becomes latest while it is in flight — hot swaps never drop or corrupt
 in-flight work.
 """
 
@@ -21,7 +23,7 @@ __all__ = ["ModelRegistry", "ModelNotFound", "parse_reference"]
 LATEST = "latest"
 
 
-class ModelNotFound(KeyError):
+class ModelNotFound(LookupError):
     """No servable matches the requested ``name@version`` reference."""
 
 
@@ -99,31 +101,6 @@ class ModelRegistry:
                     f"model {name!r} already has version {version!r}")
         return version
 
-    def unregister(self, name: str, version: Optional[str] = None) -> None:
-        """Retire one version (or, with ``version=None``, the whole name).
-
-        In-flight requests that already resolved the servable keep their
-        reference; the registry only stops handing it out.
-        """
-        with self._lock:
-            if name not in self._models:
-                raise ModelNotFound(name)
-            if version is None:
-                del self._models[name]
-                self._latest.pop(name, None)
-                return
-            version = str(version)
-            versions = self._models[name]
-            if version not in versions:
-                raise ModelNotFound(f"{name}@{version}")
-            del versions[version]
-            if not versions:
-                del self._models[name]
-                self._latest.pop(name, None)
-            elif self._latest.get(name) == version:
-                # Fall back to the newest remaining registration order.
-                self._latest[name] = next(reversed(versions))
-
     def set_latest(self, name: str, version: str) -> None:
         """Atomically repoint ``name@latest`` (e.g. a rollback)."""
         with self._lock:
@@ -155,10 +132,6 @@ class ModelRegistry:
             if name not in self._models:
                 raise ModelNotFound(name)
             return list(self._models[name])
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._models)
 
     def manifest(self) -> List[str]:
         """Every registered pair as ``name@version`` strings, latest first.

@@ -544,9 +544,8 @@ class Router:
         plus a ``_router`` entry (routing counters and per-replica state).
 
         Each replica's counters are read back into a :class:`BatcherStats`
-        and merged with :meth:`BatcherStats.add`, as :meth:`Server.stats`
-        merges retired batchers, so the fleet's ``mean_batch_size`` is the
-        exact ``batched_examples / batches``.
+        and merged with :meth:`BatcherStats.add`, so the fleet's
+        ``mean_batch_size`` is the exact ``batched_examples / batches``.
         """
         merged: Dict[str, BatcherStats] = {}
         for _, payload in self._gather("/stats"):

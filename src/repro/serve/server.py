@@ -1,14 +1,15 @@
 """The serving front end: registry-backed, micro-batched prediction.
 
 :class:`Server` is the Python API the HTTP endpoint and the CLI sit on top
-of.  Each registered ``(name, version)`` gets its own :class:`MicroBatcher`
-(created lazily, keyed by the servable's weight fingerprint so caches are
-never shared across different weights); ``submit`` resolves the reference,
-routes the request to that batcher, and returns a future.  Ensemble
-servables route exactly like end models — ``ensemble@version`` is just
-another reference.  Because requests hold the resolved servable's batcher,
-repointing ``name@latest`` mid-flight swaps where *new* requests go while
-old ones finish on the version they resolved — a zero-downtime hot swap.
+of.  Each registered ``(name, version)`` gets its own :class:`MicroBatcher`,
+created on first use; a registered version never changes, so that one
+batcher (and its prediction cache) serves it for the life of the server.
+``submit`` resolves the reference, routes the request to that batcher, and
+returns a future.  Ensemble servables route exactly like end models —
+``ensemble@version`` is just another reference.  New weights are a new
+version: repointing ``name@latest`` mid-flight (a new registration, or a
+rollback with ``registry.set_latest``) swaps where *new* requests go while
+queued ones finish on the version they resolved — a zero-downtime hot swap.
 
 The batcher is constructed with the servable's ``input_dim`` and ``dtype``,
 so a malformed request (wrong feature width, uncastable dtype) fails alone
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from .artifact import Servable, load_servable
-from .batching import BatcherStats, BatchingConfig, MicroBatcher, ShuttingDown
+from .batching import BatchingConfig, MicroBatcher, ShuttingDown
 from .registry import ModelRegistry
 
 if TYPE_CHECKING:   # pragma: no cover - typing only, avoids a hard import
@@ -49,30 +50,18 @@ class Server:
     Usable as a context manager; :meth:`close` drains every batcher.
     """
 
-    def __init__(self, registry: Optional[ModelRegistry] = None,
-                 batching: Optional[BatchingConfig] = None,
-                 admission: Optional["AdmissionController"] = None,
-                 capacity_model: Optional["CapacityModel"] = None):
-        self.registry = registry or ModelRegistry()
+    def __init__(self, batching: Optional[BatchingConfig] = None,
+                 admission: Optional["AdmissionController"] = None):
+        self.registry = ModelRegistry()
         self.batching = batching or BatchingConfig()
         self.admission = admission
-        self.capacity_model = capacity_model or (
+        self.capacity_model: Optional["CapacityModel"] = (
             admission.model if admission is not None else None)
-        #: (name, version) -> (servable, its batcher); the servable is kept
-        #: so a re-registered version is detected by weight fingerprint
-        self._batchers: Dict[Tuple[str, str],
-                             Tuple[Servable, MicroBatcher]] = {}
-        #: counters of batchers retired by a hot-swap re-registration,
-        #: accumulated so ``stats()`` never silently loses served traffic
-        self._retired: Dict[Tuple[str, str], BatcherStats] = {}
-        #: retired batchers still draining queued requests; their counters
-        #: are read live by ``stats()`` and folded into ``_retired`` once
-        #: their drain threads exit, so no served request is ever uncounted
-        self._draining: Dict[Tuple[str, str], List[MicroBatcher]] = {}
+        #: (name, version) -> the one batcher that serves it
+        self._batchers: Dict[Tuple[str, str], MicroBatcher] = {}
         self._lock = threading.Lock()
         self._closed = False
-        #: advisory replica-level flag (see :meth:`set_draining`) — distinct
-        #: from ``_draining``, the retired batchers still answering work
+        #: advisory replica-level flag (see :meth:`set_draining`)
         self._drain_flag = False
 
     # ------------------------------------------------------------------ #
@@ -98,53 +87,17 @@ class Server:
     def _batcher_for(self, name: str, version: str,
                      servable: Servable) -> MicroBatcher:
         key = (name, version)
-        stale = None
         with self._lock:
             if self._closed:
                 raise ShuttingDown("Server is closed")
-            entry = self._batchers.get(key)
-            # A version string can be re-registered with different weights
-            # (unregister + register, e.g. re-publishing a fixed model); the
-            # weight fingerprint detects that and retires the stale batcher
-            # so requests never hit the old model or its cache.
-            if entry is not None and entry[0] is not servable \
-                    and entry[0].fingerprint != servable.fingerprint:
-                stale = entry[1]
-                # Track the retiree while it drains: stats() keeps reading
-                # its counters live, so a hot swap never shows a transient
-                # dip (or permanently loses a slow final batch).
-                self._draining.setdefault(key, []).append(stale)
-                entry = None
-            if entry is None:
-                entry = (servable,
-                         MicroBatcher(servable.predict_proba,
-                                      config=self.batching,
-                                      cache_salt=servable.fingerprint,
-                                      input_dim=servable.input_dim,
-                                      dtype=servable.dtype))
-                self._batchers[key] = entry
-        if stale is not None:
-            stale.close()   # outside the lock; queued requests still answer
-            with self._lock:
-                self._reap_drained_locked()
-        return entry[1]
-
-    def _reap_drained_locked(self) -> None:
-        """Fold finished retirees' final counters into the retired bucket
-        (callers hold ``self._lock``).  A batcher still draining stays
-        tracked and keeps being read live."""
-        for key, batchers in list(self._draining.items()):
-            still_draining = []
-            for batcher in batchers:
-                if batcher.is_alive():
-                    still_draining.append(batcher)
-                else:
-                    self._retired.setdefault(key, BatcherStats()).add(
-                        batcher.snapshot())
-            if still_draining:
-                self._draining[key] = still_draining
-            else:
-                del self._draining[key]
+            batcher = self._batchers.get(key)
+            if batcher is None:
+                batcher = MicroBatcher(servable.predict_proba,
+                                       config=self.batching,
+                                       input_dim=servable.input_dim,
+                                       dtype=servable.dtype)
+                self._batchers[key] = batcher
+        return batcher
 
     # ------------------------------------------------------------------ #
     # Prediction
@@ -201,27 +154,11 @@ class Server:
     # Introspection and lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, dict]:
-        """Per-model batcher counters, including retired batchers' traffic.
-
-        A ``(name, version)`` that was hot-swap re-registered keeps the
-        counters its retired batcher accumulated (read live while it is
-        still draining); the live batcher's counters are added on top.
-        """
+        """Per-model batcher counters, keyed ``name@version``."""
         with self._lock:
-            self._reap_drained_locked()
-            live = {key: entry[1] for key, entry in self._batchers.items()}
-            draining = {key: list(batchers)
-                        for key, batchers in self._draining.items()}
-            retired = {key: stats.copy()
-                       for key, stats in self._retired.items()}
-        merged: Dict[str, dict] = {}
-        for key in set(live) | set(draining) | set(retired):
-            stats = retired.get(key, BatcherStats())
-            for batcher in draining.get(key, []) + [live.get(key)]:
-                if batcher is not None:
-                    stats.add(batcher.snapshot())
-            merged[f"{key[0]}@{key[1]}"] = stats.as_dict()
-        return merged
+            batchers = dict(self._batchers)
+        return {f"{name}@{version}": batcher.stats()
+                for (name, version), batcher in batchers.items()}
 
     def models(self) -> Dict[str, dict]:
         """The registry listing (what ``GET /models`` returns)."""
@@ -237,9 +174,7 @@ class Server:
         replica has actually gone quiet.
         """
         with self._lock:
-            batchers = [entry[1] for entry in self._batchers.values()]
-            batchers.extend(batcher for group in self._draining.values()
-                            for batcher in group)
+            batchers = list(self._batchers.values())
             closed, draining = self._closed, self._drain_flag
         queue_depth = sum(batcher.queue_depth() for batcher in batchers)
         alive = sum(batcher.is_alive() for batcher in batchers)
@@ -288,7 +223,7 @@ class Server:
         endpoint is always routable and self-describing.
         """
         with self._lock:
-            batchers = [entry[1] for entry in self._batchers.values()]
+            batchers = list(self._batchers.values())
         queue_depth = sum(batcher.queue_depth() for batcher in batchers)
         payload: dict = {
             "queue_depth": queue_depth,
@@ -328,13 +263,9 @@ class Server:
         """
         with self._lock:
             self._closed = True
-            entries = list(self._batchers.values())
-            draining = [batcher for batchers in self._draining.values()
-                        for batcher in batchers]
+            batchers = list(self._batchers.values())
             self._batchers.clear()
-        for _, batcher in entries:
-            batcher.close(drain=drain)
-        for batcher in draining:
+        for batcher in batchers:
             batcher.close(drain=drain)
 
     def __enter__(self) -> "Server":

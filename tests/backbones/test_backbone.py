@@ -17,7 +17,7 @@ class TestEncoder:
         encoder = Encoder(SPEC, rng=np.random.default_rng(0))
         out = encoder(Tensor(np.random.default_rng(1).normal(size=(5, 8))))
         assert out.shape == (5, 6)
-        assert (out.numpy() >= 0).all()  # final ReLU
+        assert (out.data >= 0).all()  # final ReLU
 
     def test_feature_dim(self):
         assert Encoder(SPEC).feature_dim == 6
@@ -30,7 +30,7 @@ class TestPretrainedBackbone:
                                       pretrained_concepts=["a", "b"])
         clone = backbone.instantiate(rng=np.random.default_rng(5))
         x = Tensor(np.random.default_rng(2).normal(size=(3, 8)))
-        np.testing.assert_allclose(source(x).numpy(), clone(x).numpy())
+        np.testing.assert_allclose(source(x).data, clone(x).data)
         assert backbone.pretrained_concepts == ["a", "b"]
         assert backbone.feature_dim == 6 and backbone.input_dim == 8
 

@@ -79,9 +79,9 @@ class TestSoftCrossEntropy:
 
 
 class TestRegressionLossesAndAccuracy:
-    def test_mse_zero_for_identical(self):
+    def test_l2_zero_for_identical(self):
         x = Tensor(np.ones((3, 2)))
-        assert F.mse_loss(x, np.ones((3, 2))).item() == pytest.approx(0.0)
+        assert F.l2_loss(x, np.ones((3, 2))).item() == pytest.approx(0.0)
 
     def test_l2_loss_rowwise(self):
         predictions = Tensor(np.zeros((2, 3)))

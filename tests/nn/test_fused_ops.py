@@ -179,9 +179,8 @@ class TestFusedCrossEntropyGradients:
         with pytest.raises(ValueError):
             F.cross_entropy(logits, np.array([0, 3]))
 
-    @pytest.mark.parametrize("loss", [F.mse_loss, F.l2_loss],
-                             ids=["mse", "l2"])
-    def test_squared_error_targets_must_match_predictions(self, loss):
+    def test_squared_error_targets_must_match_predictions(self):
+        loss = F.l2_loss
         predictions = Tensor(np.ones((3, 1)), requires_grad=True)
         with pytest.raises(ValueError, match="targets of shape"):
             loss(predictions, np.zeros((3, 4)))

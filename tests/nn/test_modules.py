@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (MLP, BatchNorm1d, Dropout, Identity, Linear, Module,
+from repro.nn import (MLP, BatchNorm1d, Dropout, Linear, Module,
                       Parameter, ReLU, Sequential, Tanh, Tensor)
 
 
@@ -13,7 +13,7 @@ class TestLinear:
         layer.weight.data = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         layer.bias.data = np.array([0.5, -0.5])
         out = layer(Tensor(np.array([[1.0, 2.0, 3.0]])))
-        np.testing.assert_allclose(out.numpy(), [[4.5, 4.5]])
+        np.testing.assert_allclose(out.data, [[4.5, 4.5]])
 
     def test_no_bias(self):
         layer = Linear(3, 2, bias=False)
@@ -28,20 +28,19 @@ class TestLinear:
 class TestActivationsAndDropout:
     def test_relu_tanh_identity(self):
         x = Tensor(np.array([[-1.0, 2.0]]))
-        np.testing.assert_allclose(ReLU()(x).numpy(), [[0.0, 2.0]])
-        np.testing.assert_allclose(Tanh()(x).numpy(), np.tanh([[-1.0, 2.0]]))
-        np.testing.assert_allclose(Identity()(x).numpy(), [[-1.0, 2.0]])
+        np.testing.assert_allclose(ReLU()(x).data, [[0.0, 2.0]])
+        np.testing.assert_allclose(Tanh()(x).data, np.tanh([[-1.0, 2.0]]))
 
     def test_dropout_off_in_eval(self):
         dropout = Dropout(0.9, rng=np.random.default_rng(0))
         dropout.eval()
         x = Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(dropout(x).numpy(), np.ones((4, 4)))
+        np.testing.assert_allclose(dropout(x).data, np.ones((4, 4)))
 
     def test_dropout_scales_in_train(self):
         dropout = Dropout(0.5, rng=np.random.default_rng(0))
         dropout.train()
-        out = dropout(Tensor(np.ones((1000, 1)))).numpy()
+        out = dropout(Tensor(np.ones((1000, 1)))).data
         # Surviving activations are scaled by 1/keep, so the mean stays ~1.
         assert out.mean() == pytest.approx(1.0, abs=0.15)
 
@@ -54,7 +53,7 @@ class TestBatchNorm:
     def test_normalizes_in_train_mode(self):
         bn = BatchNorm1d(3)
         x = np.random.default_rng(0).normal(5.0, 3.0, size=(200, 3))
-        out = bn(Tensor(x)).numpy()
+        out = bn(Tensor(x)).data
         np.testing.assert_allclose(out.mean(axis=0), np.zeros(3), atol=1e-7)
         np.testing.assert_allclose(out.std(axis=0), np.ones(3), atol=1e-2)
 
@@ -63,7 +62,7 @@ class TestBatchNorm:
         x = np.random.default_rng(1).normal(2.0, 1.0, size=(50, 2))
         bn(Tensor(x))
         bn.eval()
-        out = bn(Tensor(x)).numpy()
+        out = bn(Tensor(x)).data
         np.testing.assert_allclose(out.mean(axis=0), np.zeros(2), atol=0.1)
 
     def test_shape_check(self):
@@ -102,7 +101,7 @@ class TestModuleMachinery:
         target = MLP(6, [12], 3, rng=np.random.default_rng(1))
         target.load_state_dict(source.state_dict())
         x = Tensor(np.random.default_rng(2).normal(size=(5, 6)))
-        np.testing.assert_allclose(source(x).numpy(), target(x).numpy())
+        np.testing.assert_allclose(source(x).data, target(x).data)
 
     def test_state_dict_shape_mismatch(self):
         source = MLP(6, [12], 3)

@@ -77,7 +77,6 @@ def test_every_graph_node_backward_comes_from_apply(builder):
 def test_tensor_builds_nodes_only_through_table_ops():
     methods = {name for name, value in vars(Tensor).items()
                if callable(value) and not isinstance(value, staticmethod)}
-    assert methods == {"__init__", "__repr__", "numpy", "item", "detach",
-                       "copy", "zero_grad", "_accumulate", "__add__",
-                       "__radd__", "__mul__", "__rmul__", "relu", "tanh",
-                       "backward"}
+    assert methods == {"__init__", "__repr__", "item", "copy", "zero_grad",
+                       "_accumulate", "__add__", "__radd__", "__mul__",
+                       "__rmul__", "relu", "tanh", "backward"}

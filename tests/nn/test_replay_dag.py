@@ -620,7 +620,7 @@ def _sqerr_step(model, batch):
 def _glue_step(model, batch):
     logits = model(batch["x"])
     return F.cross_entropy(logits, batch["y"]) \
-        + batch["c"] * F.mse_loss(logits, batch["target"].data)
+        + batch["c"] * F.l2_loss(logits, batch["target"].data)
 
 
 def _mlp(rng):

@@ -181,12 +181,12 @@ class TestScenarioLoops:
                                       "cifar_5shot_mixing_s2"])
     def test_single_stage_scenario_zero_fallbacks(self, name, tiny_workspace):
         from repro.evaluation import ExperimentRunner
-        from repro.scenarios import get_scenario
+        from repro.scenarios import SCENARIO_GRID
 
         stats = ReplayStats()
         runner = ExperimentRunner(tiny_workspace)
         with collect_replay_stats(stats):
-            row = runner.run_cell(get_scenario(name), method="taglets",
+            row = runner.run_cell(SCENARIO_GRID[name], method="taglets",
                                   seed=0)
         _assert_no_fallbacks(stats)
         assert row.fallbacks == 0
@@ -195,12 +195,12 @@ class TestScenarioLoops:
         # Incremental stages retrain from scratch on different class counts
         # — new graph signatures per stage, but still never an eager step.
         from repro.evaluation import ExperimentRunner
-        from repro.scenarios import get_scenario
+        from repro.scenarios import SCENARIO_GRID
 
         stats = ReplayStats()
         runner = ExperimentRunner(tiny_workspace)
         with collect_replay_stats(stats):
-            row = runner.run_cell(get_scenario("cifar_incremental_2phase"),
+            row = runner.run_cell(SCENARIO_GRID["cifar_incremental_2phase"],
                                   method="taglets", seed=0)
         _assert_no_fallbacks(stats)
         assert row.fallbacks == 0

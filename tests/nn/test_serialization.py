@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, StateDictMismatchError, Tensor, default_dtype,
-                      load_into_module, load_state_dict, save_module,
-                      save_state_dict, state_dict_digest, state_dict_manifest,
-                      validate_state_dict)
+                      load_state_dict, save_state_dict, state_dict_digest,
+                      state_dict_manifest, validate_state_dict)
+
+
+def save(module, path):
+    save_state_dict(module.state_dict(), path)
+
+
+def load_strict(module, path):
+    """The strict load a serving artifact runs: validate, then load."""
+    state = load_state_dict(path)
+    validate_state_dict(module, state, source=path)
+    module.load_state_dict(state)
 
 
 class TestSerialization:
@@ -22,11 +32,11 @@ class TestSerialization:
     def test_module_roundtrip_preserves_predictions(self, tmp_path):
         path = str(tmp_path / "mlp.npz")
         source = MLP(5, [7], 3, rng=np.random.default_rng(0))
-        save_module(source, path)
+        save(source, path)
         target = MLP(5, [7], 3, rng=np.random.default_rng(1))
-        load_into_module(target, path)
+        load_strict(target, path)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 5)))
-        np.testing.assert_allclose(source(x).numpy(), target(x).numpy())
+        np.testing.assert_allclose(source(x).data, target(x).data)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -34,10 +44,10 @@ class TestSerialization:
 
     def test_shape_mismatch_on_load(self, tmp_path):
         path = str(tmp_path / "mlp.npz")
-        save_module(MLP(5, [7], 3), path)
+        save(MLP(5, [7], 3), path)
         wrong = MLP(5, [9], 3)
         with pytest.raises((ValueError, KeyError)):
-            load_into_module(wrong, path)
+            load_strict(wrong, path)
 
 
 class TestStrictValidation:
@@ -46,10 +56,10 @@ class TestStrictValidation:
 
     def test_shape_mismatch_names_the_parameter_and_path(self, tmp_path):
         path = str(tmp_path / "mlp.npz")
-        save_module(MLP(5, [7], 3), path)
+        save(MLP(5, [7], 3), path)
         wrong = MLP(5, [9], 3)
         with pytest.raises(StateDictMismatchError) as excinfo:
-            load_into_module(wrong, path)
+            load_strict(wrong, path)
         message = str(excinfo.value)
         assert "net.layers.0.weight" in message
         assert "(5, 9)" in message and "(5, 7)" in message
@@ -57,10 +67,10 @@ class TestStrictValidation:
 
     def test_missing_and_unexpected_keys_all_reported(self, tmp_path):
         path = str(tmp_path / "shallow.npz")
-        save_module(MLP(5, [7], 3), path)        # layers 0 and 2
+        save(MLP(5, [7], 3), path)        # layers 0 and 2
         deeper = MLP(5, [7, 7], 3)               # layers 0, 2, 4
         with pytest.raises(StateDictMismatchError) as excinfo:
-            load_into_module(deeper, path)
+            load_strict(deeper, path)
         message = str(excinfo.value)
         assert "missing key" in message and "net.layers.4.weight" in message
 
@@ -71,7 +81,7 @@ class TestStrictValidation:
         state["rogue.weight"] = np.zeros((2, 2))
         save_state_dict(state, path)
         with pytest.raises(StateDictMismatchError, match="rogue.weight"):
-            load_into_module(MLP(5, [7], 3), path)
+            load_strict(MLP(5, [7], 3), path)
 
     def test_incompatible_dtype_rejected(self):
         module = MLP(5, [7], 3)
@@ -85,19 +95,19 @@ class TestStrictValidation:
         """float64 checkpoints still load into float32 fast-mode models."""
         path = str(tmp_path / "f64.npz")
         source = MLP(5, [7], 3, rng=np.random.default_rng(0))
-        save_module(source, path)
+        save(source, path)
         with default_dtype("float32"):
             target = MLP(5, [7], 3)
-        load_into_module(target, path)   # strict, but the cast is sanctioned
+        load_strict(target, path)   # the cast is sanctioned
         assert target.net.layers[0].weight.data.dtype == np.float32
 
-    def test_non_strict_load_preserves_old_behavior(self, tmp_path):
+    def test_unvalidated_load_still_refuses_a_mismatch(self, tmp_path):
         path = str(tmp_path / "mlp.npz")
-        save_module(MLP(5, [7], 3), path)
+        save(MLP(5, [7], 3), path)
         wrong = MLP(5, [9], 3)
-        # strict=False defers to Module.load_state_dict's first-error report.
+        # Without validation, Module.load_state_dict reports the first error.
         with pytest.raises((ValueError, KeyError)):
-            load_into_module(wrong, path, strict=False)
+            wrong.load_state_dict(load_state_dict(path))
 
     def test_validate_accepts_matching_state(self, tmp_path):
         module = MLP(5, [7], 3)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import (Compose, GaussianJitter, RandomFeatureDrop,
-                      RandomPermuteBlocks, RandomScale, strong_augment,
-                      weak_augment)
+from repro.nn import (Compose, GaussianJitter, RandomFeatureDrop, RandomScale,
+                      strong_augment, weak_augment)
 
 
 class TestIndividualTransforms:
@@ -33,11 +32,6 @@ class TestIndividualTransforms:
         dropped_fraction = (out == 0).mean()
         assert dropped_fraction == pytest.approx(0.3, abs=0.03)
 
-    def test_random_permute_blocks_preserves_multiset(self, rng):
-        batch = np.arange(12.0).reshape(1, 12)
-        out = RandomPermuteBlocks(4)(batch, rng)
-        assert sorted(out.reshape(-1).tolist()) == sorted(batch.reshape(-1).tolist())
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             GaussianJitter(-1.0)
@@ -45,8 +39,6 @@ class TestIndividualTransforms:
             RandomScale(2.0, 1.0)
         with pytest.raises(ValueError):
             RandomFeatureDrop(1.0)
-        with pytest.raises(ValueError):
-            RandomPermuteBlocks(0)
 
 
 class TestComposition:
@@ -78,5 +70,5 @@ class TestComposition:
 def test_property_transforms_preserve_shape(batch):
     rng = np.random.default_rng(0)
     for transform in [weak_augment(), strong_augment(),
-                      RandomPermuteBlocks(3), RandomFeatureDrop(0.2)]:
+                      RandomFeatureDrop(0.2)]:
         assert transform(batch, rng).shape == batch.shape

@@ -7,8 +7,8 @@ here exercise exactly the data the committed floors were calibrated on.
 
 import pytest
 
-from repro.scenarios import (Gate, GateRegistry, ScenarioSpec,
-                             build_scoreboard, format_scoreboard, get_scenario,
+from repro.scenarios import (SCENARIO_GRID, Gate, GateRegistry, ScenarioSpec,
+                             build_scoreboard, format_scoreboard,
                              load_scoreboard, scenario_workspace_spec,
                              write_scoreboard)
 from repro.evaluation import (METHOD_REGISTRY, ExperimentRunner,
@@ -23,7 +23,7 @@ def runner(tiny_workspace):
 
 @pytest.fixture(scope="module")
 def clean_rows(runner):
-    spec = get_scenario("fmd_5shot_clean")
+    spec = SCENARIO_GRID["fmd_5shot_clean"]
     return [runner.run_cell(spec, method="taglets", seed=0),
             runner.run_cell(spec, method="finetune", seed=0)]
 
@@ -62,7 +62,7 @@ class TestRunCell:
 
     def test_unknown_method(self, runner):
         with pytest.raises(KeyError, match="known: .*'finetune'.*'taglets'"):
-            runner.run_cell(get_scenario("fmd_5shot_clean"), method="magic")
+            runner.run_cell(SCENARIO_GRID["fmd_5shot_clean"], method="magic")
 
     def test_multi_stage_records_per_stage_accuracy(self, runner):
         spec = ScenarioSpec(name="probe_2phase", family="incremental",
@@ -74,7 +74,7 @@ class TestRunCell:
 
     def test_multi_stage_cell_is_per_stage_registry_runs(self, runner,
                                                          tiny_workspace):
-        spec = get_scenario("cifar_incremental_2phase")
+        spec = SCENARIO_GRID["cifar_incremental_2phase"]
         row = runner.run_cell(spec, method="taglets", seed=0)
         stats = ReplayStats()
         with collect_replay_stats(stats):
@@ -92,7 +92,7 @@ class TestRunCell:
 
 class TestRunGrid:
     def test_grid_yields_row_per_cell(self, runner, clean_rows):
-        rows = runner.run_grid([get_scenario("fmd_5shot_clean")],
+        rows = runner.run_grid([SCENARIO_GRID["fmd_5shot_clean"]],
                                methods=("taglets", "finetune"), seeds=(0,))
         assert [(row.method, row.accuracy) for row in rows] == [
             (row.method, row.accuracy) for row in clean_rows]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.scenarios import (FAMILIES, SCENARIO_GRID, SMOKE_SCENARIOS,
                              CorruptionAxis, ScenarioSpec, apply_corruption,
-                             apply_imbalance, get_scenario)
+                             apply_imbalance)
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +28,6 @@ class TestGridCoverage:
     def test_names_are_keys(self):
         for name, spec in SCENARIO_GRID.items():
             assert spec.name == name
-
-    def test_get_scenario(self):
-        assert get_scenario("fmd_1shot").shots == 1
-        with pytest.raises(KeyError):
-            get_scenario("no_such_scenario")
 
 
 class TestBuildDeterminism:

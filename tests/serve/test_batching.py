@@ -490,10 +490,9 @@ class TestCache:
         assert stats["cache_hits"] == 0 and stats["cache_misses"] == 0
         assert stats["batches"] == 2
 
-    def test_digest_depends_on_salt_shape_dtype_and_bytes(self):
+    def test_digest_depends_on_shape_dtype_and_bytes(self):
         x = np.arange(6, dtype=np.float64)
         assert input_digest(x) == input_digest(x.copy())
         assert input_digest(x) != input_digest(x.reshape(2, 3))
         assert input_digest(x) != input_digest(x.astype(np.float32))
         assert input_digest(x) != input_digest(x + 1)
-        assert input_digest(x, "model-a") != input_digest(x, "model-b")

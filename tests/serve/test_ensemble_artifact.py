@@ -105,9 +105,9 @@ class TestRoundTrip:
         assert np.array_equal(served, offline)
 
     def test_fingerprint_covers_the_serving_recipe(self, tmp_path, features):
-        """Regression: the fingerprint keys hot-swap detection and cache
-        salts, so an ensemble re-exported with only a retuned logit_scale
-        (identical member weights) must fingerprint differently."""
+        """The fingerprint identifies what a vote is a function of, so an
+        ensemble re-exported with only a retuned logit_scale (identical
+        member weights) must fingerprint differently."""
         from repro.ensemble import TagletEnsemble
         from repro.modules.zsl_kg import ZslKgTaglet
 
@@ -123,7 +123,7 @@ class TestRoundTrip:
             paths.append(path)
         first, second = (load_servable(p) for p in paths)
         # Same weights, different recipe -> different votes, so the
-        # fingerprints must differ or a hot swap would serve stale caches.
+        # fingerprints must differ.
         assert first.fingerprint != second.fingerprint
         assert not np.array_equal(first.predict_proba(features[:4]),
                                   second.predict_proba(features[:4]))

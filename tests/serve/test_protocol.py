@@ -20,8 +20,9 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.serve import (NoHealthyReplica, Router, RouterConfig, Server,
-                         TrafficGenerator, make_http_server)
+from repro.serve import (ModelNotFound, NoHealthyReplica, Router,
+                         RouterConfig, Server, TrafficGenerator,
+                         make_http_server)
 from repro.serve.http import (ERROR_TABLE, SERVING_FAILURE, row_of,
                               status_row)
 
@@ -161,3 +162,34 @@ class TestProtocolRow:
         report = generator.run([0.0, 0.001, 0.002], timeout_s=10.0)
         assert report.outcomes == [row.outcome] * 3
         assert bool(report.errors) == (row.outcome == "error")
+
+
+class TestNotFoundText:
+    """A 404's ``error`` is the registry's message itself, not its repr:
+    a replica answers it unquoted and a router hop passes it on as is."""
+
+    @pytest.fixture()
+    def message(self):
+        with pytest.raises(ModelNotFound) as excinfo:
+            Server().registry.resolve("default")
+        return excinfo.value.args[0]
+
+    def test_server_edge(self, serve, message):
+        status, _, body = post_predict(serve(Server()))
+        assert status == row_of(ModelNotFound).status
+        assert body["error"] == message
+
+    def test_router_edge(self, serve, message):
+        router = Router(RouterConfig(max_attempts=3, retry_backoff_ms=1,
+                                     retry_backoff_cap_ms=1,
+                                     request_timeout=10.0))
+        for index in range(2):
+            router.add_replica(f"r{index}", *serve(Server()),
+                               models=["default"])
+        with pytest.raises(ModelNotFound) as excinfo:
+            router.predict(INPUT)
+        status, _, body = post_predict(serve(router))
+        router.close()
+        assert str(excinfo.value) == message
+        assert status == row_of(ModelNotFound).status
+        assert body["error"] == message

@@ -106,16 +106,6 @@ class TestRegistry:
         with pytest.raises(ModelNotFound):
             registry.set_latest("fmd", "9")
 
-    def test_unregister(self, tmp_path):
-        registry = ModelRegistry()
-        registry.register("fmd", make_servable(tmp_path, 0, "a"))
-        registry.register("fmd", make_servable(tmp_path, 1, "b"))
-        registry.unregister("fmd", "2")
-        assert registry.resolve("fmd")[1] == "1"
-        registry.unregister("fmd")
-        with pytest.raises(ModelNotFound):
-            registry.resolve("fmd")
-
     def test_unknown_lookups(self):
         registry = ModelRegistry()
         with pytest.raises(ModelNotFound):
@@ -180,33 +170,21 @@ class TestHotSwap:
         assert not errors
         assert not mismatches
 
-    def test_reregistered_version_serves_the_new_weights(self, tmp_path):
-        """unregister + register under the same version string must retire
-        the old batcher — never serve the old weights or cache."""
+    def test_in_flight_future_keeps_its_version(self, tmp_path):
+        """A request queued on ``fmd@1`` resolves with version 1's exact
+        bits after ``fmd@2`` becomes latest; the next request gets 2."""
         s1 = make_servable(tmp_path, 0, "a")
         s2 = make_servable(tmp_path, 10, "b")
-        probe = np.random.default_rng(1).normal(size=(3, s1.input_dim))
-        with Server(batching=BatchingConfig(max_latency_ms=1)) as server:
-            server.register("fmd", s1, version="1")
-            first = server.predict(probe, model="fmd@1",
+        probe = np.random.default_rng(0).normal(size=(2, s1.input_dim))
+        with Server(batching=BatchingConfig(max_latency_ms=20,
+                                            cache_size=0)) as server:
+            server.register("fmd", s1)
+            future = server.submit(probe, model="fmd")
+            assert server.register("fmd", s2) == "2"
+            after = server.predict(probe, model="fmd",
                                    return_probabilities=True)
-            server.registry.unregister("fmd", "1")
-            server.register("fmd", s2, version="1")   # re-published weights
-            second = server.predict(probe, model="fmd@1",
-                                    return_probabilities=True)
-        assert np.array_equal(np.asarray(first["probabilities"]),
-                              s1.predict_proba(probe, batch_size=32))
-        assert np.array_equal(np.asarray(second["probabilities"]),
+            assert np.array_equal(future.result(timeout=10),
+                                  s1.predict_proba(probe, batch_size=32))
+        assert after["version"] == "2"
+        assert np.array_equal(np.asarray(after["probabilities"]),
                               s2.predict_proba(probe, batch_size=32))
-
-    def test_in_flight_future_survives_unregister(self, tmp_path):
-        servable = make_servable(tmp_path, 0, "a")
-        server = Server(batching=BatchingConfig(max_latency_ms=20,
-                                                cache_size=0))
-        server.register("fmd", servable)
-        probe = np.random.default_rng(0).normal(size=(2, servable.input_dim))
-        future = server.submit(probe, model="fmd")
-        server.registry.unregister("fmd")
-        assert np.array_equal(future.result(timeout=10),
-                              servable.predict_proba(probe))
-        server.close()

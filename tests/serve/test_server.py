@@ -73,30 +73,6 @@ class TestServerApi:
         assert json.dumps(description)
         assert description["batching"]["max_batch_size"] == 16
 
-    def test_stats_survive_a_hot_swap(self, server, artifact_dir, tmp_path,
-                                      features):
-        """Regression: re-registering a version with different weights used
-        to silently drop the retired batcher's counters."""
-        from .conftest import CLASS_NAMES, make_end_model
-        from repro.serve import export_end_model, load_servable
-
-        server.predict(features[:2])
-        server.predict(features[:1])
-        before = server.stats()["default@1"]
-        assert before["requests"] == 2
-
-        # Re-publish version 1 with different weights (unregister+register).
-        other = str(tmp_path / "republished")
-        export_end_model(make_end_model(seed=9), other,
-                         class_names=CLASS_NAMES)
-        server.registry.unregister("default", "1")
-        server.register("default", load_servable(other), version="1")
-        server.predict(features[:3])
-
-        after = server.stats()["default@1"]
-        assert after["requests"] == 3            # 2 retired + 1 live
-        assert after["examples"] == before["examples"] + 3
-
     def test_wrong_feature_width_fails_alone(self, server, servable,
                                              features):
         """Regression: a malformed request used to poison every batch-mate

@@ -195,6 +195,96 @@ class TestNoUnusedImports:
         assert not unused, f"unused imports (line, name): {unused}"
 
 
+#: Public definitions in ``src/repro`` that no program reads by name, each
+#: kept on purpose.
+TEST_ONLY_API_ALLOWED = {
+    "_ServeHandler.do_GET": "http.server dispatches GET to it by name",
+    "_ServeHandler.do_POST": "http.server dispatches POST to it by name",
+    "_ServeHandler.log_message": "http.server's request-log hook",
+    "_ServeHandler.send_error": "http.server's own error replies call it",
+    "Module.clone": "the public model copy (ROADMAP item 14)",
+    "Aggregate.overlaps": "the paper's tie criterion; ROADMAP item 12's "
+                          "gates will read it",
+    "ModelRegistry.set_latest": "the documented rollback "
+                                "(docs/serving.md)",
+    "ServingFleet.rolling_swap": "the documented fleet upgrade (README, "
+                                 "docs/serving.md)",
+    "Tanh": "the one reader of Tensor.tanh; it goes only together with "
+            "the op table's tanh entry (ROADMAP item 14)",
+}
+
+#: the trees whose reads keep a public name alive (tests do not count)
+PROGRAM_TREES = ("src", "examples", "benchmarks", "perfbench")
+
+
+def iter_python_files(top):
+    for dirpath, _, filenames in os.walk(top):
+        for filename in filenames:
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
+def parse(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
+
+
+def program_reads():
+    """Every name the program trees load: ``Name`` reads and ``Attribute``
+    reads.  An import or an ``__all__`` entry is not a read."""
+    read = set()
+    for path in (path for tree in PROGRAM_TREES
+                 for path in iter_python_files(os.path.join(REPO_ROOT, tree))):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def public_definitions(path):
+    """``(qualified name, name)`` of a module's public functions and
+    classes and of its classes' public methods."""
+    definition = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in parse(path).body:
+        if not isinstance(node, definition):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, definition) \
+                        and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+class TestNoTestOnlyApi:
+    def test_every_public_definition_is_read_by_a_program(self):
+        """A public function, method or class that only tests call is
+        code kept alive by its tests; delete it or allowlist it with a
+        reason."""
+        read = program_reads()
+        unread = {}
+        for path in iter_python_files(SRC_ROOT):
+            for qualified, name in public_definitions(path):
+                if name not in read and qualified not in TEST_ONLY_API_ALLOWED:
+                    unread[qualified] = os.path.relpath(path, REPO_ROOT)
+        assert not unread, f"public names only tests read: {unread}"
+
+    def test_every_allowlisted_name_is_still_unread(self):
+        """An allowlist entry whose name a program now reads, or whose
+        definition is gone, is stale."""
+        read = program_reads()
+        defined = {qualified: name for path in iter_python_files(SRC_ROOT)
+                   for qualified, name in public_definitions(path)}
+        stale = sorted(qualified for qualified in TEST_ONLY_API_ALLOWED
+                       if qualified not in defined
+                       or defined[qualified] in read)
+        assert not stale, f"stale allowlist entries: {stale}"
+
+
 def setup_keywords():
     """The keyword arguments of ``setup.py``'s ``setup()`` call (AST nodes)."""
     setup_path = os.path.join(REPO_ROOT, "setup.py")
