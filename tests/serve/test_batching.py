@@ -1,5 +1,6 @@
 """Tests for the dynamic micro-batching engine."""
 
+import hashlib
 import threading
 import time
 
@@ -496,3 +497,20 @@ class TestCache:
         assert input_digest(x) != input_digest(x.reshape(2, 3))
         assert input_digest(x) != input_digest(x.astype(np.float32))
         assert input_digest(x) != input_digest(x + 1)
+
+    @pytest.mark.parametrize("array", [
+        np.arange(6, dtype=np.float64).reshape(2, 3),
+        np.arange(4, dtype=np.float32),
+        np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2],
+    ], ids=["float64-block", "float32-row", "strided-view"])
+    def test_digest_is_the_sha256_of_shape_dtype_and_bytes(self, array):
+        """The key hashes nothing but the rows, so an unsalted digest keeps
+        the bytes a salted one had with an empty salt; a strided view hashes
+        as its contiguous copy."""
+        contiguous = np.ascontiguousarray(array)
+        expected = hashlib.sha256(
+            str(contiguous.shape).encode("utf-8")
+            + str(contiguous.dtype).encode("utf-8")
+            + contiguous.tobytes()).hexdigest()
+        assert input_digest(array) == expected
+        assert input_digest(contiguous) == expected

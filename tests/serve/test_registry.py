@@ -122,6 +122,44 @@ class TestRegistry:
         assert "1" in description["fmd"]["versions"]
 
 
+class TestImmutableVersions:
+    def test_a_registered_version_keeps_its_servable(self, tmp_path):
+        registry = ModelRegistry()
+        first = make_servable(tmp_path, 0, "a")
+        registry.register("fmd", first)
+        with pytest.raises(ValueError, match="already has version"):
+            registry.register("fmd", make_servable(tmp_path, 1, "b"),
+                              version="1")
+        assert registry.resolve("fmd@1")[2] is first
+        assert len(registry) == 1
+
+    def test_a_refused_registration_leaves_latest_alone(self, tmp_path):
+        registry = ModelRegistry()
+        registry.register("fmd", make_servable(tmp_path, 0, "a"))
+        registry.register("fmd", make_servable(tmp_path, 1, "b"))
+        registry.set_latest("fmd", "1")
+        with pytest.raises(ValueError):
+            registry.register("fmd", make_servable(tmp_path, 2, "c"),
+                              version="2")
+        assert registry.resolve("fmd")[1] == "1"
+        assert registry.manifest() == ["fmd@1", "fmd@2"]
+
+
+class TestModelNotFound:
+    def test_is_a_lookup_error_not_a_key_error(self):
+        assert issubclass(ModelNotFound, LookupError)
+        assert not issubclass(ModelNotFound, KeyError)
+
+    def test_text_is_the_message_through_every_hop(self, tmp_path):
+        registry = ModelRegistry()
+        registry.register("fmd", make_servable(tmp_path, 0, "a"))
+        with pytest.raises(ModelNotFound) as caught:
+            registry.resolve("fmd@7")
+        message = "model 'fmd' has no version '7'; available: ['1']"
+        assert str(caught.value) == message
+        assert str(ModelNotFound(str(ModelNotFound(message)))) == message
+
+
 class TestHotSwap:
     def test_hot_swap_under_concurrent_requests(self, tmp_path):
         """Requests during a version swap all succeed, each answered

@@ -223,6 +223,100 @@ class TestHotSwapRacingRequests:
             app.close()
 
 
+class TestOneBatcherPerVersion:
+    """A registered version never changes, so the batcher built on its
+    first request serves it, cache and counters included, until close."""
+
+    @pytest.fixture()
+    def two_versions(self, tmp_path):
+        from repro.serve import export_end_model, load_servable
+
+        from .conftest import CLASS_NAMES, make_end_model
+
+        servables = []
+        for tag, seed in (("v1", 0), ("v2", 5)):
+            path = str(tmp_path / tag)
+            export_end_model(make_end_model(seed=seed), path,
+                             class_names=CLASS_NAMES)
+            servables.append(load_servable(path))
+        return servables
+
+    def test_a_new_version_leaves_the_old_batcher_in_place(self, two_versions,
+                                                           features):
+        from repro.serve import MicroBatcher
+
+        with Server() as app:
+            app.register("m", two_versions[0])
+            app.predict(features[:1], model="m")
+            first = app._batchers[("m", "1")]
+            app.register("m", two_versions[1])
+            assert app.predict(features[:1], model="m")["version"] == "2"
+            assert app.predict(features[:1], model="m@1")["version"] == "1"
+            assert app._batchers[("m", "1")] is first
+            assert set(app._batchers) == {("m", "1"), ("m", "2")}
+            assert all(type(batcher) is MicroBatcher
+                       for batcher in app._batchers.values())
+
+    def test_the_old_version_keeps_its_cache_after_a_swap(self, two_versions,
+                                                          features):
+        probe = features[:2]
+        with Server(batching=BatchingConfig(cache_size=8)) as app:
+            app.register("m", two_versions[0])
+            before = app.submit(probe, model="m").result(timeout=10)
+            app.register("m", two_versions[1])
+            pinned = app.submit(probe, model="m@1").result(timeout=10)
+            latest = app.submit(probe, model="m").result(timeout=10)
+            stats = app.stats()
+        assert np.array_equal(pinned, before)
+        assert stats["m@1"]["cache_hits"] == 1
+        assert stats["m@2"]["cache_hits"] == 0
+        assert np.array_equal(latest, two_versions[1].predict_proba(probe))
+
+    def test_stats_are_each_batchers_own(self, two_versions, features):
+        with Server() as app:
+            app.register("m", two_versions[0])
+            app.register("m", two_versions[1])
+            app.predict(features[:1], model="m@1")
+            app.predict(features[:1], model="m@1")
+            app.predict(features[:1], model="m@2")
+            # ``served`` moves just after a future resolves: stop the
+            # batchers first so both reads see final counters.
+            for batcher in app._batchers.values():
+                batcher.close()
+            stats = app.stats()
+            own = {f"m@{version}": app._batchers[("m", version)].stats()
+                   for version in ("1", "2")}
+        assert stats == own
+        assert stats["m@1"]["requests"] == 2
+        assert stats["m@2"]["requests"] == 1
+
+    def test_health_counts_one_worker_per_used_version(self, two_versions,
+                                                       features):
+        with Server() as app:
+            app.register("m", two_versions[0])
+            app.register("m", two_versions[1])
+            app.predict(features[:1], model="m@1")
+            health = app.health()
+            assert health["workers"] == {"alive": 1, "expected": 1}
+            app.predict(features[:1], model="m")
+            health = app.health()
+        assert health["workers"] == {"alive": 2, "expected": 2}
+        assert health["models"] == ["m@2", "m@1"]
+
+    def test_close_stops_every_versions_batcher(self, two_versions,
+                                                features):
+        app = Server()
+        app.register("m", two_versions[0])
+        app.register("m", two_versions[1])
+        app.predict(features[:1], model="m@1")
+        app.predict(features[:1], model="m@2")
+        batchers = list(app._batchers.values())
+        app.close()
+        assert len(batchers) == 2
+        assert not any(batcher.is_alive() for batcher in batchers)
+        assert app.health()["workers"] == {"alive": 0, "expected": 0}
+
+
 class TestHttpEndpoint:
     @pytest.fixture()
     def endpoint(self, server):
