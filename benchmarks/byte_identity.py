@@ -1,19 +1,19 @@
 """Byte identity, parent against head: the same digests or a declared move.
 
 Runs this checkout's ``benchmarks/output_digests.py`` against the sources of
-two checkouts, the base (a merge base or parent) and the head, at seed 1
-and seed 2 in float32 and at seed 1 in float64, on this one host at one
-BLAS thread, and compares the lines.  OpenBLAS picks kernels per CPU, so a
+two checkouts, the base (a merge base or parent) and the head (this
+checkout), at seed 1 and seed 2 in float32 and at seed 1 in float64, on
+this one host at one BLAS thread, and compares the lines.  OpenBLAS picks kernels per CPU, so a
 committed golden file would differ across hosts; two runs on the same host
 agree exactly when no output byte changed.
 
 A line that differs fails the check unless the head's CHANGES.md adds a
-``Re-baseline:`` line naming its task (``fmd/1``, ``zsl_kg/cold``, ...);
-the tasks it does not name must still match.  Usage::
+line that starts with ``Re-baseline:`` and names its task (``fmd/1``,
+``zsl_kg/cold``, ...); the tasks it does not name must still match.  The
+marker inside a sentence declares nothing.  Usage::
 
     git archive <base-commit> | tar -x -C ../base
-    python benchmarks/byte_identity.py --base ../base            # head = .
-    python benchmarks/byte_identity.py --base ../base --head ../other
+    python benchmarks/byte_identity.py --base ../base
 
 Exits 0 when every line matches or every moved task is declared, 1 if not.
 """
@@ -28,34 +28,18 @@ import sys
 from typing import Dict, List, Set, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+#: the head: the checkout this script belongs to
+HEAD = os.path.dirname(HERE)
+if HEAD not in sys.path:
+    sys.path.insert(0, HEAD)
+
+import _blas_threads  # noqa: E402,F401  (the digest runs inherit the pins)
+from perfbench.common import host_fingerprint  # noqa: E402
+
 DIGESTS = os.path.join(HERE, "output_digests.py")
 #: the configurations compared, as ``output_digests.py`` arguments
 RUNS = (("1", "float32"), ("2", "float32"), ("1", "float64"))
-#: the BLAS/OpenMP thread variables, pinned to 1 unless the shell sets them
-THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-              "NUMEXPR_NUM_THREADS")
 REBASELINE = "Re-baseline:"
-
-
-def child_env(checkout: str) -> Dict[str, str]:
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    for name in THREAD_ENV:
-        env.setdefault(name, "1")
-    return env
-
-
-def provenance(checkout: str) -> str:
-    """nproc, the BLAS thread variables and numpy's version, as the
-    digest runs in ``checkout`` see them."""
-    env = child_env(checkout)
-    numpy_version = subprocess.run(
-        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-        env=env, cwd=checkout, capture_output=True, text=True,
-        check=True).stdout.strip()
-    threads = " ".join(f"{name}={env[name]}" for name in THREAD_ENV)
-    return (f"{checkout}: nproc={len(os.sched_getaffinity(0))} "
-            f"numpy={numpy_version} {threads}")
 
 
 def digest_lines(checkout: str, seed: str, dtype: str) -> Dict[str, str]:
@@ -63,7 +47,8 @@ def digest_lines(checkout: str, seed: str, dtype: str) -> Dict[str, str]:
     of ``checkout``."""
     result = subprocess.run(
         [sys.executable, DIGESTS, "--seed", seed, "--dtype", dtype],
-        env=child_env(checkout), cwd=checkout, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(checkout, "src")),
+        cwd=checkout, capture_output=True,
         text=True)
     if result.returncode != 0:
         raise SystemExit(f"output_digests.py failed in {checkout} "
@@ -73,7 +58,8 @@ def digest_lines(checkout: str, seed: str, dtype: str) -> Dict[str, str]:
 
 
 def declared_tasks(base: str, head: str, known: Set[str]) -> Set[str]:
-    """Tasks named on ``Re-baseline:`` lines the head's CHANGES.md adds."""
+    """Tasks named on the lines the head's CHANGES.md adds that start
+    with ``Re-baseline:``."""
 
     def lines(checkout: str) -> List[str]:
         path = os.path.join(checkout, "CHANGES.md")
@@ -85,11 +71,10 @@ def declared_tasks(base: str, head: str, known: Set[str]) -> Set[str]:
     old = set(lines(base))
     declared: Set[str] = set()
     for line in lines(head):
-        if line in old or REBASELINE not in line:
+        if line in old or not line.startswith(REBASELINE):
             continue
-        text = line.split(REBASELINE, 1)[1]
         declared.update(token for token in re.findall(r"[\w.-]+/[\w.-]+",
-                                                      text)
+                                                      line)
                         if token in known)
     return declared
 
@@ -120,17 +105,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True,
                         help="checkout of the merge base (or parent)")
-    parser.add_argument("--head", default=os.path.dirname(HERE),
-                        help="checkout of the head (default: this one)")
     args = parser.parse_args()
-    base, head = os.path.abspath(args.base), os.path.abspath(args.head)
+    base = os.path.abspath(args.base)
 
-    print("provenance:")
-    print(f"  base {provenance(base)}")
-    print(f"  head {provenance(head)}")
-    report, moved, known = compare(base, head)
+    # Both checkouts' runs use this interpreter and this environment.
+    print(f"host (base {base}, head {HEAD}): {host_fingerprint()}")
+    report, moved, known = compare(base, HEAD)
     print("\n".join(report))
-    declared = declared_tasks(base, head, known)
+    declared = declared_tasks(base, HEAD, known)
     if declared:
         print(f"declared re-baseline: {' '.join(sorted(declared))}")
     undeclared = sorted(moved - declared)

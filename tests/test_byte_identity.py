@@ -2,8 +2,8 @@
 
 The digest runs themselves train models, so these tests replace
 ``digest_lines`` with canned output and check what the script decides
-from it: which tasks moved, which a ``Re-baseline:`` line declares, and
-the exit status.
+from it: which tasks moved, which an added line starting with
+``Re-baseline:`` declares, and the exit status.
 """
 
 import importlib.util
@@ -12,16 +12,23 @@ import sys
 
 import pytest
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "benchmarks", "byte_identity.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "benchmarks", "byte_identity.py")
 
 
 @pytest.fixture()
-def byte_identity():
+def byte_identity(monkeypatch):
+    # The script imports its neighbours from the paths a script run has and
+    # pins the BLAS thread variables; undo both after each test.
+    monkeypatch.syspath_prepend(os.path.dirname(SCRIPT))
+    monkeypatch.syspath_prepend(ROOT)
+    saved = dict(os.environ)
     spec = importlib.util.spec_from_file_location("byte_identity", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    yield module
+    os.environ.clear()
+    os.environ.update(saved)
 
 
 def write_changes(checkout, *lines):
@@ -76,6 +83,16 @@ class TestDeclaredTasks:
                              "Re-baseline: src/repro moved, grocery/1 too")
         assert byte_identity.declared_tasks(base, head, self.KNOWN) == set()
 
+    def test_the_marker_inside_a_sentence_declares_nothing(
+            self, byte_identity, tmp_path):
+        base = write_changes(tmp_path / "base", "")
+        head = write_changes(
+            tmp_path / "head",
+            "The check passes once a Re-baseline: line names fmd/1 and "
+            "zsl_kg/cold.",
+            "  Re-baseline: fmd/5")
+        assert byte_identity.declared_tasks(base, head, self.KNOWN) == set()
+
     def test_a_checkout_without_changes_md(self, byte_identity, tmp_path):
         base = str(tmp_path / "base")
         head = write_changes(tmp_path / "head", "Re-baseline: fmd/5")
@@ -124,10 +141,8 @@ class TestMain:
         head = write_changes(tmp_path / "head", "old entry", *changes)
         monkeypatch.setattr(byte_identity, "digest_lines", canned(
             {base: every_run(BASE_LINES), head: every_run(head_lines)}))
-        monkeypatch.setattr(byte_identity, "provenance",
-                            lambda checkout: f"{checkout}: stub")
-        monkeypatch.setattr(sys, "argv", ["byte_identity.py", "--base", base,
-                                          "--head", head])
+        monkeypatch.setattr(byte_identity, "HEAD", head)
+        monkeypatch.setattr(sys, "argv", ["byte_identity.py", "--base", base])
         status = byte_identity.main()
         return status, capsys.readouterr().out
 
@@ -137,6 +152,8 @@ class TestMain:
                                BASE_LINES, [])
         assert status == 0
         assert "ok: every output byte matches" in out
+        assert out.startswith(f"host (base {tmp_path / 'base'}, head "
+                              f"{tmp_path / 'head'}): {{'nproc': ")
 
     def test_an_undeclared_move_fails_naming_the_task(
             self, byte_identity, monkeypatch, capsys, tmp_path):
@@ -157,15 +174,3 @@ class TestMain:
         assert "declared re-baseline: zsl_kg/cold" in out
         assert "outside the declared re-baseline" in out
 
-
-class TestChildEnv:
-    def test_threads_default_to_one_and_sources_come_from_the_checkout(
-            self, byte_identity, monkeypatch):
-        for name in byte_identity.THREAD_ENV:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        env = byte_identity.child_env("/checkout")
-        assert env["PYTHONPATH"] == os.path.join("/checkout", "src")
-        assert env["OMP_NUM_THREADS"] == "3"
-        assert all(env[name] == "1" for name in byte_identity.THREAD_ENV
-                   if name != "OMP_NUM_THREADS")
