@@ -59,9 +59,7 @@ def _run_loop(replay: bool, stats: ReplayStats):
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9,
                         nesterov=True)
         stepper = GraphReplay(model, optimizer)
-        model.eval()
         pseudo_forward = leaf_chain(model, D, dt)
-        model.train()
         start = time.perf_counter()
         with stepper.epoch():
             for _ in range(STEPS):

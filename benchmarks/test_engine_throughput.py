@@ -135,9 +135,7 @@ def _fixmatch_once(dtype=None, replay=False) -> float:
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9,
                         nesterov=True)
         stepper = GraphReplay(model, optimizer)
-        model.eval()
         pseudo_forward = leaf_chain(model, FIX_D, dt)
-        model.train()
         start = time.perf_counter()
         with stepper.epoch():
             for _ in range(FIX_STEPS):
@@ -206,7 +204,6 @@ def test_inference_throughput():
     rng = np.random.default_rng(2)
     features = rng.normal(size=(4096, TRAIN_D))
     model = MLP(TRAIN_D, [128, 128], TRAIN_C, rng=np.random.default_rng(3))
-    model.eval()
 
     def measure(scope, repeats: int = 20) -> float:
         """Examples/sec of the ``predict_proba`` forward under ``scope``."""

@@ -54,7 +54,6 @@ class PrototypeModule(TrainingModule):
     def train(self, data: ModuleInput) -> Taglet:
         data.validate()
         encoder = data.backbone.instantiate()
-        encoder.eval()
 
         def embed(batch: np.ndarray) -> np.ndarray:
             out = encoder(Tensor(np.asarray(batch, dtype=np.float64))).data

@@ -110,8 +110,6 @@ class MetaPseudoLabelsBaseline(TrainingModule):
         teacher_scheduler = CosineAnnealingLR(teacher_optimizer, config.steps)
         student_scheduler = CosineAnnealingLR(student_optimizer, config.steps)
 
-        teacher.train()
-        student.train()
         for _ in range(config.steps):
             labeled_x, labeled_y = next(labeled_stream)
             unlabeled_x = next(unlabeled_stream)
@@ -121,14 +119,10 @@ class MetaPseudoLabelsBaseline(TrainingModule):
             student_scheduler.step()
 
             # Teacher pseudo-labels the unlabeled batch (no gradient).
-            teacher.eval()
             pseudo_labels = teacher(Tensor(unlabeled_x)).data.argmax(axis=1)
-            teacher.train()
 
             # Student loss on labeled data before its update.
-            student.eval()
             loss_before = F.cross_entropy(student(Tensor(labeled_x)), labeled_y).item()
-            student.train()
 
             # Student step on the pseudo-labeled batch.
             student_logits = student(Tensor(unlabeled_x))
@@ -138,9 +132,7 @@ class MetaPseudoLabelsBaseline(TrainingModule):
             student_optimizer.step()
 
             # Student loss on labeled data after the update: the feedback signal.
-            student.eval()
             loss_after = F.cross_entropy(student(Tensor(labeled_x)), labeled_y).item()
-            student.train()
             feedback = loss_before - loss_after
 
             # Teacher step: feedback-weighted pseudo-label loss + supervised loss.

@@ -242,7 +242,3 @@ class Controller:
             metrics["test_accuracy"] = result.ensemble_accuracy(
                 task.test_features, task.test_labels)
         return export_ensemble(result, path, metrics=metrics)
-
-    def train_end_model(self, task: Task) -> EndModel:
-        """Artifact-appendix style entry point: run the pipeline, return the end model."""
-        return self.run(task).end_model

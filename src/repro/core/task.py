@@ -109,17 +109,6 @@ class Task:
     def has_test_set(self) -> bool:
         return self.test_features is not None and self.test_labels is not None
 
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "num_classes": self.num_classes,
-            "labeled": len(self.labeled_features),
-            "unlabeled": len(self.unlabeled_features),
-            "test": len(self.test_features) if self.has_test_set else 0,
-            "input_shape": self.input_shape,
-            "backbone": self._backbone.name if self._backbone else None,
-        }
-
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #

@@ -14,7 +14,7 @@ The same split seed drives both steps, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -100,15 +100,6 @@ class TaskSplit:
     @property
     def class_names(self) -> List[str]:
         return [c.name for c in self.classes]
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "num_classes": self.num_classes,
-            "labeled": len(self.labeled_features),
-            "unlabeled": len(self.unlabeled_features),
-            "test": len(self.test_features),
-            "shots": self.shots,
-        }
 
 
 def _per_class_indices(labels: np.ndarray, num_classes: int) -> List[np.ndarray]:

@@ -16,7 +16,7 @@ needs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Relation", "KnowledgeGraph"]
 
@@ -160,15 +160,3 @@ class KnowledgeGraph:
     def roots(self) -> List[str]:
         return [concept for concept, parents in self._parents.items() if not parents]
 
-    def edges(self) -> Iterator[Tuple[str, str, str, float]]:
-        """Iterate ``(u, v, relation, weight)`` over all edges.
-
-        Each edge is reported once, from whichever endpoint comes first in
-        concept order.
-        """
-        seen: Set[str] = set()
-        for u, nbrs in self._adj.items():
-            for v, (relation, weight) in nbrs.items():
-                if v not in seen:
-                    yield u, v, relation, weight
-            seen.add(u)

@@ -102,7 +102,6 @@ def fine_tune_on_auxiliary(data: ModuleInput, rng: np.random.Generator, *,
             auxiliary._fine_tuned[key] = model.state_dict()
             return model
     model.load_state_dict(state)
-    model.eval()
     return model
 
 

@@ -78,7 +78,7 @@ def consistency_step(stepper, pseudo_forward, weak_labeled, labeled_y,
 
     Pseudo-labels the weakly augmented unlabeled view with
     ``pseudo_forward`` (the model's compiled leaf chain,
-    :func:`repro.nn.leaf_chain`) in eval mode, converts the confidence
+    :func:`repro.nn.leaf_chain`), converts the confidence
     threshold into per-sample weights, and runs the two-view update
     (:func:`_two_view_step`) as one compiled DAG step, without
     materializing the unread loss value.  The single driver shared by the
@@ -86,12 +86,9 @@ def consistency_step(stepper, pseudo_forward, weak_labeled, labeled_y,
     benchmarks/smoke checks, so what they measure is exactly what the
     pipeline executes.  Call it inside a
     ``stepper.epoch()`` scope to fingerprint the model once per epoch
-    rather than once per step, and to flip ``stepper.model``'s mode
-    without walking its modules.
+    rather than once per step.
     """
-    stepper.set_training(False)
     weak_logits = pseudo_forward(weak_unlabeled)
-    stepper.set_training(True)
     weak_probs = softmax_rows(weak_logits)
     mask_w = (weak_probs.max(axis=1) >= threshold).astype(dtype)
     stepper.step_fn(_two_view_step, {
@@ -200,11 +197,9 @@ class FixMatchModule(TrainingModule):
         cons_weight = np.asarray(config.unlabeled_loss_weight, dtype=dtype)
         stepper = GraphReplay(model, optimizer)
         # Traced once: its kernels read ``p.data`` on every call.
-        model.eval()
         pseudo_forward = leaf_chain(model, data.labeled_features.shape[1],
                                     dtype)
 
-        model.train()
         for _ in range(config.epochs):
             labeled_stream = iterate_forever(labeled_loader)
             # Nothing in the epoch changes the model's structure, so the
@@ -228,5 +223,4 @@ class FixMatchModule(TrainingModule):
                                      weak(unlabeled_x, rng),
                                      strong(unlabeled_x, rng), cons_weight,
                                      config.confidence_threshold, dtype)
-        model.eval()
         return ModelTaglet(self.name, model)

@@ -120,7 +120,6 @@ class MultiTaskModule(TrainingModule):
         aux_weight = np.asarray(config.aux_loss_weight,
                                 dtype=get_default_dtype())
 
-        joint.train()
         for _ in range(config.epochs):
             target_stream = iterate_forever(target_loader)
             with stepper.epoch():
@@ -134,5 +133,4 @@ class MultiTaskModule(TrainingModule):
                         "target_x": target_x, "target_y": target_y,
                         "aux_x": aux_x, "aux_y": aux_y, "aux_w": aux_weight,
                     }, compute_loss=False)
-        model.eval()
         return ModelTaglet(self.name, model)

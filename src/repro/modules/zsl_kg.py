@@ -192,7 +192,6 @@ class ZslKgModule(TrainingModule):
 
         rng = np.random.default_rng(seed)
         encoder = backbone.instantiate(rng=rng)
-        encoder.eval()
 
         concepts = bundle.scads.concepts_with_images()
         if len(concepts) > config.max_training_concepts:
@@ -224,21 +223,17 @@ class ZslKgModule(TrainingModule):
         # Inputs are cast to the engine dtype up front so every replayed
         # step hits the zero-copy fast path.  Nothing in the loop changes
         # the encoder's structure, so the whole pretrain runs in one epoch
-        # scope: the encoder is fingerprinted once, and its mode flips over
-        # the module list walked on entry.
+        # scope: the encoder is fingerprinted once.
         dtype = get_default_dtype()
         train_x = descriptions[train_idx].astype(dtype)
         train_y = targets[train_idx].astype(dtype)
         val_x = descriptions[val_idx].astype(dtype)
         val_y = targets[val_idx].astype(dtype)
         stepper = GraphReplay(class_encoder, optimizer, loss="l2")
-        class_encoder.eval()
         chain = leaf_chain(class_encoder, val_x.shape[1], dtype)
         with stepper.epoch():
             for _ in range(config.pretrain_epochs):
-                stepper.set_training(True)
                 stepper.step(train_x, train_y, compute_loss=False)
-                stepper.set_training(False)
                 val_loss = _validation_loss(chain, val_x, val_y)
                 if val_loss < best_val:
                     best_val = val_loss
@@ -262,7 +257,6 @@ class ZslKgModule(TrainingModule):
         class_encoder = GraphClassEncoder(bundle.embedding.dim, config.hidden_dim,
                                           data.backbone.feature_dim, rng=rng)
         class_encoder.load_state_dict(state)
-        class_encoder.eval()
 
         descriptions = []
         for spec in data.classes:
@@ -283,5 +277,4 @@ class ZslKgModule(TrainingModule):
                                                   rng=rng)
         model.set_head_weights(class_vectors.T,
                                bias=np.zeros(data.num_classes))
-        model.eval()
         return ZslKgTaglet(self.name, model, logit_scale=config.logit_scale)

@@ -10,8 +10,7 @@ from . import functional
 from .chain import LeafChain, leaf_chain
 from .data import (ArrayDataset, DataLoader, Dataset, SoftLabeledDataset,
                    UnlabeledDataset)
-from .modules import (MLP, BatchNorm1d, Dropout, Linear, Module, Parameter,
-                      ReLU, Sequential, Tanh)
+from .modules import MLP, Linear, Module, Parameter, ReLU, Sequential
 from .optim import SGD, Adam, Optimizer
 from .replay import (GraphReplay, ReplayStats, ReplayUnsupported,
                      collect_replay_stats)
@@ -35,8 +34,7 @@ __all__ = [
     "use_graph_replay", "graph_replay_enabled",
     "GraphReplay", "ReplayStats", "ReplayUnsupported", "collect_replay_stats",
     "LeafChain", "leaf_chain",
-    "Module", "Parameter", "Linear", "ReLU", "Tanh", "Dropout",
-    "BatchNorm1d", "Sequential", "MLP",
+    "Module", "Parameter", "Linear", "ReLU", "Sequential", "MLP",
     "Optimizer", "SGD", "Adam",
     "LRScheduler", "ConstantLR", "MultiStepLR", "CosineAnnealingLR",
     "FixMatchCosineLR",

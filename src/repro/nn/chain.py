@@ -1,12 +1,12 @@
 """The compiled inference forward: a model's leaf layers as a chain of
 op-table kernels.
 
-:func:`leaf_chain` traces one eval-mode forward of a model and keeps it
-when every trace record (``(op, frame, inputs, out)``, one per
+:func:`leaf_chain` traces one forward of a model and keeps it when every
+trace record (``(op, frame, inputs, out)``, one per
 :func:`~repro.nn.tensor.apply`) is a one-input op of the op table
 (:mod:`repro.nn.ops`) fed by the previous one, from the input to the
-output.  Each leaf's frame class takes the parameters ``p`` and the
-``layer`` from the traced frame.  Calling the resulting
+output.  Each leaf's frame class takes the parameters ``p`` from the
+traced frame.  Calling the resulting
 :class:`LeafChain` runs each leaf's forward kernel on a fresh frame, so
 NumPy allocates every output: the same calls, in the same order,
 as the eager ``no_grad`` tape (:func:`repro.nn.predict_logits`), without
@@ -32,13 +32,12 @@ __all__ = ["LeafChain", "leaf_chain"]
 
 
 class LeafChain:
-    """A model's eval-mode forward as ``(op, frame class)`` per traced op.
+    """A model's forward as ``(op, frame class)`` per traced op.
 
-    Each frame class carries its layer and parameters, so a call only
-    instantiates it and sets its input.  Kernels read the parameters
-    through ``.data`` (and batch norm its running statistics) on every
-    call, so weight updates and optimizer-arena rebinding are picked up
-    without retracing.  Call it with the model in eval mode.
+    Each frame class carries its parameters, so a call only instantiates
+    it and sets its input.  Kernels read the parameters through ``.data``
+    on every call, so weight updates and optimizer-arena rebinding are
+    picked up without retracing.
     """
 
     def __init__(self, leaves: List[Tuple[Op, Type[Frame]]],
@@ -62,14 +61,9 @@ def leaf_chain(model: Module, width: int, dtype) -> Optional[LeafChain]:
 
     Returns None when the model is not a chain of one-input table ops (a
     sum, a product or a loss, an op not fed by the previous one, or array
-    math outside the op table).  Containers and identities (eval-mode
-    dropout) run no op, so they leave no record.  The model must be in
-    eval mode: a training-mode trace would draw dropout masks and move
-    batch-norm statistics.
+    math outside the op table).  Containers run no op, so they leave no
+    record.
     """
-    if any(module.training for module in model.modules()):
-        raise ValueError("leaf_chain traces the eval-mode forward: call "
-                         "model.eval() first")
     dtype = np.dtype(dtype)
     records: list = []
     with default_dtype(dtype), no_grad(), trace_ops(records):
@@ -79,7 +73,6 @@ def leaf_chain(model: Module, width: int, dtype) -> Optional[LeafChain]:
     for op, frame, inputs, produced in records:
         if op.scalar or len(inputs) != 1 or inputs[0] is not current:
             return None
-        leaves.append((op, type("LeafFrame", (Frame,), {
-            "layer": frame.layer, "cast": dtype, "p": frame.p})))
+        leaves.append((op, type("LeafFrame", (Frame,), {"p": frame.p})))
         current = produced
     return LeafChain(leaves, dtype) if current is out else None

@@ -61,9 +61,6 @@ class ArrayDataset(Dataset):
     def _batch_arrays(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.features[indices], self.labels[indices]
 
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the full ``(features, labels)`` pair (no copy)."""
-        return self.features, self.labels
 
 class UnlabeledDataset(Dataset):
     """Unlabeled dataset over an ``(n, d)`` feature array."""
@@ -79,9 +76,6 @@ class UnlabeledDataset(Dataset):
 
     def _batch_arrays(self, indices: np.ndarray) -> np.ndarray:
         return self.features[indices]
-
-    def arrays(self) -> np.ndarray:
-        return self.features
 
 
 class SoftLabeledDataset(Dataset):
@@ -109,9 +103,6 @@ class SoftLabeledDataset(Dataset):
 
     def _batch_arrays(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return self.features[indices], self.soft_labels[indices]
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.features, self.soft_labels
 
 
 class DataLoader:

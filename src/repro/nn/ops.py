@@ -24,8 +24,9 @@ not bit-identical on OpenBLAS (``docs/performance.md``).
 A VJP kernel ``kernel(frame, grad, out)`` returns the gradient for one
 target, written into ``out`` (a fresh array when ``out`` is None).  A new op
 costs one entry here plus one case in the gradient fuzz and one in the
-replay-vs-eager differential suite (``tests/nn/test_op_table.py`` checks
-both).
+replay-vs-eager differential suite, and comes with the model that applies
+it: ``tests/nn/test_op_table.py`` checks both cases, and that a default
+``Controller.run`` runs every entry's forward kernel.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["Frame", "Op", "ReplayUnsupported", "LINEAR", "RELU", "TANH",
-           "DROPOUT", "BATCHNORM", "ADD", "MUL", "HARD_CE", "SOFT_CE",
-           "SQERR", "TABLE"]
+__all__ = ["Frame", "Op", "ReplayUnsupported", "LINEAR", "RELU", "ADD",
+           "MUL", "HARD_CE", "SOFT_CE", "SQERR", "TABLE"]
 
 
 class ReplayUnsupported(RuntimeError):
@@ -51,10 +51,9 @@ class Frame:
     """
 
     #: inputs (``x``; ``a``/``b`` for the binary ops; loss targets ``t``
-    #: and sample weights ``w``), parameter tensors ``p`` (read through
-    #: ``.data`` on every call), the owning module, and the engine dtype
-    #: that ``Tensor()`` casts constants to
-    x = a = b = t = w = layer = cast = None
+    #: and sample weights ``w``) and parameter tensors ``p`` (read through
+    #: ``.data`` on every call)
+    x = a = b = t = w = None
     p: tuple = ()
     #: whether a VJP will run (ReLU keeps its mask only then), and whether
     #: a loss must produce its scalar (the replay elides unread ones)
@@ -63,8 +62,7 @@ class Frame:
     #: buffers (a forward also stashes what its VJPs read, e.g. a loss's
     #: ``denom`` and cast targets ``tv``, before any VJP runs)
     out = mask = tmp = rows = max = shifted = exp = sumexp = logs = None
-    prod = tsum = tw = diff = sq = mean = var = scale = negmean = None
-    norm = t2 = gmul = None
+    prod = tsum = tw = diff = sq = gmul = None
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -208,125 +206,6 @@ class _ReLU(Op):
         return np.multiply(g, n.mask, out=out)
 
     grads = (("x", _grad_x),)
-
-
-class _Tanh(Op):
-    name = "tanh"
-
-    def alloc(self, n, ins, out):
-        n.out = np.empty_like(out)
-        n.tmp = np.empty_like(out)
-
-    def forward(self, n):
-        n.out = np.tanh(n.x, out=n.out)
-
-    def _grad_x(n, g, out):
-        # ``g * (1 - out ** 2)``: ``** 2`` lowers to np.square.
-        tmp = np.square(n.out, out=n.tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        return np.multiply(g, tmp, out=out)
-
-    grads = (("x", _grad_x),)
-
-
-class _Dropout(Op):
-    """Inverted dropout in training mode (eval mode is the identity and
-    never reaches the table)."""
-
-    name = "dropout"
-
-    def forward(self, n):
-        layer, x = n.layer, n.x
-        keep = 1.0 - layer.p
-        # A fresh draw from the layer's own RNG on every call keeps the
-        # stream aligned between eager and replayed steps.
-        mask = (layer._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        n.mask = mask if mask.dtype == n.cast else mask.astype(n.cast)
-        n.out = np.multiply(x, n.mask, out=n.out)
-
-    def _grad_x(n, g, out):
-        return np.multiply(g, n.mask, out=out)
-
-    grads = (("x", _grad_x),)
-
-    def fingerprint(self, module):
-        return (module.p, module.training)
-
-
-class _BatchNorm(Op):
-    """BatchNorm1d over ``(n, d)`` inputs.
-
-    Train mode computes the batch statistics and rebinds fresh running-stat
-    arrays; eval mode reads the live running stats.  The statistics pass
-    through the ``Tensor()`` cast to the engine dtype, and the VJP treats
-    them as constants, so ``grad_x = (grad * gamma) * scale``.
-    """
-
-    name = "batchnorm"
-    params = ("gamma", "beta")
-
-    def alloc(self, n, ins, out):
-        x = ins["x"]
-        if x.ndim != 2:
-            raise ReplayUnsupported("BatchNorm1d replays on 2-D inputs only")
-        layer, cast = n.layer, n.cast
-        d = x.shape[1]
-        if layer.training:
-            n.mean = np.empty(d, dtype=x.dtype)
-            n.var = np.empty(d, dtype=x.dtype)
-            n.scale = np.empty(d, dtype=x.dtype)
-        else:
-            # The running variance's dtype is pinned by the fingerprint.
-            n.scale = np.empty(d, dtype=layer.running_var.dtype)
-        n.negmean = np.empty(d, dtype=cast)
-        n.diff = np.empty(x.shape, dtype=np.promote_types(x.dtype, cast))
-        n.norm = np.empty(x.shape, dtype=np.promote_types(n.diff.dtype, cast))
-        n.t2 = np.empty(x.shape, dtype=np.promote_types(
-            n.norm.dtype, layer.gamma.data.dtype))
-        n.out = np.empty_like(out)
-        n.tmp = np.empty_like(out)
-        n.gmul = np.empty_like(out)
-
-    def forward(self, n):
-        layer, x = n.layer, n.x
-        if layer.training:
-            mean = n.mean = np.mean(x, axis=0, out=n.mean)
-            var = n.var = np.var(x, axis=0, out=n.var)
-            m = layer.momentum
-            layer.running_mean = (1 - m) * layer.running_mean + m * mean
-            layer.running_var = (1 - m) * layer.running_var + m * var
-        else:
-            mean, var = layer.running_mean, layer.running_var
-        scale = n.scale = np.add(var, layer.eps, out=n.scale)
-        np.sqrt(scale, out=scale)
-        np.divide(1.0, scale, out=scale)
-        if mean.dtype != n.cast:
-            mean = mean.astype(n.cast)
-        n.inv = scale if scale.dtype == n.cast else scale.astype(n.cast)
-        n.negmean = np.negative(mean, out=n.negmean)
-        n.diff = np.add(x, n.negmean, out=n.diff)
-        n.norm = np.multiply(n.diff, n.inv, out=n.norm)
-        n.t2 = np.multiply(n.norm, n.p[0].data, out=n.t2)
-        n.out = np.add(n.t2, n.p[1].data, out=n.out)
-
-    def _grad_beta(n, g, out):
-        return np.add.reduce(g, axis=0, out=out)
-
-    def _grad_gamma(n, g, out):
-        return np.add.reduce(np.multiply(g, n.norm, out=n.tmp), axis=0,
-                             out=out)
-
-    def _grad_x(n, g, out):
-        return np.multiply(np.multiply(g, n.p[0].data, out=n.gmul), n.inv,
-                           out=out)
-
-    grads = ((1, _grad_beta), (0, _grad_gamma), ("x", _grad_x))
-
-    def fingerprint(self, module):
-        return super().fingerprint(module) + (
-            module.num_features, module.momentum, module.eps,
-            module.training, module.running_mean.dtype,
-            module.running_var.dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -520,12 +399,10 @@ class _SqErr(Op):
     grads = (("x", _grad_x),)
 
 
-LINEAR, RELU, TANH, DROPOUT, BATCHNORM = (_Linear(), _ReLU(), _Tanh(),
-                                          _Dropout(), _BatchNorm())
+LINEAR, RELU = _Linear(), _ReLU()
 ADD, MUL = _Add(), _Mul()
 HARD_CE, SOFT_CE, SQERR = _HardCE(), _SoftCE(), _SqErr()
 
 #: every op, by name
 TABLE: Dict[str, Op] = {op.name: op for op in (
-    LINEAR, RELU, TANH, DROPOUT, BATCHNORM, ADD, MUL,
-    HARD_CE, SOFT_CE, SQERR)}
+    LINEAR, RELU, ADD, MUL, HARD_CE, SOFT_CE, SQERR)}

@@ -13,8 +13,8 @@ record per op application with the frame its forward kernel ran on.  The
 compiler walks the records backward from the loss root, resolving each
 tensor to the record that produced it or to a declared step input, reads
 from the record's frame what the op needs besides its inputs (parameters
-``p``, the owning ``layer``, a loss's targets ``t``, sample weights ``w`` and
-squared-error ``denom``), and emits one plan node per record, in the
+``p``, a loss's targets ``t``, sample weights ``w`` and squared-error
+``denom``), and emits one plan node per record, in the
 original execution order.  The plan is a general DAG, not just a
 linear chain: it supports fan-out (one activation consumed by several
 consumers), fan-in (summed / weighted-sum losses), and weight sharing (the
@@ -48,11 +48,9 @@ Fallback rules (checked on *every* call, before replaying; inside an
 * batch shape/dtype or target shape/dtype changed → separate plan per
   signature (the capture step for a new signature runs eagerly);
 * model structure changed — layer added/removed/replaced, parameter shape,
-  dtype or ``requires_grad`` changed, a dropout or batch-norm layer's mode
-  flipped, batch-norm momentum/eps/running-stat dtype changed, the
-  optimizer's parameter list changed, or the engine default dtype changed →
-  recapture (an eager step) under the new signature; stale plans are never
-  replayed;
+  dtype or ``requires_grad`` changed, the optimizer's parameter list
+  changed, or the engine default dtype changed → recapture (an eager step)
+  under the new signature; stale plans are never replayed;
 * unsupported structure (array math outside the op table, constants
   created inside the step function, loss targets that are not step inputs,
   a traced op whose output does not reach the loss, a parameter outside
@@ -61,12 +59,10 @@ Fallback rules (checked on *every* call, before replaying; inside an
   recorded in :attr:`ReplayStats.fallbacks`.
 
 Supported ops are the entries of the op table, however they are called: the
-leaf layers ``Linear``, ``ReLU``, ``Tanh``, ``Dropout`` and ``BatchNorm1d``
-(eval-mode ``Dropout`` passes its input through and records nothing),
-``Tensor.relu()`` and ``Tensor.tanh()``, tensor ``+`` and ``*`` (e.g.
-summed or weighted-sum losses), and the fused losses ``cross_entropy``
-(optionally per-sample weighted), ``soft_cross_entropy`` and the
-squared-error ``l2_loss``.  Optimizer updates reuse ``optimizer.step()``
+leaf layers ``Linear`` and ``ReLU``, ``Tensor.relu()``, tensor ``+`` and
+``*`` (e.g. summed or weighted-sum losses), and the fused losses
+``cross_entropy`` (optionally per-sample weighted), ``soft_cross_entropy``
+and the squared-error ``l2_loss``.  Optimizer updates reuse ``optimizer.step()``
 itself — gradients are written into the optimizer's flat gradient views
 and bound to ``param.grad``, so SGD momentum and Adam state evolve exactly
 as in eager mode.  A parameter that
@@ -79,8 +75,8 @@ Beyond the classic ``step(x, y)`` chain API, the executor exposes:
   ``fn(model, batch)`` returning a scalar loss Tensor (FixMatch's two-view
   consistency step runs through this);
 * :meth:`GraphReplay.epoch` — the once-per-epoch guard: inside the scope
-  the structural fingerprint is computed once per model mode and each
-  signature's outcome is remembered, instead of both on every call.  The
+  the structural fingerprint is computed once and each signature's
+  outcome is remembered, instead of both on every call.  The
   caller promises not to mutate the model structure mid-epoch; every
   training loop in the pipeline (:mod:`repro.nn.training`, FixMatch, the
   multi-task joint step, the ZSL-KG pretrain) calls the executor only
@@ -250,15 +246,13 @@ def _run_backward(node: _Node) -> None:
 
 def _model_fingerprint(module: Module) -> tuple:
     """A cheap structural identity of the model, rebuilt on every step
-    (once per epoch per mode inside :meth:`GraphReplay.epoch`).
+    (once per epoch inside :meth:`GraphReplay.epoch`).
 
     Captures everything a compiled plan depends on: the identity and type of
     every submodule in attribute order, and for each leaf layer what its
     table op's ``fingerprint`` names (parameter identities, shapes, dtypes
-    and ``requires_grad`` flags; mode and probability for ``Dropout``;
-    feature count, momentum, eps, mode and running-stat dtypes for
-    ``BatchNorm1d``).  Any mutation — adding a layer, replacing a head,
-    freezing a parameter, flipping a layer's mode — changes the fingerprint.
+    and ``requires_grad`` flags).  Any mutation — adding a layer, replacing
+    a head, freezing a parameter — changes the fingerprint.
     """
     out = []
     for m in module.modules():
@@ -390,7 +384,6 @@ def _compile(records: List[tuple], root: Tensor,
     nodes: Dict[int, object] = {}
     built: List[_Node] = []
     input_sites: List[tuple] = []
-    cast = np.dtype(get_default_dtype())
 
     def key_for(obj, what: str) -> str:
         oid = id(obj)
@@ -422,8 +415,7 @@ def _compile(records: List[tuple], root: Tensor,
                 "(custom tensor math or a constant created in the step?)")
         idx, (op, frame, inputs, _) = entry
         node = _Node(op, idx, bool(t.requires_grad))
-        node.cast = cast
-        node.layer, node.p = frame.layer, frame.p
+        node.p = frame.p
         arrays = {}
         for name, tensor in zip(op.inputs, inputs):
             src = resolve(tensor)
@@ -453,9 +445,9 @@ def _compile(records: List[tuple], root: Tensor,
     if not root_node.train:
         raise ReplayUnsupported("loss does not require gradients")
 
-    # Every traced op must be reachable from the root: an op the plan would
-    # skip could have side effects (dropout RNG draws, batch-norm running
-    # stats) that eager execution performs.
+    # Every traced op must be reachable from the root: the plan runs only
+    # the ops the loss depends on, so an op outside it would be work the
+    # eager step does and the replayed step silently skips.
     for op, _, _, out in records:
         if id(out) not in nodes:
             raise ReplayUnsupported(f"traced {op.name} is not reachable "
@@ -636,14 +628,11 @@ class GraphReplay:
         self._loss_fn = _LOSS_FNS[loss]
         #: full signature -> compiled plan or ``_UnsupportedPlan``
         self._plans: Dict[tuple, object] = {}
-        #: while an :meth:`epoch` scope is open: the structural fingerprint
-        #: per ``model.training``, and what each call signature resolved to
-        #: per mode (a plan or an ``_UnsupportedPlan``); None outside
-        self._epoch_fingerprints: Optional[Dict[bool, tuple]] = None
+        #: while an :meth:`epoch` scope is open: what each call signature
+        #: resolved to (a plan or an ``_UnsupportedPlan``), and the
+        #: structural fingerprint once a call has computed it; None outside
         self._epoch_outcomes: Optional[Dict[tuple, object]] = None
-        #: the model's modules, walked once on entering an :meth:`epoch`
-        #: scope (for :meth:`set_training`); None outside
-        self._epoch_modules: Optional[Tuple[Module, ...]] = None
+        self._epoch_fingerprint: Optional[tuple] = None
         own = ReplayStats()
         # Dedupe by identity: nested collect_replay_stats scopes may register
         # one counter twice; it must tick once per event, not once per
@@ -694,10 +683,7 @@ class GraphReplay:
         key = (id(fn),
                tuple([(k, v.shape, v.dtype) for k, v in inputs.items()]))
         outcomes = self._epoch_outcomes
-        plan = None
-        if outcomes is not None:
-            epoch_key = (key, self.model.training)
-            plan = outcomes.get(epoch_key)
+        plan = None if outcomes is None else outcomes.get(key)
         if plan is None:
             sig = key + self._fingerprint_sig()
             plan = self._plans.get(sig)
@@ -715,7 +701,7 @@ class GraphReplay:
                     self._count_capture()
                 self._plans[sig] = plan
             if outcomes is not None:
-                outcomes[epoch_key] = plan
+                outcomes[key] = plan
             if loss is not None:
                 return loss
         if isinstance(plan, _UnsupportedPlan):
@@ -741,8 +727,8 @@ class GraphReplay:
 
         The step always completes eagerly — including when compilation
         fails — so the capture step is indistinguishable from a plain eager
-        step (same updates, same RNG draws, and ``zero_grad`` clears any
-        stale gradient state before buffer-bound gradients take over).
+        step (same updates, and ``zero_grad`` clears any stale gradient
+        state before buffer-bound gradients take over).
         Returns ``(plan or failure reason, loss)``.
         """
         bound, ids = _wrap_inputs(inputs, tensor_keys)
@@ -765,16 +751,13 @@ class GraphReplay:
 
     # -- the epoch scope ------------------------------------------------- #
     def _fingerprint_sig(self) -> tuple:
-        cache = self._epoch_fingerprints
-        if cache is not None:
-            fingerprint = cache.get(self.model.training)
-            if fingerprint is not None:
-                return fingerprint
-        fingerprint = (np.dtype(get_default_dtype()),
-                       tuple(id(p) for p in self.optimizer.parameters),
-                       _model_fingerprint(self.model))
-        if cache is not None:
-            cache[self.model.training] = fingerprint
+        fingerprint = self._epoch_fingerprint
+        if fingerprint is None:
+            fingerprint = (np.dtype(get_default_dtype()),
+                           tuple(id(p) for p in self.optimizer.parameters),
+                           _model_fingerprint(self.model))
+            if self._epoch_outcomes is not None:
+                self._epoch_fingerprint = fingerprint
         return fingerprint
 
     @contextmanager
@@ -782,41 +765,21 @@ class GraphReplay:
         """Scope one epoch of calls on this stepper.
 
         Inside the scope the structural guard runs once per call signature
-        per model mode (``model.training``) instead of on every call: the
-        fingerprint is computed once per mode, and each signature's first
-        call remembers what it resolved to — a compiled plan or an eager
-        fallback — for the rest of the epoch.  The caller promises that the
-        model structure, the optimizer's parameter list and the engine
-        dtype do not change inside the scope except through
-        ``model.train()`` / ``model.eval()``.  A loop that steps in both
-        modes gets one plan per mode.  The next scope fingerprints afresh,
-        so a change between epochs is caught.  The same promise lets
-        :meth:`set_training` flip the mode over the module list walked on
-        entry, instead of walking the model on every call.
-        """
-        outer = (self._epoch_fingerprints, self._epoch_outcomes,
-                 self._epoch_modules)
-        self._epoch_fingerprints, self._epoch_outcomes = {}, {}
-        self._epoch_modules = tuple(self.model.modules())
-        try:
-            yield self
-        finally:
-            (self._epoch_fingerprints, self._epoch_outcomes,
-             self._epoch_modules) = outer
-
-    def set_training(self, mode: bool) -> None:
-        """``model.train(mode)``, without the module walk inside an
-        :meth:`epoch` scope (whose promise rules out structural changes).
-
+        instead of on every call: the fingerprint is computed once, and each
+        signature's first call remembers what it resolved to — a compiled
+        plan or an eager fallback — for the rest of the epoch.  The caller
+        promises that the model structure, the optimizer's parameter list
+        and the engine dtype do not change inside the scope.  The next
+        scope fingerprints afresh, so a change between epochs is caught.
         Not cached across scopes: a version counter bumped on attribute
         assignment would miss in-place container edits (``layers[i] = ...``).
         """
-        modules = self._epoch_modules
-        if modules is None:
-            self.model.train(mode)
-            return
-        for module in modules:
-            module.training = mode
+        outer = (self._epoch_outcomes, self._epoch_fingerprint)
+        self._epoch_outcomes, self._epoch_fingerprint = {}, None
+        try:
+            yield self
+        finally:
+            self._epoch_outcomes, self._epoch_fingerprint = outer
 
     # -- public entry points --------------------------------------------- #
     def step(self, x: np.ndarray, y: np.ndarray,

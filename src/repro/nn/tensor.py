@@ -16,8 +16,8 @@ once.
 :func:`trace_ops` scope every application appends ``(op, frame, inputs,
 out)``, where ``frame`` is the :class:`~repro.nn.ops.Frame` its forward
 kernel just ran on.  The frame carries everything else the op read: the
-parameters ``p``, the owning ``layer``, a loss's targets ``t``, sample
-weights ``w`` and squared-error ``denom``.
+parameters ``p``, a loss's targets ``t``, sample weights ``w`` and
+squared-error ``denom``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _GRAD_ENABLED: ContextVar = ContextVar("grad_enabled", default=True)
 # appends ``(op, frame, inputs, out)`` to the recording list.  The replay
 # compiler (:mod:`repro.nn.replay`) runs one eager training step under this
 # context and rebuilds the op DAG from the records; the leaf chain
-# (:mod:`repro.nn.chain`) reads one eval-mode forward the same way.
+# (:mod:`repro.nn.chain`) reads one inference forward the same way.
 # Context-local, so a trace on one thread never records another thread's
 # eager ops.
 _TRACE_RECORDS: ContextVar = ContextVar("trace_records", default=None)
@@ -228,9 +228,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         return apply(ops.RELU, (self,))
-
-    def tanh(self) -> "Tensor":
-        return apply(ops.TANH, (self,))
 
     # ------------------------------------------------------------------ #
     # Graph traversal

@@ -86,7 +86,7 @@ def build_scheduler(optimizer: Optimizer, config: TrainConfig,
 
 def predict_logits(model: Module, features: np.ndarray,
                    batch_size: Optional[int] = 256) -> np.ndarray:
-    """Run the model in eval mode and return the raw logits.
+    """Run the model's forward without a tape and return the raw logits.
 
     Runs under :func:`~repro.nn.tensor.no_grad` (the model's parameters have
     ``requires_grad=True``, so without it every eval forward would record a
@@ -94,7 +94,6 @@ def predict_logits(model: Module, features: np.ndarray,
     single batch, which the ensemble uses for pseudo-label inference.
     """
     features = np.asarray(features, dtype=get_default_dtype())
-    model.eval()
     if batch_size is None:
         batch_size = max(len(features), 1)
 
@@ -141,7 +140,6 @@ def _train(model: Module, dataset, loss: str, config: TrainConfig,
                                 steps_per_epoch=len(loader))
 
     stepper = GraphReplay(model, optimizer, loss=loss)
-    model.train()
     for epoch in range(config.epochs):
         # The epoch scope checks the structural fingerprint once per batch
         # signature per epoch instead of once per step; nothing inside the
@@ -157,7 +155,6 @@ def _train(model: Module, dataset, loss: str, config: TrainConfig,
                                            callback is not None))
         if callback is not None:
             callback(epoch, float(np.mean(losses)) if losses else float("nan"))
-    model.eval()
     return model
 
 

@@ -392,8 +392,7 @@ class Servable:
 class ServableModel(Servable):
     """An inference-only end model reconstructed from an artifact.
 
-    The wrapped model is permanently in eval mode and never builds a
-    backward tape.  Forwards run the model's leaf layers through the op
+    The wrapped model never builds a backward tape.  Forwards run the model's leaf layers through the op
     table's forward kernels (see :func:`repro.nn.leaf_chain`) with per-call
     outputs — lock-free and safe to call concurrently.  A model that is not
     a plain chain of table ops raises :class:`ArtifactError`.
@@ -403,7 +402,6 @@ class ServableModel(Servable):
 
     def __init__(self, model: ClassificationModel, manifest: dict,
                  path: Optional[str] = None):
-        model.eval()
         self._model = model
         self.manifest = manifest
         self.path = path

@@ -28,7 +28,6 @@ class TestPretraining:
         split = tiny_workspace.make_task_split("fmd", shots=5, split_seed=0)
 
         def head_only_accuracy(encoder):
-            encoder.eval()
             train_features = encoder(Tensor(split.labeled_features)).data
             test_features = encoder(Tensor(split.test_features)).data
             from repro.nn import MLP

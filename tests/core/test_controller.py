@@ -99,9 +99,9 @@ class TestControllerConfiguration:
         pruned_selection = pruned.select_auxiliary_data(task)
         assert set(unpruned_selection.concepts) != set(pruned_selection.concepts)
 
-    def test_train_end_model_entry_point(self, task, fast_config):
+    def test_run_returns_the_end_model(self, task, fast_config):
         controller = Controller(
             modules=[TransferModule(TransferConfig(aux_epochs=2, target_epochs=6))],
             config=fast_config)
-        end_model = controller.train_end_model(task)
+        end_model = controller.run(task).end_model
         assert end_model.name == "end_model"

@@ -56,6 +56,5 @@ class TestTaskConstruction:
         assert task.num_classes == 10
         assert task.has_test_set
         assert task.has_backbone
-        summary = task.summary()
-        assert summary["labeled"] == 50
-        assert summary["backbone"] == "resnet50"
+        assert len(task.labeled_features) == 50
+        assert task.backbone.name == "resnet50"

@@ -58,8 +58,7 @@ class TestMakeSplit:
         assert len(split.labeled_features) == 4 * 5
         assert len(split.test_features) == 4 * 4
         assert len(split.unlabeled_features) == 4 * (30 - 4 - 5)
-        summary = split.summary()
-        assert summary["shots"] == 5 and summary["num_classes"] == 4
+        assert split.shots == 5 and split.num_classes == 4
 
     def test_labeled_classes_balanced(self):
         split = make_split(toy_dataset(), shots=3, split_seed=1, test_per_class=2)

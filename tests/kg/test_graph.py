@@ -73,10 +73,12 @@ class TestQueries:
             "plastic", "stone", "cling_film", "plastic_bag"}
         assert small_graph.roots() == ["entity"] or "entity" in small_graph.roots()
 
-    def test_edges_iterator(self, small_graph):
-        edges = list(small_graph.edges())
-        assert len(edges) == 6
-        assert all(len(edge) == 4 for edge in edges)
+    def test_every_edge_listed_at_both_endpoints(self, small_graph):
+        listed = [(u, v, relation, weight) for u in small_graph.concepts
+                  for v, relation, weight in small_graph.neighbors(u)]
+        assert len(listed) == 2 * 6
+        assert all((u, relation, weight) in small_graph.neighbors(v)
+                   for u, v, relation, weight in listed)
 
 
 def order_graph():

@@ -29,7 +29,7 @@ class TestGraphClassEncoder:
         rng = np.random.default_rng(2)
         with default_dtype(dtype):
             encoder = GraphClassEncoder(embedding_dim=16, hidden_dim=8,
-                                        output_dim=6, rng=rng).eval()
+                                        output_dim=6, rng=rng)
         x = rng.normal(size=(7, 32)).astype(dtype)
         y = rng.normal(size=(7, 6)).astype(dtype)
         with default_dtype(dtype), no_grad():
@@ -178,7 +178,7 @@ class TestPretrainFastPath:
             assert replayed[name].dtype == np.dtype(dtype)
             assert replayed[name].tobytes() == eager[name].tobytes(), name
 
-    def test_pretrain_fingerprints_the_encoder_once_per_mode(
+    def test_pretrain_fingerprints_the_encoder_once(
             self, module_input, monkeypatch):
         # The whole pretrain is one epoch scope: one structural fingerprint
         # for the training steps, however many epochs run.  The validation
@@ -209,7 +209,6 @@ class TestPretrainFastPath:
         assert len(concepts) == 2 * _PROTOTYPE_CHUNK + 7
         with default_dtype(dtype):
             encoder = tiny_backbone.instantiate(rng=np.random.default_rng(0))
-            encoder.eval()
             chunked = _prototype_targets(scads, encoder, concepts, 10,
                                          np.random.default_rng(1))
             # The reference: one draw and one backbone forward per concept.

@@ -9,44 +9,27 @@ from hypothesis import strategies as st
 
 from repro.nn import (SGD, Tensor, default_dtype, leaf_chain, no_grad, ops,
                       predict_logits)
-from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
-                              Sequential, Tanh)
+from repro.nn.modules import Linear, Module, ReLU, Sequential
 
-LAYERS = ("linear", "linear_no_bias", "relu", "tanh", "dropout", "batchnorm",
-          "relu_method", "tanh_method")
+LAYERS = ("linear", "linear_no_bias", "relu", "relu_method")
 DTYPES = (np.float32, np.float64)
 
 
 class _Method(Module):
     """An activation called as a tensor method inside a module with no op."""
 
-    def __init__(self, name):
-        super().__init__()
-        self.name = name
-
     def forward(self, x):
-        return getattr(x, self.name)()
+        return x.relu()
 
 
 def _layer(kind, width, out_width, rng):
-    """One eval-mode layer on ``width`` features; returns it and its width."""
+    """One layer on ``width`` features; returns it and its width."""
     if kind in ("linear", "linear_no_bias"):
         layer = Linear(width, out_width, bias=kind == "linear", rng=rng)
         if layer.bias is not None:
             layer.bias.data[...] = rng.normal(size=out_width)
         return layer, out_width
-    if kind == "batchnorm":
-        layer = BatchNorm1d(width)
-        layer.gamma.data[...] = rng.normal(size=width)
-        layer.beta.data[...] = rng.normal(size=width)
-        layer.running_mean = rng.normal(size=width)
-        layer.running_var = rng.uniform(0.5, 2.0, size=width)
-        return layer, width
-    if kind == "dropout":
-        return Dropout(float(rng.uniform(0.0, 0.9)), rng=rng), width
-    if kind.endswith("_method"):
-        return _Method(kind[:-len("_method")]), width
-    return (ReLU() if kind == "relu" else Tanh()), width
+    return (_Method() if kind == "relu_method" else ReLU()), width
 
 
 @st.composite
@@ -70,7 +53,7 @@ def test_chain_forward_is_the_eager_forward_byte_for_byte(case):
         for kind, out_width in zip(kinds, widths[1:]):
             layer, width = _layer(kind, width, out_width, rng)
             layers.append(layer)
-        model = Sequential(*layers).eval()
+        model = Sequential(*layers)
         x = rng.normal(size=(rows, widths[0]))
         with no_grad():
             eager = model(Tensor(x)).data
@@ -122,12 +105,12 @@ class _Untraced(Module):
 @pytest.mark.parametrize("make", [_Residual, _Skip, _Untraced])
 def test_a_model_that_is_not_a_chain_gives_none(make, dtype):
     with default_dtype(dtype):
-        model = make(np.random.default_rng(0)).eval()
+        model = make(np.random.default_rng(0))
     assert leaf_chain(model, 6, dtype) is None
 
 
 class _TensorMethods(Module):
-    """A forward that calls ``relu()`` and ``tanh()`` on tensors directly."""
+    """A forward that calls ``relu()`` on tensors directly."""
 
     def __init__(self, rng):
         super().__init__()
@@ -135,19 +118,19 @@ class _TensorMethods(Module):
         self.fc2 = Linear(12, 3, rng=rng)
 
     def forward(self, x):
-        return self.fc2(self.fc1(x).relu()).tanh()
+        return self.fc2(self.fc1(x).relu()).relu()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_tensor_method_activations_are_a_chain(dtype):
     with default_dtype(dtype):
-        model = _TensorMethods(np.random.default_rng(5)).eval()
+        model = _TensorMethods(np.random.default_rng(5))
         x = np.random.default_rng(6).normal(size=(7, 6))
         eager = predict_logits(model, x)
     chain = leaf_chain(model, 6, dtype)
     assert chain is not None
     assert [op for op, _ in chain.leaves] == [ops.LINEAR, ops.RELU,
-                                              ops.LINEAR, ops.TANH]
+                                              ops.LINEAR, ops.RELU]
     assert chain(x).tobytes() == eager.tobytes()
 
 
@@ -155,7 +138,7 @@ def test_reads_live_weights():
     # Kernels read ``p.data`` on every call: in-place updates and the
     # optimizer arena's rebinding are picked up without retracing.
     model = Sequential(Linear(8, 16, rng=np.random.default_rng(1)), ReLU(),
-                       Linear(16, 4, rng=np.random.default_rng(2))).eval()
+                       Linear(16, 4, rng=np.random.default_rng(2)))
     chain = leaf_chain(model, 8, np.float64)
     x = np.random.default_rng(3).normal(size=(5, 8))
     before = chain(x)
@@ -168,12 +151,3 @@ def test_reads_live_weights():
     assert not np.array_equal(before, after)
     assert after.tobytes() == eager.tobytes()
 
-
-def test_a_training_mode_model_is_refused():
-    # A training-mode trace would draw dropout masks from the layer RNG.
-    rng = np.random.default_rng(4)
-    model = Sequential(Linear(4, 4, rng=rng), Dropout(0.5, rng=rng))
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="eval"):
-        leaf_chain(model, 4, np.float64)
-    assert rng.bit_generator.state == state

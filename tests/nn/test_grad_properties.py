@@ -24,7 +24,7 @@ import pytest
 
 from repro.nn import Tensor, default_dtype, no_grad, ops
 from repro.nn import functional as F
-from repro.nn.modules import BatchNorm1d, Dropout, Linear
+from repro.nn.modules import Linear
 from repro.nn.tensor import apply
 
 SEEDS = [0, 1, 2]
@@ -150,11 +150,6 @@ def case_mul(rng):
     return [a, b], lambda x, y: x * y, lambda x, y: x * y
 
 
-def case_tanh(rng):
-    a = rng.normal(size=rand_shape(rng))
-    return [a], lambda x: x.tanh(), np.tanh
-
-
 def case_relu(rng):
     a = away_from(rng.normal(size=rand_shape(rng)), [0.0])
     return [a], lambda x: x.relu(), lambda x: np.maximum(x, 0.0)
@@ -239,75 +234,6 @@ def case_l2_loss(rng):
     return _sqerr_case(rng, F.l2_loss, lambda shape: shape[0])
 
 
-def case_dropout(rng):
-    """Dropout in training mode: the mask, drawn from a seeded layer RNG,
-    is a constant of the case."""
-    shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-    x = rng.normal(size=shape)
-    seed, p = int(rng.integers(2 ** 31)), 0.4
-    mask = (np.random.default_rng(seed).random(shape) < 1 - p) / (1 - p)
-
-    def tensor_fn(xt):
-        return Dropout(p, rng=np.random.default_rng(seed))(xt)
-
-    return [x], tensor_fn, lambda x_: x_ * mask
-
-
-def _bn_forward_frozen(x, gamma, beta, mean, var, eps=1e-5):
-    """The engine's BatchNorm1d forward with *fixed* statistics."""
-    scale = 1.0 / np.sqrt(var + eps)
-    return ((x - mean) * scale) * gamma + beta
-
-
-def case_batchnorm_train(rng):
-    """BatchNorm1d in training mode.
-
-    The eager engine computes the batch statistics on raw arrays (no graph),
-    so its backward treats mean/var as *constants* — the classic
-    frozen-statistics BN gradient.  The reference therefore freezes the
-    statistics at the base point; this is the semantic the replay kernels
-    reproduce bit for bit.
-    """
-    n, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-    x = rng.normal(size=(n, d))
-    gamma = rng.uniform(0.5, 1.5, size=d)
-    beta = rng.normal(size=d)
-    mean0, var0 = x.mean(axis=0), x.var(axis=0)
-
-    def tensor_fn(xt, gt, bt):
-        bn = BatchNorm1d(d)
-        bn.gamma, bn.beta = gt, bt
-        return bn(xt)
-
-    def ref(x_, g_, b_):
-        return _bn_forward_frozen(x_, g_, b_, mean0, var0)
-
-    return [x, gamma, beta], tensor_fn, ref
-
-
-def case_batchnorm_eval(rng):
-    """BatchNorm1d in eval mode (normalization with the running stats)."""
-    n, d = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-    x = rng.normal(size=(n, d))
-    gamma = rng.uniform(0.5, 1.5, size=d)
-    beta = rng.normal(size=d)
-    running_mean = rng.normal(size=d)
-    running_var = rng.uniform(0.5, 2.0, size=d)
-
-    def tensor_fn(xt, gt, bt):
-        bn = BatchNorm1d(d)
-        bn.gamma, bn.beta = gt, bt
-        bn.running_mean = running_mean.copy()
-        bn.running_var = running_var.copy()
-        bn.eval()
-        return bn(xt)
-
-    def ref(x_, g_, b_):
-        return _bn_forward_frozen(x_, g_, b_, running_mean, running_var)
-
-    return [x, gamma, beta], tensor_fn, ref
-
-
 def case_fanout_shared_hidden(rng):
     """Fan-out: one hidden activation consumed by two heads, outputs summed.
 
@@ -322,11 +248,11 @@ def case_fanout_shared_hidden(rng):
     w3 = rng.normal(size=(dh, c))
 
     def tensor_fn(xt, w1t, w2t, w3t):
-        h = dot(xt, w1t).tanh()
+        h = dot(xt, w1t)
         return dot(h, w2t) + dot(h, w3t)
 
     def ref(x_, w1_, w2_, w3_):
-        h = np.tanh(x_ @ w1_)
+        h = x_ @ w1_
         return h @ w2_ + h @ w3_
 
     return [x, w1, w2, w3], tensor_fn, ref
@@ -363,10 +289,9 @@ def case_reused_tensor(rng):
 
 
 ALL_CASES = [
-    case_add, case_mul, case_tanh, case_relu, case_linear,
+    case_add, case_mul, case_relu, case_linear,
     case_cross_entropy, case_cross_entropy_weighted,
     case_soft_cross_entropy, case_l2_loss,
-    case_dropout, case_batchnorm_train, case_batchnorm_eval,
     case_fanout_shared_hidden, case_fanin_two_losses, case_reused_tensor,
 ]
 
@@ -374,8 +299,7 @@ ALL_CASES = [
 #: ``tests/nn/test_op_table.py`` checks that one exists for every entry
 #: and that it runs the entry's forward and every VJP kernel
 TABLE_CASES = {
-    "linear": case_linear, "relu": case_relu, "tanh": case_tanh,
-    "dropout": case_dropout, "batchnorm": case_batchnorm_train,
+    "linear": case_linear, "relu": case_relu,
     "add": case_add, "mul": case_mul,
     "cross_entropy": case_cross_entropy_weighted,
     "soft_cross_entropy": case_soft_cross_entropy, "sqerr": case_l2_loss,

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (MLP, BatchNorm1d, Dropout, Linear, Module,
-                      Parameter, ReLU, Sequential, Tanh, Tensor)
+from repro.nn import MLP, Linear, ReLU, Sequential, Tensor
 
 
 class TestLinear:
@@ -25,49 +24,10 @@ class TestLinear:
             Linear(0, 2)
 
 
-class TestActivationsAndDropout:
-    def test_relu_tanh_identity(self):
+class TestActivations:
+    def test_relu(self):
         x = Tensor(np.array([[-1.0, 2.0]]))
         np.testing.assert_allclose(ReLU()(x).data, [[0.0, 2.0]])
-        np.testing.assert_allclose(Tanh()(x).data, np.tanh([[-1.0, 2.0]]))
-
-    def test_dropout_off_in_eval(self):
-        dropout = Dropout(0.9, rng=np.random.default_rng(0))
-        dropout.eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(dropout(x).data, np.ones((4, 4)))
-
-    def test_dropout_scales_in_train(self):
-        dropout = Dropout(0.5, rng=np.random.default_rng(0))
-        dropout.train()
-        out = dropout(Tensor(np.ones((1000, 1)))).data
-        # Surviving activations are scaled by 1/keep, so the mean stays ~1.
-        assert out.mean() == pytest.approx(1.0, abs=0.15)
-
-    def test_dropout_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
-class TestBatchNorm:
-    def test_normalizes_in_train_mode(self):
-        bn = BatchNorm1d(3)
-        x = np.random.default_rng(0).normal(5.0, 3.0, size=(200, 3))
-        out = bn(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=0), np.zeros(3), atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), np.ones(3), atol=1e-2)
-
-    def test_running_stats_used_in_eval(self):
-        bn = BatchNorm1d(2, momentum=1.0)
-        x = np.random.default_rng(1).normal(2.0, 1.0, size=(50, 2))
-        bn(Tensor(x))
-        bn.eval()
-        out = bn(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=0), np.zeros(2), atol=0.1)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            BatchNorm1d(3)(Tensor(np.ones((2, 4))))
 
 
 class TestSequentialAndMLP:
@@ -83,9 +43,10 @@ class TestSequentialAndMLP:
         expected = 10 * 20 + 20 + 20 * 5 + 5
         assert model.num_parameters() == expected
 
-    def test_mlp_with_batchnorm_and_dropout(self):
-        model = MLP(8, [16, 16], 3, dropout=0.2, batch_norm=True,
-                    rng=np.random.default_rng(0))
+    def test_mlp_is_a_linear_relu_chain(self):
+        model = MLP(8, [16, 16], 3, rng=np.random.default_rng(0))
+        assert [type(layer) for layer in model.net.layers] == [
+            Linear, ReLU, Linear, ReLU, Linear]
         out = model(Tensor(np.random.default_rng(0).normal(size=(12, 8))))
         assert out.shape == (12, 3)
 
@@ -116,25 +77,17 @@ class TestModuleMachinery:
         with pytest.raises(KeyError):
             model.load_state_dict(state)
 
-    def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5), MLP(4, [4], 2))
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
+    def test_state_dict_unexpected_key(self):
+        model = MLP(4, [4], 2)
+        state = model.state_dict()
+        state["net.layers.9.weight"] = np.zeros((4, 4))
+        with pytest.raises(KeyError, match="unexpected"):
+            model.load_state_dict(state)
 
-    def test_zero_grad_clears_gradients(self):
-        model = Linear(3, 2)
-        out = model(Tensor(np.ones((1, 3)), requires_grad=False))
-        out.backward()
-        assert model.weight.grad is not None
-        model.zero_grad()
-        assert model.weight.grad is None
-
-    def test_batchnorm_buffers_in_state_dict(self):
-        bn = BatchNorm1d(3)
-        state = bn.state_dict()
-        assert any("running_mean" in key for key in state)
+    def test_state_dict_holds_only_parameters(self):
+        model = MLP(4, [4], 2)
+        assert list(model.state_dict()) == [
+            name for name, _ in model.named_parameters()]
 
     def test_clone_is_independent(self):
         model = Linear(2, 2, rng=np.random.default_rng(0))

@@ -1,14 +1,17 @@
-"""Every op-table entry has a gradient-fuzz case and a differential case.
+"""Every op-table entry has a gradient-fuzz case and a differential case,
+and a TAGLETS run applies every entry.
 
 A new op costs one entry in :data:`repro.nn.ops.TABLE` plus one case in
 the gradient fuzz (``test_grad_properties.py``) and one in the
 replay-vs-eager differential suite (``test_replay_dag.py``).  These tests
 make that a checked property: they fail when an entry has no case in
 either suite, and when the fuzz case named for an entry never runs the
-entry's forward kernel or one of its VJP kernels.  They also pin that the
+entry's forward kernel or one of its VJP kernels.  An entry whose forward
+no pipeline run reaches is an op kept alive by its tests, so a default
+``Controller.run`` must run every forward kernel.  They also pin that the
 table is the only way to build a graph node: every node's backward is the
 closure :func:`repro.nn.tensor.apply` makes, and ``Tensor`` builds nodes
-only through ``+``, ``*``, ``relu`` and ``tanh``.
+only through ``+``, ``*`` and ``relu``.
 """
 
 import pytest
@@ -27,6 +30,33 @@ def test_every_entry_has_a_gradient_fuzz_case():
 
 def test_every_entry_has_a_differential_case():
     assert sorted(differential.TABLE_CASES) == sorted(ops.TABLE)
+
+
+def test_a_taglets_run_applies_every_entry(tiny_workspace, tiny_backbone,
+                                           monkeypatch):
+    from repro.core import Controller, ControllerConfig, Task
+    from repro.modules.zsl_kg import ZslKgModule
+
+    # A cached pretrain would skip the only squared-error loss.
+    monkeypatch.setattr(ZslKgModule, "_pretrained_cache", {})
+    ran = set()
+
+    def spy(name, forward):
+        def wrapped(frame):
+            ran.add(name)
+            return forward(frame)
+        return wrapped
+
+    for name, op in ops.TABLE.items():
+        monkeypatch.setitem(vars(op), "forward", spy(name, op.forward))
+    split = tiny_workspace.make_task_split("fmd", shots=5, split_seed=0)
+    task = Task.from_split(split, scads=tiny_workspace.scads,
+                           backbone=tiny_backbone,
+                           wanted_num_related_class=3,
+                           images_per_related_class=8)
+    Controller(config=ControllerConfig(seed=0)).run(task)
+    unapplied = sorted(set(ops.TABLE) - ran)
+    assert not unapplied, f"entries no TAGLETS run applies: {unapplied}"
 
 
 @pytest.mark.parametrize("name", sorted(ops.TABLE))
@@ -79,4 +109,4 @@ def test_tensor_builds_nodes_only_through_table_ops():
                if callable(value) and not isinstance(value, staticmethod)}
     assert methods == {"__init__", "__repr__", "item", "copy", "zero_grad",
                        "_accumulate", "__add__", "__radd__", "__mul__",
-                       "__rmul__", "relu", "tanh", "backward"}
+                       "__rmul__", "relu", "backward"}

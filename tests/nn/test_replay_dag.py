@@ -1,13 +1,12 @@
 """Replay-vs-eager differential suite for DAG-shaped traces.
 
-The DAG generalization of the replay executor (BatchNorm kernels, weight
-sharing across views, fan-out/fan-in, summed and weighted-sum losses, the
-``step_fn`` / ``forward`` APIs) promises the same contract as the linear
-chains of ``test_replay.py``: replayed training is **bit-identical** to the
-eager path.  Every graph shape here trains twice — replay forced on
-vs forced off — and requires exactly equal parameters (and, for BatchNorm,
-exactly equal running statistics) after N steps, in float64 and float32,
-across the pipeline's optimizers.
+The DAG generalization of the replay executor (weight sharing across
+views, fan-out/fan-in, summed and weighted-sum losses, the ``step_fn``
+API) promises the same contract as the linear chains of
+``test_replay.py``: replayed training is **bit-identical** to the eager
+path.  Every graph shape here trains twice — replay forced on vs forced
+off — and requires exactly equal parameters after N steps, in float64 and
+float32, across the pipeline's optimizers.
 """
 
 import contextlib
@@ -15,11 +14,9 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.nn import (MLP, Adam, GraphReplay, SGD, TrainConfig,
-                      default_dtype, train_classifier, use_graph_replay)
+from repro.nn import MLP, Adam, GraphReplay, SGD, default_dtype, use_graph_replay
 from repro.nn import functional as F
-from repro.nn.modules import (BatchNorm1d, Dropout, Linear, Module, ReLU,
-                              Sequential, Tanh)
+from repro.nn.modules import Linear, Module, ReLU, Sequential
 from repro.nn import ops
 
 DTYPES = [
@@ -49,91 +46,6 @@ def _assert_bit_identical(got, expected):
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype
         np.testing.assert_array_equal(g, e)
-
-
-def _bn_stats(model):
-    return [(m.running_mean.copy(), m.running_var.copy())
-            for m in model.modules() if isinstance(m, BatchNorm1d)]
-
-
-# --------------------------------------------------------------------------- #
-# BatchNorm1d backbones
-# --------------------------------------------------------------------------- #
-
-
-class TestBatchNormChain:
-    """BN backbones replay: batch stats, running-stat updates, and the
-    frozen-statistics backward must all match eager exactly."""
-
-    def _train(self, dtype, replay):
-        rng = np.random.default_rng(0)
-        features = rng.normal(size=(150, 24))
-        labels = rng.integers(0, 7, size=150)
-        config = TrainConfig(epochs=4, batch_size=32, lr=0.05, momentum=0.9,
-                             nesterov=True, weight_decay=1e-4,
-                             scheduler="multistep", milestones=(2,),
-                             seed=0)
-        with _dtype_scope(dtype), use_graph_replay(replay):
-            model = MLP(24, [48, 32], 7, batch_norm=True,
-                        rng=np.random.default_rng(1))
-            train_classifier(model, features, labels, config)
-            return _params(model), _bn_stats(model)
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_replay_bit_identical_to_eager(self, dtype):
-        replay_params, replay_stats = self._train(dtype, replay=True)
-        eager_params, eager_stats = self._train(dtype, replay=False)
-        _assert_bit_identical(replay_params, eager_params)
-        for (rm, rv), (em, ev) in zip(replay_stats, eager_stats):
-            np.testing.assert_array_equal(rm, em)
-            np.testing.assert_array_equal(rv, ev)
-
-    def test_replay_actually_replays_batchnorm(self):
-        from repro.nn import ReplayStats, collect_replay_stats
-
-        stats = ReplayStats()
-        rng = np.random.default_rng(2)
-        features = rng.normal(size=(96, 12))
-        labels = rng.integers(0, 4, size=96)
-        config = TrainConfig(epochs=3, batch_size=32, seed=0)
-        model = MLP(12, [24], 4, batch_norm=True, dropout=0.2,
-                    rng=np.random.default_rng(3))
-        with use_graph_replay(True), collect_replay_stats(stats):
-            train_classifier(model, features, labels, config)
-        assert stats.eager_steps == 0
-        assert stats.fallbacks == {}
-        assert stats.captures == 1
-        assert stats.replays == 3 * 3 - 1
-
-    def test_batchnorm_momentum_change_forces_recapture(self):
-        # The fingerprint must include BN momentum/eps so a config change
-        # recaptures instead of replaying stale kernels.
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(32, 8))
-        y = rng.integers(0, 4, size=32)
-
-        def run(replay):
-            model = MLP(8, [16], 4, batch_norm=True,
-                        rng=np.random.default_rng(7))
-            bn = [m for m in model.modules()
-                  if isinstance(m, BatchNorm1d)][0]
-            optimizer = SGD(model.parameters(), lr=0.1)
-            with use_graph_replay(replay):
-                stepper = GraphReplay(model, optimizer)
-                for _ in range(3):
-                    stepper.step(x, y)
-                bn.momentum = 0.5
-                for _ in range(3):
-                    stepper.step(x, y)
-                return _params(model), _bn_stats(model), stepper.stats
-
-        replay_params, replay_bn, stats = run(True)
-        eager_params, eager_bn, _ = run(False)
-        assert stats.captures == 2  # momentum change = new signature
-        _assert_bit_identical(replay_params, eager_params)
-        for (rm, rv), (em, ev) in zip(replay_bn, eager_bn):
-            np.testing.assert_array_equal(rm, em)
-            np.testing.assert_array_equal(rv, ev)
 
 
 # --------------------------------------------------------------------------- #
@@ -201,13 +113,11 @@ class TestTwoViewStepFn:
         with _dtype_scope(dtype), use_graph_replay(replay):
             dt = np.dtype(dtype)
             rng = np.random.default_rng(10)
-            model = MLP(12, [24, 16], 4, dropout=0.2,
-                        rng=np.random.default_rng(11))
+            model = MLP(12, [24, 16], 4, rng=np.random.default_rng(11))
             optimizer = OPTIMIZERS[opt](model.parameters())
             stepper = GraphReplay(model, optimizer)
             cons_w = np.asarray(0.7, dtype=dt)
             losses = []
-            model.train()
             for _ in range(steps):
                 # Fresh views, pseudo labels, and mask every step — values
                 # change, shapes stay static, so one plan serves the loop.
@@ -375,20 +285,19 @@ class TestSharedLogitsTwoLosses:
         _assert_bit_identical(replay_params, eager_params)
 
 
-def _bn_two_view(model, batch):
+def _shared_two_view(model, batch):
     return F.cross_entropy(model(batch["x1"]), batch["y1"]) \
         + F.cross_entropy(model(batch["x2"]), batch["y2"])
 
 
-class TestBatchNormSharedAcrossViews:
+class TestLayerSharedAcrossViews:
     def test_replay_bit_identical_to_eager(self):
-        # A BatchNorm backbone applied to two views in one step: the
-        # running stats update twice per step (in view order) and the
-        # gamma/beta gradients accumulate across applications.
+        # One model applied to two views of different sizes in one step:
+        # every layer runs twice and its weight and bias gradients
+        # accumulate across the two applications.
         def run(replay):
             rng = np.random.default_rng(24)
-            model = MLP(8, [16], 4, batch_norm=True,
-                        rng=np.random.default_rng(25))
+            model = MLP(8, [16], 4, rng=np.random.default_rng(25))
             optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
             with use_graph_replay(replay):
                 stepper = GraphReplay(model, optimizer)
@@ -397,17 +306,15 @@ class TestBatchNormSharedAcrossViews:
                              "y1": rng.integers(0, 4, size=10),
                              "x2": rng.normal(size=(14, 8)),
                              "y2": rng.integers(0, 4, size=14)}
-                    stepper.step_fn(_bn_two_view, batch)
-                return _params(model), _bn_stats(model), stepper.stats
+                    stepper.step_fn(_shared_two_view, batch)
+                return _params(model), stepper.stats
 
-        replay_params, replay_bn, stats = run(True)
-        eager_params, eager_bn, _ = run(False)
+        replay_params, stats = run(True)
+        eager_params, _ = run(False)
         assert stats.captures == 1
+        assert stats.replays == 5
         assert stats.eager_steps == 0
         _assert_bit_identical(replay_params, eager_params)
-        for (rm, rv), (em, ev) in zip(replay_bn, eager_bn):
-            np.testing.assert_array_equal(rm, em)
-            np.testing.assert_array_equal(rv, ev)
 
 
 class _Heads(Module):
@@ -532,7 +439,7 @@ class _PreActivationFanOut(Module):
 
 
 class _TensorMethods(Module):
-    """Activations called as tensor methods, not as ReLU/Tanh layers."""
+    """An activation called as a tensor method, not as a ReLU layer."""
 
     def __init__(self, rng):
         super().__init__()
@@ -540,7 +447,7 @@ class _TensorMethods(Module):
         self.fc2 = Linear(16, 4, rng=rng)
 
     def forward(self, x):
-        return self.fc2(self.fc1(x).relu().tanh())
+        return self.fc2(self.fc1(x).relu())
 
 
 #: case -> (model factory, whether each traced ReLU of the training plan
@@ -551,9 +458,9 @@ REUSE_CASES = {
         lambda rng: Sequential(Linear(10, 16, rng=rng), ReLU(),
                                Linear(16, 4, rng=rng)), [True]),
     "linear_output_fanned_out": (_PreActivationFanOut, [False]),
-    "relu_fed_by_tanh": (
-        lambda rng: Sequential(Linear(10, 16, rng=rng), Tanh(), ReLU(),
-                               Linear(16, 4, rng=rng)), [False]),
+    "relu_fed_by_relu": (
+        lambda rng: Sequential(Linear(10, 16, rng=rng), ReLU(), ReLU(),
+                               Linear(16, 4, rng=rng)), [True, False]),
     "relu_fed_by_input": (
         lambda rng: Sequential(ReLU(), Linear(10, 16, rng=rng), ReLU(),
                                Linear(16, 4, rng=rng)), [False, True]),
@@ -627,21 +534,12 @@ def _mlp(rng):
     return Sequential(Linear(10, 16, rng=rng), ReLU(), Linear(16, 4, rng=rng))
 
 
-def _with(middle):
-    return lambda rng: Sequential(Linear(10, 16, rng=rng), middle(rng),
-                                  Linear(16, 4, rng=rng))
-
-
 #: op-table entry -> (model factory, step function) of a case whose
 #: compiled plan runs that op; ``tests/nn/test_op_table.py`` checks that
 #: every entry of ``repro.nn.ops.TABLE`` has one
 TABLE_CASES = {
     "linear": (_mlp, _ce_step),
     "relu": (_mlp, _ce_step),
-    "tanh": (_with(lambda rng: Tanh()), _ce_step),
-    "dropout": (_with(lambda rng: Dropout(0.3, rng=np.random.default_rng(5))),
-                _ce_step),
-    "batchnorm": (_with(lambda rng: BatchNorm1d(16)), _ce_step),
     "add": (_mlp, _glue_step),
     "mul": (_mlp, _glue_step),
     "cross_entropy": (_mlp, _ce_step),
@@ -666,13 +564,11 @@ def test_table_op_replays_bit_identical_to_eager(name, dtype):
             model = make(np.random.default_rng(51))
             stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2))
             losses = [stepper.step_fn(step, batch) for _ in range(5)]
-        return (_params(model), _bn_stats(model), losses), stepper
+        return (_params(model), losses), stepper
 
-    (replayed, stats_r, losses_r), stepper = run(True)
-    (eager, stats_e, losses_e), _ = run(False)
+    (replayed, losses_r), stepper = run(True)
+    (eager, losses_e), _ = run(False)
     _assert_bit_identical(replayed, eager)
-    for (mean_r, var_r), (mean_e, var_e) in zip(stats_r, stats_e):
-        _assert_bit_identical([mean_r, var_r], [mean_e, var_e])
     assert losses_r == losses_e
     assert stepper.stats.eager_steps == 0 and stepper.stats.replays == 4
     (plan,) = stepper._plans.values()
@@ -699,8 +595,7 @@ def _plan_trace_cases():
     from repro.modules.multitask import _joint_step
 
     rng = np.random.default_rng(60)
-    mlp = lambda rng: MLP(10, [16], 4, dropout=0.2, batch_norm=True,  # noqa: E731
-                          rng=rng)
+    mlp = lambda rng: MLP(10, [16], 4, rng=rng)  # noqa: E731
     return {
         "step": (mlp, None, ("x",), {
             "x": rng.normal(size=(24, 10)),
@@ -730,7 +625,7 @@ def test_plan_nodes_are_the_traced_ops_in_order(case):
     from repro.nn.tensor import trace_ops
 
     make, fn, tensor_keys, batch = PLAN_TRACE_CASES[case]
-    model = make(np.random.default_rng(61)).train()
+    model = make(np.random.default_rng(61))
     stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
     fn = fn or stepper._chain_fn
     records = []

@@ -1,10 +1,10 @@
 """The epoch-scoped structural guard and loss-value elision.
 
-``GraphReplay.epoch()`` fingerprints the model once per epoch per model
-mode instead of on every ``step`` / ``step_fn`` call, and a training step
-run with ``compute_loss=False`` skips the scalars no one reads.  Neither may
-change a single weight byte relative to eager training, and neither may
-replay a plan compiled for a different structure or mode.
+``GraphReplay.epoch()`` fingerprints the model once per epoch instead of
+on every ``step`` / ``step_fn`` call, and a training step run with
+``compute_loss=False`` skips the scalars no one reads.  Neither may change
+a single weight byte relative to eager training, and neither may replay a
+plan compiled for a different structure.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from repro.nn import (MLP, SGD, Adam, GraphReplay, leaf_chain,
 from repro.nn import functional as F
 from repro.nn import ops
 from repro.nn import replay as replay_module
-from repro.nn.modules import BatchNorm1d, Linear, ReLU, Sequential
+from repro.nn.modules import Linear, ReLU, Sequential
 
 
 def _params(model):
@@ -100,17 +100,7 @@ class TestLossElision:
 
 
 class TestEpochGuard:
-    def _two_mode_epochs(self, stepper, model, rng, epochs, steps):
-        for _ in range(epochs):
-            with stepper.epoch():
-                for _ in range(steps):
-                    batch = _batch(rng)
-                    model.eval()
-                    stepper.step_fn(_two_view, batch, compute_loss=False)
-                    model.train()
-                    stepper.step_fn(_two_view, batch, compute_loss=False)
-
-    def test_fingerprint_once_per_mode_per_epoch(self, monkeypatch):
+    def test_fingerprint_once_per_epoch(self, monkeypatch):
         calls = []
         real = replay_module._model_fingerprint
 
@@ -120,45 +110,21 @@ class TestEpochGuard:
 
         monkeypatch.setattr(replay_module, "_model_fingerprint", counting)
         rng = np.random.default_rng(4)
-        model = MLP(10, [16], 4, dropout=0.2, rng=np.random.default_rng(5))
+        model = MLP(10, [16], 4, rng=np.random.default_rng(5))
         stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
-        self._two_mode_epochs(stepper, model, rng, epochs=2, steps=5)
-        assert len(calls) == 2 * 2  # two epochs x {eval, train}
+        for _ in range(2):
+            with stepper.epoch():
+                for _ in range(5):
+                    # Two signatures share the epoch's one fingerprint.
+                    batch = _batch(rng)
+                    stepper.step_fn(_two_view, batch, compute_loss=False)
+                    stepper.step_fn(_loss_product, batch, compute_loss=False)
+        assert len(calls) == 2  # one per epoch
         assert stepper.stats.captures == 2
         assert stepper.stats.replays == 2 * 2 * 5 - 2
         # Outside a scope every call fingerprints again.
-        model.eval()
         stepper.step_fn(_two_view, _batch(rng))
-        assert len(calls) == 5
-
-    def test_batchnorm_mode_switch_resolves_a_plan_per_mode(self):
-        # Train-mode BatchNorm normalizes with batch statistics and eval
-        # mode with the running ones: one cached fingerprint per mode must
-        # keep the two plans apart within one epoch.
-        def run(replay):
-            rng = np.random.default_rng(6)
-            model = MLP(10, [16], 4, batch_norm=True,
-                        rng=np.random.default_rng(7))
-            with use_graph_replay(replay):
-                stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
-                                                 momentum=0.9))
-                with stepper.epoch():
-                    for _ in range(4):
-                        batch = _batch(rng)
-                        model.eval()
-                        stepper.step_fn(_two_view, batch)
-                        model.train()
-                        stepper.step_fn(_two_view, batch)
-                running = [(m.running_mean.tobytes(), m.running_var.tobytes())
-                           for m in model.modules() if isinstance(m, BatchNorm1d)]
-                return (_params(model), running), stepper.stats
-
-        replayed, stats = run(True)
-        eager, _ = run(False)
-        assert replayed == eager
-        assert stats.captures == 2  # eval step, train step
-        assert stats.replays == 4 * 2 - 2
-        assert stats.eager_steps == 0
+        assert len(calls) == 3
 
     def test_structural_change_between_epochs_recaptures(self):
         def run(replay):
@@ -185,73 +151,39 @@ class TestEpochGuard:
         assert stats.replays == 4
         assert stats.eager_steps == 0
 
-
-class TestSetTraining:
-    """``GraphReplay.set_training`` flips the mode over the module list an
-    ``epoch()`` scope walked on entry; it must behave exactly like
-    ``model.train(mode)`` / ``model.eval()``."""
-
-    @staticmethod
-    def _fixmatch_run(explicit, swap_at=None, replay=True):
-        from repro.modules.fixmatch import consistency_step
-        from repro.nn.modules import Dropout
-
-        rng = np.random.default_rng(12)
-        model = MLP(10, [16, 12], 4, dropout=0.2, batch_norm=True,
-                    rng=np.random.default_rng(13))
-        with use_graph_replay(replay):
-            stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
-                                             momentum=0.9, nesterov=True))
-            if explicit:
-                stepper.set_training = model.train  # walks the model every call
-            model.eval()
-            pseudo_forward = leaf_chain(model, 10, np.float64)
-            model.train()
-            for epoch in range(3):
-                if epoch == swap_at:
-                    # An in-place container edit: no attribute is assigned.
-                    layers = model.net.layers
-                    index = next(i for i, layer in enumerate(layers)
-                                 if isinstance(layer, Dropout))
-                    layers[index] = Dropout(0.5, rng=np.random.default_rng(14))
-                with stepper.epoch():
-                    for _ in range(4):
-                        batch = _batch(rng)
-                        weak_unlabeled = rng.normal(size=batch["strong_x"].shape)
-                        consistency_step(stepper, pseudo_forward,
-                                         batch["weak_x"], batch["labels"],
-                                         weak_unlabeled, batch["strong_x"],
-                                         batch["cons_w"], 0.3, np.float64)
-                        assert all(m.training for m in model.modules())
-            running = [(m.running_mean.tobytes(), m.running_var.tobytes())
-                       for m in model.modules() if isinstance(m, BatchNorm1d)]
-            stats = stepper.stats
-            return ((_params(model), running),
-                    (stats.captures, stats.replays, stats.eager_steps))
-
-    def test_consistency_step_matches_explicit_mode_switch(self):
-        scoped, scoped_counts = self._fixmatch_run(explicit=False)
-        explicit, explicit_counts = self._fixmatch_run(explicit=True)
-        eager, _ = self._fixmatch_run(explicit=True, replay=False)
-        assert scoped == explicit == eager
-        assert scoped_counts == explicit_counts
-        assert scoped_counts == (1, 3 * 4 - 1, 0)
-
     def test_container_edit_between_epochs_recaptures(self):
-        scoped, scoped_counts = self._fixmatch_run(explicit=False, swap_at=2)
-        explicit, explicit_counts = self._fixmatch_run(explicit=True,
-                                                       swap_at=2)
-        assert scoped == explicit
-        assert scoped_counts == explicit_counts
-        # The two-view step is recaptured for the new layer, which the
-        # scope's mode flips reach, or the equality would break.
-        assert scoped_counts == (2, 3 * 4 - 2, 0)
+        # An in-place container edit assigns no attribute, so only the
+        # fingerprint taken afresh by the next scope can see it.
+        from repro.modules.fixmatch import consistency_step
 
-    def test_outside_a_scope_it_is_model_train(self):
-        model = MLP(10, [16], 4, dropout=0.2, rng=np.random.default_rng(15))
-        stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
-        stepper.set_training(False)
-        assert not any(m.training for m in model.modules())
-        model.net.layers.append(ReLU())
-        stepper.set_training(True)
-        assert all(m.training for m in model.modules())
+        def run(replay):
+            rng = np.random.default_rng(12)
+            model = MLP(10, [16, 12], 4, rng=np.random.default_rng(13))
+            with use_graph_replay(replay):
+                stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05,
+                                                 momentum=0.9, nesterov=True))
+                pseudo_forward = leaf_chain(model, 10, np.float64)
+                for epoch in range(3):
+                    if epoch == 2:
+                        layers = model.net.layers
+                        index = next(i for i, layer in enumerate(layers)
+                                     if isinstance(layer, ReLU))
+                        layers[index] = ReLU()
+                    with stepper.epoch():
+                        for _ in range(4):
+                            batch = _batch(rng)
+                            weak_unlabeled = rng.normal(
+                                size=batch["strong_x"].shape)
+                            consistency_step(stepper, pseudo_forward,
+                                             batch["weak_x"], batch["labels"],
+                                             weak_unlabeled, batch["strong_x"],
+                                             batch["cons_w"], 0.3, np.float64)
+                stats = stepper.stats
+                return _params(model), (stats.captures, stats.replays,
+                                        stats.eager_steps)
+
+        replayed, counts = run(True)
+        eager, _ = run(False)
+        assert replayed == eager
+        # The two-view step is recaptured for the new layer.
+        assert counts == (2, 3 * 4 - 2, 0)

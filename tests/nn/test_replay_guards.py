@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.nn import GraphReplay, SGD, use_graph_replay
-from repro.nn.modules import (BatchNorm1d, Linear, Module, ReLU, Sequential)
+from repro.nn.modules import Linear, Module, ReLU, Sequential
 
 
 def _make_model(seed=0, din=8, hidden=16, dout=4):
@@ -128,22 +128,6 @@ class TestModelMutationMidLoop:
 
 
 class TestUnsupportedStructures:
-    def test_batchnorm_model_compiles_and_replays(self):
-        # PR 2's tracer marked BatchNorm1d unsupported; the DAG compiler
-        # replays it (the bit-identity is asserted by test_replay_dag.py —
-        # here we pin that the old silent fallback is gone).
-        rng = np.random.default_rng(7)
-        model = Sequential(Linear(8, 16, rng=rng), BatchNorm1d(16), ReLU(),
-                           Linear(16, 4, rng=rng))
-        optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
-        x, y = _batches(8)
-        for _ in range(4):
-            stepper.step(x, y)
-        assert stepper.stats.captures == 1
-        assert stepper.stats.replays == 3
-        assert stepper.stats.eager_steps == 0
-
     def test_shared_layer_replays_with_grad_accumulation(self):
         # A layer applied twice accumulates its parameter gradient; the DAG
         # plan writes the first contribution and adds the second in eager
@@ -193,27 +177,6 @@ class TestUnsupportedStructures:
             stepper.step(x, y)
         assert stepper.stats.replays == 0
         assert stepper.stats.eager_steps == 3
-
-    def test_batchnorm_model_trains_identically_to_eager(self):
-        def build():
-            model = Sequential(Linear(8, 16, rng=np.random.default_rng(11)),
-                               BatchNorm1d(16), ReLU(),
-                               Linear(16, 4, rng=np.random.default_rng(12)))
-            return model
-
-        x, y = _batches(13)
-
-        def run(replay):
-            model = build()
-            optimizer = SGD(model.parameters(), lr=0.1)
-            with use_graph_replay(replay):
-                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
-                for _ in range(5):
-                    stepper.step(x, y)
-                return _params(model)
-
-        for a, b in zip(run(True), run(False)):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestEngineModeSwitches:

@@ -1,7 +1,7 @@
 """Zero-fallback regression tests for the pipeline's training loops.
 
-Before the DAG tracer, unsupported graph shapes (BatchNorm backbones,
-FixMatch's two-view step) fell back to eager *silently* — the loop trained
+Before the DAG tracer, unsupported graph shapes (FixMatch's two-view step)
+fell back to eager *silently* — the loop trained
 correctly but forfeited the replay speedup, and nothing failed.  These tests
 turn that into a caught regression: every static training loop in the
 pipeline runs with a :class:`~repro.nn.ReplayStats` counter attached and
@@ -29,15 +29,14 @@ def _assert_no_fallbacks(stats: ReplayStats):
 
 
 class TestTrainingLoops:
-    def test_train_classifier_batch_norm_dropout_zero_fallbacks(self):
+    def test_train_classifier_zero_fallbacks(self):
         stats = ReplayStats()
         rng = np.random.default_rng(0)
         features = rng.normal(size=(150, 16))
         labels = rng.integers(0, 5, size=150)
         config = TrainConfig(epochs=4, batch_size=32, lr=0.05, momentum=0.9,
                              seed=0)
-        model = MLP(16, [32, 24], 5, batch_norm=True, dropout=0.2,
-                    rng=np.random.default_rng(1))
+        model = MLP(16, [32, 24], 5, rng=np.random.default_rng(1))
         with use_graph_replay(True), collect_replay_stats(stats):
             train_classifier(model, features, labels, config)
         _assert_no_fallbacks(stats)
@@ -225,7 +224,7 @@ class TestControllerRun:
         # that called it unscoped would fingerprint the model on every call.
         # A cold float32 run (the ZSL-KG pretrain included) must make every
         # call inside a scope, and fingerprint each stepper's model at most
-        # once per scope per mode.
+        # once per scope.
         from repro.core import Controller, ControllerConfig
         from repro.modules.zsl_kg import ZslKgModule
         from repro.nn import replay as replay_module
@@ -250,9 +249,9 @@ class TestControllerRun:
 
         def fingerprint(module):
             stepper = current[-1]
-            scope = stepper._epoch_fingerprints
+            scope = stepper._epoch_outcomes
             keep.append((stepper, scope))  # no id reuse while counting
-            key = (id(stepper), id(scope), module.training)
+            key = (id(stepper), id(scope))
             fingerprints[key] = fingerprints.get(key, 0) + 1
             return real_fingerprint(module)
 

@@ -83,8 +83,7 @@ class TestLossElision:
         config = TrainConfig(epochs=4, batch_size=32, lr=0.05, seed=0)
 
         def run(callback):
-            model = MLP(8, [16], 3, batch_norm=True,
-                        rng=np.random.default_rng(1))
+            model = MLP(8, [16], 3, rng=np.random.default_rng(1))
             with use_graph_replay(True):
                 train(model, features, targets, config, callback=callback)
             return [p.data.tobytes() for p in model.parameters()]

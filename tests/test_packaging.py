@@ -209,8 +209,6 @@ TEST_ONLY_API_ALLOWED = {
                                 "(docs/serving.md)",
     "ServingFleet.rolling_swap": "the documented fleet upgrade (README, "
                                  "docs/serving.md)",
-    "Tanh": "the one reader of Tensor.tanh; it goes only together with "
-            "the op table's tanh entry (ROADMAP item 14)",
 }
 
 #: the trees whose reads keep a public name alive (tests do not count)
@@ -230,34 +228,43 @@ def parse(path):
 
 
 def program_reads():
-    """Every name the program trees load: ``Name`` reads and ``Attribute``
-    reads.  An import or an ``__all__`` entry is not a read."""
-    read = set()
+    """The names the program trees load, as ``(names, attributes)``:
+    ``Name`` reads and ``Attribute`` reads.  An import or an ``__all__``
+    entry is not a read."""
+    names, attributes = set(), set()
     for path in (path for tree in PROGRAM_TREES
                  for path in iter_python_files(os.path.join(REPO_ROOT, tree))):
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return read
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def public_definitions(path):
-    """``(qualified name, name)`` of a module's public functions and
-    classes and of its classes' public methods."""
+    """``(qualified name, name, is_method)`` of a module's public functions
+    and classes and of its classes' public methods."""
     definition = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in parse(path).body:
         if not isinstance(node, definition):
             continue
         if not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, definition) \
                         and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member.name
+                    yield f"{node.name}.{member.name}", member.name, True
+
+
+def is_read(name, is_method, reads):
+    """A method is read only as an attribute (``obj.name``): a bare
+    ``name`` is a function or class of that name.  A function or class
+    counts through either kind of read (``module.name`` or ``name``)."""
+    names, attributes = reads
+    return name in attributes or (not is_method and name in names)
 
 
 class TestNoTestOnlyApi:
@@ -265,23 +272,25 @@ class TestNoTestOnlyApi:
         """A public function, method or class that only tests call is
         code kept alive by its tests; delete it or allowlist it with a
         reason."""
-        read = program_reads()
+        reads = program_reads()
         unread = {}
         for path in iter_python_files(SRC_ROOT):
-            for qualified, name in public_definitions(path):
-                if name not in read and qualified not in TEST_ONLY_API_ALLOWED:
+            for qualified, name, is_method in public_definitions(path):
+                if not is_read(name, is_method, reads) \
+                        and qualified not in TEST_ONLY_API_ALLOWED:
                     unread[qualified] = os.path.relpath(path, REPO_ROOT)
         assert not unread, f"public names only tests read: {unread}"
 
     def test_every_allowlisted_name_is_still_unread(self):
         """An allowlist entry whose name a program now reads, or whose
         definition is gone, is stale."""
-        read = program_reads()
-        defined = {qualified: name for path in iter_python_files(SRC_ROOT)
-                   for qualified, name in public_definitions(path)}
+        reads = program_reads()
+        defined = {qualified: (name, is_method)
+                   for path in iter_python_files(SRC_ROOT)
+                   for qualified, name, is_method in public_definitions(path)}
         stale = sorted(qualified for qualified in TEST_ONLY_API_ALLOWED
                        if qualified not in defined
-                       or defined[qualified] in read)
+                       or is_read(*defined[qualified], reads))
         assert not stale, f"stale allowlist entries: {stale}"
 
 
