@@ -7,7 +7,9 @@ differences of a pure-NumPy float64 reference.  Each case is a builder that
 returns the random inputs, the tensor-graph function under test and the
 reference function; one shared checker pulls a random cotangent back
 through the graph and compares it with finite differences of the
-cotangent-weighted reference.
+cotangent-weighted reference.  The last cases compose these ops into the
+losses the TAGLETS modules train with (FixMatch, multi-task, Meta Pseudo
+Labels, distillation) over the ``Linear``/``ReLU`` models they build.
 
 Cases of ops with a closed-form gradient return a fourth element, an
 oracle ``vjp(cotangent, *arrays) -> (value, grads)``; the engine's forward
@@ -24,7 +26,7 @@ import pytest
 
 from repro.nn import Tensor, default_dtype, no_grad, ops
 from repro.nn import functional as F
-from repro.nn.modules import Linear
+from repro.nn.modules import MLP, Linear, ReLU, Sequential
 from repro.nn.tensor import apply
 
 SEEDS = [0, 1, 2]
@@ -172,33 +174,53 @@ def case_linear(rng):
     return [x, w, b], tensor_fn, lambda x_, w_, b_: x_ @ w_ + b_, oracle
 
 
-def _ce_case(rng, weighted):
+def _ce_case(rng, weights_of):
     n, c = int(rng.integers(2, 6)), int(rng.integers(2, 5))
     z = rng.normal(size=(n, c))
     targets = rng.integers(0, c, size=n)
-    weights = rng.uniform(0.2, 1.0, size=n) if weighted else None
+    weights = weights_of(rng, n)
     w = np.ones(n) if weights is None else weights
+    # an all-zero weight vector divides by 1, not 0
+    denom = w.sum() or 1.0
 
     def ref(logits):
         picked = np_log_softmax(logits)[np.arange(n), targets]
-        return -(w * picked).sum() / w.sum()
+        return -(w * picked).sum() / denom
 
     def oracle(v, logits):
         d = np_softmax(logits)
         d[np.arange(n), targets] -= 1.0
-        return ref(logits), [float(v) * w[:, None] * d / w.sum()]
+        return ref(logits), [float(v) * w[:, None] * d / denom]
 
     return ([z],
             lambda x: F.cross_entropy(x, targets, sample_weights=weights),
             ref, oracle)
 
 
+def confidence_mask(rng, n):
+    """FixMatch's 0/1 per-sample weights with at least one kept sample."""
+    mask = rng.random(n) < 0.5
+    mask[int(rng.integers(0, n))] = True
+    return mask.astype(np.float64)
+
+
 def case_cross_entropy(rng):
-    return _ce_case(rng, weighted=False)
+    return _ce_case(rng, lambda rng, n: None)
 
 
 def case_cross_entropy_weighted(rng):
-    return _ce_case(rng, weighted=True)
+    return _ce_case(rng, lambda rng, n: rng.uniform(0.2, 1.0, size=n))
+
+
+def case_cross_entropy_masked(rng):
+    """FixMatch's consistency loss: rejected pseudo labels weigh 0."""
+    return _ce_case(rng, confidence_mask)
+
+
+def case_cross_entropy_all_masked(rng):
+    """A FixMatch batch whose pseudo labels all fall under the threshold:
+    the loss and every gradient are 0."""
+    return _ce_case(rng, lambda rng, n: np.zeros(n))
 
 
 def case_soft_cross_entropy(rng):
@@ -288,11 +310,167 @@ def case_reused_tensor(rng):
     return [x], lambda xt: xt * xt + xt, lambda x_: x_ * x_ + x_
 
 
+# --------------------------------------------------------------------------- #
+# The losses the TAGLETS modules train with, over Linear/ReLU models
+# --------------------------------------------------------------------------- #
+
+
+def hidden_layer(rng, x, dh, margin=0.1):
+    """Weights and bias of a ReLU layer over the rows of ``x`` whose
+    pre-activations all sit at least ``margin`` from the kink, so the
+    finite-difference probes never cross it."""
+    while True:
+        w = rng.normal(size=(x.shape[1], dh))
+        b = rng.normal(size=dh)
+        if np.abs(x @ w + b).min() > margin:
+            return w, b
+
+
+def mlp(din, dh, dout, w1, b1, w2, b2):
+    """A ``repro.nn.MLP`` (Linear, ReLU, Linear) holding the given leaves."""
+    model = MLP(din, [dh], dout)
+    first, _, last = model.net.layers
+    first.weight, first.bias, last.weight, last.bias = w1, b1, w2, b2
+    return model
+
+
+def np_mlp(x, w1, b1, w2, b2):
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+
+def np_cross_entropy(logits, targets, w=None):
+    w = np.ones(len(logits)) if w is None else w
+    picked = np_log_softmax(logits)[np.arange(len(logits)), targets]
+    return -(w * picked).sum() / (w.sum() or 1.0)
+
+
+def case_mlp(rng):
+    """The Linear -> ReLU -> Linear chain every model of the pipeline is."""
+    n, din, dh, dout = (int(rng.integers(1, 5)) for _ in range(4))
+    x = rng.normal(size=(n, din))
+    w1, b1 = hidden_layer(rng, x, dh)
+    w2, b2 = rng.normal(size=(dh, dout)), rng.normal(size=dout)
+
+    def tensor_fn(xt, *leaves):
+        return mlp(din, dh, dout, *leaves)(xt)
+
+    return [x, w1, b1, w2, b2], tensor_fn, np_mlp
+
+
+def case_fixmatch_step(rng):
+    """FixMatch's two-view loss (``modules/fixmatch.py``): supervised cross
+    entropy on the weak labeled view plus ``cons_w`` times the masked
+    consistency loss on the strong unlabeled view, both through one MLP."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    din, dh, c = int(rng.integers(1, 5)), int(rng.integers(1, 5)), \
+        int(rng.integers(2, 5))
+    weak = rng.normal(size=(n, din))
+    strong = rng.normal(size=(m, din))
+    w1, b1 = hidden_layer(rng, np.concatenate([weak, strong]), dh)
+    w2, b2 = rng.normal(size=(dh, c)), rng.normal(size=c)
+    labels = rng.integers(0, c, size=n)
+    pseudo = rng.integers(0, c, size=m)
+    mask = confidence_mask(rng, m)
+    cons_w = float(rng.uniform(0.5, 2.0))
+
+    def tensor_fn(weak_t, strong_t, *leaves):
+        model = mlp(din, dh, c, *leaves)
+        sup = F.cross_entropy(model(weak_t), labels)
+        cons = F.cross_entropy(model(strong_t), pseudo, sample_weights=mask)
+        return sup + Tensor(np.asarray(cons_w, dtype=weak_t.dtype)) * cons
+
+    def ref(weak_, strong_, *leaves):
+        return (np_cross_entropy(np_mlp(weak_, *leaves), labels)
+                + cons_w * np_cross_entropy(np_mlp(strong_, *leaves), pseudo,
+                                            mask))
+
+    return [weak, strong, w1, b1, w2, b2], tensor_fn, ref
+
+
+def case_multitask_step(rng):
+    """The multi-task loss (``modules/multitask.py``, Eq. 3): a shared
+    ReLU encoder feeds the target head and the auxiliary head, and the
+    auxiliary cross entropy is scaled by a constant tensor."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    din, dh = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    c, ca = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    tx, ax = rng.normal(size=(n, din)), rng.normal(size=(m, din))
+    we, be = hidden_layer(rng, np.concatenate([tx, ax]), dh)
+    wt, bt = rng.normal(size=(dh, c)), rng.normal(size=c)
+    wa, ba = rng.normal(size=(dh, ca)), rng.normal(size=ca)
+    ty, ay = rng.integers(0, c, size=n), rng.integers(0, ca, size=m)
+    lam = float(rng.uniform(0.1, 1.0))
+
+    def tensor_fn(txt, axt, wet, bet, wtt, btt, wat, bat):
+        encoder = Sequential(Linear(din, dh), ReLU())
+        target, aux = Linear(dh, c), Linear(dh, ca)
+        encoder.layers[0].weight, encoder.layers[0].bias = wet, bet
+        target.weight, target.bias = wtt, btt
+        aux.weight, aux.bias = wat, bat
+        target_loss = F.cross_entropy(target(encoder(txt)), ty)
+        aux_loss = F.cross_entropy(aux(encoder(axt)), ay)
+        return target_loss + aux_loss * Tensor(np.asarray(lam, txt.dtype))
+
+    def ref(tx_, ax_, we_, be_, wt_, bt_, wa_, ba_):
+        def encode(x_):
+            return np.maximum(x_ @ we_ + be_, 0.0)
+        return (np_cross_entropy(encode(tx_) @ wt_ + bt_, ty)
+                + lam * np_cross_entropy(encode(ax_) @ wa_ + ba_, ay))
+
+    return [tx, ax, we, be, wt, bt, wa, ba], tensor_fn, ref
+
+
+def case_teacher_loss(rng):
+    """Meta Pseudo Labels' teacher loss (``baselines/meta_pseudo_labels.py``):
+    a Python-float feedback times the pseudo-label cross entropy, plus the
+    labeled cross entropy, through one linear teacher."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    din, c = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    xu, xl = rng.normal(size=(m, din)), rng.normal(size=(n, din))
+    w, b = rng.normal(size=(din, c)), rng.normal(size=c)
+    pseudo, labels = rng.integers(0, c, size=m), rng.integers(0, c, size=n)
+    feedback = float(rng.normal())
+
+    def tensor_fn(xut, xlt, wt, bt):
+        teacher = Linear(din, c)
+        teacher.weight, teacher.bias = wt, bt
+        return (feedback * F.cross_entropy(teacher(xut), pseudo)
+                + F.cross_entropy(teacher(xlt), labels))
+
+    def ref(xu_, xl_, w_, b_):
+        return (feedback * np_cross_entropy(xu_ @ w_ + b_, pseudo)
+                + np_cross_entropy(xl_ @ w_ + b_, labels))
+
+    return [xu, xl, w, b], tensor_fn, ref
+
+
+def case_distillation(rng):
+    """The end model's distillation loss (paper Eq. 7): soft cross entropy
+    of an MLP's logits against the ensemble's soft pseudo labels."""
+    n, din, dh, c = int(rng.integers(2, 5)), int(rng.integers(1, 5)), \
+        int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    x = rng.normal(size=(n, din))
+    w1, b1 = hidden_layer(rng, x, dh)
+    w2, b2 = rng.normal(size=(dh, c)), rng.normal(size=c)
+    probs = rng.dirichlet(np.ones(c), size=n)
+
+    def tensor_fn(xt, *leaves):
+        return F.soft_cross_entropy(mlp(din, dh, c, *leaves)(xt), probs)
+
+    def ref(x_, *leaves):
+        return -(probs * np_log_softmax(np_mlp(x_, *leaves))).sum() / n
+
+    return [x, w1, b1, w2, b2], tensor_fn, ref
+
+
 ALL_CASES = [
     case_add, case_mul, case_relu, case_linear,
     case_cross_entropy, case_cross_entropy_weighted,
+    case_cross_entropy_masked, case_cross_entropy_all_masked,
     case_soft_cross_entropy, case_l2_loss,
     case_fanout_shared_hidden, case_fanin_two_losses, case_reused_tensor,
+    case_mlp, case_fixmatch_step, case_multitask_step, case_teacher_loss,
+    case_distillation,
 ]
 
 #: the case for each entry of the op table (``repro.nn.ops.TABLE``);
@@ -307,6 +485,7 @@ TABLE_CASES = {
 
 #: cases with a closed-form oracle
 ORACLE_CASES = [case_linear, case_cross_entropy, case_cross_entropy_weighted,
+                case_cross_entropy_masked, case_cross_entropy_all_masked,
                 case_soft_cross_entropy, case_l2_loss]
 
 @pytest.mark.parametrize("seed", SEEDS)
