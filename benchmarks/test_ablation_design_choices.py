@@ -14,7 +14,6 @@ DESIGN.md calls out three design decisions worth ablating:
 """
 
 import numpy as np
-import pytest
 
 from _bench_lib import write_report
 from repro.core import Controller, ControllerConfig, Task

@@ -7,8 +7,6 @@ Here the demo task is the ``cifar_demo`` synthetic dataset (a generic
 10-class task) with the full SCADS as auxiliary data.
 """
 
-import pytest
-
 from _bench_lib import write_report
 from repro.evaluation import format_results_table
 

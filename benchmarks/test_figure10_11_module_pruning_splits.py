@@ -9,7 +9,6 @@ OfficeHome-Product and FMD; set ``REPRO_BENCH_FIG10_SPLITS=1,2`` and/or
 
 import os
 
-import pytest
 
 from _bench_lib import write_report
 from repro.evaluation import format_series, module_accuracy_series

@@ -8,7 +8,6 @@ splits.  Defaults mirror the Figure 10/11 bench; widen with
 
 import os
 
-import pytest
 
 from _bench_lib import write_report
 from repro.evaluation import ensemble_improvement_series, format_series

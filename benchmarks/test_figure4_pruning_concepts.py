@@ -10,7 +10,6 @@ concepts to the target class.
 """
 
 import numpy as np
-import pytest
 
 from _bench_lib import write_report
 from repro.kg import KnowledgeGraph

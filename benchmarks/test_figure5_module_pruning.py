@@ -10,8 +10,6 @@ prune level 1.  Expected shape:
 * ZSL-KG is invariant to the amount of labeled data.
 """
 
-import pytest
-
 from _bench_lib import write_report
 from repro.evaluation import format_series, module_accuracy_series
 

@@ -7,8 +7,6 @@ least ~7 points in the paper), and that the distilled end model stays close
 to the ensemble.
 """
 
-import pytest
-
 from _bench_lib import write_report
 from repro.evaluation import ensemble_improvement_series, format_series
 

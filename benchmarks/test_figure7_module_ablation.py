@@ -11,7 +11,6 @@ tasks); set ``REPRO_BENCH_FIG7_DATASETS`` to a comma-separated list to widen.
 
 import os
 
-import pytest
 
 from _bench_lib import write_report
 from repro.evaluation import (format_series, module_removal_deltas,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backbones import ClassificationModel
 from repro.core import Controller, Task
 from repro.modules import DEFAULT_MODULES
 from repro.modules.base import ModuleInput, Taglet, TrainingModule

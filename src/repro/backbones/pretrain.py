@@ -143,9 +143,12 @@ class BackboneRegistry:
         self.world = world
         self.graph = graph
         self._cache: Dict[str, PretrainedBackbone] = {}
+        # The builders close over the arguments, not ``self``: a registry
+        # that its own builders referenced would be a reference cycle, and a
+        # dropped workspace's backbones would wait for the cyclic GC.
         self._builders = {
-            "resnet50": lambda: resnet50_imagenet1k(self.world, self.graph),
-            "bit": lambda: bit_imagenet21k(self.world, self.graph),
+            "resnet50": lambda: resnet50_imagenet1k(world, graph),
+            "bit": lambda: bit_imagenet21k(world, graph),
         }
 
     def register(self, name: str, builder) -> None:

@@ -31,7 +31,7 @@ from ..nn import functional as F
 from ..nn.data import ArrayDataset, DataLoader, UnlabeledDataset
 from ..nn.optim import SGD
 from ..nn.schedulers import CosineAnnealingLR
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from ..nn.training import TrainConfig, iterate_forever, train_classifier
 from ..nn.transforms import weak_augment
 
@@ -118,11 +118,13 @@ class MetaPseudoLabelsBaseline(TrainingModule):
             teacher_scheduler.step()
             student_scheduler.step()
 
-            # Teacher pseudo-labels the unlabeled batch (no gradient).
-            pseudo_labels = teacher(Tensor(unlabeled_x)).data.argmax(axis=1)
-
-            # Student loss on labeled data before its update.
-            loss_before = F.cross_entropy(student(Tensor(labeled_x)), labeled_y).item()
+            # Three forwards only read values, so they record no tape.
+            with no_grad():
+                # Teacher pseudo-labels the unlabeled batch.
+                pseudo_labels = teacher(Tensor(unlabeled_x)).data.argmax(axis=1)
+                # Student loss on labeled data before its update.
+                loss_before = F.cross_entropy(student(Tensor(labeled_x)),
+                                              labeled_y).item()
 
             # Student step on the pseudo-labeled batch.
             student_logits = student(Tensor(unlabeled_x))
@@ -132,7 +134,9 @@ class MetaPseudoLabelsBaseline(TrainingModule):
             student_optimizer.step()
 
             # Student loss on labeled data after the update: the feedback signal.
-            loss_after = F.cross_entropy(student(Tensor(labeled_x)), labeled_y).item()
+            with no_grad():
+                loss_after = F.cross_entropy(student(Tensor(labeled_x)),
+                                             labeled_y).item()
             feedback = loss_before - loss_after
 
             # Teacher step: feedback-weighted pseudo-label loss + supervised loss.

@@ -5,8 +5,8 @@ op-table kernels.
 trace record (``(op, frame, inputs, out)``, one per
 :func:`~repro.nn.tensor.apply`) is a one-input op of the op table
 (:mod:`repro.nn.ops`) fed by the previous one, from the input to the
-output.  Each leaf's frame class takes the parameters ``p`` from the
-traced frame.  Calling the resulting
+output.  Each leaf keeps its op and the parameters ``p`` of the traced
+frame.  Calling the resulting
 :class:`LeafChain` runs each leaf's forward kernel on a fresh frame, so
 NumPy allocates every output: the same calls, in the same order,
 as the eager ``no_grad`` tape (:func:`repro.nn.predict_logits`), without
@@ -20,7 +20,7 @@ ZSL-KG validation loss run it.  The graph replay executor
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Type
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,15 +32,16 @@ __all__ = ["LeafChain", "leaf_chain"]
 
 
 class LeafChain:
-    """A model's forward as ``(op, frame class)`` per traced op.
+    """A model's forward as ``(op, params)`` per traced op.
 
-    Each frame class carries its parameters, so a call only instantiates
-    it and sets its input.  Kernels read the parameters through ``.data``
+    A call gives each leaf a fresh :class:`~repro.nn.ops.Frame` with its
+    parameters and input.  Kernels read the parameters through ``.data``
     on every call, so weight updates and optimizer-arena rebinding are
-    picked up without retracing.
+    picked up without retracing.  A chain holds no reference cycle, so
+    dropping it frees its parameters at once.
     """
 
-    def __init__(self, leaves: List[Tuple[Op, Type[Frame]]],
+    def __init__(self, leaves: List[Tuple[Op, tuple]],
                  dtype: np.dtype):
         self.leaves = leaves
         self.dtype = dtype
@@ -48,8 +49,9 @@ class LeafChain:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # The ``Tensor(x)`` cast of the eager forward.
         x = np.asarray(x, dtype=self.dtype)
-        for op, leaf_frame in self.leaves:
-            frame = leaf_frame()
+        for op, params in self.leaves:
+            frame = Frame()
+            frame.p = params
             frame.x = x
             op.forward(frame)
             x = frame.out
@@ -73,6 +75,6 @@ def leaf_chain(model: Module, width: int, dtype) -> Optional[LeafChain]:
     for op, frame, inputs, produced in records:
         if op.scalar or len(inputs) != 1 or inputs[0] is not current:
             return None
-        leaves.append((op, type("LeafFrame", (Frame,), {"p": frame.p})))
+        leaves.append((op, frame.p))
         current = produced
     return LeafChain(leaves, dtype) if current is out else None

@@ -373,42 +373,48 @@ def _value_elision(built: List[_Node]) -> Tuple[list, list]:
     return value_losses, lean_forwards
 
 
-def _compile(records: List[tuple], root: Tensor,
-             input_keys: Dict[int, str],
-             optimizer: Optimizer) -> _CompiledPlan:
-    """Build a replay plan from one traced eager training step, or raise
-    :class:`ReplayUnsupported`."""
-    # ---- producer map: which record made each tensor ------------------- #
-    prod = {id(rec[3]): (idx, rec) for idx, rec in enumerate(records)}
+class _Resolver:
+    """Maps each traced tensor to its plan node or step input.
 
-    nodes: Dict[int, object] = {}
-    built: List[_Node] = []
-    input_sites: List[tuple] = []
+    Walks the records backward from a tensor through the tensors that
+    produced it, building one :class:`_Node` per record.  A class rather
+    than a self-recursive closure: such a closure's cell holds the
+    function itself and, through the producer map, every trace record of
+    the capture, a reference cycle only the cyclic GC would free.
+    """
 
-    def key_for(obj, what: str) -> str:
+    def __init__(self, records: List[tuple], input_keys: Dict[int, str]):
+        # producer map: which record made each tensor
+        self.prod = {id(rec[3]): (idx, rec) for idx, rec in enumerate(records)}
+        self.input_keys = input_keys
+        self.nodes: Dict[int, object] = {}
+        self.built: List[_Node] = []
+        self.input_sites: List[tuple] = []
+
+    def key_for(self, obj, what: str) -> str:
         oid = id(obj)
-        key = input_keys.get(oid)
+        key = self.input_keys.get(oid)
         if key is None:
-            if oid in input_keys:
+            if oid in self.input_keys:
                 raise ReplayUnsupported(
                     f"{what} aliases an array bound to multiple step inputs")
             raise ReplayUnsupported(f"{what} is not a step input")
         return key
 
-    def resolve(t):
+    def resolve(self, t):
         tid = id(t)
-        node = nodes.get(tid)
+        node = self.nodes.get(tid)
         if node is not None:
             return node
-        key = input_keys.get(tid)
+        key = self.input_keys.get(tid)
         if key is not None:
             node = _InputNode(key, t.data.dtype)
-            nodes[tid] = node
+            self.nodes[tid] = node
             return node
-        if tid in input_keys:  # registered but aliased (None entry)
+        if tid in self.input_keys:  # registered but aliased (None entry)
             raise ReplayUnsupported(
                 "the same array is bound to multiple step inputs")
-        entry = prod.get(tid)
+        entry = self.prod.get(tid)
         if entry is None:
             raise ReplayUnsupported(
                 "tensor produced outside the replayable op set "
@@ -418,28 +424,36 @@ def _compile(records: List[tuple], root: Tensor,
         node.p = frame.p
         arrays = {}
         for name, tensor in zip(op.inputs, inputs):
-            src = resolve(tensor)
+            src = self.resolve(tensor)
             node.srcs[name] = (src, tensor.requires_grad)
             if isinstance(src, _InputNode):
-                input_sites.append((node, name, src.key, src.cast_dtype))
+                self.input_sites.append((node, name, src.key, src.cast_dtype))
             arrays[name] = tensor.data
         if op.scalar:
             if arrays["x"].ndim != 2:
                 raise ReplayUnsupported("losses replay on 2-D logits only")
-            input_sites.append((node, "t", key_for(frame.t, "loss targets"),
-                                np.asarray(frame.t).dtype))
+            self.input_sites.append((node, "t", self.key_for(
+                frame.t, "loss targets"), np.asarray(frame.t).dtype))
             if frame.w is not None:
-                input_sites.append((node, "w", key_for(
+                self.input_sites.append((node, "w", self.key_for(
                     frame.w, "loss sample weights"), None))
                 arrays["w"] = frame.w
             # Squared error's denominator; the cross entropies set their own.
             node.denom = frame.denom
         op.alloc(node, arrays, t.data)
-        nodes[tid] = node
-        built.append(node)
+        self.nodes[tid] = node
+        self.built.append(node)
         return node
 
-    root_node = resolve(root)
+
+def _compile(records: List[tuple], root: Tensor,
+             input_keys: Dict[int, str],
+             optimizer: Optimizer) -> _CompiledPlan:
+    """Build a replay plan from one traced eager training step, or raise
+    :class:`ReplayUnsupported`."""
+    resolver = _Resolver(records, input_keys)
+    nodes, built = resolver.nodes, resolver.built
+    root_node = resolver.resolve(root)
     if isinstance(root_node, _InputNode) or not built:
         raise ReplayUnsupported("traced graph contains no replayable ops")
     if not root_node.train:
@@ -523,7 +537,8 @@ def _compile(records: List[tuple], root: Tensor,
                         if id(p) not in param_targets)
     value_losses, lean_forwards = _value_elision(built)
     return _CompiledPlan(forwards, lean_forwards, value_losses, backwards,
-                         input_sites, clear_grads, root_node, optimizer)
+                         resolver.input_sites, clear_grads, root_node,
+                         optimizer)
 
 
 # --------------------------------------------------------------------------- #

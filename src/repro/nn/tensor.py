@@ -159,7 +159,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_seq", "_topo")
+                 "name", "_seq")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
@@ -169,7 +169,6 @@ class Tensor:
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
         self._seq = next(_SEQ)
-        self._topo: Optional[List["Tensor"]] = None
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -237,9 +236,9 @@ class Tensor:
 
         ``grad`` defaults to ones (appropriate for scalar losses).  The
         reverse-topological order of the graph is derived from the tensors'
-        creation stamps (parents are always created before children) and
-        cached on this root, keyed on the graph's identity: a second
-        ``backward`` through the same graph skips the traversal entirely.
+        creation stamps (parents are always created before children).  The
+        order is not kept: the root holds no reference to its own graph, so
+        the graph is freed by reference counting when the caller drops it.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not "
@@ -252,21 +251,18 @@ class Tensor:
         self._accumulate(grad)
         if self._backward is None:
             return
-        nodes = self._topo
-        if nodes is None:
-            # Collect reachable op-nodes (leaves carry no backward closure and
-            # never need visiting) and order them by descending creation stamp.
-            nodes = [self]
-            seen = {id(self)}
-            pending = [self]
-            while pending:
-                for parent in pending.pop()._parents:
-                    if parent._backward is not None and id(parent) not in seen:
-                        seen.add(id(parent))
-                        nodes.append(parent)
-                        pending.append(parent)
-            nodes.sort(key=_creation_stamp, reverse=True)
-            self._topo = nodes
+        # Collect reachable op-nodes (leaves carry no backward closure and
+        # never need visiting) and order them by descending creation stamp.
+        nodes = [self]
+        seen = {id(self)}
+        pending = [self]
+        while pending:
+            for parent in pending.pop()._parents:
+                if parent._backward is not None and id(parent) not in seen:
+                    seen.add(id(parent))
+                    nodes.append(parent)
+                    pending.append(parent)
+        nodes.sort(key=_creation_stamp, reverse=True)
         for node in nodes:
             if node.grad is not None:
                 node._backward(node.grad)

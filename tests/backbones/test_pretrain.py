@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.backbones import (BackboneRegistry, BackboneSpec, PretrainSpec,
-                             bit_imagenet21k, default_registry, pretrain_backbone,
+                             default_registry, pretrain_backbone,
                              resnet50_imagenet1k)
-from repro.backbones.backbone import ClassificationModel
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.training import predict_logits, train_classifier, TrainConfig

@@ -110,6 +110,40 @@ class TestMetaPseudoLabels:
         taglet = MetaPseudoLabelsBaseline(config).train(no_unlabeled)
         assert taglet.accuracy(fmd_split.test_features, fmd_split.test_labels) > 0
 
+    def test_value_only_forwards_record_no_tape(self, baseline_input,
+                                                monkeypatch):
+        # Per step, the teacher's pseudo-label forward and the student's
+        # loss_before/loss_after forwards only read values: every forward
+        # that records a tape must reach a loss that runs backward.
+        from repro.backbones.backbone import ClassificationModel
+        from repro.nn.tensor import Tensor
+
+        outputs, roots = [], []
+        forward, backward = ClassificationModel.__call__, Tensor.backward
+
+        def recording_forward(model, x):
+            outputs.append(forward(model, x))
+            return outputs[-1]
+
+        def recording_backward(tensor, grad=None):
+            roots.append(tensor)
+            return backward(tensor, grad)
+
+        monkeypatch.setattr(ClassificationModel, "__call__", recording_forward)
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
+        steps = 3
+        config = MetaPseudoLabelsConfig(steps=steps, finetune_epochs=1)
+        MetaPseudoLabelsBaseline(config).train(baseline_input)
+        reached, pending = set(), list(roots)
+        while pending:
+            tensor = pending.pop()
+            if id(tensor) not in reached:
+                reached.add(id(tensor))
+                pending.extend(tensor._parents)
+        taped = [out for out in outputs if out.requires_grad]
+        assert all(id(out) in reached for out in taped)
+        assert len(outputs) - len(taped) == 3 * steps
+
     def test_student_backbone_override(self, baseline_input, tiny_backbone):
         config = MetaPseudoLabelsConfig(steps=5, finetune_epochs=2)
         baseline = MetaPseudoLabelsBaseline(config, student_backbone=tiny_backbone)

@@ -12,7 +12,6 @@ runner's TAGLETS methods now default to float32
 (:func:`repro.evaluation.runner.taglets_method`).
 """
 
-import numpy as np
 import pytest
 
 from repro.core import Controller, ControllerConfig, Task

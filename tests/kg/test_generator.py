@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kg import GraphSpec, KnowledgeGraph, Relation, build_concept_graph
+from repro.kg import GraphSpec, Relation, build_concept_graph
 from repro.kg import vocabulary as vocab
 
 

@@ -1,7 +1,6 @@
 """Tests for the FixMatch module."""
 
 import numpy as np
-import pytest
 
 from repro.modules import FixMatchConfig, FixMatchModule
 

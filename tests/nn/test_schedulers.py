@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.nn import (SGD, Adam, ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
+from repro.nn import (SGD, ConstantLR, CosineAnnealingLR, FixMatchCosineLR,
                       MultiStepLR, Parameter)
 
 

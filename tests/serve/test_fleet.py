@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (BatchingConfig, FleetConfig, ModelNotFound,
-                         ReplicaSpec, Router, RouterConfig, ServingFleet,
+                         Router, RouterConfig, ServingFleet,
                          export_end_model, load_servable, make_http_server,
                          replicated_specs, sharded_specs)
 

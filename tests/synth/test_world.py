@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kg import GraphSpec, KnowledgeGraph, Relation, build_concept_graph
+from repro.kg import GraphSpec, build_concept_graph
 from repro.synth import VisualWorld, WorldSpec
 
 

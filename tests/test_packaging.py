@@ -182,17 +182,37 @@ def unused_imports(path):
                   if name not in read)
 
 
+#: the trees held to the unused-import scan (``perfbench`` is the
+#: repository benchmark's own tree and changes only with the benchmark)
+IMPORT_SCAN_TREES = ("src", "examples", "benchmarks", "tests")
+
+#: imports kept for their side effect alone, each with its reason
+SIDE_EFFECT_IMPORTS = {
+    "_blas_threads": "pins the BLAS thread count before numpy loads",
+}
+
+
 class TestNoUnusedImports:
     def test_no_module_imports_a_name_it_never_reads(self):
         unused = {}
-        for dirpath, _, filenames in os.walk(SRC_ROOT):
-            for filename in filenames:
-                if filename.endswith(".py") and filename != "__init__.py":
-                    path = os.path.join(dirpath, filename)
-                    found = unused_imports(path)
-                    if found:
-                        unused[os.path.relpath(path, SRC_ROOT)] = found
+        for tree in IMPORT_SCAN_TREES:
+            for path in iter_python_files(os.path.join(REPO_ROOT, tree)):
+                if os.path.basename(path) == "__init__.py":
+                    continue
+                found = [(line, name) for line, name in unused_imports(path)
+                         if name not in SIDE_EFFECT_IMPORTS]
+                if found:
+                    unused[os.path.relpath(path, REPO_ROOT)] = found
         assert not unused, f"unused imports (line, name): {unused}"
+
+    def test_every_side_effect_import_is_still_made(self):
+        """An allowlisted name that no module imports without reading it
+        is stale."""
+        unread = {name for tree in IMPORT_SCAN_TREES
+                  for path in iter_python_files(os.path.join(REPO_ROOT, tree))
+                  for _, name in unused_imports(path)}
+        stale = sorted(set(SIDE_EFFECT_IMPORTS) - unread)
+        assert not stale, f"stale allowlist entries: {stale}"
 
 
 #: Public definitions in ``src/repro`` that no program reads by name, each

@@ -1,6 +1,5 @@
 """Tests for the workspace assembly."""
 
-import numpy as np
 import pytest
 
 from repro.datasets import DATASET_BUILDERS
