@@ -35,7 +35,7 @@ from repro.core import Controller, ControllerConfig, Task
 from repro.distill import EndModelConfig
 from repro.kg import GraphSpec
 from repro.modules import MultiTaskConfig, MultiTaskModule, TransferConfig, TransferModule
-from repro.serve import BatchingConfig, Server, load_servable, start_http_server
+from repro.serve import BatchingConfig, Server, load_servable, make_http_server
 from repro.serve.batching import run_at_quantum
 from repro.synth import WorldSpec
 from repro.workspace import Workspace, WorkspaceSpec
@@ -77,7 +77,7 @@ def main() -> None:
                                             max_latency_ms=5))
     version = server.load("fmd", artifact_dir)
     ens_version = server.load("fmd-ensemble", ensemble_dir)
-    httpd, _ = start_http_server(server, port=0)
+    httpd = make_http_server(server, port=0).start()
     port = httpd.server_address[1]
     print(f"Serving fmd@{version} and fmd-ensemble@{ens_version} "
           f"on http://127.0.0.1:{port}")
@@ -149,7 +149,7 @@ def main() -> None:
           f"(mean batch {ens_stats['mean_batch_size']})")
     print(f"  example response    : {responses[0]}")
 
-    httpd.shutdown()
+    httpd.stop()
     server.close()
 
     # ---- 5. scale out: the same artifact as a 2-process fleet ------------

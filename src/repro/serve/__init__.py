@@ -29,7 +29,7 @@ from .capacity import (AdmissionController, CapacityModel, CapacityPrediction,
                        THROUGHPUT_ERROR_BOUND, calibrate_service_model)
 from .fleet import (FleetConfig, ReplicaSpec, ServingFleet, replicated_specs,
                     sharded_specs)
-from .http import make_http_server, start_http_server
+from .http import make_http_server
 from .registry import ModelNotFound, ModelRegistry, parse_reference
 from .router import NoHealthyReplica, Router, RouterConfig
 from .server import Server
@@ -43,7 +43,7 @@ __all__ = [
     "BatchingConfig", "BatcherStats", "DeadlineExceeded", "MicroBatcher",
     "Overloaded", "ShuttingDown", "input_digest",
     "ModelRegistry", "ModelNotFound", "parse_reference",
-    "Server", "make_http_server", "start_http_server",
+    "Server", "make_http_server",
     "Router", "RouterConfig", "NoHealthyReplica",
     "ServingFleet", "FleetConfig", "ReplicaSpec", "replicated_specs",
     "sharded_specs",

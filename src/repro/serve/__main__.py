@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("shutting down...", flush=True)
     finally:
-        httpd.shutdown()
+        httpd.stop()
         if fleet is not None:
             fleet.close()
         else:

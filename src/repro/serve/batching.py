@@ -268,6 +268,9 @@ class _Request:
 #: Sentinel asking the drain thread to finish the queue and exit.
 _SHUTDOWN = object()
 
+#: Seconds ``MicroBatcher.close`` waits for the drain thread to exit.
+CLOSE_TIMEOUT = 10.0
+
 #: Budget an answer must still have when it is delivered.  The caller sees
 #: completion a few microseconds after ``set_result`` (its done-callbacks run
 #: next), so an answer delivered with less left than this would land just
@@ -488,18 +491,17 @@ class MicroBatcher:
         """The counters as one JSON-ready dict."""
         return self.snapshot().as_dict()
 
-    def close(self, timeout: Optional[float] = 10.0,
-              drain: bool = True) -> None:
+    def close(self, drain: bool = True) -> None:
         """Stop accepting work and shut the drain thread down.
 
         With ``drain`` (the default) everything already queued is still
         served before the thread exits.  With ``drain=False`` — a replica
         being torn down, a server that must stop *now* — queued requests
         fail fast with :class:`ShuttingDown` instead.  Either way, any
-        request still queued once the join ``timeout`` lapses (the thread
-        wedged inside a forward, say) is failed with :class:`ShuttingDown`
-        rather than left as a future nobody will ever resolve: a stopping
-        batcher never hangs its clients.
+        request still queued once the join's ``CLOSE_TIMEOUT`` lapses (the
+        thread wedged inside a forward, say) is failed with
+        :class:`ShuttingDown` rather than left as a future nobody will ever
+        resolve: a stopping batcher never hangs its clients.
         """
         with self._submit_lock:
             if self._closed:
@@ -509,7 +511,7 @@ class MicroBatcher:
                 self._shed(self._queue.drain_pending())
             # The sentinel sorts after every request already queued.
             self._queue.put(_SHUTDOWN)
-        self._thread.join(timeout=timeout)
+        self._thread.join(timeout=CLOSE_TIMEOUT)
         # A thread that did not exit in time will never serve what is left.
         self._shed(self._queue.drain_pending())
 

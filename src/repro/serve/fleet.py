@@ -56,6 +56,10 @@ __all__ = ["FleetConfig", "ReplicaSpec", "ServingFleet", "replicated_specs",
 
 #: seconds the parent waits for a spawned worker's ready signal
 SPAWN_TIMEOUT = 30.0
+#: seconds ``close()`` waits for terminated workers before killing them
+TERMINATE_TIMEOUT = 10.0
+#: seconds ``rolling_swap`` waits for a drained replica's requests to finish
+QUIESCE_TIMEOUT = 30.0
 #: bounded respawn backoff: ``min(initial * 2**n, cap)`` seconds, where n
 #: counts the replica's respawns within the last ``RESPAWN_BACKOFF_WINDOW``
 RESPAWN_BACKOFF_INITIAL = 0.05
@@ -144,6 +148,7 @@ def _worker_main(spec: ReplicaSpec, batching: BatchingConfig,
     try:
         httpd.serve_forever()
     finally:
+        httpd.stop()
         server.close(drain=False)
 
 
@@ -313,8 +318,7 @@ class ServingFleet:
     # Rolling hot-swap
     # ------------------------------------------------------------------ #
     def rolling_swap(self, name: str, path: str,
-                     version: Optional[str] = None,
-                     quiesce_timeout: float = 30.0) -> Dict[str, str]:
+                     version: Optional[str] = None) -> Dict[str, str]:
         """Upgrade ``name`` to the artifact at ``path`` across the fleet.
 
         One replica at a time: drain -> wait quiet -> ``/admin/load`` ->
@@ -334,12 +338,12 @@ class ServingFleet:
                 continue    # another shard's model
             self.router.set_draining(replica_id, True)
             try:
-                deadline = time.monotonic() + quiesce_timeout
+                deadline = time.monotonic() + QUIESCE_TIMEOUT
                 while self.router.outstanding_of(replica_id) > 0:
                     if time.monotonic() > deadline:
                         raise RuntimeError(
                             f"replica {replica_id!r} did not quiesce within "
-                            f"{quiesce_timeout}s")
+                            f"{QUIESCE_TIMEOUT}s")
                     time.sleep(0.005)
                 status, payload = handle.request(
                     "POST", "/admin/load",
@@ -384,7 +388,7 @@ class ServingFleet:
     def stats(self) -> Dict[str, dict]:
         return self.router.stats()
 
-    def close(self, terminate_timeout: float = 10.0) -> None:
+    def close(self) -> None:
         """Stop supervision, terminate every worker, release the sockets."""
         self._closed = True
         self._stop.set()
@@ -395,7 +399,7 @@ class ServingFleet:
         for replica in self._replicas.values():
             if replica.process is not None and replica.process.is_alive():
                 replica.process.terminate()
-        deadline = time.monotonic() + terminate_timeout
+        deadline = time.monotonic() + TERMINATE_TIMEOUT
         for replica in self._replicas.values():
             if replica.process is not None:
                 replica.process.join(

@@ -49,6 +49,14 @@ too many or too long headers **431**, and any method but GET and POST
 that stops short of its ``Content-Length`` is **408** once no byte has
 arrived for ``BODY_READ_TIMEOUT_S``, so a stalled client cannot hold a
 handler thread.
+
+Lifecycle: :func:`make_http_server` builds a :class:`ServeHTTPServer`.
+``.start()`` serves it on a daemon thread and returns it, and ``.stop()``
+stops the loop and closes the listening socket.  The loop checks for a
+stop every :data:`STOP_POLL_S`, so ``stop()`` returns within about that
+long; a request already accepted still gets its answer on its own thread.
+A process whose main thread is the endpoint (a fleet worker, the CLI)
+calls ``serve_forever()`` itself and ``stop()`` once it returns.
 """
 
 from __future__ import annotations
@@ -68,12 +76,15 @@ from .batching import DeadlineExceeded, Overloaded, ShuttingDown
 from .registry import ModelNotFound
 from .server import Server
 
-__all__ = ["make_http_server", "start_http_server"]
+__all__ = ["make_http_server"]
 
 #: Largest accepted request body (a crude guard against unbounded reads).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Seconds a request body may stall before the answer is 408.
 BODY_READ_TIMEOUT_S = 10.0
+#: Seconds between the serving loop's checks for ``stop()``: the bound on
+#: how long ``stop()`` waits, and an idle server's only wake-ups.
+STOP_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -131,10 +142,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
     """Dispatches HTTP requests to the attached :class:`Server`."""
 
     server_version = "repro-serve/3.0"
-    #: the attached Server (or Router) instance (set by :func:`make_http_server`)
-    serve_app: Server
-    #: whether the /admin/* control plane is exposed (fleet workers only)
-    admin_enabled: bool = False
+    #: the endpoint that accepted the request; its ``app`` answers it
+    server: "ServeHTTPServer"
     #: answer a request line too malformed to name its version with a status
     #: line and headers (the stdlib default, HTTP/0.9, sends the body alone)
     default_request_version = "HTTP/1.0"
@@ -191,7 +200,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # Routes
     # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-        app = type(self).serve_app
+        app = self.server.app
         if self.path == "/healthz":
             self._send_json(app.health())
         elif self.path == "/models":
@@ -329,9 +338,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             priority=priority, deadline_ms=deadline_ms)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
-        app = type(self).serve_app
+        app = self.server.app
         admin = self.path.startswith("/admin/")
-        if admin and not type(self).admin_enabled:
+        if admin and not self.server.admin:
             self._send_error_json(
                 _NOT_FOUND, "admin endpoints are not enabled on this server")
             return
@@ -351,10 +360,44 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self._send_json(response)
 
 
+class ServeHTTPServer(ThreadingHTTPServer):
+    """The serving endpoint: the stock handler over one app."""
+
+    # The stdlib default listen backlog (5) drops connections under the
+    # very request bursts micro-batching exists to absorb.
+    request_queue_size = 128
+    daemon_threads = True
+
+    def __init__(self, address, app: Server, admin: bool,
+                 bind_and_activate: bool = True):
+        #: the attached Server (or Router) the handler answers through
+        self.app = app
+        #: whether the /admin/* control plane is exposed (fleet workers only)
+        self.admin = admin
+        super().__init__(address, _ServeHandler, bind_and_activate)
+
+    def serve_forever(self) -> None:
+        """Serve until :meth:`stop`, checking for it every ``STOP_POLL_S``."""
+        super().serve_forever(poll_interval=STOP_POLL_S)
+
+    def start(self) -> "ServeHTTPServer":
+        """Serve on a daemon thread; returns ``self``."""
+        threading.Thread(target=self.serve_forever, daemon=True,
+                         name="repro-serve-http").start()
+        return self
+
+    def stop(self) -> None:
+        """Stop serving and close the listening socket.  Call it once the
+        server is serving (after :meth:`start`, or once ``serve_forever``
+        has returned); it does not close the app."""
+        self.shutdown()
+        self.server_close()
+
+
 def make_http_server(app: Server, host: str = "127.0.0.1",
                      port: int = 8080,
                      sock: Optional[socket_module.socket] = None,
-                     admin: bool = False) -> ThreadingHTTPServer:
+                     admin: bool = False) -> ServeHTTPServer:
     """Build (but do not start) an HTTP server bound to ``app``.
 
     ``port=0`` binds an ephemeral port (tests); read it back from
@@ -365,32 +408,15 @@ def make_http_server(app: Server, host: str = "127.0.0.1",
     each (re)spawned worker, so the address survives worker death and
     connections queued in the listen backlog are answered by the
     replacement.  ``admin=True`` exposes the ``/admin/*`` control plane
-    (fleet workers only; never on a public router port).
+    (fleet workers only; never on a public router port).  Serve it with
+    ``.start()`` and end it with ``.stop()``.
     """
-    handler = type("BoundServeHandler", (_ServeHandler,),
-                   {"serve_app": app, "admin_enabled": admin})
-    # The stdlib default listen backlog (5) drops connections under the
-    # very request bursts micro-batching exists to absorb.
-    server_cls = type("ServeHTTPServer", (ThreadingHTTPServer,),
-                      {"request_queue_size": 128, "daemon_threads": True})
     if sock is None:
-        return server_cls((host, port), handler)
-    httpd = server_cls(sock.getsockname()[:2], handler, bind_and_activate=False)
+        return ServeHTTPServer((host, port), app, admin)
+    httpd = ServeHTTPServer(sock.getsockname()[:2], app, admin,
+                            bind_and_activate=False)
     httpd.socket.close()    # drop the placeholder; adopt the inherited one
     httpd.socket = sock
     httpd.server_address = sock.getsockname()
     httpd.server_activate()
     return httpd
-
-
-def start_http_server(app: Server, host: str = "127.0.0.1",
-                      port: int = 8080) -> Tuple[ThreadingHTTPServer, threading.Thread]:
-    """Start the endpoint on a background thread; returns (httpd, thread).
-
-    Stop with ``httpd.shutdown()`` followed by ``app.close()``.
-    """
-    httpd = make_http_server(app, host=host, port=port)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True,
-                              name="repro-serve-http")
-    thread.start()
-    return httpd, thread

@@ -148,37 +148,54 @@ def trained_export(tmp_path_factory, tiny_workspace, tiny_backbone):
     return result, split, path
 
 
+class Endpoints:
+    """Apps behind the stock HTTP handler on ephemeral ports, stopped
+    together: ``endpoints(app, admin=False)`` starts one and returns its
+    ``(host, port)``."""
+
+    def __init__(self):
+        self._httpds = []
+
+    def __call__(self, app, admin: bool = False):
+        httpd = make_http_server(app, port=0, admin=admin).start()
+        self._httpds.append(httpd)
+        return httpd.server_address[:2]
+
+    def stop(self) -> None:
+        for httpd in self._httpds:
+            httpd.stop()
+        self._httpds.clear()
+
+
+@pytest.fixture()
+def serve():
+    """Serve apps for one test; yields ``serve(app, admin=False) ->
+    (host, port)`` and stops every endpoint it started at teardown."""
+    endpoints = Endpoints()
+    yield endpoints
+    endpoints.stop()
+
+
 class HttpApps:
     """A :class:`Server` and a :class:`Router` in front of it, each behind
-    the stock HTTP handler on an ephemeral port (``urls["server"]``,
-    ``urls["router"]``): the two apps one handler serves."""
+    the stock HTTP handler on an ephemeral port (``address("server")``,
+    ``address("router")``): the two apps one handler serves."""
 
     def __init__(self, artifact: str):
         self.server = Server(batching=BatchingConfig(max_batch_size=8,
                                                      max_latency_ms=1))
         self.server.load("default", artifact)
         self.router = Router()
-        self._httpds = []
-        self.urls = {"server": self._serve(self.server)}
-        host, port = self.address("server")
-        self.router.add_replica("replica-0", host, port)
-        self.urls["router"] = self._serve(self.router)
-
-    def _serve(self, app) -> str:
-        httpd = make_http_server(app, port=0)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        self._httpds.append(httpd)
-        host, port = httpd.server_address[:2]
-        return f"http://{host}:{port}"
+        self._endpoints = Endpoints()
+        self._addresses = {"server": self._endpoints(self.server)}
+        self.router.add_replica("replica-0", *self.address("server"))
+        self._addresses["router"] = self._endpoints(self.router)
 
     def address(self, app: str):
-        host, port = self.urls[app][len("http://"):].rsplit(":", 1)
-        return host, int(port)
+        return self._addresses[app]
 
     def close(self) -> None:
-        for httpd in self._httpds:
-            httpd.shutdown()
-            httpd.server_close()
+        self._endpoints.stop()
         self.router.close()
         self.server.close()
 

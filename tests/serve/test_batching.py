@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (BatchingConfig, MicroBatcher, ShuttingDown,
-                         input_digest)
+                         batching, input_digest)
 
 from .conftest import GatedModel
 
@@ -224,6 +224,25 @@ class TestErrorsAndLifecycle:
         # ...and late submits fail fast too, with the same typed error.
         with pytest.raises(ShuttingDown):
             batcher.submit(np.ones(2))
+
+    def test_close_past_its_timeout_fails_pending(self, monkeypatch):
+        """A draining close whose join lapses (the forward is wedged)
+        fails what is still queued with :class:`ShuttingDown`."""
+        monkeypatch.setattr(batching, "CLOSE_TIMEOUT", 0.05)
+        model = GatedModel()
+        batcher = MicroBatcher(model, BatchingConfig(max_batch_size=1,
+                                                     max_latency_ms=0,
+                                                     cache_size=0))
+        in_flight = batcher.submit(np.ones(2))
+        assert model.entered.wait(timeout=10)   # worker parked in a forward
+        queued = [batcher.submit(np.full(2, i)) for i in range(3)]
+        batcher.close()
+        for future in queued:
+            with pytest.raises(ShuttingDown):
+                future.result(timeout=0)
+        assert batcher.snapshot().shed == 3
+        model.release.set()
+        assert np.array_equal(in_flight.result(timeout=10), np.ones(2))
 
     def test_queue_depth_and_liveness_track_reality(self):
         model = GatedModel()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.serve import (AdmissionController, BatchingConfig, CapacityModel,
                          Overloaded, SLO, Server, ServiceModel,
-                         calibrate_service_model, make_http_server)
+                         calibrate_service_model)
 from repro.serve.capacity import (LATENCY_ERROR_BOUND,
                                   THROUGHPUT_ERROR_BOUND)
 
@@ -269,20 +269,15 @@ class TestServerIntegration:
 
 class TestCapacityOverHttp:
     @pytest.fixture()
-    def gated_server(self, servable):
+    def gated_server(self, servable, serve):
         model = CapacityModel(
             ServiceModel(base_s=BASE_S, per_row_s=PER_ROW_S), cpus=1)
         admission = AdmissionController(model, BatchingConfig(),
                                         max_delay_ms=-1.0)  # shed everything
         server = Server(admission=admission)
         server.register("default", servable)
-        httpd = make_http_server(server, port=0)
-        import threading
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
+        host, port = serve(server)
         yield f"http://{host}:{port}", server
-        httpd.shutdown()
         server.close()
 
     def test_get_capacity_route(self, gated_server):

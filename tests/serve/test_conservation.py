@@ -21,8 +21,7 @@ import time
 
 import numpy as np
 
-from repro.serve import (BatcherStats, BatchingConfig, MicroBatcher, Router,
-                         make_http_server)
+from repro.serve import BatcherStats, BatchingConfig, MicroBatcher, Router
 
 def conserved(stats: dict) -> bool:
     return stats["requests"] == (stats["served"] + stats["expired"]
@@ -157,7 +156,7 @@ class StatsReplica:
 
 
 class TestFleetStatsMerge:
-    def test_mean_batch_size_is_the_exact_merge(self):
+    def test_mean_batch_size_is_the_exact_merge(self, serve):
         """One replica ran 1 batch of 1 row, the other 6 batches with 7
         rows: the fleet's mean is 8 / 7 = 1.14.  Merging the replicas'
         rounded means (1.0 and 1.17, weighted by batches) gives 1.15."""
@@ -166,18 +165,11 @@ class TestFleetStatsMerge:
         second = BatcherStats(requests=7, examples=7, batches=6,
                               batched_examples=7, largest_batch=2, served=7)
         router = Router()
-        httpds = []
         for index, counters in enumerate((first, second)):
-            httpd = make_http_server(StatsReplica(counters), port=0)
-            threading.Thread(target=httpd.serve_forever, daemon=True).start()
-            httpds.append(httpd)
-            router.add_replica(f"r{index}", *httpd.server_address[:2])
+            router.add_replica(f"r{index}", *serve(StatsReplica(counters)))
         try:
             merged = router.stats()["m@1"]
         finally:
-            for httpd in httpds:
-                httpd.shutdown()
-                httpd.server_close()
             router.close()
         assert merged["mean_batch_size"] == 1.14
         assert merged == first.copy().add(second).as_dict()

@@ -13,7 +13,7 @@ from repro.nn import default_dtype
 from repro.serve import (ArtifactError, BatchingConfig, SCHEMA_VERSION,
                          Servable, ServableEnsemble, ServableModel, Server,
                          export_end_model, export_ensemble, load_servable,
-                         read_manifest, start_http_server)
+                         read_manifest)
 from repro.serve.artifact import (FORMAT_END_MODEL, FORMAT_ENSEMBLE,
                                   MANIFEST_NAME)
 from repro.serve.batching import run_at_quantum
@@ -264,29 +264,25 @@ class TestServedEnsemble:
         # The batcher is still healthy afterwards.
         assert server.predict(features[0], model="ensemble")["predictions"]
 
-    def test_http_round_trip(self, server, ensemble, features):
-        httpd, _ = start_http_server(server, port=0)
-        try:
-            port = httpd.server_address[1]
-            body = json.dumps({"model": "ensemble", "priority": 3,
-                               "inputs": features[:4].tolist(),
-                               "return_probabilities": True}).encode()
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/predict", data=body,
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(request, timeout=30) as response:
-                payload = json.loads(response.read())
-            offline = quantized_offline_votes(ensemble, features[:4], 16)
-            assert np.array_equal(np.asarray(payload["probabilities"]),
-                                  offline)
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/models", timeout=10) as r:
-                models = json.loads(r.read())
-            summary = models["ensemble"]["versions"]["1"]
-            assert summary["format"] == FORMAT_ENSEMBLE
-            assert summary["num_members"] == 3
-        finally:
-            httpd.shutdown()
+    def test_http_round_trip(self, server, ensemble, features, serve):
+        _, port = serve(server)
+        body = json.dumps({"model": "ensemble", "priority": 3,
+                           "inputs": features[:4].tolist(),
+                           "return_probabilities": True}).encode()
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/predict", data=body,
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=30) as response:
+            payload = json.loads(response.read())
+        offline = quantized_offline_votes(ensemble, features[:4], 16)
+        assert np.array_equal(np.asarray(payload["probabilities"]),
+                              offline)
+        with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/models", timeout=10) as r:
+            models = json.loads(r.read())
+        summary = models["ensemble"]["versions"]["1"]
+        assert summary["format"] == FORMAT_ENSEMBLE
+        assert summary["num_members"] == 3
 
 
 class TestControllerHook:

@@ -24,8 +24,8 @@ import pytest
 
 from repro.serve import (BatchingConfig, FleetConfig, ModelNotFound,
                          Router, RouterConfig, ServingFleet,
-                         export_end_model, load_servable, make_http_server,
-                         replicated_specs, sharded_specs)
+                         export_end_model, load_servable, replicated_specs,
+                         sharded_specs)
 
 from .conftest import CLASS_NAMES, SPEC, make_end_model
 
@@ -185,49 +185,44 @@ class TestFleetServing:
         assert router_stats["requests"] >= 8
         assert sorted(router_stats["replicas"]) == fleet.replica_ids()
 
-    def test_http_front_end_same_client_api(self, fleet, artifacts, inputs):
-        httpd = make_http_server(fleet.router, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        port = httpd.server_address[1]
+    def test_http_front_end_same_client_api(self, fleet, artifacts, inputs,
+                                            serve):
+        _, port = serve(fleet.router)
         base = f"http://127.0.0.1:{port}"
-        try:
-            with urllib.request.urlopen(f"{base}/healthz", timeout=10) as r:
-                health = json.loads(r.read())
-            assert health["status"] == "ok" and len(health["replicas"]) == 2
-            with urllib.request.urlopen(f"{base}/models", timeout=10) as r:
-                assert "m" in json.loads(r.read())
-            body = json.dumps({"model": "m", "inputs": inputs[:3].tolist(),
-                               "return_probabilities": True}).encode()
+        with urllib.request.urlopen(f"{base}/healthz", timeout=10) as r:
+            health = json.loads(r.read())
+        assert health["status"] == "ok" and len(health["replicas"]) == 2
+        with urllib.request.urlopen(f"{base}/models", timeout=10) as r:
+            assert "m" in json.loads(r.read())
+        body = json.dumps({"model": "m", "inputs": inputs[:3].tolist(),
+                           "return_probabilities": True}).encode()
+        request = urllib.request.Request(
+            f"{base}/predict", data=body,
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=30) as r:
+            response = json.loads(r.read())
+        offline = offline_proba(artifacts["v1"], inputs[:3])
+        assert np.array_equal(np.asarray(response["probabilities"]),
+                              offline)
+        assert response["predictions"] == offline.argmax(axis=1).tolist()
+        # The error mapping holds through the router: unknown -> 404,
+        # malformed -> 400, and the admin plane is NOT exposed here.
+        for payload, status in (
+                ({"model": "missing", "inputs": [[0.0] * SPEC.input_dim]},
+                 404),
+                ({"model": "m", "inputs": [[1.0, 2.0]]}, 400)):
             request = urllib.request.Request(
-                f"{base}/predict", data=body,
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(request, timeout=30) as r:
-                response = json.loads(r.read())
-            offline = offline_proba(artifacts["v1"], inputs[:3])
-            assert np.array_equal(np.asarray(response["probabilities"]),
-                                  offline)
-            assert response["predictions"] == offline.argmax(axis=1).tolist()
-            # The error mapping holds through the router: unknown -> 404,
-            # malformed -> 400, and the admin plane is NOT exposed here.
-            for payload, status in (
-                    ({"model": "missing", "inputs": [[0.0] * SPEC.input_dim]},
-                     404),
-                    ({"model": "m", "inputs": [[1.0, 2.0]]}, 400)):
-                request = urllib.request.Request(
-                    f"{base}/predict", data=json.dumps(payload).encode(),
-                    headers={"Content-Type": "application/json"})
-                with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    urllib.request.urlopen(request, timeout=30)
-                assert excinfo.value.code == status
-            admin = urllib.request.Request(
-                f"{base}/admin/drain", data=b"{}",
+                f"{base}/predict", data=json.dumps(payload).encode(),
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(admin, timeout=10)
-            assert excinfo.value.code == 404
-        finally:
-            httpd.shutdown()
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == status
+        admin = urllib.request.Request(
+            f"{base}/admin/drain", data=b"{}",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(admin, timeout=10)
+        assert excinfo.value.code == 404
 
 
 class TestFleetResilience:

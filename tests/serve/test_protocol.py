@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.serve import (ModelNotFound, NoHealthyReplica, Router,
-                         RouterConfig, Server, TrafficGenerator,
-                         make_http_server)
+                         RouterConfig, Server, TrafficGenerator)
 from repro.serve.http import (ERROR_TABLE, SERVING_FAILURE, row_of,
                               status_row)
 
@@ -59,23 +57,6 @@ class FailingTarget:
         future = Future()
         future.set_exception(error)
         return future
-
-
-@pytest.fixture()
-def serve():
-    """Serve apps behind the stock handler; yields ``start(app) -> address``."""
-    httpds = []
-
-    def start(app):
-        httpd = make_http_server(app, port=0)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        httpds.append(httpd)
-        return httpd.server_address[:2]
-
-    yield start
-    for httpd in httpds:
-        httpd.shutdown()
-        httpd.server_close()
 
 
 def post_predict(address):

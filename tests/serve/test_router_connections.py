@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -36,11 +35,9 @@ def counted_replica():
         return accepted
 
     httpd.get_request = counting_get_request
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
+    httpd.start()
     yield app, httpd.server_address[:2], accepts
-    httpd.shutdown()
-    httpd.server_close()
+    httpd.stop()
 
 
 def test_each_hop_opens_and_closes_one_connection(counted_replica,
@@ -70,9 +67,7 @@ def _post_to_router(replica_address, body):
     and the decoded JSON answer."""
     router = Router()
     router.add_replica("r0", *replica_address, models=["default"])
-    httpd = make_http_server(router, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
+    httpd = make_http_server(router, port=0).start()
     try:
         connection = http.client.HTTPConnection(*httpd.server_address[:2],
                                                 timeout=10)
@@ -82,8 +77,7 @@ def _post_to_router(replica_address, body):
         payload = json.loads(response.read())
         connection.close()
     finally:
-        httpd.shutdown()
-        httpd.server_close()
+        httpd.stop()
         router.close()
     return response.status, payload
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (DeadlineExceeded, NoHealthyReplica, Overloaded,
-                         Router, RouterConfig, make_http_server)
+                         Router, RouterConfig)
 
 INPUT = np.zeros(4)
 
@@ -65,23 +65,6 @@ class _StubApp:
 
     def describe(self):
         return {}
-
-
-@pytest.fixture()
-def serve_stub():
-    """Start stub replicas on ephemeral ports; yields the factory."""
-    httpds = []
-
-    def start(app: _StubApp):
-        httpd = make_http_server(app, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        httpds.append(httpd)
-        return httpd.server_address[:2]
-
-    yield start
-    for httpd in httpds:
-        httpd.shutdown()
 
 
 def dead_port() -> int:
@@ -146,11 +129,11 @@ class TestBackoffDeadlineCap:
 
 
 class TestLateResponseSuppression:
-    def test_200_past_deadline_surfaces_504(self, serve_stub):
+    def test_200_past_deadline_surfaces_504(self, serve):
         """A replica that answers successfully but *late* must not be
         reported as a success: no request ever completes after its own
         deadline, router path included."""
-        host, port = serve_stub(_StubApp("ok", delay_s=0.15))
+        host, port = serve(_StubApp("ok", delay_s=0.15))
         router = Router(RouterConfig(max_attempts=2, retry_backoff_ms=1,
                                      request_timeout=10.0))
         router.add_replica("slow", host, port, models=["default"])
@@ -159,8 +142,8 @@ class TestLateResponseSuppression:
         assert router.stats()["_router"]["late_responses"] == 1
         router.close()
 
-    def test_in_time_response_is_served(self, serve_stub):
-        host, port = serve_stub(_StubApp("ok"))
+    def test_in_time_response_is_served(self, serve):
+        host, port = serve(_StubApp("ok"))
         router = Router(RouterConfig(max_attempts=2, retry_backoff_ms=1,
                                      request_timeout=10.0))
         router.add_replica("fast", host, port, models=["default"])
@@ -171,13 +154,13 @@ class TestLateResponseSuppression:
 
 
 class TestAdmissionShedFailover:
-    def test_shedding_replica_fails_over_to_healthy_one(self, serve_stub):
+    def test_shedding_replica_fails_over_to_healthy_one(self, serve):
         shedder = _StubApp("shed")
         healthy = _StubApp("ok")
         router = Router(RouterConfig(max_attempts=4, retry_backoff_ms=1,
                                      request_timeout=10.0))
         for replica_id, app in (("a", shedder), ("b", healthy)):
-            host, port = serve_stub(app)
+            host, port = serve(app)
             router.add_replica(replica_id, host, port, models=["default"])
         # Whatever the picker's order, every request must land: a 429 is
         # retryable and the healthy replica absorbs the failover.
@@ -186,8 +169,8 @@ class TestAdmissionShedFailover:
         assert healthy.calls == 8        # every success came from the healthy one
         router.close()
 
-    def test_fleetwide_shedding_surfaces_overloaded(self, serve_stub):
-        host, port = serve_stub(_StubApp("shed"))
+    def test_fleetwide_shedding_surfaces_overloaded(self, serve):
+        host, port = serve(_StubApp("shed"))
         router = Router(RouterConfig(max_attempts=3, retry_backoff_ms=1,
                                      request_timeout=10.0))
         router.add_replica("a", host, port, models=["default"])

@@ -8,8 +8,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import (BatchingConfig, Server, make_http_server,
-                         start_http_server)
+from repro.serve import BatchingConfig, Server
 
 
 @pytest.fixture()
@@ -77,8 +76,6 @@ class TestServerApi:
                                              features):
         """Regression: a malformed request used to poison every batch-mate
         fused with it; now it fails alone at submit."""
-        import threading
-
         offline = servable.predict_proba(features, batch_size=16)
         results = [None] * len(features)
         errors = []
@@ -319,11 +316,9 @@ class TestOneBatcherPerVersion:
 
 class TestHttpEndpoint:
     @pytest.fixture()
-    def endpoint(self, server):
-        httpd, thread = start_http_server(server, port=0)
-        port = httpd.server_address[1]
-        yield f"http://127.0.0.1:{port}"
-        httpd.shutdown()
+    def endpoint(self, server, serve):
+        _, port = serve(server)
+        return f"http://127.0.0.1:{port}"
 
     def _post(self, url, payload, timeout=10):
         """POST ``payload`` as JSON; ``bytes`` are sent as the raw body."""
@@ -513,13 +508,9 @@ class TestAdminEndpoint:
     """The fleet worker's ``/admin/*`` control plane over HTTP."""
 
     @pytest.fixture()
-    def admin(self, server):
-        httpd = make_http_server(server, port=0, admin=True)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{httpd.server_address[1]}"
-        httpd.shutdown()
-        httpd.server_close()
+    def admin(self, server, serve):
+        _, port = serve(server, admin=True)
+        return f"http://127.0.0.1:{port}"
 
     def _post(self, url, path, payload):
         request = urllib.request.Request(

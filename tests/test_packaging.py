@@ -215,6 +215,76 @@ class TestNoUnusedImports:
         assert not stale, f"stale allowlist entries: {stale}"
 
 
+#: the names that start or run an HTTP serving loop by hand
+SERVING_LOOP_NAMES = {"serve_forever", "start_http_server"}
+#: where a serving loop may be run: the endpoint itself and the two
+#: processes whose main thread is one (a fleet worker, the CLI); a
+#: ``(path, function)`` pair allows that function only
+SERVING_LOOP_ALLOWED = {
+    (os.path.join("src", "repro", "serve", "http.py"), None),
+    (os.path.join("src", "repro", "serve", "fleet.py"), "_worker_main"),
+    (os.path.join("src", "repro", "serve", "__main__.py"), None),
+}
+
+
+def serving_loop_reads(path):
+    """``(line, name)`` of every read of a serving-loop name in a file,
+    skipping the function the allowlist names for it (if any)."""
+    relpath = os.path.relpath(path, REPO_ROOT)
+    allowed = {function for allowed_path, function in SERVING_LOOP_ALLOWED
+               if allowed_path == relpath}
+    if None in allowed:
+        return []
+    tree = parse(path)
+    skipped = {id(node)
+               for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               and function.name in allowed
+               for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name in SERVING_LOOP_NAMES)
+    return found
+
+
+class TestOneServingLifecycle:
+    def test_no_serving_loop_outside_the_endpoint(self):
+        """An HTTP endpoint starts with ``make_http_server(...).start()``
+        and ends with ``.stop()``; a hand-rolled ``serve_forever`` thread
+        polls at the stdlib's 0.5 s and never closes its socket."""
+        reads = {}
+        for tree in IMPORT_SCAN_TREES:
+            for path in iter_python_files(os.path.join(REPO_ROOT, tree)):
+                found = serving_loop_reads(path)
+                if found:
+                    reads[os.path.relpath(path, REPO_ROOT)] = found
+        assert not reads, f"serving loops outside repro.serve.http: {reads}"
+
+    def test_every_allowlisted_loop_is_still_run(self):
+        """An allowlisted file or function that no longer runs a serving
+        loop is stale."""
+        for relpath, function in SERVING_LOOP_ALLOWED:
+            tree = parse(os.path.join(REPO_ROOT, relpath))
+            scopes = [node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == function] if function else [tree]
+            assert any(isinstance(node, ast.Attribute)
+                       and node.attr == "serve_forever"
+                       for scope in scopes for node in ast.walk(scope)), \
+                f"stale allowlist entry: {relpath} {function or ''}"
+
+
 #: Public definitions in ``src/repro`` that no program reads by name, each
 #: kept on purpose.
 TEST_ONLY_API_ALLOWED = {
