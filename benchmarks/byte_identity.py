@@ -9,8 +9,8 @@ agree exactly when no output byte changed.
 
 A line that differs fails the check unless the head's CHANGES.md adds a
 line that starts with ``Re-baseline:`` and names its task (``fmd/1``,
-``zsl_kg/cold``, ...); the tasks it does not name must still match.  The
-marker inside a sentence declares nothing.  Usage::
+``zsl_kg/cold``, ``finetune/fmd/1``, ...); the tasks it does not name must
+still match.  The marker inside a sentence declares nothing.  Usage::
 
     git archive <base-commit> | tar -x -C ../base
     python benchmarks/byte_identity.py --base ../base
@@ -73,7 +73,7 @@ def declared_tasks(base: str, head: str, known: Set[str]) -> Set[str]:
     for line in lines(head):
         if line in old or not line.startswith(REBASELINE):
             continue
-        declared.update(token for token in re.findall(r"[\w.-]+/[\w.-]+",
+        declared.update(token for token in re.findall(r"[\w.-]+(?:/[\w.-]+)+",
                                                       line)
                         if token in known)
     return declared

@@ -7,7 +7,12 @@ replay on and the ZSL-KG pretrain cached from a first run on the first
 task.  It first prints the digest of that cold pretrain's ZSL-KG class
 encoder (task ``zsl_kg/cold``), then, for each task, the pseudo-label
 digest, the end-model digest, one digest per taglet and the task's replay
-counters ``(captures, replays, eager_steps, fallbacks)``.
+counters ``(captures, replays, eager_steps, fallbacks)``.  Last come the
+paper's baselines (``finetune``, ``finetune_distilled``, ``fixmatch``,
+``meta_pseudo_labels``), each run through ``METHOD_REGISTRY`` on the fmd and
+grocery_store 1-shot splits in the same dtype: one line per baseline and
+split (task ``<method>/<dataset>/<shots>``) with the digest of the trained
+taglet's weights and the run's replay counters.
 
 Two checkouts produce the same lines exactly when a change keeps every
 output byte.  Run both under the same BLAS thread count (this script pins
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+from contextlib import contextmanager
 
 import _blas_threads  # noqa: F401  (pins BLAS threads before numpy loads)
 
@@ -33,6 +39,10 @@ import numpy as np
 DATASETS = ("fmd", "grocery_store", "officehome_product",
             "officehome_clipart", "cifar_demo")
 SHOTS = (1, 5)
+#: the baseline methods of the paper's tables, and the tasks they run on
+BASELINES = ("finetune", "finetune_distilled", "fixmatch",
+             "meta_pseudo_labels")
+BASELINE_TASKS = (("fmd", 1), ("grocery_store", 1))
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -48,6 +58,29 @@ def _model_digest(model) -> str:
     return _digest(*(state[name] for name in sorted(state)))
 
 
+@contextmanager
+def _scored_taglets():
+    """Collect every taglet scored by ``Taglet.accuracy`` inside the block.
+
+    A registry method returns its result record, not the taglet it trained;
+    a baseline scores that taglet exactly once on the test split.
+    """
+    from repro.modules.base import Taglet
+
+    scored = []
+    accuracy = Taglet.accuracy
+
+    def record(self, features, labels):
+        scored.append(self)
+        return accuracy(self, features, labels)
+
+    Taglet.accuracy = record
+    try:
+        yield scored
+    finally:
+        Taglet.accuracy = accuracy
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -56,9 +89,10 @@ def main() -> None:
     args = parser.parse_args()
 
     from repro.core import Controller, ControllerConfig, Task
+    from repro.evaluation import METHOD_REGISTRY
     from repro.kg import GraphSpec
     from repro.modules import ZslKgModule
-    from repro.nn import ReplayStats
+    from repro.nn import ReplayStats, collect_replay_stats, default_dtype
     from repro.synth import WorldSpec
     from repro.workspace import Workspace, WorkspaceSpec
 
@@ -66,11 +100,11 @@ def main() -> None:
         graph=GraphSpec(num_filler_concepts=300, seed=0),
         world=WorldSpec(seed=0), scads_images_per_concept=30, seed=0))
     backbone = workspace.backbone("resnet50")
-    tasks = []
+    tasks, splits = [], {}
     for dataset in DATASETS:
         for shots in SHOTS:
-            split = workspace.make_task_split(dataset, shots=shots,
-                                              split_seed=args.seed)
+            split = splits[dataset, shots] = workspace.make_task_split(
+                dataset, shots=shots, split_seed=args.seed)
             tasks.append((f"{dataset}/{shots}", Task.from_split(
                 split, scads=workspace.scads, backbone=backbone,
                 wanted_num_related_class=3, images_per_related_class=8)))
@@ -95,6 +129,19 @@ def main() -> None:
         print(f"{name} pseudo={_digest(result.pseudo_labels)} "
               f"end={_model_digest(result.end_model.model)} {taglets} "
               f"replay={counters}", flush=True)
+    for method in BASELINES:
+        for dataset, shots in BASELINE_TASKS:
+            stats = ReplayStats()
+            with default_dtype(args.dtype), collect_replay_stats(stats), \
+                    _scored_taglets() as scored:
+                METHOD_REGISTRY[method].run(workspace, splits[dataset, shots],
+                                            "resnet50", args.seed)
+            (taglet,) = scored
+            counters = (stats.captures, stats.replays, stats.eager_steps,
+                        stats.fallback_count)
+            print(f"{method}/{dataset}/{shots} "
+                  f"weights={_model_digest(taglet.model)} "
+                  f"replay={counters}", flush=True)
 
 
 if __name__ == "__main__":

@@ -223,12 +223,14 @@ class ZslKgModule(TrainingModule):
         # Inputs are cast to the engine dtype up front so every replayed
         # step hits the zero-copy fast path.  Nothing in the loop changes
         # the encoder's structure, so the whole pretrain runs in one epoch
-        # scope: the encoder is fingerprinted once.
+        # scope: the encoder is fingerprinted once.  The loop reads only
+        # the casts, so the float64 originals are released before it.
         dtype = get_default_dtype()
         train_x = descriptions[train_idx].astype(dtype)
         train_y = targets[train_idx].astype(dtype)
         val_x = descriptions[val_idx].astype(dtype)
         val_y = targets[val_idx].astype(dtype)
+        del descriptions, targets
         stepper = GraphReplay(class_encoder, optimizer, loss="l2")
         chain = leaf_chain(class_encoder, val_x.shape[1], dtype)
         with stepper.epoch():

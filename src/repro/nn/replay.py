@@ -743,7 +743,11 @@ class GraphReplay:
         The step always completes eagerly — including when compilation
         fails — so the capture step is indistinguishable from a plain eager
         step (same updates, and ``zero_grad`` clears any stale gradient
-        state before buffer-bound gradients take over).
+        state before buffer-bound gradients take over).  The eager step
+        finishes first and its traced outputs drop their gradients before
+        :func:`_compile` allocates the plan's buffers, so the capture never
+        holds both at once; the compiler reads frames, shapes, dtypes and
+        parameter identities only, none of which the step changes.
         Returns ``(plan or failure reason, loss)``.
         """
         bound, ids = _wrap_inputs(inputs, tensor_keys)
@@ -752,6 +756,12 @@ class GraphReplay:
             root = fn(self.model, bound)
         if not isinstance(root, Tensor):
             raise TypeError("step function must return a loss Tensor")
+        self.optimizer.zero_grad()
+        root.backward()
+        self.optimizer.step()
+        loss = root.item()
+        for record in records:
+            record[3].grad = None
         try:
             if root.shape != ():
                 raise ReplayUnsupported("step function must return a "
@@ -759,10 +769,7 @@ class GraphReplay:
             plan = _compile(records, root, ids, self.optimizer)
         except ReplayUnsupported as exc:
             plan = f"unsupported: {exc}"
-        self.optimizer.zero_grad()
-        root.backward()
-        self.optimizer.step()
-        return plan, root.item()
+        return plan, loss
 
     # -- the epoch scope ------------------------------------------------- #
     def _fingerprint_sig(self) -> tuple:

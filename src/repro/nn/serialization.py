@@ -56,7 +56,9 @@ def load_state_dict(path: str) -> Dict[str, np.ndarray]:
     """Read a state dict previously written by :func:`save_state_dict`."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    with np.load(path) as archive:
+    # The handle is ours, not ``np.load``'s: a damaged archive makes
+    # ``NpzFile`` raise before it owns a file it opened, leaking it.
+    with open(path, "rb") as handle, np.load(handle) as archive:
         return {name.replace(_KEY_SEPARATOR, "."): archive[name]
                 for name in archive.files}
 

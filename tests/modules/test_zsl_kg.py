@@ -1,9 +1,11 @@
 """Tests for the ZSL-KG module."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.modules import GraphClassEncoder, ZslKgConfig, ZslKgModule
+from repro.modules import GraphClassEncoder, ZslKgConfig, ZslKgModule, zsl_kg
 from repro.modules.zsl_kg import (_PROTOTYPE_CHUNK, _prototype_targets,
                                   _validation_loss)
 from repro.nn import (Tensor, default_dtype, leaf_chain, no_grad,
@@ -199,6 +201,49 @@ class TestPretrainFastPath:
         finally:
             ZslKgModule._pretrained_cache.clear()
         assert len(calls) == 1
+
+    def test_the_loop_holds_no_float64_originals(self, module_input,
+                                                 monkeypatch):
+        # The loop reads only the engine-dtype casts of the stacked node
+        # descriptions and prototype targets; the float64 stacks are freed
+        # before its first epoch.
+        class RecordingNumpy:
+            """``numpy`` as the module sees it, with a weak reference to
+            every ``stack`` result."""
+
+            def __init__(self):
+                self.stacked = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def stack(self, arrays, *args, **kwargs):
+                out = np.stack(arrays, *args, **kwargs)
+                self.stacked.append(weakref.ref(out))
+                return out
+
+        recording = RecordingNumpy()
+        alive = []
+        validation_loss = zsl_kg._validation_loss
+
+        def checking(chain, x, y):
+            if not alive:
+                alive.append([ref().shape for ref in recording.stacked
+                              if ref() is not None])
+            return validation_loss(chain, x, y)
+
+        monkeypatch.setattr(zsl_kg, "np", recording)
+        monkeypatch.setattr(zsl_kg, "_validation_loss", checking)
+        config = ZslKgConfig(pretrain_epochs=2, max_training_concepts=60)
+        ZslKgModule._pretrained_cache.clear()
+        try:
+            ZslKgModule(config)._pretrain(module_input.scads,
+                                          module_input.backbone, seed=0)
+        finally:
+            ZslKgModule._pretrained_cache.clear()
+        # The descriptions and the targets, both float64 and both freed.
+        assert len(recording.stacked) == 2
+        assert alive == [[]]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_chunked_targets_match_per_concept_loop(self, tiny_workspace,

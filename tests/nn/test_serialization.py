@@ -1,5 +1,10 @@
 """Tests for model checkpointing."""
 
+import gc
+import os
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -41,6 +46,21 @@ class TestSerialization:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_state_dict(str(tmp_path / "missing.npz"))
+
+    def test_truncated_archive_raises_and_closes_its_file(self, tmp_path):
+        path = str(tmp_path / "mlp.npz")
+        save(MLP(5, [7], 3), path)
+        with open(path, "rb") as handle:
+            head = handle.read(os.path.getsize(path) // 2)
+        with open(path, "wb") as handle:
+            handle.write(head)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(zipfile.BadZipFile):
+                load_state_dict(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_shape_mismatch_on_load(self, tmp_path):
         path = str(tmp_path / "mlp.npz")

@@ -297,5 +297,6 @@ class TestCapacityOverHttp:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 429
-        assert "shedding" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 429
+            assert "shedding" in json.loads(error.read())["error"]

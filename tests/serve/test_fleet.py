@@ -216,13 +216,15 @@ class TestFleetServing:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
-            assert excinfo.value.code == status
+            with excinfo.value as error:
+                assert error.code == status
         admin = urllib.request.Request(
             f"{base}/admin/drain", data=b"{}",
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(admin, timeout=10)
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
 
 class TestFleetResilience:

@@ -429,8 +429,9 @@ class TestHttpEndpoint:
     def test_bad_requests_are_400(self, endpoint, payload, fragment):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, payload)
-        assert excinfo.value.code == 400
-        assert fragment in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert fragment in json.loads(error.read())["error"]
 
     @pytest.mark.parametrize("flag,expected", [
         (True, True), (False, False), (None, False), ("absent", False)],
@@ -451,8 +452,9 @@ class TestHttpEndpoint:
         # handler and the client saw a dropped connection.
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, body)
-        assert excinfo.value.code == 400
-        assert "must be an object" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "must be an object" in json.loads(error.read())["error"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")], ids=str)
@@ -465,8 +467,9 @@ class TestHttpEndpoint:
         for _ in range(2):  # the second attempt must not hit a cache entry
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._post(endpoint, {"inputs": [row]})
-            assert excinfo.value.code == 400
-            assert "non-finite" in json.loads(excinfo.value.read())["error"]
+            with excinfo.value as error:
+                assert error.code == 400
+                assert "non-finite" in json.loads(error.read())["error"]
         stats = server.stats()["default@1"]
         assert stats["rejected"] == 2
         assert stats["requests"] == 0
@@ -475,8 +478,9 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, {"inputs": features[:1].tolist(),
                                   "deadline_ms": -1})
-        assert excinfo.value.code == 504
-        assert "deadline" in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 504
+            assert "deadline" in json.loads(error.read())["error"]
 
     def test_priority_and_deadline_accepted(self, endpoint, servable,
                                             features):
@@ -496,12 +500,14 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(endpoint, {"model": "ghost",
                                   "inputs": features[:1].tolist()})
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_unknown_path_is_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{endpoint}/nope", timeout=10)
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
 
 class TestAdminEndpoint:
@@ -554,8 +560,9 @@ class TestAdminEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(admin, "/admin/load", {
                 "name": name, "path": artifact_dir, "version": version})
-        assert excinfo.value.code == 400
-        assert "ValueError: " in json.loads(excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "ValueError: " in json.loads(error.read())["error"]
         assert loads == []
         assert list(server.models()) == ["default"]
 
@@ -573,9 +580,10 @@ class TestAdminEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(admin, "/admin/load", {
                 "name": "m", "path": artifact_dir, "version": "1"})
-        assert excinfo.value.code == 400
-        assert "already has version" in json.loads(
-            excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "already has version" in json.loads(
+                error.read())["error"]
         # Only the first load read and digest-checked the artifact.
         assert loads == [artifact_dir]
         assert list(server.models()["m"]["versions"]) == ["1"]
@@ -595,9 +603,10 @@ class TestAdminEndpoint:
             payload.update(name="other", path=artifact_dir)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post(admin, path, payload)
-        assert excinfo.value.code == 400
-        assert f"'{field}' must be true or false" in json.loads(
-            excinfo.value.read())["error"]
+        with excinfo.value as error:
+            assert error.code == 400
+            assert f"'{field}' must be true or false" in json.loads(
+                error.read())["error"]
         # Refused before acting: no drain flag set, no model loaded.
         assert server.health()["draining"] is False
         assert "other" not in server.models()

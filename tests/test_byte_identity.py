@@ -68,6 +68,14 @@ class TestDeclaredTasks:
         assert byte_identity.declared_tasks(base, head, self.KNOWN) == {
             "fmd/1", "zsl_kg/cold"}
 
+    def test_a_baseline_task_is_named_whole(self, byte_identity, tmp_path):
+        base = write_changes(tmp_path / "base", "")
+        head = write_changes(tmp_path / "head",
+                             "Re-baseline: finetune/fmd/1 moves")
+        known = self.KNOWN | {"finetune/fmd/1", "finetune/grocery_store/1"}
+        assert byte_identity.declared_tasks(base, head, known) == {
+            "finetune/fmd/1"}
+
     def test_a_line_the_base_already_has_declares_nothing(
             self, byte_identity, tmp_path):
         old = "Re-baseline: fmd/1"
