@@ -27,6 +27,7 @@ from _bench_lib import print_bench_row
 from repro.core import Controller, ControllerConfig, Task
 from repro.kg import GraphSpec
 from repro.modules import ZslKgModule
+from repro.modules.zsl_kg import _l2_step
 from repro.nn import (MLP, Adam, GraphReplay, Tensor, TrainConfig,
                       default_dtype, leaf_chain, no_grad, softmax_rows,
                       train_classifier, use_graph_replay)
@@ -111,10 +112,11 @@ def _pretrain_once(dtype=None, replay=False) -> float:
         train_y = np.random.default_rng(3).normal(size=(PRE_N, PRE_OUT)).astype(dt)
         encoder = _ClassEncoder(np.random.default_rng(4))
         optimizer = Adam(encoder.parameters(), lr=1e-2)
-        stepper = GraphReplay(encoder, optimizer, loss="l2")
+        stepper = GraphReplay(encoder, optimizer)
         start = time.perf_counter()
         for _ in range(PRE_EPOCHS):
-            stepper.step(train_x, train_y, compute_loss=False)
+            stepper.step_fn(_l2_step, {"x": train_x, "y": train_y},
+                            compute_loss=False)
         return time.perf_counter() - start
 
 

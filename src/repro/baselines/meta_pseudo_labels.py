@@ -30,9 +30,11 @@ from ..modules.base import ModelTaglet, ModuleInput, Taglet, TrainingModule
 from ..nn import functional as F
 from ..nn.data import ArrayDataset, DataLoader, UnlabeledDataset
 from ..nn.optim import SGD
+from ..nn.replay import GraphReplay
 from ..nn.schedulers import CosineAnnealingLR
-from ..nn.tensor import Tensor, no_grad
-from ..nn.training import TrainConfig, iterate_forever, train_classifier
+from ..nn.tensor import Tensor, get_default_dtype, no_grad
+from ..nn.training import (TrainConfig, cross_entropy_step, iterate_forever,
+                           train_classifier)
 from ..nn.transforms import weak_augment
 
 __all__ = ["MetaPseudoLabelsConfig", "MetaPseudoLabelsBaseline"]
@@ -51,6 +53,82 @@ class MetaPseudoLabelsConfig:
     #: final supervised fine-tuning of the student
     finetune_epochs: int = 30
     finetune_lr: float = 1e-2
+
+
+def _teacher_step(teacher, batch):
+    """The teacher's update (step 3) as a replayable step function:
+    ``feedback * CE(teacher(u), pseudo) + CE(teacher(x), y)``.
+
+    ``feedback`` is a 0-d step input, so one compiled plan serves every
+    step.  ``CE_u * feedback`` is the operand order ``feedback * CE_u``
+    takes through ``Tensor.__rmul__``.
+    """
+    logits_u = teacher(batch["u"])
+    logits_x = teacher(batch["x"])
+    return (F.cross_entropy(logits_u, batch["pseudo"]) * batch["feedback"]
+            + F.cross_entropy(logits_x, batch["y"]))
+
+
+def _teach(teacher: ClassificationModel, student: ClassificationModel,
+           data: ModuleInput, config: MetaPseudoLabelsConfig, augment,
+           rng: np.random.Generator) -> None:
+    """Teacher-student training (steps 1-3), both updates through the
+    graph replay executor, each stepper inside one epoch scope."""
+    labeled_loader = DataLoader(
+        ArrayDataset(data.labeled_features, data.labeled_labels),
+        batch_size=min(config.batch_size, len(data.labeled_features)),
+        rng=np.random.default_rng(data.seed))
+    unlabeled_loader = DataLoader(
+        UnlabeledDataset(data.unlabeled_features),
+        batch_size=min(config.unlabeled_batch_size, len(data.unlabeled_features)),
+        rng=np.random.default_rng(data.seed + 1))
+    labeled_stream = iterate_forever(labeled_loader)
+    unlabeled_stream = iterate_forever(unlabeled_loader)
+
+    teacher_optimizer = SGD(teacher.parameters(), lr=config.teacher_lr,
+                            momentum=config.momentum)
+    student_optimizer = SGD(student.parameters(), lr=config.student_lr,
+                            momentum=config.momentum)
+    teacher_scheduler = CosineAnnealingLR(teacher_optimizer, config.steps)
+    student_scheduler = CosineAnnealingLR(student_optimizer, config.steps)
+    teacher_stepper = GraphReplay(teacher, teacher_optimizer)
+    student_stepper = GraphReplay(student, student_optimizer)
+    dtype = get_default_dtype()  # of the 0-d feedback input
+
+    # Nothing in the loop changes either model's structure.
+    with teacher_stepper.epoch(), student_stepper.epoch():
+        for _ in range(config.steps):
+            labeled_x, labeled_y = next(labeled_stream)
+            unlabeled_x = next(unlabeled_stream)
+            labeled_x = augment(labeled_x, rng)
+            unlabeled_x = augment(unlabeled_x, rng)
+            teacher_scheduler.step()
+            student_scheduler.step()
+
+            # Three forwards only read values, so they record no tape.
+            with no_grad():
+                # Teacher pseudo-labels the unlabeled batch.
+                pseudo_labels = teacher(Tensor(unlabeled_x)).data.argmax(axis=1)
+                # Student loss on labeled data before its update.
+                loss_before = F.cross_entropy(student(Tensor(labeled_x)),
+                                              labeled_y).item()
+
+            # Student step on the pseudo-labeled batch.
+            student_stepper.step_fn(cross_entropy_step,
+                                    {"x": unlabeled_x, "y": pseudo_labels},
+                                    compute_loss=False)
+
+            # Student loss on labeled data after the update: the feedback signal.
+            with no_grad():
+                loss_after = F.cross_entropy(student(Tensor(labeled_x)),
+                                             labeled_y).item()
+
+            # Teacher step: feedback-weighted pseudo-label loss + supervised loss.
+            teacher_stepper.step_fn(_teacher_step, {
+                "u": unlabeled_x, "x": labeled_x, "pseudo": pseudo_labels,
+                "y": labeled_y,
+                "feedback": np.asarray(loss_before - loss_after, dtype=dtype),
+            }, compute_loss=False)
 
 
 class MetaPseudoLabelsBaseline(TrainingModule):
@@ -81,72 +159,10 @@ class MetaPseudoLabelsBaseline(TrainingModule):
         student = ClassificationModel.from_backbone(student_backbone,
                                                     num_classes=data.num_classes,
                                                     rng=rng)
-
-        if len(data.unlabeled_features) == 0:
-            # Degenerates to fine-tuning the student on labeled data.
-            finetune = TrainConfig(epochs=config.finetune_epochs,
-                                   batch_size=config.batch_size,
-                                   lr=config.finetune_lr, momentum=config.momentum,
-                                   augment=augment, seed=data.seed)
-            train_classifier(student, data.labeled_features, data.labeled_labels,
-                             finetune)
-            return ModelTaglet(self.name, student)
-
-        labeled_loader = DataLoader(
-            ArrayDataset(data.labeled_features, data.labeled_labels),
-            batch_size=min(config.batch_size, len(data.labeled_features)),
-            rng=np.random.default_rng(data.seed))
-        unlabeled_loader = DataLoader(
-            UnlabeledDataset(data.unlabeled_features),
-            batch_size=min(config.unlabeled_batch_size, len(data.unlabeled_features)),
-            rng=np.random.default_rng(data.seed + 1))
-        labeled_stream = iterate_forever(labeled_loader)
-        unlabeled_stream = iterate_forever(unlabeled_loader)
-
-        teacher_optimizer = SGD(teacher.parameters(), lr=config.teacher_lr,
-                                momentum=config.momentum)
-        student_optimizer = SGD(student.parameters(), lr=config.student_lr,
-                                momentum=config.momentum)
-        teacher_scheduler = CosineAnnealingLR(teacher_optimizer, config.steps)
-        student_scheduler = CosineAnnealingLR(student_optimizer, config.steps)
-
-        for _ in range(config.steps):
-            labeled_x, labeled_y = next(labeled_stream)
-            unlabeled_x = next(unlabeled_stream)
-            labeled_x = augment(labeled_x, rng)
-            unlabeled_x = augment(unlabeled_x, rng)
-            teacher_scheduler.step()
-            student_scheduler.step()
-
-            # Three forwards only read values, so they record no tape.
-            with no_grad():
-                # Teacher pseudo-labels the unlabeled batch.
-                pseudo_labels = teacher(Tensor(unlabeled_x)).data.argmax(axis=1)
-                # Student loss on labeled data before its update.
-                loss_before = F.cross_entropy(student(Tensor(labeled_x)),
-                                              labeled_y).item()
-
-            # Student step on the pseudo-labeled batch.
-            student_logits = student(Tensor(unlabeled_x))
-            student_loss = F.cross_entropy(student_logits, pseudo_labels)
-            student_optimizer.zero_grad()
-            student_loss.backward()
-            student_optimizer.step()
-
-            # Student loss on labeled data after the update: the feedback signal.
-            with no_grad():
-                loss_after = F.cross_entropy(student(Tensor(labeled_x)),
-                                             labeled_y).item()
-            feedback = loss_before - loss_after
-
-            # Teacher step: feedback-weighted pseudo-label loss + supervised loss.
-            teacher_logits_u = teacher(Tensor(unlabeled_x))
-            teacher_logits_l = teacher(Tensor(labeled_x))
-            teacher_loss = (feedback * F.cross_entropy(teacher_logits_u, pseudo_labels)
-                            + F.cross_entropy(teacher_logits_l, labeled_y))
-            teacher_optimizer.zero_grad()
-            teacher_loss.backward()
-            teacher_optimizer.step()
+        # Without unlabeled data the baseline degenerates to fine-tuning
+        # the student on labeled data.
+        if len(data.unlabeled_features) > 0:
+            _teach(teacher, student, data, config, augment, rng)
 
         # Final supervised fine-tuning of the student.
         finetune = TrainConfig(epochs=config.finetune_epochs,

@@ -37,8 +37,8 @@ from ..nn.optim import SGD
 from ..nn.replay import GraphReplay
 from ..nn.schedulers import FixMatchCosineLR
 from ..nn.tensor import get_default_dtype
-from ..nn.training import (TrainConfig, iterate_forever, softmax_rows,
-                           train_classifier)
+from ..nn.training import (TrainConfig, cross_entropy_step,
+                           iterate_forever, softmax_rows, train_classifier)
 from ..nn.transforms import strong_augment, weak_augment
 from .base import (ModelTaglet, ModuleInput, Taglet, TrainingModule,
                    fine_tune_on_auxiliary)
@@ -211,8 +211,9 @@ class FixMatchModule(TrainingModule):
                     weak_labeled = weak(labeled_x, rng)
 
                     if unlabeled_stream is None:
-                        stepper.step(weak_labeled, labeled_y,
-                                     compute_loss=False)
+                        stepper.step_fn(cross_entropy_step,
+                                        {"x": weak_labeled, "y": labeled_y},
+                                        compute_loss=False)
                         continue
 
                     unlabeled_x = next(unlabeled_stream)

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..backbones.backbone import ClassificationModel, PretrainedBackbone
 from ..kg.graph import KnowledgeGraph
+from ..nn import functional as F
 from ..nn.chain import LeafChain, leaf_chain
 from ..nn.modules import Linear, Module, ReLU
 from ..nn.ops import SQERR, Frame
@@ -84,6 +85,12 @@ class GraphClassEncoder(Module):
 #: forward over every concept would hold all their images and activations
 #: at once and raise peak memory
 _PROTOTYPE_CHUNK = 64
+
+
+def _l2_step(encoder: Module, batch) -> Tensor:
+    """The pretrain's regression loss (Eq. 9) as a replayable step function:
+    squared error of the encoded descriptions against the float targets."""
+    return F.l2_loss(encoder(batch["x"]), batch["y"].data)
 
 
 def _validation_loss(chain: LeafChain, x: np.ndarray, y: np.ndarray) -> float:
@@ -231,11 +238,12 @@ class ZslKgModule(TrainingModule):
         val_x = descriptions[val_idx].astype(dtype)
         val_y = targets[val_idx].astype(dtype)
         del descriptions, targets
-        stepper = GraphReplay(class_encoder, optimizer, loss="l2")
+        stepper = GraphReplay(class_encoder, optimizer)
         chain = leaf_chain(class_encoder, val_x.shape[1], dtype)
         with stepper.epoch():
             for _ in range(config.pretrain_epochs):
-                stepper.step(train_x, train_y, compute_loss=False)
+                stepper.step_fn(_l2_step, {"x": train_x, "y": train_y},
+                                compute_loss=False)
                 val_loss = _validation_loss(chain, val_x, val_y)
                 if val_loss < best_val:
                     best_val = val_loss

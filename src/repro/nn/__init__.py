@@ -23,8 +23,9 @@ from .tensor import (Tensor, default_dtype, get_default_dtype,
                      graph_replay_enabled, is_grad_enabled, no_grad,
                      use_graph_replay)
 from .training import (TrainConfig, build_optimizer, build_scheduler,
-                       iterate_forever, predict_logits, predict_proba,
-                       softmax_rows, train_classifier, train_soft_classifier)
+                       cross_entropy_step, iterate_forever, predict_logits,
+                       predict_proba, softmax_rows, train_classifier,
+                       train_soft_classifier)
 from .transforms import (Compose, GaussianJitter, RandomFeatureDrop,
                          RandomScale, Transform, strong_augment, weak_augment)
 
@@ -42,7 +43,8 @@ __all__ = [
     "DataLoader",
     "Transform", "Compose", "GaussianJitter",
     "RandomScale", "RandomFeatureDrop", "weak_augment", "strong_augment",
-    "TrainConfig", "build_optimizer", "build_scheduler", "predict_logits",
+    "TrainConfig", "build_optimizer", "build_scheduler",
+    "cross_entropy_step", "predict_logits",
     "predict_proba", "softmax_rows", "train_classifier",
     "train_soft_classifier", "iterate_forever",
     "save_state_dict", "load_state_dict", "state_dict_manifest",

@@ -31,9 +31,8 @@ buffer-reuse rule shrinks the working set: a ReLU whose input is a
 shares its grad buffer with the ``Linear`` (:func:`_reuse_relu_buffers`).
 
 The executor compiles training steps only; the compiled inference forward
-is the model's leaf chain (:mod:`repro.nn.chain`).  Both entry points
-(``step`` and ``step_fn``) are thin wrappers over one call path,
-:meth:`GraphReplay._call`.  It builds the call's signature — the step
+is the model's leaf chain (:mod:`repro.nn.chain`).  It has one entry point,
+:meth:`GraphReplay.step_fn`.  It builds the call's signature — the step
 function's identity, and the input names, shapes and dtypes — and resolves
 it in one order: the outcome remembered in the open ``epoch()`` scope, then
 the plan dict (keyed by the signature plus the structural fingerprint),
@@ -69,18 +68,17 @@ as in eager mode.  A parameter that
 requires grad but is not the optimizer's has no view, so such a step is
 unsupported and runs eagerly.
 
-Beyond the classic ``step(x, y)`` chain API, the executor exposes:
-
-* :meth:`GraphReplay.step_fn` — capture/replay an arbitrary step *function*
-  ``fn(model, batch)`` returning a scalar loss Tensor (FixMatch's two-view
-  consistency step runs through this);
-* :meth:`GraphReplay.epoch` — the once-per-epoch guard: inside the scope
-  the structural fingerprint is computed once and each signature's
-  outcome is remembered, instead of both on every call.  The
-  caller promises not to mutate the model structure mid-epoch; every
-  training loop in the pipeline (:mod:`repro.nn.training`, FixMatch, the
-  multi-task joint step, the ZSL-KG pretrain) calls the executor only
-  inside one.
+Every training update in the package goes through
+:meth:`GraphReplay.step_fn`, which captures/replays a step function
+``fn(model, batch)`` returning a scalar loss Tensor: the supervised loops of :mod:`repro.nn.training`
+(``cross_entropy_step`` and the soft-target step), FixMatch's two-view
+consistency step, the multi-task joint step, the ZSL-KG pretrain, and Meta
+Pseudo Labels' student and teacher updates.  Only this module runs a
+backward.  :meth:`GraphReplay.epoch` is the once-per-epoch guard: inside
+the scope the structural fingerprint is computed once and each signature's
+outcome is remembered, instead of both on every call.  The caller promises
+not to mutate the model structure mid-epoch; every training loop in the
+package calls the executor only inside one.
 
 A training step called with ``compute_loss=False`` skips every scalar no
 one reads (:func:`_value_elision`): the loss values and the adds/muls that
@@ -93,11 +91,10 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import functional as F
 from .modules import Module, op_of
 from .ops import Frame, Op, ReplayUnsupported
 from .optim import Optimizer
@@ -107,12 +104,6 @@ from .tensor import (Tensor, get_default_dtype, graph_replay_enabled,
 __all__ = ["GraphReplay", "ReplayStats", "ReplayUnsupported",
            "collect_replay_stats"]
 
-
-_LOSS_FNS: Dict[str, Callable] = {
-    "cross_entropy": F.cross_entropy,
-    "soft_cross_entropy": F.soft_cross_entropy,
-    "l2": F.l2_loss,
-}
 
 # --------------------------------------------------------------------------- #
 # Stats
@@ -563,16 +554,14 @@ class _UnsupportedPlan:
         self.reason = reason
 
 
-def _wrap_inputs(inputs: Dict[str, np.ndarray], tensor_keys=()):
+def _wrap_inputs(inputs: Dict[str, np.ndarray]):
     """Wrap float inputs as Tensors (the eager ``Tensor(x)`` cast) and pass
     integer/bool arrays through raw; return the bound dict plus the id→key
     map the compiler uses to resolve graph inputs.
 
     Both the Tensor and its ``.data`` array are keyed, so a step function
     may hand ``batch["w"].data`` to a loss as targets/sample-weights and
-    still resolve.  Keys in ``tensor_keys`` are wrapped regardless of dtype
-    — :meth:`GraphReplay.step` uses this for the model input so an integer
-    feature array gets the exact ``Tensor(x)`` cast the eager step applies.
+    still resolve.
     """
     bound: Dict[str, object] = {}
     ids: Dict[int, Optional[str]] = {}
@@ -586,7 +575,7 @@ def _wrap_inputs(inputs: Dict[str, np.ndarray], tensor_keys=()):
         ids[id(obj)] = None if id(obj) in ids else key
 
     for key, arr in inputs.items():
-        if arr.dtype.kind == "f" or key in tensor_keys:
+        if arr.dtype.kind == "f":
             t = Tensor(arr)
             bound[key] = t
             register(t, key)
@@ -610,19 +599,18 @@ _CACHE_FULL = _UnsupportedPlan(None, "plan_cache_full")
 
 
 class GraphReplay:
-    """Capture/replay stepper for one ``(model, loss, optimizer)`` loop.
+    """Capture/replay stepper for one ``(model, optimizer)`` training loop.
 
-    ``step(x, y)`` performs one full training step — forward, loss, backward,
-    optimizer update — and returns the loss as a float; ``step_fn(fn, inputs)``
-    does the same for an arbitrary traced step function (e.g. FixMatch's
-    two-view consistency step).  The first step for each signature runs
-    eagerly (tracing the graph); subsequent steps replay compiled NumPy
-    kernels.  Every fallback rule in the module docstring is re-checked per
-    step (the structural one once per epoch inside :meth:`epoch`), so the
-    executor is always safe to leave on.
+    :meth:`step_fn` performs one full training step — the step function's
+    forward and loss, backward, optimizer update — and returns the loss as
+    a float.  The first step for each signature runs eagerly (tracing the
+    graph); subsequent steps replay compiled NumPy kernels.  Every fallback
+    rule in the module docstring is re-checked per step (the structural one
+    once per epoch inside :meth:`epoch`), so the executor is always safe to
+    leave on.
 
     The learning-rate schedule lives outside: callers keep invoking
-    ``scheduler.step()`` before each ``step`` exactly as in the eager loop
+    ``scheduler.step()`` before each step exactly as in the eager loop
     (the replayed update reads ``optimizer.lr`` live).
 
     Replay is on unless the ambient :func:`~repro.nn.use_graph_replay`
@@ -632,15 +620,9 @@ class GraphReplay:
     :func:`collect_replay_stats` when the stepper is built is updated too.
     """
 
-    def __init__(self, model: Module, optimizer: Optimizer,
-                 loss: str = "cross_entropy"):
-        if loss not in _LOSS_FNS:
-            raise ValueError(f"unknown replay loss {loss!r}; "
-                             f"known: {sorted(_LOSS_FNS)}")
+    def __init__(self, model: Module, optimizer: Optimizer):
         self.model = model
         self.optimizer = optimizer
-        self.loss_kind = loss
-        self._loss_fn = _LOSS_FNS[loss]
         #: full signature -> compiled plan or ``_UnsupportedPlan``
         self._plans: Dict[tuple, object] = {}
         #: while an :meth:`epoch` scope is open: what each call signature
@@ -659,15 +641,6 @@ class GraphReplay:
         self._sinks = tuple(sinks)
         self.stats = own
 
-        loss_fn = self._loss_fn
-
-        def _chain(model, batch):
-            y = batch["y"]
-            return loss_fn(model(batch["x"]),
-                           y.data if isinstance(y, Tensor) else y)
-
-        self._chain_fn = _chain
-
     # -- stats ----------------------------------------------------------- #
     def _count_capture(self) -> None:
         for sink in self._sinks:
@@ -681,55 +654,13 @@ class GraphReplay:
         for sink in self._sinks:
             sink.add_eager(reason)
 
-    # -- the one call path ----------------------------------------------- #
-    def _call(self, fn, inputs: Dict[str, np.ndarray], tensor_keys=(),
-              compute_loss: bool = True) -> Optional[float]:
-        """Resolve one training call, then replay its plan or run it eagerly.
-
-        The call's signature is ``fn``'s identity and the input names (in
-        the caller's order), shapes and dtypes.  It resolves to the outcome
-        remembered in the open :meth:`epoch` scope, else to the plan dict
-        entry under the signature plus the structural fingerprint, else to
-        a capture, which runs the step eagerly itself.  Returns the loss
-        float (None when a replayed step elides it).
-        """
-        if not graph_replay_enabled() or not is_grad_enabled():
-            return self._eager(fn, inputs, tensor_keys, _R_DISABLED)
-        key = (id(fn),
-               tuple([(k, v.shape, v.dtype) for k, v in inputs.items()]))
-        outcomes = self._epoch_outcomes
-        plan = None if outcomes is None else outcomes.get(key)
-        if plan is None:
-            sig = key + self._fingerprint_sig()
-            plan = self._plans.get(sig)
-            loss = None
-            if plan is None and len(self._plans) >= _MAX_PLANS:
-                plan = _CACHE_FULL
-            elif plan is None:
-                plan, loss = self._capture(fn, inputs, tensor_keys)
-                pins = (tuple(self.model.modules()), fn)
-                if isinstance(plan, str):
-                    plan = _UnsupportedPlan(pins, plan)
-                    self._count_eager(plan.reason)
-                else:
-                    plan.pins = pins
-                    self._count_capture()
-                self._plans[sig] = plan
-            if outcomes is not None:
-                outcomes[key] = plan
-            if loss is not None:
-                return loss
-        if isinstance(plan, _UnsupportedPlan):
-            return self._eager(fn, inputs, tensor_keys, plan.reason)
-        self._count_replay()
-        return plan.run(inputs, compute_loss)
-
-    def _eager(self, fn, inputs: Dict[str, np.ndarray], tensor_keys,
+    # -- the eager reference path ---------------------------------------- #
+    def _eager(self, fn, inputs: Dict[str, np.ndarray],
                reason: str) -> float:
-        """The eager reference path of :meth:`_call`: ``fn`` on the tape,
+        """The eager reference path of :meth:`step_fn`: ``fn`` on the tape,
         then the optimizer update."""
         self._count_eager(reason)
-        bound, _ = _wrap_inputs(inputs, tensor_keys)
+        bound, _ = _wrap_inputs(inputs)
         root = fn(self.model, bound)
         self.optimizer.zero_grad()
         root.backward()
@@ -737,7 +668,7 @@ class GraphReplay:
         return root.item()
 
     # -- capture --------------------------------------------------------- #
-    def _capture(self, fn, inputs: Dict[str, np.ndarray], tensor_keys):
+    def _capture(self, fn, inputs: Dict[str, np.ndarray]):
         """Run one eager step with the op tracer on and compile it.
 
         The step always completes eagerly — including when compilation
@@ -750,7 +681,7 @@ class GraphReplay:
         parameter identities only, none of which the step changes.
         Returns ``(plan or failure reason, loss)``.
         """
-        bound, ids = _wrap_inputs(inputs, tensor_keys)
+        bound, ids = _wrap_inputs(inputs)
         records: List[tuple] = []
         with trace_ops(records):
             root = fn(self.model, bound)
@@ -803,20 +734,7 @@ class GraphReplay:
         finally:
             self._epoch_outcomes, self._epoch_fingerprint = outer
 
-    # -- public entry points --------------------------------------------- #
-    def step(self, x: np.ndarray, y: np.ndarray,
-             compute_loss: bool = True) -> Optional[float]:
-        """One training step (forward, loss, backward, optimizer update).
-
-        With ``compute_loss=False`` a replayed step elides materializing the
-        loss scalar (the gradient does not depend on it) and returns None —
-        used by loops that discard the training loss, like the ZSL-KG
-        pretrain.  Eager/capture steps still compute and return it.
-        """
-        return self._call(self._chain_fn,
-                          {"x": np.asarray(x), "y": np.asarray(y)},
-                          ("x",), compute_loss)
-
+    # -- the entry point ------------------------------------------------- #
     def step_fn(self, fn, inputs: Dict[str, np.ndarray],
                 compute_loss: bool = True) -> Optional[float]:
         """One training step driven by ``fn(model, batch) -> scalar loss``.
@@ -829,8 +747,46 @@ class GraphReplay:
         and any constant folded into the graph (a Python scalar, an array
         created inside ``fn``) makes the step uncompilable and falls back
         to eager.  Keep ``fn`` a single long-lived function: the plan cache
-        is keyed on its identity.  ``compute_loss=False`` works as in
-        :meth:`step`.
+        is keyed on its identity.
+
+        The call's signature is ``fn``'s identity and the input names (in
+        the caller's order), shapes and dtypes.  It resolves to the outcome
+        remembered in the open :meth:`epoch` scope, else to the plan dict
+        entry under the signature plus the structural fingerprint, else to
+        a capture, which runs the step eagerly itself.  Returns the loss
+        float.  With ``compute_loss=False`` a replayed step elides
+        materializing the loss scalar (the gradient does not depend on it)
+        and returns None; eager and capture steps still compute and return
+        it.
         """
-        return self._call(fn, {k: np.asarray(v) for k, v in inputs.items()},
-                          (), compute_loss)
+        inputs = {k: np.asarray(v) for k, v in inputs.items()}
+        if not graph_replay_enabled() or not is_grad_enabled():
+            return self._eager(fn, inputs, _R_DISABLED)
+        key = (id(fn),
+               tuple([(k, v.shape, v.dtype) for k, v in inputs.items()]))
+        outcomes = self._epoch_outcomes
+        plan = None if outcomes is None else outcomes.get(key)
+        if plan is None:
+            sig = key + self._fingerprint_sig()
+            plan = self._plans.get(sig)
+            loss = None
+            if plan is None and len(self._plans) >= _MAX_PLANS:
+                plan = _CACHE_FULL
+            elif plan is None:
+                plan, loss = self._capture(fn, inputs)
+                pins = (tuple(self.model.modules()), fn)
+                if isinstance(plan, str):
+                    plan = _UnsupportedPlan(pins, plan)
+                    self._count_eager(plan.reason)
+                else:
+                    plan.pins = pins
+                    self._count_capture()
+                self._plans[sig] = plan
+            if outcomes is not None:
+                outcomes[key] = plan
+            if loss is not None:
+                return loss
+        if isinstance(plan, _UnsupportedPlan):
+            return self._eager(fn, inputs, plan.reason)
+        self._count_replay()
+        return plan.run(inputs, compute_loss)

@@ -5,16 +5,20 @@ loops: hard-label cross entropy (fine-tuning, the Transfer and Multi-task
 phases, FixMatch's supervised term) or soft-label cross entropy (the
 distillation stage).  Centralizing them keeps the module implementations
 focused on *what* data they train on, which is the paper's actual
-contribution.
+contribution.  Both run their updates through the graph replay executor's
+one entry point, :meth:`~repro.nn.GraphReplay.step_fn`, with a step
+function: :func:`cross_entropy_step` for hard labels, a soft-target step
+for distillation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import functional as F
 from .data import ArrayDataset, DataLoader, SoftLabeledDataset
 from .modules import Module
 from .optim import SGD, Adam, Optimizer
@@ -27,6 +31,7 @@ __all__ = [
     "TrainConfig",
     "build_optimizer",
     "build_scheduler",
+    "cross_entropy_step",
     "predict_logits",
     "predict_proba",
     "softmax_rows",
@@ -128,9 +133,23 @@ def predict_proba(model: Module, features: np.ndarray,
     return softmax_rows(predict_logits(model, features, batch_size=batch_size))
 
 
-def _train(model: Module, dataset, loss: str, config: TrainConfig,
-           callback: Optional[Callable[[int, float], None]]) -> Module:
-    """The one supervised epoch loop behind both public trainers."""
+def cross_entropy_step(model: Module, batch: Dict[str, object]) -> Tensor:
+    """Hard-label cross entropy of ``model`` on ``batch["x"]`` against the
+    integer labels ``batch["y"]``: the step function of every hard-label
+    update."""
+    return F.cross_entropy(model(batch["x"]), batch["y"])
+
+
+def _soft_cross_entropy_step(model: Module,
+                             batch: Dict[str, object]) -> Tensor:
+    """Soft-target cross entropy against the probability rows ``batch["y"]``
+    (a float input, so the step function reads its array)."""
+    return F.soft_cross_entropy(model(batch["x"]), batch["y"].data)
+
+
+def _train(model: Module, dataset, step, config: TrainConfig) -> Module:
+    """The one supervised epoch loop behind both public trainers; ``step``
+    is the replayable step function of one batch."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
@@ -139,43 +158,35 @@ def _train(model: Module, dataset, loss: str, config: TrainConfig,
     scheduler = build_scheduler(optimizer, config,
                                 steps_per_epoch=len(loader))
 
-    stepper = GraphReplay(model, optimizer, loss=loss)
-    for epoch in range(config.epochs):
+    stepper = GraphReplay(model, optimizer)
+    for _ in range(config.epochs):
         # The epoch scope checks the structural fingerprint once per batch
         # signature per epoch instead of once per step; nothing inside the
-        # loop can mutate the model, so the amortization is sound.  The
-        # loss scalar is materialized only when a callback reads it.
-        losses = []
+        # loop can mutate the model, so the amortization is sound.  Nothing
+        # reads the loss, so replayed steps skip its scalar.
         with stepper.epoch():
             for batch_x, batch_y in loader:
                 if config.augment is not None:
                     batch_x = config.augment(batch_x, rng)
                 scheduler.step()
-                losses.append(stepper.step(batch_x, batch_y,
-                                           callback is not None))
-        if callback is not None:
-            callback(epoch, float(np.mean(losses)) if losses else float("nan"))
+                stepper.step_fn(step, {"x": batch_x, "y": batch_y},
+                                compute_loss=False)
     return model
 
 
 def train_classifier(model: Module, features: np.ndarray, labels: np.ndarray,
-                     config: TrainConfig,
-                     callback: Optional[Callable[[int, float], None]] = None) -> Module:
-    """Train ``model`` with hard-label cross entropy (paper Eq. 1/2/4/5).
-
-    ``callback(epoch, mean_loss)`` is invoked after each epoch, which the
-    experiment runner uses for logging.
-    """
-    return _train(model, ArrayDataset(features, labels), "cross_entropy",
-                  config, callback)
+                     config: TrainConfig) -> Module:
+    """Train ``model`` with hard-label cross entropy (paper Eq. 1/2/4/5)."""
+    return _train(model, ArrayDataset(features, labels), cross_entropy_step,
+                  config)
 
 
 def train_soft_classifier(model: Module, features: np.ndarray,
-                          soft_labels: np.ndarray, config: TrainConfig,
-                          callback: Optional[Callable[[int, float], None]] = None) -> Module:
+                          soft_labels: np.ndarray,
+                          config: TrainConfig) -> Module:
     """Train ``model`` with soft-target cross entropy (paper Eq. 7)."""
     return _train(model, SoftLabeledDataset(features, soft_labels),
-                  "soft_cross_entropy", config, callback)
+                  _soft_cross_entropy_step, config)
 
 
 def iterate_forever(loader: DataLoader) -> Iterator:

@@ -46,9 +46,9 @@ def phase_runs(monkeypatch):
     calls = []
     real = base.train_classifier
 
-    def counting(model, features, labels, config, callback=None):
+    def counting(model, features, labels, config):
         calls.append(config)
-        return real(model, features, labels, config, callback)
+        return real(model, features, labels, config)
 
     monkeypatch.setattr(base, "train_classifier", counting)
     return calls

@@ -11,7 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from repro.nn import MLP, SGD, GraphReplay, use_graph_replay
+from repro.nn import (MLP, SGD, GraphReplay, cross_entropy_step,
+                      use_graph_replay)
 from repro.nn import replay as replay_module
 
 
@@ -50,7 +51,7 @@ def _traced_peak(replay):
     tracemalloc.start()
     try:
         with use_graph_replay(replay):
-            stepper.step(x, y)
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -76,7 +77,7 @@ def test_compile_runs_after_the_eager_step_with_no_gradient_held(
     monkeypatch.setattr(replay_module, "_compile", compile_after_checking)
     stepper = GraphReplay(model, optimizer)
     x, y = _batch()
-    stepper.step(x[:64], y[:64])
+    stepper.step_fn(cross_entropy_step, {"x": x[:64], "y": y[:64]})
     assert stepper.stats.captures == 1
     assert seen == [{"updated": True, "held": []}]
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import SGD, GraphReplay, default_dtype, use_graph_replay
+from repro.nn import (SGD, GraphReplay, cross_entropy_step, default_dtype,
+                      use_graph_replay)
 from repro.nn.functional import check_label_range
 from repro.nn.modules import Linear, ReLU, Sequential
 
@@ -90,7 +91,9 @@ def test_layer_mixing_dtypes_trains_like_eager(model_dtype, input_dtype):
                                              momentum=0.9))
             rng = np.random.default_rng(1)
             for _ in range(4):
-                stepper.step(rng.normal(size=(10, 24)), rng.integers(0, 5, 10))
+                stepper.step_fn(cross_entropy_step,
+                                {"x": rng.normal(size=(10, 24)),
+                                 "y": rng.integers(0, 5, 10)})
             outcomes.append((stepper.stats,
                              [p.data.tobytes() for p in model.parameters()]))
     (replayed, replayed_bytes), (_, eager_bytes) = outcomes

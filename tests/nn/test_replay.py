@@ -12,9 +12,11 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.modules.zsl_kg import _l2_step
 from repro.nn import (MLP, Adam, GraphReplay, Tensor, TrainConfig,
-                      default_dtype, no_grad, train_classifier,
-                      train_soft_classifier, use_graph_replay)
+                      cross_entropy_step, default_dtype, no_grad,
+                      train_classifier, train_soft_classifier,
+                      use_graph_replay)
 from repro.nn import functional as F
 from repro.nn.modules import Linear, Module, ReLU
 
@@ -109,10 +111,11 @@ class TestL2AdamPretrainLoop:
             val_y = rng.normal(size=(4, 32)).astype(dt)
             encoder = _ClassEncoder(np.random.default_rng(5))
             optimizer = Adam(encoder.parameters(), lr=1e-2)
-            stepper = GraphReplay(encoder, optimizer, loss="l2")
+            stepper = GraphReplay(encoder, optimizer)
             val_losses = []
             for _ in range(epochs):
-                stepper.step(train_x, train_y, compute_loss=False)
+                stepper.step_fn(_l2_step, {"x": train_x, "y": train_y},
+                                compute_loss=False)
                 with no_grad():
                     val_losses.append(
                         F.l2_loss(encoder(Tensor(val_x)), val_y).item())
@@ -177,9 +180,9 @@ class TestReplayActuallyReplays:
 
         model = MLP(6, [12], 3, rng=np.random.default_rng(13))
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         for _ in range(10):
-            stepper.step(features, labels)
+            stepper.step_fn(cross_entropy_step, {"x": features, "y": labels})
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 9
         assert stepper.stats.eager_steps == 0

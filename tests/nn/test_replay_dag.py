@@ -14,7 +14,8 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Adam, GraphReplay, SGD, default_dtype, use_graph_replay
+from repro.nn import (MLP, Adam, GraphReplay, SGD, cross_entropy_step,
+                      default_dtype, use_graph_replay)
 from repro.nn import functional as F
 from repro.nn.modules import Linear, Module, ReLU, Sequential
 from repro.nn import ops
@@ -82,7 +83,7 @@ class TestSharedEncoderFanOut:
                 optimizer = OPTIMIZERS[opt](model.parameters())
                 stepper = GraphReplay(model, optimizer)
                 for _ in range(8):
-                    stepper.step(x, y)
+                    stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
                 return _params(model), stepper.stats
 
         replay_params, stats = run(True)
@@ -396,29 +397,6 @@ class TestAliasedInputs:
         _assert_bit_identical(replay_params, eager_params)
 
 
-class TestIntegerFeatures:
-    def test_integer_inputs_cast_like_eager(self):
-        # Integer feature arrays go through the same Tensor(x) cast as the
-        # eager step — replay must not hand the raw int array to the model.
-        rng = np.random.default_rng(29)
-        x = rng.integers(-3, 4, size=(20, 6))
-        y = rng.integers(0, 3, size=20)
-
-        def run(replay):
-            model = MLP(6, [12], 3, rng=np.random.default_rng(30))
-            optimizer = SGD(model.parameters(), lr=0.1)
-            with use_graph_replay(replay):
-                stepper = GraphReplay(model, optimizer)
-                losses = [stepper.step(x, y) for _ in range(5)]
-                return _params(model), losses, stepper.stats
-
-        replay_params, replay_losses, stats = run(True)
-        eager_params, eager_losses, _ = run(False)
-        assert replay_losses == eager_losses
-        assert stats.eager_steps == 0
-        _assert_bit_identical(replay_params, eager_params)
-
-
 # --------------------------------------------------------------------------- #
 # ReLU buffer reuse: in place only over a private Linear output
 # --------------------------------------------------------------------------- #
@@ -468,10 +446,10 @@ REUSE_CASES = {
 
 
 def _relu_nodes(stepper):
-    """The ReLU kernels of the stepper's ``step`` plans (a plan's signature
-    starts with the identity of the step function it traced)."""
+    """The ReLU kernels of the stepper's cross-entropy plans (a plan's
+    signature starts with the identity of the step function it traced)."""
     return [node for sig, plan in stepper._plans.items()
-            if sig[0] == id(stepper._chain_fn) for _, node in plan._forwards
+            if sig[0] == id(cross_entropy_step) for _, node in plan._forwards
             if node.op is ops.RELU]
 
 
@@ -493,7 +471,8 @@ class TestReluBufferReuse:
         with _dtype_scope(dtype), use_graph_replay(replay):
             model = make(np.random.default_rng(41))
             stepper = GraphReplay(model, Adam(model.parameters(), lr=1e-2))
-            losses = [stepper.step(x, y) for _ in range(6)]
+            losses = [stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
+                      for _ in range(6)]
         params = [p.data.tobytes() for p in model.parameters()]
         return (params, losses), stepper
 
@@ -597,17 +576,17 @@ def _plan_trace_cases():
     rng = np.random.default_rng(60)
     mlp = lambda rng: MLP(10, [16], 4, rng=rng)  # noqa: E731
     return {
-        "step": (mlp, None, ("x",), {
+        "step": (mlp, cross_entropy_step, {
             "x": rng.normal(size=(24, 10)),
             "y": rng.integers(0, 4, size=24)}),
-        "fixmatch_two_view": (mlp, _two_view_step, (), {
+        "fixmatch_two_view": (mlp, _two_view_step, {
             "weak_x": rng.normal(size=(8, 10)),
             "labels": rng.integers(0, 4, size=8),
             "strong_x": rng.normal(size=(24, 10)),
             "pseudo": rng.integers(0, 4, size=24),
             "mask_w": (rng.random(24) < 0.6).astype(float),
             "cons_w": np.asarray(0.7)}),
-        "multitask_joint": (_joint_model, _joint_step, (), {
+        "multitask_joint": (_joint_model, _joint_step, {
             "target_x": rng.normal(size=(8, 10)),
             "target_y": rng.integers(0, 4, size=8),
             "aux_x": rng.normal(size=(24, 10)),
@@ -624,17 +603,13 @@ def test_plan_nodes_are_the_traced_ops_in_order(case):
     from repro.nn.replay import _wrap_inputs
     from repro.nn.tensor import trace_ops
 
-    make, fn, tensor_keys, batch = PLAN_TRACE_CASES[case]
+    make, fn, batch = PLAN_TRACE_CASES[case]
     model = make(np.random.default_rng(61))
     stepper = GraphReplay(model, SGD(model.parameters(), lr=0.05))
-    fn = fn or stepper._chain_fn
     records = []
     with trace_ops(records):
-        fn(model, _wrap_inputs(batch, tensor_keys)[0])
-    if fn is stepper._chain_fn:
-        stepper.step(batch["x"], batch["y"])
-    else:
-        stepper.step_fn(fn, batch)
+        fn(model, _wrap_inputs(batch)[0])
+    stepper.step_fn(fn, batch)
     assert stepper.stats.captures == 1 and stepper.stats.eager_steps == 0
     (plan,) = stepper._plans.values()
     assert [(node.index, node.op) for _, node in plan._forwards] == \

@@ -12,7 +12,8 @@ silent stale-buffer reuse.
 import numpy as np
 import pytest
 
-from repro.nn import GraphReplay, SGD, use_graph_replay
+from repro.nn import GraphReplay, SGD, cross_entropy_step, use_graph_replay
+from repro.nn import functional as F
 from repro.nn.modules import Linear, Module, ReLU, Sequential
 
 
@@ -38,11 +39,11 @@ def _run_script(script, replay):
     model = _make_model()
     optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
     with use_graph_replay(replay):
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         for mutate, x, y in script:
             if mutate is not None:
                 mutate(model, optimizer)
-            stepper.step(x, y)
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         return _params(model), stepper.stats
 
 
@@ -147,9 +148,9 @@ class TestUnsupportedStructures:
             model = Siamese()
             optimizer = SGD(model.parameters(), lr=0.1)
             with use_graph_replay(replay):
-                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                stepper = GraphReplay(model, optimizer)
                 for _ in range(4):
-                    stepper.step(x, y)
+                    stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
                 return _params(model), stepper.stats
 
         replay_params, stats = run(True)
@@ -171,10 +172,10 @@ class TestUnsupportedStructures:
 
         model = Scaled()
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         x, y = _batches(10)
         for _ in range(3):
-            stepper.step(x, y)
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         assert stepper.stats.replays == 0
         assert stepper.stats.eager_steps == 3
 
@@ -183,16 +184,16 @@ class TestEngineModeSwitches:
     def test_use_graph_replay_false_disables_replay(self):
         model = _make_model()
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         x, y = _batches(14)
         with use_graph_replay(False):
             for _ in range(3):
-                stepper.step(x, y)
+                stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         assert stepper.stats.replays == 0
         assert stepper.stats.eager_steps == 3
         # Back on: captures and replays resume.
-        stepper.step(x, y)
-        stepper.step(x, y)
+        stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
+        stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
 
@@ -202,11 +203,11 @@ class TestEngineModeSwitches:
         # use_graph_replay(False).
         model = _make_model()
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         x, y = _batches(28)
         with use_graph_replay(False), use_graph_replay(True):
-            stepper.step(x, y)
-            stepper.step(x, y)
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         assert stepper.stats.captures == 1
         assert stepper.stats.replays == 1
 
@@ -230,10 +231,12 @@ class TestPlanCacheFull:
             model = _make_model()
             optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
             with use_graph_replay(replay):
-                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                stepper = GraphReplay(model, optimizer)
                 with (stepper.epoch() if scoped
                       else contextlib.nullcontext()):
-                    losses = [stepper.step(x, y) for x, y in script]
+                    losses = [stepper.step_fn(cross_entropy_step,
+                                              {"x": x, "y": y})
+                              for x, y in script]
             return _params(model), losses, stepper
 
         params, losses, stepper = run(True)
@@ -257,9 +260,9 @@ class TestFrozenParameters:
                 p.requires_grad = False
             optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
             with use_graph_replay(replay):
-                stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+                stepper = GraphReplay(model, optimizer)
                 for _ in range(5):
-                    stepper.step(x, y)
+                    stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
                 return _params(model), stepper.stats
 
         replay_params, stats = run(True)
@@ -274,10 +277,10 @@ class TestFrozenParameters:
         frozen.requires_grad = False
         before = frozen.data.copy()
         optimizer = SGD(model.parameters(), lr=0.5)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         x, y = _batches(19)
         for _ in range(4):
-            stepper.step(x, y)
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         np.testing.assert_array_equal(frozen.data, before)
 
 
@@ -285,22 +288,25 @@ class TestErrorBehavior:
     def test_out_of_range_labels_raise_in_replayed_step(self):
         model = _make_model(seed=20)
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         x, y = _batches(21)
-        stepper.step(x, y)
-        stepper.step(x, y)
+        stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
+        stepper.step_fn(cross_entropy_step, {"x": x, "y": y})
         assert stepper.stats.replays == 1
         bad = y.copy()
         bad[0] = 99
         with pytest.raises(ValueError, match="labels out of range"):
-            stepper.step(x, bad)
+            stepper.step_fn(cross_entropy_step, {"x": x, "y": bad})
 
     def test_soft_target_shape_mismatch_raises(self):
+        def soft_step(model, batch):
+            return F.soft_cross_entropy(model(batch["x"]), batch["y"].data)
+
         model = _make_model(seed=22)
         optimizer = SGD(model.parameters(), lr=0.1)
-        stepper = GraphReplay(model, optimizer, loss="soft_cross_entropy")
+        stepper = GraphReplay(model, optimizer)
         x, _ = _batches(23)
         probs = np.full((32, 4), 0.25)
-        stepper.step(x, probs)
+        stepper.step_fn(soft_step, {"x": x, "y": probs})
         with pytest.raises(ValueError):
-            stepper.step(x, np.full((32, 5), 0.2))
+            stepper.step_fn(soft_step, {"x": x, "y": np.full((32, 5), 0.2)})

@@ -14,8 +14,10 @@ every byte the same as with it on.
 import numpy as np
 import pytest
 
+from repro.evaluation import METHOD_REGISTRY
+from repro.modules.zsl_kg import _l2_step
 from repro.nn import (MLP, Adam, GraphReplay, ReplayStats, TrainConfig,
-                      collect_replay_stats, train_classifier,
+                      collect_replay_stats, default_dtype, train_classifier,
                       train_soft_classifier, use_graph_replay)
 from repro.nn.modules import Linear, Module, ReLU
 
@@ -74,9 +76,10 @@ class TestTrainingLoops:
         encoder = _ClassEncoder(np.random.default_rng(5))
         optimizer = Adam(encoder.parameters(), lr=1e-2)
         with use_graph_replay(True), collect_replay_stats(stats):
-            stepper = GraphReplay(encoder, optimizer, loss="l2")
+            stepper = GraphReplay(encoder, optimizer)
             for _ in range(20):
-                stepper.step(train_x, train_y, compute_loss=False)
+                stepper.step_fn(_l2_step, {"x": train_x, "y": train_y},
+                                compute_loss=False)
         _assert_no_fallbacks(stats)
         assert stats.captures == 1  # one training plan
 
@@ -205,6 +208,55 @@ class TestScenarioLoops:
         assert row.fallbacks == 0
 
 
+class TestRegisteredMethods:
+    # Every method of the paper's tables, TAGLETS and each baseline, trains
+    # through the replay executor: Meta Pseudo Labels' teacher-student
+    # loop included, no training step of any method runs eagerly.
+    @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
+    def test_method_zero_fallbacks(self, method, tiny_workspace):
+        split = tiny_workspace.make_task_split("fmd", shots=1, split_seed=0)
+        stats = ReplayStats()
+        with collect_replay_stats(stats):
+            METHOD_REGISTRY[method].run(tiny_workspace, split, "resnet50", 0)
+        _assert_no_fallbacks(stats)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_meta_pseudo_labels_replay_off_matches_replay_on(
+            self, dtype, tiny_workspace, tiny_backbone):
+        # The student and teacher updates replay bit-identically to
+        # running the same step functions on the eager tape.
+        from repro.baselines import (MetaPseudoLabelsBaseline,
+                                     MetaPseudoLabelsConfig)
+        from repro.modules.base import ModuleInput
+        from repro.scads.query import AuxiliarySelection
+
+        split = tiny_workspace.make_task_split("fmd", shots=1, split_seed=0)
+        data = ModuleInput(
+            classes=split.classes, labeled_features=split.labeled_features,
+            labeled_labels=split.labeled_labels,
+            unlabeled_features=split.unlabeled_features,
+            auxiliary=AuxiliarySelection.empty(
+                split.labeled_features.shape[1]),
+            backbone=tiny_backbone, seed=0)
+        runs = {}
+        for replay in (True, False):
+            stats = ReplayStats()
+            with default_dtype(dtype), use_graph_replay(replay), \
+                    collect_replay_stats(stats):
+                taglet = MetaPseudoLabelsBaseline().train(data)
+            runs[replay] = (taglet.model.state_dict(), stats)
+        (on, on_stats), (off, off_stats) = runs[True], runs[False]
+        _assert_no_fallbacks(on_stats)
+        # Both updates of every teacher-student step reach the executor,
+        # besides the final fine-tune's steps.
+        assert on_stats.total > 2 * MetaPseudoLabelsConfig().steps
+        assert off_stats.captures == off_stats.replays == 0
+        assert list(on) == list(off)
+        for key, value in on.items():
+            assert value.dtype == off[key].dtype == np.dtype(dtype)
+            assert value.tobytes() == off[key].tobytes(), key
+
+
 class TestControllerRun:
     def test_full_pipeline_zero_fallbacks(self, tiny_workspace, tiny_backbone):
         # Every training loop in a full TAGLETS run — all four paper-default
@@ -232,13 +284,13 @@ class TestControllerRun:
         monkeypatch.setattr(ZslKgModule, "_pretrained_cache", {})
         scoped, current, keep = [], [], []
         fingerprints = {}
-        real_call = GraphReplay._call
+        real_step_fn = GraphReplay.step_fn
         real_sig = GraphReplay._fingerprint_sig
         real_fingerprint = replay_module._model_fingerprint
 
-        def call(self, *args, **kwargs):
+        def step_fn(self, *args, **kwargs):
             scoped.append(self._epoch_outcomes is not None)
-            return real_call(self, *args, **kwargs)
+            return real_step_fn(self, *args, **kwargs)
 
         def fingerprint_sig(self):
             current.append(self)
@@ -255,7 +307,7 @@ class TestControllerRun:
             fingerprints[key] = fingerprints.get(key, 0) + 1
             return real_fingerprint(module)
 
-        monkeypatch.setattr(GraphReplay, "_call", call)
+        monkeypatch.setattr(GraphReplay, "step_fn", step_fn)
         monkeypatch.setattr(GraphReplay, "_fingerprint_sig", fingerprint_sig)
         monkeypatch.setattr(replay_module, "_model_fingerprint", fingerprint)
         stats = ReplayStats()

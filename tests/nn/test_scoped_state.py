@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (MLP, SGD, GraphReplay, ReplayStats, collect_replay_stats,
-                      default_dtype, get_default_dtype, graph_replay_enabled,
+                      cross_entropy_step, default_dtype, get_default_dtype, graph_replay_enabled,
                       is_grad_enabled, no_grad, use_graph_replay)
 
 DEFAULTS = (np.float64, True, True)
@@ -133,7 +133,7 @@ def train_a_few_steps(steps=3):
     model = MLP(6, [8], 3, rng=np.random.default_rng(1))
     stepper = GraphReplay(model, SGD(model.parameters(), lr=0.1))
     for _ in range(steps):
-        stepper.step(features, labels)
+        stepper.step_fn(cross_entropy_step, {"x": features, "y": labels})
     return stepper
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from repro.nn import (MLP, TrainConfig, build_optimizer, build_scheduler,
                       iterate_forever, predict_logits,
-                      predict_proba, train_classifier, train_soft_classifier,
-                      use_graph_replay)
+                      predict_proba, train_classifier, train_soft_classifier)
 from repro.nn import functional as F
 from repro.nn.data import ArrayDataset, DataLoader
 
@@ -30,16 +29,6 @@ class TestTrainClassifier:
         train_classifier(model, features, labels,
                          TrainConfig(epochs=15, lr=0.05, batch_size=32, seed=0))
         assert F.accuracy(predict_logits(model, features), labels) > 0.95
-
-    def test_callback_receives_decreasing_loss(self):
-        features, labels = make_blobs()
-        model = MLP(8, [16], 3, rng=np.random.default_rng(0))
-        losses = []
-        train_classifier(model, features, labels,
-                         TrainConfig(epochs=10, lr=0.05, seed=0),
-                         callback=lambda epoch, loss: losses.append(loss))
-        assert len(losses) == 10
-        assert losses[-1] < losses[0]
 
     def test_empty_dataset_rejected(self):
         model = MLP(4, [4], 2)
@@ -70,29 +59,6 @@ class TestSoftTraining:
         with pytest.raises(ValueError):
             train_soft_classifier(MLP(4, [4], 2), np.zeros((0, 4)),
                                   np.zeros((0, 2)), TrainConfig())
-
-
-class TestLossElision:
-    # Without a callback the replayed steps skip the loss scalar; the
-    # weights must not notice, and a callback must still see real losses.
-    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
-    def test_weights_identical_with_and_without_callback(self, soft):
-        features, labels = make_blobs(n_per_class=30)
-        targets = F.one_hot(labels, 3) * 0.8 + 0.2 / 3 if soft else labels
-        train = train_soft_classifier if soft else train_classifier
-        config = TrainConfig(epochs=4, batch_size=32, lr=0.05, seed=0)
-
-        def run(callback):
-            model = MLP(8, [16], 3, rng=np.random.default_rng(1))
-            with use_graph_replay(True):
-                train(model, features, targets, config, callback=callback)
-            return [p.data.tobytes() for p in model.parameters()]
-
-        losses = []
-        with_callback = run(lambda epoch, loss: losses.append(loss))
-        assert run(None) == with_callback
-        assert len(losses) == 4
-        assert np.all(np.isfinite(losses))
 
 
 class TestPrediction:

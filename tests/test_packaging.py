@@ -285,6 +285,62 @@ class TestOneServingLifecycle:
                 f"stale allowlist entry: {relpath} {function or ''}"
 
 
+#: the attributes that run a backward pass or clear gradients by hand
+TRAINING_STEP_NAMES = {"backward", "zero_grad"}
+#: where they may be read: the replay executor, which runs every training
+#: step, and ``Optimizer.zero_grad``'s own ``p.zero_grad()``; a
+#: ``(path, function)`` pair allows that function only
+TRAINING_STEP_ALLOWED = {
+    (os.path.join("src", "repro", "nn", "replay.py"), None),
+    (os.path.join("src", "repro", "nn", "optim.py"), "zero_grad"),
+}
+
+
+def training_step_reads(path):
+    """``(line, name)`` of every attribute read of a training-step name in
+    a file, skipping the function the allowlist names for it (if any)."""
+    relpath = os.path.relpath(path, REPO_ROOT)
+    allowed = {function for allowed_path, function in TRAINING_STEP_ALLOWED
+               if allowed_path == relpath}
+    if None in allowed:
+        return []
+    tree = parse(path)
+    skipped = {id(node)
+               for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               and function.name in allowed
+               for node in ast.walk(function)}
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in skipped
+            and node.attr in TRAINING_STEP_NAMES]
+
+
+class TestOneTrainingStepPath:
+    def test_no_backward_outside_the_replay_executor(self):
+        """Every training update runs through ``GraphReplay.step_fn``; a
+        loop with its own ``zero_grad()`` / ``backward()`` is never
+        replayed or counted."""
+        reads = {}
+        for path in iter_python_files(SRC_ROOT):
+            found = training_step_reads(path)
+            if found:
+                reads[os.path.relpath(path, REPO_ROOT)] = found
+        assert not reads, f"training steps outside repro.nn.replay: {reads}"
+
+    def test_every_allowlisted_read_is_still_made(self):
+        """An allowlisted file or function that no longer reads a
+        training-step name is stale."""
+        for relpath, function in TRAINING_STEP_ALLOWED:
+            tree = parse(os.path.join(REPO_ROOT, relpath))
+            scopes = [node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == function] if function else [tree]
+            assert any(isinstance(node, ast.Attribute)
+                       and node.attr in TRAINING_STEP_NAMES
+                       for scope in scopes for node in ast.walk(scope)), \
+                f"stale allowlist entry: {relpath} {function or ''}"
+
+
 #: Public definitions in ``src/repro`` that no program reads by name, each
 #: kept on purpose.
 TEST_ONLY_API_ALLOWED = {
